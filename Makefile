@@ -1,11 +1,12 @@
 # CI entry points. `make check` is what the repo considers green:
-# vet + build + full tests + the race detector over the packages the
-# parallel experiment engine touches + the chaos soak suite.
+# vet + build + full tests (the root module and the benchmark module) +
+# the race detector over the packages the parallel experiment engine
+# touches + the chaos soak suite.
 GO ?= go
 
-.PHONY: check vet build test race soak bench goldens profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
+.PHONY: check vet build test benchmark-test race soak bench goldens profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
 
-check: vet build test race soak profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke
+check: vet build test benchmark-test race soak profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -15,6 +16,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# benchmark-test runs the benchmark harness's own tests (tiny workload
+# replays, the metric table against BENCHMARK.json). benchmark/ is a
+# separate module, so the root `go test ./...` never reaches it.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 race:
 	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -76,13 +75,19 @@ func (f *Fleet) onArrive(j *Job) {
 // onProfiled moves a warmed-up job into the admission queue.
 func (f *Fleet) onProfiled(j *Job) {
 	f.emitJobSpan(j, schedGroup, "warmup", j.Arrival, "sandbox", j.Profile.WarmupPeak)
-	f.enqueue(j, fmt.Sprintf("warmup peak %d -> predicted %d", j.Profile.WarmupPeak, j.Predicted))
+	reason := ""
+	if f.traced() {
+		reason = fmt.Sprintf("warmup peak %d -> predicted %d", j.Profile.WarmupPeak, j.Predicted)
+	}
+	f.enqueue(j, reason)
 	f.drainQueue()
 }
 
 // onRequeue returns a killed job to the queue after its backoff.
 func (f *Fleet) onRequeue(j *Job) {
-	f.decide(j, "requeue", fmt.Sprintf("backoff expired after kill %d", j.Kills), -1, 0)
+	if f.traced() {
+		f.decide(j, "requeue", fmt.Sprintf("backoff expired after kill %d", j.Kills), -1, 0)
+	}
 	f.enqueue(j, "")
 	f.drainQueue()
 }
@@ -99,7 +104,9 @@ func (f *Fleet) enqueue(j *Job, reason string) {
 		victim := f.queued[len(f.queued)-1]
 		f.queueRemove(victim)
 		f.met.Add(mShed, 1)
-		f.decide(victim, "shed", fmt.Sprintf("queue over %d", f.cfg.MaxQueue), -1, 0)
+		if f.traced() {
+			f.decide(victim, "shed", fmt.Sprintf("queue over %d", f.cfg.MaxQueue), -1, 0)
+		}
 		f.reject(victim, "shed: admission queue full")
 	}
 }
@@ -160,12 +167,7 @@ func (f *Fleet) fullDemand(j *Job) int64 {
 // tryAdmit runs the admission decision for one queued job.
 func (f *Fleet) tryAdmit(j *Job) admitResult {
 	need := f.reserveBytes(j)
-	maxDev := int64(0)
-	for _, d := range f.devs {
-		if c := d.pool.Capacity(); c > maxDev {
-			maxDev = c
-		}
-	}
+	maxDev := f.maxDev
 
 	// A job whose reservation exceeds every device cannot run as-is.
 	// Under Capuchin the controller caps it proactively — admit under
@@ -182,7 +184,9 @@ func (f *Fleet) tryAdmit(j *Job) admitResult {
 	// Livelock guard: a reservation no device can hold means the job
 	// can never start; reject now rather than cycling it forever.
 	if need > maxDev {
-		f.decide(j, "reject", fmt.Sprintf("reservation %d exceeds largest device %d", need, maxDev), -1, need)
+		if f.traced() {
+			f.decide(j, "reject", fmt.Sprintf("reservation %d exceeds largest device %d", need, maxDev), -1, need)
+		}
 		f.reject(j, "unfittable: exceeds largest device")
 		return admitReject
 	}
@@ -230,37 +234,32 @@ func (f *Fleet) preemptShielded(c Class, freed, bytes int64) bool {
 	return float64(f.classUsed[c]-freed-bytes) < floor
 }
 
-// place picks the worst-fit device that can actually allocate need bytes
-// and performs the allocation. Returns the device index or -1.
+// place performs worst-fit placement: it allocates need bytes on the
+// device with the largest contiguous free chunk, the lowest index on
+// ties, and returns that device's index, or -1 when nothing fits. A BFC
+// pool satisfies a request iff its largest free chunk holds the rounded
+// size, so if the argmax device fails every device fails: probing it
+// alone picks exactly the device a probe of every device in worst-fit
+// order would.
 func (f *Fleet) place(j *Job, need int64) int {
-	order := make([]int, len(f.devs))
-	for i := range order {
-		order[i] = i
+	best, bestFree := 0, f.devs[0].pool.LargestFree()
+	for i, d := range f.devs[1:] {
+		if lf := d.pool.LargestFree(); lf > bestFree {
+			best, bestFree = i+1, lf
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		la, lb := f.devs[order[a]].pool.LargestFree(), f.devs[order[b]].pool.LargestFree()
-		if la != lb {
-			return la > lb
-		}
-		return order[a] < order[b]
-	})
-	for _, di := range order {
-		if f.allocOn(di, j, need) {
-			return di
-		}
+	if f.allocOn(best, j, need) {
+		return best
 	}
 	return -1
 }
 
 // allocOn tries to allocate need bytes for j on device di, updating the
-// class accounting on success.
+// class accounting on success. It probes with TryAlloc: a refusal is an
+// ordinary scheduling outcome here, not an error to diagnose.
 func (f *Fleet) allocOn(di int, j *Job, need int64) bool {
-	a, err := f.devs[di].pool.Alloc(need)
-	if err != nil {
-		var oe *memory.OOMError
-		if !errors.As(err, &oe) {
-			panic(fmt.Sprintf("fleet: unexpected alloc error: %v", err))
-		}
+	a := f.devs[di].pool.TryAlloc(need)
+	if a == nil {
 		return false
 	}
 	j.alloc = append(j.alloc, a)
@@ -305,8 +304,10 @@ func (f *Fleet) startAttempt(j *Job, dev int, reserve int64) {
 	if j.Cap > 0 {
 		action = "readmit-capped"
 	}
-	f.emitInstant(j, dev, "admission", action, fmt.Sprintf("attempt %d", j.Admissions), reserve)
-	f.decide(j, action, fmt.Sprintf("reserved %d on device %d (attempt %d)", reserve, dev, j.Admissions), dev, reserve)
+	if f.traced() {
+		f.emitInstant(j, dev, "admission", action, fmt.Sprintf("attempt %d", j.Admissions), reserve)
+		f.decide(j, action, fmt.Sprintf("reserved %d on device %d (attempt %d)", reserve, dev, j.Admissions), dev, reserve)
+	}
 }
 
 // onPeak fires when a running job finishes its ramp and demands its full
@@ -323,7 +324,11 @@ func (f *Fleet) onPeak(j *Job) {
 	// is then derived from the now-observed peak, so the retry is sound.
 	if j.Cap > 0 {
 		if _, ok := j.Profile.Slowdown(float64(j.Cap) / float64(j.Actual)); !ok {
-			f.oomKill(j, fmt.Sprintf("cap %d infeasible at realized peak %d", j.Cap, j.Actual))
+			reason := ""
+			if f.traced() {
+				reason = fmt.Sprintf("cap %d infeasible at realized peak %d", j.Cap, j.Actual)
+			}
+			f.oomKill(j, reason)
 			return
 		}
 	}
@@ -363,7 +368,11 @@ func (f *Fleet) onPeak(j *Job) {
 			return
 		}
 	}
-	f.oomKill(j, fmt.Sprintf("peak %d over reservation %d, device full", full, j.allocBytes))
+	reason := ""
+	if f.traced() {
+		reason = fmt.Sprintf("peak %d over reservation %d, device full", full, j.allocBytes)
+	}
+	f.oomKill(j, reason)
 }
 
 // absorbCap re-plans a running job under cap = its current reservation:
@@ -382,8 +391,10 @@ func (f *Fleet) absorbCap(j *Job, slowdown float64) {
 	j.completeAt = f.now + sim.Time(remaining)*j.effIter
 	f.q.push(j.completeAt, evComplete, j, j.gen)
 	f.met.Add(mCapAbsorbs, 1)
-	f.emitInstant(j, j.Device, "admission", "absorb-cap", fmt.Sprintf("slowdown %.2fx", slowdown), j.Cap)
-	f.decide(j, "absorb-cap", fmt.Sprintf("cap %d (%.0f%% of peak), slowdown %.2fx", j.Cap, 100*float64(j.Cap)/float64(j.Actual), slowdown), j.Device, j.Cap)
+	if f.traced() {
+		f.emitInstant(j, j.Device, "admission", "absorb-cap", fmt.Sprintf("slowdown %.2fx", slowdown), j.Cap)
+		f.decide(j, "absorb-cap", fmt.Sprintf("cap %d (%.0f%% of peak), slowdown %.2fx", j.Cap, 100*float64(j.Cap)/float64(j.Actual), slowdown), j.Device, j.Cap)
+	}
 }
 
 // checkpoint folds completed iterations of the current attempt into
@@ -418,7 +429,8 @@ func (f *Fleet) releaseAllocs(j *Job) {
 		}
 	}
 	f.classUsed[j.Class] -= j.allocBytes
-	j.alloc = nil
+	clear(j.alloc)
+	j.alloc = j.alloc[:0]
 	j.allocBytes = 0
 }
 
@@ -448,7 +460,11 @@ func (f *Fleet) oomKill(j *Job, reason string) {
 	f.met.Add(classed(mKills, j.Class), 1)
 	f.decide(j, "oom-kill", reason, -1, 0)
 	if j.Kills > f.cfg.MaxKills {
-		f.reject(j, fmt.Sprintf("killed %d times, budget %d", j.Kills, f.cfg.MaxKills))
+		reason := ""
+		if f.traced() {
+			reason = fmt.Sprintf("killed %d times, budget %d", j.Kills, f.cfg.MaxKills)
+		}
+		f.reject(j, reason)
 		return
 	}
 	if f.cfg.Manager == ManagerCapuchin {
@@ -542,12 +558,16 @@ func (f *Fleet) preemptOn(di int, j *Job, need int64) bool {
 		freedByClass[v.Class] += v.allocBytes
 		f.checkpoint(v)
 		f.emitJobSpan(v, deviceGroup(di), "running", v.admitAt, "preempt", v.allocBytes)
-		f.emitInstant(v, di, "preempt", "preempt", fmt.Sprintf("displaced by %s job %d", j.Class, j.ID), v.allocBytes)
+		if f.traced() {
+			f.emitInstant(v, di, "preempt", "preempt", fmt.Sprintf("displaced by %s job %d", j.Class, j.ID), v.allocBytes)
+		}
 		f.evict(v)
 		v.Preempted++
 		f.met.Add(mPreemptions, 1)
 		f.met.Add(classed(mPreemptions, v.Class), 1)
-		f.decide(v, "preempt", fmt.Sprintf("%s job %d displaces it on device %d", j.Class, j.ID, di), di, v.allocBytes)
+		if f.traced() {
+			f.decide(v, "preempt", fmt.Sprintf("%s job %d displaces it on device %d", j.Class, j.ID, di), di, v.allocBytes)
+		}
 		f.queueInsert(v)
 	}
 	return freed >= need
@@ -574,7 +594,9 @@ func (f *Fleet) onComplete(j *Job) {
 	f.met.Add(mCompleted, 1)
 	f.met.Add(classed(mCompleted, j.Class), 1)
 	f.met.Observe(classed(hJCT, j.Class), j.Done-j.Arrival)
-	f.decide(j, "complete", fmt.Sprintf("%d iters, %d admissions, %d kills", j.Iters, j.Admissions, j.Kills), -1, 0)
+	if f.traced() {
+		f.decide(j, "complete", fmt.Sprintf("%d iters, %d admissions, %d kills", j.Iters, j.Admissions, j.Kills), -1, 0)
+	}
 	f.drainQueue()
 }
 

@@ -416,10 +416,11 @@ func (c Config) fill() (Config, error) {
 
 // device is one simulated accelerator: its memory is a real BFC
 // allocator, so fragmentation, rounding and allocation failure behave
-// exactly as they do under a per-job session.
+// exactly as they do under a per-job session. The pool is concretely a
+// BFC because placement relies on its fit rule (see place).
 type device struct {
 	id   int
-	pool memory.Pool
+	pool *memory.BFC
 	jobs map[int]*Job
 }
 
@@ -430,6 +431,7 @@ type Fleet struct {
 	jobs       []*Job
 	devs       []*device
 	fleetAlloc int64 // total fleet memory
+	maxDev     int64 // largest device capacity
 
 	q      *eventQueue
 	queued []*Job // admission queue, kept in priority order
@@ -468,6 +470,7 @@ func New(cfg Config) (*Fleet, error) {
 			jobs: make(map[int]*Job),
 		})
 		f.fleetAlloc += capBytes
+		f.maxDev = max(f.maxDev, f.devs[i].pool.Capacity())
 	}
 
 	// Profile the menu once per distinct workload.

@@ -46,6 +46,11 @@ func classed(name string, c Class) string { return name + "/" + c.String() }
 // schedGroup is the Perfetto process for off-device job phases.
 const schedGroup = "scheduler"
 
+// traced reports whether a tracer is attached. Callers building trace
+// strings with fmt.Sprintf check it first, so an untraced fleet formats
+// nothing.
+func (f *Fleet) traced() bool { return f.cfg.Tracer != nil }
+
 // emit forwards one event when a tracer is attached.
 func (f *Fleet) emit(ev obs.Event) {
 	if f.cfg.Tracer != nil {

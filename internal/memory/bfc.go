@@ -96,6 +96,10 @@ type BFC struct {
 	frees    int64
 	head     *chunk
 	bins     [numBins]bin
+	// nonEmpty has bit i set iff bins[i] holds a free chunk, so the
+	// largest free chunk and the first candidate bin for a request are
+	// one bit scan away. insertFree and removeFree keep it current.
+	nonEmpty uint32
 	// spare is a free list of chunk records absorbed by coalescing,
 	// singly linked through next, reused by newChunk.
 	spare *chunk
@@ -134,7 +138,7 @@ func NewBFC(capacity int64) *BFC {
 	}
 	a := &BFC{capacity: capacity}
 	a.head = &chunk{offset: 0, size: capacity}
-	a.binFor(capacity).insert(a.head)
+	a.insertFree(a.head)
 	return a
 }
 
@@ -155,7 +159,24 @@ func binIndex(size int64) int {
 	return i
 }
 
-func (a *BFC) binFor(size int64) *bin { return &a.bins[binIndex(size)] }
+// insertFree files a free chunk in its size bin and marks the bin
+// occupied.
+func (a *BFC) insertFree(c *chunk) {
+	i := binIndex(c.size)
+	a.bins[i].insert(c)
+	a.nonEmpty |= 1 << i
+}
+
+// removeFree takes a free chunk out of its size bin, clearing the bin's
+// bit when it empties.
+func (a *BFC) removeFree(c *chunk) {
+	i := binIndex(c.size)
+	b := &a.bins[i]
+	b.remove(c)
+	if len(b.free) == 0 {
+		a.nonEmpty &^= 1 << i
+	}
+}
 
 func roundUp(size int64) int64 {
 	if size <= 0 {
@@ -179,7 +200,7 @@ func (a *BFC) TryAlloc(size int64) *Allocation {
 	if c == nil {
 		return nil
 	}
-	a.binFor(c.size).remove(c)
+	a.removeFree(c)
 	// Split when the remainder is itself a usable chunk.
 	if c.size-rounded >= minChunkSize {
 		rest := a.newChunk()
@@ -192,7 +213,7 @@ func (a *BFC) TryAlloc(size int64) *Allocation {
 		}
 		c.next = rest
 		c.size = rounded
-		a.binFor(rest.size).insert(rest)
+		a.insertFree(rest)
 	}
 	c.inUse = true
 	c.requested = size
@@ -212,11 +233,12 @@ func (a *BFC) TryAlloc(size int64) *Allocation {
 	return &c.alloc
 }
 
-// findChunk searches the bin for rounded and all larger bins for the
-// best-fitting free chunk.
+// findChunk searches the bin for rounded and all larger non-empty bins
+// for the best-fitting free chunk.
 func (a *BFC) findChunk(rounded int64) *chunk {
-	for i := binIndex(rounded); i < numBins; i++ {
-		if c := a.bins[i].bestFit(rounded); c != nil {
+	i := binIndex(rounded)
+	for m := a.nonEmpty >> i << i; m != 0; m &= m - 1 {
+		if c := a.bins[bits.TrailingZeros32(m)].bestFit(rounded); c != nil {
 			return c
 		}
 	}
@@ -236,7 +258,7 @@ func (a *BFC) Free(al *Allocation) error {
 	c.requested = 0
 	// Coalesce with a free successor.
 	if n := c.next; n != nil && !n.inUse {
-		a.binFor(n.size).remove(n)
+		a.removeFree(n)
 		c.size += n.size
 		c.next = n.next
 		if n.next != nil {
@@ -246,7 +268,7 @@ func (a *BFC) Free(al *Allocation) error {
 	}
 	// Coalesce with a free predecessor.
 	if p := c.prev; p != nil && !p.inUse {
-		a.binFor(p.size).remove(p)
+		a.removeFree(p)
 		p.size += c.size
 		p.next = c.next
 		if c.next != nil {
@@ -255,7 +277,7 @@ func (a *BFC) Free(al *Allocation) error {
 		a.recycle(c)
 		c = p
 	}
-	a.binFor(c.size).insert(c)
+	a.insertFree(c)
 	return nil
 }
 
@@ -279,15 +301,14 @@ func (a *BFC) Peak() int64 { return a.peak }
 // against whatever job observes the pool next.
 func (a *BFC) ResetPeak() { a.peak = a.used }
 
-// LargestFree implements Pool.
+// LargestFree implements Pool. It is O(1): the highest occupied bin
+// holds the largest chunk, and bins are sorted by size, so it is last.
 func (a *BFC) LargestFree() int64 {
-	for i := numBins - 1; i >= 0; i-- {
-		if n := len(a.bins[i].free); n > 0 {
-			// The bin is sorted by size; the largest chunk is last.
-			return a.bins[i].free[n-1].size
-		}
+	if a.nonEmpty == 0 {
+		return 0
 	}
-	return 0
+	free := a.bins[bits.Len32(a.nonEmpty)-1].free
+	return free[len(free)-1].size
 }
 
 // Stats returns a snapshot of allocator statistics.
@@ -323,7 +344,8 @@ func (a *BFC) Bins() []BinOccupancy {
 
 // CheckInvariants validates the internal structure: the chunk list tiles
 // the region exactly, no two free neighbours exist, every free chunk is in
-// exactly its size bin, and accounting matches. It is used by the property
+// exactly its size bin, the occupied-bin mask matches the bins, and
+// accounting matches. It is used by the property
 // tests and is O(capacity/minChunkSize) in the worst case.
 func (a *BFC) CheckInvariants() error {
 	var offset, used, freeListed int64
@@ -366,6 +388,9 @@ func (a *BFC) CheckInvariants() error {
 		return fmt.Errorf("accounted used %d != chunk-sum used %d", a.used, used)
 	}
 	for i := range a.bins {
+		if occupied := a.nonEmpty&(1<<i) != 0; occupied != (len(a.bins[i].free) > 0) {
+			return fmt.Errorf("bin %d holds %d free chunks but its nonEmpty bit is %v", i, len(a.bins[i].free), occupied)
+		}
 		for _, f := range a.bins[i].free {
 			if f.inUse {
 				return fmt.Errorf("in-use chunk at %d present in bin %d", f.offset, i)

@@ -358,6 +358,44 @@ func TestBFCNoOverlapProperty(t *testing.T) {
 	}
 }
 
+// Property: the bitmask-backed LargestFree equals a brute-force scan of
+// the chunk list after every step of random alloc/free sequences, and
+// the occupied-bin mask stays consistent with the bins.
+func TestBFCLargestFreeMatchesScan(t *testing.T) {
+	scan := func(a *BFC) int64 {
+		var largest int64
+		for c := a.head; c != nil; c = c.next {
+			if !c.inUse && c.size > largest {
+				largest = c.size
+			}
+		}
+		return largest
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a := NewBFC(1 << 20)
+		var lives []*Allocation
+		for i := 0; i < 2000; i++ {
+			if rng.Intn(3) != 0 || len(lives) == 0 {
+				// Sizes span many bins, and big ones fill the pool up.
+				if al := a.TryAlloc(int64(rng.Intn(256)) << uint(rng.Intn(11))); al != nil {
+					lives = append(lives, al)
+				}
+			} else {
+				j := rng.Intn(len(lives))
+				MustFree(a, lives[j])
+				lives = append(lives[:j], lives[j+1:]...)
+			}
+			if got, want := a.LargestFree(), scan(a); got != want {
+				t.Fatalf("seed %d step %d: LargestFree = %d, chunk scan = %d", seed, i, got, want)
+			}
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+		}
+	}
+}
+
 func TestFirstFitChurn(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		churn(t, NewFirstFit(1<<20), seed, 2000)

@@ -188,8 +188,15 @@ func (s *Server) worker() {
 	}
 }
 
+// runOne executes a dequeued run. A worker can still dequeue an entry
+// after Close has cancelled the runner context; such a run is abandoned
+// exactly as Close abandons the entries it drains, never started.
 func (s *Server) runOne(e *runEntry) {
 	s.queued.Add(-1)
+	if s.baseCtx.Err() != nil {
+		s.abandon(e)
+		return
+	}
 	e.status.Store(statusRunning)
 	if s.beforeRun != nil {
 		s.beforeRun(e)
@@ -257,12 +264,18 @@ func (s *Server) Close() {
 		select {
 		case e := <-s.jobs:
 			s.queued.Add(-1)
-			s.finish(e, bench.Result{Config: e.cfg,
-				Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
+			s.abandon(e)
 		default:
 			return
 		}
 	}
+}
+
+// abandon completes a queued run that will never start with a failed,
+// uncached result, so its waiters unblock.
+func (s *Server) abandon(e *runEntry) {
+	s.finish(e, bench.Result{Config: e.cfg,
+		Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
 }
 
 // Stats is the machine-readable server snapshot behind GET /v1/stats.
