@@ -24,7 +24,7 @@ benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim
+	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim ./internal/obs
 
 # soak runs the deterministic fault-injection and dynamic-shape suites
 # twice under the race detector: seeded chaos plans across every

@@ -2,26 +2,16 @@ package obs
 
 import "testing"
 
-// nullBatchSink is a no-op BatchTracer: the benchmark measures the
-// Buffered wrapper's own bookkeeping, not the sink.
-type nullBatchSink struct{}
-
-func (nullBatchSink) Emit(Event)             {}
-func (nullBatchSink) Decide(Decision)        {}
-func (nullBatchSink) EmitBatch([]Event)      {}
-func (nullBatchSink) DecideBatch([]Decision) {}
-
-// BenchmarkHotPathBufferedEmit pins the batched span-recording path:
-// appending into the reusable buffer and flushing it wholesale must be
-// allocation-free once the buffer's capacity exists.
-func BenchmarkHotPathBufferedEmit(b *testing.B) {
-	buf := NewBuffered(nullBatchSink{}, 256)
+// BenchmarkHotPathCollectorEmit pins the span-recording path every traced
+// run takes: Emit appends under the lock and checks for an armed reader,
+// and allocates nothing beyond the log's amortized growth — no wake
+// channel exists unless a reader asked for one.
+func BenchmarkHotPathCollectorEmit(b *testing.B) {
+	c := NewCollector()
 	ev := Event{Kind: KindInstant, Cat: "alloc", Name: "hotpath"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Emit(ev)
+		c.Emit(ev)
 	}
-	b.StopTimer()
-	buf.Flush()
 }

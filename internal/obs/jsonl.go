@@ -1,13 +1,14 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"sync"
 )
 
 // JSONL encoding: one JSON object per line, suitable for tailing by an
-// external process (the planned capuchin-serve streams exactly these
+// external process (capuchin-serve's /events stream is exactly these
 // records). Every record carries a "type" discriminator — "event" or
 // "decision" — so a single stream can interleave both logs. Encoding is
 // deterministic: fields appear in struct order, zero-valued optional
@@ -110,6 +111,53 @@ func WriteDecisionsJSONL(w io.Writer, decisions []Decision) error {
 		}
 	}
 	return nil
+}
+
+// Cursor is a read position in a Collector's emission order: how many
+// events and how many decisions a reader has already rendered. The zero
+// Cursor is the start of the log.
+type Cursor struct{ events, decisions int }
+
+// AppendJSONL appends to dst the JSON lines of every record after cur,
+// events and decisions interleaved in emission order, and returns the
+// extended slice and the cursor past the last appended record. The bytes
+// equal what a JSONLTracer attached to the same run writes for those
+// records; rendering stops at a record that cannot be encoded (a NaN or
+// infinite float), where that tracer's sticky error ends its stream.
+//
+// The returned channel closes on the next Emit or Decide, so a reader
+// following a live run waits on it and calls again with the new cursor.
+func (c *Collector) AppendJSONL(dst []byte, cur Cursor) ([]byte, Cursor, <-chan struct{}) {
+	c.mu.Lock()
+	// The logs are append-only, so the records below these lengths stay
+	// as they are after the lock is released.
+	events, decisions, decAt := c.events, c.decisions, c.decAt
+	if c.wake == nil {
+		c.wake = make(chan struct{})
+	}
+	wake := c.wake
+	c.mu.Unlock()
+
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
+	for {
+		var err error
+		switch {
+		case cur.decisions < len(decisions) && decAt[cur.decisions] == cur.events:
+			if err = enc.Encode(decisionRecord(decisions[cur.decisions])); err == nil {
+				cur.decisions++
+			}
+		case cur.events < len(events):
+			if err = enc.Encode(eventRecord(events[cur.events])); err == nil {
+				cur.events++
+			}
+		default:
+			return buf.Bytes(), cur, wake
+		}
+		if err != nil {
+			return buf.Bytes(), cur, wake
+		}
+	}
 }
 
 // JSONLTracer is a Tracer that streams every event and decision to w as

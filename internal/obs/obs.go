@@ -151,11 +151,18 @@ type Tracer interface {
 }
 
 // Collector is the in-memory Tracer: an append-only event log and
-// decision audit log.
+// decision audit log. It also remembers how the two logs interleave, so
+// AppendJSONL can replay them in emission order while a run is still
+// recording.
 type Collector struct {
 	mu        sync.Mutex
 	events    []Event
 	decisions []Decision
+	// decAt[i] is the number of events recorded before decisions[i].
+	decAt []int
+	// wake is non-nil only while a reader waits for more records; the
+	// next Emit or Decide closes and clears it.
+	wake chan struct{}
 }
 
 var _ Tracer = (*Collector)(nil)
@@ -167,6 +174,7 @@ func NewCollector() *Collector { return &Collector{} }
 func (c *Collector) Emit(ev Event) {
 	c.mu.Lock()
 	c.events = append(c.events, ev)
+	c.wakeReaders()
 	c.mu.Unlock()
 }
 
@@ -174,7 +182,17 @@ func (c *Collector) Emit(ev Event) {
 func (c *Collector) Decide(d Decision) {
 	c.mu.Lock()
 	c.decisions = append(c.decisions, d)
+	c.decAt = append(c.decAt, len(c.events))
+	c.wakeReaders()
 	c.mu.Unlock()
+}
+
+// wakeReaders closes the wake channel if a reader armed it; c.mu is held.
+func (c *Collector) wakeReaders() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 }
 
 // Events returns a copy of the recorded events in emission order.
@@ -236,5 +254,6 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	c.events = nil
 	c.decisions = nil
+	c.decAt = nil
 	c.mu.Unlock()
 }

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +54,101 @@ func TestCollectorConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 800 {
 		t.Fatalf("Len() = %d, want 800", c.Len())
+	}
+}
+
+// TestAppendJSONLMatchesTracer is the property behind capuchin-serve's
+// /events: over seeded random Emit/Decide interleavings, read back
+// through AppendJSONL cut at random points, the concatenated lines equal
+// what a JSONLTracer teed onto the same stream writes — including a
+// stream a NaN cuts short.
+func TestAppendJSONLMatchesTracer(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		c := NewCollector()
+		var want bytes.Buffer
+		tr := Tee(c, NewJSONLTracer(&want))
+		var got []byte
+		var cur Cursor
+		for i, n := 0, rng.IntN(300); i < n; i++ {
+			if rng.IntN(3) == 0 {
+				d := Decision{Iter: i / 50, At: sim.Time(i), Policy: "capuchin", Tensor: fmt.Sprintf("t%d", rng.IntN(20)),
+					Action: "plan-swap", FreeTime: sim.Time(rng.Int64N(1000)), MSPS: rng.Float64()}
+				if rng.IntN(400) == 0 {
+					d.MSPS = math.NaN() // unencodable: both readers stop here
+				}
+				tr.Decide(d)
+			} else {
+				tr.Emit(Event{Kind: EventKind(rng.IntN(3)), Cat: "alloc", Name: fmt.Sprintf("e%d", i),
+					Start: sim.Time(i), End: sim.Time(i + rng.IntN(5)), Bytes: rng.Int64N(1 << 20), Detail: "<&>"})
+			}
+			if rng.IntN(10) == 0 {
+				got, cur, _ = c.AppendJSONL(got, cur)
+			}
+		}
+		got, _, _ = c.AppendJSONL(got, cur)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("seed %d: AppendJSONL rendered %d bytes, JSONLTracer wrote %d", seed, len(got), want.Len())
+		}
+	}
+}
+
+// TestAppendJSONLWake: the channel AppendJSONL returns closes on the next
+// Emit or Decide, and a reader following a concurrent writer through it
+// sees the whole stream.
+func TestAppendJSONLWake(t *testing.T) {
+	closed := func(ch <-chan struct{}) bool {
+		select {
+		case <-ch:
+			return true
+		default:
+			return false
+		}
+	}
+	c := NewCollector()
+	for _, record := range []func(){
+		func() { c.Emit(Event{Name: "e"}) },
+		func() { c.Decide(Decision{Action: "d"}) },
+	} {
+		_, _, wake := c.AppendJSONL(nil, Cursor{})
+		if closed(wake) {
+			t.Fatal("wake closed before any new record")
+		}
+		record()
+		if !closed(wake) {
+			t.Fatal("a new record did not close wake")
+		}
+	}
+
+	c = NewCollector()
+	var want bytes.Buffer
+	tr := Tee(c, NewJSONLTracer(&want))
+	done := make(chan struct{})
+	go func() {
+		for i := 0; i < 500; i++ {
+			tr.Emit(Event{Name: fmt.Sprintf("e%d", i), Start: sim.Time(i)})
+			if i%7 == 0 {
+				tr.Decide(Decision{Action: "plan", At: sim.Time(i)})
+			}
+		}
+		close(done)
+	}()
+	var got []byte
+	var cur Cursor
+	for {
+		finished := closed(done)
+		var wake <-chan struct{}
+		got, cur, wake = c.AppendJSONL(got, cur)
+		if finished {
+			break
+		}
+		select {
+		case <-wake:
+		case <-done:
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("live follower rendered %d bytes, JSONLTracer wrote %d", len(got), want.Len())
 	}
 }
 

@@ -22,10 +22,12 @@
 // runner's single-flight cache simulates the cell once. A bounded
 // worker pool, sized independently of HTTP handler concurrency,
 // executes runs; an admission queue with a depth bound sheds load with
-// 429 + Retry-After before the pool is overwhelmed. Event streams come
-// from a per-run obs.JSONLTracer attached through the runner's Observe
-// hook (tracing is outcome-neutral, so streamed and direct results are
-// byte-identical). On SIGTERM the daemon drains: it stops admitting
-// (503 on POST, /readyz goes 503), finishes every in-flight run,
-// flushes event streams, then shuts the listener down.
+// 429 + Retry-After before the pool is overwhelmed. Each run records
+// into one obs.Collector attached through the runner's Observe hook
+// (tracing is outcome-neutral, so streamed and direct results are
+// byte-identical); the event stream renders JSON lines from it on read
+// and the Chrome trace exports it once the run completes. On SIGTERM
+// the daemon drains: it stops admitting (503 on POST, /readyz goes
+// 503), finishes every in-flight run, flushes event streams, then shuts
+// the listener down.
 package serve

@@ -123,9 +123,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's event log: JSON Lines by default, or
 // Server-Sent Events when the client asks for text/event-stream (or
-// ?sse=1). The stream replays everything buffered so far, then follows
-// live appends until the run completes or the client disconnects. Every
-// write is whole JSONL lines, so the SSE framing wraps lines exactly.
+// ?sse=1). The lines are rendered from the run's Collector on read: the
+// stream replays everything recorded so far, then follows live records
+// until the run completes or the client disconnects. Every render is
+// whole JSONL lines, so the SSE framing wraps lines exactly.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.store.get(r.PathValue("id"))
 	if !ok {
@@ -142,41 +143,44 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	off := 0
+	var (
+		chunk []byte
+		cur   obs.Cursor
+		wake  <-chan struct{}
+	)
 	for {
-		chunk, done, wait := e.hub.next(off)
-		if len(chunk) > 0 {
-			off += len(chunk)
-			if sse {
-				// One SSE data frame per JSONL line; chunks end on line
-				// boundaries because hub writes are whole lines.
-				for _, line := range strings.Split(strings.TrimRight(string(chunk), "\n"), "\n") {
-					fmt.Fprintf(w, "data: %s\n\n", line)
-				}
-			} else {
-				if _, err := w.Write(chunk); err != nil {
-					return
-				}
+		// A run records nothing after it completes, so a render that
+		// starts after done was seen holds the rest of the log.
+		done := e.status.Load() == statusDone
+		chunk, cur, wake = e.col.AppendJSONL(chunk[:0], cur)
+		switch {
+		case len(chunk) == 0:
+		case sse:
+			// One SSE data frame per JSONL line.
+			for _, line := range strings.Split(strings.TrimRight(string(chunk), "\n"), "\n") {
+				fmt.Fprintf(w, "data: %s\n\n", line)
 			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if done {
-			if sse {
-				fmt.Fprint(w, "event: done\ndata: {}\n\n")
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			return
-		}
-		if wait != nil {
-			select {
-			case <-wait:
-			case <-r.Context().Done():
+		default:
+			if _, err := w.Write(chunk); err != nil {
 				return
 			}
+		}
+		if done && sse {
+			fmt.Fprint(w, "event: done\ndata: {}\n\n")
+		}
+		// Flushing every pass, records or not, also sends the headers
+		// before the first record, so a client sees the stream open.
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if done {
+			return
+		}
+		select {
+		case <-wake:
+		case <-e.done:
+		case <-r.Context().Done():
+			return
 		}
 	}
 }

@@ -46,10 +46,12 @@ type RunRequest struct {
 
 // ToRunConfig validates the request and maps it onto a bench.RunConfig.
 // Validation covers what can be checked without running: the model and
-// system must be registered, the mode known, the batch positive, and
-// the fault plan parseable. Config products the engine rejects (for
-// example Schedule with Devices > 1) surface as failed run results, the
-// same way they do on the CLI.
+// system must be registered, the mode known, the batch positive, the
+// iteration count, device count, schedule period and memory sizes
+// non-negative, the fault plan parseable, and the config product one
+// the engine runs — a Schedule with Devices > 1 is rejected with an
+// error wrapping bench.ErrDynamicCluster. An invalid request therefore
+// never reaches admission.
 func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 	var cfg bench.RunConfig
 	if rr.Model == "" {
@@ -58,8 +60,21 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 	if _, err := models.Get(rr.Model); err != nil {
 		return cfg, fmt.Errorf("serve: %w", err)
 	}
-	if rr.Batch < 1 {
+	switch {
+	case rr.Batch < 1:
 		return cfg, fmt.Errorf("serve: batch must be >= 1, got %d", rr.Batch)
+	case rr.Iterations < 0:
+		return cfg, fmt.Errorf("serve: iterations must be >= 0, got %d", rr.Iterations)
+	case rr.Devices < 0:
+		return cfg, fmt.Errorf("serve: devices must be >= 0, got %d", rr.Devices)
+	case rr.SchedulePeriod < 0:
+		return cfg, fmt.Errorf("serve: schedulePeriod must be >= 0, got %d", rr.SchedulePeriod)
+	case rr.MemGiB < 0:
+		return cfg, fmt.Errorf("serve: memGiB must be >= 0, got %g", rr.MemGiB)
+	case rr.HostMemGiB < 0:
+		return cfg, fmt.Errorf("serve: hostMemGiB must be >= 0, got %g", rr.HostMemGiB)
+	case rr.Schedule != "" && rr.Devices > 1:
+		return cfg, fmt.Errorf("serve: %w", bench.ErrDynamicCluster)
 	}
 	system := rr.System
 	if system == "" {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/obs"
 )
 
 // testConfig keeps serve tests fast and deterministic.
@@ -137,33 +138,55 @@ func TestSubmitDedup(t *testing.T) {
 	}
 }
 
+// TestSubmitValidation: POST /v1/runs answers each body with the status
+// its validity dictates. Invalid requests are refused at decode time with
+// a 400 and never reach the store.
 func TestSubmitValidation(t *testing.T) {
 	s := NewServer(testConfig())
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for name, body := range map[string]string{
-		"unknown model": `{"model":"nonesuch","batch":8}`,
-		"zero batch":    `{"model":"resnet50"}`,
-		"bad mode":      `{"model":"resnet50","batch":8,"mode":"lazy"}`,
-		"bad system":    `{"model":"resnet50","batch":8,"system":"magic"}`,
-		"bad faults":    `{"model":"resnet50","batch":8,"faults":"oops"}`,
-		"unknown field": `{"model":"resnet50","batch":8,"turbo":true}`,
-		"not json":      `batch=8`,
+	const valid = `{"model":"resnet50","batch":8,"system":"tf-ori","iterations":2,"memGiB":2}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"valid", valid, http.StatusAccepted},
+		{"duplicate", valid, http.StatusOK},
+		{"unknown model", `{"model":"nonesuch","batch":8}`, http.StatusBadRequest},
+		{"zero batch", `{"model":"resnet50"}`, http.StatusBadRequest},
+		{"bad mode", `{"model":"resnet50","batch":8,"mode":"lazy"}`, http.StatusBadRequest},
+		{"bad system", `{"model":"resnet50","batch":8,"system":"magic"}`, http.StatusBadRequest},
+		{"bad faults", `{"model":"resnet50","batch":8,"faults":"oops"}`, http.StatusBadRequest},
+		{"unknown field", `{"model":"resnet50","batch":8,"turbo":true}`, http.StatusBadRequest},
+		{"not json", `batch=8`, http.StatusBadRequest},
+		{"negative iterations", `{"model":"resnet50","batch":8,"iterations":-1}`, http.StatusBadRequest},
+		{"negative devices", `{"model":"resnet50","batch":8,"devices":-2}`, http.StatusBadRequest},
+		{"negative schedule period", `{"model":"resnet50","batch":8,"schedule":"batch","schedulePeriod":-1}`, http.StatusBadRequest},
+		{"negative memory", `{"model":"resnet50","batch":8,"memGiB":-4}`, http.StatusBadRequest},
+		{"negative host memory", `{"model":"resnet50","batch":8,"hostMemGiB":-1}`, http.StatusBadRequest},
+		{"dynamic cluster", `{"model":"resnet50","batch":8,"schedule":"batch","devices":2}`, http.StatusBadRequest},
 	} {
-		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: got %d, want 400", name, resp.StatusCode)
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s: got %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
+	}
+	if got := s.Snapshot().StoredRuns; got != 1 {
+		t.Errorf("stored runs = %d, want only the valid one", got)
 	}
 	if code, _ := getBody(t, ts.Client(), ts.URL+"/v1/runs/ffffffffffffffff"); code != http.StatusNotFound {
 		t.Errorf("unknown ID: got %d, want 404", code)
+	}
+	_, err := RunRequest{Model: "resnet50", Batch: 8, Schedule: "batch", Devices: 2}.ToRunConfig()
+	if !errors.Is(err, bench.ErrDynamicCluster) {
+		t.Errorf("dynamic cluster request: err=%v, want bench.ErrDynamicCluster", err)
 	}
 }
 
@@ -305,45 +328,57 @@ func TestCloseAbandonsQueued(t *testing.T) {
 	}
 }
 
-// TestEventsStream: the per-run event stream replays the full JSONL
-// buffer, every line is valid JSON, and the SSE variant frames each
-// line as a data event ending with event: done.
+// TestEventsStream: /events serves the JSON lines a JSONLTracer writes
+// for a direct traced run of the same config — here a capuchin run under
+// a tight cap, so decisions interleave with events — and the SSE variant
+// frames each line as a data event ending with event: done. Readers
+// attached while the run is parked before its first record follow it
+// live and receive the same bytes as reads made after completion.
 func TestEventsStream(t *testing.T) {
-	s := NewServer(testConfig())
+	rr := RunRequest{Model: "resnet50", Batch: 32, System: "capuchin", Iterations: 3, MemGiB: 2}
+	cfg, err := rr.ToRunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jsonl bytes.Buffer
+	tr := obs.NewJSONLTracer(&jsonl)
+	if res := bench.RunTraced(bench.CanonicalConfig(cfg), tr); !res.OK || tr.Err() != nil {
+		t.Fatalf("direct traced run: ok=%v err=%v tracer=%v", res.OK, res.Err, tr.Err())
+	}
+	if !bytes.Contains(jsonl.Bytes(), []byte(`"type":"decision"`)) {
+		t.Fatal("the run audits no decisions; pick a tighter cap")
+	}
+	sse := "data: " + strings.ReplaceAll(strings.TrimSuffix(jsonl.String(), "\n"), "\n", "\n\ndata: ") +
+		"\n\nevent: done\ndata: {}\n\n"
+	want := []string{jsonl.String(), sse}
+
+	s, entered, release := blockingServer(t, testConfig())
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-
-	_, rep := postRun(t, ts.Client(), ts.URL, testRequest())
-	if code, _ := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+rep.ID+"?wait=1"); code != http.StatusOK {
-		t.Fatalf("result: got %d", code)
-	}
-
-	code, body := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+rep.ID+"/events")
-	if code != http.StatusOK {
-		t.Fatalf("events: got %d", code)
-	}
-	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("event stream is empty")
-	}
-	for i, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("line %d is not JSON: %q", i, line)
+	_, rep := postRun(t, ts.Client(), ts.URL, rr)
+	<-entered // on a worker, nothing recorded yet
+	urls := []string{ts.URL + "/v1/runs/" + rep.ID + "/events", ts.URL + "/v1/runs/" + rep.ID + "/events?sse=1"}
+	var live []*http.Response
+	for _, u := range urls {
+		resp, err := ts.Client().Get(u) // returns once the handler's first pass flushed the headers
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		live = append(live, resp)
 	}
-
-	code, sse := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+rep.ID+"/events?sse=1")
-	if code != http.StatusOK {
-		t.Fatalf("sse events: got %d", code)
-	}
-	text := string(sse)
-	if !strings.HasPrefix(text, "data: ") || !strings.HasSuffix(text, "event: done\ndata: {}\n\n") {
-		t.Errorf("sse framing off:\n%.200s...\n...%s", text, text[max(0, len(text)-60):])
-	}
-	frames := strings.Count(text, "data: ") - 1 // minus the done frame
-	if frames != len(lines) {
-		t.Errorf("sse frames=%d, jsonl lines=%d", frames, len(lines))
+	close(release)
+	for i, resp := range live {
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, after := getBody(t, ts.Client(), urls[i])
+		if string(got) != want[i] || string(after) != want[i] {
+			t.Errorf("%s: live read %d bytes, read after completion %d, JSONLTracer reference %d",
+				urls[i], len(got), len(after), len(want[i]))
+		}
 	}
 }
 
@@ -436,38 +471,6 @@ func TestStoreShardingAndIDs(t *testing.T) {
 	}
 	if st.len() != 1 {
 		t.Errorf("len=%d, want 1", st.len())
-	}
-}
-
-func TestEventHub(t *testing.T) {
-	h := newEventHub()
-	chunk, done, wait := h.next(0)
-	if chunk != nil || done || wait == nil {
-		t.Fatalf("empty open hub: %v %v %v", chunk, done, wait)
-	}
-	go func() {
-		h.Write([]byte("{\"a\":1}\n"))
-		h.Write([]byte("{\"b\":2}\n"))
-		h.close()
-	}()
-	var got []byte
-	off := 0
-	for {
-		chunk, done, wait := h.next(off)
-		got = append(got, chunk...)
-		off += len(chunk)
-		if done {
-			break
-		}
-		if wait != nil {
-			<-wait
-		}
-	}
-	if string(got) != "{\"a\":1}\n{\"b\":2}\n" {
-		t.Errorf("streamed %q", got)
-	}
-	if string(h.snapshot()) != string(got) {
-		t.Error("snapshot differs from streamed bytes")
 	}
 }
 

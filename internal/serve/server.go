@@ -117,11 +117,11 @@ func NewServer(cfg Config) *Server {
 		workerCtx:    workerCtx,
 		workerCancel: workerCancel,
 	}
-	// Every actually simulated cell streams its events into the store
-	// entry that requested it; cache hits replay the recorded stream.
+	// Every actually simulated cell records its events into the store
+	// entry that requested it; /events and /trace render from that log.
 	s.runner.Observe(func(key bench.RunConfig) obs.Tracer {
 		if e, ok := s.store.lookupConfig(key); ok {
-			return e.tracer
+			return e.col
 		}
 		return nil
 	})

@@ -31,16 +31,14 @@ func statusString(s int32) string {
 }
 
 // runEntry is one submitted run: the canonical config it executes, the
-// live event hub feeding its progress stream, the trace collector, and
-// — once done — the result with its canonical JSON encoding. done
-// closes exactly once, when result and resultJSON are set.
+// collector recording its events and decisions — the one log both the
+// progress stream and the trace are rendered from — and, once done, the
+// result with its canonical JSON encoding. done closes exactly once,
+// when result and resultJSON are set.
 type runEntry struct {
 	id  string
 	cfg bench.RunConfig
-
-	hub    *eventHub
-	col    *obs.Collector
-	tracer obs.Tracer
+	col *obs.Collector
 
 	submitted time.Time
 	status    atomic.Int32
@@ -52,21 +50,17 @@ type runEntry struct {
 }
 
 func newRunEntry(id string, cfg bench.RunConfig) *runEntry {
-	hub := newEventHub()
-	col := obs.NewCollector()
 	return &runEntry{
 		id:        id,
 		cfg:       cfg,
-		hub:       hub,
-		col:       col,
-		tracer:    obs.Tee(col, obs.NewJSONLTracer(hub)),
+		col:       obs.NewCollector(),
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
 }
 
-// complete records the result, closes the event stream and wakes every
-// waiter. It is idempotent-hostile by design: calling it twice is a
+// complete records the result and wakes every waiter, event streams
+// included. It is idempotent-hostile by design: calling it twice is a
 // bug, and the double close of done would panic loudly.
 func (e *runEntry) complete(res bench.Result) {
 	js, err := EncodeResult(res)
@@ -80,7 +74,6 @@ func (e *runEntry) complete(res bench.Result) {
 	e.resultJSON = js
 	e.mu.Unlock()
 	e.status.Store(statusDone)
-	e.hub.close()
 	close(e.done)
 }
 
