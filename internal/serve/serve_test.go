@@ -474,6 +474,55 @@ func TestStoreShardingAndIDs(t *testing.T) {
 	}
 }
 
+// TestEventHub: a run entry's Collector is the hub /events follows. An
+// open entry with nothing recorded hands a reader no bytes and a wake
+// channel; a reader following a concurrent run through the wake channel
+// and the done channel, as handleEvents does, receives every record in
+// emission order, and a replay from the start after completion matches
+// it byte for byte.
+func TestEventHub(t *testing.T) {
+	e := newRunEntry("0000000000000000", bench.RunConfig{})
+	chunk, _, wake := e.col.AppendJSONL(nil, obs.Cursor{})
+	if chunk != nil || wake == nil || e.status.Load() == statusDone {
+		t.Fatalf("empty open hub: chunk=%q wake=%v status=%s", chunk, wake, statusString(e.status.Load()))
+	}
+
+	var want bytes.Buffer
+	ref := obs.NewJSONLTracer(&want)
+	records := func(tr obs.Tracer) {
+		tr.Emit(obs.Event{Kind: obs.KindSpan, Cat: "kernel", Name: "conv1", Lane: "compute", Start: 0, End: 5})
+		tr.Decide(obs.Decision{Tensor: "conv1:0", Action: "swap-out", Bytes: 1 << 20, Reason: "test"})
+		tr.Emit(obs.Event{Kind: obs.KindInstant, Cat: "access", Name: "read conv1:0", Start: 7, End: 7})
+	}
+	records(ref)
+	go func() {
+		records(e.col)
+		e.complete(bench.Result{})
+	}()
+
+	var (
+		got []byte
+		cur obs.Cursor
+	)
+	for {
+		done := e.status.Load() == statusDone
+		got, cur, wake = e.col.AppendJSONL(got, cur)
+		if done {
+			break
+		}
+		select {
+		case <-wake:
+		case <-e.done:
+		}
+	}
+	if string(got) != want.String() {
+		t.Errorf("streamed %q, want %q", got, want.String())
+	}
+	if replay, _, _ := e.col.AppendJSONL(nil, obs.Cursor{}); string(replay) != string(got) {
+		t.Error("replay from the start differs from the streamed bytes")
+	}
+}
+
 // TestIDCollisionGuard: a stored entry whose config does not match the
 // submitted key is surfaced as a 500, never as a silent wrong result.
 func TestIDCollisionGuard(t *testing.T) {
