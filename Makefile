@@ -53,16 +53,33 @@ goldens:
 	$(GO) test ./internal/bench -run Golden -update
 	$(GO) test ./internal/trace -run ChromeGolden -update
 
-# scale-smoke replays the 2-device scaling experiment through the CLI
-# with the same configuration twice: the multi-device simulator is
-# deterministic, so the tables must be byte-identical. The cluster race
-# suite rides the same target.
+# The determinism replays. $(call replay,NAME) runs the command
+# REPLAY_NAME twice, at the default -jobs and at -jobs 1, and fails
+# unless both runs are byte-identical: their stdout, and every file the
+# command writes to $o.EXT for each EXT listed in REPLAY_NAME_OUT ($o is
+# a per-run path prefix in a fresh temp dir, so a command names its
+# output files as $$o.EXT).
+REPLAY_scale = $(GO) run ./cmd/capuchin-bench -exp scale -quick -iters 2 -devices 1,2
+REPLAY_arena = $(GO) run ./cmd/capuchin-bench -exp arena -quick -iters 2 -mem 4
+REPLAY_fleet = $(GO) run ./cmd/capuchin-bench -exp fleet -quick -fleet-jobs 60 -fleet-devices 4 -fleet-json $$o.json
+REPLAY_fleet_OUT = json
+REPLAY_trace = $(GO) run ./cmd/capuchin-trace -fleet -fleet-jobs 60 -fleet-devices 4 -prom $$o.prom -events $$o.jsonl
+REPLAY_trace_OUT = prom jsonl
+
+define replay
+	d=$$(mktemp -d) && \
+	o=$$d/a && $(REPLAY_$(1)) > $$o.txt && \
+	o=$$d/b && $(REPLAY_$(1)) -jobs 1 > $$o.txt && \
+	for ext in txt $(REPLAY_$(1)_OUT); do cmp $$d/a.$$ext $$d/b.$$ext || exit 1; done && \
+	rm -rf $$d
+endef
+
+# scale-smoke replays the 2-device scaling experiment through the CLI:
+# the multi-device simulator is deterministic, so the tables must be
+# byte-identical. The cluster race suite rides the same target.
 scale-smoke:
 	$(GO) test -race ./internal/cluster
-	$(GO) run ./cmd/capuchin-bench -exp scale -quick -iters 2 -devices 1,2 > /tmp/capuchin-scale-a.txt
-	$(GO) run ./cmd/capuchin-bench -exp scale -quick -iters 2 -devices 1,2 -jobs 1 > /tmp/capuchin-scale-b.txt
-	cmp /tmp/capuchin-scale-a.txt /tmp/capuchin-scale-b.txt
-	rm -f /tmp/capuchin-scale-a.txt /tmp/capuchin-scale-b.txt
+	$(call replay,scale)
 
 # arena-smoke guards the policy arena: the cross-policy conformance suite
 # under the race detector (every registered policy must match the
@@ -70,25 +87,16 @@ scale-smoke:
 # CLI at two job counts — the tables must be byte-identical.
 arena-smoke:
 	$(GO) test -race ./internal/policy/... -run 'Conform|DTR|Chunk'
-	$(GO) run ./cmd/capuchin-bench -exp arena -quick -iters 2 -mem 4 > /tmp/capuchin-arena-a.txt
-	$(GO) run ./cmd/capuchin-bench -exp arena -quick -iters 2 -mem 4 -jobs 1 > /tmp/capuchin-arena-b.txt
-	cmp /tmp/capuchin-arena-a.txt /tmp/capuchin-arena-b.txt
-	rm -f /tmp/capuchin-arena-a.txt /tmp/capuchin-arena-b.txt
+	$(call replay,arena)
 
 # fleet-smoke guards the multi-tenant fleet simulator: the full fleet
 # suite (including the seeded chaos soak) under the race detector, then
-# the fleet experiment replayed through the CLI at two -jobs values plus
-# a re-run at the same seed — both the table and the JSON artifact must
-# be byte-identical.
+# the fleet experiment replayed through the CLI at two -jobs values at
+# the same seed — both the table and the JSON artifact must be
+# byte-identical.
 fleet-smoke:
 	$(GO) test -race ./internal/fleet
-	$(GO) run ./cmd/capuchin-bench -exp fleet -quick -fleet-jobs 60 -fleet-devices 4 \
-		-fleet-json /tmp/capuchin-fleet-a.json > /tmp/capuchin-fleet-a.txt
-	$(GO) run ./cmd/capuchin-bench -exp fleet -quick -fleet-jobs 60 -fleet-devices 4 \
-		-fleet-json /tmp/capuchin-fleet-b.json -jobs 1 > /tmp/capuchin-fleet-b.txt
-	cmp /tmp/capuchin-fleet-a.txt /tmp/capuchin-fleet-b.txt
-	cmp /tmp/capuchin-fleet-a.json /tmp/capuchin-fleet-b.json
-	rm -f /tmp/capuchin-fleet-a.txt /tmp/capuchin-fleet-b.txt /tmp/capuchin-fleet-a.json /tmp/capuchin-fleet-b.json
+	$(call replay,fleet)
 
 # regress-smoke drives the perf-regression gate both ways: the real
 # checked-in baselines must pass at smoke slack, the degraded fixture
@@ -96,17 +104,10 @@ fleet-smoke:
 # observability exports must be byte-identical across -jobs values.
 regress-smoke:
 	$(GO) run ./cmd/capuchin-regress -slack 3
-	if $(GO) run ./cmd/capuchin-regress -slack 3 -runner '' -hotpath '' -serve '' \
-		-fleet internal/bench/testdata/fleet_regressed_baseline.json >/dev/null; then \
+	if $(GO) run ./cmd/capuchin-regress -slack 3 \
+		internal/bench/testdata/fleet_regressed_baseline.json >/dev/null; then \
 		echo "regress-smoke: gate passed a degraded baseline"; exit 1; fi
-	$(GO) run ./cmd/capuchin-trace -fleet -fleet-jobs 60 -fleet-devices 4 \
-		-prom /tmp/capuchin-regress-a.prom -events /tmp/capuchin-regress-a.jsonl 2>/dev/null
-	$(GO) run ./cmd/capuchin-trace -fleet -fleet-jobs 60 -fleet-devices 4 -jobs 1 \
-		-prom /tmp/capuchin-regress-b.prom -events /tmp/capuchin-regress-b.jsonl 2>/dev/null
-	cmp /tmp/capuchin-regress-a.prom /tmp/capuchin-regress-b.prom
-	cmp /tmp/capuchin-regress-a.jsonl /tmp/capuchin-regress-b.jsonl
-	rm -f /tmp/capuchin-regress-a.prom /tmp/capuchin-regress-b.prom \
-		/tmp/capuchin-regress-a.jsonl /tmp/capuchin-regress-b.jsonl
+	$(call replay,trace)
 
 # perf-smoke is the allocs/op gate: it runs the pinned BenchmarkHotPath*
 # suite across every hot-path package with -benchmem and fails when any
@@ -120,10 +121,10 @@ HOTPATH_PKGS = . ./internal/exec ./internal/memory ./internal/sim ./internal/fle
 perf-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkHotPath -benchmem -benchtime 300x \
 		$(HOTPATH_PKGS) | tee /tmp/capuchin-hotpath-bench.txt
-	$(GO) run ./cmd/capuchin-allocgate -budget internal/bench/testdata/alloc_budget.json \
-		/tmp/capuchin-hotpath-bench.txt
-	if $(GO) run ./cmd/capuchin-allocgate -budget internal/bench/testdata/alloc_budget_regressed.json \
-		/tmp/capuchin-hotpath-bench.txt >/dev/null; then \
+	$(GO) run ./cmd/capuchin-regress -bench /tmp/capuchin-hotpath-bench.txt \
+		internal/bench/testdata/alloc_budget.json
+	if $(GO) run ./cmd/capuchin-regress -bench /tmp/capuchin-hotpath-bench.txt \
+		internal/bench/testdata/alloc_budget_regressed.json >/dev/null; then \
 		echo "perf-smoke: alloc gate passed a degraded budget"; exit 1; fi
 	rm -f /tmp/capuchin-hotpath-bench.txt
 
@@ -145,10 +146,9 @@ hotpath-profiles:
 serve-smoke:
 	$(GO) test -race ./internal/serve/...
 	$(GO) run ./cmd/capuchin-serve -selftest -quick -json /tmp/capuchin-serve-smoke.json
-	$(GO) run ./cmd/capuchin-regress -fleet '' -runner '' -hotpath '' \
-		-serve /tmp/capuchin-serve-smoke.json
-	if $(GO) run ./cmd/capuchin-regress -fleet '' -runner '' -hotpath '' \
-		-serve internal/bench/testdata/serve_regressed_baseline.json >/dev/null; then \
+	$(GO) run ./cmd/capuchin-regress /tmp/capuchin-serve-smoke.json
+	if $(GO) run ./cmd/capuchin-regress \
+		internal/bench/testdata/serve_regressed_baseline.json >/dev/null; then \
 		echo "serve-smoke: gate passed a degraded serve baseline"; exit 1; fi
 	rm -f /tmp/capuchin-serve-smoke.json
 

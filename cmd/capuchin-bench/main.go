@@ -18,7 +18,8 @@
 // Capuchin-managed jobs (oversized jobs run under a memory cap instead
 // of being killed or rejected). -fleet-jobs, -fleet-devices and
 // -fleet-seed size and seed the arrival stream; -fleet-json also writes
-// the three-scenario comparison as machine-readable JSON. The fleet is
+// the three-scenario comparison as machine-readable JSON, an artifact
+// `capuchin-regress FILE` gates as a fleet baseline. The fleet is
 // a discrete-event simulation, fully determined by its seed: identical
 // flags reproduce byte-identical tables at any -jobs value.
 //

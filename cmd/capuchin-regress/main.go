@@ -1,94 +1,76 @@
-// Command capuchin-regress is the perf-regression gate: it reproduces
-// the experiments behind the checked-in BENCH_*.json artifacts and
-// diffs the fresh results against them with per-metric tolerances.
+// Command capuchin-regress is the perf-regression gate: it judges
+// checked-in artifacts — the BENCH_*.json run records and the allocs/op
+// budgets — against fresh runs, fresh benchmark output or their own
+// recorded claims.
 //
 // Usage:
 //
-//	capuchin-regress [-fleet BENCH_fleet.json] [-runner BENCH_parallel_runner.json]
-//	                 [-hotpath BENCH_hotpath.json] [-serve BENCH_serve.json]
-//	                 [-slack N] [-jobs N]
+//	capuchin-regress [-slack N] [-jobs N] [-bench FILE|-] [artifact ...]
 //
-// Each baseline artifact carries a meta provenance block (tool, seed,
-// toolchain, semantic flags) that the gate validates and reads the
-// reproduction parameters from — the artifact is self-describing, so
-// the gate needs no side-channel configuration. Metrics only fail in
-// their bad direction (fewer completions, more kills, slower tails);
-// improvements never fail the gate. -slack multiplies every tolerance:
-// 1 for the strict local gate, higher for CI smoke where only gross
-// regressions matter.
+// With no artifacts it gates BENCH_fleet.json, BENCH_parallel_runner.json,
+// BENCH_hotpath.json and BENCH_serve.json in the working directory. Each
+// artifact's top-level keys pick its gate, and its meta provenance block
+// supplies the reproduction parameters, so the gate needs no side-channel
+// configuration. An alloc budget is checked against the `go test -bench
+// -benchmem` output that -bench names ("-" reads stdin):
 //
-// Passing an empty path skips that gate. Exits 0 when every gated
-// metric is within tolerance, 1 when any regressed, 2 on usage or
-// reproduction errors.
+//	go test -run '^$' -bench BenchmarkHotPath -benchmem <pkgs> | \
+//	    capuchin-regress -bench - internal/bench/testdata/alloc_budget.json
+//
+// -slack multiplies every tolerance that is not exact: 1 for the strict
+// local gate, higher for CI smoke where only gross regressions matter.
+// Exits 0 when every gated metric is within tolerance, 1 when any
+// regressed, 2 on usage or reproduction errors.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"capuchin/internal/bench"
 )
 
 func main() {
-	fleetPath := flag.String("fleet", "BENCH_fleet.json", "fleet baseline artifact (\"\" = skip)")
-	runnerPath := flag.String("runner", "BENCH_parallel_runner.json", "parallel-runner baseline artifact (\"\" = skip)")
-	hotpathPath := flag.String("hotpath", "BENCH_hotpath.json", "hot-path baseline artifact (\"\" = skip)")
-	servePath := flag.String("serve", "BENCH_serve.json", "serving-layer baseline artifact (\"\" = skip)")
-	slack := flag.Float64("slack", 1, "tolerance multiplier (>1 loosens every gate)")
+	slack := flag.Float64("slack", 1, "tolerance multiplier (>1 loosens every inexact limit)")
 	jobs := flag.Int("jobs", 0, "parallel worker count for the reproduction runs (0 = GOMAXPROCS)")
+	benchPath := flag.String("bench", "", "go test -bench -benchmem output `FILE` for alloc budgets (\"-\" = stdin)")
 	flag.Parse()
 
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
+	paths := flag.Args()
+	if len(paths) == 0 {
+		paths = []string{"BENCH_fleet.json", "BENCH_parallel_runner.json", "BENCH_hotpath.json", "BENCH_serve.json"}
+	}
+	// Read the bench output once: every alloc budget on the command line
+	// gates the same run.
+	var benchOut []byte
+	var err error
+	switch *benchPath {
+	case "":
+	case "-":
+		benchOut, err = io.ReadAll(os.Stdin)
+	default:
+		benchOut, err = os.ReadFile(*benchPath)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reading bench output: %v\n", err)
 		os.Exit(2)
 	}
-	if *fleetPath == "" && *runnerPath == "" && *hotpathPath == "" && *servePath == "" {
-		fmt.Fprintln(os.Stderr, "nothing to gate: -fleet, -runner, -hotpath and -serve are all empty")
-		os.Exit(2)
-	}
-	o := bench.Options{Jobs: *jobs}
 
-	var regs []bench.Regression
-	if *fleetPath != "" {
-		r, err := bench.RegressFleet(*fleetPath, o, *slack)
+	var regs []bench.Row
+	for _, path := range paths {
+		var in io.Reader
+		if benchOut != nil {
+			in = bytes.NewReader(benchOut)
+		}
+		r, err := bench.Regress(path, bench.Options{Jobs: *jobs}, *slack, in)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet gate: %v\n", err)
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		fmt.Printf("fleet gate: %s: %d regressed\n", *fleetPath, len(r))
-		regs = append(regs, r...)
-	}
-	if *runnerPath != "" {
-		r, err := bench.RegressParallelRunner(*runnerPath, o, *slack)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "runner gate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("runner gate: %s: determinism + wall-clock ratio checked, %d regressed\n",
-			*runnerPath, len(r))
-		regs = append(regs, r...)
-	}
-	if *hotpathPath != "" {
-		r, err := bench.RegressHotpath(*hotpathPath, *slack)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hotpath gate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("hotpath gate: %s: speedup + alloc-budget consistency checked, %d regressed\n",
-			*hotpathPath, len(r))
-		regs = append(regs, r...)
-	}
-
-	if *servePath != "" {
-		r, err := bench.RegressServe(*servePath, *slack)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "serve gate: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Printf("serve gate: %s: ledger + byte-identity + drain checked, %d regressed\n",
-			*servePath, len(r))
+		fmt.Printf("%s: %d regressed\n", path, len(r))
 		regs = append(regs, r...)
 	}
 

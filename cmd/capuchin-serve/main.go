@@ -36,7 +36,7 @@
 // seeded closed-loop fleet of -clients concurrent clients (default
 // 1000) driving a live in-process server, followed by a deterministic
 // backpressure-and-drain scenario, written as the BENCH_serve.json
-// artifact (-json) that cmd/capuchin-regress -serve gates. -quick trims
+// artifact (-json) that `capuchin-regress FILE` gates. -quick trims
 // the fleet for CI smoke and records itself in the artifact's meta
 // block; -meta-date opts into stamping a wall-clock date.
 package main

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -51,21 +49,15 @@ func ParseBenchOutput(r io.Reader) (map[string]BenchResult, error) {
 		}
 		name := trimCPUSuffix(f[0])
 		res := BenchResult{}
+		cols := map[string]*float64{"ns/op": &res.NsPerOp, "B/op": &res.BytesPerOp, "allocs/op": &res.AllocsPerOp}
 		seen := 0
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bench: malformed benchmark line %q: %v", line, err)
 			}
-			switch f[i+1] {
-			case "ns/op":
-				res.NsPerOp = v
-				seen++
-			case "B/op":
-				res.BytesPerOp = v
-				seen++
-			case "allocs/op":
-				res.AllocsPerOp = v
+			if col, ok := cols[f[i+1]]; ok {
+				*col = v
 				seen++
 			}
 		}
@@ -97,75 +89,46 @@ func trimCPUSuffix(name string) string {
 	return name[:i]
 }
 
-// AllocBudget is the checked-in allocs/op ceiling for the pinned
-// hot-path benchmarks — the perf-smoke contract. Budgets key on
-// "<import path>.<benchmark name>"; a budget of 0 demands a
-// steady-state allocation-free loop.
-type AllocBudget struct {
-	// Meta is the provenance block recording how the budget values were
-	// established.
-	Meta RunMeta `json:"meta"`
-	// Budgets maps qualified benchmark names to the maximum allowed
-	// allocs/op.
-	Budgets map[string]float64 `json:"budgets"`
-}
-
-// ReadAllocBudget loads and validates a checked-in alloc budget.
-func ReadAllocBudget(path string) (AllocBudget, error) {
-	b, err := os.ReadFile(path)
+// allocRows gates `go test -bench -benchmem` output against the
+// allocs/op budget the artifact holds — the perf-smoke contract.
+func (a *artifact) allocRows() ([]Row, error) {
+	if a.bench == nil {
+		return nil, fmt.Errorf("bench: %s is an alloc budget, which needs benchmark output to gate", a.path)
+	}
+	if len(a.Budgets) == 0 {
+		return nil, fmt.Errorf("bench: %s budgets no benchmarks", a.path)
+	}
+	got, err := ParseBenchOutput(a.bench)
 	if err != nil {
-		return AllocBudget{}, err
+		return nil, err
 	}
-	var ab AllocBudget
-	if err := json.Unmarshal(b, &ab); err != nil {
-		return AllocBudget{}, fmt.Errorf("bench: parsing %s: %w", path, err)
-	}
-	if err := ab.Meta.Validate(); err != nil {
-		return AllocBudget{}, fmt.Errorf("bench: %s has no provenance block: %w", path, err)
-	}
-	if len(ab.Budgets) == 0 {
-		return AllocBudget{}, fmt.Errorf("bench: %s budgets no benchmarks", path)
-	}
-	return ab, nil
+	return budgetRows(a.Budgets, got)
 }
 
-// CheckAllocBudget gates parsed benchmark results against the budget.
-// Every budgeted benchmark must be present — a benchmark that silently
-// stopped running must fail the gate, not pass it — and report
-// allocs/op at or below its ceiling. Unbudgeted benchmarks in got are
-// ignored, so the suite can grow ahead of the budget.
-func CheckAllocBudget(budget AllocBudget, got map[string]BenchResult) ([]Regression, error) {
-	names := make([]string, 0, len(budget.Budgets))
-	for name := range budget.Budgets {
+// budgetRows turns parsed benchmark results into one row per budgeted
+// benchmark. Every budgeted benchmark must be present — a benchmark
+// that silently stopped running must fail the gate, not pass it.
+// Unbudgeted benchmarks in got are ignored, so the suite can grow ahead
+// of the budget.
+func budgetRows(budgets map[string]float64, got map[string]BenchResult) ([]Row, error) {
+	names := make([]string, 0, len(budgets))
+	for name := range budgets {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var regs []Regression
+	rows := make([]Row, 0, len(names))
 	for _, name := range names {
 		res, ok := got[name]
 		if !ok {
 			return nil, fmt.Errorf("bench: budgeted benchmark %s missing from output", name)
 		}
-		if max := budget.Budgets[name]; res.AllocsPerOp > max {
-			regs = append(regs, Regression{
-				Scenario: name, Metric: "allocs/op",
-				Baseline: max, Fresh: res.AllocsPerOp, Allowed: max,
-			})
-		}
+		rows = append(rows, allocRow(name, "allocs/op", budgets[name], res.AllocsPerOp))
 	}
-	return regs, nil
+	return rows, nil
 }
 
-// RegressAllocs is the one-call form the perf-smoke gate uses: parse
-// bench output from r and check it against the budget at path.
-func RegressAllocs(budgetPath string, r io.Reader) ([]Regression, error) {
-	budget, err := ReadAllocBudget(budgetPath)
-	if err != nil {
-		return nil, err
-	}
-	got, err := ParseBenchOutput(r)
-	if err != nil {
-		return nil, err
-	}
-	return CheckAllocBudget(budget, got)
+// allocRow is the row for one budgeted allocs/op figure. allocs/op is
+// load-independent, so the budget itself is the limit at any slack.
+func allocRow(scenario, metric string, budget, allocs float64) Row {
+	return Row{scenario, metric, budget, allocs, budget, false}
 }

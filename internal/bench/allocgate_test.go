@@ -56,24 +56,16 @@ BenchmarkHotPathIteration 	     300	    623581 ns/op	     110 B/op
 	}
 }
 
-func budgetFor(t *testing.T, budgets map[string]float64) AllocBudget {
-	t.Helper()
-	return AllocBudget{
-		Meta:    NewRunMeta("test", 0, false),
-		Budgets: budgets,
-	}
-}
-
 // TestCheckAllocBudgetFires proves the gate's failing direction: a
-// benchmark over budget yields a Regression naming it.
+// benchmark over budget yields a regressed row naming it.
 func TestCheckAllocBudgetFires(t *testing.T) {
 	got, err := ParseBenchOutput(strings.NewReader(sampleBenchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs, err := CheckAllocBudget(budgetFor(t, map[string]float64{
+	regs, err := judged(budgetRows(map[string]float64{
 		"capuchin.BenchmarkHotPathIteration": 0, // observed 1 -> must fire
-	}), got)
+	}, got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +84,11 @@ func TestCheckAllocBudgetPasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs, err := CheckAllocBudget(budgetFor(t, map[string]float64{
+	regs, err := judged(budgetRows(map[string]float64{
 		"capuchin.BenchmarkHotPathIteration":                    1,
 		"capuchin.BenchmarkHotPathMeasuredIteration":            10500,
 		"capuchin/internal/memory.BenchmarkHotPathBFCAllocFree": 0,
-	}), got)
+	}, got))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +105,9 @@ func TestCheckAllocBudgetMissingBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckAllocBudget(budgetFor(t, map[string]float64{
+	if _, err := judged(budgetRows(map[string]float64{
 		"capuchin.BenchmarkHotPathVanished": 0,
-	}), got); err == nil {
+	}, got)); err == nil {
 		t.Fatal("missing budgeted benchmark did not error")
 	}
 }
@@ -125,7 +117,7 @@ func TestCheckAllocBudgetMissingBenchmark(t *testing.T) {
 // allocations from every steady-state micro-benchmark; the regressed
 // fixture must be strictly tighter somewhere real output exceeds it.
 func TestCheckedInBudgets(t *testing.T) {
-	real, err := ReadAllocBudget("testdata/alloc_budget.json")
+	real, err := readArtifact("testdata/alloc_budget.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +134,7 @@ func TestCheckedInBudgets(t *testing.T) {
 		t.Fatalf("only %d zero-alloc budgets; the steady-state suite should pin at least 8", zeros)
 	}
 
-	bad, err := ReadAllocBudget("testdata/alloc_budget_regressed.json")
+	bad, err := readArtifact("testdata/alloc_budget_regressed.json")
 	if err != nil {
 		t.Fatal(err)
 	}

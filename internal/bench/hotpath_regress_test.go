@@ -64,7 +64,31 @@ func writeJSON(t *testing.T, path string, v any) {
 
 func TestRegressHotpathPasses(t *testing.T) {
 	path := writeHotpathFixture(t, nil)
-	regs, err := RegressHotpath(path, 1)
+	regs, err := Regress(path, Options{}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 0 {
+		t.Fatalf("unexpected regressions: %v", regs)
+	}
+}
+
+// TestRegressHotpathRelativeBudget: a relative alloc_budget resolves
+// against the artifact's directory, so the gate works from any working
+// directory.
+func TestRegressHotpathRelativeBudget(t *testing.T) {
+	path := writeHotpathFixture(t, func(art map[string]any) {
+		art["alloc_budget"] = "alloc_budget.json"
+	})
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	regs, err := Regress(path, Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +103,7 @@ func TestRegressHotpathSpeedupFloor(t *testing.T) {
 			"before_ns_per_op": 100, "after_ns_per_op": 50, "speedup": 2.0,
 		}
 	})
-	regs, err := RegressHotpath(path, 1)
+	regs, err := Regress(path, Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +118,7 @@ func TestRegressHotpathAllocsOverBudget(t *testing.T) {
 			"before_allocs_per_op": 8869, "after_allocs_per_op": 7,
 		}
 	})
-	regs, err := RegressHotpath(path, 1)
+	regs, err := Regress(path, Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +133,7 @@ func TestRegressHotpathInconsistentSpeedup(t *testing.T) {
 			"before_ns_per_op": 100, "after_ns_per_op": 50, "speedup": 3.5,
 		}
 	})
-	if _, err := RegressHotpath(path, 1); err == nil {
+	if _, err := Regress(path, Options{}, 1, nil); err == nil {
 		t.Fatal("inconsistent speedup did not error")
 	}
 }
@@ -118,7 +142,7 @@ func TestRegressHotpathShortPprofTop(t *testing.T) {
 	path := writeHotpathFixture(t, func(art map[string]any) {
 		art["pprof"].(map[string]any)["cpu_top10_after"] = []map[string]any{{"func": "f"}}
 	})
-	if _, err := RegressHotpath(path, 1); err == nil {
+	if _, err := Regress(path, Options{}, 1, nil); err == nil {
 		t.Fatal("truncated pprof top did not error")
 	}
 }

@@ -25,9 +25,17 @@ func regressBase() FleetComparison {
 	}
 }
 
+// judged passes a row builder's rows through the gate's judge.
+func judged(rows []Row, err error) ([]Row, error) {
+	if err != nil {
+		return nil, err
+	}
+	return judge(rows), nil
+}
+
 func TestCompareFleetSelfIsClean(t *testing.T) {
 	base := regressBase()
-	regs, err := CompareFleet(base, base, 1)
+	regs, err := judged(compareFleet(base, base, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +53,7 @@ func TestCompareFleetDirections(t *testing.T) {
 	fresh.Runs[0].KillRatePct = 60
 	fresh.Runs[0].UtilizationPct = 40
 	fresh.Runs[0].P99JCTMillis = 20000
-	regs, err := CompareFleet(base, fresh, 1)
+	regs, err := judged(compareFleet(base, fresh, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +78,7 @@ func TestCompareFleetDirections(t *testing.T) {
 	better.Runs[0].KillRatePct = 20
 	better.Runs[0].UtilizationPct = 60
 	better.Runs[0].P99JCTMillis = 5000
-	regs, err = CompareFleet(base, better, 1)
+	regs, err = judged(compareFleet(base, better, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +91,10 @@ func TestCompareFleetSlackWidens(t *testing.T) {
 	base := regressBase()
 	fresh := regressBase()
 	fresh.Runs[0].Completed = 95 // 5% drop: past the 2% tolerance at slack 1
-	if regs, err := CompareFleet(base, fresh, 1); err != nil || len(regs) != 1 {
+	if regs, err := judged(compareFleet(base, fresh, 1)); err != nil || len(regs) != 1 {
 		t.Fatalf("want exactly one regression at slack 1, got %v (%v)", regs, err)
 	}
-	if regs, err := CompareFleet(base, fresh, 4); err != nil || len(regs) != 0 {
+	if regs, err := judged(compareFleet(base, fresh, 4)); err != nil || len(regs) != 0 {
 		t.Fatalf("slack 4 should absorb a 5%% drop, got %v (%v)", regs, err)
 	}
 }
@@ -103,7 +111,7 @@ func TestCompareFleetExperimentIdentity(t *testing.T) {
 	} {
 		fresh := regressBase()
 		mutate(&fresh)
-		if _, err := CompareFleet(base, fresh, 1); err == nil {
+		if _, err := judged(compareFleet(base, fresh, 1)); err == nil {
 			t.Errorf("experiment-identity drift not rejected: base %+v fresh %+v", base, fresh)
 		}
 	}
@@ -115,7 +123,7 @@ func TestCompareFleetExperimentIdentity(t *testing.T) {
 // flag regressions. The fixture exists so `make regress-smoke` can
 // prove the gate fails when it should.
 func TestDegradedFixtureIsUnachievable(t *testing.T) {
-	degraded, err := readFleetBaseline(filepath.Join("testdata", "fleet_regressed_baseline.json"))
+	degraded, err := readArtifact(filepath.Join("testdata", "fleet_regressed_baseline.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +135,7 @@ func TestDegradedFixtureIsUnachievable(t *testing.T) {
 	if err := json.Unmarshal(real, &fresh); err != nil {
 		t.Fatal(err)
 	}
-	regs, err := CompareFleet(degraded, fresh, 3)
+	regs, err := judged(compareFleet(degraded.FleetComparison, fresh, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +161,41 @@ func TestReadFleetBaselineRequiresMeta(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFleetBaseline(path); err == nil {
+	if _, err := Regress(path, Options{}, 1, nil); err == nil {
 		t.Fatal("baseline without provenance accepted")
+	}
+}
+
+// TestGateKindDetection pins which gate each checked-in artifact's
+// top-level keys pick, and that an artifact naming no gate, or an alloc
+// budget without bench output, is an error.
+func TestGateKindDetection(t *testing.T) {
+	for path, want := range map[string]string{
+		"../../BENCH_fleet.json":                 "fleet",
+		"../../BENCH_parallel_runner.json":       "runner",
+		"../../BENCH_hotpath.json":               "hotpath",
+		"../../BENCH_serve.json":                 "serve",
+		"testdata/fleet_regressed_baseline.json": "fleet",
+		"testdata/serve_regressed_baseline.json": "serve",
+		"testdata/alloc_budget.json":             "alloc",
+		"testdata/alloc_budget_regressed.json":   "alloc",
+	} {
+		a, err := readArtifact(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, rows := a.gate(); got != want || rows == nil {
+			t.Errorf("%s picks gate %q, want %q", path, got, want)
+		}
+	}
+
+	unknown := filepath.Join(t.TempDir(), "unknown.json")
+	writeJSON(t, unknown, map[string]any{"meta": NewRunMeta("test", 0, false), "results": []int{1}})
+	if _, err := Regress(unknown, Options{}, 1, nil); err == nil {
+		t.Error("artifact with no gate's key accepted")
+	}
+	if _, err := Regress("testdata/alloc_budget.json", Options{}, 1, nil); err == nil {
+		t.Error("alloc budget gated without bench output")
 	}
 }
 
@@ -199,7 +240,7 @@ func TestRegressParallelRunner(t *testing.T) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	regs, err := RegressParallelRunner(path, Options{}, 3)
+	regs, err := Regress(path, Options{}, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func writeServeFixture(t *testing.T, mutate func(map[string]any)) string {
 }
 
 func TestRegressServeCleanFixture(t *testing.T) {
-	regs, err := RegressServe(writeServeFixture(t, nil), 1)
+	regs, err := Regress(writeServeFixture(t, nil), Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRegressServeRealBaseline(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Skipf("no checked-in BENCH_serve.json: %v", err)
 	}
-	regs, err := RegressServe(path, 1)
+	regs, err := Regress(path, Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRegressServeRealBaseline(t *testing.T) {
 // baseline: every acceptance floor it violates must flag, so `make
 // regress-smoke` can prove the serve gate fails when it should.
 func TestRegressServeDegradedFixture(t *testing.T) {
-	regs, err := RegressServe(filepath.Join("testdata", "serve_regressed_baseline.json"), 1)
+	regs, err := Regress(filepath.Join("testdata", "serve_regressed_baseline.json"), Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRegressServeQuickWaivesClientFloor(t *testing.T) {
 		art["meta"] = m
 		art["load"].(map[string]any)["clients"] = 64
 	})
-	regs, err := RegressServe(path, 1)
+	regs, err := Regress(path, Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRegressServeQuickWaivesClientFloor(t *testing.T) {
 	path = writeServeFixture(t, func(art map[string]any) {
 		art["load"].(map[string]any)["clients"] = 64
 	})
-	regs, err = RegressServe(path, 1)
+	regs, err = Regress(path, Options{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestRegressServeConsistencyErrors(t *testing.T) {
 			art["meta"] = RunMeta{}
 		},
 	} {
-		if _, err := RegressServe(writeServeFixture(t, mutate), 1); err == nil {
+		if _, err := Regress(writeServeFixture(t, mutate), Options{}, 1, nil); err == nil {
 			t.Errorf("%s inconsistency did not error", name)
 		}
 	}

@@ -103,7 +103,7 @@ func startLocal(s *Server) (string, func(), error) {
 // SelfTest runs both phases and assembles the artifact. A non-nil error
 // means the harness failed or an invariant the artifact cannot express
 // was violated; gate-visible degradations (shed rates, latency, drops)
-// are recorded in the artifact for RegressServe to judge.
+// are recorded in the artifact for bench.Regress's serve gate to judge.
 func SelfTest(o SelfTestOptions) (ServeBench, error) {
 	if o.Clients <= 0 {
 		if o.Quick {
