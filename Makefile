@@ -139,12 +139,16 @@ hotpath-profiles:
 		-memprofilerate 1 . | tee hotpath_pprof/bench.txt
 
 # serve-smoke guards the serving layer: the serve and loadgen suites
-# under the race detector (drain, backpressure, byte-identity and the
-# runner cancellation stress all live there), then a quick CLI selftest
-# whose artifact must pass the serve gate — and, like the other gates,
-# the deliberately degraded fixture must fail it.
+# under the race detector (drain, backpressure, panic recovery and byte
+# identity live there), ten more race passes over the run lifecycle
+# serve owns (drain, close, shedding, panic recovery), then a quick CLI
+# selftest whose artifact must pass the serve gate — and, like the other
+# gates, the deliberately degraded fixture must fail it. The runner's
+# cancellation stress, TestRunnerCancelStress, lives in internal/bench
+# under `make race`.
 serve-smoke:
 	$(GO) test -race ./internal/serve/...
+	$(GO) test -race -count=10 -run 'Drain|Close|Backpressure|Panic' ./internal/serve
 	$(GO) run ./cmd/capuchin-serve -selftest -quick -json /tmp/capuchin-serve-smoke.json
 	$(GO) run ./cmd/capuchin-regress /tmp/capuchin-serve-smoke.json
 	if $(GO) run ./cmd/capuchin-regress \

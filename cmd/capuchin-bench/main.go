@@ -123,16 +123,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var dev hw.DeviceSpec
-	switch strings.ToLower(*device) {
-	case "p100":
-		dev = hw.P100()
-	case "v100":
-		dev = hw.V100()
-	case "t4":
-		dev = hw.T4()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown device %q\n", *device)
+	dev, err := hw.ByName(*device)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *mem > 0 {

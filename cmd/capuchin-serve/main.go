@@ -1,14 +1,13 @@
 // Command capuchin-serve runs the Capuchin simulator as a long-lived
 // HTTP/JSON service: clients POST run configurations and read back
 // results, live event streams, Chrome traces and Prometheus metrics,
-// while a bounded worker pool executes the simulations behind a
-// config-keyed single-flight cache — identical submissions, concurrent
-// or repeated, cost one simulation.
+// while a bounded worker pool executes the simulations. The result
+// store is keyed by canonical config, so identical submissions,
+// concurrent or repeated, cost one simulation.
 //
 // Usage:
 //
-//	capuchin-serve [-addr :8080] [-workers N] [-queue N] [-shards N] [-jobs N]
-//	               [-drain-timeout DUR]
+//	capuchin-serve [-addr :8080] [-workers N] [-queue N] [-drain-timeout DUR]
 //	capuchin-serve -selftest [-clients N] [-requests N] [-seed N] [-quick]
 //	               [-json BENCH_serve.json] [-meta-date YYYY-MM-DD]
 //
@@ -21,7 +20,7 @@
 //	                          text/event-stream for SSE framing)
 //	GET  /v1/runs/{id}/trace  Chrome trace (?wait=1 long-polls)
 //	GET  /v1/stats            server snapshot JSON
-//	GET  /metrics             Prometheus exposition (serve + runner)
+//	GET  /metrics             Prometheus exposition of the serve counters
 //	GET  /healthz, /readyz    liveness; readiness flips 503 on drain
 //
 // -workers bounds concurrently executing simulations independently of
@@ -57,8 +56,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrently executing simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 256, "admission queue depth before shedding with 429")
-	shards := flag.Int("shards", 16, "result-store shard count")
-	jobs := flag.Int("jobs", 0, "runner-internal simulation concurrency (0 = workers)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "graceful-drain bound on shutdown")
 	selftest := flag.Bool("selftest", false, "run the serving benchmark instead of the daemon")
 	clients := flag.Int("clients", 0, "selftest: concurrent closed-loop clients (0 = 1000, or 64 with -quick)")
@@ -91,8 +88,6 @@ func main() {
 	s := serve.NewServer(serve.Config{
 		Workers:      *workers,
 		QueueDepth:   *queue,
-		Shards:       *shards,
-		Jobs:         *jobs,
 		DrainTimeout: *drainTimeout,
 	})
 	fmt.Fprintf(os.Stderr, "capuchin-serve: listening on %s\n", *addr)

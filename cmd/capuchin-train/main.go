@@ -42,24 +42,23 @@ func main() {
 	events := flag.String("events", "", "stream the event and decision log as JSONL (\"-\" = stdout)")
 	flag.Parse()
 
-	var dev hw.DeviceSpec
-	switch strings.ToLower(*device) {
-	case "p100":
-		dev = hw.P100()
-	case "v100":
-		dev = hw.V100()
-	case "t4":
-		dev = hw.T4()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown device %q\n", *device)
+	dev, err := hw.ByName(*device)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *mem > 0 {
 		dev = dev.WithMemory(*mem * hw.GiB)
 	}
-	m := exec.GraphMode
-	if strings.ToLower(*mode) == "eager" {
+	var m exec.Mode
+	switch strings.ToLower(*mode) {
+	case "graph":
+		m = exec.GraphMode
+	case "eager":
 		m = exec.EagerMode
+	default:
+		fmt.Fprintf(os.Stderr, "unknown mode %q (want graph or eager)\n", *mode)
+		os.Exit(2)
 	}
 
 	r := bench.Run(bench.RunConfig{

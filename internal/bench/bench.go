@@ -215,6 +215,10 @@ func run(cfg RunConfig, extra obs.Tracer) Result {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
 	}
+	if cfg.Iterations < 0 {
+		res.Err = fmt.Errorf("bench: iterations must be >= 0, got %d", cfg.Iterations)
+		return res
+	}
 	spec, err := models.Get(cfg.Model)
 	if err != nil {
 		res.Err = err

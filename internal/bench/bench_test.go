@@ -6,6 +6,7 @@ import (
 
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
+	"capuchin/internal/models"
 )
 
 // smallDev keeps harness tests fast: a scaled-down P100.
@@ -177,6 +178,22 @@ func TestEagerModeRuns(t *testing.T) {
 		Device: smallDev(), Mode: exec.EagerMode, Iterations: 2})
 	if !r.OK {
 		t.Fatalf("eager capuchin failed: %v", r.Err)
+	}
+}
+
+// TestNegativeIterationsFail: a negative iteration count is a failed
+// Result with an error on the static, dynamic and cluster paths alike,
+// never a panic inside the session.
+func TestNegativeIterationsFail(t *testing.T) {
+	base := RunConfig{Model: "alexnet", Batch: 8, System: SystemTF, Device: smallDev(), Iterations: -1}
+	dynamic, cluster := base, base
+	dynamic.Schedule = models.ScheduleBatch
+	cluster.Devices = 2
+	for name, cfg := range map[string]RunConfig{"static": base, "dynamic": dynamic, "cluster": cluster} {
+		r := Run(cfg)
+		if r.OK || r.Err == nil || !strings.Contains(r.Err.Error(), "iterations") {
+			t.Errorf("%s: ok=%v err=%v, want a failed result naming iterations", name, r.OK, r.Err)
+		}
 	}
 }
 

@@ -111,7 +111,8 @@ func (r *Runner) EnableProfiling() { r.profile = true }
 // config. A non-nil tracer receives the cell's live event and decision
 // stream via RunTraced; tracing is outcome-neutral, so observed and
 // unobserved cells stay cache-compatible. Call it before submitting
-// work; capuchin-serve uses it to stream per-run progress events.
+// work. A caller that runs one traced cell needs no Runner: RunTraced
+// is the uncached equivalent.
 func (r *Runner) Observe(f func(RunConfig) obs.Tracer) { r.traceFor = f }
 
 // Metrics returns the aggregate metrics registry merged across every
@@ -148,8 +149,8 @@ func (r *Runner) Stats() RunnerStats {
 // CanonicalConfig returns the cache key the Runner files cfg under:
 // defaulted fields are canonicalized so equivalent configurations share
 // one entry, and Profile is cleared (it is applied after keying; see
-// EnableProfiling). capuchin-serve derives result IDs from this key so
-// its store dedupes exactly the configurations the runner cache does.
+// EnableProfiling). capuchin-serve derives result IDs from this key, so
+// its store dedupes exactly the configurations a Runner would coalesce.
 func CanonicalConfig(cfg RunConfig) RunConfig { return cacheKey(cfg) }
 
 // cacheKey canonicalizes defaulted RunConfig fields so equivalent
@@ -189,8 +190,7 @@ func (r *Runner) Run(cfg RunConfig) Result { return r.RunContext(r.ctx, cfg) }
 // someone else's context does not inherit the cancellation — the aborted
 // entry is dropped and the caller retries the cell under its own, live
 // context. A cell already simulating is never interrupted mid-flight;
-// cancellation gates queue admission, which is what lets capuchin-serve
-// drain by finishing in-flight runs.
+// cancellation gates queue admission only.
 func (r *Runner) RunContext(ctx context.Context, cfg RunConfig) Result {
 	if ctx == nil {
 		ctx = r.ctx

@@ -9,7 +9,12 @@
 // Tesla P100 behind PCIe 3.0 x16.
 package hw
 
-import "capuchin/internal/sim"
+import (
+	"fmt"
+	"strings"
+
+	"capuchin/internal/sim"
+)
 
 // Link models one direction of a host-device interconnect. Pinned-memory
 // transfers occupy a direction exclusively, so each direction is served by
@@ -150,6 +155,18 @@ func T4() DeviceSpec {
 		EagerDispatch: 60 * sim.Microsecond,
 		TrackAccess:   250 * sim.Nanosecond,
 	}
+}
+
+// catalog maps the CLI device names to their specs.
+var catalog = map[string]func() DeviceSpec{"p100": P100, "v100": V100, "t4": T4}
+
+// ByName returns the catalog device a -device flag names: p100, v100 or
+// t4, in any case.
+func ByName(name string) (DeviceSpec, error) {
+	if spec, ok := catalog[strings.ToLower(name)]; ok {
+		return spec(), nil
+	}
+	return DeviceSpec{}, fmt.Errorf("hw: unknown device %q (want p100, v100 or t4)", name)
 }
 
 // WithMemory returns a copy of the spec with the given memory capacity, for

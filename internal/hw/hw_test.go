@@ -104,6 +104,28 @@ func TestDeviceCatalog(t *testing.T) {
 	}
 }
 
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want string // spec name; "" means an error
+	}{
+		{"p100", P100().Name},
+		{"V100", V100().Name},
+		{"t4", T4().Name},
+		{"T4", T4().Name},
+		{"a100", ""},
+		{"", ""},
+	} {
+		d, err := ByName(tc.name)
+		switch {
+		case tc.want == "" && err == nil:
+			t.Errorf("ByName(%q) = %s, want an error", tc.name, d.Name)
+		case tc.want != "" && (err != nil || d.Name != tc.want):
+			t.Errorf("ByName(%q) = %q, %v; want %q", tc.name, d.Name, err, tc.want)
+		}
+	}
+}
+
 func TestPaperSwapBandwidthScale(t *testing.T) {
 	// §6.2: swapping ~25 GB out takes ~1.97 s and back in ~2.60 s on the
 	// P100. Our link model should land in that ballpark (within 25%).

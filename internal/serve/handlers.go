@@ -99,7 +99,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // unless ?wait=1, which long-polls until completion or the client
 // disconnects.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.store.get(r.PathValue("id"))
+	e, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "serve: unknown run ID")
 		return
@@ -128,7 +128,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // until the run completes or the client disconnects. Every render is
 // whole JSONL lines, so the SSE framing wraps lines exactly.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.store.get(r.PathValue("id"))
+	e, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "serve: unknown run ID")
 		return
@@ -189,7 +189,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // Perfetto format). The trace covers the whole run, so an incomplete
 // run answers 202 — unless ?wait=1, which blocks until completion.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.store.get(r.PathValue("id"))
+	e, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "serve: unknown run ID")
 		return
@@ -215,15 +215,14 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// handleMetrics merges the serve-layer registry (admission, shed, run
-// latency) with the runner's profiled-cell aggregate and writes the
-// Prometheus exposition.
+// handleMetrics writes the serve registry (admission, dedup, shed, run
+// latency) as Prometheus exposition. It renders a copy, so a slow
+// client never holds the registry's lock.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	merged := obs.NewMetrics()
-	merged.Merge(s.metrics)
-	merged.Merge(s.runner.Metrics())
+	snap := obs.NewMetrics()
+	snap.Merge(s.metrics)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = merged.WritePrometheus(w)
+	_ = snap.WritePrometheus(w)
 }
 
 // handleHealthz reports liveness: the process is up and serving.

@@ -209,7 +209,7 @@ func selfTestDrain() (DrainReport, error) {
 	var rep DrainReport
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
-	s := NewServer(Config{Workers: 1, QueueDepth: 1, Jobs: 1})
+	s := NewServer(Config{Workers: 1, QueueDepth: 1})
 	s.beforeRun = func(*runEntry) {
 		entered <- struct{}{}
 		<-release

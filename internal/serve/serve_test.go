@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 
 // testConfig keeps serve tests fast and deterministic.
 func testConfig() Config {
-	return Config{Workers: 2, QueueDepth: 8, Shards: 4, Jobs: 2}
+	return Config{Workers: 2, QueueDepth: 8}
 }
 
 // testRequest is a cell small enough to simulate in milliseconds.
@@ -132,9 +133,9 @@ func TestSubmitDedup(t *testing.T) {
 		t.Fatalf("result: got %d", code)
 	}
 	st := s.Snapshot()
-	if st.Admitted != 1 || st.Deduped != 1 || st.Runner.Misses != 1 {
-		t.Errorf("stats admitted=%d deduped=%d misses=%d, want 1/1/1",
-			st.Admitted, st.Deduped, st.Runner.Misses)
+	if st.Admitted != 1 || st.Deduped != 1 || st.Completed != 1 {
+		t.Errorf("stats admitted=%d deduped=%d completed=%d, want 1/1/1",
+			st.Admitted, st.Deduped, st.Completed)
 	}
 }
 
@@ -220,7 +221,7 @@ func distinctRequests(n int) []RunRequest {
 // next distinct submission is shed with 429 + Retry-After, while a
 // duplicate of an accepted run still dedupes.
 func TestBackpressureShed(t *testing.T) {
-	s, entered, release := blockingServer(t, Config{Workers: 1, QueueDepth: 1, Shards: 4, Jobs: 1})
+	s, entered, release := blockingServer(t, Config{Workers: 1, QueueDepth: 1})
 	defer s.Close()      // LIFO: release the parked worker first,
 	defer close(release) // then close the server.
 	ts := httptest.NewServer(s.Handler())
@@ -258,7 +259,7 @@ func TestBackpressureShed(t *testing.T) {
 // already-accepted run — running or still queued — completes with a
 // fetchable result. Zero accepted runs are dropped.
 func TestDrainCompletesInFlight(t *testing.T) {
-	s, entered, release := blockingServer(t, Config{Workers: 1, QueueDepth: 4, Shards: 4, Jobs: 1})
+	s, entered, release := blockingServer(t, Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	reqs := distinctRequests(3)
@@ -303,7 +304,7 @@ func TestDrainCompletesInFlight(t *testing.T) {
 // TestCloseAbandonsQueued: Close unblocks waiters on never-started runs
 // with failed, aborted results instead of leaving them hanging.
 func TestCloseAbandonsQueued(t *testing.T) {
-	s, entered, release := blockingServer(t, Config{Workers: 1, QueueDepth: 4, Shards: 4, Jobs: 1})
+	s, entered, release := blockingServer(t, Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	reqs := distinctRequests(2)
@@ -405,7 +406,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestObservabilityEndpoints: healthz, stats and the merged Prometheus
+// TestObservabilityEndpoints: healthz, stats and the Prometheus
 // exposition.
 func TestObservabilityEndpoints(t *testing.T) {
 	s := NewServer(testConfig())
@@ -448,29 +449,31 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 }
 
+// TestStoreShardingAndIDs: run IDs are a stable hash of the canonical
+// config, and the store finds exactly the runs filed in it.
 func TestStoreShardingAndIDs(t *testing.T) {
-	st := newStore(3)
-	if len(st.shards) != 4 {
-		t.Errorf("shards=%d, want rounded up to 4", len(st.shards))
-	}
+	s := NewServer(testConfig())
+	defer s.Close()
 	cfgA := bench.CanonicalConfig(bench.RunConfig{Model: "resnet50", Batch: 8, System: bench.SystemTF})
 	cfgB := bench.CanonicalConfig(bench.RunConfig{Model: "resnet50", Batch: 16, System: bench.SystemTF})
 	if runID(cfgA) != runID(cfgA) || runID(cfgA) == runID(cfgB) {
 		t.Fatalf("runID not a stable injective-ish hash: %s vs %s", runID(cfgA), runID(cfgB))
 	}
 	e := newRunEntry(runID(cfgA), cfgA)
-	st.insert(e)
-	if got, ok := st.lookupConfig(cfgA); !ok || got != e {
-		t.Error("lookupConfig missed an inserted entry")
+	s.mu.Lock()
+	s.runs[e.id] = e
+	s.mu.Unlock()
+	if got, ok := s.lookup(runID(cfgA)); !ok || got != e {
+		t.Error("lookup missed a stored entry")
 	}
-	if _, ok := st.lookupConfig(cfgB); ok {
-		t.Error("lookupConfig matched a different config")
+	if _, ok := s.lookup(runID(cfgB)); ok {
+		t.Error("lookup matched a different config's ID")
 	}
-	if _, ok := st.get("no-such-id"); ok {
-		t.Error("get matched an absent ID")
+	if _, ok := s.lookup("no-such-id"); ok {
+		t.Error("lookup matched an absent ID")
 	}
-	if st.len() != 1 {
-		t.Errorf("len=%d, want 1", st.len())
+	if n := s.Snapshot().StoredRuns; n != 1 {
+		t.Errorf("stored runs=%d, want 1", n)
 	}
 }
 
@@ -531,8 +534,49 @@ func TestIDCollisionGuard(t *testing.T) {
 	cfgA := bench.CanonicalConfig(bench.RunConfig{Model: "resnet50", Batch: 8, System: bench.SystemTF})
 	cfgB := bench.CanonicalConfig(bench.RunConfig{Model: "resnet50", Batch: 16, System: bench.SystemTF})
 	// Forge a collision: file cfgA's entry under cfgB's ID.
-	s.store.insert(newRunEntry(runID(cfgB), cfgA))
+	s.mu.Lock()
+	s.runs[runID(cfgB)] = newRunEntry(runID(cfgB), cfgA)
+	s.mu.Unlock()
 	if _, _, err := s.admit(cfgB); !errors.Is(err, errIDCollision) {
 		t.Errorf("collision admit: err=%v, want errIDCollision", err)
+	}
+}
+
+// TestRunPanicRecovered: a run that panics completes as a failed result
+// carrying the panic, counts as failed, and leaves its worker serving
+// the next submission.
+func TestRunPanicRecovered(t *testing.T) {
+	s := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer s.Close()
+	var runs atomic.Int32
+	s.beforeRun = func(*runEntry) {
+		if runs.Add(1) == 1 {
+			panic("injected")
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	reqs := distinctRequests(2)
+
+	_, repA := postRun(t, ts.Client(), ts.URL, reqs[0])
+	code, body := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+repA.ID+"?wait=1")
+	if code != http.StatusOK {
+		t.Fatalf("panicked run result: got %d", code)
+	}
+	var wire resultWire
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.OK || !strings.Contains(wire.Error, "panicked") {
+		t.Errorf("panicked run: %s", body)
+	}
+	if got := s.metrics.Counter("serve/failed"); got != 1 {
+		t.Errorf("serve/failed=%d, want 1", got)
+	}
+
+	_, repB := postRun(t, ts.Client(), ts.URL, reqs[1])
+	code, body = getBody(t, ts.Client(), ts.URL+"/v1/runs/"+repB.ID+"?wait=1")
+	if err := json.Unmarshal(body, &wire); code != http.StatusOK || err != nil || !wire.OK {
+		t.Errorf("run after the panic: %d %s", code, body)
 	}
 }

@@ -28,11 +28,10 @@ type Config struct {
 	// submission past the bound is shed with 429 + Retry-After.
 	// 0 means 256.
 	QueueDepth int
-	// Shards is the result-store shard count (rounded up to a power of
-	// two); 0 means 16.
-	Shards int
-	// Jobs bounds the runner's internal simulation concurrency (MaxBatch
-	// probes fan out beyond one worker's run); 0 means Workers.
+	// Jobs is ignored: the worker pool is the only bound on concurrent
+	// simulations.
+	//
+	// Deprecated: ignored; size the pool with Workers.
 	Jobs int
 	// DrainTimeout bounds how long ListenAndServe waits for in-flight
 	// runs on shutdown; 0 means 60s.
@@ -45,12 +44,6 @@ func (c Config) fill() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = c.Workers
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 60 * time.Second
@@ -65,32 +58,31 @@ var (
 	errIDCollision = errors.New("serve: result ID collision between distinct configs")
 )
 
-// Server is the capuchin-serve daemon: a bench.Runner behind the HTTP
-// surface documented on the package. Construct with NewServer, serve
-// via Handler (tests) or ListenAndServe (the daemon), stop with Drain —
-// which finishes every accepted run — or Close, which abandons queued
-// work.
+// Server is the capuchin-serve daemon: a worker pool running
+// bench.RunTraced behind the HTTP surface documented on the package.
+// Construct with NewServer, serve via Handler (tests) or ListenAndServe
+// (the daemon), stop with Drain — which finishes every accepted run — or
+// Close, which abandons queued work.
 type Server struct {
 	cfg     Config
-	runner  *bench.Runner
-	store   *store
 	metrics *obs.Metrics
 	start   time.Time
 
-	// baseCtx governs run execution; it is cancelled only by Close, so a
-	// drain lets in-flight and queued runs finish.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
-	// admitMu serializes admission: the draining check, the queue-depth
-	// check and the enqueue are one atomic step, which is what makes the
-	// jobs channel send non-blocking and the drain cutoff exact.
-	admitMu  sync.Mutex
+	// mu guards runs, the daemon's one result store, keyed by run ID.
+	// The GET handlers read under RLock. Admission holds the write lock
+	// across the dedup lookup, the draining check, the queue-depth check,
+	// the insert and the enqueue, which makes the jobs channel send
+	// non-blocking and the drain cutoff exact.
+	mu       sync.RWMutex
+	runs     map[string]*runEntry
 	draining atomic.Bool
 	queued   atomic.Int64
 	jobs     chan *runEntry
 	inflight sync.WaitGroup
 
+	// workerCtx stops the pool. Drain cancels it only once every accepted
+	// run has finished; Close cancels it at once, and a worker that still
+	// dequeues a run afterwards abandons it instead of starting it.
 	workerCtx    context.Context
 	workerCancel context.CancelFunc
 	workerWG     sync.WaitGroup
@@ -103,38 +95,22 @@ type Server struct {
 // NewServer builds the daemon and starts its worker pool.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.fill()
-	baseCtx, baseCancel := context.WithCancel(context.Background())
 	workerCtx, workerCancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:          cfg,
-		runner:       bench.NewRunnerContext(baseCtx, cfg.Jobs),
-		store:        newStore(cfg.Shards),
 		metrics:      obs.NewMetrics(),
 		start:        time.Now(),
-		baseCtx:      baseCtx,
-		baseCancel:   baseCancel,
+		runs:         make(map[string]*runEntry),
 		jobs:         make(chan *runEntry, cfg.QueueDepth),
 		workerCtx:    workerCtx,
 		workerCancel: workerCancel,
 	}
-	// Every actually simulated cell records its events into the store
-	// entry that requested it; /events and /trace render from that log.
-	s.runner.Observe(func(key bench.RunConfig) obs.Tracer {
-		if e, ok := s.store.lookupConfig(key); ok {
-			return e.col
-		}
-		return nil
-	})
 	for i := 0; i < cfg.Workers; i++ {
 		s.workerWG.Add(1)
 		go s.worker()
 	}
 	return s
 }
-
-// Runner exposes the underlying experiment engine (cache statistics,
-// aggregate metrics).
-func (s *Server) Runner() *bench.Runner { return s.runner }
 
 // Draining reports whether the server has stopped admitting runs.
 func (s *Server) Draining() bool { return s.draining.Load() }
@@ -145,13 +121,9 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // draining and the queue has room.
 func (s *Server) admit(key bench.RunConfig) (e *runEntry, created bool, err error) {
 	id := runID(key)
-	s.admitMu.Lock()
-	defer s.admitMu.Unlock()
-	sh := s.store.shard(id)
-	sh.mu.RLock()
-	existing, ok := sh.runs[id]
-	sh.mu.RUnlock()
-	if ok {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if existing, ok := s.runs[id]; ok {
 		if existing.cfg != key {
 			return nil, false, errIDCollision
 		}
@@ -166,7 +138,7 @@ func (s *Server) admit(key bench.RunConfig) (e *runEntry, created bool, err erro
 		return nil, false, errQueueFull
 	}
 	e = newRunEntry(id, key)
-	s.store.insert(e)
+	s.runs[id] = e
 	s.inflight.Add(1)
 	s.queued.Add(1)
 	s.metrics.Add("serve/admitted", 1)
@@ -189,20 +161,32 @@ func (s *Server) worker() {
 }
 
 // runOne executes a dequeued run. A worker can still dequeue an entry
-// after Close has cancelled the runner context; such a run is abandoned
-// exactly as Close abandons the entries it drains, never started.
+// after Close; such a run is abandoned exactly as Close abandons the
+// entries it drains, never started.
 func (s *Server) runOne(e *runEntry) {
 	s.queued.Add(-1)
-	if s.baseCtx.Err() != nil {
+	if s.workerCtx.Err() != nil {
 		s.abandon(e)
 		return
 	}
 	e.status.Store(statusRunning)
+	s.finish(e, s.simulate(e))
+}
+
+// simulate runs e's config, recording into its Collector; tracing is
+// outcome-neutral, so the result equals a direct bench.Run's. A panic is
+// recovered into a failed result, so the worker survives and the run's
+// waiters unblock.
+func (s *Server) simulate(e *runEntry) (res bench.Result) {
+	defer func() {
+		if p := recover(); p != nil {
+			res = bench.Result{Config: e.cfg, Err: fmt.Errorf("serve: run panicked: %v", p)}
+		}
+	}()
 	if s.beforeRun != nil {
 		s.beforeRun(e)
 	}
-	res := s.runner.RunContext(s.baseCtx, e.cfg)
-	s.finish(e, res)
+	return bench.RunTraced(e.cfg, e.col)
 }
 
 func (s *Server) finish(e *runEntry, res bench.Result) {
@@ -216,15 +200,15 @@ func (s *Server) finish(e *runEntry, res bench.Result) {
 	s.inflight.Done()
 }
 
-// beginDrain flips the admission gate under the admission lock, so no
-// submission can slip past a drain decision: after it returns, the
+// beginDrain flips the admission gate under the store's write lock, so
+// no submission can slip past a drain decision: after it returns, the
 // in-flight set is closed.
 func (s *Server) beginDrain() {
-	s.admitMu.Lock()
+	s.mu.Lock()
 	if s.draining.CompareAndSwap(false, true) {
 		s.metrics.Add("serve/drains", 1)
 	}
-	s.admitMu.Unlock()
+	s.mu.Unlock()
 }
 
 // Drain gracefully stops the server: no new runs are admitted (POST
@@ -250,14 +234,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close hard-stops the server: admission closes, queued-but-unstarted
-// runs complete with failed (aborted, uncached) results so their
-// waiters unblock, and the runner context is cancelled. In-flight
-// simulations still run to completion — the engine never interrupts a
-// cell mid-simulation.
+// Close hard-stops the server: admission closes and queued-but-unstarted
+// runs complete with failed (abandoned) results so their waiters
+// unblock. In-flight simulations still run to completion — the engine
+// never interrupts a run mid-simulation.
 func (s *Server) Close() {
 	s.beginDrain()
-	s.baseCancel()
 	s.workerCancel()
 	s.workerWG.Wait()
 	for {
@@ -271,8 +253,8 @@ func (s *Server) Close() {
 	}
 }
 
-// abandon completes a queued run that will never start with a failed,
-// uncached result, so its waiters unblock.
+// abandon completes a queued run that will never start with a failed
+// result, so its waiters unblock.
 func (s *Server) abandon(e *runEntry) {
 	s.finish(e, bench.Result{Config: e.cfg,
 		Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
@@ -280,35 +262,36 @@ func (s *Server) abandon(e *runEntry) {
 
 // Stats is the machine-readable server snapshot behind GET /v1/stats.
 type Stats struct {
-	UptimeMillis int64             `json:"uptimeMillis"`
-	Draining     bool              `json:"draining"`
-	Workers      int               `json:"workers"`
-	QueueDepth   int               `json:"queueDepth"`
-	Queued       int               `json:"queued"`
-	StoredRuns   int               `json:"storedRuns"`
-	Admitted     int64             `json:"admitted"`
-	Deduped      int64             `json:"deduped"`
-	Shed         int64             `json:"shed"`
-	Completed    int64             `json:"completed"`
-	Failed       int64             `json:"failed"`
-	Runner       bench.RunnerStats `json:"runner"`
+	UptimeMillis int64 `json:"uptimeMillis"`
+	Draining     bool  `json:"draining"`
+	Workers      int   `json:"workers"`
+	QueueDepth   int   `json:"queueDepth"`
+	Queued       int   `json:"queued"`
+	StoredRuns   int   `json:"storedRuns"`
+	Admitted     int64 `json:"admitted"`
+	Deduped      int64 `json:"deduped"`
+	Shed         int64 `json:"shed"`
+	Completed    int64 `json:"completed"`
+	Failed       int64 `json:"failed"`
 }
 
 // Snapshot assembles the current Stats.
 func (s *Server) Snapshot() Stats {
+	s.mu.RLock()
+	stored := len(s.runs)
+	s.mu.RUnlock()
 	return Stats{
 		UptimeMillis: time.Since(s.start).Milliseconds(),
 		Draining:     s.draining.Load(),
 		Workers:      s.cfg.Workers,
 		QueueDepth:   s.cfg.QueueDepth,
 		Queued:       int(s.queued.Load()),
-		StoredRuns:   s.store.len(),
+		StoredRuns:   stored,
 		Admitted:     s.metrics.Counter("serve/admitted"),
 		Deduped:      s.metrics.Counter("serve/deduped"),
 		Shed:         s.metrics.Counter("serve/shed"),
 		Completed:    s.metrics.Counter("serve/completed"),
 		Failed:       s.metrics.Counter("serve/failed"),
-		Runner:       s.runner.Stats(),
 	}
 }
 
