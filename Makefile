@@ -35,12 +35,18 @@ soak:
 	$(GO) test -race -count=2 ./internal/bench -run 'Chaos|Resilience|ZeroPlan|Dynamic'
 	$(GO) test -race -count=2 ./internal/exec -run 'Fault|FallsBack|Abandonment|Spikes|ErrorChain|Dynamic'
 
-# fuzz-smoke runs each fuzz target briefly (30s in CI): the shadow-model
-# allocator fuzzer and the shape-inference fuzzers must stay quiet.
+# fuzz-smoke runs each fuzz target briefly (30s in CI): the two allocator
+# fuzzers, the shape-inference fuzzers and the trust-boundary parsers
+# (fault-plan specs, shape schedules) must stay quiet. -fuzz is a regexp
+# that must match exactly one target, hence the anchors.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz 'FuzzBFCAllocator' -fuzztime $(FUZZTIME) ./internal/memory
-	$(GO) test -run '^$$' -fuzz 'FuzzConvShapeInference' -fuzztime $(FUZZTIME) ./internal/ops
+	$(GO) test -run '^$$' -fuzz '^FuzzBFC$$' -fuzztime $(FUZZTIME) ./internal/memory
+	$(GO) test -run '^$$' -fuzz '^FuzzBFCAllocator$$' -fuzztime $(FUZZTIME) ./internal/memory
+	$(GO) test -run '^$$' -fuzz '^FuzzConvShapeInference$$' -fuzztime $(FUZZTIME) ./internal/ops
+	$(GO) test -run '^$$' -fuzz '^FuzzMatMulShapeInference$$' -fuzztime $(FUZZTIME) ./internal/ops
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzNewSchedule$$' -fuzztime $(FUZZTIME) ./internal/models
 
 # bench reproduces the numbers in BENCH_parallel_runner.json.
 bench:

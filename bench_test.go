@@ -309,14 +309,13 @@ func BenchmarkMatrixParallel(b *testing.B) {
 // itself: one guided training iteration of ResNet-50 at 2x the framework's
 // maximum batch.
 func BenchmarkIterationResNet50Capuchin(b *testing.B) {
-	r := bench.Run(bench.RunConfig{
+	r, s, _ := bench.RunLive(bench.RunConfig{
 		Model: "resnet50", Batch: 400, System: bench.SystemCapuchin,
 		Device: hw.P100(), Iterations: 2,
 	})
 	if !r.OK {
 		b.Fatal(r.Err)
 	}
-	s := r.Session
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.RunIteration(); err != nil {
@@ -344,14 +343,13 @@ func BenchmarkMeasuredIteration(b *testing.B) {
 // and regression run re-executes. Steady state must not allocate — the
 // alloc gate (make perf-smoke) budgets this benchmark at zero.
 func BenchmarkHotPathIteration(b *testing.B) {
-	r := bench.Run(bench.RunConfig{
+	r, s, _ := bench.RunLive(bench.RunConfig{
 		Model: "resnet50", Batch: 400, System: bench.SystemCapuchin,
 		Device: hw.P100(), Iterations: 3,
 	})
 	if !r.OK {
 		b.Fatal(r.Err)
 	}
-	s := r.Session
 	// Warm well past plan convergence: the allocator's fragmentation
 	// pattern (and with it the spare-chunk list) takes tens of guided
 	// iterations to reach its fixed point.

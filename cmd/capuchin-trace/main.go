@@ -266,7 +266,8 @@ func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, chrom
 // observe runs one profiled cell through the bench harness and emits the
 // requested observability outputs.
 func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans string, prom, events string) {
-	res := bench.Run(cfg)
+	// RunLive keeps the session, whose streams -spans dumps.
+	res, sess, _ := bench.RunLive(cfg)
 	if res.Profile == nil {
 		if res.Err != nil {
 			fatal(res.Err)
@@ -280,7 +281,7 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 	p := res.Profile
 
 	if spans != "" {
-		compute, h2d, d2h := res.Session.Streams()
+		compute, h2d, d2h := sess.Streams()
 		var err error
 		switch spans {
 		case "compute":

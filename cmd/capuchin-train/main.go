@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
@@ -61,7 +62,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	r := bench.Run(bench.RunConfig{
+	// RunLive keeps the policy, which -plan and -save-plan inspect.
+	r, _, pol := bench.RunLive(bench.RunConfig{
 		Model:      *model,
 		Batch:      *batch,
 		System:     bench.System(*system),
@@ -87,7 +89,7 @@ func main() {
 		fmt.Println(r.Plan)
 	}
 	if *showPlan {
-		if cap, ok := r.CapuchinPolicy(); ok {
+		if cap, ok := pol.(*core.Capuchin); ok {
 			fmt.Println()
 			if err := cap.WritePlan(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -98,7 +100,7 @@ func main() {
 		}
 	}
 	if *savePlan != "" {
-		cap, ok := r.CapuchinPolicy()
+		cap, ok := pol.(*core.Capuchin)
 		if !ok {
 			fmt.Fprintln(os.Stderr, "-save-plan applies to capuchin systems only")
 			os.Exit(2)

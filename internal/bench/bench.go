@@ -107,7 +107,9 @@ type RunConfig struct {
 	CommOblivious bool
 }
 
-// Result is the outcome of one run.
+// Result is the outcome of one run. It is pure data: it reaches no
+// session, policy, graph or tensor, so a cached Result costs its stats
+// and nothing more. RunLive hands out the live session and policy.
 type Result struct {
 	Config RunConfig
 	// OK is false when the run failed (OOM for the given system).
@@ -121,8 +123,6 @@ type Result struct {
 	Throughput float64
 	// Plan summarizes Capuchin's decisions when applicable.
 	Plan core.PlanSummary
-	// Session remains accessible for span and allocator inspection.
-	Session *exec.Session
 	// Profile holds the run's observability artifacts when
 	// RunConfig.Profile was set (present even when the run failed).
 	Profile *ProfileReport
@@ -132,14 +132,14 @@ type Result struct {
 	// Cluster holds the per-iteration cluster statistics when
 	// RunConfig.Devices > 1.
 	Cluster *ClusterReport
-
-	capuchin *core.Capuchin
 }
 
-// CapuchinPolicy returns the run's Capuchin policy instance when the
-// configured system was a Capuchin variant, for plan inspection.
-func (r Result) CapuchinPolicy() (*core.Capuchin, bool) {
-	return r.capuchin, r.capuchin != nil
+// planSummary reports a Capuchin policy's plan; other policies have none.
+func planSummary(pol exec.Policy) core.PlanSummary {
+	if c, ok := pol.(*core.Capuchin); ok {
+		return c.Summary()
+	}
+	return core.PlanSummary{}
 }
 
 // buildOptions returns the graph build options for an execution mode.
@@ -158,7 +158,7 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 // graph-agnostic (Capuchin re-keys its plan per signature). extra, when
 // non-nil, receives the run's live event stream alongside whatever
 // Profile wires up (the RunTraced path).
-func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *core.Capuchin, *obs.Collector, *obs.Metrics, error) {
+func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *obs.Collector, *obs.Metrics, error) {
 	ec := exec.Config{
 		Device:      cfg.Device,
 		Mode:        cfg.Mode,
@@ -179,27 +179,26 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 	}
 	spec, ok := exec.LookupPolicy(string(cfg.System))
 	if !ok {
-		return ec, nil, nil, nil, fmt.Errorf("bench: unknown system %q", cfg.System)
+		return ec, nil, nil, fmt.Errorf("bench: unknown system %q", cfg.System)
 	}
 	if g == nil && !spec.GraphAgnostic {
-		return ec, nil, nil, nil, fmt.Errorf("bench: system %q keys its policy to one graph and cannot follow a dynamic shape schedule", cfg.System)
+		return ec, nil, nil, fmt.Errorf("bench: system %q keys its policy to one graph and cannot follow a dynamic shape schedule", cfg.System)
 	}
 	pol, err := spec.Build(exec.BuildContext{Graph: g, Device: cfg.Device})
 	if err != nil {
-		return ec, nil, nil, nil, fmt.Errorf("bench: building system %q: %w", cfg.System, err)
+		return ec, nil, nil, fmt.Errorf("bench: building system %q: %w", cfg.System, err)
 	}
 	ec.Policy = pol
-	ec.CoupledSwap = spec.CoupledSwap
+	ec.CoupledSwap = spec.CoupledSwap || cfg.ForceCoupledSwap
 	ec.CollectiveRecompute = spec.CollectiveRecompute
-	cap, _ := pol.(*core.Capuchin)
-	if cfg.ForceCoupledSwap {
-		ec.CoupledSwap = true
-	}
-	return ec, cap, col, met, nil
+	return ec, col, met, nil
 }
 
 // Run executes one configuration.
-func Run(cfg RunConfig) Result { return run(cfg, nil) }
+func Run(cfg RunConfig) Result {
+	res, _, _ := run(cfg, nil)
+	return res
+}
 
 // RunTraced executes one configuration like Run, additionally streaming
 // the run's observability events and policy decisions to tr as they are
@@ -207,27 +206,38 @@ func Run(cfg RunConfig) Result { return run(cfg, nil) }
 // Run's for the same configuration — which is what lets the Runner
 // serve traced and untraced callers from one cache entry and what lets
 // capuchin-serve stream live progress without perturbing results.
-func RunTraced(cfg RunConfig, tr obs.Tracer) Result { return run(cfg, tr) }
+func RunTraced(cfg RunConfig, tr obs.Tracer) Result {
+	res, _, _ := run(cfg, tr)
+	return res
+}
 
-// run is the shared body of Run and RunTraced.
-func run(cfg RunConfig, extra obs.Tracer) Result {
+// RunLive executes one configuration like Run and also returns the
+// run's live session and policy, for callers that inspect stream spans,
+// the allocator or Capuchin's plan, or keep iterating the warm session.
+// Multi-device runs return replica 0's; dynamic runs the session of the
+// last signature. Both are nil when the run failed before its session
+// was built. It is never cached: whatever the caller keeps, it pins.
+func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cfg, nil) }
+
+// run is the shared body of Run, RunTraced and RunLive.
+func run(cfg RunConfig, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
 	}
 	if cfg.Iterations < 0 {
 		res.Err = fmt.Errorf("bench: iterations must be >= 0, got %d", cfg.Iterations)
-		return res
+		return res, nil, nil
 	}
 	spec, err := models.Get(cfg.Model)
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
 	if cfg.Devices > 1 {
 		if cfg.Schedule != "" {
 			res.Err = fmt.Errorf("bench: %w", ErrDynamicCluster)
-			return res
+			return res, nil, nil
 		}
 		return runCluster(cfg, spec, res, extra)
 	}
@@ -237,19 +247,18 @@ func run(cfg RunConfig, extra obs.Tracer) Result {
 	g, err := spec.Build(cfg.Batch, buildOptions(cfg.Mode))
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
-	ec, cap, col, met, err := execConfig(cfg, g, extra)
+	ec, col, met, err := execConfig(cfg, g, extra)
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
 	s, err := exec.NewSession(g, ec)
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
-	res.Session = s
 	stats, err := s.Run(cfg.Iterations)
 	res.Stats = stats
 	if col != nil {
@@ -257,16 +266,13 @@ func run(cfg RunConfig, extra obs.Tracer) Result {
 	}
 	if err != nil {
 		res.Err = err
-		return res
+		return res, s, ec.Policy
 	}
 	res.OK = true
 	res.Steady = stats[len(stats)-1]
 	res.Throughput = res.Steady.Throughput(cfg.Batch)
-	if cap != nil {
-		res.Plan = cap.Summary()
-		res.capuchin = cap
-	}
-	return res
+	res.Plan = planSummary(ec.Policy)
+	return res, s, ec.Policy
 }
 
 // Fits reports whether the configuration completes without OOM.

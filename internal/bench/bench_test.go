@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
@@ -206,7 +208,12 @@ func TestExtensionWorkloadsUnderCapuchin(t *testing.T) {
 		if !ref.OK {
 			t.Fatalf("%s reference: %v", m, ref.Err)
 		}
-		capMem := ref.Session.Pool().Peak() * 3 / 5
+		// The pool's high-water mark is the largest per-iteration peak.
+		var peak int64
+		for _, st := range ref.Stats {
+			peak = max(peak, st.PeakBytes)
+		}
+		capMem := peak * 3 / 5
 		if capMem < 512*hw.MiB {
 			capMem = 512 * hw.MiB
 		}
@@ -223,19 +230,34 @@ func TestExtensionWorkloadsUnderCapuchin(t *testing.T) {
 	}
 }
 
+// TestCapuchinPolicyAccessor: RunLive hands out the run's live session
+// and policy — the Capuchin instance whose plan matches the Result's
+// summary for a capuchin run, some other policy for TF-ori — and its
+// Result equals Run's.
 func TestCapuchinPolicyAccessor(t *testing.T) {
-	r := Run(RunConfig{Model: "resnet50", Batch: 8, System: SystemCapuchin,
-		Device: smallDev(), Iterations: 2})
+	cfg := RunConfig{Model: "resnet50", Batch: 8, System: SystemCapuchin,
+		Device: smallDev(), Iterations: 2}
+	r, s, pol := RunLive(cfg)
 	if !r.OK {
 		t.Fatal(r.Err)
 	}
-	if _, ok := r.CapuchinPolicy(); !ok {
-		t.Error("CapuchinPolicy not exposed for a capuchin run")
+	if s == nil {
+		t.Error("RunLive returned no session")
 	}
-	r2 := Run(RunConfig{Model: "resnet50", Batch: 8, System: SystemTF,
+	c, ok := pol.(*core.Capuchin)
+	if !ok {
+		t.Fatalf("RunLive policy is %T for a capuchin run", pol)
+	}
+	if c.Summary() != r.Plan {
+		t.Errorf("live plan %+v differs from the Result's %+v", c.Summary(), r.Plan)
+	}
+	if plain := Run(cfg); !reflect.DeepEqual(plain, r) {
+		t.Errorf("Run and RunLive results differ:\nRun:     %+v\nRunLive: %+v", plain, r)
+	}
+	_, _, pol2 := RunLive(RunConfig{Model: "resnet50", Batch: 8, System: SystemTF,
 		Device: smallDev(), Iterations: 1})
-	if _, ok := r2.CapuchinPolicy(); ok {
-		t.Error("CapuchinPolicy exposed for a TF run")
+	if _, ok := pol2.(*core.Capuchin); ok {
+		t.Error("RunLive returned a Capuchin policy for a TF run")
 	}
 }
 

@@ -31,8 +31,9 @@ type ClusterReport struct {
 
 // runCluster executes one multi-device configuration: N replicas of the
 // model over a shared PCIe-ring interconnect. extra, when non-nil,
-// receives the live (replica-grouped) event stream (RunTraced).
-func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) Result {
+// receives the live (replica-grouped) event stream (RunTraced). The
+// returned session and policy are replica 0's.
+func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
 	var col *obs.Collector
 	var met *obs.Metrics
 	if cfg.Profile {
@@ -41,6 +42,7 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) R
 	}
 	baseCfg := cfg
 	baseCfg.Profile = false // per-replica tracing is wired below, not via execConfig
+	var pol exec.Policy
 	cl, err := cluster.New(cluster.Config{
 		Devices:      cfg.Devices,
 		Interconnect: hw.PCIeRing(),
@@ -50,22 +52,21 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) R
 			return spec.Build(cfg.Batch, buildOptions(cfg.Mode))
 		},
 		Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
-			ec, cap, _, _, err := execConfig(baseCfg, g, nil)
+			ec, _, _, err := execConfig(baseCfg, g, nil)
 			if err != nil {
 				return ec, err
 			}
 			ec.Metrics = met
-			if replica == 0 && cap != nil {
-				res.capuchin = cap
+			if replica == 0 {
+				pol = ec.Policy
 			}
 			return ec, nil
 		},
 	})
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
-	res.Session = cl.Replica(0)
 	stats, err := cl.Run(cfg.Iterations)
 	rep := &ClusterReport{Devices: cl.Devices(), Iters: stats}
 	res.Cluster = rep
@@ -77,8 +78,7 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) R
 	}
 	if err != nil {
 		res.Err = err
-		res.capuchin = nil
-		return res
+		return res, cl.Replica(0), pol
 	}
 	res.OK = true
 	rep.Steady = stats[len(stats)-1]
@@ -88,10 +88,8 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) R
 	if d := rep.Steady.Duration; d > 0 {
 		res.Throughput = float64(cfg.Batch*int64(cl.Devices())) / d.Seconds()
 	}
-	if res.capuchin != nil {
-		res.Plan = res.capuchin.Summary()
-	}
-	return res
+	res.Plan = planSummary(pol)
+	return res, cl.Replica(0), pol
 }
 
 // collectorOrNil converts a possibly-nil *Collector to the Tracer

@@ -32,16 +32,16 @@ type DynamicReport struct {
 // mirrors the static tail of Run: stats, steady state, throughput and
 // plan summary are populated the same way, plus the DynamicReport.
 // extra, when non-nil, receives the live event stream (RunTraced).
-func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) Result {
+func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
 	sched, err := models.NewSchedule(cfg.Schedule, spec, cfg.Batch, cfg.ScheduleSeed, cfg.SchedulePeriod)
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
-	ec, cap, col, met, err := execConfig(cfg, nil, extra)
+	ec, col, met, err := execConfig(cfg, nil, extra)
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
 	d, err := exec.NewDynamicSession(exec.DynamicConfig{
 		Base: ec,
@@ -52,28 +52,24 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) R
 	})
 	if err != nil {
 		res.Err = err
-		return res
+		return res, nil, nil
 	}
 	stats, err := d.Run(cfg.Iterations)
 	res.Stats = stats
-	res.Session = d.Active()
 	res.Dynamic = &DynamicReport{Stats: d.Stats(), Buckets: d.Buckets()}
 	if col != nil {
 		res.Profile = newProfileReport(col, met)
 	}
 	if err != nil {
 		res.Err = err
-		return res
+		return res, d.Active(), ec.Policy
 	}
 	res.OK = true
 	res.Steady = stats[len(stats)-1]
 	steadyBatch, _ := sched.At(cfg.Iterations - 1)
 	res.Throughput = res.Steady.Throughput(steadyBatch)
-	if cap != nil {
-		res.Plan = cap.Summary()
-		res.capuchin = cap
-	}
-	return res
+	res.Plan = planSummary(ec.Policy)
+	return res, d.Active(), ec.Policy
 }
 
 // dynamicWorkloads picks the models the Dynamic experiment drives: batch

@@ -16,7 +16,12 @@ import (
 // RunConfigs on a bounded worker pool and memoizes completed runs behind
 // a config-keyed cache, so MaxBatch searches and figure generators that
 // revisit the same cell (Fig1, Table2 and the capacity sweep all probe
-// resnet50 under TF-ori, for example) pay for the simulation once.
+// resnet50 under TF-ori, for example) pay for the simulation once. The
+// cache holds values only: a Result reaches no session, policy, graph or
+// tensor (TestResultHoldsNoLiveState), so a sweep's live heap grows by
+// its cells' stats (plus one event Collector per cell under
+// EnableProfiling), not by their simulations. Callers that need a live
+// session call RunLive, which is never cached.
 //
 // Safety rests on two properties this package tests:
 //

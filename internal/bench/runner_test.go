@@ -103,12 +103,13 @@ func TestRunnerCacheMemoizes(t *testing.T) {
 	if !first.OK || !second.OK {
 		t.Fatalf("runs failed: %v / %v", first.Err, second.Err)
 	}
-	if first.Session != second.Session {
-		t.Error("repeat run was re-simulated instead of served from cache")
-	}
+	// The counters are the identity check: one simulation, one hit.
 	st := r.Stats()
 	if st.Misses != 1 || st.Hits != 1 || st.Cached != 1 {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 cached", st)
+	}
+	if !reflect.DeepEqual(first.Stats, second.Stats) {
+		t.Error("cache hit returned different IterStats than the simulated run")
 	}
 	// Defaulted fields canonicalize to one entry: Iterations 0 means 3,
 	// Allocator "" means bfc.
@@ -117,8 +118,11 @@ func TestRunnerCacheMemoizes(t *testing.T) {
 	explicit.Iterations = 3
 	explicit.Allocator = "bfc"
 	a, b := r.Run(base), r.Run(explicit)
-	if a.Session != b.Session {
-		t.Error("defaulted and explicit configs did not share a cache entry")
+	if after := r.Stats(); after.Misses != st.Misses+1 || after.Hits != st.Hits+1 {
+		t.Errorf("defaulted and explicit configs did not share a cache entry: %+v after %+v", after, st)
+	}
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Error("defaulted and explicit configs returned different IterStats")
 	}
 }
 
@@ -240,8 +244,8 @@ func TestRunnerProfileSharesCacheEntry(t *testing.T) {
 	if st := r.Stats(); st.Misses != 1 || st.Hits != 1 || st.Cached != 1 {
 		t.Errorf("explicit-profile config duplicated the cache entry under EnableProfiling: %+v", st)
 	}
-	if plain.Session != second.Session {
-		t.Error("explicit-profile and switch-profiled callers did not share a cache entry")
+	if !reflect.DeepEqual(plain.Stats, second.Stats) {
+		t.Error("explicit-profile and switch-profiled callers got different IterStats")
 	}
 	if plain.Profile == nil {
 		t.Error("EnableProfiling run carried no profile")
@@ -258,8 +262,8 @@ func TestRunnerProfileSharesCacheEntry(t *testing.T) {
 	if a.Profile == nil {
 		t.Error("explicit Profile:true run carried no profile")
 	}
-	if a.Session != b.Session {
-		t.Error("profiled and unprofiled callers did not share a cache entry")
+	if !reflect.DeepEqual(a.Stats, b.Stats) {
+		t.Error("profiled and unprofiled callers got different IterStats")
 	}
 }
 

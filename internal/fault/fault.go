@@ -258,24 +258,23 @@ func ParsePlan(spec string) (Plan, error) {
 				return Plan{}, fmt.Errorf("fault: bad retries %q", v)
 			}
 			p.MaxTransferRetries = n
-		case "backoff":
-			f, err := parseRatio(v)
-			if err != nil || f < 0 {
-				return Plan{}, fmt.Errorf("fault: bad backoff %q", v)
+		case "backoff", "degrade-period", "degrade-window":
+			unit := sim.Millisecond
+			if k == "backoff" {
+				unit = sim.Microsecond
 			}
-			p.RetryBackoff = roundTime(f, sim.Microsecond)
-		case "degrade-period":
 			f, err := parseRatio(v)
-			if err != nil || f < 0 {
-				return Plan{}, fmt.Errorf("fault: bad degrade-period %q", v)
+			if err != nil || f < 0 || f*float64(unit) > float64(maxPlanTime) {
+				return Plan{}, fmt.Errorf("fault: bad %s %q (want 0 to %v)", k, v, maxPlanTime)
 			}
-			p.DegradePeriod = roundTime(f, sim.Millisecond)
-		case "degrade-window":
-			f, err := parseRatio(v)
-			if err != nil || f < 0 {
-				return Plan{}, fmt.Errorf("fault: bad degrade-window %q", v)
+			switch k {
+			case "backoff":
+				p.RetryBackoff = roundTime(f, unit)
+			case "degrade-period":
+				p.DegradePeriod = roundTime(f, unit)
+			case "degrade-window":
+				p.DegradeDuration = roundTime(f, unit)
 			}
-			p.DegradeDuration = roundTime(f, sim.Millisecond)
 		case "transfer", "degrade", "kernel", "kernel-factor", "alloc", "host":
 			f, err := parseRatio(v)
 			if err != nil {
@@ -311,7 +310,21 @@ func ParsePlan(spec string) (Plan, error) {
 	return p, nil
 }
 
-func parseRatio(v string) (float64, error) { return strconv.ParseFloat(v, 64) }
+// parseRatio parses a finite float. NaN would slip past every range
+// check and never equal itself, and infinities overflow virtual time.
+func parseRatio(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("%q is not a finite number", v)
+	}
+	return f, err
+}
+
+// maxPlanTime caps the plan's durations at 2^50 ns (about 13 virtual
+// days): far past any simulated run, and small enough that String's
+// microsecond and millisecond renderings re-parse to the exact
+// nanosecond.
+const maxPlanTime = sim.Time(1) << 50
 
 // roundTime converts a float duration in the given unit to virtual time,
 // rounding to the nearest nanosecond. Truncation would break the
@@ -322,8 +335,9 @@ func roundTime(v float64, unit sim.Time) sim.Time {
 	return sim.Time(math.Round(v * float64(unit)))
 }
 
-// Validate reports configuration errors (rates out of [0,1], a degradation
-// window longer than its period, a sub-unity slowdown).
+// Validate reports configuration errors (rates out of [0,1] or NaN, a
+// degradation window longer than its period, a sub-unity slowdown, a
+// duration that is negative or above maxPlanTime).
 func (p Plan) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -334,11 +348,11 @@ func (p Plan) Validate() error {
 		{"alloc", p.AllocFailRate},
 		{"host", p.HostFailRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("fault: %s rate %v outside [0,1]", r.name, r.v)
 		}
 	}
-	if p.DegradeFactor != 0 && p.DegradeFactor < 1 {
+	if p.DegradeFactor != 0 && !(p.DegradeFactor >= 1) {
 		return fmt.Errorf("fault: degrade factor %v below 1 (would speed the link up)", p.DegradeFactor)
 	}
 	for _, d := range []struct {
@@ -352,6 +366,9 @@ func (p Plan) Validate() error {
 		if d.v < 0 {
 			return fmt.Errorf("fault: negative %s %v", d.name, d.v)
 		}
+		if d.v > maxPlanTime {
+			return fmt.Errorf("fault: %s %v above the %v limit", d.name, d.v, maxPlanTime)
+		}
 	}
 	if p.MaxTransferRetries < 0 {
 		return fmt.Errorf("fault: negative retry budget %d", p.MaxTransferRetries)
@@ -359,7 +376,7 @@ func (p Plan) Validate() error {
 	if p.DegradePeriod > 0 && p.DegradeDuration > p.DegradePeriod {
 		return fmt.Errorf("fault: degrade window %v longer than period %v", p.DegradeDuration, p.DegradePeriod)
 	}
-	if p.KernelSpikeFactor != 0 && p.KernelSpikeFactor < 1 {
+	if p.KernelSpikeFactor != 0 && !(p.KernelSpikeFactor >= 1) {
 		return fmt.Errorf("fault: kernel spike factor %v below 1", p.KernelSpikeFactor)
 	}
 	return nil

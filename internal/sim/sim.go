@@ -10,7 +10,10 @@
 // Stream.Run, which mirrors how CUDA events serialize work between streams.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is virtual time in nanoseconds since the start of the simulation.
 //
@@ -38,6 +41,9 @@ func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) 
 // String formats the time with an adaptive unit, for logs and traces.
 func (t Time) String() string {
 	switch {
+	case t == math.MinInt64:
+		// -t overflows back to t; seconds is the only unit that fits.
+		return fmt.Sprintf("%.4fs", t.Seconds())
 	case t < 0:
 		return fmt.Sprintf("-%s", (-t).String())
 	case t < Microsecond:

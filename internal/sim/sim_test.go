@@ -20,6 +20,7 @@ func TestTimeString(t *testing.T) {
 		{474 * Microsecond, "474.00us"},
 		{Second, "1.0000s"},
 		{-Microsecond, "-1.00us"},
+		{math.MinInt64, "-9223372036.8548s"}, // negation overflows
 	}
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
