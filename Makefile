@@ -1,7 +1,8 @@
 # CI entry points. `make check` is what the repo considers green:
 # vet + build + full tests (the root module and the benchmark module) +
 # the race detector over the packages the parallel experiment engine
-# touches + the chaos soak suite.
+# touches (graph and models included: concurrent sessions share a graph
+# template's immutable state) + the chaos soak suite.
 GO ?= go
 
 .PHONY: check vet build test benchmark-test race soak bench goldens profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
@@ -24,7 +25,7 @@ benchmark-test:
 	cd benchmark && $(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim ./internal/obs
+	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim ./internal/obs ./internal/graph ./internal/models
 
 # soak runs the deterministic fault-injection and dynamic-shape suites
 # twice under the race detector: seeded chaos plans across every
@@ -37,8 +38,9 @@ soak:
 
 # fuzz-smoke runs each fuzz target briefly (30s in CI): the two allocator
 # fuzzers, the shape-inference fuzzers and the trust-boundary parsers
-# (fault-plan specs, shape schedules) must stay quiet. -fuzz is a regexp
-# that must match exactly one target, hence the anchors.
+# (fault-plan specs, shape schedules, serve request bodies) must stay
+# quiet. -fuzz is a regexp that must match exactly one target, hence the
+# anchors.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBFC$$' -fuzztime $(FUZZTIME) ./internal/memory
@@ -47,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatMulShapeInference$$' -fuzztime $(FUZZTIME) ./internal/ops
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzNewSchedule$$' -fuzztime $(FUZZTIME) ./internal/models
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # bench reproduces the numbers in BENCH_parallel_runner.json.
 bench:

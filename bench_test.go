@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/graph"
 	"capuchin/internal/hw"
+	"capuchin/internal/models"
 )
 
 // opts is the paper's configuration: a 16 GB P100.
@@ -382,6 +384,29 @@ func BenchmarkHotPathMeasuredIteration(b *testing.B) {
 		})
 		if !r.OK {
 			b.Fatal(r.Err)
+		}
+	}
+}
+
+// BenchmarkHotPathInstantiate is the per-probe graph cost of a max-batch
+// search: instantiating ResNet-50's graph-mode template at batch 64
+// instead of rebuilding the model. Its budget keeps instantiation a
+// handful of block copies; sliding back toward a full build (thousands
+// of allocs) fails the gate.
+func BenchmarkHotPathInstantiate(b *testing.B) {
+	spec, err := models.Get("resnet50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tmpl, err := spec.Template(graph.GraphModeOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tmpl.Instantiate(64); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -196,7 +196,7 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 
 // Run executes one configuration.
 func Run(cfg RunConfig) Result {
-	res, _, _ := run(cfg, nil)
+	res, _, _ := run(cfg, nil, nil)
 	return res
 }
 
@@ -207,7 +207,7 @@ func Run(cfg RunConfig) Result {
 // serve traced and untraced callers from one cache entry and what lets
 // capuchin-serve stream live progress without perturbing results.
 func RunTraced(cfg RunConfig, tr obs.Tracer) Result {
-	res, _, _ := run(cfg, tr)
+	res, _, _ := run(cfg, tr, nil)
 	return res
 }
 
@@ -217,10 +217,13 @@ func RunTraced(cfg RunConfig, tr obs.Tracer) Result {
 // Multi-device runs return replica 0's; dynamic runs the session of the
 // last signature. Both are nil when the run failed before its session
 // was built. It is never cached: whatever the caller keeps, it pins.
-func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cfg, nil) }
+func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cfg, nil, nil) }
 
-// run is the shared body of Run, RunTraced and RunLive.
-func run(cfg RunConfig, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
+// run is the shared body of Run, RunTraced and RunLive. st is the graph
+// template of the max-batch search probing cfg, or nil: a static
+// single-device cell instantiates its graph from it instead of building
+// the model.
+func run(cfg RunConfig, extra obs.Tracer, st *searchTemplate) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
@@ -244,7 +247,7 @@ func run(cfg RunConfig, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
 	if cfg.Schedule != "" {
 		return runDynamic(cfg, spec, res, extra)
 	}
-	g, err := spec.Build(cfg.Batch, buildOptions(cfg.Mode))
+	g, err := st.graph(spec, cfg)
 	if err != nil {
 		res.Err = err
 		return res, nil, nil
@@ -275,12 +278,6 @@ func run(cfg RunConfig, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
 	return res, s, ec.Policy
 }
 
-// Fits reports whether the configuration completes without OOM.
-func Fits(cfg RunConfig) bool {
-	r := Run(cfg)
-	return r.OK && !errors.Is(r.Err, exec.ErrIterationOOM)
-}
-
 // maxBatchCeiling bounds the exponential search.
 const maxBatchCeiling = 4096
 
@@ -289,15 +286,59 @@ const maxBatchCeiling = 4096
 // search; returns 0 when even batch 1 fails. Runner.MaxBatch is the
 // cached, concurrent-sweep equivalent.
 func MaxBatch(cfg RunConfig) int64 {
-	return maxBatchSearch(func(b int64) bool {
-		c := cfg
-		c.Batch = b
-		return Fits(c)
+	return maxBatch(cfg, func(c RunConfig, st *searchTemplate) Result {
+		res, _, _ := run(c, nil, st)
+		return res
 	})
 }
 
-// maxBatchSearch runs the exponential-probe-then-binary-search shared by
-// the serial and Runner-backed MaxBatch implementations.
+// maxBatch is the one max-batch search behind MaxBatch and
+// Runner.MaxBatch: it probes cfg at the batches maxBatchSearch picks,
+// simulating each probe through probe, and counts a probe as fitting
+// when it completes without OOM. The search owns a graph template that
+// it hands to every probe and drops when it returns.
+func maxBatch(cfg RunConfig, probe func(RunConfig, *searchTemplate) Result) int64 {
+	st := &searchTemplate{}
+	return maxBatchSearch(func(b int64) bool {
+		c := cfg
+		c.Batch = b
+		res := probe(c, st)
+		return res.OK && !errors.Is(res.Err, exec.ErrIterationOOM)
+	})
+}
+
+// searchTemplate is one max-batch search's graph template. Every probe
+// builds the same model in the same mode at a different batch, so the
+// first probe that simulates a cell builds the template and every later
+// one instantiates it (graph.Template): a copy instead of a build. A
+// probe served from the Runner's cache never builds it. The search runs
+// its probes one at a time on its own goroutine, so the template needs
+// no lock, and it dies with the search, so nothing outlives a sweep.
+type searchTemplate struct {
+	tmpl *graph.Template
+}
+
+// graph returns cfg's training graph: instantiated from the search's
+// template when st is non-nil, built from scratch otherwise.
+func (st *searchTemplate) graph(spec models.Spec, cfg RunConfig) (*graph.Graph, error) {
+	if st == nil {
+		return spec.Build(cfg.Batch, buildOptions(cfg.Mode))
+	}
+	if st.tmpl == nil {
+		t, err := spec.Template(buildOptions(cfg.Mode))
+		if err != nil {
+			return nil, err
+		}
+		st.tmpl = t
+	}
+	return st.tmpl.Instantiate(cfg.Batch)
+}
+
+// maxBatchSearch is the probe sequence of every max-batch search: batch
+// 1, then doubling to the first failure (or the ceiling), then bisection
+// between the last fit and that failure. The fit predicate is not
+// monotone in batch under Capuchin, so this exact sequence is part of
+// every Table 2 answer (TestMaxBatchSearchProbeOrder pins it).
 func maxBatchSearch(probe func(int64) bool) int64 {
 	if !probe(1) {
 		return 0

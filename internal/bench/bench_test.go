@@ -91,6 +91,57 @@ func TestMaxBatchZeroWhenNothingFits(t *testing.T) {
 	}
 }
 
+// TestMaxBatchSearchProbeOrder pins the search's exact probe sequence
+// with synthetic predicates shaped like Capuchin's real non-monotone fit
+// on a 16 GiB P100. A search that reordered or skipped probes (say, one
+// bracketed by a predicted footprint) would change these answers.
+func TestMaxBatchSearchProbeOrder(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		fits   func(int64) bool
+		probes []int64
+		want   int64
+	}{
+		// vgg16/capuchin: fits at 311 and 369 but not at 320, where the
+		// bisection lands, so the answer is 319.
+		{"lands-in-hole", func(b int64) bool { return b <= 319 || (b >= 330 && b <= 369) },
+			[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 384, 320, 288, 304, 312, 316, 318, 319}, 319},
+		// resnet50/capuchin: fails at 1085 but fits at 1119; the bisection
+		// never probes the hole, so the answer is 1119.
+		{"skips-hole", func(b int64) bool { return b <= 1119 && (b < 1085 || b > 1087) },
+			[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 1536, 1280, 1152, 1088, 1120, 1104, 1112, 1116, 1118, 1119}, 1119},
+		{"nothing-fits", func(int64) bool { return false }, []int64{1}, 0},
+		{"ceiling", func(int64) bool { return true },
+			[]int64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}, 4096},
+	} {
+		var probes []int64
+		got := maxBatchSearch(func(b int64) bool {
+			probes = append(probes, b)
+			return c.fits(b)
+		})
+		if got != c.want || !reflect.DeepEqual(probes, c.probes) {
+			t.Errorf("%s: answer %d after probes %v, want %d after %v", c.name, got, probes, c.want, c.probes)
+		}
+	}
+}
+
+// TestSearchTemplateProbesMatchBuild: a probe whose graph comes from its
+// search's template yields the Result a fresh build does, and a search
+// for an unknown model still answers 0.
+func TestSearchTemplateProbesMatchBuild(t *testing.T) {
+	st := &searchTemplate{}
+	for _, b := range []int64{8, 24} {
+		cfg := RunConfig{Model: "resnet50", Batch: b, System: SystemCapuchin, Device: smallDev(), Iterations: 2}
+		got, _, _ := run(cfg, nil, st)
+		if want := Run(cfg); !got.OK || !reflect.DeepEqual(got, want) {
+			t.Errorf("batch %d: templated probe %+v, want %+v", b, got, want)
+		}
+	}
+	if got := MaxBatch(RunConfig{Model: "nope", System: SystemTF, Device: smallDev()}); got != 0 {
+		t.Errorf("MaxBatch of an unknown model = %d, want 0", got)
+	}
+}
+
 func TestTableFormatting(t *testing.T) {
 	tbl := &Table{Title: "T", Header: []string{"a", "bb"}}
 	tbl.AddRow("1", "2")

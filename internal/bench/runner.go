@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"capuchin/internal/exec"
 	"capuchin/internal/obs"
 )
 
@@ -25,9 +24,11 @@ import (
 //
 // Safety rests on two properties this package tests:
 //
-//   - every exec.Session is self-contained: Run builds a fresh graph per
-//     cell, the model registry is read-only after init, and hw.DeviceSpec
-//     has value semantics, so concurrent cells share no mutable state;
+//   - every exec.Session is self-contained: each cell builds a fresh
+//     graph (or instantiates one from its max-batch search's immutable
+//     graph.Template), the model registry is read-only after init, and
+//     hw.DeviceSpec has value semantics, so concurrent cells share no
+//     mutable state;
 //   - the simulator is deterministic: a cell's Result depends only on its
 //     RunConfig, never on scheduling, so parallel results are
 //     byte-identical to serial ones and caching is sound.
@@ -43,11 +44,10 @@ type Runner struct {
 	ctx  context.Context
 	sem  chan struct{}
 
-	// runFn executes one cell; it is Run except in tests that inject
-	// failures. runTracedFn is its tracing twin (RunTraced), used when an
-	// Observe hook returns a tracer for the cell.
-	runFn       func(RunConfig) Result
-	runTracedFn func(RunConfig, obs.Tracer) Result
+	// runFn executes one cell, with the tracer an Observe hook returned
+	// for it (or nil) and the graph template of the max-batch search
+	// probing it (or nil); it is run except in tests that inject failures.
+	runFn func(RunConfig, obs.Tracer, *searchTemplate) Result
 
 	// traceFor, when set via Observe, is consulted once per actually
 	// simulated cell (cache hits never re-observe) with the cell's
@@ -93,13 +93,15 @@ func NewRunnerContext(ctx context.Context, jobs int) *Runner {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		jobs:        jobs,
-		ctx:         ctx,
-		sem:         make(chan struct{}, jobs),
-		runFn:       Run,
-		runTracedFn: RunTraced,
-		agg:         obs.NewMetrics(),
-		cache:       make(map[RunConfig]*cacheEntry),
+		jobs: jobs,
+		ctx:  ctx,
+		sem:  make(chan struct{}, jobs),
+		runFn: func(cfg RunConfig, tr obs.Tracer, st *searchTemplate) Result {
+			res, _, _ := run(cfg, tr, st)
+			return res
+		},
+		agg:   obs.NewMetrics(),
+		cache: make(map[RunConfig]*cacheEntry),
 	}
 }
 
@@ -197,6 +199,13 @@ func (r *Runner) Run(cfg RunConfig) Result { return r.RunContext(r.ctx, cfg) }
 // context. A cell already simulating is never interrupted mid-flight;
 // cancellation gates queue admission only.
 func (r *Runner) RunContext(ctx context.Context, cfg RunConfig) Result {
+	return r.runCell(ctx, cfg, nil)
+}
+
+// runCell is RunContext for a cell that st's max-batch search probes
+// (st is nil outside a search). Only a cache miss uses st, and it runs
+// on the caller's goroutine.
+func (r *Runner) runCell(ctx context.Context, cfg RunConfig, st *searchTemplate) Result {
 	if ctx == nil {
 		ctx = r.ctx
 	}
@@ -228,7 +237,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg RunConfig) Result {
 		r.cache[key] = e
 		r.mu.Unlock()
 
-		e.res = r.execute(ctx, key, profile)
+		e.res = r.execute(ctx, key, profile, st)
 		// Completion and cache finalization are one critical section:
 		// removing an aborted entry after closing done would open a window
 		// where late arrivals observe the abort as a memoized hit,
@@ -252,8 +261,9 @@ func aborted(err error) bool {
 // Only computing goroutines hold slots — cache waiters do not — so a
 // MaxBatch search waiting on another search's probe cannot deadlock the
 // pool. cfg is the cell's canonical key; profile is the post-keying
-// profiling decision (explicit Profile or the runner-wide switch).
-func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool) (res Result) {
+// profiling decision (explicit Profile or the runner-wide switch); st is
+// the probing search's graph template, or nil.
+func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, st *searchTemplate) (res Result) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -286,10 +296,7 @@ func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool) (res 
 	if profile {
 		cfg.Profile = true
 	}
-	if tr != nil {
-		return r.runTracedFn(cfg, tr)
-	}
-	return r.runFn(cfg)
+	return r.runFn(cfg, tr, st)
 }
 
 // RunAll executes the configurations concurrently (bounded by the worker
@@ -308,24 +315,15 @@ func (r *Runner) RunAll(cfgs []RunConfig) []Result {
 	return out
 }
 
-// Fits reports whether the configuration completes without OOM, through
-// the cache.
-func (r *Runner) Fits(cfg RunConfig) bool {
-	res := r.Run(cfg)
-	return res.OK && !errors.Is(res.Err, exec.ErrIterationOOM)
-}
-
 // MaxBatch finds the largest batch size that completes for the
 // configuration (cfg.Batch is ignored), with every probe served through
 // the cache. The search itself is sequential — each probe depends on the
 // last — but independent searches fan out across the pool, and repeated
-// searches are nearly free.
+// searches are nearly free. The probes the search simulates instantiate
+// its graph template instead of rebuilding the model.
 func (r *Runner) MaxBatch(cfg RunConfig) int64 {
-	cfg.Batch = 0
-	return maxBatchSearch(func(b int64) bool {
-		c := cfg
-		c.Batch = b
-		return r.Fits(c)
+	return maxBatch(cfg, func(c RunConfig, st *searchTemplate) Result {
+		return r.runCell(r.ctx, c, st)
 	})
 }
 

@@ -63,10 +63,12 @@ type Graph struct {
 	// Loss is the scalar loss tensor.
 	Loss *tensor.Tensor
 
-	tensors map[string]*tensor.Tensor
-	// Dense per-tensor indexes, rebuilt by reindex. tensorList[i].Idx == i
-	// for every interned tensor; producer and the flat consumer arrays are
-	// keyed by that index so steady-state lookups never hash strings.
+	// index maps tensor ID to Idx. Dense per-tensor indexes, rebuilt by
+	// reindex: tensorList[i].Idx == i for every interned tensor; producer
+	// and the flat consumer arrays are keyed by that index so steady-state
+	// lookups never hash strings. index and consumerOff depend on the
+	// topology only, so graphs instantiated from one Template share them.
+	index        map[string]int32
 	tensorList   []*tensor.Tensor
 	producer     []*Node // tensor Idx -> producing node (nil for sources)
 	consumerOff  []int32 // tensor Idx -> offset into consumerFlat
@@ -75,13 +77,16 @@ type Graph struct {
 }
 
 // Tensor returns the tensor with the given ID, or nil.
-func (g *Graph) Tensor(id string) *tensor.Tensor { return g.tensors[id] }
+func (g *Graph) Tensor(id string) *tensor.Tensor {
+	if i, ok := g.index[id]; ok {
+		return g.tensorList[i]
+	}
+	return nil
+}
 
-// Tensors returns all tensors in the graph. The map is owned by the graph.
-func (g *Graph) Tensors() map[string]*tensor.Tensor { return g.tensors }
-
-// TensorList returns the graph's tensors densely indexed by Tensor.Idx.
-// The slice is owned by the graph and is invalidated by the next reindex.
+// TensorList returns every tensor in the graph, densely indexed by
+// Tensor.Idx. The slice is owned by the graph and is invalidated by the
+// next reindex.
 func (g *Graph) TensorList() []*tensor.Tensor { return g.tensorList }
 
 // owned reports whether t is interned in this graph's dense index, i.e.
@@ -97,10 +102,20 @@ func (g *Graph) Producer(t *tensor.Tensor) *Node {
 	}
 	// Foreign object: fall back to ID identity, matching the historical
 	// map-keyed behaviour.
-	if t != nil {
-		if own := g.tensors[t.ID]; own != nil && own != t {
-			return g.Producer(own)
-		}
+	if own := g.foreign(t); own != nil {
+		return g.Producer(own)
+	}
+	return nil
+}
+
+// foreign returns the graph's own tensor sharing t's ID when t itself is
+// not interned here, or nil.
+func (g *Graph) foreign(t *tensor.Tensor) *tensor.Tensor {
+	if t == nil {
+		return nil
+	}
+	if own := g.Tensor(t.ID); own != t {
+		return own
 	}
 	return nil
 }
@@ -110,10 +125,8 @@ func (g *Graph) Consumers(t *tensor.Tensor) []*Node {
 	if g.owned(t) {
 		return g.consumerFlat[g.consumerOff[t.Idx]:g.consumerOff[t.Idx+1]]
 	}
-	if t != nil {
-		if own := g.tensors[t.ID]; own != nil && own != t {
-			return g.Consumers(own)
-		}
+	if own := g.foreign(t); own != nil {
+		return g.Consumers(own)
 	}
 	return nil
 }
@@ -150,7 +163,7 @@ func (g *Graph) NumNodes() int { return len(g.Nodes) }
 // ParameterBytes reports the total size of persistent tensors (weights).
 func (g *Graph) ParameterBytes() int64 {
 	var total int64
-	for _, t := range g.tensors {
+	for _, t := range g.tensorList {
 		if t.Persistent {
 			total += t.Bytes()
 		}
@@ -160,8 +173,9 @@ func (g *Graph) ParameterBytes() int64 {
 
 // EnsureIndexed builds the dense tensor index if it has never been built
 // (a hand-assembled graph that bypassed the Builder). Builder-produced
-// graphs are always indexed, so this never mutates a shared graph that
-// concurrent sessions might be reading.
+// and Template-instantiated graphs are always indexed, so this never
+// mutates a shared graph (or the index instances share with their
+// template) that concurrent sessions might be reading.
 func (g *Graph) EnsureIndexed() {
 	if len(g.tensorList) == 0 && len(g.Nodes) > 0 {
 		g.reindex()
@@ -178,26 +192,25 @@ func (g *Graph) reindex() {
 	for _, n := range g.Nodes {
 		est += len(n.Outputs) + len(n.Inputs)
 	}
-	if g.tensors == nil {
-		g.tensors = make(map[string]*tensor.Tensor, est)
+	if g.index == nil {
+		g.index = make(map[string]int32, est)
 	} else {
-		clear(g.tensors)
+		clear(g.index)
 	}
 	list := g.tensorList[:0]
 	intern := func(t *tensor.Tensor) int32 {
-		if prev, ok := g.tensors[t.ID]; ok {
-			if prev != t {
+		if i, ok := g.index[t.ID]; ok {
+			if list[i] != t {
 				// Two objects share an ID; last one wins, matching the
 				// historical map-overwrite behaviour.
-				t.Idx = prev.Idx
-				list[t.Idx] = t
-				g.tensors[t.ID] = t
+				t.Idx = i
+				list[i] = t
 			}
-			return t.Idx
+			return i
 		}
 		t.Idx = int32(len(list))
 		list = append(list, t)
-		g.tensors[t.ID] = t
+		g.index[t.ID] = t.Idx
 		return t.Idx
 	}
 	for pos, n := range g.Nodes {

@@ -153,8 +153,8 @@ func TestFuseBiasAdd(t *testing.T) {
 		t.Errorf("fused graph: %d BiasAdd, %d FusedBias; want 0 and 2", fusedBias, fusedOps)
 	}
 	// Fusion removes one intermediate tensor per fused pair.
-	if len(fused.Tensors()) >= len(plain.Tensors()) {
-		t.Errorf("fusion did not reduce tensor count: %d vs %d", len(fused.Tensors()), len(plain.Tensors()))
+	if len(fused.TensorList()) >= len(plain.TensorList()) {
+		t.Errorf("fusion did not reduce tensor count: %d vs %d", len(fused.TensorList()), len(plain.TensorList()))
 	}
 	if err := fused.Validate(); err != nil {
 		t.Fatal(err)

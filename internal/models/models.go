@@ -54,6 +54,24 @@ func (s Spec) BuildShaped(batch, seq int64, opt graph.BuildOptions) (*graph.Grap
 	return s.BuildSeq(batch, seq, opt)
 }
 
+// TemplateBatch is the sentinel batch size graph templates are built at:
+// a prime larger than any dimension a model derives from anything but
+// its batch. At this batch every batch-proportional dimension (batch,
+// batch*seq, batch*maskLen) is a multiple of it and no other dimension
+// is, which is the rule graph.Template.Instantiate rescales by.
+const TemplateBatch = 1_000_003
+
+// Template builds the model's training graph once, at TemplateBatch, for
+// a caller that needs it at many batch sizes: each Instantiate then
+// costs a copy instead of a build. A single graph is cheaper from Build.
+func (s Spec) Template(opt graph.BuildOptions) (*graph.Template, error) {
+	g, err := s.Build(TemplateBatch, opt)
+	if err != nil {
+		return nil, err
+	}
+	return graph.NewTemplate(g, TemplateBatch)
+}
+
 var registry = map[string]Spec{
 	"vgg16":       {Name: "vgg16", Build: VGG16, PaperMaxBatchTF: 228},
 	"resnet50":    {Name: "resnet50", Build: ResNet50, PaperMaxBatchTF: 190, Eager: true},

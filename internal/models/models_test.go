@@ -66,7 +66,7 @@ func TestAllModelsBuildEager(t *testing.T) {
 // countParams sums persistent tensor elements.
 func countParams(g *graph.Graph) int64 {
 	var n int64
-	for _, t := range g.Tensors() {
+	for _, t := range g.TensorList() {
 		if t.Persistent {
 			n += t.Shape.Elems()
 		}
@@ -163,12 +163,12 @@ func TestBatchScalesActivationsNotParams(t *testing.T) {
 		t.Error("parameter count depends on batch size")
 	}
 	var act4, act8 int64
-	for _, tt := range g4.Tensors() {
+	for _, tt := range g4.TensorList() {
 		if !tt.Persistent {
 			act4 += tt.Bytes()
 		}
 	}
-	for _, tt := range g8.Tensors() {
+	for _, tt := range g8.TensorList() {
 		if !tt.Persistent {
 			act8 += tt.Bytes()
 		}

@@ -130,10 +130,10 @@ func TestBuildShapedDefaultMatchesBuild(t *testing.T) {
 			t.Errorf("%s: node count %d != %d at default seq", name, seq.NumNodes(), base.NumNodes())
 		}
 		var baseBytes, seqBytes int64
-		for _, tt := range base.Tensors() {
+		for _, tt := range base.TensorList() {
 			baseBytes += tt.Bytes()
 		}
-		for _, tt := range seq.Tensors() {
+		for _, tt := range seq.TensorList() {
 			seqBytes += tt.Bytes()
 		}
 		if baseBytes != seqBytes {
@@ -160,12 +160,12 @@ func TestBuildSeqScalesFootprint(t *testing.T) {
 			t.Fatalf("%s at seq %d: %v", name, short, err)
 		}
 		var shortAct, fullAct int64
-		for _, tt := range gShort.Tensors() {
+		for _, tt := range gShort.TensorList() {
 			if !tt.Persistent {
 				shortAct += tt.Bytes()
 			}
 		}
-		for _, tt := range gFull.Tensors() {
+		for _, tt := range gFull.TensorList() {
 			if !tt.Persistent {
 				fullAct += tt.Bytes()
 			}

@@ -1,0 +1,216 @@
+package models_test
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"capuchin/internal/exec"
+	"capuchin/internal/graph"
+	"capuchin/internal/hw"
+	"capuchin/internal/models"
+	"capuchin/internal/policy/vdnn"
+	"capuchin/internal/tensor"
+)
+
+// templateBatches spans batch 1, odd and prime sizes, a max-batch answer
+// (1119) and the search ceiling.
+var templateBatches = []int64{1, 2, 3, 7, 64, 217, 1119, 4096}
+
+var buildModes = []struct {
+	name string
+	opt  graph.BuildOptions
+}{
+	{"graph", graph.GraphModeOptions()},
+	{"eager", graph.EagerModeOptions()},
+}
+
+// TestTemplateMatchesBuild instantiates every model's template, in both
+// build modes and at every batch of templateBatches (and every sequence
+// bucket for the models with a sequence axis), and requires the result
+// to be structurally identical to a fresh build at that batch: nodes,
+// ops and their shape attributes, tensors, lineage, producers, consumers
+// and the loss.
+func TestTemplateMatchesBuild(t *testing.T) {
+	for _, name := range models.Names() {
+		spec, err := models.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range buildModes {
+			tmpl, err := spec.Template(mode.opt)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, mode.name, err)
+			}
+			for _, b := range templateBatches {
+				want, err := spec.Build(b, mode.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				compareTemplate(t, fmt.Sprintf("%s/%s/b%d", name, mode.name, b), tmpl, b, want)
+			}
+			for _, seq := range spec.SeqBuckets {
+				g, err := spec.BuildSeq(models.TemplateBatch, seq, mode.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tmpl, err := graph.NewTemplate(g, models.TemplateBatch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range templateBatches {
+					want, err := spec.BuildSeq(b, seq, mode.opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					compareTemplate(t, fmt.Sprintf("%s/%s/seq%d/b%d", name, mode.name, seq, b), tmpl, b, want)
+				}
+			}
+		}
+	}
+}
+
+// compareTemplate instantiates tmpl at batch b and compares it with want.
+func compareTemplate(t *testing.T, label string, tmpl *graph.Template, b int64, want *graph.Graph) {
+	t.Helper()
+	got, err := tmpl.Instantiate(b)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if msg := graphDiff(got, want); msg != "" {
+		t.Errorf("%s: instance differs from a fresh build: %s", label, msg)
+	}
+}
+
+// graphDiff reports the first structural difference between an
+// instantiated graph and a fresh build, or "". Every tensor reference in
+// got must also be got's own tensor at that index, so an instance that
+// leaked a template tensor fails even when its fields match.
+func graphDiff(got, want *graph.Graph) string {
+	if got.Name != want.Name || len(got.Nodes) != len(want.Nodes) {
+		return fmt.Sprintf("graph %s with %d nodes, want %s with %d", got.Name, len(got.Nodes), want.Name, len(want.Nodes))
+	}
+	gl, wl := got.TensorList(), want.TensorList()
+	if len(gl) != len(wl) {
+		return fmt.Sprintf("%d tensors, want %d", len(gl), len(wl))
+	}
+	refs := func(what string, g, w []*tensor.Tensor) string {
+		if len(g) != len(w) {
+			return fmt.Sprintf("%s: %d tensors, want %d", what, len(g), len(w))
+		}
+		for i := range g {
+			if g[i].ID != w[i].ID || g[i].Idx != w[i].Idx || gl[g[i].Idx] != g[i] {
+				return fmt.Sprintf("%s[%d] = %s (idx %d), want %s (idx %d) owned by the instance", what, i, g[i].ID, g[i].Idx, w[i].ID, w[i].Idx)
+			}
+		}
+		return ""
+	}
+	for i, gn := range got.Nodes {
+		wn := want.Nodes[i]
+		if gn.ID != wn.ID || gn.Phase != wn.Phase || gn.Pos != wn.Pos {
+			return fmt.Sprintf("node %d = %s/%v/%d, want %s/%v/%d", i, gn.ID, gn.Phase, gn.Pos, wn.ID, wn.Phase, wn.Pos)
+		}
+		if !reflect.DeepEqual(gn.Op, wn.Op) {
+			return fmt.Sprintf("node %s op = %#v, want %#v", gn.ID, gn.Op, wn.Op)
+		}
+		if msg := refs("node "+gn.ID+" inputs", gn.Inputs, wn.Inputs); msg != "" {
+			return msg
+		}
+		if msg := refs("node "+gn.ID+" outputs", gn.Outputs, wn.Outputs); msg != "" {
+			return msg
+		}
+	}
+	for i, gt := range gl {
+		wt := wl[i]
+		if gt.ID != wt.ID || gt.Idx != wt.Idx || !gt.Shape.Equal(wt.Shape) || gt.DType != wt.DType ||
+			gt.Persistent != wt.Persistent || gt.Gradient != wt.Gradient || gt.OpName != wt.OpName {
+			return fmt.Sprintf("tensor %d = %+v, want %+v", i, *gt, *wt)
+		}
+		if gt.Status != tensor.Freed || gt.Alloc != nil || gt.Fingerprint != 0 || gt.AccessCount != 0 {
+			return fmt.Sprintf("tensor %s carries runtime state: %v", gt.ID, gt)
+		}
+		if got.Tensor(gt.ID) != gt {
+			return fmt.Sprintf("Tensor(%q) is not the instance's own tensor", gt.ID)
+		}
+		if msg := refs("lineage of "+gt.ID, gt.Inputs, wt.Inputs); msg != "" {
+			return msg
+		}
+		gp, wp := got.Producer(gt), want.Producer(wt)
+		if (gp == nil) != (wp == nil) || gp != nil && (gp.ID != wp.ID || got.Nodes[gp.Pos] != gp) {
+			return fmt.Sprintf("producer of %s = %v, want %v", gt.ID, gp, wp)
+		}
+		gc, wc := got.Consumers(gt), want.Consumers(wt)
+		if len(gc) != len(wc) {
+			return fmt.Sprintf("%s has %d consumers, want %d", gt.ID, len(gc), len(wc))
+		}
+		for j := range gc {
+			if gc[j].ID != wc[j].ID || got.Nodes[gc[j].Pos] != gc[j] {
+				return fmt.Sprintf("consumer %d of %s = %s, want %s", j, gt.ID, gc[j].ID, wc[j].ID)
+			}
+		}
+	}
+	if got.Loss.ID != want.Loss.ID || gl[got.Loss.Idx] != got.Loss {
+		return fmt.Sprintf("loss = %s, want %s", got.Loss.ID, want.Loss.ID)
+	}
+	return ""
+}
+
+// TestTemplateConcurrentInstantiate instantiates one template from eight
+// goroutines and runs a swapping session on each instance. Under -race
+// (make race) any write into state the instances share with the template
+// fails; every session must also match a session on a fresh build.
+func TestTemplateConcurrentInstantiate(t *testing.T) {
+	const workers, iters = 8, 2
+	dev := hw.P100().WithMemory(2 * hw.GiB)
+	spec, err := models.Get("alexnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := graph.GraphModeOptions()
+	tmpl, err := spec.Template(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(g *graph.Graph) ([]exec.IterStats, error) {
+		s, err := exec.NewSession(g, exec.Config{Device: dev, Policy: vdnn.New(g, vdnn.ConvOnly), CoupledSwap: true})
+		if err != nil {
+			return nil, err
+		}
+		return s.Run(iters)
+	}
+	got := make([][]exec.IterStats, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			g, err := tmpl.Instantiate(int64(16 * (i + 1)))
+			if err == nil {
+				got[i], err = run(g)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		g, err := spec.Build(int64(16*(i+1)), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i][iters-1].SwapOutCount == 0 {
+			t.Errorf("worker %d: the session never swapped", i)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("worker %d: instance session diverged from a fresh build's\ngot:  %v\nwant: %v", i, got[i], want)
+		}
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 
-	"capuchin/internal/bench"
 	"capuchin/internal/obs"
 )
 
@@ -56,19 +55,11 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // (the config is already known — queued, running or done), 400 invalid,
 // 429 + Retry-After shed under backpressure, 503 draining.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var rr RunRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rr); err != nil {
-		writeError(w, http.StatusBadRequest, "serve: bad request body: "+err.Error())
-		return
-	}
-	cfg, err := rr.ToRunConfig()
+	key, err := decodeRunRequest(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := bench.CanonicalConfig(cfg)
 	e, created, err := s.admit(key)
 	switch {
 	case errors.Is(err, errQueueFull):

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"capuchin/internal/bench"
 	"capuchin/internal/exec"
@@ -122,4 +124,22 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 		cfg.HostMemory = int64(rr.HostMemGiB * float64(hw.GiB))
 	}
 	return cfg, nil
+}
+
+// decodeRunRequest reads one submission body — strict JSON, where an
+// unknown field is an error — and validates it into the canonical config
+// the store files the run under (bench.CanonicalConfig), from which the
+// run ID derives. Every error is the client's: the handler answers 400.
+func decodeRunRequest(body io.Reader) (bench.RunConfig, error) {
+	var rr RunRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rr); err != nil {
+		return bench.RunConfig{}, fmt.Errorf("serve: bad request body: %w", err)
+	}
+	cfg, err := rr.ToRunConfig()
+	if err != nil {
+		return bench.RunConfig{}, err
+	}
+	return bench.CanonicalConfig(cfg), nil
 }
