@@ -99,12 +99,14 @@ arena-smoke:
 	$(call replay,arena)
 
 # fleet-smoke guards the multi-tenant fleet simulator: the full fleet
-# suite (including the seeded chaos soak) under the race detector, then
-# the fleet experiment replayed through the CLI at two -jobs values at
-# the same seed — both the table and the JSON artifact must be
-# byte-identical.
+# suite (including the seeded chaos soak) under the race detector, the
+# concurrent menu profiling and scenario fan-out under the race detector
+# three times over, then the fleet experiment replayed through the CLI at
+# two -jobs values at the same seed — both the table and the JSON
+# artifact must be byte-identical.
 fleet-smoke:
 	$(GO) test -race ./internal/fleet
+	$(GO) test -race -count=3 -run 'Fleet|ExecProfiler' ./internal/bench
 	$(call replay,fleet)
 
 # regress-smoke drives the perf-regression gate both ways: the real

@@ -220,10 +220,10 @@ func RunTraced(cfg RunConfig, tr obs.Tracer) Result {
 func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cfg, nil, nil) }
 
 // run is the shared body of Run, RunTraced and RunLive. st is the graph
-// template of the max-batch search probing cfg, or nil: a static
-// single-device cell instantiates its graph from it instead of building
-// the model.
-func run(cfg RunConfig, extra obs.Tracer, st *searchTemplate) (Result, *exec.Session, exec.Policy) {
+// template of the chain cfg belongs to (a max-batch search or a fleet
+// profiling chain), or nil: a static single-device cell instantiates its
+// graph from it instead of building the model.
+func run(cfg RunConfig, extra obs.Tracer, st *chainTemplate) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
@@ -286,7 +286,7 @@ const maxBatchCeiling = 4096
 // search; returns 0 when even batch 1 fails. Runner.MaxBatch is the
 // cached, concurrent-sweep equivalent.
 func MaxBatch(cfg RunConfig) int64 {
-	return maxBatch(cfg, func(c RunConfig, st *searchTemplate) Result {
+	return maxBatch(cfg, func(c RunConfig, st *chainTemplate) Result {
 		res, _, _ := run(c, nil, st)
 		return res
 	})
@@ -297,8 +297,8 @@ func MaxBatch(cfg RunConfig) int64 {
 // simulating each probe through probe, and counts a probe as fitting
 // when it completes without OOM. The search owns a graph template that
 // it hands to every probe and drops when it returns.
-func maxBatch(cfg RunConfig, probe func(RunConfig, *searchTemplate) Result) int64 {
-	st := &searchTemplate{}
+func maxBatch(cfg RunConfig, probe func(RunConfig, *chainTemplate) Result) int64 {
+	st := &chainTemplate{}
 	return maxBatchSearch(func(b int64) bool {
 		c := cfg
 		c.Batch = b
@@ -307,20 +307,23 @@ func maxBatch(cfg RunConfig, probe func(RunConfig, *searchTemplate) Result) int6
 	})
 }
 
-// searchTemplate is one max-batch search's graph template. Every probe
-// builds the same model in the same mode at a different batch, so the
-// first probe that simulates a cell builds the template and every later
-// one instantiates it (graph.Template): a copy instead of a build. A
-// probe served from the Runner's cache never builds it. The search runs
-// its probes one at a time on its own goroutine, so the template needs
-// no lock, and it dies with the search, so nothing outlives a sweep.
-type searchTemplate struct {
+// chainTemplate is the graph template of a chain: a sequence of cells of
+// one model and mode, run one at a time on one goroutine. A max-batch
+// search is one (every probe is the same model at a different batch), and
+// so is a fleet workload's profiling run plus its cap anchors (the same
+// model and batch under different systems and devices). The first cell
+// of the chain that simulates builds the template and every later one
+// instantiates it (graph.Template): a copy instead of a build. A cell
+// served from the Runner's cache never builds it. The chain's cells run
+// one at a time on its goroutine, so the template needs no lock, and it
+// dies with the chain, so nothing outlives a sweep.
+type chainTemplate struct {
 	tmpl *graph.Template
 }
 
-// graph returns cfg's training graph: instantiated from the search's
+// graph returns cfg's training graph: instantiated from the chain's
 // template when st is non-nil, built from scratch otherwise.
-func (st *searchTemplate) graph(spec models.Spec, cfg RunConfig) (*graph.Graph, error) {
+func (st *chainTemplate) graph(spec models.Spec, cfg RunConfig) (*graph.Graph, error) {
 	if st == nil {
 		return spec.Build(cfg.Batch, buildOptions(cfg.Mode))
 	}

@@ -129,7 +129,7 @@ func TestMaxBatchSearchProbeOrder(t *testing.T) {
 // search's template yields the Result a fresh build does, and a search
 // for an unknown model still answers 0.
 func TestSearchTemplateProbesMatchBuild(t *testing.T) {
-	st := &searchTemplate{}
+	st := &chainTemplate{}
 	for _, b := range []int64{8, 24} {
 		cfg := RunConfig{Model: "resnet50", Batch: b, System: SystemCapuchin, Device: smallDev(), Iterations: 2}
 		got, _, _ := run(cfg, nil, st)

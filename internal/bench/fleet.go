@@ -38,20 +38,27 @@ func fleetWorkloads(quick bool) []fleet.Workload {
 	}
 }
 
-// ExecProfiler implements fleet.Profiler on the real executor: the
-// sandbox warmup is an instrumented run whose allocator high-water mark
-// (exec.IterStats.PeakBytes) is the prediction input, the steady profile
-// a longer run, and the Capuchin cap anchor a run under a capped device.
-// All cells go through the shared Runner, so repeated workloads across
-// the three fleet scenarios simulate once.
+// profileSteadyIters is the length of a profiling chain's runs: the
+// uncapped TF-ori run whose last iteration is the steady profile, and the
+// Capuchin cap-anchor runs.
+const profileSteadyIters = 4
+
+// ExecProfiler implements fleet.Profiler on the real executor. Each
+// workload is profiled as one chain of cells on the shared Runner: a
+// single uncapped TF-ori run of profileSteadyIters iterations, whose last
+// iteration is the steady profile and whose first fleet.DefaultWarmupIters
+// iterations are the sandbox warmup (Session.Run is a plain loop, so that
+// prefix is exactly what a warmup-length run would report), then the
+// Capuchin cap anchors under a capped device. The chain's cells share one
+// graph template (chainTemplate), and every cell goes through the
+// Runner's cache, so repeated workloads across the three fleet scenarios
+// simulate once. Profile is safe for concurrent use: chains for
+// different workloads run side by side, bounded by the Runner's slots.
 type ExecProfiler struct {
 	Runner *Runner
 	// Device is the fleet's device model; profiling runs on an uncapped
 	// (256 GiB) variant so the sandbox never OOMs.
 	Device hw.DeviceSpec
-	// WarmupIters and SteadyIters are the instrumented run lengths
-	// (defaults 2 and 4).
-	WarmupIters, SteadyIters int
 
 	mu    sync.Mutex
 	cache map[fleet.Workload]fleet.Profile
@@ -68,26 +75,23 @@ func (p *ExecProfiler) Profile(w fleet.Workload) (fleet.Profile, error) {
 	}
 	p.mu.Unlock()
 
-	warmIters := p.WarmupIters
-	if warmIters == 0 {
-		warmIters = 2
+	// Every cell below is w's model in graph mode, run one at a time on
+	// this goroutine: one chain, one template.
+	st := &chainTemplate{}
+	cell := func(sys System, dev hw.DeviceSpec) Result {
+		return p.Runner.runCell(p.Runner.ctx, RunConfig{
+			Model: w.Model, Batch: w.Batch, System: sys, Device: dev, Iterations: profileSteadyIters,
+		}, st)
 	}
-	steadyIters := p.SteadyIters
-	if steadyIters == 0 {
-		steadyIters = 4
-	}
-	big := p.Device.WithMemory(256 * hw.GiB)
 
-	runs := p.Runner.RunAll([]RunConfig{
-		{Model: w.Model, Batch: w.Batch, System: SystemTF, Device: big, Iterations: warmIters},
-		{Model: w.Model, Batch: w.Batch, System: SystemTF, Device: big, Iterations: steadyIters},
-	})
-	warm, steady := runs[0], runs[1]
-	if !warm.OK || !steady.OK {
-		return fleet.Profile{}, fmt.Errorf("bench: profiling %v failed: warm=%v steady=%v", w, warm.Err, steady.Err)
+	steady := cell(SystemTF, p.Device.WithMemory(256*hw.GiB))
+	if !steady.OK {
+		return fleet.Profile{}, fmt.Errorf("bench: profiling %v failed: %v", w, steady.Err)
 	}
 	prof := fleet.Profile{
-		WarmupPeak: warm.Steady.PeakBytes,
+		// The allocator high-water mark after the warmup prefix is the
+		// prediction input.
+		WarmupPeak: steady.Stats[fleet.DefaultWarmupIters-1].PeakBytes,
 		SteadyPeak: steady.Steady.PeakBytes,
 		IterTime:   steady.Steady.Duration,
 		// Until a cap run succeeds, the workload reports as uncappable.
@@ -100,11 +104,7 @@ func (p *ExecProfiler) Profile(w fleet.Workload) (fleet.Profile, error) {
 	// ratios; the first that survives anchors the managed-slowdown
 	// model, and feasibility extends a step below it.
 	for _, ratio := range []float64{0.7, 0.85} {
-		capBytes := int64(float64(prof.SteadyPeak) * ratio)
-		res := p.Runner.Run(RunConfig{
-			Model: w.Model, Batch: w.Batch, System: SystemCapuchin,
-			Device: p.Device.WithMemory(capBytes), Iterations: steadyIters,
-		})
+		res := cell(SystemCapuchin, p.Device.WithMemory(int64(float64(prof.SteadyPeak)*ratio)))
 		if !res.OK {
 			continue
 		}
@@ -125,6 +125,31 @@ func (p *ExecProfiler) Profile(w fleet.Workload) (fleet.Profile, error) {
 	p.cache[w] = prof
 	p.mu.Unlock()
 	return prof, nil
+}
+
+// fanOut calls fn(0) … fn(n-1) concurrently, at most limit at a time,
+// and returns the error of the lowest index that failed: callers write
+// results by index, so neither output nor error depends on scheduling.
+func fanOut(n, limit int, fn func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, limit)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[i] = fn(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // FleetOptions parameterizes the fleet experiment beyond the shared
@@ -183,31 +208,25 @@ func (fc FleetComparison) WriteJSON(w io.Writer) error {
 }
 
 // fleetSetup is the scenario assembly shared by FleetScenarios and
-// FleetObserved: profile the menu on the real executor (fanned out on
-// the runner) and tune the arrival rate to the profiled workloads so the
-// fleet is genuinely contended at any size — offered load ≈ 1.4×
-// capacity.
+// FleetObserved: profile the menu on the real executor and tune the
+// arrival rate to the profiled workloads so the fleet is genuinely
+// contended at any size — offered load ≈ 1.4× capacity. Each menu entry
+// is profiled as one chain on its own goroutine; the Runner's slots bound
+// how many cells simulate at once, and an error is the earliest failing
+// menu entry's.
 func fleetSetup(o Options, fo FleetOptions) (menu []fleet.Workload, prof *ExecProfiler, mean sim.Time, err error) {
 	menu = fleetWorkloads(o.Quick)
 	prof = &ExecProfiler{Runner: o.Runner, Device: o.Device}
-
-	// Resolve the whole menu concurrently before the (serial) fleet
-	// runs: RunAll fans the warm/steady cells out on the runner.
-	cfgs := make([]RunConfig, 0, 2*len(menu))
-	big := o.Device.WithMemory(256 * hw.GiB)
-	for _, w := range menu {
-		cfgs = append(cfgs,
-			RunConfig{Model: w.Model, Batch: w.Batch, System: SystemTF, Device: big, Iterations: 2},
-			RunConfig{Model: w.Model, Batch: w.Batch, System: SystemTF, Device: big, Iterations: 4})
+	profs := make([]fleet.Profile, len(menu))
+	if err := fanOut(len(menu), len(menu), func(i int) (err error) {
+		profs[i], err = prof.Profile(menu[i])
+		return err
+	}); err != nil {
+		return nil, nil, 0, err
 	}
-	o.Runner.RunAll(cfgs)
 
 	var work float64 // mean job demand in byte-seconds
-	for _, w := range menu {
-		pr, perr := prof.Profile(w)
-		if perr != nil {
-			return nil, nil, 0, perr
-		}
+	for _, pr := range profs {
 		work += float64(pr.SteadyPeak) * (70 * pr.IterTime).Seconds() // 70 = mean iters
 	}
 	work /= float64(len(menu))
@@ -267,23 +286,27 @@ func FleetScenarios(o Options, fo FleetOptions) (FleetComparison, error) {
 	for _, w := range menu {
 		fc.Menu = append(fc.Menu, w.String())
 	}
-	for _, sc := range []struct {
+	// The scenarios are independent — each fleet owns its state and the
+	// profiler's cache is locked — so they run side by side on the
+	// Runner's slot count, landing in fc.Runs by index.
+	scenarios := []struct {
 		mode fleet.AdmissionMode
 		mgr  fleet.Manager
 	}{
 		{fleet.AdmitAll, fleet.ManagerNone},
 		{fleet.Predictive, fleet.ManagerNone},
 		{fleet.Predictive, fleet.ManagerCapuchin},
-	} {
-		f, err := fleet.New(fleetConfig(o, fo, menu, prof, mean, sc.mode, sc.mgr))
+	}
+	fc.Runs = make([]fleet.Report, len(scenarios))
+	if err := fanOut(len(scenarios), o.Runner.Jobs(), func(i int) error {
+		f, err := fleet.New(fleetConfig(o, fo, menu, prof, mean, scenarios[i].mode, scenarios[i].mgr))
 		if err != nil {
-			return FleetComparison{}, err
+			return err
 		}
-		rep, err := f.Run()
-		if err != nil {
-			return FleetComparison{}, err
-		}
-		fc.Runs = append(fc.Runs, rep)
+		fc.Runs[i], err = f.Run()
+		return err
+	}); err != nil {
+		return FleetComparison{}, err
 	}
 	return fc, nil
 }

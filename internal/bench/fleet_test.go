@@ -2,10 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"capuchin/internal/fleet"
 	"capuchin/internal/hw"
+	"capuchin/internal/obs"
 )
 
 // fleetTestOpts mirrors goldenOpts: quick sweeps on a 4 GiB P100 slice.
@@ -49,6 +54,113 @@ func TestExecProfilerAccuracy(t *testing.T) {
 		if err1 > tc.maxFrac {
 			t.Errorf("%s: predictor shortfall %.1f%% exceeds the %.0f%% family bound",
 				tc.family, 100*err1, 100*tc.maxFrac)
+		}
+	}
+}
+
+// TestExecProfilerWarmupIsSteadyPrefix pins the equivalence the profiler
+// rests on: a k-iteration run reports exactly the first k iterations of
+// an n-iteration run (Session.Run is a plain loop), so the warmup peak
+// read from the steady run's prefix equals a separate warmup run's.
+func TestExecProfilerWarmupIsSteadyPrefix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("profiles real simulations")
+	}
+	o := fleetTestOpts(4).fill()
+	p := &ExecProfiler{Runner: o.Runner, Device: o.Device}
+	big := o.Device.WithMemory(256 * hw.GiB)
+	for _, w := range fleetWorkloads(true) {
+		prof, err := p.Profile(w)
+		if err != nil {
+			t.Fatalf("%v: %v", w, err)
+		}
+		warm := Run(RunConfig{Model: w.Model, Batch: w.Batch, System: SystemTF, Device: big, Iterations: fleet.DefaultWarmupIters})
+		if !warm.OK || prof.WarmupPeak != warm.Steady.PeakBytes {
+			t.Errorf("%v: WarmupPeak %d, want the %d-iteration run's peak %d (err %v)",
+				w, prof.WarmupPeak, fleet.DefaultWarmupIters, warm.Steady.PeakBytes, warm.Err)
+		}
+	}
+	// Capuchin runs at a batch TF-ori OOMs on, so its plan must act.
+	const k, n = 2, 4
+	for _, c := range []struct {
+		sys   System
+		batch int64
+	}{{SystemTF, 16}, {SystemCapuchin, 32}} {
+		cfg := RunConfig{Model: "resnet50", Batch: c.batch, System: c.sys, Device: smallDev(), Iterations: k}
+		short := Run(cfg)
+		cfg.Iterations = n
+		long := Run(cfg)
+		if !short.OK || !long.OK {
+			t.Fatalf("%s: runs failed: %v / %v", c.sys, short.Err, long.Err)
+		}
+		if !reflect.DeepEqual(short.Stats, long.Stats[:k]) {
+			t.Errorf("%s: the first %d stats of a %d-iteration run differ from a %d-iteration run's", c.sys, k, n, k)
+		}
+	}
+}
+
+// TestFleetScenariosCellCount: profiling simulates one TF-ori run plus
+// the cap anchors it needs per menu workload — two cells when the 0.7
+// anchor fits — and nothing else. A separate warmup run would add a cell
+// per workload.
+func TestFleetScenariosCellCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	o := fleetTestOpts(4)
+	o.Runner = NewRunner(4)
+	if _, err := FleetScenarios(o, FleetOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	p := &ExecProfiler{Runner: NewRunner(4), Device: o.Device}
+	var want, fits int64
+	for _, w := range fleetWorkloads(true) {
+		prof, err := p.Profile(w)
+		if err != nil {
+			t.Fatalf("%v: %v", w, err)
+		}
+		want += 3 // TF-ori run and both anchors
+		if prof.CapAnchorRatio == 0.7 {
+			want--
+			fits++
+		}
+	}
+	if fits == 0 {
+		t.Fatal("no quick-menu workload fits its 0.7 anchor; the count below checks nothing")
+	}
+	if got := o.Runner.Stats().Misses; got != want {
+		t.Errorf("FleetScenarios simulated %d cells, want %d (%d workloads at two cells)", got, want, fits)
+	}
+}
+
+// TestFleetScenariosErrorIsDeterministic: with two menu workloads
+// failing to profile, FleetScenarios reports the earlier menu entry's
+// error at any -jobs, even when the later one fails first.
+func TestFleetScenariosErrorIsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	menu := fleetWorkloads(true)
+	first, second := menu[1], menu[2]
+	for _, jobs := range []int{1, 4} {
+		o := fleetTestOpts(jobs)
+		o.Runner = NewRunner(jobs)
+		o.Runner.runFn = func(cfg RunConfig, tr obs.Tracer, st *chainTemplate) Result {
+			if cfg.System == SystemTF {
+				switch cfg.Model {
+				case first.Model:
+					time.Sleep(20 * time.Millisecond) // let the later entry fail first
+					return Result{Config: cfg, Err: fmt.Errorf("injected failure of %s", first.Model)}
+				case second.Model:
+					return Result{Config: cfg, Err: fmt.Errorf("injected failure of %s", second.Model)}
+				}
+			}
+			res, _, _ := run(cfg, tr, st)
+			return res
+		}
+		_, err := FleetScenarios(o, FleetOptions{})
+		if err == nil || !strings.Contains(err.Error(), first.String()) {
+			t.Errorf("jobs %d: error %v, want the failure of %v", jobs, err, first)
 		}
 	}
 }

@@ -25,7 +25,7 @@ import (
 // Safety rests on two properties this package tests:
 //
 //   - every exec.Session is self-contained: each cell builds a fresh
-//     graph (or instantiates one from its max-batch search's immutable
+//     graph (or instantiates one from its chain's immutable
 //     graph.Template), the model registry is read-only after init, and
 //     hw.DeviceSpec has value semantics, so concurrent cells share no
 //     mutable state;
@@ -45,9 +45,9 @@ type Runner struct {
 	sem  chan struct{}
 
 	// runFn executes one cell, with the tracer an Observe hook returned
-	// for it (or nil) and the graph template of the max-batch search
-	// probing it (or nil); it is run except in tests that inject failures.
-	runFn func(RunConfig, obs.Tracer, *searchTemplate) Result
+	// for it (or nil) and the graph template of the chain it belongs to
+	// (or nil); it is run except in tests that inject failures.
+	runFn func(RunConfig, obs.Tracer, *chainTemplate) Result
 
 	// traceFor, when set via Observe, is consulted once per actually
 	// simulated cell (cache hits never re-observe) with the cell's
@@ -96,7 +96,7 @@ func NewRunnerContext(ctx context.Context, jobs int) *Runner {
 		jobs: jobs,
 		ctx:  ctx,
 		sem:  make(chan struct{}, jobs),
-		runFn: func(cfg RunConfig, tr obs.Tracer, st *searchTemplate) Result {
+		runFn: func(cfg RunConfig, tr obs.Tracer, st *chainTemplate) Result {
 			res, _, _ := run(cfg, tr, st)
 			return res
 		},
@@ -202,10 +202,10 @@ func (r *Runner) RunContext(ctx context.Context, cfg RunConfig) Result {
 	return r.runCell(ctx, cfg, nil)
 }
 
-// runCell is RunContext for a cell that st's max-batch search probes
-// (st is nil outside a search). Only a cache miss uses st, and it runs
-// on the caller's goroutine.
-func (r *Runner) runCell(ctx context.Context, cfg RunConfig, st *searchTemplate) Result {
+// runCell is RunContext for a cell of the chain whose graph template is
+// st (a max-batch search or a fleet profiling chain; st is nil outside
+// one). Only a cache miss uses st, and it runs on the caller's goroutine.
+func (r *Runner) runCell(ctx context.Context, cfg RunConfig, st *chainTemplate) Result {
 	if ctx == nil {
 		ctx = r.ctx
 	}
@@ -262,8 +262,8 @@ func aborted(err error) bool {
 // MaxBatch search waiting on another search's probe cannot deadlock the
 // pool. cfg is the cell's canonical key; profile is the post-keying
 // profiling decision (explicit Profile or the runner-wide switch); st is
-// the probing search's graph template, or nil.
-func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, st *searchTemplate) (res Result) {
+// the cell's chain template, or nil.
+func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, st *chainTemplate) (res Result) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -322,7 +322,7 @@ func (r *Runner) RunAll(cfgs []RunConfig) []Result {
 // searches are nearly free. The probes the search simulates instantiate
 // its graph template instead of rebuilding the model.
 func (r *Runner) MaxBatch(cfg RunConfig) int64 {
-	return maxBatch(cfg, func(c RunConfig, st *searchTemplate) Result {
+	return maxBatch(cfg, func(c RunConfig, st *chainTemplate) Result {
 		return r.runCell(r.ctx, c, st)
 	})
 }

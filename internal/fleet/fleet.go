@@ -191,6 +191,12 @@ func (p Profile) Slowdown(ratio float64) (float64, bool) {
 	return s, true
 }
 
+// DefaultWarmupIters is the default sandbox warmup length in iterations:
+// the delay the fleet charges a job before admission, and the prefix of
+// the profiling run whose allocator peak a Profiler reports as
+// WarmupPeak. One constant keeps the two from drifting apart.
+const DefaultWarmupIters = 2
+
 // Profiler measures workload profiles. Implementations must be
 // deterministic: the fleet memoizes per workload, and the report's
 // replayability rests on equal workloads yielding equal profiles.
@@ -318,7 +324,7 @@ type Config struct {
 	// warmup peak × (1 + margin).
 	SafetyMargin float64
 	// WarmupIters is the instrumented sandbox warmup length, also the
-	// on-device ramp to full footprint (default 2).
+	// on-device ramp to full footprint (default DefaultWarmupIters).
 	WarmupIters int
 	// MaxKills bounds OOM kills per job before it is rejected
 	// (default 4).
@@ -394,7 +400,7 @@ func (c Config) fill() (Config, error) {
 		c.SafetyMargin = 0.10
 	}
 	if c.WarmupIters == 0 {
-		c.WarmupIters = 2
+		c.WarmupIters = DefaultWarmupIters
 	}
 	if c.MaxKills == 0 {
 		c.MaxKills = 4
