@@ -129,8 +129,9 @@ type Cursor struct{ events, decisions int }
 // following a live run waits on it and calls again with the new cursor.
 func (c *Collector) AppendJSONL(dst []byte, cur Cursor) ([]byte, Cursor, <-chan struct{}) {
 	c.mu.Lock()
-	// The logs are append-only, so the records below these lengths stay
-	// as they are after the lock is released.
+	// The logs are append-only chunk logs: the records below these
+	// snapshots' lengths are never written again, so they can be read
+	// after the lock is released while a run appends above them.
 	events, decisions, decAt := c.events, c.decisions, c.decAt
 	if c.wake == nil {
 		c.wake = make(chan struct{})
@@ -143,12 +144,12 @@ func (c *Collector) AppendJSONL(dst []byte, cur Cursor) ([]byte, Cursor, <-chan 
 	for {
 		var err error
 		switch {
-		case cur.decisions < len(decisions) && decAt[cur.decisions] == cur.events:
-			if err = enc.Encode(decisionRecord(decisions[cur.decisions])); err == nil {
+		case cur.decisions < decisions.n && decAt.at(cur.decisions) == cur.events:
+			if err = enc.Encode(decisionRecord(decisions.at(cur.decisions))); err == nil {
 				cur.decisions++
 			}
-		case cur.events < len(events):
-			if err = enc.Encode(eventRecord(events[cur.events])); err == nil {
+		case cur.events < events.n:
+			if err = enc.Encode(eventRecord(events.at(cur.events))); err == nil {
 				cur.events++
 			}
 		default:

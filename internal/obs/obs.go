@@ -151,15 +151,17 @@ type Tracer interface {
 }
 
 // Collector is the in-memory Tracer: an append-only event log and
-// decision audit log. It also remembers how the two logs interleave, so
-// AppendJSONL can replay them in emission order while a run is still
-// recording.
+// decision audit log, each stored in fixed-size chunks so recording never
+// copies what is already recorded. It also remembers how the two logs
+// interleave, so AppendJSONL can replay them in emission order while a
+// run is still recording.
 type Collector struct {
 	mu        sync.Mutex
-	events    []Event
-	decisions []Decision
-	// decAt[i] is the number of events recorded before decisions[i].
-	decAt []int
+	events    chunkLog[Event]
+	decisions chunkLog[Decision]
+	// decAt's i-th record is the number of events recorded before the
+	// i-th decision.
+	decAt chunkLog[int]
 	// wake is non-nil only while a reader waits for more records; the
 	// next Emit or Decide closes and clears it.
 	wake chan struct{}
@@ -173,7 +175,7 @@ func NewCollector() *Collector { return &Collector{} }
 // Emit implements Tracer.
 func (c *Collector) Emit(ev Event) {
 	c.mu.Lock()
-	c.events = append(c.events, ev)
+	c.events.append(ev)
 	c.wakeReaders()
 	c.mu.Unlock()
 }
@@ -181,8 +183,8 @@ func (c *Collector) Emit(ev Event) {
 // Decide implements Tracer.
 func (c *Collector) Decide(d Decision) {
 	c.mu.Lock()
-	c.decisions = append(c.decisions, d)
-	c.decAt = append(c.decAt, len(c.events))
+	c.decisions.append(d)
+	c.decAt.append(c.events.n)
 	c.wakeReaders()
 	c.mu.Unlock()
 }
@@ -199,18 +201,14 @@ func (c *Collector) wakeReaders() {
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
+	return c.events.slice()
 }
 
 // Decisions returns a copy of the audit log in emission order.
 func (c *Collector) Decisions() []Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Decision, len(c.decisions))
-	copy(out, c.decisions)
-	return out
+	return c.decisions.slice()
 }
 
 // GroupTracer wraps a Tracer and stamps a group name — "replica 0",
@@ -246,14 +244,5 @@ func (g GroupTracer) Decide(d Decision) {
 func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.events)
-}
-
-// Reset clears both logs.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.events = nil
-	c.decisions = nil
-	c.decAt = nil
-	c.mu.Unlock()
+	return c.events.n
 }

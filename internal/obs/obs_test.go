@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -31,9 +32,42 @@ func TestCollectorCopies(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len() = %d, want 1", c.Len())
 	}
-	c.Reset()
-	if c.Len() != 0 || len(c.Decisions()) != 0 {
-		t.Fatal("Reset did not clear the logs")
+}
+
+// TestCollectorChunkBoundaries: logs that end just before, on and just
+// past a chunk boundary, or several chunks in, read back exactly as
+// recorded, and the returned copies share no chunk with the log.
+func TestCollectorChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, eventChunk - 1, eventChunk, eventChunk + 1, 3*eventChunk + 5} {
+		c := NewCollector()
+		var evs []Event
+		var ds []Decision
+		for i := 0; i < n; i++ {
+			ev := Event{Kind: KindSpan, Name: fmt.Sprintf("e%d", i), Start: sim.Time(i), End: sim.Time(i + 1), Bytes: int64(i)}
+			d := Decision{Iter: i, Tensor: fmt.Sprintf("t%d", i), Action: "plan-swap"}
+			if i%2 == 1 {
+				c.Decide(d)
+			}
+			c.Emit(ev)
+			if i%2 == 0 {
+				c.Decide(d)
+			}
+			evs, ds = append(evs, ev), append(ds, d)
+		}
+		if c.Len() != n {
+			t.Fatalf("n=%d: Len() = %d", n, c.Len())
+		}
+		gotEvs, gotDs := c.Events(), c.Decisions()
+		if !slices.Equal(gotEvs, evs) || !slices.Equal(gotDs, ds) {
+			t.Fatalf("n=%d: read back %d events and %d decisions unlike the %d recorded", n, len(gotEvs), len(gotDs), n)
+		}
+		for i := range gotEvs {
+			gotEvs[i].Name = "mutated"
+			gotDs[i].Tensor = "mutated"
+		}
+		if !slices.Equal(c.Events(), evs) || !slices.Equal(c.Decisions(), ds) {
+			t.Fatalf("n=%d: mutating the returned copies reached the log", n)
+		}
 	}
 }
 
@@ -58,8 +92,9 @@ func TestCollectorConcurrent(t *testing.T) {
 }
 
 // TestAppendJSONLMatchesTracer is the property behind capuchin-serve's
-// /events: over seeded random Emit/Decide interleavings, read back
-// through AppendJSONL cut at random points, the concatenated lines equal
+// /events: over seeded random Emit/Decide interleavings that run several
+// chunks long, read back through AppendJSONL cut at random points and
+// wherever a log fills a chunk exactly, the concatenated lines equal
 // what a JSONLTracer teed onto the same stream writes — including a
 // stream a NaN cuts short.
 func TestAppendJSONLMatchesTracer(t *testing.T) {
@@ -70,7 +105,9 @@ func TestAppendJSONLMatchesTracer(t *testing.T) {
 		tr := Tee(c, NewJSONLTracer(&want))
 		var got []byte
 		var cur Cursor
-		for i, n := 0, rng.IntN(300); i < n; i++ {
+		var events, decisions int
+		for i, n := 0, rng.IntN(4*eventChunk+1); i < n; i++ {
+			chunkFull := false
 			if rng.IntN(3) == 0 {
 				d := Decision{Iter: i / 50, At: sim.Time(i), Policy: "capuchin", Tensor: fmt.Sprintf("t%d", rng.IntN(20)),
 					Action: "plan-swap", FreeTime: sim.Time(rng.Int64N(1000)), MSPS: rng.Float64()}
@@ -78,11 +115,15 @@ func TestAppendJSONLMatchesTracer(t *testing.T) {
 					d.MSPS = math.NaN() // unencodable: both readers stop here
 				}
 				tr.Decide(d)
+				decisions++
+				chunkFull = decisions%eventChunk == 0
 			} else {
 				tr.Emit(Event{Kind: EventKind(rng.IntN(3)), Cat: "alloc", Name: fmt.Sprintf("e%d", i),
 					Start: sim.Time(i), End: sim.Time(i + rng.IntN(5)), Bytes: rng.Int64N(1 << 20), Detail: "<&>"})
+				events++
+				chunkFull = events%eventChunk == 0
 			}
-			if rng.IntN(10) == 0 {
+			if chunkFull || rng.IntN(10) == 0 {
 				got, cur, _ = c.AppendJSONL(got, cur)
 			}
 		}
