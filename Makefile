@@ -172,10 +172,12 @@ serve-smoke:
 
 # profile-smoke drives the observability stack end to end: the exporter
 # tests (golden Chrome trace, memory profile, audit log, metrics) plus a
-# real capuchin-trace invocation that must emit a loadable timeline and a
-# non-empty decision history.
+# real capuchin-trace invocation that must emit a loadable timeline, a
+# non-empty decision history and a non-empty JSONL event log.
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
-		-system capuchin -chrome /tmp/capuchin-smoke.json -memprof -explain auto >/dev/null
-	rm -f /tmp/capuchin-smoke.json
+		-system capuchin -chrome /tmp/capuchin-smoke.json -memprof -explain auto \
+		-events /tmp/capuchin-smoke.jsonl >/dev/null
+	test -s /tmp/capuchin-smoke.jsonl
+	rm -f /tmp/capuchin-smoke.json /tmp/capuchin-smoke.jsonl

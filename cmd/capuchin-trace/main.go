@@ -41,7 +41,8 @@
 // -prom and -events attach to any observability run: -prom writes the
 // run's metrics registry in Prometheus text exposition format 0.0.4,
 // -events streams the full event and decision log as JSONL (one typed
-// record per line). Both accept a path or "-" for stdout.
+// record per line, in emission order). Both accept a path or "-" for
+// stdout.
 //
 // -fleet switches to the fleet timeline: it runs the flagship
 // multi-tenant scenario (predictive admission, capuchin-managed jobs)
@@ -130,7 +131,7 @@ func main() {
 		return
 	}
 	if *devices > 1 {
-		fmt.Fprintln(os.Stderr, "-devices requires an observability mode (-chrome, -memprof, -explain or -spans)")
+		fmt.Fprintln(os.Stderr, "-devices requires an observability mode (-chrome, -memprof, -explain, -spans, -prom or -events)")
 		os.Exit(2)
 	}
 
@@ -209,14 +210,13 @@ func writeProm(path string, met *obs.Metrics) {
 	}
 }
 
-// writeEvents streams the event log and decision audit as JSONL.
+// writeEvents writes the event log and decision audit as JSONL, in
+// emission order.
 func writeEvents(path string, col *obs.Collector) {
 	w, done := outFile(path)
 	defer done()
-	if err := obs.WriteJSONL(w, col.Events()); err != nil {
-		fatal(err)
-	}
-	if err := obs.WriteDecisionsJSONL(w, col.Decisions()); err != nil {
+	b, _, _ := col.AppendJSONL(nil, obs.Cursor{})
+	if _, err := w.Write(b); err != nil {
 		fatal(err)
 	}
 }

@@ -11,8 +11,8 @@
 // -prom writes the run's metrics registry (kernel/transfer/stall
 // histograms, swap and fault counters) in Prometheus text exposition
 // format; -events streams the event log and policy decision audit as
-// JSONL. Both attach the observability stack to the run, which is
-// outcome-neutral, and accept "-" for stdout.
+// JSONL, in emission order. Both attach the observability stack to the
+// run, which is outcome-neutral, and accept "-" for stdout.
 package main
 
 import (
@@ -122,10 +122,9 @@ func main() {
 	}
 	if *events != "" {
 		export(*events, func(w *os.File) error {
-			if err := obs.WriteJSONL(w, r.Profile.Events.Events()); err != nil {
-				return err
-			}
-			return obs.WriteDecisionsJSONL(w, r.Profile.Events.Decisions())
+			b, _, _ := r.Profile.Events.AppendJSONL(nil, obs.Cursor{})
+			_, err := w.Write(b)
+			return err
 		})
 	}
 }

@@ -174,7 +174,7 @@ func (e *Env) SwapOutAsync(t *tensor.Tensor) bool {
 		s.defErr = invariant("swapout-async", t.ID, err)
 		return false
 	}
-	s.pendingFrees.Add(sim.Pending{At: end, Size: t.Alloc.Size, Key: t.ID})
+	s.pendingFrees.Push(end, 0, t.ID)
 	s.stats.SwapOutCount++
 	s.stats.SwapOutBytes += t.Bytes()
 	if h := s.host.Peak(); h > s.stats.HostPeak {

@@ -760,8 +760,8 @@ func (s *Session) allocate(size int64, env *Env) (*memory.Allocation, error) {
 			})
 		}
 		oomSeen = true
-		if p, ok := s.pendingFrees.PeekEarliest(); ok {
-			s.stallTo(p.At, "oom-wait-swapout")
+		if at, _, ok := s.pendingFrees.Peek(); ok {
+			s.stallTo(at, "oom-wait-swapout")
 			if err := s.applyDueFrees(s.now()); err != nil {
 				return nil, err
 			}
@@ -785,7 +785,7 @@ func (s *Session) allocate(size int64, env *Env) (*memory.Allocation, error) {
 				// A handler that claims progress without freeing anything
 				// now or queueing an asynchronous release would livelock
 				// the loop; demote the claim.
-				if _, pending := s.pendingFrees.PeekEarliest(); !pending && s.pool.FreeBytes() == freeBefore {
+				if s.pendingFrees.Len() == 0 && s.pool.FreeBytes() == freeBefore {
 					progress = false
 				}
 			}
@@ -974,24 +974,30 @@ func (s *Session) passiveEvict(v *tensor.Tensor) error {
 }
 
 // applyDueFrees releases device memory whose swap-out completed by now.
+// finishSwapOut never pushes a pending free, so the drain pops exactly
+// the completions that were due on entry.
 func (s *Session) applyDueFrees(now sim.Time) error {
-	for _, p := range s.pendingFrees.PopDue(now) {
-		if err := s.finishSwapOut(p.Key); err != nil {
+	for {
+		at, id, ok := s.pendingFrees.Peek()
+		if !ok || at > now {
+			return nil
+		}
+		s.pendingFrees.Pop()
+		if err := s.finishSwapOut(id); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // drainSwapOuts waits for every outstanding swap-out (coupled mode).
 func (s *Session) drainSwapOuts() error {
 	for {
-		p, ok := s.pendingFrees.PopEarliest()
+		at, id, ok := s.pendingFrees.Pop()
 		if !ok {
 			return nil
 		}
-		s.stallTo(p.At, "coupled-drain")
-		if err := s.finishSwapOut(p.Key); err != nil {
+		s.stallTo(at, "coupled-drain")
+		if err := s.finishSwapOut(id); err != nil {
 			return err
 		}
 	}
@@ -1019,11 +1025,11 @@ func (s *Session) endIteration(env *Env) error {
 	s.compute.AdvanceTo(barrier)
 	var firstErr error
 	for {
-		p, ok := s.pendingFrees.PopEarliest()
+		_, id, ok := s.pendingFrees.Pop()
 		if !ok {
 			break
 		}
-		if err := s.finishSwapOut(p.Key); err != nil && firstErr == nil {
+		if err := s.finishSwapOut(id); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

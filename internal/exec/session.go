@@ -97,9 +97,10 @@ type Session struct {
 	d2h     *sim.Stream
 	cpu     *sim.Stream // eager dispatch; nil in graph mode
 
-	// pendingFrees holds device memory releases that complete in the
-	// future (swap-outs in flight), keyed by tensor ID.
-	pendingFrees sim.PendingSet
+	// pendingFrees holds the IDs of tensors whose swap-out is in flight,
+	// keyed by completion time. Every entry is pushed with seq 0, so
+	// completions tied in time pop in heap-position order.
+	pendingFrees sim.Heap[string]
 
 	// Hot-path session state is interned: every per-tensor table below is
 	// a dense slice keyed by tensor.Idx (assigned by the graph reindex),

@@ -19,11 +19,11 @@ func (f *Fleet) Run() (Report, error) {
 		f.q.push(j.Arrival, evArrive, j, j.gen)
 	}
 	for {
-		ev, ok := f.q.pop()
+		at, ev, ok := f.q.Pop()
 		if !ok {
 			break
 		}
-		f.advance(ev.at)
+		f.advance(at)
 		j := ev.job
 		if ev.gen != j.gen {
 			continue // stale: the job was killed or preempted since

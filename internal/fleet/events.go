@@ -23,85 +23,25 @@ const (
 	evRequeue
 )
 
-// event is one scheduled state transition. gen guards against staleness:
-// a job's kills and preemptions bump job.gen, and events carrying an old
-// generation are dropped on arrival, so a preempted job's in-flight
-// completion can never fire.
+// event is one scheduled state transition; its time lives in the queue's
+// key. gen guards against staleness: a job's kills and preemptions bump
+// job.gen, and events carrying an old generation are dropped on arrival,
+// so a preempted job's in-flight completion can never fire.
 type event struct {
-	at   sim.Time
-	seq  int
 	kind eventKind
 	job  *Job
 	gen  int
 }
 
-// eventQueue is a binary min-heap with total (time, sequence) order —
-// the determinism backbone: ties in virtual time resolve by insertion
-// order, never by map iteration or heap internals. The heap is
-// hand-rolled rather than container/heap so push and pop move concrete
-// event values instead of boxing each one in an interface; the (at, seq)
-// order is total, so pop order is identical to the library heap's.
+// eventQueue orders events by (time, insertion sequence) — the
+// determinism backbone: ties in virtual time resolve by insertion order,
+// never by map iteration or heap internals.
 type eventQueue struct {
-	h   []event
-	seq int
+	sim.Heap[event]
+	seq int64
 }
-
-func newEventQueue() *eventQueue { return &eventQueue{} }
 
 func (q *eventQueue) push(at sim.Time, kind eventKind, j *Job, gen int) {
-	q.h = append(q.h, event{at: at, seq: q.seq, kind: kind, job: j, gen: gen})
-	q.up(len(q.h) - 1)
+	q.Push(at, q.seq, event{kind: kind, job: j, gen: gen})
 	q.seq++
-}
-
-func (q *eventQueue) pop() (event, bool) {
-	n := len(q.h)
-	if n == 0 {
-		return event{}, false
-	}
-	q.h[0], q.h[n-1] = q.h[n-1], q.h[0]
-	q.down(0, n-1)
-	ev := q.h[n-1]
-	q.h[n-1] = event{} // drop the *Job reference held past the pop
-	q.h = q.h[:n-1]
-	return ev, true
-}
-
-func (q *eventQueue) len() int { return len(q.h) }
-
-func (q *eventQueue) less(i, j int) bool {
-	if q.h[i].at != q.h[j].at {
-		return q.h[i].at < q.h[j].at
-	}
-	return q.h[i].seq < q.h[j].seq
-}
-
-func (q *eventQueue) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !q.less(j, i) {
-			break
-		}
-		q.h[i], q.h[j] = q.h[j], q.h[i]
-		j = i
-	}
-}
-
-func (q *eventQueue) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !q.less(j, i) {
-			break
-		}
-		q.h[i], q.h[j] = q.h[j], q.h[i]
-		i = j
-	}
 }

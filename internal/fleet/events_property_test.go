@@ -8,10 +8,16 @@ import (
 	"capuchin/internal/sim"
 )
 
-// refHeap is the container/heap-backed reference the hand-rolled
-// eventQueue replaced; the property test replays identical operation
-// tapes through both and demands identical pop sequences.
-type refHeap []event
+// refHeap is the container/heap reference for the fleet's event queue;
+// the property test replays identical operation tapes through both and
+// demands identical pop sequences.
+type refEntry struct {
+	at  sim.Time
+	seq int
+	ev  event
+}
+
+type refHeap []refEntry
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -21,13 +27,13 @@ func (h refHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEntry)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
-	ev := old[n-1]
+	e := old[n-1]
 	*h = old[:n-1]
-	return ev
+	return e
 }
 
 type refQueue struct {
@@ -36,18 +42,19 @@ type refQueue struct {
 }
 
 func (q *refQueue) push(at sim.Time, kind eventKind, j *Job, gen int) {
-	heap.Push(&q.h, event{at: at, seq: q.seq, kind: kind, job: j, gen: gen})
+	heap.Push(&q.h, refEntry{at: at, seq: q.seq, ev: event{kind: kind, job: j, gen: gen}})
 	q.seq++
 }
 
-func (q *refQueue) pop() (event, bool) {
+func (q *refQueue) pop() (sim.Time, event, bool) {
 	if len(q.h) == 0 {
-		return event{}, false
+		return 0, event{}, false
 	}
-	return heap.Pop(&q.h).(event), true
+	e := heap.Pop(&q.h).(refEntry)
+	return e.at, e.ev, true
 }
 
-// TestEventQueuePropertyDifferential drives the hand-rolled eventQueue
+// TestEventQueuePropertyDifferential drives the fleet's eventQueue
 // and the container/heap reference with randomized tapes of pushes
 // (heavy timestamp ties to stress the seq tie-break), pops, and
 // generation bumps, checking that both return the same events in the
@@ -56,7 +63,7 @@ func TestEventQueuePropertyDifferential(t *testing.T) {
 	kinds := []eventKind{evArrive, evProfiled, evPeak, evComplete, evRequeue}
 	for trial := 0; trial < 200; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		impl := newEventQueue()
+		impl := &eventQueue{}
 		ref := &refQueue{}
 		jobs := make([]*Job, 1+rng.Intn(8))
 		for i := range jobs {
@@ -74,16 +81,16 @@ func TestEventQueuePropertyDifferential(t *testing.T) {
 			case r < 6: // invalidate: bump a job's generation
 				jobs[rng.Intn(len(jobs))].gen++
 			default: // pop and compare, including the staleness verdict
-				got, gotOK := impl.pop()
-				want, wantOK := ref.pop()
+				gotAt, got, gotOK := impl.Pop()
+				wantAt, want, wantOK := ref.pop()
 				if gotOK != wantOK {
 					t.Fatalf("trial %d op %d: pop ok mismatch: impl=%v ref=%v", trial, op, gotOK, wantOK)
 				}
 				if !gotOK {
 					continue
 				}
-				if got != want {
-					t.Fatalf("trial %d op %d: pop mismatch:\n impl=%+v\n ref =%+v", trial, op, got, want)
+				if gotAt != wantAt || got != want {
+					t.Fatalf("trial %d op %d: pop mismatch:\n impl=%v %+v\n ref =%v %+v", trial, op, gotAt, got, wantAt, want)
 				}
 				if (got.gen != got.job.gen) != (want.gen != want.job.gen) {
 					t.Fatalf("trial %d op %d: staleness verdict mismatch", trial, op)
@@ -92,20 +99,20 @@ func TestEventQueuePropertyDifferential(t *testing.T) {
 		}
 		// Drain both completely: the full remaining order must agree.
 		for {
-			got, gotOK := impl.pop()
-			want, wantOK := ref.pop()
+			gotAt, got, gotOK := impl.Pop()
+			wantAt, want, wantOK := ref.pop()
 			if gotOK != wantOK {
 				t.Fatalf("trial %d drain: ok mismatch impl=%v ref=%v", trial, gotOK, wantOK)
 			}
 			if !gotOK {
 				break
 			}
-			if got != want {
-				t.Fatalf("trial %d drain: pop mismatch:\n impl=%+v\n ref =%+v", trial, got, want)
+			if gotAt != wantAt || got != want {
+				t.Fatalf("trial %d drain: pop mismatch:\n impl=%v %+v\n ref =%v %+v", trial, gotAt, got, wantAt, want)
 			}
 		}
-		if impl.len() != 0 {
-			t.Fatalf("trial %d: queue reports %d after drain", trial, impl.len())
+		if impl.Len() != 0 {
+			t.Fatalf("trial %d: queue reports %d after drain", trial, impl.Len())
 		}
 	}
 }

@@ -439,7 +439,7 @@ type Fleet struct {
 	fleetAlloc int64 // total fleet memory
 	maxDev     int64 // largest device capacity
 
-	q      *eventQueue
+	q      eventQueue
 	queued []*Job // admission queue, kept in priority order
 
 	// classUsed tracks reserved bytes per class, fleet-wide.
@@ -462,7 +462,7 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, q: newEventQueue(), met: obs.NewMetrics()}
+	f := &Fleet{cfg: cfg, met: obs.NewMetrics()}
 
 	// Devices.
 	for i := 0; i < cfg.Devices; i++ {

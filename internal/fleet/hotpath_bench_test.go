@@ -7,18 +7,18 @@ import (
 	"capuchin/internal/sim"
 )
 
-// BenchmarkHotPathEventQueue cycles the scheduler's event heap. The
-// hand-rolled heap moves concrete event values — no container/heap
-// interface boxing — so a warm push/pop cycle must not allocate.
+// BenchmarkHotPathEventQueue cycles the scheduler's event heap. sim.Heap
+// moves concrete event values — no container/heap interface boxing — so
+// a warm push/pop cycle must not allocate.
 func BenchmarkHotPathEventQueue(b *testing.B) {
-	q := newEventQueue()
+	q := &eventQueue{}
 	j := &Job{ID: 1}
 	cycle := func() {
 		for i := 0; i < 8; i++ {
 			q.push(sim.Time(i*13%7), evComplete, j, j.gen)
 		}
 		for {
-			if _, ok := q.pop(); !ok {
+			if _, _, ok := q.Pop(); !ok {
 				break
 			}
 		}

@@ -8,9 +8,10 @@ import (
 )
 
 // JSONL encoding: one JSON object per line, suitable for tailing by an
-// external process (capuchin-serve's /events stream is exactly these
-// records). Every record carries a "type" discriminator — "event" or
-// "decision" — so a single stream can interleave both logs. Encoding is
+// external process. Collector.AppendJSONL is the one renderer: the CLIs'
+// -events files and capuchin-serve's /events stream are its output.
+// Every record carries a "type" discriminator — "event" or "decision" —
+// so a single stream can interleave both logs. Encoding is
 // deterministic: fields appear in struct order, zero-valued optional
 // fields are omitted, and virtual times are integer nanoseconds.
 
@@ -89,28 +90,6 @@ func decisionRecord(d Decision) jsonlDecision {
 		Candidates: d.Candidates, Bytes: d.Bytes,
 		CommSlowdown: d.CommSlowdown, CommUntil: int64(d.CommUntil),
 	}
-}
-
-// WriteJSONL streams events as JSON lines.
-func WriteJSONL(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range events {
-		if err := enc.Encode(eventRecord(ev)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteDecisionsJSONL streams audit-log decisions as JSON lines.
-func WriteDecisionsJSONL(w io.Writer, decisions []Decision) error {
-	enc := json.NewEncoder(w)
-	for _, d := range decisions {
-		if err := enc.Encode(decisionRecord(d)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Cursor is a read position in a Collector's emission order: how many

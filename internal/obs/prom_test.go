@@ -176,50 +176,36 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Kind: KindCounter, Cat: "gauge", Name: "queue depth",
 			Start: 6 * sim.Millisecond, Bytes: 4},
 	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
-		t.Fatal(err)
+	c := NewCollector()
+	c.Decide(Decision{Action: "admit", Tensor: "job-1"})
+	for _, ev := range events {
+		c.Emit(ev)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(events) {
-		t.Fatalf("got %d lines, want %d", len(lines), len(events))
+	c.Decide(Decision{At: 7 * sim.Millisecond, Policy: "fleet", Action: "oom-kill",
+		Tensor: "job-9", Class: "LOW", Reason: "peak above reserve"})
+	b, _, _ := c.AppendJSONL(nil, Cursor{})
+	out := string(b)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(events)+2 {
+		t.Fatalf("got %d lines, want %d", len(lines), len(events)+2)
 	}
 	for _, want := range []string{
 		`"type":"event"`, `"kind":"span"`, `"kind":"instant"`, `"kind":"counter"`,
 		`"cat":"gauge"`, `"group":"device 1"`, `"detail":"alloc failed"`,
 	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("JSONL missing %s; got:\n%s", want, buf.String())
+		if !strings.Contains(out, want) {
+			t.Errorf("JSONL missing %s; got:\n%s", want, out)
 		}
 	}
 
-	// The streaming tracer produces the identical bytes for the same
-	// stream, with decisions interleaved in emission order.
-	var streamed bytes.Buffer
-	tr := NewJSONLTracer(&streamed)
-	for _, ev := range events {
-		tr.Emit(ev)
+	// Records render in emission order: the first decision precedes
+	// every event and the last follows them.
+	if got := lines[0]; !strings.Contains(got, `"type":"decision"`) || !strings.Contains(got, `"action":"admit"`) {
+		t.Errorf("first decision line malformed: %s", got)
 	}
-	tr.Decide(Decision{At: 7 * sim.Millisecond, Policy: "fleet", Action: "oom-kill",
-		Tensor: "job-9", Class: "LOW", Reason: "peak above reserve"})
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(streamed.String(), buf.String()) {
-		t.Error("streamed events differ from WriteJSONL output")
-	}
-	last := strings.Split(strings.TrimSpace(streamed.String()), "\n")
-	if got := last[len(last)-1]; !strings.Contains(got, `"type":"decision"`) ||
+	if got := lines[len(lines)-1]; !strings.Contains(got, `"type":"decision"`) ||
 		!strings.Contains(got, `"action":"oom-kill"`) || !strings.Contains(got, `"class":"LOW"`) {
-		t.Errorf("decision line malformed: %s", got)
-	}
-
-	var decBuf bytes.Buffer
-	if err := WriteDecisionsJSONL(&decBuf, []Decision{{Action: "admit", Tensor: "job-1"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(decBuf.String(), `"action":"admit"`) {
-		t.Errorf("WriteDecisionsJSONL output malformed: %s", decBuf.String())
+		t.Errorf("last decision line malformed: %s", got)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // FuzzDecodeRunRequest feeds arbitrary submission bodies to the decoder
 // behind POST /v1/runs, the daemon's trust boundary. It must never
-// panic; every config it accepts must already be canonical
+// panic; every config it accepts must be within the size caps and
+// already canonical
 // (canonicalization is idempotent); and the same request with every
 // default spelled out must decode to an equal canonical config with an
 // equal run ID, so the store dedups the two.
@@ -26,6 +27,8 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`{"model":"resnet50","batch":0}`, `{"model":"nope","batch":1}`,
 		`{"model":"resnet50","batch":8,"bogus":1}`, `{"model":"resnet50","batch":8} trailing`,
 		`{"model":"resnet50","batch":8,"memGiB":1e300}`, `{"batch":-1}`, `null`, `[]`, ``,
+		`{"model":"alexnet","batch":1,"iterations":2000000000}`, `{"model":"alexnet","batch":4096,"iterations":10000,"devices":64}`,
+		`{"model":"alexnet","batch":1,"devices":100000}`, `{"model":"alexnet","batch":100000}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -33,6 +36,10 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		key, err := decodeRunRequest(bytes.NewReader(body))
 		if err != nil {
 			return
+		}
+		if key.Batch > maxBatch || key.Iterations > maxIterations || key.Devices > maxDevices {
+			t.Fatalf("accepted config beyond the caps: batch %d, iterations %d, devices %d",
+				key.Batch, key.Iterations, key.Devices)
 		}
 		if again := bench.CanonicalConfig(key); again != key {
 			t.Fatalf("canonicalization is not idempotent:\n once  %#v\n twice %#v", key, again)

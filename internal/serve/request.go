@@ -19,11 +19,11 @@ import (
 type RunRequest struct {
 	// Model names a registered workload (resnet50, bert, lstm, ...).
 	Model string `json:"model"`
-	// Batch is the per-iteration batch size; required, >= 1.
+	// Batch is the per-iteration batch size; required, 1..4096.
 	Batch int64 `json:"batch"`
 	// System selects the memory-management policy; "" means capuchin.
 	System string `json:"system,omitempty"`
-	// Iterations to run; 0 means 3.
+	// Iterations to run, at most 10,000; 0 means 3.
 	Iterations int `json:"iterations,omitempty"`
 	// Allocator selects "bfc" (default) or "firstfit".
 	Allocator string `json:"allocator,omitempty"`
@@ -40,17 +40,32 @@ type RunRequest struct {
 	Schedule       string `json:"schedule,omitempty"`
 	ScheduleSeed   uint64 `json:"scheduleSeed,omitempty"`
 	SchedulePeriod int    `json:"schedulePeriod,omitempty"`
-	// Devices > 1 runs the data-parallel cluster path; CommOblivious
-	// disables comm-aware swap scheduling there.
+	// Devices > 1 (at most 64) runs the data-parallel cluster path;
+	// CommOblivious disables comm-aware swap scheduling there.
 	Devices       int  `json:"devices,omitempty"`
 	CommOblivious bool `json:"commOblivious,omitempty"`
 }
+
+// Upper caps on a request's size knobs. A run's statistics are allocated
+// up front per iteration, so an uncapped iteration count can ask for more
+// memory than the host has, which is a fatal error, not a panic the
+// worker can recover.
+const (
+	// maxIterations bounds Iterations.
+	maxIterations = 10_000
+	// maxDevices bounds Devices; the Scaling experiment uses at most 8.
+	maxDevices = 64
+	// maxBatch bounds Batch at the largest batch bench's max-batch search
+	// probes.
+	maxBatch = 4096
+)
 
 // ToRunConfig validates the request and maps it onto a bench.RunConfig.
 // Validation covers what can be checked without running: the model and
 // system must be registered, the mode known, the batch positive, the
 // iteration count, device count, schedule period and memory sizes
-// non-negative, the fault plan parseable, and the config product one
+// non-negative, the batch, iteration count and device count within their
+// caps, the fault plan parseable, and the config product one
 // the engine runs — a Schedule with Devices > 1 is rejected with an
 // error wrapping bench.ErrDynamicCluster. An invalid request therefore
 // never reaches admission.
@@ -65,10 +80,16 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 	switch {
 	case rr.Batch < 1:
 		return cfg, fmt.Errorf("serve: batch must be >= 1, got %d", rr.Batch)
+	case rr.Batch > maxBatch:
+		return cfg, fmt.Errorf("serve: batch must be <= %d, got %d", maxBatch, rr.Batch)
 	case rr.Iterations < 0:
 		return cfg, fmt.Errorf("serve: iterations must be >= 0, got %d", rr.Iterations)
+	case rr.Iterations > maxIterations:
+		return cfg, fmt.Errorf("serve: iterations must be <= %d, got %d", maxIterations, rr.Iterations)
 	case rr.Devices < 0:
 		return cfg, fmt.Errorf("serve: devices must be >= 0, got %d", rr.Devices)
+	case rr.Devices > maxDevices:
+		return cfg, fmt.Errorf("serve: devices must be <= %d, got %d", maxDevices, rr.Devices)
 	case rr.SchedulePeriod < 0:
 		return cfg, fmt.Errorf("serve: schedulePeriod must be >= 0, got %d", rr.SchedulePeriod)
 	case rr.MemGiB < 0:

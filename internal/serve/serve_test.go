@@ -152,31 +152,44 @@ func TestSubmitValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
 		code       int
+		msg        string // a 400's body must name this limit
 	}{
-		{"valid", valid, http.StatusAccepted},
-		{"duplicate", valid, http.StatusOK},
-		{"unknown model", `{"model":"nonesuch","batch":8}`, http.StatusBadRequest},
-		{"zero batch", `{"model":"resnet50"}`, http.StatusBadRequest},
-		{"bad mode", `{"model":"resnet50","batch":8,"mode":"lazy"}`, http.StatusBadRequest},
-		{"bad system", `{"model":"resnet50","batch":8,"system":"magic"}`, http.StatusBadRequest},
-		{"bad faults", `{"model":"resnet50","batch":8,"faults":"oops"}`, http.StatusBadRequest},
-		{"unknown field", `{"model":"resnet50","batch":8,"turbo":true}`, http.StatusBadRequest},
-		{"not json", `batch=8`, http.StatusBadRequest},
-		{"negative iterations", `{"model":"resnet50","batch":8,"iterations":-1}`, http.StatusBadRequest},
-		{"negative devices", `{"model":"resnet50","batch":8,"devices":-2}`, http.StatusBadRequest},
-		{"negative schedule period", `{"model":"resnet50","batch":8,"schedule":"batch","schedulePeriod":-1}`, http.StatusBadRequest},
-		{"negative memory", `{"model":"resnet50","batch":8,"memGiB":-4}`, http.StatusBadRequest},
-		{"negative host memory", `{"model":"resnet50","batch":8,"hostMemGiB":-1}`, http.StatusBadRequest},
-		{"dynamic cluster", `{"model":"resnet50","batch":8,"schedule":"batch","devices":2}`, http.StatusBadRequest},
+		{"valid", valid, http.StatusAccepted, ""},
+		{"duplicate", valid, http.StatusOK, ""},
+		{"unknown model", `{"model":"nonesuch","batch":8}`, http.StatusBadRequest, ""},
+		{"zero batch", `{"model":"resnet50"}`, http.StatusBadRequest, ""},
+		{"bad mode", `{"model":"resnet50","batch":8,"mode":"lazy"}`, http.StatusBadRequest, ""},
+		{"bad system", `{"model":"resnet50","batch":8,"system":"magic"}`, http.StatusBadRequest, ""},
+		{"bad faults", `{"model":"resnet50","batch":8,"faults":"oops"}`, http.StatusBadRequest, ""},
+		{"unknown field", `{"model":"resnet50","batch":8,"turbo":true}`, http.StatusBadRequest, ""},
+		{"not json", `batch=8`, http.StatusBadRequest, ""},
+		{"negative iterations", `{"model":"resnet50","batch":8,"iterations":-1}`, http.StatusBadRequest, ""},
+		{"negative devices", `{"model":"resnet50","batch":8,"devices":-2}`, http.StatusBadRequest, ""},
+		{"negative schedule period", `{"model":"resnet50","batch":8,"schedule":"batch","schedulePeriod":-1}`, http.StatusBadRequest, ""},
+		{"negative memory", `{"model":"resnet50","batch":8,"memGiB":-4}`, http.StatusBadRequest, ""},
+		{"negative host memory", `{"model":"resnet50","batch":8,"hostMemGiB":-1}`, http.StatusBadRequest, ""},
+		{"dynamic cluster", `{"model":"resnet50","batch":8,"schedule":"batch","devices":2}`, http.StatusBadRequest, ""},
+		{"iterations above cap", `{"model":"alexnet","batch":1,"iterations":2000000000}`, http.StatusBadRequest, "<= 10000"},
+		{"iterations one above cap", `{"model":"alexnet","batch":1,"iterations":10001}`, http.StatusBadRequest, "<= 10000"},
+		{"devices above cap", `{"model":"alexnet","batch":1,"devices":100000}`, http.StatusBadRequest, "<= 64"},
+		{"devices one above cap", `{"model":"alexnet","batch":1,"devices":65}`, http.StatusBadRequest, "<= 64"},
+		{"batch above cap", `{"model":"alexnet","batch":100000}`, http.StatusBadRequest, "<= 4096"},
+		{"batch one above cap", `{"model":"alexnet","batch":4097}`, http.StatusBadRequest, "<= 4096"},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: got %d, want %d", tc.name, resp.StatusCode, tc.code)
+		}
+		if tc.msg != "" {
+			var e struct{ Error string }
+			if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, tc.msg) {
+				t.Errorf("%s: body %s does not name the limit %q", tc.name, body, tc.msg)
+			}
 		}
 	}
 	if got := s.Snapshot().StoredRuns; got != 1 {

@@ -2,17 +2,18 @@ package sim
 
 import "testing"
 
-// BenchmarkHotPathPendingSet drives the pending-completion heap through
-// push/pop cycles. The heap is a plain slice with hand-rolled sifts, so
-// once capacity is warm the cycle must be allocation-free.
+// BenchmarkHotPathPendingSet drives the heap through push/pop cycles
+// shaped like the executor's pending frees. Entries are values in a
+// plain slice, so once capacity is warm the cycle must be
+// allocation-free.
 func BenchmarkHotPathPendingSet(b *testing.B) {
-	ps := &PendingSet{}
+	var h Heap[string]
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			ps.Add(Pending{At: Time(i * 37 % 5), Size: 1 << 20, Key: "t"})
+			h.Push(Time(i*37%5), 0, "t")
 		}
 		for {
-			if _, ok := ps.PopEarliest(); !ok {
+			if _, _, ok := h.Pop(); !ok {
 				break
 			}
 		}
@@ -27,15 +28,21 @@ func BenchmarkHotPathPendingSet(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathPendingPopDue exercises the batched drain, whose
-// result slice is reused across calls.
+// BenchmarkHotPathPendingPopDue exercises the executor's Peek/Pop drain
+// of every entry due by a deadline.
 func BenchmarkHotPathPendingPopDue(b *testing.B) {
-	ps := &PendingSet{}
+	var h Heap[string]
 	cycle := func() {
 		for i := 0; i < 8; i++ {
-			ps.Add(Pending{At: Time(i), Size: 1 << 20, Key: "t"})
+			h.Push(Time(i), 0, "t")
 		}
-		ps.PopDue(Time(8))
+		for {
+			at, _, ok := h.Peek()
+			if !ok || at > 8 {
+				break
+			}
+			h.Pop()
+		}
 	}
 	for i := 0; i < 64; i++ {
 		cycle()

@@ -1,7 +1,8 @@
 // Package sim provides the virtual-time substrate for the Capuchin
 // simulator: a nanosecond-resolution clock, FIFO device streams that model
-// CUDA streams, and time-ordered pending sets used for asynchronous
-// completions such as in-flight swap-outs and deferred frees.
+// CUDA streams, and Heap, the one time-ordered queue, which holds
+// asynchronous completions such as in-flight swap-outs and the fleet
+// scheduler's events.
 //
 // The simulator is analytic rather than callback-driven: an executor issues
 // work onto streams in program order and each stream tracks the virtual time

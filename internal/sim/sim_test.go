@@ -141,70 +141,80 @@ func TestStreamNegativeDurationPanics(t *testing.T) {
 }
 
 func TestPendingSetOrdering(t *testing.T) {
-	var ps PendingSet
-	ps.Add(Pending{At: 30, Size: 3, Key: "c"})
-	ps.Add(Pending{At: 10, Size: 1, Key: "a"})
-	ps.Add(Pending{At: 20, Size: 2, Key: "b"})
-	if ps.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ps.Len())
+	var h Heap[string]
+	h.Push(30, 0, "c")
+	h.Push(10, 0, "a")
+	h.Push(20, 0, "b")
+	if h.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", h.Len())
 	}
-	if ps.TotalSize() != 6 {
-		t.Fatalf("TotalSize = %d, want 6", ps.TotalSize())
-	}
-	p, ok := ps.PeekEarliest()
-	if !ok || p.Key != "a" {
-		t.Fatalf("PeekEarliest = %+v, %v", p, ok)
+	at, v, ok := h.Peek()
+	if !ok || at != 10 || v != "a" {
+		t.Fatalf("Peek = %v, %q, %v", at, v, ok)
 	}
 	want := []string{"a", "b", "c"}
 	for i, w := range want {
-		p, ok := ps.PopEarliest()
-		if !ok || p.Key != w {
-			t.Fatalf("pop %d: got %+v, want key %s", i, p, w)
+		_, v, ok := h.Pop()
+		if !ok || v != w {
+			t.Fatalf("pop %d: got %q, %v, want %s", i, v, ok, w)
 		}
 	}
-	if _, ok := ps.PopEarliest(); ok {
-		t.Fatal("PopEarliest on empty set returned ok")
+	if _, _, ok := h.Pop(); ok {
+		t.Fatal("Pop on empty heap returned ok")
 	}
-	if _, ok := ps.PeekEarliest(); ok {
-		t.Fatal("PeekEarliest on empty set returned ok")
+	if _, _, ok := h.Peek(); ok {
+		t.Fatal("Peek on empty heap returned ok")
+	}
+}
+
+// popDue is the executor's pending-free drain: pop entries while the
+// earliest is due by now.
+func popDue(h *Heap[string], now Time) []Time {
+	var due []Time
+	for {
+		at, _, ok := h.Peek()
+		if !ok || at > now {
+			return due
+		}
+		h.Pop()
+		due = append(due, at)
 	}
 }
 
 func TestPendingSetPopDue(t *testing.T) {
-	var ps PendingSet
+	var h Heap[string]
 	for _, at := range []Time{50, 10, 30, 70} {
-		ps.Add(Pending{At: at})
+		h.Push(at, 0, "")
 	}
-	due := ps.PopDue(30)
-	if len(due) != 2 || due[0].At != 10 || due[1].At != 30 {
-		t.Fatalf("PopDue(30) = %+v", due)
+	if due := popDue(&h, 30); len(due) != 2 || due[0] != 10 || due[1] != 30 {
+		t.Fatalf("drain to 30 = %v", due)
 	}
-	if ps.Len() != 2 {
-		t.Fatalf("remaining = %d, want 2", ps.Len())
+	if h.Len() != 2 {
+		t.Fatalf("remaining = %d, want 2", h.Len())
 	}
-	if due := ps.PopDue(0); due != nil {
-		t.Fatalf("PopDue(0) = %+v, want nil", due)
+	if due := popDue(&h, 0); due != nil {
+		t.Fatalf("drain to 0 = %v, want nothing", due)
 	}
 }
 
-// Property: popping everything from a PendingSet yields a non-decreasing
+// Property: popping everything from a Heap yields a non-decreasing
 // time sequence regardless of insertion order.
 func TestPendingSetSortedProperty(t *testing.T) {
 	f := func(times []int64) bool {
-		var ps PendingSet
+		var h Heap[string]
 		for _, at := range times {
-			ps.Add(Pending{At: Time(at)})
+			h.Push(Time(at), 0, "")
 		}
 		prev := Time(math.MinInt64)
 		for {
-			p, ok := ps.PopEarliest()
+			at, _, ok := h.Pop()
 			if !ok {
 				break
 			}
-			if p.At < prev {
+			if at < prev {
 				return false
 			}
-			prev = p.At
+			prev = at
 		}
 		return true
 	}
