@@ -38,9 +38,11 @@ soak:
 
 # fuzz-smoke runs each fuzz target briefly (30s in CI): the two allocator
 # fuzzers, the shape-inference fuzzers and the trust-boundary parsers
-# (fault-plan specs, shape schedules, serve request bodies) must stay
-# quiet. -fuzz is a regexp that must match exactly one target, hence the
-# anchors.
+# (fault-plan specs, shape schedules, serve request bodies, exported
+# Capuchin plans) must stay quiet. -fuzz is a regexp that must match
+# exactly one target, hence the anchors. FuzzLoadPlan's seed is a whole
+# exported plan of about 100 KB, and minimizing one at the default 60 s
+# per input would spend the budget there, so its minimization is capped.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBFC$$' -fuzztime $(FUZZTIME) ./internal/memory
@@ -50,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzNewSchedule$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/core
 
 # bench reproduces the numbers in BENCH_parallel_runner.json.
 bench:
@@ -128,7 +131,7 @@ regress-smoke:
 # the deliberately regressed fixture must fail. Iteration counts are
 # fixed (-benchtime 300x) because the gated metric is allocs/op, which
 # is load-independent — wall-clock on a busy CI host is not.
-HOTPATH_PKGS = . ./internal/exec ./internal/memory ./internal/sim ./internal/fleet ./internal/obs
+HOTPATH_PKGS = . ./internal/core ./internal/exec ./internal/memory ./internal/sim ./internal/fleet ./internal/obs
 perf-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkHotPath -benchmem -benchtime 300x \
 		$(HOTPATH_PKGS) | tee /tmp/capuchin-hotpath-bench.txt

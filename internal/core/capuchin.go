@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"capuchin/internal/exec"
+	"capuchin/internal/graph"
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
@@ -43,8 +44,15 @@ type Options struct {
 type Capuchin struct {
 	opts Options
 
+	// tk exists only during a measured iteration.
 	tk   *tracker
 	plan *plan
+	// planGraph is the graph whose Idx space the plan indexes; a nil or
+	// different graph makes the next iteration rebind the plan.
+	planGraph *graph.Graph
+	// tensors is the current graph's TensorList: the live tensor of each
+	// Idx, for guided execution (including plans loaded with LoadPlan).
+	tensors []*tensor.Tensor
 
 	// measureLeft counts the measured (passive) iterations remaining
 	// before the next plan build; measuring latches it for the duration
@@ -65,20 +73,16 @@ type Capuchin struct {
 	cacheHits     int
 	invalidations int
 
-	// bound lazily maps tensor IDs to live tensors observed in the
-	// access stream, so guided execution (including plans loaded with
-	// LoadPlan) never needs the measured-iteration records.
-	bound map[string]*tensor.Tensor
-
-	// pendingPrefetch queues in-triggers that fired while device memory
-	// was too tight to prefetch into; they retry at subsequent accesses.
-	// Prefetching into the peak-memory region would force evictions of
-	// its own (§4.4), so issuing waits for headroom instead. The queue
-	// pops by advancing pendingHead so the backing array is reused; it
-	// rewinds to the front whenever it drains.
-	pendingPrefetch []string
+	// pendingPrefetch queues in-triggers (by Idx) that fired while
+	// device memory was too tight to prefetch into; they retry at
+	// subsequent accesses. Prefetching into the peak-memory region would
+	// force evictions of its own (§4.4), so issuing waits for headroom
+	// instead. The queue pops by advancing pendingHead so the backing
+	// array is reused; it rewinds to the front whenever it drains.
+	// pending marks the queued tensors by Idx.
+	pendingPrefetch []int32
 	pendingHead     int
-	pendingSet      map[string]bool
+	pending         []bool
 
 	// stalledAdjusts counts feedback-driven in-trigger moves (observable
 	// for tests and the Fig. 8a breakdown).
@@ -101,11 +105,8 @@ func New(opts Options) *Capuchin {
 	}
 	return &Capuchin{
 		opts:        opts,
-		tk:          newTracker(),
 		measureLeft: opts.MeasuredIterations,
 		cache:       newPlanCache(opts.PlanCacheSize),
-		pendingSet:  make(map[string]bool),
-		bound:       make(map[string]*tensor.Tensor),
 	}
 }
 
@@ -125,9 +126,22 @@ func (c *Capuchin) Name() string {
 // a small per-access overhead (§6.3.2).
 func (c *Capuchin) TracksAccesses() bool { return true }
 
-// BeginIteration implements exec.Policy.
+// BeginIteration implements exec.Policy: it sizes the per-Idx state for
+// the iteration's graph and binds the plan to it.
 func (c *Capuchin) BeginIteration(iter int, env *exec.Env) {
+	g := env.Graph()
+	c.tensors = g.TensorList()
+	if len(c.pending) < len(c.tensors) {
+		c.pending = make([]bool, len(c.tensors))
+	}
 	c.measuring = c.plan == nil && c.measureLeft > 0
+	if c.measuring && c.tk == nil {
+		c.tk = newTracker(len(c.tensors))
+	}
+	if c.plan != nil && g != c.planGraph {
+		c.plan.bind(g)
+		c.planGraph = g
+	}
 }
 
 // OnAccess implements exec.Policy.
@@ -136,24 +150,16 @@ func (c *Capuchin) OnAccess(acc exec.Access, env *exec.Env) {
 		c.tk.observe(acc)
 		return
 	}
-	if c.plan == nil {
+	p := c.plan
+	if p == nil || acc.Kind == exec.Dealloc {
 		return
 	}
 	t := acc.Tensor
-	if acc.Kind == exec.Dealloc {
-		return
-	}
-	// Read-before-write: the tensor is almost always bound already, and a
-	// map read is markedly cheaper than re-assigning on every access.
-	if c.bound[t.ID] != t {
-		c.bound[t.ID] = t
-	}
-	k := key{t.ID, acc.Count}
 
 	// Feedback-driven adjustment: the back-access found its tensor still
 	// in flight, so next iteration's in-trigger moves earlier by 5% of
 	// the swap time (§4.4).
-	if sp, ok := c.plan.swaps[t.ID]; ok && acc.Count == sp.backCount {
+	if sp := p.swapOf(t.Idx); sp != nil && acc.Count == sp.backCount {
 		if acc.InFlight && acc.Stall > 0 && !c.opts.DisableFeedback {
 			c.advanceTrigger(sp, env)
 		}
@@ -161,29 +167,31 @@ func (c *Capuchin) OnAccess(acc exec.Access, env *exec.Env) {
 
 	// Retry queued prefetches, then any in-triggers bound to this access.
 	c.drainPrefetches(env)
-	for _, id := range c.plan.triggers[k] {
-		c.prefetch(id, env)
+	pos := p.access(t.Idx, acc.Count)
+	if pos < 0 {
+		return
+	}
+	for i := p.trigHead[pos]; i >= 0; i = p.swaps[i].nextTrig {
+		c.prefetch(i, env)
 	}
 
 	// Eviction bound to this access.
-	if action, ok := c.plan.evict[k]; ok {
-		switch action {
-		case actionSwap:
-			if env.FaultsEnabled() {
-				// Graceful degradation: when the planned swap-out cannot
-				// proceed (injected DMA abort, host pressure) or the link
-				// is inside a degradation window, fall back to releasing
-				// the tensor for recomputation instead of keeping it
-				// resident and risking passive-mode stalls later.
-				if env.LinkDegraded() || !env.SwapOutAsync(t) {
-					env.FallbackToRecompute(t)
-				}
-			} else {
-				env.SwapOutAsync(t)
+	switch p.evict[pos] {
+	case actionSwap:
+		if env.FaultsEnabled() {
+			// Graceful degradation: when the planned swap-out cannot
+			// proceed (injected DMA abort, host pressure) or the link is
+			// inside a degradation window, fall back to releasing the
+			// tensor for recomputation instead of keeping it resident
+			// and risking passive-mode stalls later.
+			if env.LinkDegraded() || !env.SwapOutAsync(t) {
+				env.FallbackToRecompute(t)
 			}
-		case actionRecompute:
-			env.ReleaseForRecompute(t)
+		} else {
+			env.SwapOutAsync(t)
 		}
+	case actionRecompute:
+		env.ReleaseForRecompute(t)
 	}
 }
 
@@ -206,20 +214,34 @@ func (c *Capuchin) canPrefetch(size int64, env *exec.Env) bool {
 		env.FreeBytes() >= size+c.prefetchReserve(env)
 }
 
-// prefetch issues a swap-in when memory allows, otherwise queues it.
-func (c *Capuchin) prefetch(id string, env *exec.Env) {
-	t, ok := c.bound[id]
-	if !ok || t.Status != tensor.Out || c.pendingSet[id] {
+// liveOut returns tensor i of the current graph when it is swapped out,
+// else nil. Idx past the graph's (IDs a loaded plan names that the graph
+// lacks) match nothing.
+func (c *Capuchin) liveOut(i int32) *tensor.Tensor {
+	if int(i) >= len(c.tensors) {
+		return nil
+	}
+	if t := c.tensors[i]; t.Status == tensor.Out {
+		return t
+	}
+	return nil
+}
+
+// prefetch issues tensor i's swap-in when memory allows, otherwise
+// queues it.
+func (c *Capuchin) prefetch(i int32, env *exec.Env) {
+	t := c.liveOut(i)
+	if t == nil || c.pending[i] {
 		return
 	}
-	if c.canPrefetch(c.plan.sizes[id], env) && env.SwapInAsync(t) {
+	if c.canPrefetch(c.plan.sizes[i], env) && env.SwapInAsync(t) {
 		return
 	}
-	c.pendingSet[id] = true
-	c.pendingPrefetch = append(c.pendingPrefetch, id)
+	c.pending[i] = true
+	c.pendingPrefetch = append(c.pendingPrefetch, i)
 	if env.Tracing() {
 		env.Decide(obs.Decision{
-			Tensor: id, Action: "prefetch-deferred", Bytes: c.plan.sizes[id],
+			Tensor: c.plan.names[i], Action: "prefetch-deferred", Bytes: c.plan.sizes[i],
 			Reason: "in-trigger fired inside the peak-memory region; queued until headroom returns",
 		})
 	}
@@ -230,19 +252,28 @@ func (c *Capuchin) prefetch(id string, env *exec.Env) {
 // trigger schedule established).
 func (c *Capuchin) drainPrefetches(env *exec.Env) {
 	for c.pendingHead < len(c.pendingPrefetch) {
-		id := c.pendingPrefetch[c.pendingHead]
-		t, ok := c.bound[id]
-		if !ok || t.Status != tensor.Out {
+		i := c.pendingPrefetch[c.pendingHead]
+		t := c.liveOut(i)
+		if t == nil {
 			// Already brought in (on-demand at its back-access).
 			c.pendingHead++
-			delete(c.pendingSet, id)
+			c.pending[i] = false
 			continue
 		}
-		if !c.canPrefetch(c.plan.sizes[id], env) || !env.SwapInAsync(t) {
+		if !c.canPrefetch(c.plan.sizes[i], env) || !env.SwapInAsync(t) {
 			return
 		}
 		c.pendingHead++
-		delete(c.pendingSet, id)
+		c.pending[i] = false
+	}
+	c.pendingPrefetch = c.pendingPrefetch[:0]
+	c.pendingHead = 0
+}
+
+// resetPrefetches drops every queued prefetch.
+func (c *Capuchin) resetPrefetches() {
+	for _, i := range c.pendingPrefetch[c.pendingHead:] {
+		c.pending[i] = false
 	}
 	c.pendingPrefetch = c.pendingPrefetch[:0]
 	c.pendingHead = 0
@@ -260,7 +291,7 @@ func (c *Capuchin) advanceTrigger(sp *swapPlan, env *exec.Env) {
 	}
 	target := current - sim.Time(float64(sp.swapInDur)*c.opts.FeedbackAdvance)
 	idx := sort.Search(len(seq), func(i int) bool { return seq[i].at > target }) - 1
-	for idx >= 0 && (seq[idx].id == sp.id || seq[idx].at <= sp.evictAt) {
+	for idx >= 0 && (seq[idx].idx == sp.idx || seq[idx].at <= sp.evictAt) {
 		idx--
 	}
 	if idx < 0 || (sp.triggerIdx >= 0 && idx >= sp.triggerIdx) {
@@ -272,7 +303,7 @@ func (c *Capuchin) advanceTrigger(sp *swapPlan, env *exec.Env) {
 	c.stalledAdjusts++
 	if env.Tracing() {
 		env.Decide(obs.Decision{
-			Tensor: sp.id, Action: "advance-trigger", Bytes: sp.size,
+			Tensor: c.plan.names[sp.idx], Action: "advance-trigger", Bytes: sp.size,
 			Reason: "back-access stalled on the in-flight prefetch; in-trigger moved earlier (§4.4)",
 		})
 	}
@@ -287,9 +318,7 @@ func (c *Capuchin) OnOOM(need int64, env *exec.Env) ([]*tensor.Tensor, bool) {
 // EndIteration implements exec.Policy: after the final measured iteration
 // the Policy Maker builds the plan.
 func (c *Capuchin) EndIteration(iter int, env *exec.Env) {
-	c.pendingPrefetch = c.pendingPrefetch[:0]
-	c.pendingHead = 0
-	clear(c.pendingSet)
+	c.resetPrefetches()
 	if !c.measuring {
 		return
 	}
@@ -301,7 +330,7 @@ func (c *Capuchin) EndIteration(iter int, env *exec.Env) {
 		// final measured iteration's trace, so drop the partial one —
 		// access counts restart every iteration and mixing two traces
 		// would corrupt the {tensor, count} keys.
-		c.tk = newTracker()
+		c.tk = nil
 		return
 	}
 	c.tk.finish()
@@ -317,6 +346,8 @@ func (c *Capuchin) EndIteration(iter int, env *exec.Env) {
 		pl.decide = env.Decide
 	}
 	c.plan = pl.build()
+	c.planGraph = env.Graph()
+	c.tk = nil
 	c.plansBuilt++
 	if c.sig != "" {
 		c.cache.put(c.sig, c.plan)

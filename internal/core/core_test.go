@@ -242,7 +242,8 @@ func TestCapuchinNames(t *testing.T) {
 
 // --- planner unit tests on synthetic traces ---
 
-// syntheticTensor creates a bare tensor for tracker tests.
+// syntheticTensor creates a bare tensor for tracker tests. It has no
+// graph, so intern assigns its Idx when it is first observed.
 func syntheticTensor(id string, bytes int64, inputs ...*tensor.Tensor) *tensor.Tensor {
 	tt := tensor.New(id, tensor.Shape{bytes / 4}, tensor.Float32)
 	tt.OpName = "op_" + id
@@ -250,8 +251,18 @@ func syntheticTensor(id string, bytes int64, inputs ...*tensor.Tensor) *tensor.T
 	return tt
 }
 
+// intern gives a synthetic tensor the next free Idx of the tracker, as a
+// graph reindex would have.
+func intern(tk *tracker, t *tensor.Tensor) {
+	if t.Idx < 0 {
+		t.Idx = int32(len(tk.records))
+		tk.records = append(tk.records, record{})
+	}
+}
+
 // observeChain records a produce at prodAt and reads at the given times.
 func observeChain(tk *tracker, t *tensor.Tensor, nodeID string, prodAt sim.Time, reads ...sim.Time) {
+	intern(tk, t)
 	count := t.AccessCount
 	count++
 	tk.observe(exec.Access{Tensor: t, Kind: exec.Produce, Count: count, At: prodAt, NodeID: nodeID})
@@ -263,13 +274,14 @@ func observeChain(tk *tracker, t *tensor.Tensor, nodeID string, prodAt sim.Time,
 }
 
 func TestUsageCurveAndPeakWindow(t *testing.T) {
-	tk := newTracker()
+	tk := newTracker(0)
 	a := syntheticTensor("a", 100)
 	b := syntheticTensor("b", 200)
 	observeChain(tk, a, "na", 10, 50)
 	tk.observe(exec.Access{Tensor: a, Kind: exec.Dealloc, Count: 2, At: 60})
 	observeChain(tk, b, "nb", 20, 80)
 	tk.observe(exec.Access{Tensor: b, Kind: exec.Dealloc, Count: 2, At: 90})
+	tk.finish()
 	curve, peak := tk.usageCurve()
 	if peak != 300 {
 		t.Errorf("peak = %d, want 300", peak)
@@ -287,7 +299,7 @@ func TestUsageCurveAndPeakWindow(t *testing.T) {
 func TestFreeTimeSelection(t *testing.T) {
 	// Two tensors, same size; T1 has a much larger reuse gap, so its FT
 	// is larger and it must rank first (the Fig. 3 argument).
-	tk := newTracker()
+	tk := newTracker(0)
 	t1 := syntheticTensor("t1", 1<<20)
 	t2 := syntheticTensor("t2", 1<<20)
 	observeChain(tk, t1, "n1", 0, 10*sim.Millisecond, 500*sim.Millisecond)
@@ -303,7 +315,7 @@ func TestFreeTimeSelection(t *testing.T) {
 	if len(cands) != 2 {
 		t.Fatalf("got %d candidates, want 2", len(cands))
 	}
-	byID := map[string]*cand{cands[0].r.id: cands[0], cands[1].r.id: cands[1]}
+	byID := map[string]*cand{cands[0].id(): cands[0], cands[1].id(): cands[1]}
 	c1, c2 := byID["t1"], byID["t2"]
 	// T1's best pair is the 490ms gap: FT = 490ms - 2ms.
 	if c1.ft != 488*sim.Millisecond {
@@ -322,7 +334,7 @@ func TestFreeTimeSelection(t *testing.T) {
 // candidates {T1,T2,T4}; choosing T2 first forces T4's recomputation to
 // start from T1 and penalizes repeated sources.
 func TestAlgorithm2PaperExample(t *testing.T) {
-	tk := newTracker()
+	tk := newTracker(0)
 	t1 := syntheticTensor("t1", 1<<20)
 	t2 := syntheticTensor("t2", 1<<20, t1)
 	t3 := syntheticTensor("t3", 1<<20, t2)
@@ -350,10 +362,10 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 	tk.finish()
 	// Synthetic producer durations (the real tracker derives these from
 	// input-read/produce time differences).
-	tk.records["t1"].producerDur = 5
-	tk.records["t2"].producerDur = 6
-	tk.records["t3"].producerDur = 7
-	tk.records["t4"].producerDur = 8
+	tk.records[t1.Idx].producerDur = 5
+	tk.records[t2.Idx].producerDur = 6
+	tk.records[t3.Idx].producerDur = 7
+	tk.records[t4.Idx].producerDur = 8
 
 	pl := &planner{
 		tk:      tk,
@@ -363,7 +375,7 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 	cands := pl.identifyCandidates(0, 200)
 	var c1, c2, c4 *cand
 	for _, c := range cands {
-		switch c.r.id {
+		switch c.id() {
 		case "t1":
 			c1 = c
 		case "t2":
@@ -380,23 +392,23 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 	// Initially T4 recomputes from T3's producer: T3 is dead at T4's
 	// back-access, so T4's sources are {t2} (a candidate, assumed
 	// resident) and its replay covers n4 and n3.
-	if !c4.srcs["t2"] {
+	if !hasSrc(c4.srcs, t2.Idx) {
 		t.Errorf("t4 sources = %v, want to include t2", c4.srcs)
 	}
-	if c4.srcs["t3"] {
+	if hasSrc(c4.srcs, t3.Idx) {
 		t.Error("dead t3 treated as a source")
 	}
 	rp0 := c4.rpTime
 
 	// Select T2 for recomputation: T4's source moves to T2's sources
 	// (t1) and its replay time grows by T2's.
-	p := &plan{evict: make(map[key]actionKind), sizes: make(map[string]int64)}
+	p := newPlan(make([]string, len(tk.records)), tk.seq)
 	rest := []*cand{c1, c4}
 	pl.selectRecompute(p, c2, rest, nil)
-	if c4.srcs["t2"] {
+	if hasSrc(c4.srcs, t2.Idx) {
 		t.Error("t4 still sources from chosen t2")
 	}
-	if !c4.srcs["t1"] {
+	if !hasSrc(c4.srcs, t1.Idx) {
 		t.Errorf("t4 sources = %v, want t1 after t2 chosen", c4.srcs)
 	}
 	if c4.rpTime <= rp0 {
@@ -409,7 +421,7 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 }
 
 func TestChooseInTriggerAvoidsSelfAndEarly(t *testing.T) {
-	tk := newTracker()
+	tk := newTracker(0)
 	a := syntheticTensor("a", 1<<20)
 	b := syntheticTensor("b", 1<<20)
 	observeChain(tk, a, "na", 0, 10)
@@ -417,18 +429,13 @@ func TestChooseInTriggerAvoidsSelfAndEarly(t *testing.T) {
 	// b's back access at 900; a is read again at 850 (trigger host).
 	tk.observe(exec.Access{Tensor: a, Kind: exec.Read, Count: 3, At: 850, NodeID: "nc"})
 	tk.finish()
-	p := &plan{
-		evict:    make(map[key]actionKind),
-		triggers: make(map[key][]string),
-		swaps:    make(map[string]*swapPlan),
-		seq:      tk.seq,
-	}
+	p := newPlan(make([]string, len(tk.records)), tk.seq)
 	pl := &planner{
 		tk:      tk,
 		swapOut: func(b int64) sim.Time { return 10 },
 		swapIn:  func(b int64) sim.Time { return 30 },
 	}
-	sp := &swapPlan{id: "b", evictCount: 2, backCount: 3, evictAt: 400, backAt: 900, swapInDur: 30}
+	sp := &swapPlan{idx: b.Idx, evictCount: 2, backCount: 3, evictAt: 400, backAt: 900, swapInDur: 30}
 	idx := pl.chooseInTrigger(p, sp, sp.backAt-sp.swapInDur)
 	if idx < 0 {
 		t.Fatal("no trigger chosen")
@@ -436,8 +443,8 @@ func TestChooseInTriggerAvoidsSelfAndEarly(t *testing.T) {
 	e := tk.seq[idx]
 	// Ideal start 870; the latest access at or before 870 that is not b
 	// itself and after the eviction is a's read at 850.
-	if e.id != "a" || e.at != 850 {
-		t.Errorf("trigger = %s@%d, want a@850", e.id, e.at)
+	if e.idx != a.Idx || e.at != 850 {
+		t.Errorf("trigger = tensor %d@%d, want a@850", e.idx, e.at)
 	}
 }
 

@@ -9,14 +9,16 @@ import (
 
 // ProducerCosts estimates, per non-persistent tensor, the compute cost of
 // regenerating it by re-running its producer: the fastest algorithm's
-// duration on the given device. Capuchin's own planner prices
+// duration on the given device, indexed by Tensor.Idx (zero for
+// persistent tensors and graph inputs). Capuchin's own planner prices
 // recomputation from measured durations, but rival policies that plan
 // before any measured pass (h-DTR's cost/(size·staleness) ranking, chunk
 // placement) need a static estimate; sharing the estimator here keeps
 // their cost model consistent with the simulator's kernel timings instead
 // of each policy inventing its own.
-func ProducerCosts(g *graph.Graph, dev hw.DeviceSpec) map[string]sim.Time {
-	costs := make(map[string]sim.Time)
+func ProducerCosts(g *graph.Graph, dev hw.DeviceSpec) []sim.Time {
+	g.EnsureIndexed()
+	costs := make([]sim.Time, len(g.TensorList()))
 	for _, n := range g.Nodes {
 		inShapes := make([]tensor.Shape, len(n.Inputs))
 		for i, in := range n.Inputs {
@@ -31,7 +33,7 @@ func ProducerCosts(g *graph.Graph, dev hw.DeviceSpec) map[string]sim.Time {
 			if out.Persistent {
 				continue
 			}
-			costs[out.ID] = dur
+			costs[out.Idx] = dur
 		}
 	}
 	return costs

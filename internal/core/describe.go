@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"capuchin/internal/sim"
 )
@@ -34,36 +35,42 @@ func (c *Capuchin) DescribePlan() []PlanEntry {
 	if c.plan == nil {
 		return nil
 	}
+	p := c.plan
 	var out []PlanEntry
-	for k, action := range c.plan.evict {
+	for pos, action := range p.evict {
+		if action == actionNone {
+			continue
+		}
+		a := p.seq[pos]
 		e := PlanEntry{
-			TensorID:     k.id,
-			Bytes:        c.plan.sizes[k.id],
-			EvictAtCount: k.count,
+			TensorID:     p.names[a.idx],
+			Bytes:        p.sizes[a.idx],
+			EvictAtCount: int(a.count),
 			Action:       "recompute",
 			Trigger:      "on-demand",
 		}
-		if sp, ok := c.plan.swaps[k.id]; ok && action == actionSwap {
+		if sp := p.swaps[a.idx]; sp != nil && action == actionSwap {
 			e.Action = "swap"
 			e.BackAtCount = sp.backCount
 			e.Gap = sp.backAt - sp.evictAt
 			e.FreeTime = (sp.backAt - sp.swapInDur) - sp.evictAt
 			if sp.triggerIdx >= 0 {
-				t := c.plan.seq[sp.triggerIdx]
-				e.Trigger = fmt.Sprintf("%s#%d", t.id, t.count)
+				t := p.seq[sp.triggerIdx]
+				e.Trigger = fmt.Sprintf("%s#%d", p.names[t.idx], t.count)
 			}
-		} else if r, ok := c.tk.records[k.id]; ok {
-			if a, ok2 := r.accessAt(k.count + 1); ok2 {
-				e.BackAtCount = a.count
-			}
+		} else if p.access(a.idx, int(a.count)+1) >= 0 {
+			e.BackAtCount = int(a.count) + 1
 		}
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Bytes != out[j].Bytes {
-			return out[i].Bytes > out[j].Bytes
+	slices.SortFunc(out, func(a, b PlanEntry) int {
+		if c := cmp.Compare(b.Bytes, a.Bytes); c != 0 {
+			return c
 		}
-		return out[i].TensorID < out[j].TensorID
+		if c := cmp.Compare(a.TensorID, b.TensorID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.EvictAtCount, b.EvictAtCount)
 	})
 	return out
 }

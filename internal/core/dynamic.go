@@ -5,7 +5,6 @@ import (
 
 	"capuchin/internal/exec"
 	"capuchin/internal/obs"
-	"capuchin/internal/tensor"
 )
 
 // This file is Capuchin's dynamic-workload surface: plans are keyed by
@@ -22,8 +21,9 @@ import (
 // On a signature switch the outgoing plan stays cached; a cached plan
 // for the incoming signature is reused (a plan-cache hit), otherwise the
 // policy re-enters measured mode for MeasuredIterations iterations.
-// Tensor bindings always reset — the executor rebuilt the session, so
-// pointers into the previous graph are stale. The first call only names
+// The plan rebinds to the rebuilt graph at the next iteration: a cached
+// plan's Idx stay valid for a rebuilt graph of its signature, and bind
+// re-keys it by ID when they do not. The first call only names
 // the signature: state (including a LoadPlan-ed plan) is preserved and
 // nothing is audited, keeping a constant-schedule dynamic run
 // byte-identical to its static equivalent.
@@ -39,10 +39,8 @@ func (c *Capuchin) BeginSignature(sig string, env *exec.Env) bool {
 		return c.plan != nil
 	}
 	c.sig = sig
-	c.bound = make(map[string]*tensor.Tensor)
-	c.pendingPrefetch = nil
-	c.pendingHead = 0
-	c.pendingSet = make(map[string]bool)
+	c.planGraph = nil
+	c.resetPrefetches()
 	if p, ok := c.cache.get(sig); ok {
 		c.plan = p
 		c.measureLeft = 0
@@ -57,7 +55,7 @@ func (c *Capuchin) BeginSignature(sig string, env *exec.Env) bool {
 		return true
 	}
 	c.plan = nil
-	c.tk = newTracker()
+	c.tk = nil
 	c.measuring = false
 	c.measureLeft = c.remeasureIters()
 	if env != nil && env.Tracing() {
@@ -81,10 +79,8 @@ func (c *Capuchin) InvalidatePlan(reason string, env *exec.Env) {
 	c.invalidations++
 	c.cache.remove(c.sig)
 	c.plan = nil
-	c.tk = newTracker()
-	c.pendingPrefetch = nil
-	c.pendingHead = 0
-	c.pendingSet = make(map[string]bool)
+	c.tk = nil
+	c.resetPrefetches()
 	c.measuring = false
 	c.measureLeft = c.remeasureIters()
 	if env != nil && env.Tracing() {

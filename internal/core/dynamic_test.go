@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"capuchin/internal/exec"
@@ -296,5 +297,108 @@ func TestBeginSignatureFirstCallSilent(t *testing.T) {
 	}
 	if sum := loaded.Summary(); sum.CacheHits != 1 {
 		t.Errorf("cache hits = %d, want 1", sum.CacheHits)
+	}
+}
+
+// TestPlanCacheAcrossRebuiltGraphs walks the signatures A→B→A (b8 → b6
+// → b8). Every switch builds a fresh graph, so the return to A is a
+// plan-cache hit on a graph the plan was not built on. The cached plan
+// is keyed by Tensor.Idx; a rebuilt graph of the same signature keeps
+// every Idx, so the plan binds as it is and must drive the same
+// evictions and prefetches as on the first visit, with fingerprints
+// that match an uncapped static run.
+func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
+	col := obs.NewCollector()
+	cap := New(Options{})
+	var graphs []*graph.Graph
+	d, err := exec.NewDynamicSession(exec.DynamicConfig{
+		Base: exec.Config{
+			Device:              device(48 * hw.MiB),
+			Policy:              cap,
+			CollectiveRecompute: true,
+			Tracer:              col,
+		},
+		Build: func(batch, seq int64) (*graph.Graph, error) {
+			g := testCNNBatch(t, batch)
+			graphs = append(graphs, g)
+			return g, nil
+		},
+		Schedule: phases{8, 6, 8},
+		// One live session: switching to B evicts A's, so the return to
+		// A builds its graph again.
+		MaxSessions: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A's first visit (a measured iteration, then guided ones), B, and
+	// the return to A, three iterations each.
+	var visits [3][]exec.IterStats
+	var planA *plan
+	var namesA []string
+	for i := range visits {
+		if visits[i], err = d.Run(3); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			planA = cap.plan
+			if planA == nil || planA.numSwap+planA.numRecompute == 0 {
+				t.Fatal("signature A made no plan under pressure")
+			}
+			namesA = slices.Clone(planA.names)
+		}
+	}
+
+	if len(graphs) != 3 || graphs[2] == graphs[0] {
+		t.Fatalf("built %d graphs; the return to A must build a fresh one", len(graphs))
+	}
+	if sum := cap.Summary(); sum.PlanBuilds != 2 || sum.CacheHits != 1 {
+		t.Fatalf("plan builds/cache hits = %d/%d, want 2/1", sum.PlanBuilds, sum.CacheHits)
+	}
+	if cap.plan != planA || !slices.Equal(cap.plan.names, namesA) {
+		t.Fatal("the return to A did not reuse A's plan as built")
+	}
+
+	// What each visit's iterations did to the tensors the plan evicts,
+	// in order: evictions, prefetches and on-demand swap-ins. A fresh
+	// session numbers its iterations from 0, so the shape-switch
+	// decisions split the log into visits.
+	var moves [3]map[int][]string
+	visit := 0
+	for _, dec := range col.Decisions() {
+		switch dec.Action {
+		case "shape-switch":
+			visit++
+		case "swap-out", "release-recompute", "fallback-recompute", "prefetch", "ondemand-swapin":
+			if moves[visit] == nil {
+				moves[visit] = map[int][]string{}
+			}
+			moves[visit][dec.Iter] = append(moves[visit][dec.Iter], dec.Action+" "+dec.Tensor)
+		}
+	}
+	// A's first guided iteration came after its measured one; the
+	// return to A is guided from its first iteration.
+	first, revisit := moves[0][1], moves[2][0]
+	if !slices.Contains(first, "swap-out data:0") {
+		t.Fatalf("A's first guided iteration did not run its plan: %v", first)
+	}
+	if !slices.Equal(first, revisit) {
+		t.Errorf("the cached plan acted differently on the rebuilt graph:\n first visit %v\n revisit     %v", first, revisit)
+	}
+
+	oracle, err := exec.NewSession(testCNNBatch(t, 8), exec.Config{Device: device(4 * hw.GiB)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Run(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{0, 2} {
+		for i, st := range visits[v] {
+			if st.LossFingerprint != want[i].LossFingerprint || st.ParamFingerprint != want[i].ParamFingerprint {
+				t.Errorf("visit %d iteration %d: fingerprints diverged from the uncapped run", v, i)
+			}
+		}
 	}
 }

@@ -1,0 +1,81 @@
+package core
+
+import (
+	"testing"
+
+	"capuchin/internal/exec"
+	"capuchin/internal/graph"
+	"capuchin/internal/hw"
+	"capuchin/internal/models"
+)
+
+// recorder is Capuchin with a tap on its measured iteration: it keeps the
+// access stream and the planner's inputs so a benchmark can replay them.
+type recorder struct {
+	*Capuchin
+	accesses []exec.Access
+	pl       planner
+}
+
+func (r *recorder) OnAccess(acc exec.Access, env *exec.Env) {
+	if r.measuring {
+		r.accesses = append(r.accesses, acc)
+	}
+	r.Capuchin.OnAccess(acc, env)
+}
+
+func (r *recorder) EndIteration(iter int, env *exec.Env) {
+	if r.measuring {
+		r.pl = planner{
+			opts:     r.opts,
+			capacity: env.DeviceMemory(),
+			params:   paramResident(env),
+			swapOut:  env.SwapOutDuration,
+			swapIn:   env.SwapInDuration,
+		}
+	}
+	r.Capuchin.EndIteration(iter, env)
+}
+
+// BenchmarkHotPathPlan is the Policy Maker's cost per plan: one recorded
+// measured iteration of BERT at batch 128 on a 16 GiB P100, a cell that
+// both swaps and recomputes, replayed into a fresh tracker and planner.
+// It covers the tracker's per-access work, candidate identification,
+// Algorithm 1's selection loop with Algorithm 2's MSPS upkeep, and
+// in-trigger scheduling. The alloc gate (make perf-smoke) budgets it.
+func BenchmarkHotPathPlan(b *testing.B) {
+	spec, err := models.Get("bert")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := spec.Build(128, graph.GraphModeOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := &recorder{Capuchin: New(Options{})}
+	s, err := exec.NewSession(g, exec.Config{Device: hw.P100(), Policy: rec, CollectiveRecompute: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Run(1); err != nil {
+		b.Fatal(err)
+	}
+	if sum := rec.Summary(); sum.SwapTensors == 0 || sum.RecomputeCount == 0 {
+		b.Fatalf("cell no longer swaps and recomputes: %v", sum)
+	}
+	n := len(g.TensorList())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk := newTracker(n)
+		for _, acc := range rec.accesses {
+			tk.observe(acc)
+		}
+		tk.finish()
+		pl := rec.pl
+		pl.tk = tk
+		if p := pl.build(); p.numSwap != rec.plan.numSwap {
+			b.Fatalf("replayed plan swaps %d tensors, want %d", p.numSwap, rec.plan.numSwap)
+		}
+	}
+}

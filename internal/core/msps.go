@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 )
@@ -12,80 +14,113 @@ import (
 // assumed resident until chosen); anything else must be replayed too,
 // adding its producer's measured duration.
 func (pl *planner) initRecompute(cands []*cand) {
-	inSet := make(map[string]bool, len(cands))
+	n := len(pl.tk.records)
+	inSet := make([]bool, n)
 	for _, c := range cands {
 		if c.canRecompute {
-			inSet[c.r.id] = true
+			inSet[c.idx] = true
 		}
 	}
-	for _, c := range cands {
+	// visited[i] == stamp marks tensor i seen by the current walk.
+	visited := make([]int32, n)
+	for k, c := range cands {
 		if !c.canRecompute {
 			continue
 		}
-		c.srcs = make(map[string]bool)
-		c.rpTime = 0
-		visited := map[string]bool{c.r.id: true}
-		c.rpTime += c.r.producerDur
-		pl.walkSources(c, c.r, c.backAt, inSet, visited)
+		stamp := int32(k + 1)
+		c.srcs = c.srcs[:0]
+		visited[c.idx] = stamp
+		c.rpTime = c.r.producerDur
+		pl.walkSources(c, c.r, c.backAt, inSet, visited, stamp)
 	}
 }
 
 // walkSources recursively classifies the inputs of rec's producer.
-func (pl *planner) walkSources(c *cand, rec *record, backAt sim.Time, inSet, visited map[string]bool) {
+func (pl *planner) walkSources(c *cand, rec *record, backAt sim.Time, inSet []bool, visited []int32, stamp int32) {
 	for _, in := range rec.t.Inputs {
-		if visited[in.ID] {
+		i := in.Idx
+		ir := pl.tk.lookup(i)
+		if ir == nil {
+			// Never accessed: it stays wherever replay finds it.
+			c.srcs = addSrc(c.srcs, i)
 			continue
 		}
-		visited[in.ID] = true
-		ir, ok := pl.tk.records[in.ID]
-		if !ok || in.Persistent {
-			c.srcs[in.ID] = true
+		if visited[i] == stamp {
 			continue
 		}
-		if inSet[in.ID] {
+		visited[i] = stamp
+		switch {
+		case in.Persistent:
+			c.srcs = addSrc(c.srcs, i)
+		case inSet[i]:
 			// A fellow candidate: assumed in GPU memory for now; the
 			// selection loop corrects this when it is chosen (§4.5).
-			c.srcs[in.ID] = true
-			continue
-		}
-		if ir.deallocAt == liveForever || ir.deallocAt > backAt {
+			c.srcs = addSrc(c.srcs, i)
+		case ir.deallocAt == liveForever || ir.deallocAt > backAt:
 			// Alive at the back-access; serves as the replay source.
-			c.srcs[in.ID] = true
-			continue
+			c.srcs = addSrc(c.srcs, i)
+		default:
+			// Dead by then: must be replayed as well.
+			c.rpTime += ir.producerDur
+			pl.walkSources(c, ir, backAt, inSet, visited, stamp)
 		}
-		// Dead by then: must be replayed as well.
-		c.rpTime += ir.producerDur
-		pl.walkSources(c, ir, backAt, inSet, visited)
 	}
+}
+
+// addSrc inserts i into the sorted source set s.
+func addSrc(s []int32, i int32) []int32 {
+	at, found := slices.BinarySearch(s, i)
+	if found {
+		return s
+	}
+	return slices.Insert(s, at, i)
+}
+
+// hasSrc reports whether the sorted source set s holds i.
+func hasSrc(s []int32, i int32) bool {
+	_, found := slices.BinarySearch(s, i)
+	return found
+}
+
+// resource replaces i in the sorted source set s by the sources of i's
+// own recomputation: s now starts its replay where i's starts.
+func resource(s []int32, i int32, from []int32) []int32 {
+	at, _ := slices.BinarySearch(s, i)
+	s = slices.Delete(s, at, at+1)
+	for _, x := range from {
+		s = addSrc(s, x)
+	}
+	return s
 }
 
 // chooseNext implements Algorithm 1's comparison: the remaining candidate
 // with the least swap overhead (including PCIe-lane saturation) versus the
-// one with the highest MSPS; the cheaper of the two is selected. Returns
-// nil when no candidate is usable.
-func (pl *planner) chooseNext(rest []*cand) (*cand, bool) {
-	var bestSwap, bestRec *cand
-	for _, c := range rest {
+// one with the highest MSPS; the cheaper of the two is selected. It
+// returns the candidate's position in rest, or -1 when no candidate is
+// usable. Ties keep the first in rest.
+func (pl *planner) chooseNext(rest []*cand) (int, bool) {
+	bestSwap, bestRec := -1, -1
+	var swapOv sim.Time
+	var recMSPS float64
+	for i, c := range rest {
 		if !pl.opts.RecomputeOnly {
-			if bestSwap == nil || pl.effSwapOverhead(c) < pl.effSwapOverhead(bestSwap) {
-				bestSwap = c
+			if ov := pl.effSwapOverhead(c); bestSwap < 0 || ov < swapOv {
+				bestSwap, swapOv = i, ov
 			}
 		}
 		if c.canRecompute {
-			if bestRec == nil || c.msps() > bestRec.msps() {
-				bestRec = c
+			if m := c.msps(); bestRec < 0 || m > recMSPS {
+				bestRec, recMSPS = i, m
 			}
 		}
 	}
 	switch {
-	case bestSwap == nil && bestRec == nil:
-		return nil, false
-	case bestSwap == nil:
+	case bestSwap < 0:
 		return bestRec, false
-	case bestRec == nil:
+	case bestRec < 0:
 		return bestSwap, true
 	}
-	if pl.effSwapOverhead(bestSwap) <= bestRec.recomputeOverhead() {
+	if swapOv <= rest[bestRec].recomputeOverhead() {
 		return bestSwap, true
 	}
 	return bestRec, false
@@ -97,13 +132,13 @@ func (pl *planner) chooseNext(rest []*cand) (*cand, bool) {
 // by c's replay time), and sources shared with already-chosen targets
 // accumulate repeated-recomputation penalties (ext_time).
 func (pl *planner) selectRecompute(p *plan, c *cand, rest []*cand, recomps []*cand) {
-	p.evict[key{c.r.id, c.evictCount}] = actionRecompute
-	p.sizes[c.r.id] = c.r.size
+	p.evict[p.access(c.idx, c.evictCount)] = actionRecompute
+	p.sizes[c.idx] = c.r.size
 	p.numRecompute++
 	p.coveredRecomp += c.r.size
 	if pl.decide != nil {
 		pl.decide(obs.Decision{
-			Tensor: c.r.id, Action: "plan-recompute", Bytes: c.r.size,
+			Tensor: c.id(), Action: "plan-recompute", Bytes: c.r.size,
 			MSPS:       c.msps(),
 			BackAccess: c.backAt - c.evictAt,
 			Reason:     "highest Memory-Saving-Per-Second among recomputable candidates (Algorithm 2)",
@@ -114,11 +149,8 @@ func (pl *planner) selectRecompute(p *plan, c *cand, rest []*cand, recomps []*ca
 	// source from c's sources; each such target replays c again.
 	extCt := sim.Time(1)
 	for _, rp := range recomps {
-		if rp.srcs[c.r.id] {
-			delete(rp.srcs, c.r.id)
-			for s := range c.srcs {
-				rp.srcs[s] = true
-			}
+		if hasSrc(rp.srcs, c.idx) {
+			rp.srcs = resource(rp.srcs, c.idx, c.srcs)
 			extCt++
 		}
 	}
@@ -127,20 +159,20 @@ func (pl *planner) selectRecompute(p *plan, c *cand, rest []*cand, recomps []*ca
 		if cd == c || !cd.canRecompute {
 			continue
 		}
-		if cd.srcs[c.r.id] {
-			delete(cd.srcs, c.r.id)
-			for s := range c.srcs {
-				cd.srcs[s] = true
-			}
+		if hasSrc(cd.srcs, c.idx) {
+			cd.srcs = resource(cd.srcs, c.idx, c.srcs)
 			cd.rpTime += c.rpTime
 			cd.extTime = 0
-			for _, rp := range append(recomps, c) {
-				if rp.srcs[cd.r.id] {
+			for _, rp := range recomps {
+				if hasSrc(rp.srcs, cd.idx) {
 					cd.extTime += cd.rpTime
 				}
 			}
+			if hasSrc(c.srcs, cd.idx) {
+				cd.extTime += cd.rpTime
+			}
 		}
-		if c.srcs[cd.r.id] {
+		if hasSrc(c.srcs, cd.idx) {
 			cd.extTime = extCt * cd.rpTime
 		}
 	}

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
+	"capuchin/internal/graph"
 	"capuchin/internal/sim"
 )
 
@@ -14,6 +16,10 @@ import (
 // structure), so a plan measured on a tuning run applies directly to a
 // production run of the same model and batch size — skipping the measured
 // iteration entirely.
+//
+// The JSON form is also the plan's portable form inside the process: a
+// plan indexes one graph's Idx space, and bind re-keys it by ID when it
+// meets a graph whose Idx differ.
 
 // planVersion guards the serialized format.
 const planVersion = 1
@@ -52,75 +58,110 @@ type seqEntryDTO struct {
 	AtNS  int64  `json:"at_ns"`
 }
 
-// ExportPlan serializes the current plan as JSON. It fails before the
-// Policy Maker has run.
-func (c *Capuchin) ExportPlan(w io.Writer) error {
-	if c.plan == nil {
-		return fmt.Errorf("core: no plan to export (still in measured execution)")
-	}
-	p := c.plan
-	dto := planDTO{
+// dto returns the plan's portable form, keyed by tensor ID and sorted by
+// it.
+func (p *plan) dto() *planDTO {
+	dto := &planDTO{
 		Version:  planVersion,
 		Required: p.required,
 		Peak:     p.peakUsage,
 		Window:   [2]int64{int64(p.windowFrom), int64(p.windowTo)},
-		Sizes:    p.sizes,
+		Sizes:    make(map[string]int64),
 	}
-	for k, action := range p.evict {
+	for i, size := range p.sizes {
+		if size != 0 {
+			dto.Sizes[p.names[i]] = size
+		}
+	}
+	for pos, action := range p.evict {
+		if action == actionNone {
+			continue
+		}
 		name := "swap"
 		if action == actionRecompute {
 			name = "recompute"
 		}
-		dto.Evict = append(dto.Evict, evictDTO{ID: k.id, Count: k.count, Action: name})
+		e := p.seq[pos]
+		dto.Evict = append(dto.Evict, evictDTO{ID: p.names[e.idx], Count: int(e.count), Action: name})
 	}
-	sort.Slice(dto.Evict, func(i, j int) bool {
-		if dto.Evict[i].ID != dto.Evict[j].ID {
-			return dto.Evict[i].ID < dto.Evict[j].ID
+	slices.SortFunc(dto.Evict, func(a, b evictDTO) int {
+		if c := cmp.Compare(a.ID, b.ID); c != 0 {
+			return c
 		}
-		return dto.Evict[i].Count < dto.Evict[j].Count
+		return cmp.Compare(a.Count, b.Count)
 	})
 	for _, sp := range p.swaps {
+		if sp == nil {
+			continue
+		}
 		dto.Swaps = append(dto.Swaps, swapPlanDTO{
-			ID: sp.id, Size: sp.size,
+			ID: p.names[sp.idx], Size: sp.size,
 			EvictCount: sp.evictCount, BackCount: sp.backCount,
 			EvictAtNS: int64(sp.evictAt), BackAtNS: int64(sp.backAt),
 			SwapInNS: int64(sp.swapInDur), TriggerIdx: sp.triggerIdx,
 		})
 	}
-	sort.Slice(dto.Swaps, func(i, j int) bool { return dto.Swaps[i].ID < dto.Swaps[j].ID })
+	slices.SortFunc(dto.Swaps, func(a, b swapPlanDTO) int { return cmp.Compare(a.ID, b.ID) })
 	for _, e := range p.seq {
-		dto.Seq = append(dto.Seq, seqEntryDTO{ID: e.id, Count: e.count, AtNS: int64(e.at)})
+		dto.Seq = append(dto.Seq, seqEntryDTO{ID: p.names[e.idx], Count: int(e.count), AtNS: int64(e.at)})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(dto)
+	return dto
 }
 
-// LoadPlan constructs a Capuchin policy with a previously exported plan:
-// it starts in guided mode immediately, with no measured iteration. The
-// plan must come from the same model, batch size and execution mode.
-func LoadPlan(r io.Reader, opts Options) (*Capuchin, error) {
-	var dto planDTO
-	if err := json.NewDecoder(r).Decode(&dto); err != nil {
-		return nil, fmt.Errorf("core: decoding plan: %w", err)
+// compile builds a plan from its portable form. With a graph, the plan
+// indexes the graph's tensors; IDs the graph lacks (and, without a graph,
+// every ID) get private Idx past the graph's, in order of first mention,
+// which no live access carries: they match nothing. Malformed plans are
+// errors.
+func compile(dto *planDTO, g *graph.Graph) (*plan, error) {
+	var names []string
+	if g != nil {
+		tl := g.TensorList()
+		names = make([]string, len(tl), len(tl)+8)
+		for i, t := range tl {
+			names[i] = t.ID
+		}
 	}
-	if dto.Version != planVersion {
-		return nil, fmt.Errorf("core: plan version %d, want %d", dto.Version, planVersion)
+	private := make(map[string]int32)
+	index := func(id string) int32 {
+		if g != nil {
+			if t := g.Tensor(id); t != nil {
+				return t.Idx
+			}
+		}
+		i, ok := private[id]
+		if !ok {
+			i = int32(len(names))
+			names = append(names, id)
+			private[id] = i
+		}
+		return i
 	}
-	c := New(opts)
-	c.opts.MeasuredIterations = 0 // straight to guided mode
-	p := &plan{
-		evict:      make(map[key]actionKind, len(dto.Evict)),
-		triggers:   make(map[key][]string),
-		swaps:      make(map[string]*swapPlan, len(dto.Swaps)),
-		sizes:      dto.Sizes,
-		required:   dto.Required,
-		peakUsage:  dto.Peak,
-		windowFrom: sim.Time(dto.Window[0]),
-		windowTo:   sim.Time(dto.Window[1]),
+	seq := make([]seqEntry, len(dto.Seq))
+	for i, s := range dto.Seq {
+		seq[i] = seqEntry{idx: index(s.ID), count: int32(s.Count), at: sim.Time(s.AtNS)}
 	}
-	if p.sizes == nil {
-		p.sizes = make(map[string]int64)
+	for _, e := range dto.Evict {
+		index(e.ID)
+	}
+	for _, s := range dto.Swaps {
+		index(s.ID)
+	}
+	ids := make([]string, 0, len(dto.Sizes))
+	for id := range dto.Sizes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		index(id)
+	}
+
+	p := newPlan(names, seq)
+	p.required = dto.Required
+	p.peakUsage = dto.Peak
+	p.windowFrom, p.windowTo = sim.Time(dto.Window[0]), sim.Time(dto.Window[1])
+	for _, id := range ids {
+		p.sizes[index(id)] = dto.Sizes[id]
 	}
 	for _, e := range dto.Evict {
 		action := actionSwap
@@ -131,30 +172,93 @@ func LoadPlan(r io.Reader, opts Options) (*Capuchin, error) {
 		default:
 			return nil, fmt.Errorf("core: unknown plan action %q", e.Action)
 		}
-		p.evict[key{e.ID, e.Count}] = action
+		idx := index(e.ID)
+		pos := p.access(idx, e.Count)
+		if pos < 0 {
+			return nil, fmt.Errorf("core: eviction %s#%d is not in the access sequence", e.ID, e.Count)
+		}
+		p.evict[pos] = action
 		if action == actionRecompute {
 			p.numRecompute++
-			p.coveredRecomp += p.sizes[e.ID]
+			p.coveredRecomp += p.sizes[idx]
 		}
-	}
-	for _, s := range dto.Seq {
-		p.seq = append(p.seq, seqEntry{id: s.ID, count: s.Count, at: sim.Time(s.AtNS)})
 	}
 	for _, s := range dto.Swaps {
-		if s.TriggerIdx >= len(p.seq) {
+		if s.TriggerIdx < -1 || s.TriggerIdx >= len(seq) {
 			return nil, fmt.Errorf("core: swap %s trigger index %d out of range", s.ID, s.TriggerIdx)
 		}
+		idx := index(s.ID)
+		if p.swaps[idx] != nil {
+			return nil, fmt.Errorf("core: duplicate swap %s", s.ID)
+		}
 		sp := &swapPlan{
-			id: s.ID, size: s.Size,
+			idx: idx, size: s.Size,
 			evictCount: s.EvictCount, backCount: s.BackCount,
 			evictAt: sim.Time(s.EvictAtNS), backAt: sim.Time(s.BackAtNS),
 			swapInDur: sim.Time(s.SwapInNS), triggerIdx: s.TriggerIdx,
+			nextTrig: -1,
 		}
-		p.swaps[sp.id] = sp
+		p.swaps[idx] = sp
 		p.registerTrigger(sp)
 		p.numSwap++
 		p.coveredSwap += sp.size
 	}
+	return p, nil
+}
+
+// bind makes p index g's tensors. Rebuilding a graph, or instantiating
+// another batch of its template, keeps every tensor's Idx, so a plan
+// whose names match g's tensors stays as it is. Otherwise — a loaded
+// plan, a plan from another graph — it is re-keyed by ID in place.
+func (p *plan) bind(g *graph.Graph) {
+	tl := g.TensorList()
+	same := true
+	for i, id := range p.names {
+		if id != "" && (i >= len(tl) || tl[i].ID != id) {
+			same = false
+			break
+		}
+	}
+	if same {
+		return
+	}
+	q, err := compile(p.dto(), g)
+	if err != nil {
+		panic("core: rebinding a valid plan failed: " + err.Error())
+	}
+	*p = *q
+}
+
+// ExportPlan serializes the current plan as JSON. It fails before the
+// Policy Maker has run.
+func (c *Capuchin) ExportPlan(w io.Writer) error {
+	if c.plan == nil {
+		return fmt.Errorf("core: no plan to export (still in measured execution)")
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(c.plan.dto())
+}
+
+// LoadPlan constructs a Capuchin policy with a previously exported plan:
+// it starts in guided mode immediately, with no measured iteration. The
+// plan must come from the same model, batch size and execution mode; its
+// tensor IDs resolve against the graph of the first guided iteration, and
+// IDs that graph lacks match nothing.
+func LoadPlan(r io.Reader, opts Options) (*Capuchin, error) {
+	var dto planDTO
+	if err := json.NewDecoder(r).Decode(&dto); err != nil {
+		return nil, fmt.Errorf("core: decoding plan: %w", err)
+	}
+	if dto.Version != planVersion {
+		return nil, fmt.Errorf("core: plan version %d, want %d", dto.Version, planVersion)
+	}
+	p, err := compile(&dto, nil)
+	if err != nil {
+		return nil, err
+	}
+	c := New(opts)
+	c.opts.MeasuredIterations = 0 // straight to guided mode
 	c.plan = p
 	return c, nil
 }

@@ -1,32 +1,27 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 )
 
-// key identifies one specific tensor access: the {tensor_id, access_count}
-// pair the paper uses to trigger memory optimizations across iterations
-// (§5.2).
-type key struct {
-	id    string
-	count int
-}
-
 // actionKind is what guided execution does at an evicted-access.
-type actionKind int
+type actionKind uint8
 
 const (
-	actionSwap actionKind = iota
+	actionNone actionKind = iota
+	actionSwap
 	actionRecompute
 )
 
 // swapPlan is the guided-execution state of one swapped tensor.
 type swapPlan struct {
-	id         string
+	idx        int32
 	size       int64
 	evictCount int
 	backCount  int
@@ -37,17 +32,44 @@ type swapPlan struct {
 	// no in-trigger (fetch on demand at back-access). Feedback moves it
 	// earlier at runtime (§4.4).
 	triggerIdx int
+	// nextTrig links the swaps that share one in-trigger access, in the
+	// order they were bound to it; -1 ends the list.
+	nextTrig int32
 }
 
-// plan is the Policy Maker's output: eviction decisions keyed by access,
-// prefetch in-triggers keyed by access, and bookkeeping for feedback.
+// slot locates one access of one tensor in the plan's access sequence.
+type slot struct {
+	count int32
+	pos   int32
+}
+
+// plan is the Policy Maker's output: eviction decisions and prefetch
+// in-triggers bound to accesses of the measured sequence, and
+// bookkeeping for feedback. It is keyed by tensor Idx throughout; the
+// {tensor_id, access_count} pair the paper uses to trigger memory
+// optimizations across iterations (§5.2) is (Idx, count) here.
 type plan struct {
-	evict    map[key]actionKind
-	triggers map[key][]string     // trigger access -> tensors to prefetch
-	swaps    map[string]*swapPlan // by tensor id
-	// sizes records each evicted tensor's bytes, making the plan
-	// self-contained (usable after export/import without the tracker).
-	sizes map[string]int64
+	// names maps each Idx the plan uses to its tensor ID ("" for tensors
+	// it never saw), for the export, audit and describe edges and for
+	// rebinding the plan to another graph.
+	names []string
+	seq   []seqEntry
+	// slots groups the accesses of seq by tensor: tensor i's accesses
+	// are slots[slotOff[i]:slotOff[i+1]], in sequence order.
+	slotOff []int32
+	slots   []slot
+	// evict and trigHead are indexed by sequence position: the eviction
+	// bound to that access, and the first swap (by Idx) whose prefetch
+	// it triggers, -1 for none. A {tensor, count} pair that occurs twice
+	// in the sequence binds both at its first position.
+	evict    []actionKind
+	trigHead []int32
+	// swaps and sizes are indexed by Idx: the swap plan of each swapped
+	// tensor (nil otherwise) and each evicted tensor's bytes, making the
+	// plan self-contained (usable after export/import without the
+	// tracker).
+	swaps []*swapPlan
+	sizes []int64
 
 	required      int64
 	coveredSwap   int64
@@ -57,34 +79,99 @@ type plan struct {
 	peakUsage     int64
 	windowFrom    sim.Time
 	windowTo      sim.Time
-	seq           []seqEntry
 }
 
-// registerTrigger (re)binds a swap plan's in-trigger access.
-func (p *plan) registerTrigger(sp *swapPlan) {
+// newPlan returns an empty plan over the access sequence seq of a tensor
+// index space named by names.
+func newPlan(names []string, seq []seqEntry) *plan {
+	n := len(names)
+	p := &plan{
+		names:    names,
+		seq:      seq,
+		slotOff:  make([]int32, n+1),
+		evict:    make([]actionKind, len(seq)),
+		trigHead: make([]int32, len(seq)),
+		swaps:    make([]*swapPlan, n),
+		sizes:    make([]int64, n),
+	}
+	off := p.slotOff
+	for _, e := range seq {
+		off[e.idx+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// off[i] is now where tensor i's slots start; filling them moves it
+	// to where they end, which the shift below turns back into starts.
+	p.slots = make([]slot, off[n])
+	for pos, e := range seq {
+		p.trigHead[pos] = -1
+		p.slots[off[e.idx]] = slot{count: e.count, pos: int32(pos)}
+		off[e.idx]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return p
+}
+
+// access returns the sequence position of tensor idx's access number
+// count, or -1 when the measured iteration has no such access.
+func (p *plan) access(idx int32, count int) int {
+	if idx < 0 || int(idx) >= len(p.swaps) {
+		return -1
+	}
+	for _, s := range p.slots[p.slotOff[idx]:p.slotOff[idx+1]] {
+		if int(s.count) == count {
+			return int(s.pos)
+		}
+	}
+	return -1
+}
+
+// swapOf returns tensor idx's swap plan, or nil.
+func (p *plan) swapOf(idx int32) *swapPlan {
+	if idx < 0 || int(idx) >= len(p.swaps) {
+		return nil
+	}
+	return p.swaps[idx]
+}
+
+// triggerPos is the sequence position a swap plan's in-trigger binds to,
+// or -1 for none.
+func (p *plan) triggerPos(sp *swapPlan) int {
 	if sp.triggerIdx < 0 {
-		return
+		return -1
 	}
 	e := p.seq[sp.triggerIdx]
-	k := key{e.id, e.count}
-	p.triggers[k] = append(p.triggers[k], sp.id)
+	return p.access(e.idx, int(e.count))
+}
+
+// registerTrigger (re)binds a swap plan's in-trigger access, appending it
+// to the access's list.
+func (p *plan) registerTrigger(sp *swapPlan) {
+	pos := p.triggerPos(sp)
+	if pos < 0 {
+		return
+	}
+	sp.nextTrig = -1
+	link := &p.trigHead[pos]
+	for *link >= 0 {
+		link = &p.swaps[*link].nextTrig
+	}
+	*link = sp.idx
 }
 
 // unregisterTrigger removes a swap plan's current in-trigger binding.
 func (p *plan) unregisterTrigger(sp *swapPlan) {
-	if sp.triggerIdx < 0 {
+	pos := p.triggerPos(sp)
+	if pos < 0 {
 		return
 	}
-	e := p.seq[sp.triggerIdx]
-	k := key{e.id, e.count}
-	list := p.triggers[k]
-	for i, id := range list {
-		if id == sp.id {
-			// Keep the emptied slice in the map: feedback rebinding moves
-			// triggers every adjustment, and retaining capacity means a
-			// later re-bind to this access appends without allocating.
-			p.triggers[k] = append(list[:i], list[i+1:]...)
-			break
+	for link := &p.trigHead[pos]; *link >= 0; link = &p.swaps[*link].nextTrig {
+		if *link == sp.idx {
+			*link = sp.nextTrig
+			sp.nextTrig = -1
+			return
 		}
 	}
 }
@@ -100,17 +187,25 @@ const minCandidateBytes = 256 << 10
 // recomputation state (Algorithm 2).
 type cand struct {
 	r          *record
+	idx        int32
 	evictCount int
 	backCount  int
 	evictAt    sim.Time
 	backAt     sim.Time
 	ft         sim.Time
+	// inDur is the tensor's swap-in time, computed once.
+	inDur sim.Time
 
 	canRecompute bool
-	srcs         map[string]bool
-	rpTime       sim.Time
-	extTime      sim.Time
+	// srcs is the sorted set of tensors (by Idx) the recomputation
+	// replays from.
+	srcs    []int32
+	rpTime  sim.Time
+	extTime sim.Time
 }
+
+// id is the candidate tensor's ID, for tie-breaks and the audit log.
+func (c *cand) id() string { return c.r.t.ID }
 
 // msps is Memory Saving Per Second (Eq. 2): bytes saved per second of
 // recomputation.
@@ -182,7 +277,7 @@ func (pl *planner) swapLaneBudget() int64 {
 func (pl *planner) effSwapOverhead(c *cand) sim.Time {
 	base := c.swapOverhead()
 	if pl.swapConsumed+c.r.size > pl.swapBudget {
-		base += pl.swapIn(c.r.size)
+		base += c.inDur
 	}
 	return base
 }
@@ -190,13 +285,13 @@ func (pl *planner) effSwapOverhead(c *cand) sim.Time {
 // build runs candidate identification (§4.5), the swap-first selection,
 // and the hybrid Algorithm 1 loop.
 func (pl *planner) build() *plan {
-	p := &plan{
-		evict:    make(map[key]actionKind),
-		triggers: make(map[key][]string),
-		swaps:    make(map[string]*swapPlan),
-		sizes:    make(map[string]int64),
-		seq:      pl.tk.seq,
+	names := make([]string, len(pl.tk.records))
+	for i := range pl.tk.records {
+		if t := pl.tk.records[i].t; t != nil {
+			names[i] = t.ID
+		}
 	}
+	p := newPlan(names, pl.tk.seq)
 	curve, peak := pl.tk.usageCurve()
 	p.peakUsage = peak
 	headroom := pl.opts.Headroom
@@ -223,12 +318,13 @@ func (pl *planner) build() *plan {
 	p.windowFrom, p.windowTo = wFrom, wTo
 
 	candidates := pl.identifyCandidates(wFrom, wTo)
-	// Ranked by Free Time, longest first (§4.5).
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].ft != candidates[j].ft {
-			return candidates[i].ft > candidates[j].ft
+	// Ranked by Free Time, longest first (§4.5); IDs are unique, so the
+	// order is total and independent of the order candidates were found.
+	slices.SortFunc(candidates, func(a, b *cand) int {
+		if c := cmp.Compare(b.ft, a.ft); c != 0 {
+			return c
 		}
-		return candidates[i].r.id < candidates[j].r.id
+		return cmp.Compare(a.id(), b.id())
 	})
 
 	// Phase A: swaps whose transfer hides completely under computation,
@@ -252,10 +348,11 @@ func (pl *planner) build() *plan {
 		pl.initRecompute(rest)
 		var recomps []*cand
 		for remaining > 0 && len(rest) > 0 {
-			c, isSwap := pl.chooseNext(rest)
-			if c == nil {
+			i, isSwap := pl.chooseNext(rest)
+			if i < 0 {
 				break
 			}
+			c := rest[i]
 			if isSwap {
 				pl.selectSwap(p, c, "lowest swap overhead beat best-MSPS recomputation (Algorithm 1)")
 			} else {
@@ -263,7 +360,7 @@ func (pl *planner) build() *plan {
 				recomps = append(recomps, c)
 			}
 			remaining -= c.r.size
-			rest = removeCand(rest, c)
+			rest = slices.Delete(rest, i, i+1)
 		}
 	}
 	pl.scheduleTriggers(p)
@@ -286,15 +383,17 @@ func (pl *planner) build() *plan {
 // runtime loop corrects residual error; without it (the ATP+DS ablation)
 // each trigger naively assumes a dedicated lane.
 func (pl *planner) scheduleTriggers(p *plan) {
-	plans := make([]*swapPlan, 0, len(p.swaps))
+	plans := make([]*swapPlan, 0, p.numSwap)
 	for _, sp := range p.swaps {
-		plans = append(plans, sp)
-	}
-	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].backAt != plans[j].backAt {
-			return plans[i].backAt < plans[j].backAt
+		if sp != nil {
+			plans = append(plans, sp)
 		}
-		return plans[i].id < plans[j].id
+	}
+	slices.SortFunc(plans, func(a, b *swapPlan) int {
+		if c := cmp.Compare(a.backAt, b.backAt); c != 0 {
+			return c
+		}
+		return cmp.Compare(p.names[a.idx], p.names[b.idx])
 	})
 	starts := make([]sim.Time, len(plans))
 	if pl.opts.DisableFeedback {
@@ -320,32 +419,28 @@ func (pl *planner) scheduleTriggers(p *plan) {
 // identifyCandidates applies the paper's two conditions: more than one
 // access, and a lifetime overlapping the peak-memory window (§4.5). The
 // swap pair is the consecutive access pair with maximum Free Time.
+// Candidates come back in Idx order.
 func (pl *planner) identifyCandidates(wFrom, wTo sim.Time) []*cand {
-	var out []*cand
-	ids := make([]string, 0, len(pl.tk.records))
-	for id := range pl.tk.records {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r := pl.tk.records[id]
-		if r.t.Persistent || len(r.accesses) < 2 || r.size < minCandidateBytes {
+	var found []cand
+	for i := range pl.tk.records {
+		r := &pl.tk.records[i]
+		if r.t == nil || r.t.Persistent || len(r.accesses) < 2 || r.size < minCandidateBytes {
 			continue
 		}
 		from, to := r.lifetime()
 		if to < wFrom || from > wTo {
 			continue
 		}
-		c := &cand{r: r, ft: sim.Time(-1 << 62)}
+		c := cand{r: r, idx: int32(i), ft: sim.Time(-1 << 62)}
 		outDur := pl.swapOut(r.size)
-		inDur := pl.swapIn(r.size)
-		for i := 0; i+1 < len(r.accesses); i++ {
-			a, b := r.accesses[i], r.accesses[i+1]
+		c.inDur = pl.swapIn(r.size)
+		for j := 0; j+1 < len(r.accesses); j++ {
+			a, b := r.accesses[j], r.accesses[j+1]
 			if b.at <= a.at {
 				continue
 			}
 			// Eq. 1: FT = SwapInStart - SwapOutEnd.
-			ft := (b.at - inDur) - (a.at + outDur)
+			ft := (b.at - c.inDur) - (a.at + outDur)
 			if ft > c.ft {
 				c.ft = ft
 				c.evictCount, c.backCount = a.count, b.count
@@ -358,7 +453,11 @@ func (pl *planner) identifyCandidates(wFrom, wTo sim.Time) []*cand {
 		// Gradients may be produced by multi-output backward nodes,
 		// which lineage replay cannot regenerate; they stay swap-only.
 		c.canRecompute = !r.t.Gradient && !pl.opts.SwapOnly
-		out = append(out, c)
+		found = append(found, c)
+	}
+	out := make([]*cand, len(found))
+	for i := range found {
+		out[i] = &found[i]
 	}
 	return out
 }
@@ -368,24 +467,25 @@ func (pl *planner) identifyCandidates(wFrom, wTo sim.Time) []*cand {
 // audit log.
 func (pl *planner) selectSwap(p *plan, c *cand, reason string) {
 	sp := &swapPlan{
-		id:         c.r.id,
+		idx:        c.idx,
 		size:       c.r.size,
 		evictCount: c.evictCount,
 		backCount:  c.backCount,
 		evictAt:    c.evictAt,
 		backAt:     c.backAt,
-		swapInDur:  pl.swapIn(c.r.size),
+		swapInDur:  c.inDur,
 		triggerIdx: -1,
+		nextTrig:   -1,
 	}
-	p.evict[key{c.r.id, c.evictCount}] = actionSwap
-	p.sizes[c.r.id] = c.r.size
-	p.swaps[c.r.id] = sp
+	p.evict[p.access(c.idx, c.evictCount)] = actionSwap
+	p.sizes[c.idx] = c.r.size
+	p.swaps[c.idx] = sp
 	p.numSwap++
 	p.coveredSwap += c.r.size
 	pl.swapConsumed += c.r.size
 	if pl.decide != nil {
 		pl.decide(obs.Decision{
-			Tensor: c.r.id, Action: "plan-swap", Bytes: c.r.size, Reason: reason,
+			Tensor: c.id(), Action: "plan-swap", Bytes: c.r.size, Reason: reason,
 			FreeTime:   c.ft,
 			BackAccess: c.backAt - c.evictAt,
 		})
@@ -405,7 +505,7 @@ func (pl *planner) chooseInTrigger(p *plan, sp *swapPlan, ideal sim.Time) int {
 		if e.at <= sp.evictAt {
 			return -1 // cannot prefetch before the eviction completes
 		}
-		if e.id == sp.id {
+		if e.idx == sp.idx {
 			idx--
 			continue // don't trigger on the swapped tensor itself
 		}
@@ -431,19 +531,9 @@ func (pl *planner) firstAfter(p *plan, t sim.Time, sp *swapPlan) int {
 		if e.at >= sp.backAt {
 			return -1
 		}
-		if e.id != sp.id {
+		if e.idx != sp.idx {
 			return idx
 		}
 	}
 	return -1
-}
-
-// removeCand removes c from the slice preserving order.
-func removeCand(cs []*cand, c *cand) []*cand {
-	for i, x := range cs {
-		if x == c {
-			return append(cs[:i], cs[i+1:]...)
-		}
-	}
-	return cs
 }

@@ -13,6 +13,7 @@ import (
 
 // observeSynth feeds one access into the tracker.
 func observeSynth(tk *tracker, t *tensor.Tensor, kind exec.AccessKind, at sim.Time, nodeID string) {
+	intern(tk, t)
 	count := t.AccessCount
 	if kind != exec.Dealloc {
 		count++
@@ -25,7 +26,7 @@ func observeSynth(tk *tracker, t *tensor.Tensor, kind exec.AccessKind, at sim.Ti
 // of tensors produced in forward order, a random subset re-read in reverse
 // order during "backward", everything deallocated at its last use.
 func synthTrace(rng *rand.Rand) *tracker {
-	tk := newTracker()
+	tk := newTracker(0)
 	n := 10 + rng.Intn(30)
 	type entry struct {
 		t      *tensor.Tensor
@@ -85,25 +86,34 @@ func TestPlannerInvariantsProperty(t *testing.T) {
 			swapIn:   func(b int64) sim.Time { return sim.FromSeconds(float64(b) / 11e9) },
 		}
 		p := pl.build()
-		for k := range p.evict {
-			r := tk.records[k.id]
-			if r == nil {
-				t.Fatalf("seed %d: plan references unknown tensor %s", seed, k.id)
+		for pos, action := range p.evict {
+			if action == actionNone {
+				continue
 			}
+			k := p.seq[pos]
+			r := tk.lookup(k.idx)
+			if r == nil {
+				t.Fatalf("seed %d: plan references unknown tensor %d", seed, k.idx)
+			}
+			id := r.t.ID
 			if r.t.Persistent {
-				t.Errorf("seed %d: persistent tensor %s selected", seed, k.id)
+				t.Errorf("seed %d: persistent tensor %s selected", seed, id)
 			}
 			if len(r.accesses) < 2 {
-				t.Errorf("seed %d: single-access tensor %s selected", seed, k.id)
+				t.Errorf("seed %d: single-access tensor %s selected", seed, id)
 			}
 			if r.size < minCandidateBytes {
-				t.Errorf("seed %d: tiny tensor %s (%d bytes) selected", seed, k.id, r.size)
+				t.Errorf("seed %d: tiny tensor %s (%d bytes) selected", seed, id, r.size)
 			}
-			if k.count < 1 || k.count > len(r.accesses) {
-				t.Errorf("seed %d: evict count %d out of range for %s", seed, k.count, k.id)
+			if k.count < 1 || int(k.count) > len(r.accesses) {
+				t.Errorf("seed %d: evict count %d out of range for %s", seed, k.count, id)
 			}
 		}
-		for id, sp := range p.swaps {
+		for _, sp := range p.swaps {
+			if sp == nil {
+				continue
+			}
+			id := p.names[sp.idx]
 			if sp.backCount <= sp.evictCount {
 				t.Errorf("seed %d: %s back %d <= evict %d", seed, id, sp.backCount, sp.evictCount)
 			}
@@ -115,11 +125,11 @@ func TestPlannerInvariantsProperty(t *testing.T) {
 				if tr.at <= sp.evictAt || tr.at >= sp.backAt {
 					t.Errorf("seed %d: %s trigger at %v outside (%v, %v)", seed, id, tr.at, sp.evictAt, sp.backAt)
 				}
-				if tr.id == id {
+				if tr.idx == sp.idx {
 					t.Errorf("seed %d: %s triggers on itself", seed, id)
 				}
 			}
-			if _, ok := p.sizes[id]; !ok {
+			if p.sizes[sp.idx] == 0 {
 				t.Errorf("seed %d: swap %s missing size", seed, id)
 			}
 		}
@@ -339,9 +349,10 @@ func TestPlanCacheSizeOneCyclingKeepsActivePlan(t *testing.T) {
 func TestTraceKeysUniqueProperty(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		tk := synthTrace(rand.New(rand.NewSource(seed)))
-		seen := make(map[key]bool)
+		type access struct{ idx, count int32 }
+		seen := make(map[access]bool)
 		for _, e := range tk.seq {
-			k := key{e.id, e.count}
+			k := access{e.idx, e.count}
 			if seen[k] {
 				t.Fatalf("seed %d: duplicate access key %+v", seed, k)
 			}

@@ -3,12 +3,17 @@
 // tensor access pattern of one measured iteration (§4.2) and derives a
 // hybrid swap/recomputation policy (§4.3–4.5) applied — and refined by
 // runtime feedback — to all subsequent iterations.
+//
+// Every per-tensor table in this package is a slice indexed by
+// Tensor.Idx, the tensor's dense index in its graph. Tensor ID strings
+// appear only where a plan leaves the process: the exported JSON plan,
+// audit decisions and DescribePlan.
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"capuchin/internal/exec"
 	"capuchin/internal/sim"
@@ -21,101 +26,80 @@ const liveForever = sim.Time(math.MaxInt64)
 
 // accessRec is one recorded access of one tensor.
 type accessRec struct {
-	count  int
-	at     sim.Time
-	kind   exec.AccessKind
-	nodeID string
+	count int
+	at    sim.Time
 }
 
 // record is the Tensor Access Tracker's per-tensor state: the access list
 // with timestamps, the deallocation time, and the duration of the
 // producing operation measured from the access stream (§4.4 derives
-// recomputation costs by comparing output and input access times).
+// recomputation costs by comparing output and input access times). A
+// record with a nil t belongs to a tensor the iteration never touched.
 type record struct {
 	t           *tensor.Tensor
-	id          string
 	size        int64
 	accesses    []accessRec
 	deallocAt   sim.Time
 	producerDur sim.Time
 }
 
-// lastAccessAt reports the time of the final access in the measured
-// iteration.
-func (r *record) lastAccessAt() sim.Time {
-	if len(r.accesses) == 0 {
-		return 0
-	}
-	return r.accesses[len(r.accesses)-1].at
-}
-
-// accessAt returns the recorded access with the given count.
-func (r *record) accessAt(count int) (accessRec, bool) {
-	for _, a := range r.accesses {
-		if a.count == count {
-			return a, true
-		}
-	}
-	return accessRec{}, false
-}
-
 // seqEntry is one entry of the global access sequence (all tensors, time
-// ordered) used to locate in-trigger accesses.
+// ordered) used to locate in-trigger accesses: tensor idx's access number
+// count.
 type seqEntry struct {
-	id    string
-	count int
+	idx   int32
+	count int32
 	at    sim.Time
 }
 
 // tracker is the Tensor Access Tracker: it consumes the access stream of
 // the measured iteration.
 type tracker struct {
-	records map[string]*record
-	// byIdx is a dense fast path into records keyed by Tensor.Idx for
-	// tensors from an indexed graph; observe runs per access during the
-	// measured iteration, and the string hash dominates it otherwise.
-	// The map stays authoritative — everything else reads records by ID.
-	byIdx []*record
-	seq   []seqEntry
+	// records is indexed by Tensor.Idx.
+	records []record
+	// seq holds every access in observation order until finish sorts it
+	// by time; finish also slices each record's accesses out of it.
+	seq []seqEntry
 	// nodeStart records the first input-read time per node, to derive
-	// operation durations from the access stream.
+	// operation durations from the access stream. An operation reads its
+	// inputs in one burst, so lastRead skips the lookup for the rest of
+	// the burst.
 	nodeStart map[string]sim.Time
+	lastRead  string
 	// endOfIteration is the adjusted time of the last observed access.
 	endOfIteration sim.Time
 }
 
-func newTracker() *tracker {
+// newTracker returns a tracker sized for a graph of n tensors. Most
+// tensors are produced once and read once or twice, and a graph has
+// about as many nodes as tensors.
+func newTracker(n int) *tracker {
 	return &tracker{
-		records:   make(map[string]*record),
-		nodeStart: make(map[string]sim.Time),
+		records:   make([]record, n),
+		seq:       make([]seqEntry, 0, 3*n),
+		nodeStart: make(map[string]sim.Time, n),
 	}
 }
 
-// lookup returns the tensor's record, creating it on first sight.
-func (tk *tracker) lookup(t *tensor.Tensor) *record {
-	r, ok := tk.records[t.ID]
-	if !ok {
-		r = &record{t: t, id: t.ID, size: t.Bytes(), deallocAt: liveForever}
-		tk.records[t.ID] = r
+// lookup returns the record of tensor i, or nil when the measured
+// iteration never touched it.
+func (tk *tracker) lookup(i int32) *record {
+	if i < 0 || int(i) >= len(tk.records) || tk.records[i].t == nil {
+		return nil
 	}
-	return r
+	return &tk.records[i]
 }
 
 // observe ingests one access event from the measured execution.
 func (tk *tracker) observe(acc exec.Access) {
 	t := acc.Tensor
-	var r *record
-	if i := int(t.Idx); i >= 0 {
-		if i >= len(tk.byIdx) {
-			tk.byIdx = append(tk.byIdx, make([]*record, i+1-len(tk.byIdx))...)
-		}
-		r = tk.byIdx[i]
-		if r == nil || r.t != t {
-			r = tk.lookup(t)
-			tk.byIdx[i] = r
-		}
-	} else {
-		r = tk.lookup(t)
+	i := int(t.Idx)
+	if i < 0 || i >= len(tk.records) {
+		return // not a tensor of the measured graph: nothing can key a plan on it
+	}
+	r := &tk.records[i]
+	if r.t == nil {
+		*r = record{t: t, size: t.Bytes(), deallocAt: liveForever}
 	}
 	if acc.At > tk.endOfIteration {
 		tk.endOfIteration = acc.At
@@ -125,38 +109,45 @@ func (tk *tracker) observe(acc exec.Access) {
 		r.deallocAt = acc.At
 		return
 	case exec.Read:
-		if _, seen := tk.nodeStart[acc.NodeID]; !seen {
-			tk.nodeStart[acc.NodeID] = acc.At
+		if acc.NodeID != tk.lastRead || acc.NodeID == "" {
+			tk.lastRead = acc.NodeID
+			if _, seen := tk.nodeStart[acc.NodeID]; !seen {
+				tk.nodeStart[acc.NodeID] = acc.At
+			}
 		}
 	case exec.Produce:
 		if start, seen := tk.nodeStart[acc.NodeID]; seen {
 			r.producerDur = acc.At - start
 		}
 	}
-	r.accesses = append(r.accesses, accessRec{
-		count:  acc.Count,
-		at:     acc.At,
-		kind:   acc.Kind,
-		nodeID: acc.NodeID,
-	})
-	tk.seq = append(tk.seq, seqEntry{id: t.ID, count: acc.Count, at: acc.At})
+	tk.seq = append(tk.seq, seqEntry{idx: int32(i), count: int32(acc.Count), at: acc.At})
 }
 
-// finish sorts the global sequence (already nearly sorted; produce events
-// share timestamps) and returns it.
+// finish groups each tensor's accesses, in observation order, into one
+// block that the records slice, then sorts the global sequence by time
+// (it is nearly sorted already; produce events share timestamps).
 func (tk *tracker) finish() {
-	// slices.SortStableFunc avoids sort.SliceStable's reflection-based
-	// swapper; stability makes the result identical either way.
-	slices.SortStableFunc(tk.seq, func(a, b seqEntry) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		default:
-			return 0
-		}
-	})
+	end := make([]int32, len(tk.records)+1)
+	for _, e := range tk.seq {
+		end[e.idx+1]++
+	}
+	for i := 1; i < len(end); i++ {
+		end[i] += end[i-1]
+	}
+	// end[i] is now where tensor i's block starts; filling the block
+	// moves it to where the block ends.
+	flat := make([]accessRec, len(tk.seq))
+	for _, e := range tk.seq {
+		flat[end[e.idx]] = accessRec{count: int(e.count), at: e.at}
+		end[e.idx]++
+	}
+	var start int32
+	for i := range tk.records {
+		tk.records[i].accesses = flat[start:end[i]:end[i]]
+		start = end[i]
+	}
+	// Stability keeps equal-time accesses in observation order.
+	slices.SortStableFunc(tk.seq, func(a, b seqEntry) int { return cmp.Compare(a.at, b.at) })
 }
 
 // lifetime returns the interval during which the tensor holds device
@@ -174,35 +165,38 @@ type usagePoint struct {
 	usage int64
 }
 
+// usageEvent is one allocation (positive delta) or free (negative).
+type usageEvent struct {
+	at    sim.Time
+	delta int64
+}
+
 // usageCurve reconstructs the hypothetical (infinite-memory) activation
 // usage curve from allocation and deallocation times (§4.5: "we can keep
 // track allocation and deallocation time of tensors to infer memory
 // usage"). Returns the curve and its peak.
 func (tk *tracker) usageCurve() ([]usagePoint, int64) {
-	type event struct {
-		at    sim.Time
-		delta int64
-	}
-	var events []event
-	for _, r := range tk.records {
-		if r.t.Persistent || len(r.accesses) == 0 {
+	events := make([]usageEvent, 0, 2*len(tk.records))
+	for i := range tk.records {
+		r := &tk.records[i]
+		if r.t == nil || r.t.Persistent || len(r.accesses) == 0 {
 			continue
 		}
 		from, to := r.lifetime()
-		events = append(events, event{from, r.size})
+		events = append(events, usageEvent{from, r.size})
 		if to != liveForever {
-			events = append(events, event{to, -r.size})
+			events = append(events, usageEvent{to, -r.size})
 		}
 	}
-	sort.Slice(events, func(i, j int) bool {
-		if events[i].at != events[j].at {
-			return events[i].at < events[j].at
+	// Frees before allocations at equal times: an op's dead inputs
+	// release at its end, where its successor's outputs allocate.
+	slices.SortFunc(events, func(a, b usageEvent) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		// Frees before allocations at equal times: an op's dead inputs
-		// release at its end, where its successor's outputs allocate.
-		return events[i].delta < events[j].delta
+		return cmp.Compare(a.delta, b.delta)
 	})
-	var curve []usagePoint
+	curve := make([]usagePoint, 0, len(events))
 	var usage, peak int64
 	for _, e := range events {
 		usage += e.delta

@@ -103,7 +103,7 @@ func New(g *graph.Graph, dev hw.DeviceSpec) *Policy {
 			if _, dup := p.entries[out.ID]; dup {
 				continue
 			}
-			base := costs[out.ID]
+			base := costs[out.Idx]
 			if base < 1 {
 				base = 1
 			}
