@@ -19,6 +19,7 @@ import (
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
+	"capuchin/internal/obs"
 )
 
 // opts is the paper's configuration: a 16 GB P100.
@@ -398,7 +399,7 @@ func BenchmarkHotPathInstantiate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tmpl, err := spec.Template(graph.GraphModeOptions())
+	tmpl, err := spec.Template(0, graph.GraphModeOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -407,6 +408,29 @@ func BenchmarkHotPathInstantiate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := tmpl.Instantiate(64); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotPathServeCell is one new capuchin-serve run: a traced
+// resnet50/b16 Capuchin cell of 3 iterations on a 2 GiB device, its
+// graph instantiated from a warm template set as the server's is. Its
+// budget pins the serve-sized cell's allocations; sliding back to a
+// build per run adds thousands.
+func BenchmarkHotPathServeCell(b *testing.B) {
+	cfg := bench.RunConfig{
+		Model: "resnet50", Batch: 16, System: bench.SystemCapuchin,
+		Device: hw.P100().WithMemory(2 * hw.GiB), Iterations: 3,
+	}
+	ts := bench.NewTemplates()
+	if r := ts.RunTraced(cfg, obs.NewCollector()); !r.OK {
+		b.Fatal(r.Err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := ts.RunTraced(cfg, obs.NewCollector()); !r.OK {
+			b.Fatal(r.Err)
 		}
 	}
 }

@@ -152,15 +152,17 @@ func main() {
 	rec := trace.NewRecorder(nil, filter)
 	if *schedule != "" {
 		// Dynamic TSV: the recorder follows the run across per-signature
-		// sessions, so the trace shows the drifting access geometry.
+		// sessions, so the trace shows the drifting access geometry. Each
+		// new signature instantiates its graph from the run's templates.
 		sched, err := models.NewSchedule(*schedule, spec, *batch, *scheduleSeed, 0)
 		if err != nil {
 			fatal(err)
 		}
+		ts := bench.NewTemplates()
 		d, err := exec.NewDynamicSession(exec.DynamicConfig{
 			Base: exec.Config{Device: dev, Policy: rec, Faults: plan},
 			Build: func(b, seq int64) (*graph.Graph, error) {
-				return spec.BuildShaped(b, seq, graph.GraphModeOptions())
+				return ts.Graph(spec, exec.GraphMode, b, seq)
 			},
 			Schedule: sched,
 		})
@@ -171,7 +173,8 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		g, err := spec.Build(*batch, graph.GraphModeOptions())
+		var oneShot *bench.Templates // nil: the one graph is built
+		g, err := oneShot.Graph(spec, exec.GraphMode, *batch, 0)
 		if err != nil {
 			fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestSystemNamesRoundTripCacheKeys(t *testing.T) {
 	}
 	// A repeat submission of each system must hit, not re-simulate.
 	r := NewRunner(2)
-	r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *chainTemplate) Result { return Result{Config: cfg, OK: true} }
+	r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *Templates) Result { return Result{Config: cfg, OK: true} }
 	for _, n := range names {
 		cfg := RunConfig{Model: "resnet50", Batch: 8, System: System(n), Device: smallDev()}
 		r.Run(cfg)

@@ -219,11 +219,12 @@ func RunTraced(cfg RunConfig, tr obs.Tracer) Result {
 // was built. It is never cached: whatever the caller keeps, it pins.
 func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cfg, nil, nil) }
 
-// run is the shared body of Run, RunTraced and RunLive. st is the graph
-// template of the chain cfg belongs to (a max-batch search or a fleet
-// profiling chain), or nil: a static single-device cell instantiates its
-// graph from it instead of building the model.
-func run(cfg RunConfig, extra obs.Tracer, st *chainTemplate) (Result, *exec.Session, exec.Policy) {
+// run is the shared body of Run, RunTraced and RunLive. ts is the
+// template set of the run's owner (a serve Server, a max-batch search, a
+// fleet profiling setup), or nil. Every graph the run needs comes from
+// ts; with a nil ts a static single-device run builds its graph, and a
+// cluster or dynamic run owns a set of its own.
+func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
@@ -242,12 +243,12 @@ func run(cfg RunConfig, extra obs.Tracer, st *chainTemplate) (Result, *exec.Sess
 			res.Err = fmt.Errorf("bench: %w", ErrDynamicCluster)
 			return res, nil, nil
 		}
-		return runCluster(cfg, spec, res, extra)
+		return runCluster(cfg, spec, res, extra, ts)
 	}
 	if cfg.Schedule != "" {
-		return runDynamic(cfg, spec, res, extra)
+		return runDynamic(cfg, spec, res, extra, ts)
 	}
-	g, err := st.graph(spec, cfg)
+	g, err := ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
 	if err != nil {
 		res.Err = err
 		return res, nil, nil
@@ -286,8 +287,9 @@ const maxBatchCeiling = 4096
 // search; returns 0 when even batch 1 fails. Runner.MaxBatch is the
 // cached, concurrent-sweep equivalent.
 func MaxBatch(cfg RunConfig) int64 {
-	return maxBatch(cfg, func(c RunConfig, st *chainTemplate) Result {
-		res, _, _ := run(c, nil, st)
+	ts := NewTemplates()
+	return maxBatch(cfg, func(c RunConfig) Result {
+		res, _, _ := run(c, nil, ts)
 		return res
 	})
 }
@@ -295,46 +297,16 @@ func MaxBatch(cfg RunConfig) int64 {
 // maxBatch is the one max-batch search behind MaxBatch and
 // Runner.MaxBatch: it probes cfg at the batches maxBatchSearch picks,
 // simulating each probe through probe, and counts a probe as fitting
-// when it completes without OOM. The search owns a graph template that
-// it hands to every probe and drops when it returns.
-func maxBatch(cfg RunConfig, probe func(RunConfig, *chainTemplate) Result) int64 {
-	st := &chainTemplate{}
+// when it completes without OOM. Every probe is the same model and mode
+// at another batch, so the caller hands probe a template set: the first
+// probe that simulates builds the template and the rest instantiate it.
+func maxBatch(cfg RunConfig, probe func(RunConfig) Result) int64 {
 	return maxBatchSearch(func(b int64) bool {
 		c := cfg
 		c.Batch = b
-		res := probe(c, st)
+		res := probe(c)
 		return res.OK && !errors.Is(res.Err, exec.ErrIterationOOM)
 	})
-}
-
-// chainTemplate is the graph template of a chain: a sequence of cells of
-// one model and mode, run one at a time on one goroutine. A max-batch
-// search is one (every probe is the same model at a different batch), and
-// so is a fleet workload's profiling run plus its cap anchors (the same
-// model and batch under different systems and devices). The first cell
-// of the chain that simulates builds the template and every later one
-// instantiates it (graph.Template): a copy instead of a build. A cell
-// served from the Runner's cache never builds it. The chain's cells run
-// one at a time on its goroutine, so the template needs no lock, and it
-// dies with the chain, so nothing outlives a sweep.
-type chainTemplate struct {
-	tmpl *graph.Template
-}
-
-// graph returns cfg's training graph: instantiated from the chain's
-// template when st is non-nil, built from scratch otherwise.
-func (st *chainTemplate) graph(spec models.Spec, cfg RunConfig) (*graph.Graph, error) {
-	if st == nil {
-		return spec.Build(cfg.Batch, buildOptions(cfg.Mode))
-	}
-	if st.tmpl == nil {
-		t, err := spec.Template(buildOptions(cfg.Mode))
-		if err != nil {
-			return nil, err
-		}
-		st.tmpl = t
-	}
-	return st.tmpl.Instantiate(cfg.Batch)
 }
 
 // maxBatchSearch is the probe sequence of every max-batch search: batch

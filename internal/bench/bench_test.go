@@ -129,10 +129,10 @@ func TestMaxBatchSearchProbeOrder(t *testing.T) {
 // search's template yields the Result a fresh build does, and a search
 // for an unknown model still answers 0.
 func TestSearchTemplateProbesMatchBuild(t *testing.T) {
-	st := &chainTemplate{}
+	ts := NewTemplates()
 	for _, b := range []int64{8, 24} {
 		cfg := RunConfig{Model: "resnet50", Batch: b, System: SystemCapuchin, Device: smallDev(), Iterations: 2}
-		got, _, _ := run(cfg, nil, st)
+		got, _, _ := run(cfg, nil, ts)
 		if want := Run(cfg); !got.OK || !reflect.DeepEqual(got, want) {
 			t.Errorf("batch %d: templated probe %+v, want %+v", b, got, want)
 		}

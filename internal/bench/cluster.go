@@ -32,8 +32,13 @@ type ClusterReport struct {
 // runCluster executes one multi-device configuration: N replicas of the
 // model over a shared PCIe-ring interconnect. extra, when non-nil,
 // receives the live (replica-grouped) event stream (RunTraced). The
-// returned session and policy are replica 0's.
-func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
+// replicas instantiate their graphs from ts, or, when ts is nil, from a
+// set the run owns, so the model is built once however many replicas
+// there are. The returned session and policy are replica 0's.
+func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, ts *Templates) (Result, *exec.Session, exec.Policy) {
+	if ts == nil {
+		ts = NewTemplates()
+	}
 	var col *obs.Collector
 	var met *obs.Metrics
 	if cfg.Profile {
@@ -49,7 +54,7 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) (
 		CommAware:    !cfg.CommOblivious,
 		Tracer:       obs.Tee(collectorOrNil(col), extra),
 		Build: func(replica int) (*graph.Graph, error) {
-			return spec.Build(cfg.Batch, buildOptions(cfg.Mode))
+			return ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
 		},
 		Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
 			ec, _, _, err := execConfig(baseCfg, g, nil)

@@ -31,8 +31,13 @@ type DynamicReport struct {
 // runDynamic executes one configuration through the dynamic engine. It
 // mirrors the static tail of Run: stats, steady state, throughput and
 // plan summary are populated the same way, plus the DynamicReport.
-// extra, when non-nil, receives the live event stream (RunTraced).
-func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
+// extra, when non-nil, receives the live event stream (RunTraced). Each
+// new shape signature instantiates its graph from the template of its
+// sequence length in ts, or, when ts is nil, in a set the run owns.
+func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, ts *Templates) (Result, *exec.Session, exec.Policy) {
+	if ts == nil {
+		ts = NewTemplates()
+	}
 	sched, err := models.NewSchedule(cfg.Schedule, spec, cfg.Batch, cfg.ScheduleSeed, cfg.SchedulePeriod)
 	if err != nil {
 		res.Err = err
@@ -46,7 +51,7 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer) (
 	d, err := exec.NewDynamicSession(exec.DynamicConfig{
 		Base: ec,
 		Build: func(batch, seq int64) (*graph.Graph, error) {
-			return spec.BuildShaped(batch, seq, buildOptions(cfg.Mode))
+			return ts.Graph(spec, cfg.Mode, batch, seq)
 		},
 		Schedule: sched,
 	})

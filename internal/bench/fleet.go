@@ -49,11 +49,11 @@ const profileSteadyIters = 4
 // iteration is the steady profile and whose first fleet.DefaultWarmupIters
 // iterations are the sandbox warmup (Session.Run is a plain loop, so that
 // prefix is exactly what a warmup-length run would report), then the
-// Capuchin cap anchors under a capped device. The chain's cells share one
-// graph template (chainTemplate), and every cell goes through the
-// Runner's cache, so repeated workloads across the three fleet scenarios
-// simulate once. Profile is safe for concurrent use: chains for
-// different workloads run side by side, bounded by the Runner's slots.
+// Capuchin cap anchors under a capped device. The chain's cells take their
+// graphs from one template set, and every cell goes through the Runner's
+// cache, so repeated workloads across the three fleet scenarios simulate
+// once. Profile is safe for concurrent use: chains for different
+// workloads run side by side, bounded by the Runner's slots.
 type ExecProfiler struct {
 	Runner *Runner
 	// Device is the fleet's device model; profiling runs on an uncapped
@@ -66,8 +66,16 @@ type ExecProfiler struct {
 
 var _ fleet.Profiler = (*ExecProfiler)(nil)
 
-// Profile implements fleet.Profiler.
+// Profile implements fleet.Profiler. The call owns the template set its
+// chain instantiates from.
 func (p *ExecProfiler) Profile(w fleet.Workload) (fleet.Profile, error) {
+	return p.profile(w, NewTemplates())
+}
+
+// profile is Profile with the template set of the profiling's owner:
+// fleetSetup shares one across the menu, so menu entries of one model
+// build its template once.
+func (p *ExecProfiler) profile(w fleet.Workload, ts *Templates) (fleet.Profile, error) {
 	p.mu.Lock()
 	if prof, ok := p.cache[w]; ok {
 		p.mu.Unlock()
@@ -75,13 +83,11 @@ func (p *ExecProfiler) Profile(w fleet.Workload) (fleet.Profile, error) {
 	}
 	p.mu.Unlock()
 
-	// Every cell below is w's model in graph mode, run one at a time on
-	// this goroutine: one chain, one template.
-	st := &chainTemplate{}
+	// Every cell below is w's model in graph mode: one template.
 	cell := func(sys System, dev hw.DeviceSpec) Result {
 		return p.Runner.runCell(p.Runner.ctx, RunConfig{
 			Model: w.Model, Batch: w.Batch, System: sys, Device: dev, Iterations: profileSteadyIters,
-		}, st)
+		}, ts)
 	}
 
 	steady := cell(SystemTF, p.Device.WithMemory(256*hw.GiB))
@@ -213,13 +219,15 @@ func (fc FleetComparison) WriteJSON(w io.Writer) error {
 // contended at any size — offered load ≈ 1.4× capacity. Each menu entry
 // is profiled as one chain on its own goroutine; the Runner's slots bound
 // how many cells simulate at once, and an error is the earliest failing
-// menu entry's.
+// menu entry's. The setup owns one template set for the whole menu,
+// garbage once it returns.
 func fleetSetup(o Options, fo FleetOptions) (menu []fleet.Workload, prof *ExecProfiler, mean sim.Time, err error) {
 	menu = fleetWorkloads(o.Quick)
 	prof = &ExecProfiler{Runner: o.Runner, Device: o.Device}
 	profs := make([]fleet.Profile, len(menu))
+	ts := NewTemplates()
 	if err := fanOut(len(menu), len(menu), func(i int) (err error) {
-		profs[i], err = prof.Profile(menu[i])
+		profs[i], err = prof.profile(menu[i], ts)
 		return err
 	}); err != nil {
 		return nil, nil, 0, err

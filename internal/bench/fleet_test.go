@@ -145,7 +145,7 @@ func TestFleetScenariosErrorIsDeterministic(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		o := fleetTestOpts(jobs)
 		o.Runner = NewRunner(jobs)
-		o.Runner.runFn = func(cfg RunConfig, tr obs.Tracer, st *chainTemplate) Result {
+		o.Runner.runFn = func(cfg RunConfig, tr obs.Tracer, ts *Templates) Result {
 			if cfg.System == SystemTF {
 				switch cfg.Model {
 				case first.Model:
@@ -155,7 +155,7 @@ func TestFleetScenariosErrorIsDeterministic(t *testing.T) {
 					return Result{Config: cfg, Err: fmt.Errorf("injected failure of %s", second.Model)}
 				}
 			}
-			res, _, _ := run(cfg, tr, st)
+			res, _, _ := run(cfg, tr, ts)
 			return res
 		}
 		_, err := FleetScenarios(o, FleetOptions{})

@@ -22,13 +22,18 @@ import (
 // EnableProfiling), not by their simulations. Callers that need a live
 // session call RunLive, which is never cached.
 //
+// The Runner owns no graph templates. A MaxBatch search, a MaxBatchAll
+// call and a fleet profiling setup each own a Templates set that their
+// cells instantiate graphs from, and the set is garbage when they
+// return; any other cell runs on a nil set (see run). So a sweep's live
+// heap never holds the templates of the models it has finished with.
+//
 // Safety rests on two properties this package tests:
 //
 //   - every exec.Session is self-contained: each cell builds a fresh
-//     graph (or instantiates one from its chain's immutable
-//     graph.Template), the model registry is read-only after init, and
-//     hw.DeviceSpec has value semantics, so concurrent cells share no
-//     mutable state;
+//     graph or instantiates one from an immutable graph.Template, the
+//     model registry is read-only after init, and hw.DeviceSpec has
+//     value semantics, so concurrent cells share no mutable state;
 //   - the simulator is deterministic: a cell's Result depends only on its
 //     RunConfig, never on scheduling, so parallel results are
 //     byte-identical to serial ones and caching is sound.
@@ -45,9 +50,10 @@ type Runner struct {
 	sem  chan struct{}
 
 	// runFn executes one cell, with the tracer an Observe hook returned
-	// for it (or nil) and the graph template of the chain it belongs to
-	// (or nil); it is run except in tests that inject failures.
-	runFn func(RunConfig, obs.Tracer, *chainTemplate) Result
+	// for it (or nil) and the template set of the search or profiling
+	// setup it belongs to (or nil); it is run except in tests that inject
+	// failures.
+	runFn func(RunConfig, obs.Tracer, *Templates) Result
 
 	// traceFor, when set via Observe, is consulted once per actually
 	// simulated cell (cache hits never re-observe) with the cell's
@@ -96,8 +102,8 @@ func NewRunnerContext(ctx context.Context, jobs int) *Runner {
 		jobs: jobs,
 		ctx:  ctx,
 		sem:  make(chan struct{}, jobs),
-		runFn: func(cfg RunConfig, tr obs.Tracer, st *chainTemplate) Result {
-			res, _, _ := run(cfg, tr, st)
+		runFn: func(cfg RunConfig, tr obs.Tracer, ts *Templates) Result {
+			res, _, _ := run(cfg, tr, ts)
 			return res
 		},
 		agg:   obs.NewMetrics(),
@@ -202,10 +208,11 @@ func (r *Runner) RunContext(ctx context.Context, cfg RunConfig) Result {
 	return r.runCell(ctx, cfg, nil)
 }
 
-// runCell is RunContext for a cell of the chain whose graph template is
-// st (a max-batch search or a fleet profiling chain; st is nil outside
-// one). Only a cache miss uses st, and it runs on the caller's goroutine.
-func (r *Runner) runCell(ctx context.Context, cfg RunConfig, st *chainTemplate) Result {
+// runCell is RunContext for a cell whose graphs come from the template
+// set ts (a max-batch search's, a MaxBatchAll call's or a fleet
+// profiling setup's; nil outside one). Only a cache miss uses ts, and it
+// runs on the caller's goroutine.
+func (r *Runner) runCell(ctx context.Context, cfg RunConfig, ts *Templates) Result {
 	if ctx == nil {
 		ctx = r.ctx
 	}
@@ -237,7 +244,7 @@ func (r *Runner) runCell(ctx context.Context, cfg RunConfig, st *chainTemplate) 
 		r.cache[key] = e
 		r.mu.Unlock()
 
-		e.res = r.execute(ctx, key, profile, st)
+		e.res = r.execute(ctx, key, profile, ts)
 		// Completion and cache finalization are one critical section:
 		// removing an aborted entry after closing done would open a window
 		// where late arrivals observe the abort as a memoized hit,
@@ -261,9 +268,9 @@ func aborted(err error) bool {
 // Only computing goroutines hold slots — cache waiters do not — so a
 // MaxBatch search waiting on another search's probe cannot deadlock the
 // pool. cfg is the cell's canonical key; profile is the post-keying
-// profiling decision (explicit Profile or the runner-wide switch); st is
-// the cell's chain template, or nil.
-func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, st *chainTemplate) (res Result) {
+// profiling decision (explicit Profile or the runner-wide switch); ts is
+// the cell's template set, or nil.
+func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, ts *Templates) (res Result) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -296,7 +303,7 @@ func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, st *c
 	if profile {
 		cfg.Profile = true
 	}
-	return r.runFn(cfg, tr, st)
+	return r.runFn(cfg, tr, ts)
 }
 
 // RunAll executes the configurations concurrently (bounded by the worker
@@ -319,24 +326,34 @@ func (r *Runner) RunAll(cfgs []RunConfig) []Result {
 // configuration (cfg.Batch is ignored), with every probe served through
 // the cache. The search itself is sequential — each probe depends on the
 // last — but independent searches fan out across the pool, and repeated
-// searches are nearly free. The probes the search simulates instantiate
-// its graph template instead of rebuilding the model.
+// searches are nearly free. The search owns a template set, so the
+// probes it simulates instantiate one graph template instead of
+// rebuilding the model; the set is garbage once the search returns.
 func (r *Runner) MaxBatch(cfg RunConfig) int64 {
-	return maxBatch(cfg, func(c RunConfig, st *chainTemplate) Result {
-		return r.runCell(r.ctx, c, st)
+	return r.maxBatch(cfg, NewTemplates())
+}
+
+// maxBatch is Runner.MaxBatch with the template set of the search's
+// owner.
+func (r *Runner) maxBatch(cfg RunConfig, ts *Templates) int64 {
+	return maxBatch(cfg, func(c RunConfig) Result {
+		return r.runCell(r.ctx, c, ts)
 	})
 }
 
 // MaxBatchAll runs the max-batch searches concurrently, returning results
-// in submission order.
+// in submission order. The call owns one template set that all its
+// searches share, so searches of one model and mode build its template
+// once; the set is garbage once the call returns.
 func (r *Runner) MaxBatchAll(cfgs []RunConfig) []int64 {
+	ts := NewTemplates()
 	out := make([]int64, len(cfgs))
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
 		wg.Add(1)
 		go func(i int, cfg RunConfig) {
 			defer wg.Done()
-			out[i] = r.MaxBatch(cfg)
+			out[i] = r.maxBatch(cfg, ts)
 		}(i, cfg)
 	}
 	wg.Wait()

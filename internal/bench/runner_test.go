@@ -129,7 +129,7 @@ func TestRunnerCacheMemoizes(t *testing.T) {
 
 func TestRunnerPanicBecomesFailedResult(t *testing.T) {
 	r := NewRunner(2)
-	r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *chainTemplate) Result {
+	r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *Templates) Result {
 		if cfg.Model == "boom" {
 			panic("synthetic cell failure")
 		}
@@ -182,7 +182,7 @@ func TestRunnerAbortedFlightNotServedToLiveCallers(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int64
-	r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *chainTemplate) Result {
+	r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *Templates) Result {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-release
@@ -283,7 +283,7 @@ func TestRunnerCancelStress(t *testing.T) {
 	const trials = 8
 	for trial := 0; trial < trials; trial++ {
 		r := NewRunner(2)
-		r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *chainTemplate) Result {
+		r.runFn = func(cfg RunConfig, _ obs.Tracer, _ *Templates) Result {
 			time.Sleep(200 * time.Microsecond) // hold worker slots so queued cells pile up
 			return Result{Config: cfg, OK: true}
 		}

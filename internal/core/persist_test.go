@@ -131,7 +131,7 @@ func newFuzzCell(tb testing.TB) fuzzCell {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tmpl, err := spec.Template(graph.GraphModeOptions())
+	tmpl, err := spec.Template(0, graph.GraphModeOptions())
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -61,11 +61,13 @@ func (s Spec) BuildShaped(batch, seq int64, opt graph.BuildOptions) (*graph.Grap
 // is, which is the rule graph.Template.Instantiate rescales by.
 const TemplateBatch = 1_000_003
 
-// Template builds the model's training graph once, at TemplateBatch, for
+// Template builds the model's training graph at sequence length seq
+// (0 = the default shape, as for BuildShaped) once, at TemplateBatch, for
 // a caller that needs it at many batch sizes: each Instantiate then
-// costs a copy instead of a build. A single graph is cheaper from Build.
-func (s Spec) Template(opt graph.BuildOptions) (*graph.Template, error) {
-	g, err := s.Build(TemplateBatch, opt)
+// costs a copy instead of a build. A single graph is cheaper from
+// BuildShaped.
+func (s Spec) Template(seq int64, opt graph.BuildOptions) (*graph.Template, error) {
+	g, err := s.BuildShaped(TemplateBatch, seq, opt)
 	if err != nil {
 		return nil, err
 	}

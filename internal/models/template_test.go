@@ -39,7 +39,7 @@ func TestTemplateMatchesBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range buildModes {
-			tmpl, err := spec.Template(mode.opt)
+			tmpl, err := spec.Template(0, mode.opt)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, mode.name, err)
 			}
@@ -51,13 +51,9 @@ func TestTemplateMatchesBuild(t *testing.T) {
 				compareTemplate(t, fmt.Sprintf("%s/%s/b%d", name, mode.name, b), tmpl, b, want)
 			}
 			for _, seq := range spec.SeqBuckets {
-				g, err := spec.BuildSeq(models.TemplateBatch, seq, mode.opt)
+				tmpl, err := spec.Template(seq, mode.opt)
 				if err != nil {
-					t.Fatal(err)
-				}
-				tmpl, err := graph.NewTemplate(g, models.TemplateBatch)
-				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s/%s/seq%d: %v", name, mode.name, seq, err)
 				}
 				for _, b := range templateBatches {
 					want, err := spec.BuildSeq(b, seq, mode.opt)
@@ -168,7 +164,7 @@ func TestTemplateConcurrentInstantiate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := graph.GraphModeOptions()
-	tmpl, err := spec.Template(opt)
+	tmpl, err := spec.Template(0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

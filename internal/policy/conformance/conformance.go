@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 
+	"capuchin/internal/bench"
 	"capuchin/internal/exec"
 	"capuchin/internal/fault"
 	"capuchin/internal/graph"
@@ -109,12 +110,14 @@ func wrap(p exec.Policy) (exec.Policy, *checker) {
 // referenceMemory is the uncapped baseline's device memory.
 const referenceMemory = 256 * hw.GiB
 
+// buildGraph builds the scenario's graph; each is used by one session.
 func buildGraph(sc Scenario) (*graph.Graph, error) {
 	spec, err := models.Get(sc.Model)
 	if err != nil {
 		return nil, err
 	}
-	return spec.Build(sc.Batch, graph.GraphModeOptions())
+	var oneShot *bench.Templates // nil: the graph is built
+	return oneShot.Graph(spec, exec.GraphMode, sc.Batch, 0)
 }
 
 // Reference runs the fault-free, uncapped baseline and returns its

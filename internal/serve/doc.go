@@ -1,6 +1,6 @@
 // Package serve turns the simulator into a long-running,
-// traffic-bearing HTTP/JSON service: capuchin-serve runs bench.RunTraced
-// on a bounded worker pool behind a small REST surface so many
+// traffic-bearing HTTP/JSON service: capuchin-serve runs traced bench
+// simulations on a bounded worker pool behind a small REST surface so many
 // concurrent clients can submit simulation runs, stream their progress,
 // and fetch results and Perfetto traces by ID.
 //
@@ -23,9 +23,15 @@
 // A bounded worker pool, sized independently of HTTP handler
 // concurrency, is the only bound on concurrent simulations; an
 // admission queue with a depth bound sheds load with 429 + Retry-After
-// before the pool is overwhelmed. Each run records into one
-// obs.Collector passed to bench.RunTraced (tracing is outcome-neutral,
-// so streamed and direct results are byte-identical); the event stream
+// before the pool is overwhelmed. The server owns one bench.Templates
+// set for its lifetime, so each run instantiates its graph from a
+// template instead of building the model. The set holds at most one
+// template per registered model, mode and sequence bucket, so it never
+// grows past the finite registry: 34 templates and about 42 MB for all
+// of it, 0.86 MB for alexnet, mobilenetv2 and resnet50 in graph mode.
+// Each run records into one obs.Collector passed to the set's RunTraced
+// (instantiation and tracing are outcome-neutral, so streamed and
+// direct results are byte-identical); the event stream
 // renders JSON lines from it on read and the Chrome trace exports it
 // once the run completes. A run that panics is recovered into a failed
 // result. On SIGTERM the daemon drains: it stops admitting (503 on

@@ -58,8 +58,9 @@ var (
 	errIDCollision = errors.New("serve: result ID collision between distinct configs")
 )
 
-// Server is the capuchin-serve daemon: a worker pool running
-// bench.RunTraced behind the HTTP surface documented on the package.
+// Server is the capuchin-serve daemon: a worker pool running traced
+// simulations (bench.Templates.RunTraced) behind the HTTP surface
+// documented on the package.
 // Construct with NewServer, serve via Handler (tests) or ListenAndServe
 // (the daemon), stop with Drain — which finishes every accepted run — or
 // Close, which abandons queued work.
@@ -67,6 +68,10 @@ type Server struct {
 	cfg     Config
 	metrics *obs.Metrics
 	start   time.Time
+	// templates holds a graph template per (model, mode, seq) the server
+	// has run, for its lifetime: every run instantiates its graphs from
+	// it instead of building the model.
+	templates *bench.Templates
 
 	// mu guards runs, the daemon's one result store, keyed by run ID.
 	// The GET handlers read under RLock. Admission holds the write lock
@@ -100,6 +105,7 @@ func NewServer(cfg Config) *Server {
 		cfg:          cfg,
 		metrics:      obs.NewMetrics(),
 		start:        time.Now(),
+		templates:    bench.NewTemplates(),
 		runs:         make(map[string]*runEntry),
 		jobs:         make(chan *runEntry, cfg.QueueDepth),
 		workerCtx:    workerCtx,
@@ -173,7 +179,8 @@ func (s *Server) runOne(e *runEntry) {
 	s.finish(e, s.simulate(e))
 }
 
-// simulate runs e's config, recording into its Collector; tracing is
+// simulate runs e's config on graphs from the server's template set,
+// recording into its Collector; instantiation and tracing are both
 // outcome-neutral, so the result equals a direct bench.Run's. A panic is
 // recovered into a failed result, so the worker survives and the run's
 // waiters unblock.
@@ -186,7 +193,7 @@ func (s *Server) simulate(e *runEntry) (res bench.Result) {
 	if s.beforeRun != nil {
 		s.beforeRun(e)
 	}
-	return bench.RunTraced(e.cfg, e.col)
+	return s.templates.RunTraced(e.cfg, e.col)
 }
 
 func (s *Server) finish(e *runEntry, res bench.Result) {
