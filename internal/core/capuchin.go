@@ -136,7 +136,7 @@ func (c *Capuchin) BeginIteration(iter int, env *exec.Env) {
 	}
 	c.measuring = c.plan == nil && c.measureLeft > 0
 	if c.measuring && c.tk == nil {
-		c.tk = newTracker(len(c.tensors))
+		c.tk = newTracker(len(c.tensors), len(g.Nodes))
 	}
 	if c.plan != nil && g != c.planGraph {
 		c.plan.bind(g)

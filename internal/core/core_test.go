@@ -260,21 +260,39 @@ func intern(tk *tracker, t *tensor.Tensor) {
 	}
 }
 
+// synthNodes holds the nodes of synthetic traces by ID. Pos numbers them
+// densely, as a graph reindex would.
+var synthNodes = map[string]*graph.Node{}
+
+// synthNode returns the synthetic node called id and sizes the tracker's
+// per-node table to cover it.
+func synthNode(tk *tracker, id string) *graph.Node {
+	n := synthNodes[id]
+	if n == nil {
+		n = &graph.Node{ID: id, Pos: len(synthNodes)}
+		synthNodes[id] = n
+	}
+	for len(tk.nodeStart) <= n.Pos {
+		tk.nodeStart = append(tk.nodeStart, noStart)
+	}
+	return n
+}
+
 // observeChain records a produce at prodAt and reads at the given times.
 func observeChain(tk *tracker, t *tensor.Tensor, nodeID string, prodAt sim.Time, reads ...sim.Time) {
 	intern(tk, t)
 	count := t.AccessCount
 	count++
-	tk.observe(exec.Access{Tensor: t, Kind: exec.Produce, Count: count, At: prodAt, NodeID: nodeID})
+	tk.observe(exec.Access{Tensor: t, Kind: exec.Produce, Count: count, At: prodAt, Node: synthNode(tk, nodeID)})
 	t.AccessCount = count
 	for i, at := range reads {
-		tk.observe(exec.Access{Tensor: t, Kind: exec.Read, Count: count + 1 + i, At: at, NodeID: "consumer"})
+		tk.observe(exec.Access{Tensor: t, Kind: exec.Read, Count: count + 1 + i, At: at, Node: synthNode(tk, "consumer")})
 		t.AccessCount++
 	}
 }
 
 func TestUsageCurveAndPeakWindow(t *testing.T) {
-	tk := newTracker(0)
+	tk := newTracker(0, 0)
 	a := syntheticTensor("a", 100)
 	b := syntheticTensor("b", 200)
 	observeChain(tk, a, "na", 10, 50)
@@ -299,7 +317,7 @@ func TestUsageCurveAndPeakWindow(t *testing.T) {
 func TestFreeTimeSelection(t *testing.T) {
 	// Two tensors, same size; T1 has a much larger reuse gap, so its FT
 	// is larger and it must rank first (the Fig. 3 argument).
-	tk := newTracker(0)
+	tk := newTracker(0, 0)
 	t1 := syntheticTensor("t1", 1<<20)
 	t2 := syntheticTensor("t2", 1<<20)
 	observeChain(tk, t1, "n1", 0, 10*sim.Millisecond, 500*sim.Millisecond)
@@ -334,7 +352,7 @@ func TestFreeTimeSelection(t *testing.T) {
 // candidates {T1,T2,T4}; choosing T2 first forces T4's recomputation to
 // start from T1 and penalizes repeated sources.
 func TestAlgorithm2PaperExample(t *testing.T) {
-	tk := newTracker(0)
+	tk := newTracker(0, 0)
 	t1 := syntheticTensor("t1", 1<<20)
 	t2 := syntheticTensor("t2", 1<<20, t1)
 	t3 := syntheticTensor("t3", 1<<20, t2)
@@ -343,22 +361,22 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 	// Forward: t1..t4 produced in sequence, each read by its successor;
 	// all re-read in backward (times 100..103).
 	observeChain(tk, t1, "n1", 0)
-	tk.observe(exec.Access{Tensor: t1, Kind: exec.Read, Count: 2, At: 1, NodeID: "n2"})
+	tk.observe(exec.Access{Tensor: t1, Kind: exec.Read, Count: 2, At: 1, Node: synthNode(tk, "n2")})
 	t1.AccessCount = 2
 	observeChain(tk, t2, "n2", 2)
-	tk.observe(exec.Access{Tensor: t2, Kind: exec.Read, Count: 2, At: 3, NodeID: "n3"})
+	tk.observe(exec.Access{Tensor: t2, Kind: exec.Read, Count: 2, At: 3, Node: synthNode(tk, "n3")})
 	t2.AccessCount = 2
 	observeChain(tk, t3, "n3", 4)
-	tk.observe(exec.Access{Tensor: t3, Kind: exec.Read, Count: 2, At: 5, NodeID: "n4"})
+	tk.observe(exec.Access{Tensor: t3, Kind: exec.Read, Count: 2, At: 5, Node: synthNode(tk, "n4")})
 	t3.AccessCount = 2
 	// t3 dies right after its forward read: it cannot serve as a source.
 	tk.observe(exec.Access{Tensor: t3, Kind: exec.Dealloc, Count: 2, At: 6})
 	observeChain(tk, t4, "n4", 6)
 	// Backward accesses.
-	tk.observe(exec.Access{Tensor: t4, Kind: exec.Read, Count: 2, At: 100, NodeID: "g4"})
+	tk.observe(exec.Access{Tensor: t4, Kind: exec.Read, Count: 2, At: 100, Node: synthNode(tk, "g4")})
 	t4.AccessCount = 2
-	tk.observe(exec.Access{Tensor: t2, Kind: exec.Read, Count: 3, At: 102, NodeID: "g2"})
-	tk.observe(exec.Access{Tensor: t1, Kind: exec.Read, Count: 3, At: 103, NodeID: "g1"})
+	tk.observe(exec.Access{Tensor: t2, Kind: exec.Read, Count: 3, At: 102, Node: synthNode(tk, "g2")})
+	tk.observe(exec.Access{Tensor: t1, Kind: exec.Read, Count: 3, At: 103, Node: synthNode(tk, "g1")})
 	tk.finish()
 	// Synthetic producer durations (the real tracker derives these from
 	// input-read/produce time differences).
@@ -421,13 +439,13 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 }
 
 func TestChooseInTriggerAvoidsSelfAndEarly(t *testing.T) {
-	tk := newTracker(0)
+	tk := newTracker(0, 0)
 	a := syntheticTensor("a", 1<<20)
 	b := syntheticTensor("b", 1<<20)
 	observeChain(tk, a, "na", 0, 10)
 	observeChain(tk, b, "nb", 5, 400, 900)
 	// b's back access at 900; a is read again at 850 (trigger host).
-	tk.observe(exec.Access{Tensor: a, Kind: exec.Read, Count: 3, At: 850, NodeID: "nc"})
+	tk.observe(exec.Access{Tensor: a, Kind: exec.Read, Count: 3, At: 850, Node: synthNode(tk, "nc")})
 	tk.finish()
 	p := newPlan(make([]string, len(tk.records)), tk.seq)
 	pl := &planner{

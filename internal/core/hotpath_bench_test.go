@@ -63,11 +63,11 @@ func BenchmarkHotPathPlan(b *testing.B) {
 	if sum := rec.Summary(); sum.SwapTensors == 0 || sum.RecomputeCount == 0 {
 		b.Fatalf("cell no longer swaps and recomputes: %v", sum)
 	}
-	n := len(g.TensorList())
+	n, nodes := len(g.TensorList()), len(g.Nodes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tk := newTracker(n)
+		tk := newTracker(n, nodes)
 		for _, acc := range rec.accesses {
 			tk.observe(acc)
 		}

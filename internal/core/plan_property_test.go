@@ -19,14 +19,18 @@ func observeSynth(tk *tracker, t *tensor.Tensor, kind exec.AccessKind, at sim.Ti
 		count++
 		t.AccessCount = count
 	}
-	tk.observe(exec.Access{Tensor: t, Kind: kind, Count: count, At: at, NodeID: nodeID})
+	acc := exec.Access{Tensor: t, Kind: kind, Count: count, At: at}
+	if nodeID != "" {
+		acc.Node = synthNode(tk, nodeID)
+	}
+	tk.observe(acc)
 }
 
 // synthTrace builds a randomized but well-formed measured trace: a chain
 // of tensors produced in forward order, a random subset re-read in reverse
 // order during "backward", everything deallocated at its last use.
 func synthTrace(rng *rand.Rand) *tracker {
-	tk := newTracker(0)
+	tk := newTracker(0, 0)
 	n := 10 + rng.Intn(30)
 	type entry struct {
 		t      *tensor.Tensor

@@ -60,25 +60,29 @@ type tracker struct {
 	// seq holds every access in observation order until finish sorts it
 	// by time; finish also slices each record's accesses out of it.
 	seq []seqEntry
-	// nodeStart records the first input-read time per node, to derive
-	// operation durations from the access stream. An operation reads its
-	// inputs in one burst, so lastRead skips the lookup for the rest of
-	// the burst.
-	nodeStart map[string]sim.Time
-	lastRead  string
+	// nodeStart records the first input-read time per node, indexed by
+	// Node.Pos, to derive operation durations from the access stream;
+	// noStart marks a node none of whose inputs has been read.
+	nodeStart []sim.Time
 	// endOfIteration is the adjusted time of the last observed access.
 	endOfIteration sim.Time
 }
 
-// newTracker returns a tracker sized for a graph of n tensors. Most
-// tensors are produced once and read once or twice, and a graph has
-// about as many nodes as tensors.
-func newTracker(n int) *tracker {
-	return &tracker{
+// noStart is the nodeStart entry of a node whose inputs were never read.
+const noStart = sim.Time(math.MinInt64)
+
+// newTracker returns a tracker sized for a graph of n tensors and nodes
+// nodes. Most tensors are produced once and read once or twice.
+func newTracker(n, nodes int) *tracker {
+	tk := &tracker{
 		records:   make([]record, n),
 		seq:       make([]seqEntry, 0, 3*n),
-		nodeStart: make(map[string]sim.Time, n),
+		nodeStart: make([]sim.Time, nodes),
 	}
+	for i := range tk.nodeStart {
+		tk.nodeStart[i] = noStart
+	}
+	return tk
 }
 
 // lookup returns the record of tensor i, or nil when the measured
@@ -109,15 +113,14 @@ func (tk *tracker) observe(acc exec.Access) {
 		r.deallocAt = acc.At
 		return
 	case exec.Read:
-		if acc.NodeID != tk.lastRead || acc.NodeID == "" {
-			tk.lastRead = acc.NodeID
-			if _, seen := tk.nodeStart[acc.NodeID]; !seen {
-				tk.nodeStart[acc.NodeID] = acc.At
-			}
+		if n := acc.Node; n != nil && n.Pos < len(tk.nodeStart) && tk.nodeStart[n.Pos] == noStart {
+			tk.nodeStart[n.Pos] = acc.At
 		}
 	case exec.Produce:
-		if start, seen := tk.nodeStart[acc.NodeID]; seen {
-			r.producerDur = acc.At - start
+		if n := acc.Node; n != nil && n.Pos < len(tk.nodeStart) {
+			if start := tk.nodeStart[n.Pos]; start != noStart {
+				r.producerDur = acc.At - start
+			}
 		}
 	}
 	tk.seq = append(tk.seq, seqEntry{idx: int32(i), count: int32(acc.Count), at: acc.At})

@@ -174,7 +174,7 @@ func (e *Env) SwapOutAsync(t *tensor.Tensor) bool {
 		s.defErr = invariant("swapout-async", t.ID, err)
 		return false
 	}
-	s.pendingFrees.Push(end, 0, t.ID)
+	s.pendingFrees.Push(end, 0, t.Idx)
 	s.stats.SwapOutCount++
 	s.stats.SwapOutBytes += t.Bytes()
 	if h := s.host.Peak(); h > s.stats.HostPeak {

@@ -462,7 +462,7 @@ func (p *scriptedPrefetch) OnAccess(acc Access, env *Env) {
 		}
 		return
 	}
-	if acc.Kind == Produce && acc.NodeID == "grad/seed" {
+	if acc.Kind == Produce && acc.NodeID() == "grad/seed" {
 		for _, sw := range p.swapped {
 			env.SwapInAsync(sw)
 		}

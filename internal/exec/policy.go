@@ -6,6 +6,7 @@
 package exec
 
 import (
+	"capuchin/internal/graph"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
 )
@@ -42,6 +43,11 @@ func (k AccessKind) String() string {
 // Access is one tensor access event reported to the policy. Mirrors the
 // tuple Capuchin's Tensor Access Tracker records: {tensor_id, access_count,
 // timestamp} (§5.2), plus executor context.
+//
+// Access is passed by value on every access, so it is kept to eight
+// word-sized fields: the amd64 register ABI then passes it in registers
+// instead of copying it through memory. The consuming or producing node is
+// acc.Node (use acc.NodeID() for its ID); the iteration is env.Iteration().
 type Access struct {
 	Tensor *tensor.Tensor
 	Kind   AccessKind
@@ -61,9 +67,17 @@ type Access struct {
 	// InFlight reports that the tensor was mid-swap-in when accessed,
 	// even if the wait was fully hidden.
 	InFlight bool
-	// NodeID and Iter identify the consuming/producing node and iteration.
-	NodeID string
-	Iter   int
+	// Node is the consuming (Read) or producing (Produce) node; nil for
+	// Dealloc, which no node performs.
+	Node *graph.Node
+}
+
+// NodeID returns the ID of the access's node, or "" for a Dealloc.
+func (a Access) NodeID() string {
+	if a.Node == nil {
+		return ""
+	}
+	return a.Node.ID
 }
 
 // Policy decides when to evict, prefetch and recompute. Implementations

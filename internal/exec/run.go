@@ -13,6 +13,9 @@ import (
 	"capuchin/internal/tensor"
 )
 
+// paramsSeed starts the per-iteration parameter fingerprint chain.
+var paramsSeed = tensor.HashSeed("params")
+
 // maxReplayDepth bounds recomputation recursion; real lineages are bounded
 // by forward-graph depth.
 const maxReplayDepth = 10000
@@ -298,14 +301,16 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 		inFPs = append(inFPs, in.Fingerprint)
 	}
 	s.scFPs = inFPs
+	seed := s.fpSeeds[n.Pos]
 	for i, out := range n.Outputs {
-		out.Fingerprint = tensor.ComputeFingerprint(n.ID, i, inFPs)
+		out.Fingerprint = tensor.FingerprintFrom(seed, i, inFPs)
 	}
 	if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate {
 		// In-place variable update: fold the gradient into the weight's
 		// fingerprint chain.
 		v := n.Inputs[0]
-		v.Fingerprint = tensor.ComputeFingerprint(n.ID, -1, []uint64{v.Fingerprint, n.Inputs[1].Fingerprint})
+		fold := [2]uint64{v.Fingerprint, n.Inputs[1].Fingerprint}
+		v.Fingerprint = tensor.FingerprintFrom(seed, -1, fold[:])
 	}
 	if len(n.Outputs) > 0 && n.Outputs[0] == s.g.Loss {
 		s.stats.LossFingerprint = n.Outputs[0].Fingerprint
@@ -323,10 +328,10 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 	// asynchronous operation of §5.4.
 	s.actionAnchor = end
 	for i, in := range n.Inputs {
-		s.reportAccess(in, Read, start, stalls[i], inflight[i], n.ID, env)
+		s.reportAccess(in, Read, start, stalls[i], inflight[i], n, env)
 	}
 	for _, out := range n.Outputs {
-		s.reportAccess(out, Produce, end, 0, false, n.ID, env)
+		s.reportAccess(out, Produce, end, 0, false, n, env)
 	}
 
 	// Reference counting: release dead tensors at op end.
@@ -392,7 +397,7 @@ func (s *Session) chooseAlgorithm(n *graph.Node) (ops.Algorithm, *memory.Allocat
 }
 
 // reportAccess updates access bookkeeping and notifies the policy.
-func (s *Session) reportAccess(t *tensor.Tensor, kind AccessKind, at sim.Time, stall sim.Time, inflight bool, nodeID string, env *Env) {
+func (s *Session) reportAccess(t *tensor.Tensor, kind AccessKind, at sim.Time, stall sim.Time, inflight bool, n *graph.Node, env *Env) {
 	s.stats.Accesses++
 	count := t.Touch(at - s.penalty)
 	s.touchLRU(t)
@@ -404,8 +409,7 @@ func (s *Session) reportAccess(t *tensor.Tensor, kind AccessKind, at sim.Time, s
 		Raw:      at,
 		Stall:    stall,
 		InFlight: inflight,
-		NodeID:   nodeID,
-		Iter:     s.iter,
+		Node:     n,
 	}, env)
 }
 
@@ -446,8 +450,6 @@ func (s *Session) release(t *tensor.Tensor, at sim.Time, env *Env) error {
 		Count:  t.AccessCount,
 		At:     at - s.penalty,
 		Raw:    at,
-		NodeID: "",
-		Iter:   s.iter,
 	}, env)
 	return nil
 }
@@ -666,7 +668,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 			s.memEvent("free", "workspace", "", wsAlloc.Size, s.now())
 		}
 	}
-	t.Fingerprint = tensor.ComputeFingerprint(node.ID, 0, inFPs)
+	t.Fingerprint = tensor.FingerprintFrom(s.fpSeeds[node.Pos], 0, inFPs)
 	s.stats.RecomputeCount++
 	s.stats.RecomputeTime += dur
 	s.stats.RecomputeBytes += t.Bytes()
@@ -978,12 +980,12 @@ func (s *Session) passiveEvict(v *tensor.Tensor) error {
 // the completions that were due on entry.
 func (s *Session) applyDueFrees(now sim.Time) error {
 	for {
-		at, id, ok := s.pendingFrees.Peek()
+		at, i, ok := s.pendingFrees.Peek()
 		if !ok || at > now {
 			return nil
 		}
 		s.pendingFrees.Pop()
-		if err := s.finishSwapOut(id); err != nil {
+		if err := s.finishSwapOut(i); err != nil {
 			return err
 		}
 	}
@@ -992,28 +994,29 @@ func (s *Session) applyDueFrees(now sim.Time) error {
 // drainSwapOuts waits for every outstanding swap-out (coupled mode).
 func (s *Session) drainSwapOuts() error {
 	for {
-		at, id, ok := s.pendingFrees.Pop()
+		at, i, ok := s.pendingFrees.Pop()
 		if !ok {
 			return nil
 		}
 		s.stallTo(at, "coupled-drain")
-		if err := s.finishSwapOut(id); err != nil {
+		if err := s.finishSwapOut(i); err != nil {
 			return err
 		}
 	}
 }
 
-// finishSwapOut completes one swap-out: free device memory, mark Out.
-func (s *Session) finishSwapOut(id string) error {
-	t := s.g.Tensor(id)
-	if t == nil || t.Status != tensor.SwappingOut {
+// finishSwapOut completes the swap-out of tensor i: free device memory,
+// mark Out.
+func (s *Session) finishSwapOut(i int32) error {
+	t := s.tlist[i]
+	if t.Status != tensor.SwappingOut {
 		return nil
 	}
 	if err := s.freeDevice(t, tensor.Out, "finish-swapout"); err != nil {
 		return err
 	}
 	if s.tr != nil {
-		s.memEvent("free", "swapout-complete", id, t.Bytes(), s.now())
+		s.memEvent("free", "swapout-complete", t.ID, t.Bytes(), s.now())
 	}
 	return nil
 }
@@ -1025,17 +1028,17 @@ func (s *Session) endIteration(env *Env) error {
 	s.compute.AdvanceTo(barrier)
 	var firstErr error
 	for {
-		_, id, ok := s.pendingFrees.Pop()
+		_, i, ok := s.pendingFrees.Pop()
 		if !ok {
 			break
 		}
-		if err := s.finishSwapOut(id); err != nil && firstErr == nil {
+		if err := s.finishSwapOut(i); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 
 	// Parameter fingerprint over variables in declaration order.
-	h := tensor.HashSeed("params")
+	h := paramsSeed
 	for _, n := range s.g.Nodes {
 		for _, t := range n.Outputs {
 			if t.Persistent {

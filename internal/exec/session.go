@@ -97,10 +97,10 @@ type Session struct {
 	d2h     *sim.Stream
 	cpu     *sim.Stream // eager dispatch; nil in graph mode
 
-	// pendingFrees holds the IDs of tensors whose swap-out is in flight,
-	// keyed by completion time. Every entry is pushed with seq 0, so
-	// completions tied in time pop in heap-position order.
-	pendingFrees sim.Heap[string]
+	// pendingFrees holds the indices of tensors whose swap-out is in
+	// flight, keyed by completion time. Every entry is pushed with seq 0,
+	// so completions tied in time pop in heap-position order.
+	pendingFrees sim.Heap[int32]
 
 	// Hot-path session state is interned: every per-tensor table below is
 	// a dense slice keyed by tensor.Idx (assigned by the graph reindex),
@@ -161,6 +161,10 @@ type Session struct {
 	// every input shape are fixed for a session's lifetime, so the
 	// candidate list is computed once per node.
 	algoCache [][]ops.Algorithm
+	// fpSeeds holds tensor.HashSeed(n.ID) per node position, so deriving
+	// an output fingerprint combines only the output index and the input
+	// fingerprints instead of re-hashing the node ID every iteration.
+	fpSeeds []uint64
 
 	// env is the policy-facing view, allocated once per session.
 	env Env
@@ -308,10 +312,12 @@ func (s *Session) initTables() {
 	s.pinned = make([]bool, nt)
 	s.regen = make([]bool, nt)
 	s.algoCache = make([][]ops.Algorithm, len(s.g.Nodes))
+	s.fpSeeds = make([]uint64, len(s.g.Nodes))
 	s.lruHead, s.lruTail = -1, -1
 
 	s.updateBarrier = len(s.g.Nodes)
 	for i, n := range s.g.Nodes {
+		s.fpSeeds[n.Pos] = tensor.HashSeed(n.ID)
 		if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate && i < s.updateBarrier {
 			s.updateBarrier = i
 		}

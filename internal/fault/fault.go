@@ -385,7 +385,10 @@ func (p Plan) Validate() error {
 // Injector answers per-event fault queries for one Plan. It is not safe
 // for concurrent use; each exec.Session owns one.
 type Injector struct {
-	plan     Plan
+	plan Plan
+	// enabled caches plan.Enabled(): the executor asks on every
+	// allocation, kernel and transfer, and the plan never changes.
+	enabled  bool
 	degPhase sim.Time
 	counts   map[uint64]uint64
 
@@ -397,8 +400,8 @@ type Injector struct {
 // NewInjector builds an injector for the plan. A zero plan yields a
 // disabled injector whose queries all answer "no fault" at negligible cost.
 func NewInjector(p Plan) *Injector {
-	in := &Injector{plan: p}
-	if p.Enabled() {
+	in := &Injector{plan: p, enabled: p.Enabled()}
+	if in.enabled {
 		in.counts = make(map[uint64]uint64)
 		if p.DegradePeriod > 0 {
 			in.degPhase = sim.Time(splitmix64(p.Seed^0x9e3779b97f4a7c15) % uint64(p.DegradePeriod))
@@ -408,7 +411,7 @@ func NewInjector(p Plan) *Injector {
 }
 
 // Enabled reports whether the injector can produce any fault.
-func (in *Injector) Enabled() bool { return in != nil && in.plan.Enabled() }
+func (in *Injector) Enabled() bool { return in != nil && in.enabled }
 
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
@@ -446,8 +449,12 @@ func (in *Injector) decide(site, key string, rate float64) bool {
 }
 
 // TransferFails reports whether one DMA attempt for the given subject
-// (tensor ID) aborts mid-flight.
+// (tensor ID) aborts mid-flight. It builds the site string only when the
+// plan can inject a fault.
 func (in *Injector) TransferFails(dir Direction, key string) bool {
+	if !in.Enabled() {
+		return false
+	}
 	return in.decide("transfer/"+dir.String(), key, in.plan.TransferFailRate)
 }
 

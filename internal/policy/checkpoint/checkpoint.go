@@ -32,25 +32,22 @@ const (
 // Policy is the gradient-checkpointing baseline.
 type Policy struct {
 	mode Mode
-	// dropAt maps {tensorID, accessCount} of a tensor's last forward
-	// access to a release-for-recompute action.
-	dropAt map[dropKey]bool
+	// dropAt holds, per Tensor.Idx of the schedule's graph, the access
+	// count of the tensor's last forward access, where it is released for
+	// recomputation; 0 means the tensor is never dropped.
+	dropAt []int
 	// drops counts planned drop tensors.
 	drops int
 	// checkpoints counts kept tensors (for tests).
 	checkpoints int
 }
 
-type dropKey struct {
-	tensorID string
-	count    int
-}
-
 var _ exec.Policy = (*Policy)(nil)
 
 // New builds the static drop schedule from the graph.
 func New(g *graph.Graph, mode Mode) *Policy {
-	p := &Policy{mode: mode, dropAt: make(map[dropKey]bool)}
+	g.EnsureIndexed()
+	p := &Policy{mode: mode, dropAt: make([]int, len(g.TensorList()))}
 
 	keep := make(map[string]bool)
 	switch mode {
@@ -100,7 +97,7 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			}
 			// Access count at the last forward access: 1 (produce) plus
 			// all forward reads.
-			p.dropAt[dropKey{out.ID, 1 + forwardUses}] = true
+			p.dropAt[out.Idx] = 1 + forwardUses
 			p.drops++
 		}
 	}
@@ -141,7 +138,7 @@ func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
 	if acc.Kind == exec.Dealloc {
 		return
 	}
-	if p.dropAt[dropKey{acc.Tensor.ID, acc.Count}] {
+	if i := acc.Tensor.Idx; i >= 0 && int(i) < len(p.dropAt) && p.dropAt[i] == acc.Count {
 		env.ReleaseForRecompute(acc.Tensor)
 	}
 }

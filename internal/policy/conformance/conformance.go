@@ -66,18 +66,24 @@ func (r Result) Conformant() bool { return len(r.Violations) == 0 }
 type checker struct {
 	inner      exec.Policy
 	violations []string
+	// iter is the iteration in progress, for violation messages.
+	iter int
 }
 
-func (c *checker) Name() string                      { return c.inner.Name() }
-func (c *checker) TracksAccesses() bool              { return c.inner.TracksAccesses() }
-func (c *checker) BeginIteration(i int, e *exec.Env) { c.inner.BeginIteration(i, e) }
-func (c *checker) EndIteration(i int, e *exec.Env)   { c.inner.EndIteration(i, e) }
+func (c *checker) Name() string                    { return c.inner.Name() }
+func (c *checker) TracksAccesses() bool            { return c.inner.TracksAccesses() }
+func (c *checker) EndIteration(i int, e *exec.Env) { c.inner.EndIteration(i, e) }
+
+func (c *checker) BeginIteration(i int, e *exec.Env) {
+	c.iter = i
+	c.inner.BeginIteration(i, e)
+}
 
 func (c *checker) OnAccess(acc exec.Access, env *exec.Env) {
 	if acc.Kind != exec.Dealloc && !acc.Tensor.Resident() {
 		c.violations = append(c.violations, fmt.Sprintf(
 			"iter %d node %s: %s access to non-resident tensor %s (status %v)",
-			acc.Iter, acc.NodeID, acc.Kind, acc.Tensor.ID, acc.Tensor.Status))
+			c.iter, acc.NodeID(), acc.Kind, acc.Tensor.ID, acc.Tensor.Status))
 	}
 	c.inner.OnAccess(acc, env)
 }

@@ -1,10 +1,12 @@
 package conformance
 
 import (
+	"strings"
 	"testing"
 
 	"capuchin/internal/exec"
 	"capuchin/internal/fault"
+	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/tensor"
 
@@ -70,10 +72,14 @@ func outTensor() *tensor.Tensor {
 func TestCheckerCatchesNonResidentAccess(t *testing.T) {
 	inner := exec.NullPolicy{}
 	wrapped, ck := wrap(inner)
-	acc := exec.Access{Kind: exec.Read, Tensor: outTensor(), Iter: 1, NodeID: "n1"}
+	acc := exec.Access{Kind: exec.Read, Tensor: outTensor(), Node: &graph.Node{ID: "n1"}}
+	wrapped.BeginIteration(1, nil)
 	wrapped.OnAccess(acc, nil)
 	if len(ck.violations) != 1 {
 		t.Fatalf("checker recorded %d violations, want 1", len(ck.violations))
+	}
+	if v := ck.violations[0]; !strings.Contains(v, "iter 1 node n1") {
+		t.Errorf("violation %q does not name the iteration and node", v)
 	}
 }
 

@@ -177,7 +177,7 @@ func (p *Policy) Name() string { return "superneurons" }
 
 // BeginIteration implements exec.Policy.
 func (p *Policy) BeginIteration(iter int, env *exec.Env) {
-	p.fired = make(map[string]bool)
+	clear(p.fired)
 }
 
 // OnAccess implements exec.Policy.
@@ -185,8 +185,9 @@ func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
 	if acc.Kind == exec.Dealloc {
 		return
 	}
-	if strings.HasPrefix(acc.NodeID, "grad/") {
-		base := acc.NodeID
+	nodeID := acc.NodeID()
+	if strings.HasPrefix(nodeID, "grad/") {
+		base := nodeID
 		if j := strings.Index(base[len("grad/"):], "/"); j >= 0 {
 			base = base[:len("grad/")+j]
 		}
@@ -197,7 +198,7 @@ func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
 			}
 		}
 	}
-	if acc.Kind == exec.Read && p.swapAt[accessKey{acc.Tensor.ID, acc.NodeID}] {
+	if acc.Kind == exec.Read && p.swapAt[accessKey{acc.Tensor.ID, nodeID}] {
 		env.SwapOutAsync(acc.Tensor)
 		return
 	}

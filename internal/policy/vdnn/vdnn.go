@@ -139,7 +139,7 @@ func (p *Policy) Name() string {
 
 // BeginIteration implements exec.Policy.
 func (p *Policy) BeginIteration(iter int, env *exec.Env) {
-	p.firedNodes = make(map[string]bool)
+	clear(p.firedNodes)
 }
 
 // OnAccess implements exec.Policy.
@@ -149,8 +149,9 @@ func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
 	}
 	// Backward prefetch triggers: the first access by a matching
 	// backward node starts the swap-ins scheduled for that layer.
-	if strings.HasPrefix(acc.NodeID, "grad/") {
-		base := acc.NodeID
+	nodeID := acc.NodeID()
+	if strings.HasPrefix(nodeID, "grad/") {
+		base := nodeID
 		// Trim the gradient-variant suffix ("/input", "/filter", ...).
 		if i := strings.LastIndex(base, "/"); i > len("grad/") {
 			if j := strings.Index(base[len("grad/"):], "/"); j >= 0 {
@@ -164,7 +165,7 @@ func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
 			}
 		}
 	}
-	if acc.Kind == exec.Read && p.evictAt[accessKey{acc.Tensor.ID, acc.NodeID}] {
+	if acc.Kind == exec.Read && p.evictAt[accessKey{acc.Tensor.ID, nodeID}] {
 		env.SwapOutAsync(acc.Tensor)
 	}
 }

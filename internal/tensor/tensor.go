@@ -143,14 +143,16 @@ func (st Status) String() string {
 	}
 }
 
-// legalTransitions encodes the residency state machine.
-var legalTransitions = map[Status][]Status{
-	In:          {SwappingOut, Recompute, Freed, In},
-	SwappingOut: {Out, In},                      // In: swap-out cancelled because the tensor was re-accessed first
-	Out:         {SwappingIn, Recompute, Freed}, // Recompute: swap-in abandoned under faults; regenerate from lineage
-	SwappingIn:  {In, Out},
-	Recompute:   {In, Freed},
-	Freed:       {In}, // a new iteration re-materializes the tensor
+// legalTransitions encodes the residency state machine: entry st is the
+// set of states st may move to, one bit per Status. An array indexed by
+// Status keeps TransitionTo free of map hashing on the executor's path.
+var legalTransitions = [...]uint8{
+	In:          1<<SwappingOut | 1<<Recompute | 1<<Freed | 1<<In,
+	SwappingOut: 1<<Out | 1<<In,                          // In: swap-out cancelled because the tensor was re-accessed first
+	Out:         1<<SwappingIn | 1<<Recompute | 1<<Freed, // Recompute: swap-in abandoned under faults; regenerate from lineage
+	SwappingIn:  1<<In | 1<<Out,
+	Recompute:   1<<In | 1<<Freed,
+	Freed:       1 << In, // a new iteration re-materializes the tensor
 }
 
 // Tensor is one value flowing through the computation. Mirrors the paper's
@@ -239,11 +241,11 @@ func (t *Tensor) OnDevice() bool {
 // state machine. It returns an error naming both states on an illegal move,
 // which in practice indicates an executor or policy bug.
 func (t *Tensor) TransitionTo(next Status) error {
-	for _, ok := range legalTransitions[t.Status] {
-		if ok == next {
-			t.Status = next
-			return nil
-		}
+	// The uint conversions reject negative states along with large ones.
+	cur, n := uint(t.Status), uint(len(legalTransitions))
+	if cur < n && uint(next) < n && legalTransitions[cur]&(1<<next) != 0 {
+		t.Status = next
+		return nil
 	}
 	return fmt.Errorf("tensor %s: illegal status transition %v -> %v", t.ID, t.Status, next)
 }
@@ -290,12 +292,17 @@ func HashSeed(s string) uint64 {
 	return h
 }
 
-// HashCombine folds a value into a fingerprint chain.
+// HashCombine folds a value into a fingerprint chain: FNV-1a over its
+// eight little-endian bytes, unrolled.
 func HashCombine(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= (v >> (8 * i)) & 0xff
-		h *= fnv64Prime
-	}
+	h = (h ^ (v & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 8 & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 16 & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 24 & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 32 & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 40 & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 48 & 0xff)) * fnv64Prime
+	h = (h ^ (v >> 56)) * fnv64Prime
 	return h
 }
 
@@ -303,8 +310,14 @@ func HashCombine(h, v uint64) uint64 {
 // and its input fingerprints. outputIndex distinguishes multiple outputs of
 // one op.
 func ComputeFingerprint(opID string, outputIndex int, inputs []uint64) uint64 {
-	h := HashSeed(opID)
-	h = HashCombine(h, uint64(outputIndex))
+	return FingerprintFrom(HashSeed(opID), outputIndex, inputs)
+}
+
+// FingerprintFrom is ComputeFingerprint with the op's HashSeed already
+// computed, for callers that derive fingerprints of one op repeatedly (the
+// executor seeds every node once per session).
+func FingerprintFrom(seed uint64, outputIndex int, inputs []uint64) uint64 {
+	h := HashCombine(seed, uint64(outputIndex))
 	for _, in := range inputs {
 		h = HashCombine(h, in)
 	}

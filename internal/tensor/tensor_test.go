@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -140,6 +141,30 @@ func TestStatusMachineIllegal(t *testing.T) {
 	}
 }
 
+// TestStatusMachineOutOfRange: the transition table is an array indexed
+// by Status, so a corrupt status on either side must still come back as
+// the illegal-transition error rather than an index or shift panic.
+func TestStatusMachineOutOfRange(t *testing.T) {
+	for _, c := range []struct{ from, to Status }{
+		{Status(99), In},
+		{Status(-1), In},
+		{In, Status(99)},
+		{In, Status(-1)},
+		{In, Status(8)}, // past the table's bit width
+		{Freed + 1, Freed + 1},
+	} {
+		tt := New("x", Shape{4}, Float32)
+		tt.Status = c.from
+		err := tt.TransitionTo(c.to)
+		if err == nil || !strings.Contains(err.Error(), "illegal status transition") {
+			t.Errorf("%v -> %v: err = %v, want an illegal status transition", c.from, c.to, err)
+		}
+		if tt.Status != c.from {
+			t.Errorf("%v -> %v: rejected transition moved the status to %v", c.from, c.to, tt.Status)
+		}
+	}
+}
+
 func TestResidentAndOnDevice(t *testing.T) {
 	tt := New("x", Shape{4}, Float32)
 	cases := []struct {
@@ -233,6 +258,31 @@ func TestFingerprintSensitivityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHashCombineMatchesFNVLoop pins the unrolled HashCombine to the
+// byte-at-a-time FNV-1a loop it replaces: every fingerprint in the
+// simulator is built from it, so one changed bit moves them all.
+func TestHashCombineMatchesFNVLoop(t *testing.T) {
+	loop := func(h, v uint64) uint64 {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xff
+			h *= fnv64Prime
+		}
+		return h
+	}
+	f := func(h, v uint64) bool { return HashCombine(h, v) == loop(h, v) }
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, v := range []uint64{0, 1, 0xff, 1 << 63, ^uint64(0), 0x0123456789abcdef} {
+		if !f(fnv64Offset, v) {
+			t.Errorf("HashCombine(offset, %#x) differs from the FNV loop", v)
+		}
+	}
+	if FingerprintFrom(HashSeed("conv1"), 2, []uint64{7, 9}) != ComputeFingerprint("conv1", 2, []uint64{7, 9}) {
+		t.Error("FingerprintFrom with a precomputed seed differs from ComputeFingerprint")
 	}
 }
 

@@ -60,13 +60,14 @@ func (r *Recorder) BeginIteration(iter int, env *exec.Env) { r.Inner.BeginIterat
 // OnAccess implements exec.Policy.
 func (r *Recorder) OnAccess(acc exec.Access, env *exec.Env) {
 	if r.Filter == nil || r.Filter(acc) {
+		iter := env.Iteration()
 		r.events = append(r.events, Event{
-			Iter:     acc.Iter,
+			Iter:     iter,
 			TensorID: acc.Tensor.ID,
 			Count:    acc.Count,
 			At:       acc.At,
 			Kind:     acc.Kind,
-			NodeID:   acc.NodeID,
+			NodeID:   acc.NodeID(),
 		})
 		if r.Tracer != nil {
 			r.Tracer.Emit(obs.Event{
@@ -75,9 +76,9 @@ func (r *Recorder) OnAccess(acc exec.Access, env *exec.Env) {
 				Name:   acc.Kind.String() + " " + acc.Tensor.ID,
 				Lane:   "cpu",
 				Start:  acc.Raw,
-				Iter:   acc.Iter,
+				Iter:   iter,
 				Tensor: acc.Tensor.ID,
-				Node:   acc.NodeID,
+				Node:   acc.NodeID(),
 				Bytes:  acc.Tensor.Bytes(),
 				Detail: fmt.Sprintf("access #%d", acc.Count),
 			})
