@@ -1,7 +1,7 @@
 # CI entry points. `make check` is what the repo considers green:
-# vet + build + full tests (the root module and the benchmark module) +
-# the race detector over the packages the parallel experiment engine
-# touches (graph and models included: concurrent sessions share a graph
+# vet and full tests of both modules (the root module and the benchmark
+# module) + build + the race detector over the packages the parallel
+# experiment engine touches (graph and models included: concurrent sessions share a graph
 # template's immutable state) + the chaos soak suite.
 GO ?= go
 
@@ -11,6 +11,7 @@ check: vet build test benchmark-test race soak profile-smoke scale-smoke arena-s
 
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 
 build:
 	$(GO) build ./...

@@ -279,8 +279,9 @@ func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session,
 	return res, s, ec.Policy
 }
 
-// maxBatchCeiling bounds the exponential search.
-const maxBatchCeiling = 4096
+// MaxBatchCeiling bounds the exponential search: no max-batch search
+// probes a larger batch.
+const MaxBatchCeiling = 4096
 
 // MaxBatch finds the largest batch size that completes for the
 // configuration (cfg.Batch is ignored). Exponential probe then binary
@@ -320,11 +321,11 @@ func maxBatchSearch(probe func(int64) bool) int64 {
 	}
 	lo := int64(1)
 	hi := int64(2)
-	for hi <= maxBatchCeiling && probe(hi) {
+	for hi <= MaxBatchCeiling && probe(hi) {
 		lo = hi
 		hi *= 2
 	}
-	if hi > maxBatchCeiling {
+	if hi > MaxBatchCeiling {
 		return lo
 	}
 	// Invariant: probe(lo) ok, probe(hi) fails.

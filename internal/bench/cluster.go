@@ -7,7 +7,6 @@ import (
 	"capuchin/internal/cluster"
 	"capuchin/internal/exec"
 	"capuchin/internal/graph"
-	"capuchin/internal/hw"
 	"capuchin/internal/models"
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
@@ -49,10 +48,9 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 	baseCfg.Profile = false // per-replica tracing is wired below, not via execConfig
 	var pol exec.Policy
 	cl, err := cluster.New(cluster.Config{
-		Devices:      cfg.Devices,
-		Interconnect: hw.PCIeRing(),
-		CommAware:    !cfg.CommOblivious,
-		Tracer:       obs.Tee(collectorOrNil(col), extra),
+		Devices:   cfg.Devices,
+		CommAware: !cfg.CommOblivious,
+		Tracer:    obs.Tee(collectorOrNil(col), extra),
 		Build: func(replica int) (*graph.Graph, error) {
 			return ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
 		},

@@ -171,10 +171,9 @@ func TestTemplateSetDiesWithItsOwner(t *testing.T) {
 func clusterReference(t *testing.T, cfg RunConfig, build func() (*graph.Graph, error)) ([]cluster.IterStats, []*graph.Graph) {
 	t.Helper()
 	cl, err := cluster.New(cluster.Config{
-		Devices:      cfg.Devices,
-		Interconnect: hw.PCIeRing(),
-		CommAware:    !cfg.CommOblivious,
-		Build:        func(int) (*graph.Graph, error) { return build() },
+		Devices:   cfg.Devices,
+		CommAware: !cfg.CommOblivious,
+		Build:     func(int) (*graph.Graph, error) { return build() },
 		Exec: func(_ int, g *graph.Graph) (exec.Config, error) {
 			ec, _, _, err := execConfig(cfg, g, nil)
 			return ec, err

@@ -3,7 +3,7 @@
 // device spec, BFC allocator and policy instance — and the replicas
 // synchronize once per iteration at a gradient barrier, after ring
 // all-reducing their gradients over a shared interconnect model
-// (hw.Interconnect).
+// (hw.PCIeRing).
 //
 // The interconnect couples back into memory management: all-reduce shards
 // travel over the same per-replica host link that carries swap traffic,
@@ -37,9 +37,6 @@ import (
 type Config struct {
 	// Devices is the replica count N (1 degenerates to single-device).
 	Devices int
-	// Interconnect is the shared fabric; the zero value takes PCIeRing
-	// defaults.
-	Interconnect hw.Interconnect
 	// CommAware enables comm-aware swap scheduling in every replica's
 	// executor. Off, all-reduce windows still degrade overlapping
 	// transfers but the policy schedules as if the link were idle.
@@ -86,7 +83,6 @@ type IterStats struct {
 // Cluster is a running N-replica simulation.
 type Cluster struct {
 	cfg      Config
-	ic       hw.Interconnect
 	replicas []*replica
 	// predicted holds last iteration's realized all-reduce spans as
 	// offsets from its iteration start, the one-step-lag window forecast.
@@ -127,7 +123,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Build == nil || cfg.Exec == nil {
 		return nil, fmt.Errorf("cluster: Build and Exec constructors are required")
 	}
-	c := &Cluster{cfg: cfg, ic: cfg.Interconnect.Fill()}
+	c := &Cluster{cfg: cfg}
 	for i := 0; i < cfg.Devices; i++ {
 		g, err := cfg.Build(i)
 		if err != nil {
@@ -213,14 +209,15 @@ func (c *Cluster) RunIteration() (IterStats, error) {
 	}
 	var realized []exec.CommWindow
 	if len(c.replicas) > 1 {
-		buckets := coalesce(c.replicas[0].sess.GradSchedule(), c.ic.BucketBytes)
+		ic := hw.PCIeRing()
+		buckets := coalesce(c.replicas[0].sess.GradSchedule(), ic.BucketBytes)
 		prevEnd := sim.Time(0)
 		for k, b := range buckets {
 			start := sim.MaxTime(b.ready, prevEnd)
-			end := start + c.ic.AllReduceTime(len(c.replicas), b.bytes)
+			end := start + ic.AllReduceTime(len(c.replicas), b.bytes)
 			prevEnd = end
 			realized = append(realized, exec.CommWindow{
-				Start: start, End: end, Slowdown: c.ic.ContentionSlowdown,
+				Start: start, End: end, Slowdown: ic.ContentionSlowdown,
 			})
 			st.AllReduceBuckets++
 			st.AllReduceBytes += b.bytes

@@ -21,20 +21,11 @@ type Options struct {
 	// DisableFeedback turns off the runtime in-trigger adjustment (the
 	// "FA" ablation of §6.2).
 	DisableFeedback bool
-	// Headroom is device memory reserved for workspace and fragmentation
-	// when sizing the plan; 0 means capacity/12.
-	Headroom int64
-	// FeedbackAdvance is the fraction of a tensor's swap time by which a
-	// stalled back-access moves its in-trigger earlier (default 0.05,
-	// §4.4).
-	FeedbackAdvance float64
-	// MeasuredIterations is how many leading iterations run in passive
-	// measured mode before the plan is made (default 1).
-	MeasuredIterations int
-	// PlanCacheSize bounds the per-signature plan cache used by dynamic
-	// workloads (default 8).
-	PlanCacheSize int
 }
+
+// measuredIters is how many iterations a measured (or re-measured) pass
+// runs in passive mode before the plan is made.
+const measuredIters = 1
 
 // Capuchin is the paper's memory manager as an exec.Policy: iteration 0
 // runs in passive measured mode (on-demand eviction only) while the Tensor
@@ -94,19 +85,13 @@ var _ exec.Replanner = (*Capuchin)(nil)
 
 // New creates a Capuchin policy.
 func New(opts Options) *Capuchin {
-	if opts.FeedbackAdvance == 0 {
-		opts.FeedbackAdvance = 0.05
-	}
-	if opts.MeasuredIterations == 0 {
-		opts.MeasuredIterations = 1
-	}
 	if opts.SwapOnly && opts.RecomputeOnly {
 		panic("core: SwapOnly and RecomputeOnly are mutually exclusive")
 	}
 	return &Capuchin{
 		opts:        opts,
-		measureLeft: opts.MeasuredIterations,
-		cache:       newPlanCache(opts.PlanCacheSize),
+		measureLeft: measuredIters,
+		cache:       newPlanCache(planCacheSize),
 	}
 }
 
@@ -195,23 +180,17 @@ func (c *Capuchin) OnAccess(acc exec.Access, env *exec.Env) {
 	}
 }
 
-// prefetchReserve reports the free-memory floor required before issuing a
-// prefetch; prefetching into tighter memory would trigger evictions.
-func (c *Capuchin) prefetchReserve(env *exec.Env) int64 {
-	if c.opts.Headroom > 0 {
-		return c.opts.Headroom
-	}
-	return env.DeviceMemory() / 32
-}
-
-// canPrefetch applies the memory guards: enough free memory beyond the
-// reserve, and bounded device memory held by in-flight transfers (those
-// buffers cannot be evicted until they land, so letting them accumulate
-// fragments the address space at large batch sizes).
+// canPrefetch applies the memory guards: enough free memory beyond a
+// reserve of 1/prefetchReserveDiv of the device (prefetching into tighter
+// memory would trigger evictions), and bounded device memory held by
+// in-flight transfers (those buffers cannot be evicted until they land,
+// so letting them accumulate fragments the address space at large batch
+// sizes).
 func (c *Capuchin) canPrefetch(size int64, env *exec.Env) bool {
+	const prefetchReserveDiv = 32
 	inflightCap := env.DeviceMemory() / 4
 	return env.InflightSwapInBytes()+size <= inflightCap &&
-		env.FreeBytes() >= size+c.prefetchReserve(env)
+		env.FreeBytes() >= size+env.DeviceMemory()/prefetchReserveDiv
 }
 
 // liveOut returns tensor i of the current graph when it is swapped out,
@@ -280,8 +259,9 @@ func (c *Capuchin) resetPrefetches() {
 }
 
 // advanceTrigger moves a swap plan's in-trigger earlier on the measured
-// timeline by FeedbackAdvance of its swap duration.
+// timeline by feedbackAdvance of its swap duration (§4.4).
 func (c *Capuchin) advanceTrigger(sp *swapPlan, env *exec.Env) {
+	const feedbackAdvance = 0.05
 	seq := c.plan.seq
 	var current sim.Time
 	if sp.triggerIdx >= 0 {
@@ -289,7 +269,7 @@ func (c *Capuchin) advanceTrigger(sp *swapPlan, env *exec.Env) {
 	} else {
 		current = sp.backAt
 	}
-	target := current - sim.Time(float64(sp.swapInDur)*c.opts.FeedbackAdvance)
+	target := current - sim.Time(float64(sp.swapInDur)*feedbackAdvance)
 	idx := sort.Search(len(seq), func(i int) bool { return seq[i].at > target }) - 1
 	for idx >= 0 && (seq[idx].idx == sp.idx || seq[idx].at <= sp.evictAt) {
 		idx--

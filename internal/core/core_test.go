@@ -105,7 +105,8 @@ func TestCapuchinGuidedMatchesOracle(t *testing.T) {
 
 func TestCapuchinGuidedBeatsPassive(t *testing.T) {
 	// Passive-only: LRU eviction on demand every iteration.
-	passive := New(Options{MeasuredIterations: 1 << 30}) // never plans
+	passive := New(Options{})
+	passive.measureLeft = 1 << 30 // never plans
 	sp, err := exec.NewSession(testCNN(t), exec.Config{Device: device(48 * hw.MiB), Policy: passive})
 	if err != nil {
 		t.Fatal(err)

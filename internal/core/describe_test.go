@@ -91,48 +91,3 @@ func TestPlanDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestOptionsKnobs(t *testing.T) {
-	// Headroom shrinks the threshold and grows the required saving.
-	run := func(headroom int64) PlanSummary {
-		c := New(Options{Headroom: headroom})
-		s, err := exec.NewSession(testCNN(t), exec.Config{Device: device(64 * hw.MiB), Policy: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(2); err != nil {
-			t.Fatal(err)
-		}
-		return c.Summary()
-	}
-	small := run(1 * hw.MiB)
-	big := run(16 * hw.MiB)
-	if big.RequiredBytes <= small.RequiredBytes {
-		t.Errorf("larger headroom should require more saving: %d vs %d",
-			big.RequiredBytes, small.RequiredBytes)
-	}
-}
-
-func TestMeasuredIterationsOption(t *testing.T) {
-	c := New(Options{MeasuredIterations: 2})
-	s, err := exec.NewSession(testCNN(t), exec.Config{Device: device(48 * hw.MiB), Policy: c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sts, err := s.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Iterations 0 and 1 are measured: no proactive swaps.
-	for i := 0; i < 2; i++ {
-		if sts[i].SwapOutCount != 0 {
-			t.Errorf("iter %d swapped proactively during measurement", i)
-		}
-	}
-	if !c.Summary().Planned {
-		t.Error("no plan after the measured window")
-	}
-	if sts[3].SwapOutCount+sts[3].RecomputeCount == 0 {
-		t.Error("guided iteration took no actions")
-	}
-}

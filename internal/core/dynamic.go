@@ -20,7 +20,7 @@ import (
 // its first iteration runs, returning whether a guided plan is active.
 // On a signature switch the outgoing plan stays cached; a cached plan
 // for the incoming signature is reused (a plan-cache hit), otherwise the
-// policy re-enters measured mode for MeasuredIterations iterations.
+// policy re-enters measured mode for measuredIters iterations.
 // The plan rebinds to the rebuilt graph at the next iteration: a cached
 // plan's Idx stay valid for a rebuilt graph of its signature, and bind
 // re-keys it by ID when they do not. The first call only names
@@ -57,7 +57,7 @@ func (c *Capuchin) BeginSignature(sig string, env *exec.Env) bool {
 	c.plan = nil
 	c.tk = nil
 	c.measuring = false
-	c.measureLeft = c.remeasureIters()
+	c.measureLeft = measuredIters
 	if env != nil && env.Tracing() {
 		env.Decide(obs.Decision{
 			Action: "plan-measure",
@@ -82,7 +82,7 @@ func (c *Capuchin) InvalidatePlan(reason string, env *exec.Env) {
 	c.tk = nil
 	c.resetPrefetches()
 	c.measuring = false
-	c.measureLeft = c.remeasureIters()
+	c.measureLeft = measuredIters
 	if env != nil && env.Tracing() {
 		env.Decide(obs.Decision{
 			Action: "plan-invalidate",
@@ -95,14 +95,6 @@ func (c *Capuchin) InvalidatePlan(reason string, env *exec.Env) {
 // signature (false during measured and re-measured iterations).
 func (c *Capuchin) Planned() bool { return c.plan != nil }
 
-// remeasureIters is the length of a (re-)measurement pass.
-func (c *Capuchin) remeasureIters() int {
-	if n := c.opts.MeasuredIterations; n > 0 {
-		return n
-	}
-	return 1 // LoadPlan-ed policies still need one iteration to re-measure
-}
-
 // planCache is a small LRU of plans keyed by shape signature.
 type planCache struct {
 	limit int
@@ -110,10 +102,10 @@ type planCache struct {
 	plans map[string]*plan
 }
 
+// planCacheSize bounds the per-signature plan cache.
+const planCacheSize = 8
+
 func newPlanCache(limit int) *planCache {
-	if limit <= 0 {
-		limit = 8
-	}
 	return &planCache{limit: limit, plans: make(map[string]*plan)}
 }
 

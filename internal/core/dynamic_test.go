@@ -284,7 +284,7 @@ func TestBeginSignatureFirstCallSilent(t *testing.T) {
 		t.Errorf("first-signature bookkeeping audited state: %+v", sum)
 	}
 	// A genuinely new signature schedules a measured pass even for a
-	// loaded policy (MeasuredIterations 0 still re-measures once).
+	// loaded policy.
 	if loaded.BeginSignature("b6", nil) {
 		t.Fatal("unseen signature claimed a plan")
 	}
@@ -300,9 +300,11 @@ func TestBeginSignatureFirstCallSilent(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAcrossRebuiltGraphs walks the signatures A→B→A (b8 → b6
-// → b8). Every switch builds a fresh graph, so the return to A is a
-// plan-cache hit on a graph the plan was not built on. The cached plan
+// TestPlanCacheAcrossRebuiltGraphs walks the signatures A→B→C→D→E→A
+// (b8 → b7 → b6 → b5 → b4 → b8). The engine keeps four live sessions,
+// so visiting four other signatures evicts A's session and the return
+// to A builds its graph again: a plan-cache hit on a graph the plan was
+// not built on. The cached plan
 // is keyed by Tensor.Idx; a rebuilt graph of the same signature keeps
 // every Idx, so the plan binds as it is and must drive the same
 // evictions and prefetches as on the first visit, with fingerprints
@@ -323,17 +325,15 @@ func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
 			graphs = append(graphs, g)
 			return g, nil
 		},
-		Schedule: phases{8, 6, 8},
-		// One live session: switching to B evicts A's, so the return to
-		// A builds its graph again.
-		MaxSessions: 1,
+		Schedule: phases{8, 7, 6, 5, 4, 8},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A's first visit (a measured iteration, then guided ones), B, and
-	// the return to A, three iterations each.
-	var visits [3][]exec.IterStats
+	// A's first visit (a measured iteration, then guided ones), B to E,
+	// and the return to A, three iterations each.
+	const last = 5
+	var visits [last + 1][]exec.IterStats
 	var planA *plan
 	var namesA []string
 	for i := range visits {
@@ -349,11 +349,11 @@ func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
 		}
 	}
 
-	if len(graphs) != 3 || graphs[2] == graphs[0] {
+	if len(graphs) != last+1 || graphs[last] == graphs[0] {
 		t.Fatalf("built %d graphs; the return to A must build a fresh one", len(graphs))
 	}
-	if sum := cap.Summary(); sum.PlanBuilds != 2 || sum.CacheHits != 1 {
-		t.Fatalf("plan builds/cache hits = %d/%d, want 2/1", sum.PlanBuilds, sum.CacheHits)
+	if sum := cap.Summary(); sum.PlanBuilds != last || sum.CacheHits != 1 {
+		t.Fatalf("plan builds/cache hits = %d/%d, want %d/1", sum.PlanBuilds, sum.CacheHits, last)
 	}
 	if cap.plan != planA || !slices.Equal(cap.plan.names, namesA) {
 		t.Fatal("the return to A did not reuse A's plan as built")
@@ -363,7 +363,7 @@ func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
 	// in order: evictions, prefetches and on-demand swap-ins. A fresh
 	// session numbers its iterations from 0, so the shape-switch
 	// decisions split the log into visits.
-	var moves [3]map[int][]string
+	var moves [last + 1]map[int][]string
 	visit := 0
 	for _, dec := range col.Decisions() {
 		switch dec.Action {
@@ -378,7 +378,7 @@ func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
 	}
 	// A's first guided iteration came after its measured one; the
 	// return to A is guided from its first iteration.
-	first, revisit := moves[0][1], moves[2][0]
+	first, revisit := moves[0][1], moves[last][0]
 	if !slices.Contains(first, "swap-out data:0") {
 		t.Fatalf("A's first guided iteration did not run its plan: %v", first)
 	}
@@ -394,7 +394,7 @@ func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{0, 2} {
+	for _, v := range []int{0, last} {
 		for i, st := range visits[v] {
 			if st.LossFingerprint != want[i].LossFingerprint || st.ParamFingerprint != want[i].ParamFingerprint {
 				t.Errorf("visit %d iteration %d: fingerprints diverged from the uncapped run", v, i)

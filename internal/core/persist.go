@@ -258,7 +258,6 @@ func LoadPlan(r io.Reader, opts Options) (*Capuchin, error) {
 		return nil, err
 	}
 	c := New(opts)
-	c.opts.MeasuredIterations = 0 // straight to guided mode
-	c.plan = p
+	c.plan = p // straight to guided mode
 	return c, nil
 }

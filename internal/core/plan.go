@@ -294,11 +294,10 @@ func (pl *planner) build() *plan {
 	p := newPlan(names, pl.tk.seq)
 	curve, peak := pl.tk.usageCurve()
 	p.peakUsage = peak
-	headroom := pl.opts.Headroom
-	if headroom == 0 {
-		headroom = pl.capacity / 12
-	}
-	threshold := pl.capacity - pl.params - headroom
+	// The plan keeps 1/headroomDiv of device memory free for workspace
+	// and fragmentation.
+	const headroomDiv = 12
+	threshold := pl.capacity - pl.params - pl.capacity/headroomDiv
 	required := peak - threshold
 	p.required = required
 	if required <= 0 {

@@ -280,7 +280,7 @@ func finishMeasuredPass(c *Capuchin, seed int64) {
 }
 
 // Property: across random signature switch/invalidate sequences at every
-// cache limit — including the pathological PlanCacheSize=1 — the plan
+// cache limit — including the pathological limit of 1 — the plan
 // installed for the active signature is never evicted by LRU churn: the
 // active signature is always most-recently-used (touched by the get on a
 // cache hit or the put after a build), so eviction can only claim plans
@@ -289,7 +289,8 @@ func TestPlanCacheActivePlanNeverEvictedProperty(t *testing.T) {
 	for _, limit := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 8; seed++ {
 			rng := rand.New(rand.NewSource(seed*100 + int64(limit)))
-			c := New(Options{PlanCacheSize: limit})
+			c := New(Options{})
+			c.cache = newPlanCache(limit)
 			sigs := make([]string, limit+3)
 			for i := range sigs {
 				sigs[i] = fmt.Sprintf("b%d", 8<<i)
@@ -324,12 +325,13 @@ func TestPlanCacheActivePlanNeverEvictedProperty(t *testing.T) {
 	}
 }
 
-// Directed companion: PlanCacheSize=1 with cycling signatures is the
+// Directed companion: a plan cache of 1 with cycling signatures is the
 // tightest squeeze — every switch evicts the other signature's plan, yet
 // the incoming signature's freshly built (or re-built) plan must always
 // survive its own installation.
 func TestPlanCacheSizeOneCyclingKeepsActivePlan(t *testing.T) {
-	c := New(Options{PlanCacheSize: 1})
+	c := New(Options{})
+	c.cache = newPlanCache(1)
 	for round := 0; round < 6; round++ {
 		for i, sig := range []string{"b8", "b16", "b8/s128"} {
 			hit := c.BeginSignature(sig, nil)

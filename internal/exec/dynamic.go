@@ -55,59 +55,26 @@ type Replanner interface {
 	Planned() bool
 }
 
-// StalenessConfig tunes plan-staleness detection. The zero value means
-// defaults; set Disable to turn the detector off.
-type StalenessConfig struct {
-	Disable bool
-	// AccessDrift invalidates when the per-iteration access count
-	// deviates from the baseline by more than this fraction (default
-	// 0.05). Access counts are graph-structural, so this only fires on a
-	// genuine shape/plan mismatch, never on eviction jitter.
-	AccessDrift float64
-	// OnDemandFactor invalidates when on-demand swap-ins exceed the
-	// baseline by this factor (default 2) — the plan's prefetch triggers
-	// are firing too late for the running pattern.
-	OnDemandFactor float64
-	// MinOnDemand is the minimum on-demand swap-in count before the
-	// factor test applies (default 4).
-	MinOnDemand int
-	// StallFactor invalidates when stall time exceeds the baseline by
-	// this factor (default 4) and MinStall (default 1ms); 0 keeps the
-	// default, negative disables the stall signal.
-	StallFactor float64
-	MinStall    sim.Time
-	// Patience is how many consecutive stale iterations trigger an
-	// invalidation (default 2).
-	Patience int
-	// MaxReplans bounds staleness-triggered re-measurement passes per
-	// run (default 8).
-	MaxReplans int
-}
-
-func (sc StalenessConfig) fill() StalenessConfig {
-	if sc.AccessDrift == 0 {
-		sc.AccessDrift = 0.05
-	}
-	if sc.OnDemandFactor == 0 {
-		sc.OnDemandFactor = 2
-	}
-	if sc.MinOnDemand == 0 {
-		sc.MinOnDemand = 4
-	}
-	if sc.StallFactor == 0 {
-		sc.StallFactor = 4
-	}
-	if sc.MinStall == 0 {
-		sc.MinStall = sim.Millisecond
-	}
-	if sc.Patience == 0 {
-		sc.Patience = 2
-	}
-	if sc.MaxReplans == 0 {
-		sc.MaxReplans = 8
-	}
-	return sc
-}
+// The dynamic engine's constants. maxSessions bounds the per-signature
+// session cache. The staleness detector invalidates a plan after
+// patience consecutive stale iterations, at most maxReplans times per
+// run. An iteration is stale when its access count deviates from the
+// baseline by more than accessDrift (access counts are graph-structural,
+// so this only fires on a genuine shape/plan mismatch, never on eviction
+// jitter); when on-demand swap-ins exceed onDemandFactor times the
+// baseline, floored at minOnDemand (the plan's prefetch triggers fire too
+// late for the running pattern); or when stall time exceeds stallFactor
+// times the baseline, floored at minStall.
+const (
+	maxSessions    = 4
+	patience       = 2
+	maxReplans     = 8
+	accessDrift    = 0.05
+	onDemandFactor = 2
+	minOnDemand    = 4
+	stallFactor    = 4
+	minStall       = sim.Millisecond
+)
 
 // DynamicConfig configures a DynamicSession.
 type DynamicConfig struct {
@@ -119,10 +86,6 @@ type DynamicConfig struct {
 	Build func(batch, seq int64) (*graph.Graph, error)
 	// Schedule yields each iteration's shape.
 	Schedule ShapeSchedule
-	// MaxSessions bounds the per-signature session cache (default 4).
-	MaxSessions int
-	// Staleness tunes the plan-staleness detector.
-	Staleness StalenessConfig
 }
 
 // DynamicStats counts the dynamic engine's structural events.
@@ -164,7 +127,6 @@ type driftBaseline struct {
 // sessions. It is not safe for concurrent use, mirroring Session.
 type DynamicSession struct {
 	cfg         DynamicConfig
-	stale       StalenessConfig
 	maxSessions int
 
 	sessions map[string]*dynSession
@@ -199,13 +161,9 @@ func NewDynamicSession(cfg DynamicConfig) (*DynamicSession, error) {
 	if cfg.Schedule == nil {
 		return nil, fmt.Errorf("exec: dynamic: no shape schedule")
 	}
-	if cfg.MaxSessions <= 0 {
-		cfg.MaxSessions = 4
-	}
 	d := &DynamicSession{
 		cfg:         cfg,
-		stale:       cfg.Staleness.fill(),
-		maxSessions: cfg.MaxSessions,
+		maxSessions: maxSessions,
 		sessions:    make(map[string]*dynSession),
 		baselines:   make(map[string]driftBaseline),
 		buckets:     make(map[string]*BucketStats),
@@ -315,13 +273,13 @@ func (d *DynamicSession) switchTo(key string, batch, seq int64) error {
 }
 
 // checkStaleness compares a guided iteration against its signature's
-// baseline and invalidates the plan after Patience consecutive stale
+// baseline and invalidates the plan after patience consecutive stale
 // iterations. The first guided iteration after a (re)build becomes the
 // baseline: in a steady deterministic regime every later iteration
 // matches it exactly, so the detector is silent unless the workload —
 // or an injected fault window — genuinely shifts the pattern.
 func (d *DynamicSession) checkStaleness(key string, st IterStats) {
-	if d.stale.Disable || d.rp == nil || !d.rp.Planned() {
+	if d.rp == nil || !d.rp.Planned() {
 		return
 	}
 	base, ok := d.baselines[key]
@@ -329,13 +287,13 @@ func (d *DynamicSession) checkStaleness(key string, st IterStats) {
 		d.baselines[key] = driftBaseline{accesses: st.Accesses, onDemand: st.OnDemandInCount, stall: st.StallTime}
 		return
 	}
-	reason := staleReason(d.stale, base, st)
+	reason := staleReason(base, st)
 	if reason == "" {
 		d.staleStreak = 0
 		return
 	}
 	d.staleStreak++
-	if d.staleStreak < d.stale.Patience || d.replansIssued >= d.stale.MaxReplans {
+	if d.staleStreak < patience || d.replansIssued >= maxReplans {
 		return
 	}
 	d.rp.InvalidatePlan(reason, &Env{s: d.active.s})
@@ -347,10 +305,10 @@ func (d *DynamicSession) checkStaleness(key string, st IterStats) {
 
 // staleReason reports why an iteration diverges from its baseline, or
 // "" when it tracks the plan's expectations.
-func staleReason(cfg StalenessConfig, base driftBaseline, st IterStats) string {
+func staleReason(base driftBaseline, st IterStats) string {
 	if base.accesses > 0 {
 		drift := math.Abs(float64(st.Accesses-base.accesses)) / float64(base.accesses)
-		if drift > cfg.AccessDrift {
+		if drift > accessDrift {
 			return fmt.Sprintf("access pattern drifted %.1f%% from measured baseline (%d vs %d accesses)",
 				drift*100, st.Accesses, base.accesses)
 		}
@@ -358,25 +316,15 @@ func staleReason(cfg StalenessConfig, base driftBaseline, st IterStats) string {
 	// A clean first guided iteration records zero on-demand swap-ins and
 	// zero stall. Ratios against a zero (or near-zero) baseline misfire on
 	// the first hint of noise, so both baselines are floored at the
-	// configured absolute minimums: divergence below MinOnDemand /
-	// StallFactor*MinStall is never stale, whatever the baseline was.
-	baseOD := base.onDemand
-	if baseOD < cfg.MinOnDemand {
-		baseOD = cfg.MinOnDemand
-	}
-	if baseOD < 1 {
-		baseOD = 1
-	}
-	if st.OnDemandInCount >= cfg.MinOnDemand && float64(st.OnDemandInCount) > cfg.OnDemandFactor*float64(baseOD) {
+	// absolute minimums: divergence below minOnDemand /
+	// stallFactor*minStall is never stale, whatever the baseline was.
+	baseOD := max(base.onDemand, minOnDemand)
+	if st.OnDemandInCount >= minOnDemand && float64(st.OnDemandInCount) > onDemandFactor*float64(baseOD) {
 		return fmt.Sprintf("on-demand swap-ins %dx baseline (%d vs %d); prefetch triggers misfiring",
 			st.OnDemandInCount/baseOD, st.OnDemandInCount, base.onDemand)
 	}
-	baseStall := base.stall
-	if baseStall < cfg.MinStall {
-		baseStall = cfg.MinStall
-	}
-	if cfg.StallFactor > 0 && st.StallTime > cfg.MinStall &&
-		float64(st.StallTime) > cfg.StallFactor*float64(baseStall) {
+	baseStall := max(base.stall, minStall)
+	if st.StallTime > minStall && float64(st.StallTime) > stallFactor*float64(baseStall) {
 		return fmt.Sprintf("stall time %v vs baseline %v; plan no longer hides transfers",
 			st.StallTime, base.stall)
 	}

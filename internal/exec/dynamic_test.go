@@ -157,7 +157,6 @@ func TestDynamicSwitchingDeterministicAndCached(t *testing.T) {
 
 func TestDynamicSessionLRUEviction(t *testing.T) {
 	cfg := dynConfig(t, 1*hw.GiB)
-	cfg.MaxSessions = 2
 	// Three signatures round-robin: the cache can hold only two, so each
 	// revisit of an evicted signature rebuilds its session.
 	cfg.Schedule = sched(func(iter int) (int64, int64) {
@@ -167,6 +166,7 @@ func TestDynamicSessionLRUEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.maxSessions = 2
 	if _, err := d.Run(9); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDynamicSessionLRUEviction(t *testing.T) {
 		t.Errorf("signatures = %d, want 3", ds.Signatures)
 	}
 	if ds.SessionEvicts == 0 {
-		t.Error("no session evictions with MaxSessions=2 and 3 signatures")
+		t.Error("no session evictions with maxSessions=2 and 3 signatures")
 	}
 	if ds.SessionBuilds <= 3 {
 		t.Errorf("session builds = %d, want rebuilds beyond the initial 3", ds.SessionBuilds)
@@ -233,28 +233,27 @@ func TestDynamicReplannerSignatureFlow(t *testing.T) {
 }
 
 func TestStaleReason(t *testing.T) {
-	cfg := StalenessConfig{}.fill()
 	base := driftBaseline{accesses: 100, onDemand: 2, stall: sim.Millisecond}
 	ok := IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: sim.Millisecond}
-	if r := staleReason(cfg, base, ok); r != "" {
+	if r := staleReason(base, ok); r != "" {
 		t.Errorf("steady iteration flagged stale: %q", r)
 	}
 	// 3% access drift is within the 5% tolerance; 10% is not.
-	if r := staleReason(cfg, base, IterStats{Accesses: 103, OnDemandInCount: 2}); r != "" {
+	if r := staleReason(base, IterStats{Accesses: 103, OnDemandInCount: 2}); r != "" {
 		t.Errorf("3%% drift flagged: %q", r)
 	}
-	if r := staleReason(cfg, base, IterStats{Accesses: 110, OnDemandInCount: 2}); r == "" {
+	if r := staleReason(base, IterStats{Accesses: 110, OnDemandInCount: 2}); r == "" {
 		t.Error("10% access drift not flagged")
 	}
 	// On-demand surge: >2x the floored baseline and above the minimum count.
-	if r := staleReason(cfg, base, IterStats{Accesses: 100, OnDemandInCount: 9}); r == "" {
+	if r := staleReason(base, IterStats{Accesses: 100, OnDemandInCount: 9}); r == "" {
 		t.Error("on-demand surge not flagged")
 	}
-	if r := staleReason(cfg, base, IterStats{Accesses: 100, OnDemandInCount: 3}); r != "" {
+	if r := staleReason(base, IterStats{Accesses: 100, OnDemandInCount: 3}); r != "" {
 		t.Errorf("mild on-demand uptick flagged: %q", r)
 	}
 	// Stall surge: far beyond baseline.
-	if r := staleReason(cfg, base, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 20 * sim.Millisecond}); r == "" {
+	if r := staleReason(base, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 20 * sim.Millisecond}); r == "" {
 		t.Error("stall surge not flagged")
 	}
 }
@@ -265,64 +264,68 @@ func TestStaleReason(t *testing.T) {
 // flagged the faintest later noise (2ms of stall against a 1ms absolute
 // term; 4 on-demand ins against a baseline floored at 1) as a stale
 // plan, burning a bounded re-measurement pass on nothing. Both
-// baselines are now floored at the configured absolute minimums.
+// baselines are now floored at the absolute minimums.
 func TestStaleReasonZeroBaseline(t *testing.T) {
-	cfg := StalenessConfig{}.fill()
 
 	// Zero-stall baseline: 2ms of stall is noise, not staleness.
 	zeroStall := driftBaseline{accesses: 100, onDemand: 2, stall: 0}
-	if r := staleReason(cfg, zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 2 * sim.Millisecond}); r != "" {
+	if r := staleReason(zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 2 * sim.Millisecond}); r != "" {
 		t.Errorf("2ms stall against zero-stall baseline flagged: %q", r)
 	}
-	// A genuine surge still fires: beyond StallFactor * MinStall.
-	if r := staleReason(cfg, zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 5 * sim.Millisecond}); r == "" {
+	// A genuine surge still fires: beyond stallFactor * minStall.
+	if r := staleReason(zeroStall, IterStats{Accesses: 100, OnDemandInCount: 2, StallTime: 5 * sim.Millisecond}); r == "" {
 		t.Error("genuine stall surge over zero baseline not flagged")
 	}
 
-	// Zero on-demand baseline: MinOnDemand swap-ins are noise.
+	// Zero on-demand baseline: minOnDemand swap-ins are noise.
 	zeroOD := driftBaseline{accesses: 100, onDemand: 0, stall: sim.Millisecond}
-	if r := staleReason(cfg, zeroOD, IterStats{Accesses: 100, OnDemandInCount: cfg.MinOnDemand, StallTime: sim.Millisecond}); r != "" {
-		t.Errorf("%d on-demand ins against zero baseline flagged: %q", cfg.MinOnDemand, r)
+	if r := staleReason(zeroOD, IterStats{Accesses: 100, OnDemandInCount: minOnDemand, StallTime: sim.Millisecond}); r != "" {
+		t.Errorf("%d on-demand ins against zero baseline flagged: %q", minOnDemand, r)
 	}
-	// A genuine surge still fires: beyond OnDemandFactor * MinOnDemand.
-	if r := staleReason(cfg, zeroOD, IterStats{Accesses: 100, OnDemandInCount: 9, StallTime: sim.Millisecond}); r == "" {
+	// A genuine surge still fires: beyond onDemandFactor * minOnDemand.
+	if r := staleReason(zeroOD, IterStats{Accesses: 100, OnDemandInCount: 9, StallTime: sim.Millisecond}); r == "" {
 		t.Error("genuine on-demand surge over zero baseline not flagged")
 	}
 }
 
 func TestCheckStalenessPatienceAndBound(t *testing.T) {
-	rp := &stubReplanner{planned: true}
+	rp := &stubReplanner{}
 	d := &DynamicSession{
-		stale:     StalenessConfig{Patience: 2, MaxReplans: 1}.fill(),
 		rp:        rp,
 		baselines: make(map[string]driftBaseline),
 		active:    &dynSession{key: "b8"},
 	}
 	base := IterStats{Accesses: 100}
 	drifted := IterStats{Accesses: 150}
-	d.checkStaleness("b8", base) // establishes the baseline
-	d.checkStaleness("b8", drifted)
-	if len(rp.invalidated) != 0 {
-		t.Fatal("invalidated before Patience reached")
+	for i := 1; i <= maxReplans; i++ {
+		rp.planned = true
+		d.checkStaleness("b8", base) // establishes the baseline
+		for range patience - 1 {
+			d.checkStaleness("b8", drifted)
+		}
+		if len(rp.invalidated) != i-1 {
+			t.Fatalf("round %d: invalidated before patience reached", i)
+		}
+		d.checkStaleness("b8", drifted)
+		if len(rp.invalidated) != i {
+			t.Fatalf("round %d: invalidations = %d, want %d after %d stale iterations",
+				i, len(rp.invalidated), i, patience)
+		}
+		if _, ok := d.baselines["b8"]; ok {
+			t.Fatalf("round %d: baseline not cleared on invalidation", i)
+		}
 	}
-	d.checkStaleness("b8", drifted)
-	if len(rp.invalidated) != 1 {
-		t.Fatalf("invalidations = %d, want 1 after two stale iterations", len(rp.invalidated))
-	}
-	if _, ok := d.baselines["b8"]; ok {
-		t.Error("baseline not cleared on invalidation")
-	}
-	// MaxReplans caps further invalidations.
+	// maxReplans caps further invalidations.
 	rp.planned = true
 	d.checkStaleness("b8", base)
-	d.checkStaleness("b8", drifted)
-	d.checkStaleness("b8", drifted)
-	d.checkStaleness("b8", drifted)
-	if len(rp.invalidated) != 1 {
-		t.Errorf("invalidations = %d, want 1 (MaxReplans bound)", len(rp.invalidated))
+	for range 2 * patience {
+		d.checkStaleness("b8", drifted)
 	}
-	if d.stats.Invalidations != 1 {
-		t.Errorf("stats.Invalidations = %d, want 1", d.stats.Invalidations)
+	if len(rp.invalidated) != maxReplans {
+		t.Errorf("invalidations = %d, want %d (maxReplans bound)", len(rp.invalidated), maxReplans)
+	}
+	if d.stats.Invalidations != maxReplans {
+		t.Errorf("stats.Invalidations = %d, want %d", d.stats.Invalidations, maxReplans)
 	}
 }
 

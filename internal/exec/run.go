@@ -678,6 +678,9 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 	// exists, each input regenerated along the way is kept only if it
 	// will be used again and memory is plentiful; otherwise its memory is
 	// released immediately so deep replays cost O(1) extra space.
+	// Plentiful means free memory stays above 1/recomputeHeadroomDiv of
+	// the device after keeping the input.
+	const recomputeHeadroomDiv = 20
 	for _, in := range node.Inputs {
 		if !s.regen[in.Idx] || in == t {
 			continue
@@ -687,7 +690,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 			continue
 		}
 		keep := s.cfg.CollectiveRecompute && s.refs[in.Idx] > 0 &&
-			s.pool.FreeBytes() >= s.cfg.RecomputeHeadroom+in.Alloc.Size
+			s.pool.FreeBytes() >= s.dev.MemoryBytes/recomputeHeadroomDiv+in.Alloc.Size
 		if keep {
 			continue
 		}

@@ -54,10 +54,6 @@ type Config struct {
 	// CollectiveRecompute keeps intermediate recomputation targets
 	// produced while replaying a lineage, memory permitting (§5.3).
 	CollectiveRecompute bool
-	// RecomputeHeadroom is the free-memory floor below which collective
-	// recomputation stops retaining intermediates. Zero means 5% of
-	// device memory.
-	RecomputeHeadroom int64
 	// RecordSpans enables stream span recording for timeline figures.
 	RecordSpans bool
 	// Faults is the deterministic fault-injection plan; the zero value
@@ -221,9 +217,6 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = NullPolicy{}
-	}
-	if cfg.RecomputeHeadroom == 0 {
-		cfg.RecomputeHeadroom = cfg.Device.MemoryBytes / 20
 	}
 	var pool memory.Pool
 	switch cfg.Allocator {

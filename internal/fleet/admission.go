@@ -66,9 +66,10 @@ func (f *Fleet) onArrive(j *Job) {
 		f.drainQueue()
 		return
 	}
-	// Sandbox warmup: the job spends WarmupIters instrumented iterations
-	// off-fleet, after which its measured peak feeds the predictor.
-	delay := sim.Time(f.cfg.WarmupIters) * j.Profile.IterTime
+	// Sandbox warmup: the job spends DefaultWarmupIters instrumented
+	// iterations off-fleet, after which its measured peak feeds the
+	// predictor.
+	delay := sim.Time(DefaultWarmupIters) * j.Profile.IterTime
 	f.q.push(f.now+delay, evProfiled, j, j.gen)
 }
 
@@ -93,19 +94,19 @@ func (f *Fleet) onRequeue(j *Job) {
 }
 
 // enqueue inserts j into the admission queue and sheds overflow: beyond
-// MaxQueue the lowest-class youngest job (the queue tail, by the queue's
+// maxQueue the lowest-class youngest job (the queue tail, by the queue's
 // ordering) is rejected so the queue degrades by priority, never blocks.
 func (f *Fleet) enqueue(j *Job, reason string) {
 	f.queueInsert(j)
 	if reason != "" {
 		f.decide(j, "queue", reason, -1, j.Predicted)
 	}
-	for len(f.queued) > f.cfg.MaxQueue {
+	for len(f.queued) > f.maxQueue {
 		victim := f.queued[len(f.queued)-1]
 		f.queueRemove(victim)
 		f.met.Add(mShed, 1)
 		if f.traced() {
-			f.decide(victim, "shed", fmt.Sprintf("queue over %d", f.cfg.MaxQueue), -1, 0)
+			f.decide(victim, "shed", fmt.Sprintf("queue over %d", f.maxQueue), -1, 0)
 		}
 		f.reject(victim, "shed: admission queue full")
 	}
@@ -216,21 +217,21 @@ func (f *Fleet) tryAdmit(j *Job) admitResult {
 }
 
 // bandAllows checks the admission half of the class memory bands: the
-// class must stay at or under its MaxFrac share of fleet memory. MinFrac
+// class must stay at or under its maxFrac share of fleet memory. minFrac
 // is not withheld at admission — lower classes may borrow idle guarantee
 // space — because the guarantee is enforced dynamically instead: higher
 // classes reclaim it through preemption, and preemptShielded keeps any
-// class from being preempted below its own MinFrac.
+// class from being preempted below its own minFrac.
 func (f *Fleet) bandAllows(c Class, need int64) bool {
-	return float64(f.classUsed[c]+need) <= f.cfg.Bands[c].MaxFrac*float64(f.fleetAlloc)
+	return float64(f.classUsed[c]+need) <= f.bands[c].maxFrac*float64(f.fleetAlloc)
 }
 
 // preemptShielded reports whether evicting bytes from class c would push
-// the class below its guaranteed MinFrac share — such victims are off
+// the class below its guaranteed minFrac share — such victims are off
 // the table. freed is what preemption has already taken from c in the
 // current sweep.
 func (f *Fleet) preemptShielded(c Class, freed, bytes int64) bool {
-	floor := f.cfg.Bands[c].MinFrac * float64(f.fleetAlloc)
+	floor := f.bands[c].minFrac * float64(f.fleetAlloc)
 	return float64(f.classUsed[c]-freed-bytes) < floor
 }
 
@@ -292,7 +293,7 @@ func (f *Fleet) startAttempt(j *Job, dev int, reserve int64) {
 	}
 
 	remaining := j.Iters - j.DoneIters
-	ramp := f.cfg.WarmupIters
+	ramp := DefaultWarmupIters
 	if ramp > remaining {
 		ramp = remaining
 	}
@@ -446,6 +447,16 @@ func (f *Fleet) evict(j *Job) {
 	j.gen++
 }
 
+// The kill-recovery constants: a job killed more than maxKills times is
+// rejected; a requeue waits backoffBase doubled per kill (sim.Backoff);
+// a Capuchin readmission caps the job at capRetryRatio of its realized
+// peak, tightened 10% per further kill.
+const (
+	maxKills      = 4
+	backoffBase   = 10 * sim.Millisecond
+	capRetryRatio = 0.8
+)
+
 // oomKill handles a genuine OOM on a running job: checkpoint, evict,
 // back off, and either requeue (optionally with a tighter Capuchin cap)
 // or reject when the kill budget is spent.
@@ -459,18 +470,18 @@ func (f *Fleet) oomKill(j *Job, reason string) {
 	f.met.Add(mKills, 1)
 	f.met.Add(classed(mKills, j.Class), 1)
 	f.decide(j, "oom-kill", reason, -1, 0)
-	if j.Kills > f.cfg.MaxKills {
+	if j.Kills > maxKills {
 		reason := ""
 		if f.traced() {
-			reason = fmt.Sprintf("killed %d times, budget %d", j.Kills, f.cfg.MaxKills)
+			reason = fmt.Sprintf("killed %d times, budget %d", j.Kills, maxKills)
 		}
 		f.reject(j, reason)
 		return
 	}
 	if f.cfg.Manager == ManagerCapuchin {
-		// Readmit under a tighter cap: CapRetryRatio of the realized
+		// Readmit under a tighter cap: capRetryRatio of the realized
 		// peak, tightened 10% per further kill, floored at feasibility.
-		ratio := f.cfg.CapRetryRatio * math.Pow(0.9, float64(j.Kills-1))
+		ratio := capRetryRatio * math.Pow(0.9, float64(j.Kills-1))
 		if ratio < j.Profile.MinCapRatio {
 			ratio = j.Profile.MinCapRatio
 		}
@@ -478,7 +489,7 @@ func (f *Fleet) oomKill(j *Job, reason string) {
 	}
 	j.State = StateBackoff
 	f.met.Add(mRequeues, 1)
-	f.q.push(f.now+sim.Backoff(f.cfg.BackoffBase, j.Kills-1), evRequeue, j, j.gen)
+	f.q.push(f.now+sim.Backoff(backoffBase, j.Kills-1), evRequeue, j, j.gen)
 }
 
 // preemptFor finds a device where evicting strictly-lower-class jobs
@@ -489,7 +500,7 @@ func (f *Fleet) preemptFor(j *Job, need int64) int {
 	best, bestBytes := -1, int64(0)
 	for di, d := range f.devs {
 		// Per-class freeable bytes on this device, clipped by the
-		// fleet-wide MinFrac shield (an upper bound; preemptOn
+		// fleet-wide minFrac shield (an upper bound; preemptOn
 		// re-checks victim by victim).
 		var byClass [numClasses]int64
 		for _, v := range d.jobs {
@@ -499,7 +510,7 @@ func (f *Fleet) preemptFor(j *Job, need int64) int {
 		}
 		var lower int64
 		for c := Low; c < j.Class; c++ {
-			allow := f.classUsed[c] - int64(f.cfg.Bands[c].MinFrac*float64(f.fleetAlloc))
+			allow := f.classUsed[c] - int64(f.bands[c].minFrac*float64(f.fleetAlloc))
 			if allow < 0 {
 				allow = 0
 			}
@@ -552,7 +563,7 @@ func (f *Fleet) preemptOn(di int, j *Job, need int64) bool {
 			break
 		}
 		if f.preemptShielded(v.Class, freedByClass[v.Class], v.allocBytes) {
-			continue // eviction would break the class's MinFrac guarantee
+			continue // eviction would break the class's minFrac guarantee
 		}
 		freed += v.allocBytes
 		freedByClass[v.Class] += v.allocBytes

@@ -63,27 +63,25 @@ func (c Class) String() string {
 	}
 }
 
-// Band is a tenant class's fleet-wide memory share: the controller keeps
-// the class's total reserved bytes at or below MaxFrac of fleet memory,
+// band is a tenant class's fleet-wide memory share: the controller keeps
+// the class's total reserved bytes at or below maxFrac of fleet memory,
 // and refuses admissions of lower classes that would eat into the
-// unfilled MinFrac reservations of higher ones.
-type Band struct {
-	MinFrac float64
-	MaxFrac float64
+// unfilled minFrac reservations of higher ones.
+type band struct {
+	minFrac float64
+	maxFrac float64
 }
 
-// DefaultBands is the priority-tiered partitioning default: CRITICAL is
-// guaranteed 30% and may take everything, HIGH is guaranteed 15% and
-// capped at 85%, LOW gets no guarantee and at most 75%. Max caps keep a
-// class from monopolizing the fleet while contention lasts; min
-// guarantees are enforced dynamically (preemption and its MinFrac
-// shield), not by idling memory.
-func DefaultBands() map[Class]Band {
-	return map[Class]Band{
-		Critical: {MinFrac: 0.30, MaxFrac: 1.00},
-		High:     {MinFrac: 0.15, MaxFrac: 0.85},
-		Low:      {MinFrac: 0.00, MaxFrac: 0.75},
-	}
+// classBands is the priority-tiered partitioning: CRITICAL is guaranteed
+// 30% and may take everything, HIGH is guaranteed 15% and capped at 85%,
+// LOW gets no guarantee and at most 75%. Max caps keep a class from
+// monopolizing the fleet while contention lasts; min guarantees are
+// enforced dynamically (preemption and its minFrac shield), not by
+// idling memory. AdmitAll ignores the bands.
+var classBands = [numClasses]band{
+	Critical: {minFrac: 0.30, maxFrac: 1.00},
+	High:     {minFrac: 0.15, maxFrac: 0.85},
+	Low:      {minFrac: 0.00, maxFrac: 0.75},
 }
 
 // AdmissionMode selects the admission controller.
@@ -191,10 +189,11 @@ func (p Profile) Slowdown(ratio float64) (float64, bool) {
 	return s, true
 }
 
-// DefaultWarmupIters is the default sandbox warmup length in iterations:
-// the delay the fleet charges a job before admission, and the prefix of
-// the profiling run whose allocator peak a Profiler reports as
-// WarmupPeak. One constant keeps the two from drifting apart.
+// DefaultWarmupIters is the sandbox warmup length in iterations: the
+// delay the fleet charges a job before admission, its on-device ramp to
+// full footprint, and the prefix of the profiling run whose allocator
+// peak a Profiler reports as WarmupPeak. One constant keeps them from
+// drifting apart.
 const DefaultWarmupIters = 2
 
 // Profiler measures workload profiles. Implementations must be
@@ -294,11 +293,9 @@ type Config struct {
 	// Jobs is the number of jobs in the arrival stream.
 	Jobs int
 	// Devices is the device count; DeviceMemory the per-device capacity
-	// (default 16 GiB). DeviceMemories, when non-empty, assigns
-	// capacities round-robin for a heterogeneous fleet.
-	Devices        int
-	DeviceMemory   int64
-	DeviceMemories []int64
+	// (default 16 GiB).
+	Devices      int
+	DeviceMemory int64
 	// Admission and Manager select the controller and the per-job
 	// memory manager.
 	Admission AdmissionMode
@@ -307,41 +304,13 @@ type Config struct {
 	Profiler Profiler
 	// Workloads is the menu the arrival stream samples from (required).
 	Workloads []Workload
-	// ClassWeights are the sampling weights for LOW, HIGH, CRITICAL in
-	// that order; zero means {5, 3, 2}.
-	ClassWeights [3]float64
 	// MeanInterarrival is the mean of the exponential inter-arrival
 	// distribution (default 50 ms).
 	MeanInterarrival sim.Time
-	// MinIters and MaxIters bound per-job training length (default
-	// 20..120).
-	MinIters, MaxIters int
 	// JitterFrac is the ± relative spread of a job's realized peak
 	// around the workload's steady peak (default 0.15) — the predictor's
 	// irreducible error source.
 	JitterFrac float64
-	// SafetyMargin inflates predictions (default 0.10): predicted =
-	// warmup peak × (1 + margin).
-	SafetyMargin float64
-	// WarmupIters is the instrumented sandbox warmup length, also the
-	// on-device ramp to full footprint (default DefaultWarmupIters).
-	WarmupIters int
-	// MaxKills bounds OOM kills per job before it is rejected
-	// (default 4).
-	MaxKills int
-	// BackoffBase is the base requeue delay after a kill, doubling per
-	// kill via sim.Backoff (default 10 ms).
-	BackoffBase sim.Time
-	// MaxQueue bounds the admission queue; beyond it the controller
-	// sheds lowest-class, youngest jobs (default 4 × Devices).
-	MaxQueue int
-	// Bands are the per-class memory bands (default DefaultBands).
-	// AdmitAll ignores them.
-	Bands map[Class]Band
-	// CapRetryRatio is the cap/observed-peak ratio of a Capuchin
-	// readmission after a kill (default 0.8), tightened by 10% per
-	// further kill and floored at the workload's MinCapRatio.
-	CapRetryRatio float64
 	// Tracer, when non-nil, receives an audit Decision for every
 	// admission-controller choice plus the fleet timeline: a span per
 	// job lifecycle phase, per-device memory counter tracks, a
@@ -375,47 +344,14 @@ func (c Config) fill() (Config, error) {
 	if c.DeviceMemory == 0 {
 		c.DeviceMemory = 16 * hw.GiB
 	}
-	if c.ClassWeights == ([3]float64{}) {
-		c.ClassWeights = [3]float64{5, 3, 2}
-	}
 	if c.MeanInterarrival == 0 {
 		c.MeanInterarrival = 50 * sim.Millisecond
-	}
-	if c.MinIters == 0 {
-		c.MinIters = 20
-	}
-	if c.MaxIters == 0 {
-		c.MaxIters = 120
-	}
-	if c.MaxIters < c.MinIters {
-		return c, fmt.Errorf("fleet: MaxIters %d below MinIters %d", c.MaxIters, c.MinIters)
 	}
 	if c.JitterFrac == 0 {
 		c.JitterFrac = 0.15
 	}
 	if c.JitterFrac < 0 || c.JitterFrac >= 1 {
 		return c, fmt.Errorf("fleet: JitterFrac %v outside [0,1)", c.JitterFrac)
-	}
-	if c.SafetyMargin == 0 {
-		c.SafetyMargin = 0.10
-	}
-	if c.WarmupIters == 0 {
-		c.WarmupIters = DefaultWarmupIters
-	}
-	if c.MaxKills == 0 {
-		c.MaxKills = 4
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 10 * sim.Millisecond
-	}
-	if c.MaxQueue == 0 {
-		c.MaxQueue = 4 * c.Devices
-	}
-	if c.Bands == nil {
-		c.Bands = DefaultBands()
-	}
-	if c.CapRetryRatio == 0 {
-		c.CapRetryRatio = 0.8
 	}
 	return c, nil
 }
@@ -437,7 +373,13 @@ type Fleet struct {
 	jobs       []*Job
 	devs       []*device
 	fleetAlloc int64 // total fleet memory
-	maxDev     int64 // largest device capacity
+	maxDev     int64 // device capacity
+
+	// maxQueue bounds the admission queue (queuePerDevice × Devices);
+	// beyond it the controller sheds lowest-class, youngest jobs. bands
+	// are the per-class memory bands (classBands).
+	maxQueue int
+	bands    [numClasses]band
 
 	q      eventQueue
 	queued []*Job // admission queue, kept in priority order
@@ -455,6 +397,16 @@ type Fleet struct {
 	met *obs.Metrics
 }
 
+// The arrival stream and admission constants. A job trains for
+// minIters..maxIters iterations; the predictor inflates a warmup peak by
+// safetyMargin; the admission queue holds queuePerDevice jobs per device.
+const (
+	minIters       = 20
+	maxIters       = 120
+	safetyMargin   = 0.10
+	queuePerDevice = 4
+)
+
 // New builds a fleet scenario: it samples the arrival stream, profiles
 // every distinct workload on the menu, and initializes the devices.
 func New(cfg Config) (*Fleet, error) {
@@ -462,22 +414,23 @@ func New(cfg Config) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Fleet{cfg: cfg, met: obs.NewMetrics()}
+	f := &Fleet{
+		cfg:        cfg,
+		met:        obs.NewMetrics(),
+		fleetAlloc: int64(cfg.Devices) * cfg.DeviceMemory,
+		maxQueue:   queuePerDevice * cfg.Devices,
+		bands:      classBands,
+	}
 
 	// Devices.
 	for i := 0; i < cfg.Devices; i++ {
-		capBytes := cfg.DeviceMemory
-		if len(cfg.DeviceMemories) > 0 {
-			capBytes = cfg.DeviceMemories[i%len(cfg.DeviceMemories)]
-		}
 		f.devs = append(f.devs, &device{
 			id:   i,
-			pool: memory.NewBFC(capBytes),
+			pool: memory.NewBFC(cfg.DeviceMemory),
 			jobs: make(map[int]*Job),
 		})
-		f.fleetAlloc += capBytes
-		f.maxDev = max(f.maxDev, f.devs[i].pool.Capacity())
 	}
+	f.maxDev = f.devs[0].pool.Capacity()
 
 	// Profile the menu once per distinct workload.
 	profiles := make(map[Workload]Profile, len(cfg.Workloads))
@@ -505,20 +458,20 @@ func New(cfg Config) (*Fleet, error) {
 		jitter := 1 + cfg.JitterFrac*(2*u01(cfg.Seed, uint64(i), "jitter")-1)
 		j := &Job{
 			ID:      i,
-			Class:   drawClass(cfg.ClassWeights, u01(cfg.Seed, uint64(i), "class")),
+			Class:   drawClass(u01(cfg.Seed, uint64(i), "class")),
 			Load:    w,
 			Arrival: at,
-			Iters:   cfg.MinIters + int(u01(cfg.Seed, uint64(i), "iters")*float64(cfg.MaxIters-cfg.MinIters+1)),
+			Iters:   minIters + int(u01(cfg.Seed, uint64(i), "iters")*float64(maxIters-minIters+1)),
 			Profile: p,
 			Actual:  int64(float64(p.SteadyPeak) * jitter),
 			Device:  -1,
 			State:   StatePending,
 		}
-		if j.Iters > cfg.MaxIters {
-			j.Iters = cfg.MaxIters
+		if j.Iters > maxIters {
+			j.Iters = maxIters
 		}
 		if cfg.Admission == Predictive {
-			j.Predicted = int64(float64(p.WarmupPeak) * (1 + cfg.SafetyMargin))
+			j.Predicted = int64(float64(p.WarmupPeak) * (1 + safetyMargin))
 		}
 		f.jobs = append(f.jobs, j)
 		f.met.Add(mJobs, 1)
@@ -527,18 +480,15 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// drawClass converts a uniform sample to a class under the weights
-// (LOW, HIGH, CRITICAL order).
-func drawClass(w [3]float64, u float64) Class {
-	total := w[0] + w[1] + w[2]
-	if total <= 0 {
+// drawClass converts a uniform sample to a class under the arrival
+// stream's 5:3:2 LOW:HIGH:CRITICAL weights.
+func drawClass(u float64) Class {
+	const low, high, critical = 5, 3, 2
+	x := u * (low + high + critical)
+	if x < low {
 		return Low
 	}
-	x := u * total
-	if x < w[0] {
-		return Low
-	}
-	if x < w[0]+w[1] {
+	if x < low+high {
 		return High
 	}
 	return Critical

@@ -235,8 +235,15 @@ func TestQueueSheds(t *testing.T) {
 	cfg := testConfig(Predictive, ManagerNone)
 	cfg.Jobs = 300
 	cfg.Devices = 2
-	cfg.MaxQueue = 3
-	rep := mustRun(t, cfg)
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.maxQueue = 3
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Shed == 0 {
 		t.Fatal("no sheds despite a 3-deep queue under 300 jobs")
 	}
@@ -245,19 +252,15 @@ func TestQueueSheds(t *testing.T) {
 	}
 }
 
-// TestBandExcludesLow: with LOW's MaxFrac forced to zero, no LOW job is
+// TestBandExcludesLow: with LOW's maxFrac forced to zero, no LOW job is
 // ever admitted, while higher classes still complete.
 func TestBandExcludesLow(t *testing.T) {
-	cfg := testConfig(Predictive, ManagerNone)
-	cfg.Bands = map[Class]Band{
-		Critical: {MinFrac: 0.30, MaxFrac: 1.00},
-		High:     {MinFrac: 0.15, MaxFrac: 0.60},
-		Low:      {MinFrac: 0, MaxFrac: 0},
-	}
-	f, err := New(cfg)
+	f, err := New(testConfig(Predictive, ManagerNone))
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.bands[High].maxFrac = 0.60
+	f.bands[Low] = band{}
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +292,6 @@ func TestConfigValidation(t *testing.T) {
 		{"no profiler", func(c *Config) { c.Profiler = nil }, "Profiler"},
 		{"no menu", func(c *Config) { c.Workloads = nil }, "Workloads"},
 		{"bad jitter", func(c *Config) { c.JitterFrac = 1.5 }, "JitterFrac"},
-		{"bad iters", func(c *Config) { c.MinIters, c.MaxIters = 50, 10 }, "MaxIters"},
 	} {
 		cfg := testConfig(Predictive, ManagerNone)
 		tc.mut(&cfg)

@@ -48,7 +48,6 @@ func TestFleetChaosSoak(t *testing.T) {
 				Workloads:        testMenu(),
 				MeanInterarrival: sim.Time(10+seed%30) * sim.Millisecond,
 				JitterFrac:       0.30,
-				MaxQueue:         8,
 			}
 			col := obs.NewCollector()
 			cfg.Tracer = col
@@ -56,6 +55,7 @@ func TestFleetChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d %v/%v: %v", seed, combo.mode, combo.mgr, err)
 			}
+			f.maxQueue = 8
 			rep, err := f.Run()
 			if err != nil {
 				t.Fatalf("seed %d %v/%v: %v", seed, combo.mode, combo.mgr, err)
@@ -107,6 +107,7 @@ func TestFleetChaosSoak(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				f2.maxQueue = f.maxQueue
 				rep2, err := f2.Run()
 				if err != nil {
 					t.Fatal(err)

@@ -213,25 +213,6 @@ func PCIeRing() Interconnect {
 	}
 }
 
-// Fill substitutes defaults for unset fields, so a zero-value
-// Interconnect behaves as PCIeRing.
-func (ic Interconnect) Fill() Interconnect {
-	def := PCIeRing()
-	if ic.LinkBytesPerSec <= 0 {
-		ic.LinkBytesPerSec = def.LinkBytesPerSec
-	}
-	if ic.LinkLatency <= 0 {
-		ic.LinkLatency = def.LinkLatency
-	}
-	if ic.ContentionSlowdown <= 1 {
-		ic.ContentionSlowdown = def.ContentionSlowdown
-	}
-	if ic.BucketBytes <= 0 {
-		ic.BucketBytes = def.BucketBytes
-	}
-	return ic
-}
-
 // AllReduceTime reports the duration of a ring all-reduce of bytes across
 // devices replicas: every replica sends and receives 2(N-1)/N of the
 // payload over its link, in 2(N-1) latency-bound steps. A single device
@@ -240,7 +221,6 @@ func (ic Interconnect) AllReduceTime(devices int, bytes int64) sim.Time {
 	if devices <= 1 || bytes <= 0 {
 		return 0
 	}
-	ic = ic.Fill()
 	n := float64(devices)
 	wire := sim.FromSeconds(2 * (n - 1) / n * float64(bytes) / ic.LinkBytesPerSec)
 	return sim.Time(2*(devices-1))*ic.LinkLatency + wire

@@ -184,11 +184,6 @@ func TestAllReduceTime(t *testing.T) {
 		}
 		prev = d
 	}
-	// The zero value picks up PCIeRing defaults rather than dividing by zero.
-	var zero Interconnect
-	if got := zero.AllReduceTime(2, 25*MiB); got <= 0 {
-		t.Errorf("zero-value interconnect all-reduce = %v, want positive", got)
-	}
 	if def := PCIeRing(); def.BucketBytes != 25*MiB || def.ContentionSlowdown <= 1 {
 		t.Errorf("PCIeRing defaults incomplete: %+v", def)
 	}

@@ -10,8 +10,9 @@ import (
 
 // FuzzDecodeRunRequest feeds arbitrary submission bodies to the decoder
 // behind POST /v1/runs, the daemon's trust boundary. It must never
-// panic; every config it accepts must be within the size caps and
-// already canonical
+// panic; every config it accepts must be within the size caps, have a
+// positive device memory and a non-negative host memory, and be already
+// canonical
 // (canonicalization is idempotent); and the same request with every
 // default spelled out must decode to an equal canonical config with an
 // equal run ID, so the store dedups the two.
@@ -27,6 +28,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`{"model":"resnet50","batch":0}`, `{"model":"nope","batch":1}`,
 		`{"model":"resnet50","batch":8,"bogus":1}`, `{"model":"resnet50","batch":8} trailing`,
 		`{"model":"resnet50","batch":8,"memGiB":1e300}`, `{"batch":-1}`, `null`, `[]`, ``,
+		`{"model":"alexnet","batch":8,"hostMemGiB":1e12}`, `{"model":"alexnet","batch":8,"memGiB":1e-12}`,
 		`{"model":"alexnet","batch":1,"iterations":2000000000}`, `{"model":"alexnet","batch":4096,"iterations":10000,"devices":64}`,
 		`{"model":"alexnet","batch":1,"devices":100000}`, `{"model":"alexnet","batch":100000}`,
 	} {
@@ -37,9 +39,13 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if key.Batch > maxBatch || key.Iterations > maxIterations || key.Devices > maxDevices {
+		if key.Batch > bench.MaxBatchCeiling || key.Iterations > maxIterations || key.Devices > maxDevices {
 			t.Fatalf("accepted config beyond the caps: batch %d, iterations %d, devices %d",
 				key.Batch, key.Iterations, key.Devices)
+		}
+		if key.Device.MemoryBytes <= 0 || key.HostMemory < 0 {
+			t.Fatalf("accepted config with device memory %d, host memory %d",
+				key.Device.MemoryBytes, key.HostMemory)
 		}
 		if again := bench.CanonicalConfig(key); again != key {
 			t.Fatalf("canonicalization is not idempotent:\n once  %#v\n twice %#v", key, again)

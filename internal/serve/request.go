@@ -29,9 +29,9 @@ type RunRequest struct {
 	Allocator string `json:"allocator,omitempty"`
 	// Mode is "graph" (default) or "eager".
 	Mode string `json:"mode,omitempty"`
-	// MemGiB overrides the P100's 16 GiB device memory.
+	// MemGiB overrides the P100's 16 GiB device memory; at most 4096.
 	MemGiB float64 `json:"memGiB,omitempty"`
-	// HostMemGiB overrides the 256 GiB pinned-host default.
+	// HostMemGiB overrides the 256 GiB pinned-host default; at most 4096.
 	HostMemGiB float64 `json:"hostMemGiB,omitempty"`
 	// Faults is a fault-injection plan in fault.ParsePlan syntax.
 	Faults string `json:"faults,omitempty"`
@@ -55,18 +55,32 @@ const (
 	maxIterations = 10_000
 	// maxDevices bounds Devices; the Scaling experiment uses at most 8.
 	maxDevices = 64
-	// maxBatch bounds Batch at the largest batch bench's max-batch search
-	// probes.
-	maxBatch = 4096
+	// maxMemGiB bounds MemGiB and HostMemGiB. A size beyond the int64
+	// byte range would convert to a negative capacity.
+	maxMemGiB = 4096
 )
+
+// memBytes converts a request's memory size in GiB to bytes. Zero means
+// unset; any other size must come to at least one byte and at most
+// maxMemGiB.
+func memBytes(field string, gib float64) (int64, error) {
+	if gib == 0 {
+		return 0, nil
+	}
+	bytes := gib * float64(hw.GiB)
+	if bytes < 1 || gib > maxMemGiB {
+		return 0, fmt.Errorf("serve: %s must be 0 (unset) or between 1 byte and %d GiB, got %g", field, maxMemGiB, gib)
+	}
+	return int64(bytes), nil
+}
 
 // ToRunConfig validates the request and maps it onto a bench.RunConfig.
 // Validation covers what can be checked without running: the model and
 // system must be registered, the mode known, the batch positive, the
-// iteration count, device count, schedule period and memory sizes
-// non-negative, the batch, iteration count and device count within their
-// caps, the fault plan parseable, and the config product one
-// the engine runs — a Schedule with Devices > 1 is rejected with an
+// iteration count, device count and schedule period non-negative, the
+// batch, iteration count and device count within their caps, each memory
+// size unset or from one byte to maxMemGiB, the fault plan parseable,
+// and the config product one the engine runs — a Schedule with Devices > 1 is rejected with an
 // error wrapping bench.ErrDynamicCluster. An invalid request therefore
 // never reaches admission.
 func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
@@ -80,8 +94,8 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 	switch {
 	case rr.Batch < 1:
 		return cfg, fmt.Errorf("serve: batch must be >= 1, got %d", rr.Batch)
-	case rr.Batch > maxBatch:
-		return cfg, fmt.Errorf("serve: batch must be <= %d, got %d", maxBatch, rr.Batch)
+	case rr.Batch > bench.MaxBatchCeiling:
+		return cfg, fmt.Errorf("serve: batch must be <= %d, got %d", bench.MaxBatchCeiling, rr.Batch)
 	case rr.Iterations < 0:
 		return cfg, fmt.Errorf("serve: iterations must be >= 0, got %d", rr.Iterations)
 	case rr.Iterations > maxIterations:
@@ -92,12 +106,16 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 		return cfg, fmt.Errorf("serve: devices must be <= %d, got %d", maxDevices, rr.Devices)
 	case rr.SchedulePeriod < 0:
 		return cfg, fmt.Errorf("serve: schedulePeriod must be >= 0, got %d", rr.SchedulePeriod)
-	case rr.MemGiB < 0:
-		return cfg, fmt.Errorf("serve: memGiB must be >= 0, got %g", rr.MemGiB)
-	case rr.HostMemGiB < 0:
-		return cfg, fmt.Errorf("serve: hostMemGiB must be >= 0, got %g", rr.HostMemGiB)
 	case rr.Schedule != "" && rr.Devices > 1:
 		return cfg, fmt.Errorf("serve: %w", bench.ErrDynamicCluster)
+	}
+	devBytes, err := memBytes("memGiB", rr.MemGiB)
+	if err != nil {
+		return cfg, err
+	}
+	hostBytes, err := memBytes("hostMemGiB", rr.HostMemGiB)
+	if err != nil {
+		return cfg, err
 	}
 	system := rr.System
 	if system == "" {
@@ -117,14 +135,13 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 	}
 	var plan fault.Plan
 	if rr.Faults != "" {
-		var err error
 		if plan, err = fault.ParsePlan(rr.Faults); err != nil {
 			return cfg, fmt.Errorf("serve: %w", err)
 		}
 	}
 	dev := hw.P100()
-	if rr.MemGiB > 0 {
-		dev = dev.WithMemory(int64(rr.MemGiB * float64(hw.GiB)))
+	if devBytes > 0 {
+		dev = dev.WithMemory(devBytes)
 	}
 	cfg = bench.RunConfig{
 		Model:          rr.Model,
@@ -140,9 +157,7 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 		SchedulePeriod: rr.SchedulePeriod,
 		Devices:        rr.Devices,
 		CommOblivious:  rr.CommOblivious,
-	}
-	if rr.HostMemGiB > 0 {
-		cfg.HostMemory = int64(rr.HostMemGiB * float64(hw.GiB))
+		HostMemory:     hostBytes,
 	}
 	return cfg, nil
 }

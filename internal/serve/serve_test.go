@@ -175,6 +175,9 @@ func TestSubmitValidation(t *testing.T) {
 		{"devices one above cap", `{"model":"alexnet","batch":1,"devices":65}`, http.StatusBadRequest, "<= 64"},
 		{"batch above cap", `{"model":"alexnet","batch":100000}`, http.StatusBadRequest, "<= 4096"},
 		{"batch one above cap", `{"model":"alexnet","batch":4097}`, http.StatusBadRequest, "<= 4096"},
+		{"memory above cap", `{"model":"alexnet","batch":8,"memGiB":1e300}`, http.StatusBadRequest, "4096 GiB"},
+		{"memory below one byte", `{"model":"alexnet","batch":8,"memGiB":1e-12}`, http.StatusBadRequest, "1 byte"},
+		{"host memory above cap", `{"model":"alexnet","batch":8,"hostMemGiB":1e12}`, http.StatusBadRequest, "4096 GiB"},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
