@@ -38,9 +38,9 @@ soak:
 	$(GO) test -race -count=2 ./internal/exec -run 'Fault|FallsBack|Abandonment|Spikes|ErrorChain|Dynamic'
 
 # fuzz-smoke runs each fuzz target briefly (30s in CI): the two allocator
-# fuzzers, the shape-inference fuzzers and the trust-boundary parsers
+# fuzzers, the shape-inference fuzzers, the trust-boundary parsers
 # (fault-plan specs, shape schedules, serve request bodies, exported
-# Capuchin plans) must stay quiet. -fuzz is a regexp that must match
+# Capuchin plans) and the event log's round trip must stay quiet. -fuzz is a regexp that must match
 # exactly one target, hence the anchors. FuzzLoadPlan's seed is a whole
 # exported plan of about 100 KB, and minimizing one at the default 60 s
 # per input would spend the budget there, so its minimization is capped.
@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNewSchedule$$' -fuzztime $(FUZZTIME) ./internal/models
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRunRequest$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectorRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/obs
 
 # bench reproduces the numbers in BENCH_parallel_runner.json.
 bench:

@@ -137,12 +137,7 @@ func (e *Env) SwapOutAsync(t *tensor.Tensor) bool {
 			}
 		}
 	}
-	// The "swapout <id>" label is observable only through a tracer or span
-	// recording; the steady untraced path passes the bare kind.
-	label := "swapout"
-	if s.tr != nil || s.d2h.Recording() {
-		label = "swapout " + t.ID
-	}
+	label := s.tensorSpanLabel(labelSwapOut, t, s.d2h)
 	dur := s.dev.D2H.DegradedTransferTime(t.Bytes(), s.linkSlowdown(sim.MaxTime(s.d2h.AvailableAt(), anchor)))
 	if s.inj.TransferFails(fault.D2H, t.ID) {
 		// Aborted DMA: the link is occupied to the abort point, the host
@@ -256,10 +251,7 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 			}
 		}
 	}
-	label := "swapin"
-	if s.tr != nil || s.h2d.Recording() {
-		label = "swapin " + t.ID
-	}
+	label := s.tensorSpanLabel(labelSwapIn, t, s.h2d)
 	dur := s.dev.H2D.DegradedTransferTime(t.Bytes(), s.linkSlowdown(sim.MaxTime(s.h2d.AvailableAt(), anchor)))
 	if s.inj.TransferFails(fault.H2D, t.ID) {
 		// Aborted prefetch DMA: occupy the link to the abort point and put
@@ -294,7 +286,7 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 	s.stats.PrefetchCount++
 	s.stats.PrefetchBytes += t.Bytes()
 	if s.tr != nil {
-		s.memEvent("alloc", "prefetch", t.ID, t.Bytes(), s.actionAnchor)
+		s.memEvent(labelAlloc, "prefetch", t, t.Bytes(), s.actionAnchor)
 		s.tr.Emit(obs.Event{
 			Kind: obs.KindSpan, Cat: "transfer", Name: label,
 			Lane: "h2d", Start: start, End: end, Queued: s.actionAnchor,
@@ -347,7 +339,7 @@ func (e *Env) ReleaseForRecompute(t *tensor.Tensor) bool {
 		return false
 	}
 	if s.tr != nil {
-		s.memEvent("free", "recompute-drop", t.ID, t.Bytes(), s.now())
+		s.memEvent(labelFree, "recompute-drop", t, t.Bytes(), s.now())
 		s.decide(obs.Decision{
 			Tensor: t.ID, Action: "release-recompute", Bytes: t.Bytes(),
 			Reason: "planned recomputation: dropped now, lineage replay at the back-access",

@@ -83,15 +83,12 @@ func (s *Session) Run(n int) ([]IterStats, error) {
 // Returns the completion time of the successful attempt, or a
 // *TransferError after the retry budget is spent.
 //
-// kind names the transfer class ("swapout", "ondemand", ...); the
-// human-readable "kind key" label is built only when a tracer or span
-// recording will actually observe it, so the steady untraced path never
-// concatenates strings.
-func (s *Session) runTransfer(dir fault.Direction, st *sim.Stream, kind, key string, bytes int64, earliest sim.Time) (sim.Time, error) {
-	label := kind
-	if s.tr != nil || st.Recording() {
-		label = kind + " " + key
-	}
+// kind names the transfer class (labelOnDemand or labelPassive); the
+// "ondemand <id>" label is used only when a tracer or span recording will
+// actually observe it, so the steady untraced path never builds a string.
+func (s *Session) runTransfer(dir fault.Direction, st *sim.Stream, kind labelKind, t *tensor.Tensor, earliest sim.Time) (sim.Time, error) {
+	key, bytes := t.ID, t.Bytes()
+	label := s.tensorSpanLabel(kind, t, st)
 	link := s.dev.H2D
 	if dir == fault.D2H {
 		link = s.dev.D2H
@@ -202,14 +199,11 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 	deps := issueAt
 	// Eager mode: the CPU dispatch stream serializes ahead of the kernel.
 	if s.cpu != nil {
-		label := "dispatch"
-		if s.tr != nil || s.cpu.Recording() {
-			label = "dispatch " + n.ID
-		}
+		label := s.nodeSpanLabel(labelDispatch, n, s.cpu)
 		cpuStart, cpuEnd := s.cpu.Run(label, 0, s.dev.EagerDispatch)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{
-				Kind: obs.KindSpan, Cat: "dispatch", Name: "dispatch " + n.ID,
+				Kind: obs.KindSpan, Cat: "dispatch", Name: label,
 				Lane: "cpu", Start: cpuStart, End: cpuEnd, Iter: s.iter, Node: n.ID,
 			})
 		}
@@ -251,7 +245,7 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 			return err
 		}
 		if s.tr != nil {
-			s.memEvent("alloc", "produce", out.ID, out.Bytes(), s.now())
+			s.memEvent(labelAlloc, "produce", out, out.Bytes(), s.now())
 		}
 	}
 
@@ -288,7 +282,7 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 			return invariant("free-workspace", "", err)
 		}
 		if s.tr != nil {
-			s.memEvent("free", "workspace", "", wsAlloc.Size, s.now())
+			s.memEvent(labelFree, "workspace", nil, wsAlloc.Size, s.now())
 		}
 	}
 
@@ -388,7 +382,7 @@ func (s *Session) chooseAlgorithm(n *graph.Node) (ops.Algorithm, *memory.Allocat
 		}
 		if ws := s.pool.TryAlloc(a.Workspace); ws != nil {
 			if s.tr != nil {
-				s.memEvent("alloc", "workspace", "", a.Workspace, s.now())
+				s.memEvent(labelAlloc, "workspace", nil, a.Workspace, s.now())
 			}
 			return a, ws, nil
 		}
@@ -421,7 +415,7 @@ func (s *Session) release(t *tensor.Tensor, at sim.Time, env *Env) error {
 			return err
 		}
 		if s.tr != nil {
-			s.memEvent("free", "dead", t.ID, t.Bytes(), at)
+			s.memEvent(labelFree, "dead", t, t.Bytes(), at)
 		}
 	case tensor.Out:
 		if s.host.HoldsIdx(int(t.Idx)) {
@@ -496,7 +490,7 @@ func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (r
 			return 0, false, true, invariant("ondemand-in", t.ID, err)
 		}
 		if s.tr != nil {
-			s.memEvent("alloc", "ondemand", t.ID, t.Bytes(), s.now())
+			s.memEvent(labelAlloc, "ondemand", t, t.Bytes(), s.now())
 			s.decide(obs.Decision{
 				Tensor: t.ID, Action: "ondemand-swapin", Bytes: t.Bytes(),
 				Reason: "accessed while swapped out (no prefetch landed)",
@@ -505,7 +499,7 @@ func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (r
 		if s.met != nil {
 			s.met.Add("swap/ondemand", 1)
 		}
-		end, terr := s.runTransfer(fault.H2D, s.h2d, "ondemand", t.ID, t.Bytes(), s.now())
+		end, terr := s.runTransfer(fault.H2D, s.h2d, labelOnDemand, t, s.now())
 		if terr != nil {
 			return s.abandonSwapIn(t, terr)
 		}
@@ -541,7 +535,7 @@ func (s *Session) abandonSwapIn(t *tensor.Tensor, terr error) (sim.Time, bool, b
 	}
 	s.stats.SwapFallbacks++
 	if s.tr != nil {
-		s.memEvent("free", "fallback", t.ID, t.Bytes(), s.now())
+		s.memEvent(labelFree, "fallback", t, t.Bytes(), s.now())
 		s.decide(obs.Decision{
 			Tensor: t.ID, Action: "fallback-recompute", Bytes: t.Bytes(),
 			Reason: "on-demand swap-in exhausted its DMA retry budget; degrading to lineage replay",
@@ -624,7 +618,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 		return 0, err
 	}
 	if s.tr != nil {
-		s.memEvent("alloc", "recompute", t.ID, t.Bytes(), s.now())
+		s.memEvent(labelAlloc, "recompute", t, t.Bytes(), s.now())
 	}
 
 	// Per-depth fingerprint scratch: inner replays at depth+1 run before
@@ -645,10 +639,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 		return 0, err
 	}
 	dur := s.spikeKernel(node.ID, algo.Duration)
-	label := "recompute"
-	if s.tr != nil || s.compute.Recording() {
-		label = "recompute " + node.ID
-	}
+	label := s.nodeSpanLabel(labelRecompute, node, s.compute)
 	rStart, end := s.compute.Run(label, deps, dur)
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{
@@ -665,7 +656,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 			return 0, invariant("free-workspace", "", err)
 		}
 		if s.tr != nil {
-			s.memEvent("free", "workspace", "", wsAlloc.Size, s.now())
+			s.memEvent(labelFree, "workspace", nil, wsAlloc.Size, s.now())
 		}
 	}
 	t.Fingerprint = tensor.FingerprintFrom(s.fpSeeds[node.Pos], 0, inFPs)
@@ -703,7 +694,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 		}
 		s.regen[in.Idx] = false
 		if s.tr != nil {
-			s.memEvent("free", "replay-release", in.ID, in.Bytes(), s.now())
+			s.memEvent(labelFree, "replay-release", in, in.Bytes(), s.now())
 		}
 	}
 	return end, nil
@@ -887,7 +878,7 @@ func (s *Session) recomputeFallback(v *tensor.Tensor) (bool, error) {
 	}
 	s.stats.SwapFallbacks++
 	if s.tr != nil {
-		s.memEvent("free", "fallback", v.ID, v.Bytes(), s.now())
+		s.memEvent(labelFree, "fallback", v, v.Bytes(), s.now())
 		s.decide(obs.Decision{
 			Tensor: v.ID, Action: "fallback-recompute", Bytes: v.Bytes(),
 			Reason: "host arena or D2H link unusable; releasing victim for lineage replay",
@@ -946,7 +937,7 @@ func (s *Session) passiveEvict(v *tensor.Tensor) error {
 	if err := s.host.ReserveIdx(int(v.Idx), v.ID, v.Bytes()); err != nil {
 		return err
 	}
-	end, terr := s.runTransfer(fault.D2H, s.d2h, "passive", v.ID, v.Bytes(), s.now())
+	end, terr := s.runTransfer(fault.D2H, s.d2h, labelPassive, v, s.now())
 	if terr != nil {
 		if err := s.host.ReleaseIdx(int(v.Idx), v.ID); err != nil {
 			return invariant("passive-evict", v.ID, err)
@@ -963,7 +954,7 @@ func (s *Session) passiveEvict(v *tensor.Tensor) error {
 	s.stats.PassiveEvicts++
 	s.stats.PassiveBytes += v.Bytes()
 	if s.tr != nil {
-		s.memEvent("free", "evict", v.ID, v.Bytes(), s.now())
+		s.memEvent(labelFree, "evict", v, v.Bytes(), s.now())
 		s.decide(obs.Decision{
 			Tensor: v.ID, Action: "passive-evict", Bytes: v.Bytes(),
 			Reason: "LRU victim copied to host synchronously under OOM",
@@ -1019,7 +1010,7 @@ func (s *Session) finishSwapOut(i int32) error {
 		return err
 	}
 	if s.tr != nil {
-		s.memEvent("free", "swapout-complete", t.ID, t.Bytes(), s.now())
+		s.memEvent(labelFree, "swapout-complete", t, t.Bytes(), s.now())
 	}
 	return nil
 }
@@ -1062,7 +1053,7 @@ func (s *Session) endIteration(env *Env) error {
 				}
 				t.Alloc = nil
 				if s.tr != nil {
-					s.memEvent("free", "end-iter", t.ID, t.Bytes(), s.now())
+					s.memEvent(labelFree, "end-iter", t, t.Bytes(), s.now())
 				}
 			}
 			if s.host.HoldsIdx(int(t.Idx)) {

@@ -198,6 +198,10 @@ type Session struct {
 	trackCost sim.Time
 	startTime sim.Time
 	failed    bool
+
+	// names caches the names traced events and recorded spans show, per
+	// label by tensor Idx or node Pos; see Session.name.
+	names [numLabels][]string
 }
 
 // replayBuf is the per-recursion-depth scratch state of a lineage replay.
@@ -277,7 +281,7 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 				return nil, err
 			}
 			if s.tr != nil {
-				s.memEvent("alloc", "persistent", t.ID, t.Bytes(), 0)
+				s.memEvent(labelAlloc, "persistent", t, t.Bytes(), 0)
 			}
 		}
 	}

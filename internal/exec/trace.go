@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"capuchin/internal/graph"
 	"capuchin/internal/memory"
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
+	"capuchin/internal/tensor"
 )
 
 // This file is the executor's observability surface. Every helper is a
@@ -27,20 +29,95 @@ func (s *Session) decide(d obs.Decision) {
 	s.tr.Decide(d)
 }
 
-// memEvent emits an alloc/free instant for a tensor with the device
-// allocator and host arena sampled, feeding the memory profiler and the
-// Perfetto counter tracks. Callers must hold s.tr != nil.
-func (s *Session) memEvent(cat, detail, tensorID string, bytes int64, at sim.Time) {
+// memEvent emits an alloc/free instant for tensor t (nil for a kernel
+// workspace) with the device allocator and host arena sampled, feeding
+// the memory profiler and the Perfetto counter tracks. l is labelAlloc or
+// labelFree. Callers must hold s.tr != nil.
+func (s *Session) memEvent(l labelKind, detail string, t *tensor.Tensor, bytes int64, at sim.Time) {
 	snap := memory.Snap(s.pool)
+	id := ""
+	if t != nil {
+		id = t.ID
+	}
 	s.tr.Emit(obs.Event{
-		Kind: obs.KindInstant, Cat: cat, Name: cat + " " + tensorID,
-		Tensor: tensorID, Detail: detail, Start: at, End: at, Iter: s.iter,
+		Kind: obs.KindInstant, Cat: l.word(), Name: s.tensorName(l, t),
+		Tensor: id, Detail: detail, Start: at, End: at, Iter: s.iter,
 		Bytes:       bytes,
 		Used:        snap.Used,
 		Free:        snap.Free,
 		LargestFree: snap.LargestFree,
 		HostUsed:    s.host.Used(),
 	})
+}
+
+// labelKind is a kind of name a traced run shows: a word, a space and a
+// tensor or node ID, as in "alloc conv1:0" or "recompute conv1".
+type labelKind uint8
+
+const (
+	// Tensor labels, cached by tensor Idx.
+	labelAlloc labelKind = iota
+	labelFree
+	labelSwapIn
+	labelSwapOut
+	labelOnDemand
+	labelPassive
+	// Node labels, cached by node Pos.
+	labelDispatch
+	labelRecompute
+	numLabels
+)
+
+var labelPrefixes = [numLabels]string{"alloc ", "free ", "swapin ", "swapout ", "ondemand ", "passive ", "dispatch ", "recompute "}
+
+// word returns the label's word without the trailing space.
+func (l labelKind) word() string {
+	p := labelPrefixes[l]
+	return p[:len(p)-1]
+}
+
+// name returns l's name for id from slot i of its table in s.names,
+// which is n long. The table is allocated on the label's first use and
+// the name built on its first use, so a traced run concatenates each
+// name once per session instead of once per event.
+func (s *Session) name(l labelKind, i, n int, id string) string {
+	tab := s.names[l]
+	if tab == nil {
+		tab = make([]string, n)
+		s.names[l] = tab
+	}
+	if tab[i] == "" {
+		tab[i] = labelPrefixes[l] + id
+	}
+	return tab[i]
+}
+
+// tensorName returns l's name for t; a nil t, a workspace, gets the bare
+// prefix ("alloc ").
+func (s *Session) tensorName(l labelKind, t *tensor.Tensor) string {
+	if t == nil {
+		return labelPrefixes[l]
+	}
+	return s.name(l, int(t.Idx), len(s.tlist), t.ID)
+}
+
+// tensorSpanLabel returns the label of a span st runs for t. The full
+// name is observable only through a tracer or st's span recording, so
+// the steady untraced path passes the bare word.
+func (s *Session) tensorSpanLabel(l labelKind, t *tensor.Tensor, st *sim.Stream) string {
+	if s.tr == nil && !st.Recording() {
+		return l.word()
+	}
+	return s.tensorName(l, t)
+}
+
+// nodeSpanLabel is tensorSpanLabel for node n's dispatch and recompute
+// spans.
+func (s *Session) nodeSpanLabel(l labelKind, n *graph.Node, st *sim.Stream) string {
+	if s.tr == nil && !st.Recording() {
+		return l.word()
+	}
+	return s.name(l, n.Pos, len(s.g.Nodes), n.ID)
 }
 
 // laneInstant emits a point event on a stream lane (fault injections, OOM

@@ -108,10 +108,11 @@ type Cursor struct{ events, decisions int }
 // following a live run waits on it and calls again with the new cursor.
 func (c *Collector) AppendJSONL(dst []byte, cur Cursor) ([]byte, Cursor, <-chan struct{}) {
 	c.mu.Lock()
-	// The logs are append-only chunk logs: the records below these
-	// snapshots' lengths are never written again, so they can be read
-	// after the lock is released while a run appends above them.
-	events, decisions, decAt := c.events, c.decisions, c.decAt
+	// The logs and the string arena are append-only: the records and
+	// bytes below these snapshots' lengths are never written again, so
+	// they can be read after the lock is released while a run appends
+	// above them.
+	events, strs, decisions, decAt := c.events, c.strs, c.decisions, c.decAt
 	if c.wake == nil {
 		c.wake = make(chan struct{})
 	}
@@ -128,7 +129,7 @@ func (c *Collector) AppendJSONL(dst []byte, cur Cursor) ([]byte, Cursor, <-chan 
 				cur.decisions++
 			}
 		case cur.events < events.n:
-			if err = enc.Encode(eventRecord(events.at(cur.events))); err == nil {
+			if err = enc.Encode(eventRecord(strs.event(events.at(cur.events)))); err == nil {
 				cur.events++
 			}
 		default:

@@ -156,8 +156,13 @@ type Tracer interface {
 // interleave, so AppendJSONL can replay them in emission order while a
 // run is still recording.
 type Collector struct {
-	mu        sync.Mutex
-	events    chunkLog[Event]
+	mu sync.Mutex
+	// events holds the event records and strs the bytes of their strings;
+	// neither holds a Go pointer, so a stored run's history is no GC work.
+	events chunkLog[eventRec]
+	strs   arena
+	last   struct{ cat, name, lane, group, tensor, node, detail lastString }
+
 	decisions chunkLog[Decision]
 	// decAt's i-th record is the number of events recorded before the
 	// i-th decision.
@@ -175,7 +180,20 @@ func NewCollector() *Collector { return &Collector{} }
 // Emit implements Tracer.
 func (c *Collector) Emit(ev Event) {
 	c.mu.Lock()
-	c.events.append(ev)
+	a, l := &c.strs, &c.last
+	name := a.put(&l.name, ev.Name, "", strRef{})
+	c.events.append(eventRec{
+		start: ev.Start, end: ev.End, queued: ev.Queued, iter: ev.Iter,
+		bytes: ev.Bytes, used: ev.Used, free: ev.Free, largestFree: ev.LargestFree, hostUsed: ev.HostUsed,
+		cat:    a.put(&l.cat, ev.Cat, ev.Name, name),
+		name:   name,
+		lane:   a.put(&l.lane, ev.Lane, ev.Name, name),
+		group:  a.put(&l.group, ev.Group, ev.Name, name),
+		tensor: a.put(&l.tensor, ev.Tensor, ev.Name, name),
+		node:   a.put(&l.node, ev.Node, ev.Name, name),
+		detail: a.put(&l.detail, ev.Detail, ev.Name, name),
+		kind:   ev.Kind,
+	})
 	c.wakeReaders()
 	c.mu.Unlock()
 }
@@ -197,11 +215,17 @@ func (c *Collector) wakeReaders() {
 	}
 }
 
-// Events returns a copy of the recorded events in emission order.
+// Events returns the recorded events in emission order, in a new slice
+// whose strings alias the log's arena.
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.events.slice()
+	events, strs := c.events, c.strs
+	c.mu.Unlock()
+	out := make([]Event, events.n)
+	for i := range out {
+		out[i] = strs.event(events.at(i))
+	}
+	return out
 }
 
 // Decisions returns a copy of the audit log in emission order.
@@ -245,4 +269,13 @@ func (c *Collector) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.events.n
+}
+
+// Bytes reports the memory the logs retain: the chunks of event records,
+// the string arena and the chunks of decision records. It counts chunks,
+// not records, so it is O(1); decisions' strings are not included.
+func (c *Collector) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.events.bytes() + c.strs.bytes() + c.decisions.bytes() + c.decAt.bytes()
 }

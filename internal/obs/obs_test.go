@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"capuchin/internal/sim"
 )
@@ -34,9 +36,59 @@ func TestCollectorCopies(t *testing.T) {
 	}
 }
 
+// tapeRecord is one step of a recording replayed by checkTape: an event
+// or, when decision is set, a decision, and whether a reader renders
+// AppendJSONL right after it.
+type tapeRecord struct {
+	decision bool
+	ev       Event
+	d        Decision
+	cut      bool
+}
+
+// checkTape records tape into a Collector teed with a JSONLTracer and
+// checks the two properties the log must keep: at every cut, the lines
+// AppendJSONL has rendered so far equal the tracer's bytes (including a
+// stream a NaN cuts short), and at the end Events() reads back exactly
+// what was emitted.
+func checkTape(t testing.TB, tape []tapeRecord) {
+	t.Helper()
+	c := NewCollector()
+	var want bytes.Buffer
+	tr := Tee(c, NewJSONLTracer(&want))
+	var got []byte
+	var cur Cursor
+	var evs []Event
+	for i, r := range append(tape, tapeRecord{decision: true, d: Decision{Action: "end"}, cut: true}) {
+		if r.decision {
+			tr.Decide(r.d)
+		} else {
+			tr.Emit(r.ev)
+			evs = append(evs, r.ev)
+		}
+		if r.cut {
+			got, cur, _ = c.AppendJSONL(got, cur)
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("record %d: AppendJSONL rendered %d bytes, JSONLTracer wrote %d", i, len(got), want.Len())
+			}
+		}
+	}
+	if gotEvs := c.Events(); len(gotEvs) != len(evs) || len(evs) > 0 && !reflect.DeepEqual(gotEvs, evs) {
+		t.Fatalf("Events() read back %d events unlike the %d emitted", len(gotEvs), len(evs))
+	}
+	if min := int64(len(evs))*int64(unsafe.Sizeof(eventRec{})) + int64(c.strs.n); c.Bytes() < min {
+		t.Fatalf("Bytes() = %d, below the %d bytes of records and strings", c.Bytes(), min)
+	}
+}
+
 // TestCollectorChunkBoundaries: logs that end just before, on and just
 // past a chunk boundary, or several chunks in, read back exactly as
-// recorded, and the returned copies share no chunk with the log.
+// recorded, and the returned copies share no chunk with the log. So do
+// event strings that end exactly at an arena chunk's end and the strings
+// after them, strings that do not fit in the rest of a chunk, strings
+// longer than a chunk, empty strings in every field and bytes JSON must
+// escape, through Events() and through AppendJSONL cut after every
+// record.
 func TestCollectorChunkBoundaries(t *testing.T) {
 	for _, n := range []int{0, eventChunk - 1, eventChunk, eventChunk + 1, 3*eventChunk + 5} {
 		c := NewCollector()
@@ -69,6 +121,73 @@ func TestCollectorChunkBoundaries(t *testing.T) {
 			t.Fatalf("n=%d: mutating the returned copies reached the log", n)
 		}
 	}
+
+	fill := func(n int, b byte) string { return strings.Repeat(string(b), n) }
+	ev := func(name, tensor string) tapeRecord {
+		return tapeRecord{ev: Event{Kind: KindInstant, Cat: "alloc", Name: name, Tensor: tensor, Start: 1, End: 1}, cut: true}
+	}
+	tapes := map[string][]tapeRecord{
+		"ends at chunk end": {
+			ev(fill(arenaChunk-len("alloc"), 'a'), ""), ev("next", "t0"),
+		},
+		"ends at chunk end, then a shared suffix": {
+			ev("x", ""), ev(fill(arenaChunk-len("alloc")-1, 'b'), "bb"), ev("alloc t1", "t1"),
+		},
+		"one byte short of fitting": {
+			ev(fill(arenaChunk-len("alloc")-1, 'c'), ""), ev("ab", ""), ev("cd", "t2"),
+		},
+		"longer than a chunk": {
+			ev("before", "t3"), ev(fill(2*arenaChunk+17, 'd'), "dd"), ev("tail of the long allocation", ""),
+			ev(fill(arenaChunk, 'e'), ""), ev("after", "t4"),
+		},
+		"exactly two chunks": {
+			ev(fill(2*arenaChunk, 'f'), ""), ev("after", "t5"),
+		},
+		"empty strings in every field": {
+			{ev: Event{}, cut: true}, {decision: true, d: Decision{}, cut: true},
+			{ev: Event{Kind: KindCounter, Start: -1, End: -2, Queued: -3, Iter: -4, Bytes: -5, Used: -6, Free: -7, LargestFree: -8, HostUsed: -9}},
+		},
+		"bytes JSON must escape": {
+			{ev: Event{Kind: KindSpan, Cat: "<&>", Name: "\"quoted\" \\ \n\t\x00\x1f\u2028", Lane: "\xff\xfe",
+				Group: "<group>", Tensor: "\u2029", Node: "\"", Detail: "a&b"}, cut: true},
+			{decision: true, d: Decision{Policy: "<p>", Tensor: "\"t\"", Action: "\x00", Reason: "\xc3\x28"}, cut: true},
+		},
+	}
+	for name, tape := range tapes {
+		t.Run(name, func(t *testing.T) { checkTape(t, tape) })
+	}
+
+	// The first case's long name fills the first chunk exactly.
+	c := NewCollector()
+	c.Emit(Event{Cat: "alloc", Name: fill(arenaChunk-len("alloc"), 'a')})
+	if c.strs.n != arenaChunk || len(c.strs.chunks) != 1 {
+		t.Fatalf("arena at %d bytes in %d chunks, want %d in 1", c.strs.n, len(c.strs.chunks), arenaChunk)
+	}
+}
+
+// TestCollectorRecordHoldsNoPointers: the record a Collector stores per
+// event holds no field that can hold a Go pointer, so the runtime
+// allocates its chunks as noscan memory and a stored run's history is no
+// GC work.
+func TestCollectorRecordHoldsNoPointers(t *testing.T) {
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.Interface,
+			reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s, which can hold a pointer", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	var c Collector
+	rec := reflect.TypeOf(c.events.chunks).Elem().Elem().Elem()
+	walk(rec.Name(), rec)
 }
 
 func TestCollectorConcurrent(t *testing.T) {
@@ -94,43 +213,45 @@ func TestCollectorConcurrent(t *testing.T) {
 // TestAppendJSONLMatchesTracer is the property behind capuchin-serve's
 // /events: over seeded random Emit/Decide interleavings that run several
 // chunks long, read back through AppendJSONL cut at random points and
-// wherever a log fills a chunk exactly, the concatenated lines equal
-// what a JSONLTracer teed onto the same stream writes — including a
-// stream a NaN cuts short.
+// wherever a log fills a chunk exactly, the lines rendered so far equal
+// what a JSONLTracer teed onto the same stream has written — including a
+// stream a NaN cuts short. Event names are long enough, and sometimes
+// longer than an arena chunk, that the string arena crosses several
+// chunk boundaries too, and some fields are empty or need escaping.
 func TestAppendJSONLMatchesTracer(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewPCG(seed, 0))
-		c := NewCollector()
-		var want bytes.Buffer
-		tr := Tee(c, NewJSONLTracer(&want))
-		var got []byte
-		var cur Cursor
+		var tape []tapeRecord
 		var events, decisions int
 		for i, n := 0, rng.IntN(4*eventChunk+1); i < n; i++ {
+			var r tapeRecord
 			chunkFull := false
 			if rng.IntN(3) == 0 {
-				d := Decision{Iter: i / 50, At: sim.Time(i), Policy: "capuchin", Tensor: fmt.Sprintf("t%d", rng.IntN(20)),
-					Action: "plan-swap", FreeTime: sim.Time(rng.Int64N(1000)), MSPS: rng.Float64()}
+				r = tapeRecord{decision: true, d: Decision{Iter: i / 50, At: sim.Time(i), Policy: "capuchin", Tensor: fmt.Sprintf("t%d", rng.IntN(20)),
+					Action: "plan-swap", FreeTime: sim.Time(rng.Int64N(1000)), MSPS: rng.Float64()}}
 				if rng.IntN(400) == 0 {
-					d.MSPS = math.NaN() // unencodable: both readers stop here
+					r.d.MSPS = math.NaN() // unencodable: both readers stop here
 				}
-				tr.Decide(d)
 				decisions++
 				chunkFull = decisions%eventChunk == 0
 			} else {
-				tr.Emit(Event{Kind: EventKind(rng.IntN(3)), Cat: "alloc", Name: fmt.Sprintf("e%d", i),
-					Start: sim.Time(i), End: sim.Time(i + rng.IntN(5)), Bytes: rng.Int64N(1 << 20), Detail: "<&>"})
+				name := fmt.Sprintf("e%d:%s", i, strings.Repeat("n", rng.IntN(400)))
+				if rng.IntN(500) == 0 {
+					name = strings.Repeat("L", arenaChunk+rng.IntN(arenaChunk))
+				}
+				tensor := ""
+				if rng.IntN(2) == 0 {
+					tensor = name[rng.IntN(len(name)):]
+				}
+				r = tapeRecord{ev: Event{Kind: EventKind(rng.IntN(3)), Cat: "alloc", Name: name, Tensor: tensor,
+					Start: sim.Time(i), End: sim.Time(i + rng.IntN(5)), Bytes: rng.Int64N(1 << 20), Detail: "<&>"}}
 				events++
 				chunkFull = events%eventChunk == 0
 			}
-			if chunkFull || rng.IntN(10) == 0 {
-				got, cur, _ = c.AppendJSONL(got, cur)
-			}
+			r.cut = chunkFull || rng.IntN(10) == 0
+			tape = append(tape, r)
 		}
-		got, _, _ = c.AppendJSONL(got, cur)
-		if !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("seed %d: AppendJSONL rendered %d bytes, JSONLTracer wrote %d", seed, len(got), want.Len())
-		}
+		checkTape(t, tape)
 	}
 }
 

@@ -465,6 +465,39 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 }
 
+// TestStoreBytes: /v1/stats's storeBytes grows with each stored run and
+// equals the sum of the stored runs' Collector.Bytes.
+func TestStoreBytes(t *testing.T) {
+	s := NewServer(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var prev int64
+	for i, rr := range distinctRequests(3) {
+		_, rep := postRun(t, ts.Client(), ts.URL, rr)
+		if code, _ := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+rep.ID+"?wait=1"); code != http.StatusOK {
+			t.Fatalf("run %d did not complete: %d", i, code)
+		}
+		code, body := getBody(t, ts.Client(), ts.URL+"/v1/stats")
+		var st Stats
+		if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil {
+			t.Fatalf("stats: %d %v", code, err)
+		}
+		var sum int64
+		s.mu.RLock()
+		for _, e := range s.runs {
+			sum += e.col.Bytes()
+		}
+		s.mu.RUnlock()
+		if st.StoredRuns != i+1 || st.StoreBytes != sum || st.StoreBytes <= prev {
+			t.Fatalf("after run %d: storedRuns=%d storeBytes=%d, want %d runs and %d bytes, above %d",
+				i, st.StoredRuns, st.StoreBytes, i+1, sum, prev)
+		}
+		prev = st.StoreBytes
+	}
+}
+
 // TestStoreShardingAndIDs: run IDs are a stable hash of the canonical
 // config, and the store finds exactly the runs filed in it.
 func TestStoreShardingAndIDs(t *testing.T) {

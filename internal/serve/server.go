@@ -268,6 +268,8 @@ func (s *Server) abandon(e *runEntry) {
 }
 
 // Stats is the machine-readable server snapshot behind GET /v1/stats.
+// StoreBytes is the memory the stored runs' event logs retain, the sum of
+// their Collectors' Bytes.
 type Stats struct {
 	UptimeMillis int64 `json:"uptimeMillis"`
 	Draining     bool  `json:"draining"`
@@ -275,6 +277,7 @@ type Stats struct {
 	QueueDepth   int   `json:"queueDepth"`
 	Queued       int   `json:"queued"`
 	StoredRuns   int   `json:"storedRuns"`
+	StoreBytes   int64 `json:"storeBytes"`
 	Admitted     int64 `json:"admitted"`
 	Deduped      int64 `json:"deduped"`
 	Shed         int64 `json:"shed"`
@@ -286,6 +289,10 @@ type Stats struct {
 func (s *Server) Snapshot() Stats {
 	s.mu.RLock()
 	stored := len(s.runs)
+	var storeBytes int64
+	for _, e := range s.runs {
+		storeBytes += e.col.Bytes()
+	}
 	s.mu.RUnlock()
 	return Stats{
 		UptimeMillis: time.Since(s.start).Milliseconds(),
@@ -294,6 +301,7 @@ func (s *Server) Snapshot() Stats {
 		QueueDepth:   s.cfg.QueueDepth,
 		Queued:       int(s.queued.Load()),
 		StoredRuns:   stored,
+		StoreBytes:   storeBytes,
 		Admitted:     s.metrics.Counter("serve/admitted"),
 		Deduped:      s.metrics.Counter("serve/deduped"),
 		Shed:         s.metrics.Counter("serve/shed"),
