@@ -178,7 +178,9 @@ serve-smoke:
 # profile-smoke drives the observability stack end to end: the exporter
 # tests (golden Chrome trace, memory profile, audit log, metrics) plus a
 # real capuchin-trace invocation that must emit a loadable timeline, a
-# non-empty decision history and a non-empty JSONL event log.
+# non-empty decision history and a non-empty JSONL event log. Like
+# regress-smoke, the CLIs' config validation is proven both ways: that
+# run must pass, and two invalid settings must fail before running.
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
@@ -186,3 +188,7 @@ profile-smoke:
 		-events /tmp/capuchin-smoke.jsonl >/dev/null
 	test -s /tmp/capuchin-smoke.jsonl
 	rm -f /tmp/capuchin-smoke.json /tmp/capuchin-smoke.jsonl
+	if $(GO) run ./cmd/capuchin-train -mem -3 >/dev/null 2>&1; then \
+		echo "profile-smoke: capuchin-train ran with -mem -3"; exit 1; fi
+	if $(GO) run ./cmd/capuchin-bench -exp table2 -quick -mem 9000000000 >/dev/null 2>&1; then \
+		echo "profile-smoke: capuchin-bench ran with -mem 9000000000"; exit 1; fi

@@ -92,7 +92,7 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: all, fig1, fig2, fig3, fig8a, fig8b, table2, table3, fig9, fig10, overhead, capacity, extensions, sensitivity, ablations, resilience, dynamic, scale, arena, fleet")
 	device := flag.String("device", "p100", "device model: p100, v100, t4")
-	mem := flag.Int64("mem", 0, "override device memory in GiB (0 = device default)")
+	mem := flag.Float64("mem", 0, "override device memory in GiB, fractions allowed (0 = device default)")
 	iters := flag.Int("iters", 0, "iterations per timed run (0 = default 8)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial); output is identical at any value")
 	quick := flag.Bool("quick", false, "trimmed sweeps for a fast smoke run")
@@ -124,13 +124,17 @@ func main() {
 	}
 
 	dev, err := hw.ByName(*device)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	exitOn(2, err)
+	memBytes, err := hw.GiBToBytes(*mem)
+	exitOn(2, err)
+	if memBytes > 0 {
+		dev = dev.WithMemory(memBytes)
 	}
-	if *mem > 0 {
-		dev = dev.WithMemory(*mem * hw.GiB)
-	}
+	// The experiments run their cells on this device, or on copies with
+	// swept memory, for these iterations: validating one cell rejects a
+	// bad -mem or -iters before any table prints.
+	exitOn(2, bench.RunConfig{Model: "resnet50", Batch: 1, System: bench.SystemTF,
+		Device: dev, Iterations: *iters}.Validate())
 	o := bench.Options{Device: dev, Iterations: *iters, Quick: *quick, Jobs: *jobs, Profile: *profile,
 		Schedule: *schedule, ScheduleSeed: *scheduleSeed, Devices: deviceCounts}
 	if *profile {
@@ -153,10 +157,7 @@ func main() {
 		default:
 			err = t.WriteText(os.Stdout)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
 	}
 	writeAll := func(ts []*bench.Table) {
 		for _, t := range ts {
@@ -168,16 +169,10 @@ func main() {
 	case "all":
 		for _, t := range bench.AllTables(o) {
 			if *markdown {
-				if err := t.WriteMarkdown(os.Stdout); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
+				exitOn(1, t.WriteMarkdown(os.Stdout))
 				continue
 			}
-			if err := t.WriteText(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(1, t.WriteText(os.Stdout))
 		}
 	case "fig1":
 		write(bench.Fig1(o))
@@ -218,53 +213,39 @@ func main() {
 	case "fleet":
 		fo := bench.FleetOptions{Jobs: *fleetJobs, Devices: *fleetDevices, Seed: *fleetSeed}
 		fc, err := bench.FleetScenarios(o, fo)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
 		if *metaDate != "" {
 			fc.Meta = fc.Meta.WithDate(*metaDate)
 		}
 		write(bench.FleetTableFrom(fc))
 		if *fleetJSON != "" {
 			f, err := os.Create(*fleetJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := fc.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(1, err)
+			exitOn(1, fc.WriteJSON(f))
+			exitOn(1, f.Close())
 		}
 		if *fleetTrace != "" {
 			col := obs.NewCollector()
-			if _, err := bench.FleetObserved(o, fo, col, nil); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			_, err = bench.FleetObserved(o, fo, col, nil)
+			exitOn(1, err)
 			f, err := os.Create(*fleetTrace)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := obs.WriteChromeTrace(f, col.Events()); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(1, err)
+			exitOn(1, obs.WriteChromeTrace(f, col.Events()))
+			exitOn(1, f.Close())
 			fmt.Fprintf(os.Stderr, "wrote %d fleet trace events to %s (load in Perfetto)\n", col.Len(), *fleetTrace)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
+	}
+}
+
+// exitOn reports err and exits with code unless err is nil: 2 for an
+// invalid setting, before anything prints, 1 for a failure.
+func exitOn(code int, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
 	}
 }
 

@@ -73,11 +73,6 @@ import (
 	"capuchin/internal/trace"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
-
 func main() {
 	model := flag.String("model", "resnet50", "workload: "+strings.Join(models.Names(), ", "))
 	batch := flag.Int64("batch", 32, "batch size")
@@ -112,35 +107,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "invalid -faults spec: %v\n", err)
 		os.Exit(2)
 	}
-	dev := hw.P100().WithMemory(int64(*memGiB * float64(hw.GiB)))
-
-	if *chrome != "" || *memprof || *explain != "" || *spans != "" || *prom != "" || *events != "" {
-		observe(bench.RunConfig{
-			Model:        *model,
-			Batch:        *batch,
-			System:       bench.System(*system),
-			Device:       dev,
-			Iterations:   *iters,
-			Faults:       plan,
-			RecordSpans:  *spans != "",
-			Profile:      true,
-			Schedule:     *schedule,
-			ScheduleSeed: *scheduleSeed,
-			Devices:      *devices,
-		}, *chrome, *memprof, *explain, *spans, *prom, *events)
-		return
-	}
-	if *devices > 1 {
+	memBytes, err := hw.GiBToBytes(*memGiB)
+	exitOn(2, err)
+	observing := *chrome != "" || *memprof || *explain != "" || *spans != "" || *prom != "" || *events != ""
+	if *devices > 1 && !observing {
 		fmt.Fprintln(os.Stderr, "-devices requires an observability mode (-chrome, -memprof, -explain, -spans, -prom or -events)")
 		os.Exit(2)
 	}
+	cfg := bench.RunConfig{
+		Model:        *model,
+		Batch:        *batch,
+		System:       bench.System(*system),
+		Device:       hw.P100().WithMemory(memBytes),
+		Iterations:   *iters,
+		Faults:       plan,
+		RecordSpans:  *spans != "",
+		Profile:      true,
+		Schedule:     *schedule,
+		ScheduleSeed: *scheduleSeed,
+		Devices:      *devices,
+	}
+	exitOn(2, cfg.Validate())
+	if observing {
+		observe(cfg, *chrome, *memprof, *explain, *spans, *prom, *events)
+		return
+	}
 
 	// Access-TSV mode: a Recorder wraps the original framework's policy.
-	spec, err := models.Get(*model)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
+	spec, _ := models.Get(cfg.Model) // registered: cfg is valid
 	var filter func(exec.Access) bool
 	if *tensors != "" {
 		want := make(map[string]bool)
@@ -155,39 +149,36 @@ func main() {
 		// sessions, so the trace shows the drifting access geometry. Each
 		// new signature instantiates its graph from the run's templates.
 		sched, err := models.NewSchedule(*schedule, spec, *batch, *scheduleSeed, 0)
-		if err != nil {
-			fatal(err)
-		}
+		exitOn(1, err)
 		ts := bench.NewTemplates()
 		d, err := exec.NewDynamicSession(exec.DynamicConfig{
-			Base: exec.Config{Device: dev, Policy: rec, Faults: plan},
+			Base: exec.Config{Device: cfg.Device, Policy: rec, Faults: plan},
 			Build: func(b, seq int64) (*graph.Graph, error) {
 				return ts.Graph(spec, exec.GraphMode, b, seq)
 			},
 			Schedule: sched,
 		})
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := d.Run(*iters); err != nil {
-			fatal(err)
-		}
+		exitOn(1, err)
+		_, err = d.Run(*iters)
+		exitOn(1, err)
 	} else {
 		var oneShot *bench.Templates // nil: the one graph is built
 		g, err := oneShot.Graph(spec, exec.GraphMode, *batch, 0)
-		if err != nil {
-			fatal(err)
-		}
-		s, err := exec.NewSession(g, exec.Config{Device: dev, Policy: rec, Faults: plan})
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := s.Run(*iters); err != nil {
-			fatal(err)
-		}
+		exitOn(1, err)
+		s, err := exec.NewSession(g, exec.Config{Device: cfg.Device, Policy: rec, Faults: plan})
+		exitOn(1, err)
+		_, err = s.Run(*iters)
+		exitOn(1, err)
 	}
-	if err := rec.WriteTSV(os.Stdout); err != nil {
-		fatal(err)
+	exitOn(1, rec.WriteTSV(os.Stdout))
+}
+
+// exitOn reports err and exits with code unless err is nil: 2 for an
+// invalid setting, before anything prints, 1 for a failure.
+func exitOn(code int, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
 	}
 }
 
@@ -198,9 +189,7 @@ func outFile(path string) (*os.File, func()) {
 		return os.Stdout, func() {}
 	}
 	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
+	exitOn(1, err)
 	return f, func() { f.Close() }
 }
 
@@ -208,9 +197,7 @@ func outFile(path string) (*os.File, func()) {
 func writeProm(path string, met *obs.Metrics) {
 	w, done := outFile(path)
 	defer done()
-	if err := met.WritePrometheus(w); err != nil {
-		fatal(err)
-	}
+	exitOn(1, met.WritePrometheus(w))
 }
 
 // writeEvents writes the event log and decision audit as JSONL, in
@@ -220,7 +207,7 @@ func writeEvents(path string, col *obs.Collector) {
 	defer done()
 	b, _, _ := col.AppendJSONL(nil, obs.Cursor{})
 	if _, err := w.Write(b); err != nil {
-		fatal(err)
+		exitOn(1, err)
 	}
 }
 
@@ -228,9 +215,7 @@ func writeEvents(path string, col *obs.Collector) {
 func writeChrome(path string, col *obs.Collector) {
 	w, done := outFile(path)
 	defer done()
-	if err := obs.WriteChromeTrace(w, col.Events()); err != nil {
-		fatal(err)
-	}
+	exitOn(1, obs.WriteChromeTrace(w, col.Events()))
 	if path != "-" {
 		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in Perfetto or chrome://tracing)\n",
 			col.Len(), path)
@@ -250,9 +235,7 @@ func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, chrom
 		bench.Options{Quick: true, Jobs: jobs},
 		bench.FleetOptions{Jobs: fleetJobs, Devices: fleetDevices, Seed: fleetSeed},
 		col, met)
-	if err != nil {
-		fatal(err)
-	}
+	exitOn(1, err)
 	fmt.Fprintf(os.Stderr, "fleet: %d jobs on %d devices: %d completed, %d kills, %d preemptions\n",
 		rep.Jobs, rep.Devices, rep.Completed, rep.Kills, rep.Preemptions)
 	if chrome != "" {
@@ -273,9 +256,9 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 	res, sess, _ := bench.RunLive(cfg)
 	if res.Profile == nil {
 		if res.Err != nil {
-			fatal(res.Err)
+			exitOn(1, res.Err)
 		}
-		fatal(fmt.Errorf("capuchin-trace: run produced no profile"))
+		exitOn(1, fmt.Errorf("capuchin-trace: run produced no profile"))
 	}
 	if res.Err != nil {
 		// A failed run still has a timeline — often the one you want.
@@ -296,9 +279,7 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 		default:
 			err = fmt.Errorf("unknown stream %q", spans)
 		}
-		if err != nil {
-			fatal(err)
-		}
+		exitOn(1, err)
 	}
 
 	if chrome != "" {
@@ -312,9 +293,7 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 	}
 
 	if memprof {
-		if err := p.Mem.WriteReport(os.Stdout); err != nil {
-			fatal(err)
-		}
+		exitOn(1, p.Mem.WriteReport(os.Stdout))
 	}
 
 	if explain != "" {
@@ -323,12 +302,10 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 		if subject == "auto" {
 			subjects := obs.ExplainTensors(decisions)
 			if len(subjects) == 0 {
-				fatal(fmt.Errorf("no policy decisions recorded: the %s run never came under memory pressure (try a smaller -mem)", cfg.System))
+				exitOn(1, fmt.Errorf("no policy decisions recorded: the %s run never came under memory pressure (try a smaller -mem)", cfg.System))
 			}
 			subject = subjects[0]
 		}
-		if err := obs.WriteExplain(os.Stdout, subject, decisions, p.Events.Events()); err != nil {
-			fatal(err)
-		}
+		exitOn(1, obs.WriteExplain(os.Stdout, subject, decisions, p.Events.Events()))
 	}
 }

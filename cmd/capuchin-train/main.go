@@ -36,7 +36,7 @@ func main() {
 	iters := flag.Int("iters", 8, "iterations to simulate")
 	mode := flag.String("mode", "graph", "execution mode: graph or eager")
 	device := flag.String("device", "p100", "device model: p100, v100, t4")
-	mem := flag.Int64("mem", 0, "override device memory in GiB")
+	mem := flag.Float64("mem", 0, "override device memory in GiB, fractions allowed (0 = device default)")
 	showPlan := flag.Bool("plan", false, "dump Capuchin's per-tensor plan after the run")
 	savePlan := flag.String("save-plan", "", "write Capuchin's plan as JSON to this file after the run")
 	prom := flag.String("prom", "", "write the run's metrics in Prometheus text exposition format (\"-\" = stdout)")
@@ -44,26 +44,15 @@ func main() {
 	flag.Parse()
 
 	dev, err := hw.ByName(*device)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	exitOn(2, err)
+	memBytes, err := hw.GiBToBytes(*mem)
+	exitOn(2, err)
+	if memBytes > 0 {
+		dev = dev.WithMemory(memBytes)
 	}
-	if *mem > 0 {
-		dev = dev.WithMemory(*mem * hw.GiB)
-	}
-	var m exec.Mode
-	switch strings.ToLower(*mode) {
-	case "graph":
-		m = exec.GraphMode
-	case "eager":
-		m = exec.EagerMode
-	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q (want graph or eager)\n", *mode)
-		os.Exit(2)
-	}
-
-	// RunLive keeps the policy, which -plan and -save-plan inspect.
-	r, _, pol := bench.RunLive(bench.RunConfig{
+	m, err := exec.ParseMode(*mode)
+	exitOn(2, err)
+	cfg := bench.RunConfig{
 		Model:      *model,
 		Batch:      *batch,
 		System:     bench.System(*system),
@@ -71,7 +60,11 @@ func main() {
 		Mode:       m,
 		Iterations: *iters,
 		Profile:    *prom != "" || *events != "",
-	})
+	}
+	exitOn(2, cfg.Validate())
+
+	// RunLive keeps the policy, which -plan and -save-plan inspect.
+	r, _, pol := bench.RunLive(cfg)
 	fmt.Printf("%s, batch %d, %s mode, %s (%.1f GiB)\n",
 		*model, *batch, m, dev.Name, float64(dev.MemoryBytes)/float64(hw.GiB))
 	for _, st := range r.Stats {
@@ -91,10 +84,7 @@ func main() {
 	if *showPlan {
 		if cap, ok := pol.(*core.Capuchin); ok {
 			fmt.Println()
-			if err := cap.WritePlan(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(1, cap.WritePlan(os.Stdout))
 		} else {
 			fmt.Println("(-plan applies to capuchin systems only)")
 		}
@@ -106,15 +96,9 @@ func main() {
 			os.Exit(2)
 		}
 		f, err := os.Create(*savePlan)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
 		defer f.Close()
-		if err := cap.ExportPlan(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(1, cap.ExportPlan(f))
 		fmt.Printf("plan written to %s\n", *savePlan)
 	}
 	if *prom != "" {
@@ -129,20 +113,23 @@ func main() {
 	}
 }
 
+// exitOn reports err and exits with code unless err is nil: 2 for an
+// invalid setting, before anything prints, 1 for a failure.
+func exitOn(code int, err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
+}
+
 // export writes one observability artifact to a path or stdout ("-").
 func export(path string, write func(*os.File) error) {
 	w := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(1, err)
 		defer f.Close()
 		w = f
 	}
-	if err := write(w); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	exitOn(1, write(w))
 }

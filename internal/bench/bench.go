@@ -14,6 +14,7 @@ import (
 	"capuchin/internal/fault"
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
+	"capuchin/internal/memory"
 	"capuchin/internal/models"
 	"capuchin/internal/obs"
 
@@ -151,13 +152,11 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 }
 
 // execConfig assembles the executor configuration — policy included —
-// for one run. g is nil on the dynamic path, where the graph changes per
-// shape signature: the graph-keyed baseline policies (vDNN, SuperNeurons,
-// the checkpointing baselines) cannot follow a moving graph and are
-// rejected there, while TF-ori and the Capuchin variants are
-// graph-agnostic (Capuchin re-keys its plan per signature). extra, when
-// non-nil, receives the run's live event stream alongside whatever
-// Profile wires up (the RunTraced path).
+// for one validated run. g is nil on the dynamic path, where the graph
+// changes per shape signature; Validate admits only graph-agnostic
+// systems there (TF-ori and the Capuchin variants, which re-key their
+// plan per signature). extra, when non-nil, receives the run's live
+// event stream alongside whatever Profile wires up (the RunTraced path).
 func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *obs.Collector, *obs.Metrics, error) {
 	ec := exec.Config{
 		Device:      cfg.Device,
@@ -180,9 +179,6 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 	spec, ok := exec.LookupPolicy(string(cfg.System))
 	if !ok {
 		return ec, nil, nil, fmt.Errorf("bench: unknown system %q", cfg.System)
-	}
-	if g == nil && !spec.GraphAgnostic {
-		return ec, nil, nil, fmt.Errorf("bench: system %q keys its policy to one graph and cannot follow a dynamic shape schedule", cfg.System)
 	}
 	pol, err := spec.Build(exec.BuildContext{Graph: g, Device: cfg.Device})
 	if err != nil {
@@ -226,23 +222,14 @@ func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cf
 // cluster or dynamic run owns a set of its own.
 func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
-	if cfg.Iterations == 0 {
-		cfg.Iterations = 3
-	}
-	if cfg.Iterations < 0 {
-		res.Err = fmt.Errorf("bench: iterations must be >= 0, got %d", cfg.Iterations)
+	profile := cfg.Profile
+	cfg = cacheKey(cfg)
+	cfg.Profile = profile
+	if res.Err = cfg.Validate(); res.Err != nil {
 		return res, nil, nil
 	}
-	spec, err := models.Get(cfg.Model)
-	if err != nil {
-		res.Err = err
-		return res, nil, nil
-	}
+	spec, _ := models.Get(cfg.Model) // registered: Validate looked it up
 	if cfg.Devices > 1 {
-		if cfg.Schedule != "" {
-			res.Err = fmt.Errorf("bench: %w", ErrDynamicCluster)
-			return res, nil, nil
-		}
 		return runCluster(cfg, spec, res, extra, ts)
 	}
 	if cfg.Schedule != "" {
@@ -279,9 +266,58 @@ func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session,
 	return res, s, ec.Policy
 }
 
-// MaxBatchCeiling bounds the exponential search: no max-batch search
-// probes a larger batch.
-const MaxBatchCeiling = 4096
+// Caps on a RunConfig's size fields. A run allocates its per-iteration
+// statistics up front, so an uncapped iteration count can ask for more
+// memory than the host has: a fatal error that no recover catches.
+const (
+	// MaxBatchCeiling also bounds the exponential search: no max-batch
+	// search probes a larger batch.
+	MaxBatchCeiling = 4096
+	MaxIterations   = 10_000
+	MaxDevices      = 64 // the Scaling experiment uses at most 8
+)
+
+// Validate reports why cfg cannot run, or nil. It is the one check of a
+// run's settings, asking each name's registry: capuchin-serve, the CLIs
+// and run itself call it, so an invalid config fails before admission
+// or simulation. A config and its CanonicalConfig are valid alike.
+func (cfg RunConfig) Validate() error {
+	spec, err := models.Get(cfg.Model)
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
+	}
+	sys, known := exec.LookupPolicy(string(cfg.System))
+	mem, host := cfg.Device.MemoryBytes, cfg.HostMemory
+	alloc := exec.CheckAllocator(cfg.Allocator)
+	switch {
+	case !known:
+		return fmt.Errorf("bench: unknown system %q (known: %v)", cfg.System, exec.PolicyNames())
+	case cfg.Batch < 1 || cfg.Batch > MaxBatchCeiling:
+		return fmt.Errorf("bench: batch must be >= 1 and <= %d, got %d", MaxBatchCeiling, cfg.Batch)
+	case cfg.Iterations < 0 || cfg.Iterations > MaxIterations:
+		return fmt.Errorf("bench: iterations must be >= 0 and <= %d, got %d", MaxIterations, cfg.Iterations)
+	case cfg.Devices < 0 || cfg.Devices > MaxDevices:
+		return fmt.Errorf("bench: devices must be >= 0 and <= %d, got %d", MaxDevices, cfg.Devices)
+	case cfg.SchedulePeriod < 0:
+		return fmt.Errorf("bench: schedule period must be >= 0, got %d", cfg.SchedulePeriod)
+	case mem < memory.MinCapacity || mem > hw.MaxMemory:
+		return fmt.Errorf("bench: device memory must be between %d bytes and %d GiB, got %d bytes",
+			memory.MinCapacity, hw.MaxMemory/hw.GiB, mem)
+	case host < 0 || host > hw.MaxMemory:
+		return fmt.Errorf("bench: host memory must be 0 (default) or between 1 byte and %d GiB, got %d bytes",
+			hw.MaxMemory/hw.GiB, host)
+	case alloc != nil || cfg.Schedule == "":
+		return alloc
+	case !sys.GraphAgnostic:
+		return fmt.Errorf("bench: system %q keys its policy to one graph and cannot follow a dynamic shape schedule", cfg.System)
+	case cfg.Devices > 1:
+		return fmt.Errorf("bench: %w", ErrDynamicCluster)
+	}
+	if _, err := models.NewSchedule(cfg.Schedule, spec, cfg.Batch, cfg.ScheduleSeed, cfg.SchedulePeriod); err != nil {
+		return fmt.Errorf("bench: %w", err)
+	}
+	return nil
+}
 
 // MaxBatch finds the largest batch size that completes for the
 // configuration (cfg.Batch is ignored). Exponential probe then binary

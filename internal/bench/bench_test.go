@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
+	"capuchin/internal/memory"
 	"capuchin/internal/models"
 )
 
@@ -33,15 +35,97 @@ func TestRunSystems(t *testing.T) {
 	}
 }
 
+// TestRunErrors pins RunConfig.Validate rule by rule. A rejected row
+// fails Validate with the rule's message, Run returns that same error
+// without simulating, and the row's canonical form is rejected too. An
+// accepted boundary row passes Validate in both forms, and Run fails it,
+// if at all, only by running out of device memory: Validate rejects
+// everything a run would reject before it simulates.
 func TestRunErrors(t *testing.T) {
-	if r := Run(RunConfig{Model: "nope", Batch: 8, System: SystemTF, Device: smallDev()}); r.OK || r.Err == nil {
-		t.Error("unknown model accepted")
+	base := RunConfig{Model: "alexnet", Batch: 1, System: SystemTF, Device: smallDev(), Iterations: 1}
+	type row struct {
+		name string
+		edit func(*RunConfig)
+		want string // a substring of Validate's error; "" means valid
 	}
-	if r := Run(RunConfig{Model: "resnet50", Batch: 8, System: "warp-drive", Device: smallDev()}); r.OK || r.Err == nil {
-		t.Error("unknown system accepted")
+	rows := []row{
+		{"unknown model", func(c *RunConfig) { c.Model = "nope" }, "unknown model"},
+		{"no model", func(c *RunConfig) { c.Model = "" }, "unknown model"},
+		{"unknown system", func(c *RunConfig) { c.System = "warp-drive" }, "unknown system"},
+		{"zero batch", func(c *RunConfig) { c.Batch = 0 }, "batch must be >= 1"},
+		{"batch above ceiling", func(c *RunConfig) { c.Batch = MaxBatchCeiling + 1 }, "<= 4096"},
+		{"negative iterations", func(c *RunConfig) { c.Iterations = -1 }, "iterations must be >= 0"},
+		{"iterations above cap", func(c *RunConfig) { c.Iterations = MaxIterations + 1 }, "<= 10000"},
+		{"negative devices", func(c *RunConfig) { c.Devices = -2 }, "devices must be >= 0"},
+		{"devices above cap", func(c *RunConfig) { c.Devices = MaxDevices + 1 }, "<= 64"},
+		{"negative period, static", func(c *RunConfig) { c.SchedulePeriod = -1 }, "schedule period"},
+		{"negative period, dynamic", func(c *RunConfig) { c.Schedule, c.SchedulePeriod = models.ScheduleBatch, -1 }, "schedule period"},
+		{"no device memory", func(c *RunConfig) { c.Device = c.Device.WithMemory(0) }, "device memory"},
+		{"device memory below a pool", func(c *RunConfig) { c.Device = c.Device.WithMemory(memory.MinCapacity - 1) }, "256 bytes"},
+		{"device memory above cap", func(c *RunConfig) { c.Device = c.Device.WithMemory(hw.MaxMemory + 1) }, "4096 GiB"},
+		{"negative host memory", func(c *RunConfig) { c.HostMemory = -1 }, "host memory"},
+		{"host memory above cap", func(c *RunConfig) { c.HostMemory = hw.MaxMemory + 1 }, "4096 GiB"},
+		{"unknown allocator", func(c *RunConfig) { c.Allocator = "bogus" }, "unknown allocator"},
+		{"allocator in upper case", func(c *RunConfig) { c.Allocator = "BFC" }, "unknown allocator"},
+		{"unknown schedule", func(c *RunConfig) { c.Schedule = "zigzag" }, "unknown schedule kind"},
+		{"seq schedule without a sequence axis", func(c *RunConfig) { c.Schedule = models.ScheduleSeq }, "sequence axis"},
+		{"schedule on a graph-keyed system", func(c *RunConfig) { c.System, c.Schedule = SystemVDNN, models.ScheduleBatch }, "one graph"},
+		{"schedule across devices", func(c *RunConfig) { c.Schedule, c.Devices = models.ScheduleBatch, 2 }, ErrDynamicCluster.Error()},
+
+		{"minimal", func(*RunConfig) {}, ""},
+		{"default iterations", func(c *RunConfig) { c.Iterations = 0 }, ""},
+		{"batch at ceiling", func(c *RunConfig) { c.Batch = MaxBatchCeiling }, ""},
+		{"eager mode", func(c *RunConfig) { c.Mode = exec.EagerMode }, ""},
+		{"smallest pool", func(c *RunConfig) { c.Device = c.Device.WithMemory(memory.MinCapacity) }, ""},
+		{"device memory at cap", func(c *RunConfig) { c.Device = c.Device.WithMemory(hw.MaxMemory) }, ""},
+		{"host memory at cap", func(c *RunConfig) { c.HostMemory = hw.MaxMemory }, ""},
+		{"one device", func(c *RunConfig) { c.Devices = 1 }, ""},
+		{"two devices", func(c *RunConfig) { c.Devices = 2 }, ""},
+		{"devices at cap", func(c *RunConfig) { c.Devices = MaxDevices }, ""},
+		{"seq schedule", func(c *RunConfig) { c.Model, c.Schedule = "lstm", models.ScheduleSeq }, ""},
+		{"mixed schedule", func(c *RunConfig) { c.Model, c.Schedule = "lstm", models.ScheduleMixed }, ""},
 	}
-	if r := Run(RunConfig{Model: "resnet50", Batch: 0, System: SystemTF, Device: smallDev()}); r.OK {
-		t.Error("zero batch accepted")
+	for _, alloc := range []string{"", "bfc", "firstfit"} {
+		rows = append(rows, row{"allocator " + alloc, func(c *RunConfig) { c.Allocator = alloc }, ""})
+	}
+	for _, sys := range SystemNames() {
+		if spec, _ := exec.LookupPolicy(sys); spec.GraphAgnostic {
+			for _, kind := range []string{models.ScheduleConstant, models.ScheduleBatch} {
+				rows = append(rows, row{sys + " on a " + kind + " schedule", func(c *RunConfig) {
+					c.System, c.Schedule, c.SchedulePeriod = System(sys), kind, 1
+				}, ""})
+			}
+		}
+	}
+	runner := NewRunner(1)
+	for _, tc := range rows {
+		cfg := base
+		tc.edit(&cfg)
+		err := cfg.Validate()
+		if canonErr := CanonicalConfig(cfg).Validate(); (canonErr == nil) != (err == nil) {
+			t.Errorf("%s: Validate says %v, but of the canonical config %v", tc.name, err, canonErr)
+		}
+		if tc.want != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+				continue
+			}
+			if r := Run(cfg); r.OK || r.Err == nil || r.Err.Error() != err.Error() || r.Stats != nil {
+				t.Errorf("%s: Run = OK %v, err %v, %d iterations; want Validate's error %q before simulating",
+					tc.name, r.OK, r.Err, len(r.Stats), err)
+			}
+			if r := runner.Run(cfg); r.Err == nil || r.Err.Error() != err.Error() {
+				t.Errorf("%s: a Runner, which simulates the canonical config, returned %v, want %q", tc.name, r.Err, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Validate rejected a valid config: %v", tc.name, err)
+			continue
+		}
+		if r := Run(cfg); !r.OK && !errors.Is(r.Err, exec.ErrIterationOOM) && !errors.Is(r.Err, memory.ErrOOM) {
+			t.Errorf("%s: Validate accepted the config, but Run failed with %v", tc.name, r.Err)
+		}
 	}
 }
 

@@ -1,20 +1,23 @@
-package bench
+package bench_test
 
 import (
 	"reflect"
 	"slices"
 	"testing"
 
+	"capuchin/internal/bench"
 	"capuchin/internal/cluster"
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/fleet"
+	"capuchin/internal/serve"
 )
 
 // TestConfigSurface pins the exported fields of the engine's config
 // types. A value that no caller sets to anything but its default is a
 // constant, not a field; adding a knob must show up here as a deliberate
-// change to this table.
+// change to this table. The run settings are pinned twice, as
+// bench.RunConfig and as capuchin-serve's wire form of it.
 func TestConfigSurface(t *testing.T) {
 	for _, tc := range []struct {
 		typ  reflect.Type
@@ -27,6 +30,15 @@ func TestConfigSurface(t *testing.T) {
 		{reflect.TypeFor[exec.Config](), []string{
 			"Device", "HostMemory", "Mode", "Policy", "Allocator", "CoupledSwap",
 			"CollectiveRecompute", "RecordSpans", "Faults", "Comm", "CommAware", "Tracer", "Metrics",
+		}},
+		{reflect.TypeFor[bench.RunConfig](), []string{
+			"Model", "Batch", "System", "Device", "Mode", "Iterations", "Allocator", "RecordSpans",
+			"HostMemory", "ForceCoupledSwap", "Faults", "Profile", "Schedule", "ScheduleSeed",
+			"SchedulePeriod", "Devices", "CommOblivious",
+		}},
+		{reflect.TypeFor[serve.RunRequest](), []string{
+			"Model", "Batch", "System", "Iterations", "Allocator", "Mode", "MemGiB", "HostMemGiB",
+			"Faults", "Schedule", "ScheduleSeed", "SchedulePeriod", "Devices", "CommOblivious",
 		}},
 		{reflect.TypeFor[exec.DynamicConfig](), []string{"Base", "Build", "Schedule"}},
 		{reflect.TypeFor[core.Options](), []string{"SwapOnly", "RecomputeOnly", "DisableFeedback"}},

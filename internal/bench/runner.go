@@ -167,7 +167,9 @@ func (r *Runner) Stats() RunnerStats {
 func CanonicalConfig(cfg RunConfig) RunConfig { return cacheKey(cfg) }
 
 // cacheKey canonicalizes defaulted RunConfig fields so equivalent
-// configurations share one cache entry. It must mirror Run's defaults.
+// configurations share one cache entry; run simulates the same form. It
+// leaves invalid values as they are, so Validate judges the key as it
+// judges the config.
 func cacheKey(cfg RunConfig) RunConfig {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
@@ -175,13 +177,16 @@ func cacheKey(cfg RunConfig) RunConfig {
 	if cfg.Allocator == "" {
 		cfg.Allocator = "bfc"
 	}
-	if cfg.Schedule == "" {
+	switch {
+	case cfg.Schedule != "":
+		if cfg.SchedulePeriod == 0 {
+			cfg.SchedulePeriod = 2
+		}
+	case cfg.SchedulePeriod >= 0:
 		// Static runs ignore the sampler knobs entirely.
 		cfg.ScheduleSeed, cfg.SchedulePeriod = 0, 0
-	} else if cfg.SchedulePeriod == 0 {
-		cfg.SchedulePeriod = 2
 	}
-	if cfg.Devices <= 1 {
+	if cfg.Devices == 0 || cfg.Devices == 1 {
 		// Single-device runs ignore the comm knobs entirely.
 		cfg.Devices = 1
 		cfg.CommOblivious = false

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"capuchin/internal/fault"
 	"capuchin/internal/graph"
@@ -33,6 +34,34 @@ func (m Mode) String() string {
 		return "eager"
 	}
 	return "graph"
+}
+
+// ParseMode returns the mode a flag or request names: "graph" (also "")
+// or "eager", in any case.
+func ParseMode(name string) (Mode, error) {
+	switch strings.ToLower(name) {
+	case "", "graph":
+		return GraphMode, nil
+	case "eager":
+		return EagerMode, nil
+	}
+	return GraphMode, fmt.Errorf("exec: unknown mode %q (want graph or eager)", name)
+}
+
+// pools maps each Config.Allocator name to its device pool; "" is bfc.
+var pools = map[string]func(capacity int64) memory.Pool{
+	"":         func(c int64) memory.Pool { return memory.NewBFC(c) },
+	"bfc":      func(c int64) memory.Pool { return memory.NewBFC(c) },
+	"firstfit": func(c int64) memory.Pool { return memory.NewFirstFit(c) },
+}
+
+// CheckAllocator reports an error unless name selects a device pool:
+// "bfc" (the default, also "") or "firstfit".
+func CheckAllocator(name string) error {
+	if _, ok := pools[name]; !ok {
+		return fmt.Errorf("exec: unknown allocator %q (want bfc or firstfit)", name)
+	}
+	return nil
 }
 
 // Config configures a Session.
@@ -222,15 +251,10 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = NullPolicy{}
 	}
-	var pool memory.Pool
-	switch cfg.Allocator {
-	case "", "bfc":
-		pool = memory.NewBFC(cfg.Device.MemoryBytes)
-	case "firstfit":
-		pool = memory.NewFirstFit(cfg.Device.MemoryBytes)
-	default:
-		return nil, fmt.Errorf("exec: unknown allocator %q", cfg.Allocator)
+	if err := CheckAllocator(cfg.Allocator); err != nil {
+		return nil, err
 	}
+	pool := pools[cfg.Allocator](cfg.Device.MemoryBytes)
 	g.EnsureIndexed()
 	s := &Session{
 		cfg:     cfg,

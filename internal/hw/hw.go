@@ -169,6 +169,24 @@ func ByName(name string) (DeviceSpec, error) {
 	return DeviceSpec{}, fmt.Errorf("hw: unknown device %q (want p100, v100 or t4)", name)
 }
 
+// MaxMemory bounds every configured memory size, device or host. A GiB
+// count far beyond it would overflow int64 bytes.
+const MaxMemory = 4096 * GiB
+
+// GiBToBytes converts a memory size in GiB, fractions allowed, to bytes.
+// Zero means unset and converts to 0; any other size must come to at
+// least one byte and at most MaxMemory, which rejects NaN and ±Inf.
+func GiBToBytes(gib float64) (int64, error) {
+	if gib == 0 {
+		return 0, nil
+	}
+	bytes := gib * float64(GiB)
+	if !(bytes >= 1 && bytes <= float64(MaxMemory)) {
+		return 0, fmt.Errorf("hw: memory must be 0 (unset) or between 1 byte and %d GiB, got %g GiB", MaxMemory/GiB, gib)
+	}
+	return int64(bytes), nil
+}
+
 // WithMemory returns a copy of the spec with the given memory capacity, for
 // oversubscription sweeps.
 func (d DeviceSpec) WithMemory(bytes int64) DeviceSpec {

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"math"
 	"testing"
 
 	"capuchin/internal/sim"
@@ -122,6 +123,34 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) = %s, want an error", tc.name, d.Name)
 		case tc.want != "" && (err != nil || d.Name != tc.want):
 			t.Errorf("ByName(%q) = %q, %v; want %q", tc.name, d.Name, err, tc.want)
+		}
+	}
+}
+
+func TestGiBToBytes(t *testing.T) {
+	for _, tc := range []struct {
+		gib  float64
+		want int64 // -1 means an error
+	}{
+		{0, 0},
+		{16, 16 * GiB},
+		{1.5, 3 * GiB / 2},
+		{1 / float64(GiB), 1},
+		{4096, MaxMemory},
+		{1e-12, -1},
+		{-3, -1},
+		{4096.5, -1},
+		{9e9, -1},
+		{math.NaN(), -1},
+		{math.Inf(1), -1},
+		{math.Inf(-1), -1},
+	} {
+		got, err := GiBToBytes(tc.gib)
+		switch {
+		case tc.want < 0 && err == nil:
+			t.Errorf("GiBToBytes(%g) = %d, want an error", tc.gib, got)
+		case tc.want >= 0 && (err != nil || got != tc.want):
+			t.Errorf("GiBToBytes(%g) = %d, %v; want %d", tc.gib, got, err, tc.want)
 		}
 	}
 }

@@ -14,6 +14,10 @@ import (
 	"fmt"
 )
 
+// MinCapacity is the smallest capacity a device pool manages: one chunk
+// of the allocation granularity. NewBFC and NewFirstFit panic below it.
+const MinCapacity = minChunkSize
+
 // ErrOOM is returned (wrapped) when an allocation cannot be satisfied.
 // Callers use errors.Is(err, ErrOOM) to detect out-of-memory conditions and
 // trigger eviction.

@@ -31,6 +31,11 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`{"model":"alexnet","batch":8,"hostMemGiB":1e12}`, `{"model":"alexnet","batch":8,"memGiB":1e-12}`,
 		`{"model":"alexnet","batch":1,"iterations":2000000000}`, `{"model":"alexnet","batch":4096,"iterations":10000,"devices":64}`,
 		`{"model":"alexnet","batch":1,"devices":100000}`, `{"model":"alexnet","batch":100000}`,
+		`{"model":"resnet50","batch":8,"allocator":"bogus"}`, `{"model":"resnet50","batch":8,"allocator":"BFC"}`,
+		`{"model":"resnet50","batch":8,"schedule":"bogus"}`, `{"model":"resnet50","batch":8,"schedule":"seq"}`,
+		`{"model":"resnet50","batch":8,"system":"vdnn","schedule":"batch"}`,
+		`{"model":"resnet50","batch":8,"system":"dtr","schedule":"batch"}`,
+		`{"model":"resnet50","batch":8,"system":"chunk","schedule":"batch"}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -39,7 +44,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if key.Batch > bench.MaxBatchCeiling || key.Iterations > maxIterations || key.Devices > maxDevices {
+		if key.Batch > bench.MaxBatchCeiling || key.Iterations > bench.MaxIterations || key.Devices > bench.MaxDevices {
 			t.Fatalf("accepted config beyond the caps: batch %d, iterations %d, devices %d",
 				key.Batch, key.Iterations, key.Devices)
 		}

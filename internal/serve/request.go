@@ -9,13 +9,14 @@ import (
 	"capuchin/internal/exec"
 	"capuchin/internal/fault"
 	"capuchin/internal/hw"
-	"capuchin/internal/models"
 )
 
 // RunRequest is the wire form of a run submission: the semantic knobs of
 // bench.RunConfig, with device memory in GiB and the fault plan in its
-// flag syntax. Zero-valued fields take the same defaults the CLI tools
-// use (P100 device, graph mode, capuchin system, 3 iterations, BFC).
+// flag syntax. Zero-valued fields take the defaults of bench.Run: a P100
+// device, graph mode, the capuchin system, 3 iterations and BFC. (The
+// CLIs pick some of their own: capuchin-train runs 8 iterations, and
+// capuchin-trace tf-ori on 64 GiB.)
 type RunRequest struct {
 	// Model names a registered workload (resnet50, bert, lstm, ...).
 	Model string `json:"model"`
@@ -46,107 +47,41 @@ type RunRequest struct {
 	CommOblivious bool `json:"commOblivious,omitempty"`
 }
 
-// Upper caps on a request's size knobs. A run's statistics are allocated
-// up front per iteration, so an uncapped iteration count can ask for more
-// memory than the host has, which is a fatal error, not a panic the
-// worker can recover.
-const (
-	// maxIterations bounds Iterations.
-	maxIterations = 10_000
-	// maxDevices bounds Devices; the Scaling experiment uses at most 8.
-	maxDevices = 64
-	// maxMemGiB bounds MemGiB and HostMemGiB. A size beyond the int64
-	// byte range would convert to a negative capacity.
-	maxMemGiB = 4096
-)
-
-// memBytes converts a request's memory size in GiB to bytes. Zero means
-// unset; any other size must come to at least one byte and at most
-// maxMemGiB.
-func memBytes(field string, gib float64) (int64, error) {
-	if gib == 0 {
-		return 0, nil
-	}
-	bytes := gib * float64(hw.GiB)
-	if bytes < 1 || gib > maxMemGiB {
-		return 0, fmt.Errorf("serve: %s must be 0 (unset) or between 1 byte and %d GiB, got %g", field, maxMemGiB, gib)
-	}
-	return int64(bytes), nil
-}
-
-// ToRunConfig validates the request and maps it onto a bench.RunConfig.
-// Validation covers what can be checked without running: the model and
-// system must be registered, the mode known, the batch positive, the
-// iteration count, device count and schedule period non-negative, the
-// batch, iteration count and device count within their caps, each memory
-// size unset or from one byte to maxMemGiB, the fault plan parseable,
-// and the config product one the engine runs — a Schedule with Devices > 1 is rejected with an
-// error wrapping bench.ErrDynamicCluster. An invalid request therefore
-// never reaches admission.
+// ToRunConfig maps the request onto a bench.RunConfig and validates it
+// with bench.RunConfig.Validate, after parsing the fields that have a
+// wire syntax: the mode, the fault plan and the memory sizes
+// (hw.GiBToBytes). An invalid request therefore never reaches admission.
 func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
-	var cfg bench.RunConfig
-	if rr.Model == "" {
-		return cfg, fmt.Errorf("serve: model is required")
-	}
-	if _, err := models.Get(rr.Model); err != nil {
-		return cfg, fmt.Errorf("serve: %w", err)
-	}
-	switch {
-	case rr.Batch < 1:
-		return cfg, fmt.Errorf("serve: batch must be >= 1, got %d", rr.Batch)
-	case rr.Batch > bench.MaxBatchCeiling:
-		return cfg, fmt.Errorf("serve: batch must be <= %d, got %d", bench.MaxBatchCeiling, rr.Batch)
-	case rr.Iterations < 0:
-		return cfg, fmt.Errorf("serve: iterations must be >= 0, got %d", rr.Iterations)
-	case rr.Iterations > maxIterations:
-		return cfg, fmt.Errorf("serve: iterations must be <= %d, got %d", maxIterations, rr.Iterations)
-	case rr.Devices < 0:
-		return cfg, fmt.Errorf("serve: devices must be >= 0, got %d", rr.Devices)
-	case rr.Devices > maxDevices:
-		return cfg, fmt.Errorf("serve: devices must be <= %d, got %d", maxDevices, rr.Devices)
-	case rr.SchedulePeriod < 0:
-		return cfg, fmt.Errorf("serve: schedulePeriod must be >= 0, got %d", rr.SchedulePeriod)
-	case rr.Schedule != "" && rr.Devices > 1:
-		return cfg, fmt.Errorf("serve: %w", bench.ErrDynamicCluster)
-	}
-	devBytes, err := memBytes("memGiB", rr.MemGiB)
+	mode, err := exec.ParseMode(rr.Mode)
 	if err != nil {
-		return cfg, err
-	}
-	hostBytes, err := memBytes("hostMemGiB", rr.HostMemGiB)
-	if err != nil {
-		return cfg, err
-	}
-	system := rr.System
-	if system == "" {
-		system = string(bench.SystemCapuchin)
-	}
-	if _, ok := exec.LookupPolicy(system); !ok {
-		return cfg, fmt.Errorf("serve: unknown system %q (known: %v)", system, exec.PolicyNames())
-	}
-	var mode exec.Mode
-	switch rr.Mode {
-	case "", "graph":
-		mode = exec.GraphMode
-	case "eager":
-		mode = exec.EagerMode
-	default:
-		return cfg, fmt.Errorf("serve: unknown mode %q (want graph or eager)", rr.Mode)
+		return bench.RunConfig{}, err
 	}
 	var plan fault.Plan
 	if rr.Faults != "" {
 		if plan, err = fault.ParsePlan(rr.Faults); err != nil {
-			return cfg, fmt.Errorf("serve: %w", err)
+			return bench.RunConfig{}, err
 		}
+	}
+	devBytes, err := hw.GiBToBytes(rr.MemGiB)
+	if err != nil {
+		return bench.RunConfig{}, fmt.Errorf("memGiB: %w", err)
+	}
+	hostBytes, err := hw.GiBToBytes(rr.HostMemGiB)
+	if err != nil {
+		return bench.RunConfig{}, fmt.Errorf("hostMemGiB: %w", err)
 	}
 	dev := hw.P100()
 	if devBytes > 0 {
 		dev = dev.WithMemory(devBytes)
 	}
-	cfg = bench.RunConfig{
+	system := bench.System(rr.System)
+	if system == "" {
+		system = bench.SystemCapuchin
+	}
+	cfg := bench.RunConfig{
 		Model:          rr.Model,
 		Batch:          rr.Batch,
-		System:         bench.System(system),
+		System:         system,
 		Device:         dev,
 		Mode:           mode,
 		Iterations:     rr.Iterations,
@@ -159,7 +94,7 @@ func (rr RunRequest) ToRunConfig() (bench.RunConfig, error) {
 		CommOblivious:  rr.CommOblivious,
 		HostMemory:     hostBytes,
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // decodeRunRequest reads one submission body — strict JSON, where an

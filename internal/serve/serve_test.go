@@ -177,7 +177,15 @@ func TestSubmitValidation(t *testing.T) {
 		{"batch one above cap", `{"model":"alexnet","batch":4097}`, http.StatusBadRequest, "<= 4096"},
 		{"memory above cap", `{"model":"alexnet","batch":8,"memGiB":1e300}`, http.StatusBadRequest, "4096 GiB"},
 		{"memory below one byte", `{"model":"alexnet","batch":8,"memGiB":1e-12}`, http.StatusBadRequest, "1 byte"},
+		{"memory below a pool", `{"model":"alexnet","batch":8,"memGiB":1e-8}`, http.StatusBadRequest, "256 bytes"},
 		{"host memory above cap", `{"model":"alexnet","batch":8,"hostMemGiB":1e12}`, http.StatusBadRequest, "4096 GiB"},
+		{"unknown allocator", `{"model":"resnet50","batch":8,"allocator":"bogus"}`, http.StatusBadRequest, "allocator"},
+		{"allocator in upper case", `{"model":"resnet50","batch":8,"allocator":"BFC"}`, http.StatusBadRequest, "allocator"},
+		{"unknown schedule", `{"model":"resnet50","batch":8,"schedule":"bogus"}`, http.StatusBadRequest, "schedule kind"},
+		{"seq schedule without a sequence axis", `{"model":"resnet50","batch":8,"schedule":"seq"}`, http.StatusBadRequest, "sequence axis"},
+		{"schedule on vdnn", `{"model":"resnet50","batch":8,"system":"vdnn","schedule":"batch"}`, http.StatusBadRequest, "one graph"},
+		{"schedule on dtr", `{"model":"resnet50","batch":8,"system":"dtr","schedule":"batch"}`, http.StatusBadRequest, "one graph"},
+		{"schedule on chunk", `{"model":"resnet50","batch":8,"system":"chunk","schedule":"batch"}`, http.StatusBadRequest, "one graph"},
 	} {
 		resp, err := ts.Client().Post(ts.URL+"/v1/runs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
