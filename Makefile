@@ -180,7 +180,7 @@ serve-smoke:
 # real capuchin-trace invocation that must emit a loadable timeline, a
 # non-empty decision history and a non-empty JSONL event log. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
-# run must pass, and two invalid settings must fail before running.
+# run must pass, and four invalid settings must fail before running.
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
@@ -192,3 +192,7 @@ profile-smoke:
 		echo "profile-smoke: capuchin-train ran with -mem -3"; exit 1; fi
 	if $(GO) run ./cmd/capuchin-bench -exp table2 -quick -mem 9000000000 >/dev/null 2>&1; then \
 		echo "profile-smoke: capuchin-bench ran with -mem 9000000000"; exit 1; fi
+	if $(GO) run ./cmd/capuchin-bench -exp fig1 -quick -schedule bogus >/dev/null 2>&1; then \
+		echo "profile-smoke: capuchin-bench -exp fig1 ran with -schedule bogus"; exit 1; fi
+	if $(GO) run ./cmd/capuchin-bench -exp dynamic -quick -schedule bogus >/dev/null 2>&1; then \
+		echo "profile-smoke: capuchin-bench -exp dynamic ran with -schedule bogus"; exit 1; fi

@@ -406,8 +406,33 @@ func BenchmarkHotPathInstantiate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tmpl.Instantiate(64); err != nil {
+		if _, err := tmpl.Instantiate(64, nil); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHotPathProbeCell is one max-batch probe: a cold 3-iteration
+// resnet50 Capuchin cell on a 16 GiB P100, beyond TF-ori's maximum so
+// Capuchin plans. It runs on a warm template set and alternates two
+// batches, so every iteration refills, at the other batch, the graph
+// and session the iteration before it handed back. Its budget pins
+// that recycling: a probe that instantiates or builds its session from
+// scratch again allocates a few thousand more.
+func BenchmarkHotPathProbeCell(b *testing.B) {
+	ts := bench.NewTemplates()
+	var cfgs [2]bench.RunConfig
+	for i, batch := range []int64{256, 512} {
+		cfgs[i] = bench.RunConfig{Model: "resnet50", Batch: batch, System: bench.SystemCapuchin, Device: hw.P100()}
+		if r := ts.RunTraced(cfgs[i], nil); !r.OK {
+			b.Fatal(r.Err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := ts.RunTraced(cfgs[i%2], nil); !r.OK {
+			b.Fatal(r.Err)
 		}
 	}
 }

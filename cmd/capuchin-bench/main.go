@@ -54,7 +54,9 @@
 // tensor geometry drifts between iterations, with Capuchin re-planning
 // online per shape signature. -schedule picks the drift kind (constant,
 // batch, seq, mixed) and -schedule-seed the deterministic sampler seed;
-// both only affect the dynamic experiment.
+// both only affect the dynamic experiment, but a -schedule that the
+// experiment's resnet50 cells cannot follow (an unknown kind, or seq and
+// mixed, which need a sequence axis) exits 2 before any experiment runs.
 //
 // -profile attaches the observability stack to every simulated cell and
 // prints the sweep-wide metrics aggregate (kernel/transfer/stall latency
@@ -131,10 +133,12 @@ func main() {
 		dev = dev.WithMemory(memBytes)
 	}
 	// The experiments run their cells on this device, or on copies with
-	// swept memory, for these iterations: validating one cell rejects a
-	// bad -mem or -iters before any table prints.
+	// swept memory, for these iterations, and the dynamic experiment
+	// drives resnet50 through -schedule: validating one cell rejects a
+	// bad -mem, -iters or -schedule before any table prints. tf-ori
+	// follows any schedule, so the cell can carry it.
 	exitOn(2, bench.RunConfig{Model: "resnet50", Batch: 1, System: bench.SystemTF,
-		Device: dev, Iterations: *iters}.Validate())
+		Device: dev, Iterations: *iters, Schedule: *schedule}.Validate())
 	o := bench.Options{Device: dev, Iterations: *iters, Quick: *quick, Jobs: *jobs, Profile: *profile,
 		Schedule: *schedule, ScheduleSeed: *scheduleSeed, Devices: deviceCounts}
 	if *profile {

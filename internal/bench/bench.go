@@ -219,7 +219,10 @@ func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cf
 // template set of the run's owner (a serve Server, a max-batch search, a
 // fleet profiling setup), or nil. Every graph the run needs comes from
 // ts; with a nil ts a static single-device run builds its graph, and a
-// cluster or dynamic run owns a set of its own.
+// cluster or dynamic run owns a set of its own. A static single-device
+// run on a set refills its template's spare graph and session and hands
+// them back when it returns, so it returns no session or policy; only a
+// run on a nil set (RunLive's) returns its live session.
 func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
 	profile := cfg.Profile
@@ -235,20 +238,33 @@ func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session,
 	if cfg.Schedule != "" {
 		return runDynamic(cfg, spec, res, extra, ts)
 	}
-	g, err := ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
+	p, err := ts.probe(spec, cfg.Mode, cfg.Batch)
 	if err != nil {
 		res.Err = err
 		return res, nil, nil
 	}
+	res, s, pol := simulate(cfg, res, p.g, p.s, extra)
+	if p.slot == nil {
+		return res, s, pol
+	}
+	p.s = s
+	p.recycle()
+	return res, nil, nil
+}
+
+// simulate runs a static single-device cell on g in a session recycled
+// from spare (nil builds a new one). It returns that session, or spare
+// when building the session failed.
+func simulate(cfg RunConfig, res Result, g *graph.Graph, spare *exec.Session, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
 	ec, col, met, err := execConfig(cfg, g, extra)
 	if err != nil {
 		res.Err = err
-		return res, nil, nil
+		return res, spare, nil
 	}
-	s, err := exec.NewSession(g, ec)
+	s, err := exec.RecycleSession(spare, g, ec)
 	if err != nil {
 		res.Err = err
-		return res, nil, nil
+		return res, spare, nil
 	}
 	stats, err := s.Run(cfg.Iterations)
 	res.Stats = stats

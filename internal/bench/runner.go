@@ -24,14 +24,17 @@ import (
 //
 // The Runner owns no graph templates. A MaxBatch search, a MaxBatchAll
 // call and a fleet profiling setup each own a Templates set that their
-// cells instantiate graphs from, and the set is garbage when they
-// return; any other cell runs on a nil set (see run). So a sweep's live
-// heap never holds the templates of the models it has finished with.
+// cells instantiate graphs from, each cell refilling the graph and
+// session the template's previous cell handed back, and the set is
+// garbage when they return; any other cell runs on a nil set (see run).
+// So a sweep's live heap never holds the templates, or their spares, of
+// the models it has finished with.
 //
 // Safety rests on two properties this package tests:
 //
 //   - every exec.Session is self-contained: each cell builds a fresh
-//     graph or instantiates one from an immutable graph.Template, the
+//     graph or instantiates one from an immutable graph.Template, into
+//     storage no other cell holds (a spare is one cell's at a time), the
 //     model registry is read-only after init, and hw.DeviceSpec has
 //     value semantics, so concurrent cells share no mutable state;
 //   - the simulator is deterministic: a cell's Result depends only on its

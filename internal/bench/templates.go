@@ -14,8 +14,21 @@ import (
 // Templates is a set of graph templates keyed by (model, mode, seq). Each
 // template is built on first use, once, however many goroutines ask for
 // it at the same time, and every later graph of that key is an
-// Instantiate of it: a copy instead of a build. The set keeps its
-// templates for as long as its owner holds it, and has one owner, one of:
+// Instantiate of it: a copy instead of a build.
+//
+// Each template also keeps at most one spare probe: the graph instance
+// and exec.Session of the last static single-device cell of that
+// template that handed them back. run hands them back after every normal
+// return of such a cell, so the next cell of the template refills the
+// spare's storage instead of allocating it (graph.Template.Instantiate,
+// exec.RecycleSession). A cell takes the spare for its whole run, so
+// concurrent cells of one template never share it; the others allocate.
+// RunLive never hands its session back, and cluster and dynamic runs
+// never take a spare. A cell that panics hands nothing back, so the next
+// cell allocates afresh.
+//
+// The set keeps its templates and spares for as long as its owner holds
+// it, and has one owner, one of:
 //
 //   - a serve Server, for its lifetime;
 //   - one max-batch search, or one MaxBatchAll call shared by all its
@@ -44,11 +57,25 @@ type templateKey struct {
 	seq   int64
 }
 
-// templateSlot is a template built at most once.
+// templateSlot is a template built at most once, with at most one spare
+// probe: the graph instance and session of the last static cell that
+// handed them back, which the next cell of the template refills.
 type templateSlot struct {
 	once sync.Once
 	tmpl *graph.Template
 	err  error
+
+	mu    sync.Mutex
+	spare probe
+}
+
+// probe is the storage of one static single-device cell: its graph and,
+// once the cell has run, its session. slot is the template slot the
+// graph was instantiated from, nil for a graph built from scratch.
+type probe struct {
+	slot *templateSlot
+	g    *graph.Graph
+	s    *exec.Session
 }
 
 // errTemplatePanicked is what a template whose build panicked reports to
@@ -68,16 +95,50 @@ func (ts *Templates) Graph(spec models.Spec, mode exec.Mode, batch, seq int64) (
 	if ts == nil {
 		return spec.BuildShaped(batch, seq, buildOptions(mode))
 	}
-	t, err := ts.template(spec, mode, seq)
+	s, err := ts.slot(spec, mode, seq)
 	if err != nil {
 		return nil, err
 	}
-	return t.Instantiate(batch)
+	return s.tmpl.Instantiate(batch, nil)
 }
 
-// template returns the set's template for (spec, mode, seq), building it
-// on first use.
-func (ts *Templates) template(spec models.Spec, mode exec.Mode, seq int64) (*graph.Template, error) {
+// probe returns spec's training graph in mode at batch for one static
+// cell, refilled into the slot's spare when there is one, together with
+// the spare's session for exec.RecycleSession (nil without a spare). The
+// slot's spare is the caller's until it hands it back with recycle. With
+// a nil ts the graph is built from scratch.
+func (ts *Templates) probe(spec models.Spec, mode exec.Mode, batch int64) (probe, error) {
+	if ts == nil {
+		g, err := spec.BuildShaped(batch, 0, buildOptions(mode))
+		return probe{g: g}, err
+	}
+	slot, err := ts.slot(spec, mode, 0)
+	if err != nil {
+		return probe{}, err
+	}
+	slot.mu.Lock()
+	p := slot.spare
+	slot.spare = probe{}
+	slot.mu.Unlock()
+	p.slot = slot
+	p.g, err = slot.tmpl.Instantiate(batch, p.g)
+	return p, err
+}
+
+// recycle parks p's session and makes p its slot's spare, replacing any
+// spare another cell handed back meanwhile. p must come from a set.
+func (p probe) recycle() {
+	if p.s != nil {
+		p.s.Park()
+	}
+	p.slot.mu.Lock()
+	p.slot.spare = p
+	p.slot.mu.Unlock()
+}
+
+// slot returns the set's slot for (spec, mode, seq), building its
+// template on first use.
+func (ts *Templates) slot(spec models.Spec, mode exec.Mode, seq int64) (*templateSlot, error) {
 	// BuildShaped ignores seq without a sequence axis, and the default
 	// length is the default shape, so those requests share one template.
 	if spec.BuildSeq == nil || seq == spec.DefaultSeq {
@@ -96,7 +157,7 @@ func (ts *Templates) template(spec models.Spec, mode exec.Mode, seq int64) (*gra
 		s.err = errTemplatePanicked // replaced below unless the build panics
 		s.tmpl, s.err = spec.Template(seq, buildOptions(mode))
 	})
-	return s.tmpl, s.err
+	return s, s.err
 }
 
 // RunTraced is the package-level RunTraced with every graph the run

@@ -141,7 +141,7 @@ func newFuzzCell(tb testing.TB) fuzzCell {
 // run drives pol for iters iterations on a fresh graph. Typed errors are
 // outcomes; only a panic fails a caller.
 func (fc fuzzCell) run(tb testing.TB, pol exec.Policy, iters int) ([]exec.IterStats, error) {
-	g, err := fc.tmpl.Instantiate(8)
+	g, err := fc.tmpl.Instantiate(8, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -366,10 +366,11 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 func (s *Session) chooseAlgorithm(n *graph.Node) (ops.Algorithm, *memory.Allocation, error) {
 	algos := s.algoCache[n.Pos]
 	if algos == nil {
-		inShapes := make([]tensor.Shape, len(n.Inputs))
-		for i, in := range n.Inputs {
-			inShapes[i] = in.Shape
+		inShapes := s.scShapes[:0]
+		for _, in := range n.Inputs {
+			inShapes = append(inShapes, in.Shape)
 		}
+		s.scShapes = inShapes
 		algos = n.Op.Algorithms(s.dev, inShapes)
 		s.algoCache[n.Pos] = algos
 	}

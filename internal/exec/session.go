@@ -49,10 +49,30 @@ func ParseMode(name string) (Mode, error) {
 }
 
 // pools maps each Config.Allocator name to its device pool; "" is bfc.
-var pools = map[string]func(capacity int64) memory.Pool{
-	"":         func(c int64) memory.Pool { return memory.NewBFC(c) },
-	"bfc":      func(c int64) memory.Pool { return memory.NewBFC(c) },
-	"firstfit": func(c int64) memory.Pool { return memory.NewFirstFit(c) },
+// Each returns spare reset to capacity when it is a pool of its kind,
+// and a new pool otherwise.
+var pools = map[string]func(spare memory.Pool, capacity int64) memory.Pool{
+	"":         resetBFC,
+	"bfc":      resetBFC,
+	"firstfit": resetFirstFit,
+}
+
+func resetBFC(spare memory.Pool, capacity int64) memory.Pool {
+	a, ok := spare.(*memory.BFC)
+	if !ok {
+		a = new(memory.BFC)
+	}
+	a.Reset(capacity)
+	return a
+}
+
+func resetFirstFit(spare memory.Pool, capacity int64) memory.Pool {
+	a, ok := spare.(*memory.FirstFit)
+	if !ok {
+		a = new(memory.FirstFit)
+	}
+	a.Reset(capacity)
+	return a
 }
 
 // CheckAllocator reports an error unless name selects a device pool:
@@ -184,8 +204,10 @@ type Session struct {
 
 	// algoCache memoizes op.Algorithms per node position: the device and
 	// every input shape are fixed for a session's lifetime, so the
-	// candidate list is computed once per node.
+	// candidate list is computed once per node. scShapes is the input
+	// shape list chooseAlgorithm hands op.Algorithms.
 	algoCache [][]ops.Algorithm
+	scShapes  []tensor.Shape
 	// fpSeeds holds tensor.HashSeed(n.ID) per node position, so deriving
 	// an output fingerprint combines only the output index and the input
 	// fingerprints instead of re-hashing the node ID every iteration.
@@ -240,8 +262,21 @@ type replayBuf struct {
 
 // NewSession prepares a session: builds the allocator, pre-allocates
 // persistent tensors (weights live on device for the whole run, §2.1) and
-// seeds their fingerprints.
+// seeds their fingerprints. It is RecycleSession without a spare.
 func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
+	return RecycleSession(nil, g, cfg)
+}
+
+// RecycleSession prepares a session for g and cfg as NewSession does,
+// in spare's storage when spare is non-nil: a session that no one runs
+// or inspects any more, typically one that Park released. It returns
+// spare refilled, reusing its per-tensor tables, algorithm-cache
+// backing, scratch buffers, host arena and, when cfg selects the same
+// allocator kind, its device pool (reset to the new capacity). A
+// recycled session behaves exactly like a new one; nothing of spare's
+// previous run survives the refill. On error it returns nil, and spare
+// may only be recycled again.
+func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error) {
 	if cfg.Device.MemoryBytes <= 0 {
 		return nil, fmt.Errorf("exec: device %q has no memory configured", cfg.Device.Name)
 	}
@@ -254,15 +289,25 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 	if err := CheckAllocator(cfg.Allocator); err != nil {
 		return nil, err
 	}
-	pool := pools[cfg.Allocator](cfg.Device.MemoryBytes)
+	s := spare
+	if s == nil {
+		s = new(Session)
+	}
+	old := *s
+	host := old.host
+	if host == nil {
+		host = new(memory.HostArena)
+	}
+	host.Reset(cfg.HostMemory)
+	pool := pools[cfg.Allocator](old.pool, cfg.Device.MemoryBytes)
 	g.EnsureIndexed()
-	s := &Session{
+	*s = Session{
 		cfg:     cfg,
 		g:       g,
 		dev:     cfg.Device,
 		policy:  cfg.Policy,
 		pool:    pool,
-		host:    memory.NewHostArena(cfg.HostMemory),
+		host:    host,
 		compute: sim.NewStream("compute"),
 		h2d:     sim.NewStream("h2d"),
 		d2h:     sim.NewStream("d2h"),
@@ -271,7 +316,7 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 		met:     cfg.Metrics,
 	}
 	s.env = Env{s: s}
-	s.initTables()
+	s.initTables(&old)
 	for _, n := range g.Nodes {
 		if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate && len(n.Inputs) > 1 {
 			s.gradIDs[n.Inputs[1].Idx] = true
@@ -312,29 +357,50 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 	return s, nil
 }
 
+// Park releases everything the session holds besides the storage
+// RecycleSession refills: its policy, tracer, metrics, fault injector and
+// streams (with any recorded spans). A parked session must not be run or
+// inspected again; it is only a spare for RecycleSession, and pins no
+// more than its tables, its graph and its pools while it waits.
+func (s *Session) Park() {
+	s.cfg.Policy, s.cfg.Tracer, s.cfg.Metrics, s.cfg.Comm = nil, nil, nil, nil
+	s.policy, s.tr, s.met, s.inj = nil, nil, nil, nil
+	s.compute, s.h2d, s.d2h, s.cpu = nil, nil, nil, nil
+	s.defErr = nil
+}
+
 // initTables sizes the interned per-tensor tables and computes the static
 // schedule analysis: reference counts, final-read positions, the update
 // barrier, eager-tape retention and the gradient-tensor marks. All of it
 // is a pure function of the (immutable) graph, so it runs once per
-// session instead of once per iteration.
-func (s *Session) initTables() {
+// session instead of once per iteration. Every table and scratch buffer
+// reuses old's backing array when it is large enough (old is the zero
+// Session for a new session), cleared.
+func (s *Session) initTables(old *Session) {
 	s.tlist = s.g.TensorList()
-	nt := len(s.tlist)
-	s.refsInit = make([]int32, nt)
-	s.refs = make([]int32, nt)
-	s.lastUse = make([]int32, nt)
-	s.retained = make([]bool, nt)
-	s.gradIDs = make([]bool, nt)
-	s.swapInAt = make([]sim.Time, nt)
-	s.swapInOn = make([]bool, nt)
-	s.lruPrev = make([]int32, nt)
-	s.lruNext = make([]int32, nt)
-	s.inLRU = make([]bool, nt)
-	s.pinned = make([]bool, nt)
-	s.regen = make([]bool, nt)
-	s.algoCache = make([][]ops.Algorithm, len(s.g.Nodes))
-	s.fpSeeds = make([]uint64, len(s.g.Nodes))
+	nt, nn := len(s.tlist), len(s.g.Nodes)
+	s.refsInit = resized(old.refsInit, nt)
+	s.refs = resized(old.refs, nt)
+	s.lastUse = resized(old.lastUse, nt)
+	s.retained = resized(old.retained, nt)
+	s.gradIDs = resized(old.gradIDs, nt)
+	s.swapInAt = resized(old.swapInAt, nt)
+	s.swapInOn = resized(old.swapInOn, nt)
+	s.lruPrev = resized(old.lruPrev, nt)
+	s.lruNext = resized(old.lruNext, nt)
+	s.inLRU = resized(old.inLRU, nt)
+	s.pinned = resized(old.pinned, nt)
+	s.regen = resized(old.regen, nt)
+	s.algoCache = resized(old.algoCache, nn)
+	s.fpSeeds = resized(old.fpSeeds, nn)
 	s.lruHead, s.lruTail = -1, -1
+	s.swapInList, s.pinStack, s.regenList = old.swapInList[:0], old.pinStack[:0], old.regenList[:0]
+	s.scStalls, s.scInflight, s.scFPs = old.scStalls[:0], old.scInflight[:0], old.scFPs[:0]
+	s.scVictims, s.scShapes, s.gradEvents = old.scVictims[:0], old.scShapes[:0], old.gradEvents[:0]
+	s.replayBufs = old.replayBufs
+	for l, tab := range old.names {
+		s.names[l] = tab[:0] // name resizes and clears it on first use
+	}
 
 	s.updateBarrier = len(s.g.Nodes)
 	for i, n := range s.g.Nodes {
@@ -363,6 +429,17 @@ func (s *Session) initTables() {
 			}
 		}
 	}
+}
+
+// resized returns buf resliced to n and cleared, or a new slice of n
+// when buf's backing array is too small.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Graph returns the session's graph.

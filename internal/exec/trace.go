@@ -77,13 +77,14 @@ func (l labelKind) word() string {
 }
 
 // name returns l's name for id from slot i of its table in s.names,
-// which is n long. The table is allocated on the label's first use and
-// the name built on its first use, so a traced run concatenates each
-// name once per session instead of once per event.
+// which is n long. The table is sized on the label's first use (a
+// recycled session keeps its backing array) and the name built on its
+// first use, so a traced run concatenates each name once per session
+// instead of once per event.
 func (s *Session) name(l labelKind, i, n int, id string) string {
 	tab := s.names[l]
-	if tab == nil {
-		tab = make([]string, n)
+	if len(tab) != n {
+		tab = resized(tab, n)
 		s.names[l] = tab
 	}
 	if tab[i] == "" {

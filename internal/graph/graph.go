@@ -74,6 +74,9 @@ type Graph struct {
 	consumerOff  []int32 // tensor Idx -> offset into consumerFlat
 	consumerFlat []*Node // consumer lists, concatenated in node order
 	cursor       []int32 // reindex scratch, reused across passes
+	// inst holds an instantiated graph's storage blocks; it is zero for
+	// a built graph.
+	inst instance
 }
 
 // Tensor returns the tensor with the given ID, or nil.

@@ -21,7 +21,9 @@ import (
 // ops without activation shapes, weight shapes, the ID→Idx index and the
 // consumer offsets — so nothing may write through an instance into
 // those; the executor writes only tensor runtime state, which every
-// instance owns.
+// instance owns. An instance can be handed back to Instantiate as a
+// spare once no one uses it, and is then refilled, not shared: two
+// concurrent calls must not pass the same spare.
 type Template struct {
 	g        *Graph
 	sentinel int64
@@ -84,17 +86,25 @@ func NewTemplate(g *Graph, sentinel int64) (*Template, error) {
 // graph a fresh build at that batch would produce, node for node and
 // tensor for tensor, with fresh runtime state. Each call returns an
 // independent graph that one session may execute.
-func (t *Template) Instantiate(batch int64) (*Graph, error) {
+//
+// spare, when non-nil, is an earlier instance of this template that no
+// one uses any more: Instantiate refills its tensor, node, reference,
+// shape and producer/consumer blocks and returns it, instead of
+// allocating new ones. A spare of another template, or a built graph, is
+// ignored. Refilling rewrites every field, so whatever batch, runtime
+// state or rescaled shapes the spare held is gone.
+func (t *Template) Instantiate(batch int64, spare *Graph) (*Graph, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("graph %s: batch %d must be positive", t.g.Name, batch)
 	}
+	g := spare
+	if g == nil || g.inst.from != t {
+		g = &Graph{inst: t.newInstance()}
+	}
+	in := g.inst
 	src := t.g
-	tensors := make([]tensor.Tensor, len(src.tensorList))
-	list := make([]*tensor.Tensor, len(src.tensorList))
-	nodes := make([]Node, len(src.Nodes))
-	nodeList := make([]*Node, len(src.Nodes))
-	refs := make([]*tensor.Tensor, t.refs)
-	r := rebatcher{from: t.sentinel, to: batch, buf: make([]int64, t.dims)}
+	tensors, list, nodes, nodeList, refs := in.tensors, in.list, in.nodes, in.nodeList, in.refs
+	r := rebatcher{from: t.sentinel, to: batch, buf: in.dims}
 
 	for i, st := range src.tensorList {
 		tt := &tensors[i]
@@ -137,9 +147,10 @@ func (t *Template) Instantiate(batch int64) (*Graph, error) {
 		}
 	}
 
-	nodeAt := make([]*Node, len(src.producer)+len(src.consumerFlat))
-	producer, consumers := nodeAt[:len(src.producer):len(src.producer)], nodeAt[len(src.producer):]
+	np := len(src.producer)
+	producer, consumers := in.nodeAt[:np:np], in.nodeAt[np:]
 	for i, p := range src.producer {
+		producer[i] = nil
 		if p != nil {
 			producer[i] = &nodes[p.Pos]
 		}
@@ -147,7 +158,7 @@ func (t *Template) Instantiate(batch int64) (*Graph, error) {
 	for i, c := range src.consumerFlat {
 		consumers[i] = &nodes[c.Pos]
 	}
-	return &Graph{
+	*g = Graph{
 		Name:         src.Name,
 		Nodes:        nodeList,
 		Loss:         list[src.Loss.Idx],
@@ -156,7 +167,38 @@ func (t *Template) Instantiate(batch int64) (*Graph, error) {
 		producer:     producer,
 		consumerOff:  src.consumerOff,
 		consumerFlat: consumers,
-	}, nil
+		inst:         in,
+	}
+	return g, nil
+}
+
+// instance is the storage of a graph instantiated from a template, one
+// block per kind, kept with the graph so that a later Instantiate of the
+// same template can refill it.
+type instance struct {
+	from     *Template
+	tensors  []tensor.Tensor
+	list     []*tensor.Tensor
+	nodes    []Node
+	nodeList []*Node
+	refs     []*tensor.Tensor // node inputs, outputs and private lineage
+	nodeAt   []*Node          // producers, then the flat consumer lists
+	dims     []int64          // rescaled shapes
+}
+
+// newInstance allocates the blocks of one instance of t.
+func (t *Template) newInstance() instance {
+	src := t.g
+	return instance{
+		from:     t,
+		tensors:  make([]tensor.Tensor, len(src.tensorList)),
+		list:     make([]*tensor.Tensor, len(src.tensorList)),
+		nodes:    make([]Node, len(src.Nodes)),
+		nodeList: make([]*Node, len(src.Nodes)),
+		refs:     make([]*tensor.Tensor, t.refs),
+		nodeAt:   make([]*Node, len(src.producer)+len(src.consumerFlat)),
+		dims:     make([]int64, t.dims),
+	}
 }
 
 // foreignRef returns the first tensor in ts that g has not interned, or

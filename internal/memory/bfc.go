@@ -132,14 +132,33 @@ var _ Pool = (*BFC)(nil)
 // NewBFC creates an allocator managing capacity bytes of device memory.
 // The capacity is rounded down to the allocation granularity.
 func NewBFC(capacity int64) *BFC {
+	a := &BFC{}
+	a.Reset(capacity)
+	return a
+}
+
+// Reset returns the allocator to the state NewBFC(capacity) creates, for
+// a new owner. Every chunk record, in use or free, is parked on the
+// spare list for later splits and the bins keep their backing arrays, so
+// a reset pool refills instead of allocating. Every Allocation handed out
+// before the reset is void.
+func (a *BFC) Reset(capacity int64) {
 	capacity = capacity / minChunkSize * minChunkSize
 	if capacity < minChunkSize {
 		panic(fmt.Sprintf("memory: BFC capacity %d below minimum chunk size", capacity))
 	}
-	a := &BFC{capacity: capacity}
-	a.head = &chunk{offset: 0, size: capacity}
+	for c := a.head; c != nil; {
+		next := c.next
+		a.recycle(c)
+		c = next
+	}
+	for i := range a.bins {
+		a.bins[i].free = a.bins[i].free[:0]
+	}
+	*a = BFC{capacity: capacity, bins: a.bins, spare: a.spare}
+	a.head = a.newChunk()
+	a.head.size = capacity
 	a.insertFree(a.head)
-	return a
 }
 
 // Name implements Pool.

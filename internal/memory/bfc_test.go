@@ -498,3 +498,105 @@ func TestBinsOccupancy(t *testing.T) {
 		a.Free(al)
 	}
 }
+
+// traceStep is one step of poolTrace: the placement of the allocation
+// the step made (zero for a free or a failed allocation) and the pool's
+// occupancy after it.
+type traceStep struct {
+	offset, size               int64
+	used, largest, peak, inUse int64
+}
+
+// poolTrace runs a seeded alloc/free sequence on p and records every
+// step.
+func poolTrace(p Pool, seed int64) []traceStep {
+	rng := rand.New(rand.NewSource(seed))
+	var lives []*Allocation
+	var out []traceStep
+	for i := 0; i < 500; i++ {
+		var st traceStep
+		if rng.Intn(3) != 0 || len(lives) == 0 {
+			if al := p.TryAlloc(int64(rng.Intn(1 << 16))); al != nil {
+				lives = append(lives, al)
+				st.offset, st.size = al.Offset, al.Size
+			}
+		} else {
+			j := rng.Intn(len(lives))
+			MustFree(p, lives[j])
+			lives = append(lives[:j], lives[j+1:]...)
+		}
+		st.used, st.largest, st.peak, st.inUse = p.Used(), p.LargestFree(), p.Peak(), p.InUseRequested()
+		out = append(out, st)
+	}
+	return out
+}
+
+// TestPoolResetMatchesNew: a pool reset to a new capacity while it still
+// held allocations places every later allocation exactly as a new pool
+// of that capacity does, reports the same occupancy and statistics, and
+// reuses its chunk records instead of allocating.
+func TestPoolResetMatchesNew(t *testing.T) {
+	for _, kind := range []struct {
+		name  string
+		new   func(int64) Pool
+		reset func(Pool, int64)
+	}{
+		{"bfc", func(c int64) Pool { return NewBFC(c) }, func(p Pool, c int64) { p.(*BFC).Reset(c) }},
+		{"firstfit", func(c int64) Pool { return NewFirstFit(c) }, func(p Pool, c int64) { p.(*FirstFit).Reset(c) }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			dirty := kind.new(1 << 21)
+			poolTrace(dirty, 1)
+			for _, capacity := range []int64{1 << 20, 3<<20 + 100} {
+				kind.reset(dirty, capacity)
+				fresh := kind.new(capacity)
+				if got, want := Snap(dirty), Snap(fresh); got != want || dirty.Capacity() != capacity/minChunkSize*minChunkSize || dirty.Peak() != 0 {
+					t.Fatalf("capacity %d: reset pool reads %+v (capacity %d, peak %d), a new one %+v",
+						capacity, got, dirty.Capacity(), dirty.Peak(), want)
+				}
+				got, want := poolTrace(dirty, 2), poolTrace(fresh, 2)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("capacity %d: step %d of the trace reads %+v on the reset pool, %+v on a new one", capacity, i, got[i], want[i])
+					}
+				}
+				if b, ok := dirty.(*BFC); ok {
+					if err := b.CheckInvariants(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() {
+				kind.reset(dirty, 1<<20)
+				for i := 0; i < 32; i++ {
+					dirty.TryAlloc(1000)
+				}
+			}); n != 0 {
+				t.Errorf("a reset pool allocated %.0f times over 32 allocations", n)
+			}
+		})
+	}
+}
+
+// TestHostArenaReset: a reset arena holds no reservation under either
+// keyspace and reports the new capacity with zero use and peak.
+func TestHostArenaReset(t *testing.T) {
+	h := NewHostArena(1 << 20)
+	if err := h.Reserve("a", 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ReserveIdx(5, "b", 200); err != nil {
+		t.Fatal(err)
+	}
+	h.Reset(1 << 10)
+	if h.Used() != 0 || h.Peak() != 0 || h.Live() != 0 || h.Capacity() != 1<<10 || h.Holds("a") || h.HoldsIdx(5) {
+		t.Fatalf("reset arena: used %d peak %d live %d capacity %d holds a %v holds 5 %v",
+			h.Used(), h.Peak(), h.Live(), h.Capacity(), h.Holds("a"), h.HoldsIdx(5))
+	}
+	if err := h.ReserveIdx(5, "b", 2000); err == nil {
+		t.Fatal("a reservation beyond the reset capacity succeeded")
+	}
+	if err := h.ReserveIdx(5, "b", 200); err != nil {
+		t.Fatal(err)
+	}
+}

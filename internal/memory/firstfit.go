@@ -41,14 +41,26 @@ var _ Pool = (*FirstFit)(nil)
 
 // NewFirstFit creates a first-fit allocator managing capacity bytes.
 func NewFirstFit(capacity int64) *FirstFit {
+	a := &FirstFit{}
+	a.Reset(capacity)
+	return a
+}
+
+// Reset returns the allocator to the state NewFirstFit(capacity) creates,
+// parking every chunk record on the spare list (see BFC.Reset).
+func (a *FirstFit) Reset(capacity int64) {
 	capacity = capacity / minChunkSize * minChunkSize
 	if capacity < minChunkSize {
 		panic(fmt.Sprintf("memory: FirstFit capacity %d below minimum chunk size", capacity))
 	}
-	return &FirstFit{
-		capacity: capacity,
-		head:     &chunk{size: capacity},
+	for c := a.head; c != nil; {
+		next := c.next
+		a.recycle(c)
+		c = next
 	}
+	*a = FirstFit{capacity: capacity, spare: a.spare}
+	a.head = a.newChunk()
+	a.head.size = capacity
 }
 
 // Name implements Pool.

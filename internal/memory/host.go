@@ -25,10 +25,25 @@ type HostArena struct {
 
 // NewHostArena creates a pinned-memory arena of the given capacity.
 func NewHostArena(capacity int64) *HostArena {
+	h := &HostArena{}
+	h.Reset(capacity)
+	return h
+}
+
+// Reset returns the arena to the state NewHostArena(capacity) creates,
+// releasing every reservation but keeping the index-keyed tables'
+// backing arrays.
+func (h *HostArena) Reset(capacity int64) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("memory: host arena capacity %d must be positive", capacity))
 	}
-	return &HostArena{capacity: capacity, live: make(map[string]int64)}
+	if h.live == nil {
+		h.live = make(map[string]int64)
+	}
+	clear(h.live)
+	clear(h.idxBytes)
+	clear(h.idxOn)
+	*h = HostArena{capacity: capacity, live: h.live, idxBytes: h.idxBytes, idxOn: h.idxOn}
 }
 
 // Reserve pins size bytes for the given key (typically a tensor ID). It

@@ -1,6 +1,7 @@
 package models_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"capuchin/internal/exec"
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
+	"capuchin/internal/memory"
 	"capuchin/internal/models"
 	"capuchin/internal/policy/vdnn"
 	"capuchin/internal/tensor"
@@ -31,7 +33,8 @@ var buildModes = []struct {
 // bucket for the models with a sequence axis), and requires the result
 // to be structurally identical to a fresh build at that batch: nodes,
 // ops and their shape attributes, tensors, lineage, producers, consumers
-// and the loss.
+// and the loss. Every instance is made twice, fresh and refilled into a
+// dirty spare (see dirtySpare), and both must match.
 func TestTemplateMatchesBuild(t *testing.T) {
 	for _, name := range models.Names() {
 		spec, err := models.Get(name)
@@ -67,16 +70,67 @@ func TestTemplateMatchesBuild(t *testing.T) {
 	}
 }
 
-// compareTemplate instantiates tmpl at batch b and compares it with want.
+// compareTemplate instantiates tmpl at batch b, once fresh and once into
+// a dirty spare, and compares both with want.
 func compareTemplate(t *testing.T, label string, tmpl *graph.Template, b int64, want *graph.Graph) {
 	t.Helper()
-	got, err := tmpl.Instantiate(b)
+	got, err := tmpl.Instantiate(b, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	if msg := graphDiff(got, want); msg != "" {
 		t.Errorf("%s: instance differs from a fresh build: %s", label, msg)
 	}
+	spare := dirtySpare(t, label, tmpl, b)
+	got, err = tmpl.Instantiate(b, spare)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if got != spare {
+		t.Errorf("%s: Instantiate allocated a new graph instead of refilling its spare", label)
+	}
+	if msg := graphDiff(got, want); msg != "" {
+		t.Errorf("%s: instance refilled into a dirty spare differs from a fresh build: %s", label, msg)
+	}
+}
+
+// dirtySpare returns an instance of tmpl at a batch other than b that
+// has been through a vDNN session that swapped and then ran out of
+// memory, with every tensor's runtime state (status, allocation,
+// fingerprint, access count and time) left set, so a refill that skips
+// any of it shows. The device holds the parameters plus a shrinking
+// share of the activations until such a session happens.
+func dirtySpare(t *testing.T, label string, tmpl *graph.Template, b int64) *graph.Graph {
+	t.Helper()
+	for share := int64(2); share <= 1<<12; share *= 2 {
+		g, err := tmpl.Instantiate(b%5+2, nil)
+		if err != nil {
+			t.Fatalf("%s: spare: %v", label, err)
+		}
+		var params, acts int64
+		for _, tt := range g.TensorList() {
+			if tt.Persistent {
+				params += tt.Bytes()
+			} else {
+				acts += tt.Bytes()
+			}
+		}
+		dev := hw.P100().WithMemory(params + acts/share)
+		s, err := exec.NewSession(g, exec.Config{Device: dev, Policy: vdnn.New(g, vdnn.All), CoupledSwap: true})
+		if err != nil {
+			t.Fatalf("%s: spare session: %v", label, err)
+		}
+		if stats, err := s.Run(1); !errors.Is(err, exec.ErrIterationOOM) || stats[0].SwapOutCount == 0 {
+			continue
+		}
+		for _, tt := range g.TensorList() {
+			tt.Status, tt.Alloc = tensor.SwappingIn, &memory.Allocation{}
+			tt.Fingerprint, tt.AccessCount, tt.LastAccess = 1, 1, 1
+		}
+		return g
+	}
+	t.Fatalf("%s: no device size made the spare's session swap and then run out of memory", label)
+	return nil
 }
 
 // graphDiff reports the first structural difference between an
@@ -123,7 +177,7 @@ func graphDiff(got, want *graph.Graph) string {
 			gt.Persistent != wt.Persistent || gt.Gradient != wt.Gradient || gt.OpName != wt.OpName {
 			return fmt.Sprintf("tensor %d = %+v, want %+v", i, *gt, *wt)
 		}
-		if gt.Status != tensor.Freed || gt.Alloc != nil || gt.Fingerprint != 0 || gt.AccessCount != 0 {
+		if gt.Status != tensor.Freed || gt.Alloc != nil || gt.Fingerprint != 0 || gt.AccessCount != 0 || gt.LastAccess != 0 {
 			return fmt.Sprintf("tensor %s carries runtime state: %v", gt.ID, gt)
 		}
 		if got.Tensor(gt.ID) != gt {
@@ -182,7 +236,7 @@ func TestTemplateConcurrentInstantiate(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g, err := tmpl.Instantiate(int64(16 * (i + 1)))
+			g, err := tmpl.Instantiate(int64(16*(i+1)), nil)
 			if err == nil {
 				got[i], err = run(g)
 			}

@@ -69,8 +69,9 @@ type Server struct {
 	metrics *obs.Metrics
 	start   time.Time
 	// templates holds a graph template per (model, mode, seq) the server
-	// has run, for its lifetime: every run instantiates its graphs from
-	// it instead of building the model.
+	// has run, and each template's spare graph and session, for its
+	// lifetime: every run instantiates its graphs from it instead of
+	// building the model.
 	templates *bench.Templates
 
 	// mu guards runs, the daemon's one result store, keyed by run ID.
