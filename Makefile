@@ -61,10 +61,11 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkMatrix' -benchtime 3x .
 
 # goldens regenerates the quick-mode regression tables after an
-# intentional policy or cost-model change. The Chrome trace golden lives
-# in internal/trace and regenerates the same way.
+# intentional policy or cost-model change, and the faulted transfer pin
+# (TestTransferPin) beside them. The Chrome trace golden lives in
+# internal/trace and regenerates the same way.
 goldens:
-	$(GO) test ./internal/bench -run Golden -update
+	$(GO) test ./internal/bench -run 'Golden|TransferPin' -update
 	$(GO) test ./internal/trace -run ChromeGolden -update
 
 # The determinism replays. $(call replay,NAME) runs the command
