@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+
 	"capuchin/internal/fault"
 	"capuchin/internal/graph"
 	"capuchin/internal/memory"
@@ -37,41 +39,13 @@ func (e *Env) FreeBytes() int64 { return e.s.pool.FreeBytes() }
 // UsedBytes reports currently used device memory.
 func (e *Env) UsedBytes() int64 { return e.s.pool.Used() }
 
-// SwapTime estimates the one-way transfer duration of a tensor, the
-// quantity in the paper's Eq. 1 (size divided by PCIe bandwidth).
-func (e *Env) SwapTime(t *tensor.Tensor) sim.Time {
-	return e.SwapOutDuration(t.Bytes())
-}
-
-// SwapInTime estimates the host-to-device transfer duration.
-func (e *Env) SwapInTime(t *tensor.Tensor) sim.Time {
-	return e.SwapInDuration(t.Bytes())
-}
-
-// SwapOutDuration reports the device-to-host transfer time for a size.
-// Under comm-aware scheduling the estimate reflects the effective
-// bandwidth left by a pending all-reduce window at the action anchor, so
-// Free-Time ranking (Eq. 1) sees the real cost of swapping into
-// collective traffic.
-func (e *Env) SwapOutDuration(bytes int64) sim.Time {
-	if e.s.cfg.CommAware {
-		if w, ok := e.s.commSlowdownAt(e.s.actionAnchor); ok {
-			return e.s.dev.D2H.DegradedTransferTime(bytes, w.Slowdown)
-		}
-	}
-	return e.s.dev.D2H.TransferTime(bytes)
-}
+// SwapOutDuration reports the device-to-host transfer time for a size,
+// the quantity in the paper's Eq. 1, comm-adjusted at the action anchor.
+func (e *Env) SwapOutDuration(bytes int64) sim.Time { return e.s.transferEstimate(fault.D2H, bytes) }
 
 // SwapInDuration reports the host-to-device transfer time for a size,
 // comm-adjusted like SwapOutDuration.
-func (e *Env) SwapInDuration(bytes int64) sim.Time {
-	if e.s.cfg.CommAware {
-		if w, ok := e.s.commSlowdownAt(e.s.actionAnchor); ok {
-			return e.s.dev.H2D.DegradedTransferTime(bytes, w.Slowdown)
-		}
-	}
-	return e.s.dev.H2D.TransferTime(bytes)
-}
+func (e *Env) SwapInDuration(bytes int64) sim.Time { return e.s.transferEstimate(fault.H2D, bytes) }
 
 // Tracing reports whether an observability tracer is attached. Policies
 // gate decision construction on it so untraced runs pay nothing.
@@ -103,100 +77,51 @@ func (e *Env) SwapOutAsync(t *tensor.Tensor) bool {
 	if t.Status != tensor.In || t.Persistent {
 		return false
 	}
-	if s.inj.HostFails(t.ID) {
-		s.stats.HostFaults++
+	if err := s.reserveHost(t, "d2h", s.actionAnchor); err != nil {
 		if s.tr != nil {
-			s.laneInstant("fault", "host-fault", "d2h", t.ID, s.actionAnchor)
-			s.decide(obs.Decision{
-				Tensor: t.ID, Action: "swap-out-failed", Bytes: t.Bytes(),
-				Reason: "injected pinned-host reservation fault",
-			})
-		}
-		if s.met != nil {
-			s.met.Add("faults/host", 1)
-		}
-		return false
-	}
-	if err := s.host.ReserveIdx(int(t.Idx), t.ID, t.Bytes()); err != nil {
-		if s.tr != nil {
-			s.decide(obs.Decision{
-				Tensor: t.ID, Action: "swap-out-failed", Bytes: t.Bytes(),
-				Reason: "pinned host arena exhausted",
-			})
-		}
-		return false
-	}
-	anchor := s.actionAnchor
-	cw, cwOK := CommWindow{}, false
-	if adj, w, ok := s.deferForComm(s.d2h, s.dev.D2H, t.Bytes(), anchor); ok {
-		cw, cwOK = w, true
-		if adj != anchor {
-			anchor = adj
-			if s.met != nil {
-				s.met.Add("comm/defer", 1)
+			reason := "pinned host arena exhausted"
+			if errors.Is(err, fault.ErrInjected) {
+				reason = "injected pinned-host reservation fault"
 			}
+			s.decide(obs.Decision{Tensor: t.ID, Action: "swap-out-failed", Bytes: t.Bytes(), Reason: reason})
 		}
+		return false
 	}
-	label := s.tensorSpanLabel(labelSwapOut, t, s.d2h)
-	dur := s.dev.D2H.DegradedTransferTime(t.Bytes(), s.linkSlowdown(sim.MaxTime(s.d2h.AvailableAt(), anchor)))
-	if s.inj.TransferFails(fault.D2H, t.ID) {
-		// Aborted DMA: the link is occupied to the abort point, the host
-		// reservation is rolled back and the tensor stays resident.
-		s.stats.TransferFaults++
-		failStart, failEnd := s.d2h.Run(label+" !fault", anchor, dur/2)
+	l, err := s.transfer(fault.D2H, labelSwapOut, t, s.actionAnchor, 1)
+	if err != nil {
+		// Aborted DMA: the host reservation is rolled back and the tensor
+		// stays resident.
 		if s.tr != nil {
-			s.tr.Emit(obs.Event{
-				Kind: obs.KindSpan, Cat: "transfer", Name: label + " !fault",
-				Lane: "d2h", Start: failStart, End: failEnd, Queued: s.actionAnchor,
-				Iter: s.iter, Tensor: t.ID, Bytes: t.Bytes(), Detail: "aborted",
-			})
-			s.laneInstant("fault", "dma-abort", "d2h", t.ID, failEnd)
 			s.decide(obs.Decision{
 				Tensor: t.ID, Action: "swap-out-failed", Bytes: t.Bytes(),
 				Reason: "injected DMA abort; proactive swaps fail fast",
 			})
-		}
-		if s.met != nil {
-			s.met.Add("faults/transfer", 1)
 		}
 		if err := s.host.ReleaseIdx(int(t.Idx), t.ID); err != nil {
 			s.defErr = invariant("swapout-async", t.ID, err)
 		}
 		return false
 	}
-	start, end := s.d2h.Run(label, anchor, dur)
 	if err := t.TransitionTo(tensor.SwappingOut); err != nil {
 		s.defErr = invariant("swapout-async", t.ID, err)
 		return false
 	}
-	s.pendingFrees.Push(end, 0, t.Idx)
+	s.pendingFrees.Push(l.end, 0, t.Idx)
 	s.stats.SwapOutCount++
 	s.stats.SwapOutBytes += t.Bytes()
 	if h := s.host.Peak(); h > s.stats.HostPeak {
 		s.stats.HostPeak = h
 	}
 	if s.tr != nil {
-		s.tr.Emit(obs.Event{
-			Kind: obs.KindSpan, Cat: "transfer", Name: label,
-			Lane: "d2h", Start: start, End: end, Queued: s.actionAnchor,
-			Iter: s.iter, Tensor: t.ID, Bytes: t.Bytes(),
-		})
 		d := obs.Decision{
 			Tensor: t.ID, Action: "swap-out", Bytes: t.Bytes(), At: s.actionAnchor,
 			Reason: "proactive eviction overlapped with compute (§5.3)",
 		}
-		if cwOK {
-			d.CommSlowdown, d.CommUntil = cw.Slowdown, cw.End
-			if anchor != s.actionAnchor {
-				d.Reason += "; deferred past a pending all-reduce window"
-			}
-		}
+		l.foldComm(&d)
 		s.decide(d)
 	}
 	if s.met != nil {
 		s.met.Add("swap/out", 1)
-		s.met.Observe("transfer/d2h", end-start)
-		s.met.Observe("transfer-queue/d2h", start-s.actionAnchor)
 	}
 	return true
 }
@@ -240,38 +165,15 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 		}
 		return false
 	}
-	anchor := s.actionAnchor
-	cw, cwOK := CommWindow{}, false
-	if adj, w, ok := s.deferForComm(s.h2d, s.dev.H2D, t.Bytes(), anchor); ok {
-		cw, cwOK = w, true
-		if adj != anchor {
-			anchor = adj
-			if s.met != nil {
-				s.met.Add("comm/defer", 1)
-			}
-		}
-	}
-	label := s.tensorSpanLabel(labelSwapIn, t, s.h2d)
-	dur := s.dev.H2D.DegradedTransferTime(t.Bytes(), s.linkSlowdown(sim.MaxTime(s.h2d.AvailableAt(), anchor)))
-	if s.inj.TransferFails(fault.H2D, t.ID) {
-		// Aborted prefetch DMA: occupy the link to the abort point and put
-		// the buffer back; the back-access fetches on demand or recomputes.
-		s.stats.TransferFaults++
-		failStart, failEnd := s.h2d.Run(label+" !fault", anchor, dur/2)
+	l, err := s.transfer(fault.H2D, labelSwapIn, t, s.actionAnchor, 1)
+	if err != nil {
+		// Aborted prefetch DMA: put the buffer back; the back-access
+		// fetches on demand or recomputes.
 		if s.tr != nil {
-			s.tr.Emit(obs.Event{
-				Kind: obs.KindSpan, Cat: "transfer", Name: label + " !fault",
-				Lane: "h2d", Start: failStart, End: failEnd, Queued: s.actionAnchor,
-				Iter: s.iter, Tensor: t.ID, Bytes: t.Bytes(), Detail: "aborted",
-			})
-			s.laneInstant("fault", "dma-abort", "h2d", t.ID, failEnd)
 			s.decide(obs.Decision{
 				Tensor: t.ID, Action: "prefetch-failed", Bytes: t.Bytes(),
 				Reason: "injected DMA abort; back-access will fetch on demand or recompute",
 			})
-		}
-		if s.met != nil {
-			s.met.Add("faults/transfer", 1)
 		}
 		memory.MustFree(s.pool, a) // freeing the just-made allocation cannot fail
 		return false
@@ -281,33 +183,19 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 		s.defErr = invariant("swapin-async", t.ID, err)
 		return false
 	}
-	start, end := s.h2d.Run(label, anchor, dur)
-	s.swapInSet(t, end)
+	s.swapInSet(t, l.end)
 	s.stats.PrefetchCount++
 	s.stats.PrefetchBytes += t.Bytes()
 	if s.tr != nil {
-		s.memEvent(labelAlloc, "prefetch", t, t.Bytes(), s.actionAnchor)
-		s.tr.Emit(obs.Event{
-			Kind: obs.KindSpan, Cat: "transfer", Name: label,
-			Lane: "h2d", Start: start, End: end, Queued: s.actionAnchor,
-			Iter: s.iter, Tensor: t.ID, Bytes: t.Bytes(),
-		})
 		d := obs.Decision{
 			Tensor: t.ID, Action: "prefetch", Bytes: t.Bytes(), At: s.actionAnchor,
 			Reason: "in-trigger prefetch ahead of the back-access (§5.4)",
 		}
-		if cwOK {
-			d.CommSlowdown, d.CommUntil = cw.Slowdown, cw.End
-			if anchor != s.actionAnchor {
-				d.Reason += "; deferred past a pending all-reduce window"
-			}
-		}
+		l.foldComm(&d)
 		s.decide(d)
 	}
 	if s.met != nil {
 		s.met.Add("swap/prefetch", 1)
-		s.met.Observe("transfer/h2d", end-start)
-		s.met.Observe("transfer-queue/h2d", start-s.actionAnchor)
 	}
 	return true
 }

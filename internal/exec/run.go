@@ -75,86 +75,6 @@ func (s *Session) Run(n int) ([]IterStats, error) {
 	return stats, nil
 }
 
-// runTransfer issues one logical PCIe transfer on st, retrying injected
-// DMA aborts with exponential virtual-time backoff. A failed attempt
-// occupies the link for half its duration (the abort point), then the next
-// attempt waits out the backoff. Mandatory transfers (passive evictions,
-// on-demand swap-ins) go through here; proactive ones fail fast instead.
-// Returns the completion time of the successful attempt, or a
-// *TransferError after the retry budget is spent.
-//
-// kind names the transfer class (labelOnDemand or labelPassive); the
-// "ondemand <id>" label is used only when a tracer or span recording will
-// actually observe it, so the steady untraced path never builds a string.
-func (s *Session) runTransfer(dir fault.Direction, st *sim.Stream, kind labelKind, t *tensor.Tensor, earliest sim.Time) (sim.Time, error) {
-	key, bytes := t.ID, t.Bytes()
-	label := s.tensorSpanLabel(kind, t, st)
-	link := s.dev.H2D
-	if dir == fault.D2H {
-		link = s.dev.D2H
-	}
-	attempts := 1
-	if s.inj.Enabled() {
-		attempts = s.inj.Plan().TransferRetries() + 1
-	}
-	// Comm-aware rule: start after a pending all-reduce window when that
-	// completes the transfer earlier than contending with it.
-	if adj, w, ok := s.deferForComm(st, link, bytes, earliest); ok && adj != earliest {
-		earliest = adj
-		if s.tr != nil {
-			s.decide(obs.Decision{
-				Tensor: key, Action: "comm-defer", Bytes: bytes,
-				Reason:       "deferred " + label + " past a pending all-reduce window (earlier completion than contending)",
-				CommSlowdown: w.Slowdown, CommUntil: w.End,
-			})
-		}
-		if s.met != nil {
-			s.met.Add("comm/defer", 1)
-		}
-	}
-	queued := earliest
-	for attempt := 0; ; attempt++ {
-		start := sim.MaxTime(st.AvailableAt(), earliest)
-		dur := link.DegradedTransferTime(bytes, s.linkSlowdown(start))
-		if !s.inj.TransferFails(dir, key) {
-			tStart, end := st.Run(label, earliest, dur)
-			if s.tr != nil {
-				s.tr.Emit(obs.Event{
-					Kind: obs.KindSpan, Cat: "transfer", Name: label, Lane: st.Name(),
-					Start: tStart, End: end, Queued: queued, Iter: s.iter,
-					Tensor: key, Bytes: bytes,
-				})
-			}
-			if s.met != nil {
-				s.met.Observe("transfer/"+st.Name(), end-tStart)
-				s.met.Observe("transfer-queue/"+st.Name(), tStart-queued)
-			}
-			return end, nil
-		}
-		s.stats.TransferFaults++
-		failStart, failEnd := st.Run(label+" !fault", earliest, dur/2)
-		if s.tr != nil {
-			s.tr.Emit(obs.Event{
-				Kind: obs.KindSpan, Cat: "transfer", Name: label + " !fault", Lane: st.Name(),
-				Start: failStart, End: failEnd, Queued: queued, Iter: s.iter,
-				Tensor: key, Bytes: bytes, Detail: "aborted",
-			})
-			s.laneInstant("fault", "dma-abort", st.Name(), key, failEnd)
-		}
-		if s.met != nil {
-			s.met.Add("faults/transfer", 1)
-		}
-		if attempt+1 >= attempts {
-			return 0, &TransferError{Dir: dir, TensorID: key, Bytes: bytes, Attempts: attempt + 1, GaveUpAt: failEnd}
-		}
-		s.stats.TransferRetries++
-		if s.tr != nil {
-			s.laneInstant("fault", "retry", st.Name(), key, failEnd)
-		}
-		earliest = failEnd + sim.Backoff(s.inj.Plan().Backoff(), attempt)
-	}
-}
-
 // spikeKernel applies an injected kernel latency spike to dur, recording
 // the extra time it cost.
 func (s *Session) spikeKernel(nodeID string, dur sim.Time) sim.Time {
@@ -500,7 +420,7 @@ func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (r
 		if s.met != nil {
 			s.met.Add("swap/ondemand", 1)
 		}
-		end, terr := s.runTransfer(fault.H2D, s.h2d, labelOnDemand, t, s.now())
+		l, terr := s.transfer(fault.H2D, labelOnDemand, t, s.now(), s.mandatoryAttempts())
 		if terr != nil {
 			return s.abandonSwapIn(t, terr)
 		}
@@ -511,7 +431,7 @@ func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (r
 			s.stats.OnDemandInCount++
 			s.stats.OnDemandInBytes += t.Bytes()
 		}
-		return end, true, true, nil
+		return l.end, true, true, nil
 	default:
 		return 0, false, false, nil
 	}
@@ -927,27 +847,17 @@ func (s *Session) completeEarliestSwapIn() (bool, error) {
 // faults are retried with backoff; a permanent failure leaves the tensor
 // resident with the host reservation rolled back.
 func (s *Session) passiveEvict(v *tensor.Tensor) error {
-	if s.inj.HostFails(v.ID) {
-		s.stats.HostFaults++
-		if s.tr != nil {
-			s.laneInstant("fault", "host-fault", "compute", v.ID, s.now())
-		}
-		if s.met != nil {
-			s.met.Add("faults/host", 1)
-		}
-		return fmt.Errorf("host reservation for %s: %w", v.ID, fault.ErrInjected)
-	}
-	if err := s.host.ReserveIdx(int(v.Idx), v.ID, v.Bytes()); err != nil {
+	if err := s.reserveHost(v, "compute", s.now()); err != nil {
 		return err
 	}
-	end, terr := s.runTransfer(fault.D2H, s.d2h, labelPassive, v, s.now())
+	l, terr := s.transfer(fault.D2H, labelPassive, v, s.now(), s.mandatoryAttempts())
 	if terr != nil {
 		if err := s.host.ReleaseIdx(int(v.Idx), v.ID); err != nil {
 			return invariant("passive-evict", v.ID, err)
 		}
 		return terr
 	}
-	s.stallTo(end, "passive-evict")
+	s.stallTo(l.end, "passive-evict")
 	if err := s.freeDevice(v, tensor.SwappingOut, "passive-evict"); err != nil {
 		return err
 	}
