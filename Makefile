@@ -179,7 +179,9 @@ serve-smoke:
 # profile-smoke drives the observability stack end to end: the exporter
 # tests (golden Chrome trace, memory profile, audit log, metrics) plus a
 # real capuchin-trace invocation that must emit a loadable timeline, a
-# non-empty decision history and a non-empty JSONL event log. Like
+# non-empty decision history and a non-empty JSONL event log, and an
+# access-TSV run under memory pressure that only completes if -system
+# really selects Capuchin (tf-ori runs out of memory there). Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
 # run must pass, and four invalid settings must fail before running.
 profile-smoke:
@@ -189,6 +191,7 @@ profile-smoke:
 		-events /tmp/capuchin-smoke.jsonl >/dev/null
 	test -s /tmp/capuchin-smoke.jsonl
 	rm -f /tmp/capuchin-smoke.json /tmp/capuchin-smoke.jsonl
+	$(GO) run ./cmd/capuchin-trace -model resnet50 -batch 400 -mem 8 -system capuchin -iters 2 >/dev/null
 	if $(GO) run ./cmd/capuchin-train -mem -3 >/dev/null 2>&1; then \
 		echo "profile-smoke: capuchin-train ran with -mem -3"; exit 1; fi
 	if $(GO) run ./cmd/capuchin-bench -exp table2 -quick -mem 9000000000 >/dev/null 2>&1; then \

@@ -133,7 +133,7 @@ func main() {
 		return
 	}
 
-	// Access-TSV mode: a Recorder wraps the original framework's policy.
+	// Access-TSV mode: a Recorder wraps the -system policy.
 	spec, _ := models.Get(cfg.Model) // registered: cfg is valid
 	var filter func(exec.Access) bool
 	if *tensors != "" {
@@ -143,7 +143,19 @@ func main() {
 		}
 		filter = func(acc exec.Access) bool { return want[acc.Tensor.ID] }
 	}
-	rec := trace.NewRecorder(nil, filter)
+	// A dynamic run builds a graph per shape signature; a static run
+	// builds its one graph here.
+	var g *graph.Graph
+	if *schedule == "" {
+		var oneShot *bench.Templates // nil: the one graph is built
+		var err error
+		g, err = oneShot.Graph(spec, exec.GraphMode, *batch, 0)
+		exitOn(1, err)
+	}
+	ec := exec.Config{Device: cfg.Device, Faults: plan}
+	exitOn(1, ec.UsePolicy(*system, g))
+	rec := trace.NewRecorder(ec.Policy, filter)
+	ec.Policy = rec.Policy()
 	if *schedule != "" {
 		// Dynamic TSV: the recorder follows the run across per-signature
 		// sessions, so the trace shows the drifting access geometry. Each
@@ -152,7 +164,7 @@ func main() {
 		exitOn(1, err)
 		ts := bench.NewTemplates()
 		d, err := exec.NewDynamicSession(exec.DynamicConfig{
-			Base: exec.Config{Device: cfg.Device, Policy: rec, Faults: plan},
+			Base: ec,
 			Build: func(b, seq int64) (*graph.Graph, error) {
 				return ts.Graph(spec, exec.GraphMode, b, seq)
 			},
@@ -162,10 +174,7 @@ func main() {
 		_, err = d.Run(*iters)
 		exitOn(1, err)
 	} else {
-		var oneShot *bench.Templates // nil: the one graph is built
-		g, err := oneShot.Graph(spec, exec.GraphMode, *batch, 0)
-		exitOn(1, err)
-		s, err := exec.NewSession(g, exec.Config{Device: cfg.Device, Policy: rec, Faults: plan})
+		s, err := exec.NewSession(g, ec)
 		exitOn(1, err)
 		_, err = s.Run(*iters)
 		exitOn(1, err)

@@ -176,17 +176,10 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 	} else if extra != nil {
 		ec.Tracer = extra
 	}
-	spec, ok := exec.LookupPolicy(string(cfg.System))
-	if !ok {
-		return ec, nil, nil, fmt.Errorf("bench: unknown system %q", cfg.System)
+	if err := ec.UsePolicy(string(cfg.System), g); err != nil {
+		return ec, nil, nil, fmt.Errorf("bench: %w", err)
 	}
-	pol, err := spec.Build(exec.BuildContext{Graph: g, Device: cfg.Device})
-	if err != nil {
-		return ec, nil, nil, fmt.Errorf("bench: building system %q: %w", cfg.System, err)
-	}
-	ec.Policy = pol
-	ec.CoupledSwap = spec.CoupledSwap || cfg.ForceCoupledSwap
-	ec.CollectiveRecompute = spec.CollectiveRecompute
+	ec.CoupledSwap = ec.CoupledSwap || cfg.ForceCoupledSwap
 	return ec, col, met, nil
 }
 

@@ -73,6 +73,23 @@ func LookupPolicy(name string) (PolicySpec, bool) {
 	return spec, ok
 }
 
+// UsePolicy builds the policy registered as name for graph g (nil on the
+// dynamic path) and c.Device, and installs it in c with the executor
+// couplings its spec asks for. It is the one place where a registry
+// entry becomes an executor configuration.
+func (c *Config) UsePolicy(name string, g *graph.Graph) error {
+	spec, ok := LookupPolicy(name)
+	if !ok {
+		return fmt.Errorf("exec: unknown policy %q", name)
+	}
+	pol, err := spec.Build(BuildContext{Graph: g, Device: c.Device})
+	if err != nil {
+		return fmt.Errorf("exec: building policy %q: %w", name, err)
+	}
+	c.Policy, c.CoupledSwap, c.CollectiveRecompute = pol, spec.CoupledSwap, spec.CollectiveRecompute
+	return nil
+}
+
 // PolicyNames lists every registered policy name in sorted order.
 func PolicyNames() []string {
 	registryMu.RLock()

@@ -156,27 +156,17 @@ func iterations(sc Scenario) int {
 // those land in Result.Violations.
 func Check(policyName string, sc Scenario, ref []exec.IterStats) (Result, error) {
 	res := Result{Policy: policyName, Scenario: sc.Name}
-	spec, ok := exec.LookupPolicy(policyName)
-	if !ok {
-		return res, fmt.Errorf("conformance: unknown policy %q", policyName)
-	}
 	g, err := buildGraph(sc)
 	if err != nil {
 		return res, err
 	}
-	dev := hw.P100().WithMemory(sc.Memory)
-	inner, err := spec.Build(exec.BuildContext{Graph: g, Device: dev})
-	if err != nil {
-		return res, fmt.Errorf("conformance: building %q: %w", policyName, err)
+	ec := exec.Config{Device: hw.P100().WithMemory(sc.Memory), Faults: sc.Faults}
+	if err := ec.UsePolicy(policyName, g); err != nil {
+		return res, fmt.Errorf("conformance: %w", err)
 	}
-	wrapped, ck := wrap(inner)
-	s, err := exec.NewSession(g, exec.Config{
-		Device:              dev,
-		Policy:              wrapped,
-		CoupledSwap:         spec.CoupledSwap,
-		CollectiveRecompute: spec.CollectiveRecompute,
-		Faults:              sc.Faults,
-	})
+	var ck *checker
+	ec.Policy, ck = wrap(ec.Policy)
+	s, err := exec.NewSession(g, ec)
 	if err != nil {
 		return res, err
 	}

@@ -51,6 +51,24 @@ func NewRecorder(inner exec.Policy, filter func(exec.Access) bool) *Recorder {
 	return &Recorder{Inner: inner, Filter: filter}
 }
 
+// Policy returns the policy a session should run: the Recorder, with
+// the inner policy's exec.OOMHandler hook forwarded when it has one, so
+// recording never demotes a handler policy (h-DTR) to the passive OnOOM
+// path.
+func (r *Recorder) Policy() exec.Policy {
+	if h, ok := r.Inner.(exec.OOMHandler); ok {
+		return handlerRecorder{r, h}
+	}
+	return r
+}
+
+// handlerRecorder is a Recorder that forwards its inner policy's
+// exec.OOMHandler hook.
+type handlerRecorder struct {
+	*Recorder
+	exec.OOMHandler
+}
+
 // Name implements exec.Policy.
 func (r *Recorder) Name() string { return r.Inner.Name() + "+trace" }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -64,6 +65,43 @@ func TestRecorderFilter(t *testing.T) {
 		if e.TensorID != "relu0:0" {
 			t.Errorf("filter leaked %s", e.TensorID)
 		}
+	}
+}
+
+// oomHandler is a policy with the exec.OOMHandler hook that counts its
+// calls and gives up.
+type oomHandler struct {
+	exec.NullPolicy
+	calls int
+}
+
+func (h *oomHandler) HandleOOM(int64, *exec.Env) (progress, ok bool) {
+	h.calls++
+	return false, false
+}
+
+// TestRecorderForwardsOOMHandler: recording a handler policy must keep
+// the executor on its HandleOOM path, and recording any other policy
+// must not invent the hook.
+func TestRecorderForwardsOOMHandler(t *testing.T) {
+	h := &oomHandler{}
+	pol := NewRecorder(h, nil).Policy()
+	if _, ok := pol.(exec.OOMHandler); !ok {
+		t.Fatal("Recorder.Policy dropped the inner OOMHandler")
+	}
+	if _, ok := NewRecorder(nil, nil).Policy().(exec.OOMHandler); ok {
+		t.Error("Recorder.Policy invented an OOMHandler for tf-ori")
+	}
+	g := testutil.SmallCNN(t, 2, 16, graph.GraphModeOptions())
+	s, err := exec.NewSession(g, exec.Config{Device: testutil.Device(64 * hw.KiB), Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunIteration(); !errors.Is(err, exec.ErrIterationOOM) {
+		t.Fatalf("RunIteration = %v, want an OOM", err)
+	}
+	if h.calls == 0 {
+		t.Error("the executor never called the recorded policy's HandleOOM")
 	}
 }
 
