@@ -2,18 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
-	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
-	"capuchin/internal/ops"
-	"capuchin/internal/tensor"
 	"capuchin/internal/testutil"
 	"capuchin/internal/trace"
 )
@@ -106,46 +102,20 @@ func pinBytes(t *testing.T, path string, got []byte, regen bool) {
 	}
 }
 
-// runResidualObserved replays internal/trace's golden scenario: a
-// ResNet-ish graph with skip connections under memory pressure, with
+// runResidualObserved replays internal/trace's golden scenario: the
+// residual CNN of testutil.ResidualCNN under memory pressure, with
 // Capuchin wrapped in a Recorder, a Collector, and a metrics registry.
-// It must stay in lockstep with runObserved in
+// Its run setup must match runObserved in
 // internal/trace/chrome_golden_test.go — both pin the same golden.
 func runResidualObserved(t *testing.T) (*obs.Collector, *obs.Metrics) {
 	t.Helper()
-	b := graph.NewBuilder("residualcnn")
-	x := b.Input("data", tensor.Shape{8, 3, 64, 64}, tensor.Float32)
-	labels := b.Input("labels", tensor.Shape{8, 10}, tensor.Float32)
-	const width = 32
-	stemW := b.Variable("stem_w", tensor.Shape{width, 3, 3, 3})
-	h := b.Apply1("stem", ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, x, stemW)
-	for i := 0; i < 2; i++ {
-		short := h
-		w1 := b.Variable(fmt.Sprintf("res%d_w1", i), tensor.Shape{width, width, 3, 3})
-		h = b.Apply1(fmt.Sprintf("res%d_conv1", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w1)
-		h = b.Apply1(fmt.Sprintf("res%d_relu1", i), ops.ReLU{}, h)
-		w2 := b.Variable(fmt.Sprintf("res%d_w2", i), tensor.Shape{width, width, 3, 3})
-		h = b.Apply1(fmt.Sprintf("res%d_conv2", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w2)
-		h = b.Apply1(fmt.Sprintf("res%d_add", i), ops.Add{}, h, short)
-		h = b.Apply1(fmt.Sprintf("res%d_relu2", i), ops.ReLU{}, h)
-	}
-	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
-	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{8, h.Shape.Elems() / 8}}, h)
-	fcW := b.Variable("fc_w", tensor.Shape{flat.Shape[1], 10})
-	logits := b.Apply1("fc", ops.MatMul{}, flat, fcW)
-	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)
-	g, err := b.Build(loss, graph.GraphModeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	col := obs.NewCollector()
 	met := obs.NewMetrics()
 	rec := trace.NewRecorder(core.New(core.Options{}), func(acc exec.Access) bool {
 		return acc.Tensor.ID == "res0_relu1:0"
 	})
 	rec.Tracer = col
-	s, err := exec.NewSession(g, exec.Config{
+	s, err := exec.NewSession(testutil.ResidualCNN(t), exec.Config{
 		Device:  testutil.Device(24 * hw.MiB),
 		Policy:  rec,
 		Tracer:  col,

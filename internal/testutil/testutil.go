@@ -60,3 +60,39 @@ func Oracle(tb testing.TB, build func() *graph.Graph, n int) []exec.IterStats {
 	}
 	return sts
 }
+
+// ResidualCNN builds a small ResNet-ish graph: a stem convolution and two
+// residual blocks (conv-relu-conv plus identity shortcut) ahead of the
+// classifier. The skip connections give tensors long liveness gaps, so a
+// memory-capped run produces genuine swap and recompute traffic. The
+// Chrome trace and Prometheus goldens come from a Capuchin run of it on a
+// 24 MiB device.
+func ResidualCNN(tb testing.TB) *graph.Graph {
+	tb.Helper()
+	b := graph.NewBuilder("residualcnn")
+	x := b.Input("data", tensor.Shape{8, 3, 64, 64}, tensor.Float32)
+	labels := b.Input("labels", tensor.Shape{8, 10}, tensor.Float32)
+	const width = 32
+	stemW := b.Variable("stem_w", tensor.Shape{width, 3, 3, 3})
+	h := b.Apply1("stem", ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, x, stemW)
+	for i := 0; i < 2; i++ {
+		short := h
+		w1 := b.Variable(fmt.Sprintf("res%d_w1", i), tensor.Shape{width, width, 3, 3})
+		h = b.Apply1(fmt.Sprintf("res%d_conv1", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w1)
+		h = b.Apply1(fmt.Sprintf("res%d_relu1", i), ops.ReLU{}, h)
+		w2 := b.Variable(fmt.Sprintf("res%d_w2", i), tensor.Shape{width, width, 3, 3})
+		h = b.Apply1(fmt.Sprintf("res%d_conv2", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w2)
+		h = b.Apply1(fmt.Sprintf("res%d_add", i), ops.Add{}, h, short)
+		h = b.Apply1(fmt.Sprintf("res%d_relu2", i), ops.ReLU{}, h)
+	}
+	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
+	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{8, h.Shape.Elems() / 8}}, h)
+	fcW := b.Variable("fc_w", tensor.Shape{flat.Shape[1], 10})
+	logits := b.Apply1("fc", ops.MatMul{}, flat, fcW)
+	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)
+	g, err := b.Build(loss, graph.GraphModeOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
