@@ -10,12 +10,6 @@ import (
 	"capuchin/internal/tensor"
 )
 
-// This file is the executor's one model of the PCIe link. Every copy
-// between device and host goes through transfer, whichever of the four
-// kinds it is: proactive eviction (labelSwapOut, §5.3), in-trigger
-// prefetch (labelSwapIn, §5.4), on-demand swap-in (labelOnDemand, §5.2)
-// and passive eviction (labelPassive, §5.2).
-
 // pcie returns direction dir's stream, its link and the metric keys of
 // its lane.
 func (s *Session) pcie(dir fault.Direction) (st *sim.Stream, link hw.Link, durKey, queueKey string) {
@@ -40,17 +34,14 @@ func (s *Session) transferEstimate(dir fault.Direction, bytes int64) sim.Time {
 	return link.TransferTime(bytes)
 }
 
-// mandatoryAttempts is the attempt budget of a transfer that must land
-// (an on-demand swap-in or a passive eviction): the fault plan's retries
-// plus the first attempt. Proactive transfers get one attempt and fail
-// fast, so the policy can fall back to recomputation instead.
+// mandatoryAttempts is the attempt budget of an on-demand swap-in or a
+// passive eviction. Proactive copies get one attempt and fail fast.
 func (s *Session) mandatoryAttempts() int { return s.inj.Plan().TransferRetries() + 1 }
 
-// landed describes a transfer that completed.
+// landed is a completed transfer: when it ended, and the all-reduce
+// window deferral consulted (if commOK) and whether it waited it out.
 type landed struct {
-	end sim.Time
-	// comm is the all-reduce window comm-aware deferral consulted, when
-	// commOK; deferred reports that the copy waited the window out.
+	end              sim.Time
 	comm             CommWindow
 	commOK, deferred bool
 }
@@ -67,20 +58,21 @@ func (l landed) foldComm(d *obs.Decision) {
 	}
 }
 
-// transfer copies t over PCIe in direction dir, starting no earlier than
-// earliest. Under comm-aware scheduling the copy starts after a pending
-// all-reduce window when that completes it sooner (deferForComm); each
-// attempt runs at the bandwidth the link has when it starts. An injected
-// DMA abort holds the link to the attempt's half-duration abort point,
-// and the next attempt waits out sim.Backoff; after attempts aborted
-// attempts transfer returns a *TransferError.
+// transfer is the executor's one model of the PCIe link: every copy of t
+// in direction dir goes through it, whether a proactive eviction
+// (labelSwapOut, §5.3), an in-trigger prefetch (labelSwapIn, §5.4), an
+// on-demand swap-in (labelOnDemand, §5.2) or a passive eviction
+// (labelPassive, §5.2). The copy starts no earlier than earliest, or
+// after a pending all-reduce window when comm-aware deferral finds that
+// sooner. An injected DMA abort holds the link to the attempt's
+// half-duration abort point, and the next attempt waits out
+// sim.Backoff; after attempts aborts transfer returns a *TransferError.
 //
-// Two details depend on the kind. A proactive copy (labelSwapOut,
-// labelSwapIn) is stamped Queued at earliest, its action anchor, and its
-// caller folds the consulted window into its own decision. A mandatory
-// copy is stamped Queued after deferral and records its own comm-defer
-// decision. A prefetch's buffer allocation is traced just before its
-// span.
+// Two details depend on the kind. A proactive copy is stamped Queued at
+// earliest, its action anchor, and its caller folds the comm window into
+// its own decision; a mandatory copy is stamped after deferral and
+// records a comm-defer decision. A prefetch's buffer allocation is
+// traced just before its span.
 func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor, earliest sim.Time, attempts int) (landed, error) {
 	st, link, durKey, queueKey := s.pcie(dir)
 	key, bytes := t.ID, t.Bytes()
