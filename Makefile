@@ -63,10 +63,12 @@ bench:
 # goldens regenerates the quick-mode regression tables after an
 # intentional policy or cost-model change, and the faulted transfer pin
 # (TestTransferPin) beside them. The Chrome trace golden lives in
-# internal/trace and regenerates the same way.
+# internal/trace and the per-node op-cost pin of every zoo model
+# (TestOpCostGolden) in internal/models; both regenerate the same way.
 goldens:
 	$(GO) test ./internal/bench -run 'Golden|TransferPin' -update
 	$(GO) test ./internal/trace -run ChromeGolden -update
+	$(GO) test ./internal/models -run OpCostGolden -update
 
 # The determinism replays. $(call replay,NAME) runs the command
 # REPLAY_NAME twice, at the default -jobs and at -jobs 1, and fails
