@@ -45,14 +45,6 @@ func (GatedMix) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-// FLOPs implements ops.Op (~5 flops/element for the gate).
-func (GatedMix) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return 5 * float64(in[0].Elems())
-}
-
 // Algorithms implements ops.Op: memory-bound, no workspace.
 func (GatedMix) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
 	bytes := int64(0)
@@ -78,14 +70,6 @@ func (GatedMixGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 		return nil, fmt.Errorf("GatedMixGrad wants two equal shapes, got %v", in)
 	}
 	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements ops.Op.
-func (GatedMixGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return 6 * float64(in[0].Elems())
 }
 
 // Algorithms implements ops.Op.
@@ -131,7 +115,7 @@ func buildGatedNet(batch int64) (*graph.Graph, error) {
 		// Forward custom op, with a manually-registered backward: GatedMix
 		// grads reduce to elementwise ops over the saved activations.
 		mixed := b.Apply1(fmt.Sprintf("l%d_mix", i), GatedMix{}, a, gate)
-		h = b.Apply1(fmt.Sprintf("l%d_res", i), ops.Add{}, mixed, h)
+		h = b.Apply1(fmt.Sprintf("l%d_res", i), ops.Add, mixed, h)
 	}
 	wOut := b.Variable("head_w", tensor.Shape{width, 100})
 	logits := b.Apply1("head", ops.MatMul{}, h, wOut)

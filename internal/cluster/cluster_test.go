@@ -29,7 +29,7 @@ func testCNN(t *testing.T, batch int64, fcName string) *graph.Graph {
 	for i, name := range []string{"conv0", "conv1", "conv2", "conv3"} {
 		w := b.Variable(name+"_w", tensor.Shape{ch * 2, h.Shape[1], 3, 3})
 		h = b.Apply1(name, ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1("relu"+name[4:], ops.ReLU{}, h)
+		h = b.Apply1("relu"+name[4:], ops.ReLU, h)
 		ch *= 2
 		_ = i
 	}

@@ -26,7 +26,7 @@ func testCNNBatch(t testing.TB, batch int64) *graph.Graph {
 	for i := 0; i < 6; i++ {
 		w := b.Variable(name2("conv", i)+"_w", tensor.Shape{64, h.Shape[1], 3, 3})
 		h = b.Apply1(name2("conv", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1(name2("relu", i), ops.ReLU{}, h)
+		h = b.Apply1(name2("relu", i), ops.ReLU, h)
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
 	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{batch, h.Shape.Elems() / batch}}, h)

@@ -21,7 +21,7 @@ func buildNet() *graph.Graph {
 	for i := 0; i < 6; i++ {
 		w := b.Variable(fmt.Sprintf("conv%d_w", i), tensor.Shape{64, h.Shape[1], 3, 3})
 		h = b.Apply1(fmt.Sprintf("conv%d", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1(fmt.Sprintf("relu%d", i), ops.ReLU{}, h)
+		h = b.Apply1(fmt.Sprintf("relu%d", i), ops.ReLU, h)
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
 	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{8, 64}}, h)

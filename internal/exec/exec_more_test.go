@@ -115,17 +115,17 @@ func randomChain(t *testing.T, seed int64) *graph.Graph {
 			w := b.Variable(randName(rng, "w"), tensor.Shape{out, h.Shape[1], 3, 3})
 			h = b.Apply1(randName(rng, "conv"), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
 		case 1:
-			h = b.Apply1(randName(rng, "relu"), ops.ReLU{}, h)
+			h = b.Apply1(randName(rng, "relu"), ops.ReLU, h)
 		case 2:
 			c := h.Shape[1]
 			sc := b.Variable(randName(rng, "scale"), tensor.Shape{c})
 			of := b.Variable(randName(rng, "offset"), tensor.Shape{c})
 			h = b.Apply1(randName(rng, "bn"), ops.BatchNorm{}, h, sc, of)
 		case 3:
-			h2 := b.Apply1(randName(rng, "gelu"), ops.GELU{}, h)
-			h = b.Apply1(randName(rng, "res"), ops.Add{}, h, h2)
+			h2 := b.Apply1(randName(rng, "gelu"), ops.GELU, h)
+			h = b.Apply1(randName(rng, "res"), ops.Add, h, h2)
 		case 4:
-			h = b.Apply1(randName(rng, "drop"), ops.Dropout{Rate: 0.1}, h)
+			h = b.Apply1(randName(rng, "drop"), ops.Dropout, h)
 		}
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)

@@ -23,7 +23,7 @@ func testCNN(t *testing.T, opt graph.BuildOptions) *graph.Graph {
 	for i := 0; i < 4; i++ {
 		w := b.Variable(named(t, "conv", i, "w"), tensor.Shape{ch * 2, h.Shape[1], 3, 3})
 		h = b.Apply1(named(t, "conv", i, ""), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1(named(t, "relu", i, ""), ops.ReLU{}, h)
+		h = b.Apply1(named(t, "relu", i, ""), ops.ReLU, h)
 		ch *= 2
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)

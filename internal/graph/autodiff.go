@@ -234,6 +234,33 @@ func inversePerm(perm []int) []int {
 	return inv
 }
 
+// forwardRead names the forward tensor an activation's gradient reads
+// beside dy.
+type forwardRead uint8
+
+const (
+	readsNothing forwardRead = iota
+	readsInput
+	readsOutput
+)
+
+// activationGrads is the backward rule of each one-input activation: the
+// gradient kind and the forward tensor it reads. Reading the output
+// (ReLU, Sigmoid, Tanh, Softmax) or the input (GELU) keeps that feature
+// map alive from forward to backward, the two reuse patterns Capuchin
+// exploits; Dropout regenerates its mask from a seed and reads neither.
+var activationGrads = map[ops.Pointwise]struct {
+	grad  ops.Pointwise
+	reads forwardRead
+}{
+	ops.ReLU:    {ops.ReLUGrad, readsOutput},
+	ops.GELU:    {ops.GELUGrad, readsInput},
+	ops.Sigmoid: {ops.SigmoidGrad, readsOutput},
+	ops.Tanh:    {ops.TanhGrad, readsOutput},
+	ops.Softmax: {ops.SoftmaxGrad, readsOutput},
+	ops.Dropout: {ops.DropoutGrad, readsNothing},
+}
+
 // emit produces the backward nodes of one forward node given the gradients
 // of its outputs (dys, indexed like Outputs; nil entries have no gradient).
 func (ad *autodiff) emit(n *Node, dys []*tensor.Tensor) error {
@@ -299,58 +326,53 @@ func (ad *autodiff) emit(n *Node, dys []*tensor.Tensor) error {
 		ad.addGrad(in[1], outs[1])
 		ad.addGrad(in[2], outs[2])
 
-	case ops.ReLU:
-		// Uses the forward *output*: one of the two feature-map reuse
-		// patterns (the other ops use the input).
-		dx := ad.apply1(name, ops.ReLUGrad{}, n.Outputs[0], dy)
-		ad.addGrad(in[0], dx)
-
-	case ops.GELU:
-		dx := ad.apply1(name, ops.GELUGrad{}, in[0], dy)
-		ad.addGrad(in[0], dx)
-
-	case ops.Sigmoid:
-		dx := ad.apply1(name, ops.SigmoidGrad{}, n.Outputs[0], dy)
-		ad.addGrad(in[0], dx)
-
-	case ops.Tanh:
-		dx := ad.apply1(name, ops.TanhGrad{}, n.Outputs[0], dy)
-		ad.addGrad(in[0], dx)
-
-	case ops.Sub:
-		// d(a-b) = (dy, -dy).
-		if ad.needsGrad(in[0]) {
+	case ops.Pointwise:
+		switch op {
+		case ops.Add:
 			ad.addGrad(in[0], dy)
-		}
-		if ad.needsGrad(in[1]) {
-			ad.addGrad(in[1], ad.apply1(name+"/neg", ops.Neg{}, dy))
-		}
+			ad.addGrad(in[1], dy)
 
-	case ops.Neg:
-		dx := ad.apply1(name, ops.Neg{}, dy)
-		ad.addGrad(in[0], dx)
+		case ops.Sub:
+			// d(a-b) = (dy, -dy).
+			if ad.needsGrad(in[0]) {
+				ad.addGrad(in[0], dy)
+			}
+			if ad.needsGrad(in[1]) {
+				ad.addGrad(in[1], ad.apply1(name+"/neg", ops.Neg, dy))
+			}
 
-	case ops.Mul:
-		// d(a*b) = (dy*b, dy*a): both forward inputs are re-read in
-		// backward, the gated-network analogue of conv feature-map reuse.
-		if ad.needsGrad(in[0]) {
-			ad.addGrad(in[0], ad.apply1(name+"/a", ops.Mul{}, dy, in[1]))
-		}
-		if ad.needsGrad(in[1]) {
-			ad.addGrad(in[1], ad.apply1(name+"/b", ops.Mul{}, dy, in[0]))
-		}
+		case ops.Neg:
+			dx := ad.apply1(name, ops.Neg, dy)
+			ad.addGrad(in[0], dx)
 
-	case ops.Softmax:
-		dx := ad.apply1(name, ops.SoftmaxGrad{}, n.Outputs[0], dy)
-		ad.addGrad(in[0], dx)
+		case ops.Mul:
+			// d(a*b) = (dy*b, dy*a): both forward inputs are re-read in
+			// backward, the gated-network analogue of conv feature-map reuse.
+			if ad.needsGrad(in[0]) {
+				ad.addGrad(in[0], ad.apply1(name+"/a", ops.Mul, dy, in[1]))
+			}
+			if ad.needsGrad(in[1]) {
+				ad.addGrad(in[1], ad.apply1(name+"/b", ops.Mul, dy, in[0]))
+			}
+
+		default:
+			rule, ok := activationGrads[op]
+			if !ok {
+				return ad.emitCustom(n, dys)
+			}
+			args := []*tensor.Tensor{dy}
+			switch rule.reads {
+			case readsInput:
+				args = []*tensor.Tensor{in[0], dy}
+			case readsOutput:
+				args = []*tensor.Tensor{n.Outputs[0], dy}
+			}
+			ad.addGrad(in[0], ad.apply1(name, rule.grad, args...))
+		}
 
 	case ops.Pool:
 		dx := ad.apply1(name, ops.PoolGrad{Pool: op}, in[0], n.Outputs[0], dy)
 		ad.addGrad(in[0], dx)
-
-	case ops.Add:
-		ad.addGrad(in[0], dy)
-		ad.addGrad(in[1], dy)
 
 	case ops.AddN:
 		for _, x := range in {
@@ -388,10 +410,6 @@ func (ad *autodiff) emit(n *Node, dys []*tensor.Tensor) error {
 		}
 		ad.addGrad(in[0], dx)
 
-	case ops.Dropout:
-		dx := ad.apply1(name, ops.DropoutGrad{Rate: op.Rate}, dy)
-		ad.addGrad(in[0], dx)
-
 	case ops.Reshape:
 		dx := ad.apply1(name, ops.Reshape{To: in[0].Shape}, dy)
 		ad.addGrad(in[0], dx)
@@ -409,10 +427,16 @@ func (ad *autodiff) emit(n *Node, dys []*tensor.Tensor) error {
 		ad.addGrad(in[0], dl)
 
 	default:
-		if f, ok := customGradient(n.Op.Name()); ok {
-			return f(&GradientContext{ad: ad}, n, dys)
-		}
-		return fmt.Errorf("graph: no gradient rule for op %s (node %s)", n.Op.Name(), n.ID)
+		return ad.emitCustom(n, dys)
 	}
 	return nil
+}
+
+// emitCustom runs the registered gradient rule of an op no built-in rule
+// covers.
+func (ad *autodiff) emitCustom(n *Node, dys []*tensor.Tensor) error {
+	if f, ok := customGradient(n.Op.Name()); ok {
+		return f(&GradientContext{ad: ad}, n, dys)
+	}
+	return fmt.Errorf("graph: no gradient rule for op %s (node %s)", n.Op.Name(), n.ID)
 }

@@ -17,8 +17,6 @@ func (squareOp) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-func (squareOp) FLOPs(in []tensor.Shape) float64 { return float64(in[0].Elems()) }
-
 func (squareOp) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
 	return []ops.Algorithm{{Name: "elementwise", Duration: dev.MemoryTime(2 * in[0].Elems() * 4)}}
 }
@@ -31,8 +29,6 @@ func (squareGrad) Name() string { return "SquareGrad" }
 func (squareGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
-
-func (squareGrad) FLOPs(in []tensor.Shape) float64 { return 2 * float64(in[0].Elems()) }
 
 func (squareGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
 	return []ops.Algorithm{{Name: "elementwise", Duration: dev.MemoryTime(3 * in[0].Elems() * 4)}}

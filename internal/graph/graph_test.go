@@ -22,7 +22,7 @@ func buildMLP(t *testing.T, opt BuildOptions) *Graph {
 
 	h := b.Apply1("fc1", ops.MatMul{}, x, w1)
 	h = b.Apply1("fc1_bias", ops.BiasAdd{}, h, b1)
-	h = b.Apply1("fc1_relu", ops.ReLU{}, h)
+	h = b.Apply1("fc1_relu", ops.ReLU, h)
 	logits := b.Apply1("fc2", ops.MatMul{}, h, w2)
 	logits = b.Apply1("fc2_bias", ops.BiasAdd{}, logits, b2)
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)
@@ -108,8 +108,8 @@ func TestResidualFanOutEmitsAddN(t *testing.T) {
 	labels := b.Input("labels", tensor.Shape{8, 16}, tensor.Float32)
 	w := b.Variable("w", tensor.Shape{16, 16})
 	h := b.Apply1("fc", ops.MatMul{}, x, w)
-	h2 := b.Apply1("relu", ops.ReLU{}, h)
-	sum := b.Apply1("residual", ops.Add{}, h, h2) // h used twice downstream
+	h2 := b.Apply1("relu", ops.ReLU, h)
+	sum := b.Apply1("residual", ops.Add, h, h2) // h used twice downstream
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, sum, labels)
 	g, err := b.Build(loss, BuildOptions{})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestFuseSkipsSharedIntermediate(t *testing.T) {
 	bias := b.Variable("b", tensor.Shape{16})
 	h := b.Apply1("fc", ops.MatMul{}, x, w)
 	hb := b.Apply1("fc_bias", ops.BiasAdd{}, h, bias)
-	sum := b.Apply1("join", ops.Add{}, h, hb) // h escapes
+	sum := b.Apply1("join", ops.Add, h, hb) // h escapes
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, sum, labels)
 	g, err := b.Build(loss, BuildOptions{FuseBiasAdd: true})
 	if err != nil {
@@ -189,7 +189,7 @@ func TestPruneRemovesDeadBranch(t *testing.T) {
 	labels := b.Input("labels", tensor.Shape{8, 16}, tensor.Float32)
 	w := b.Variable("w", tensor.Shape{16, 16})
 	h := b.Apply1("fc", ops.MatMul{}, x, w)
-	b.Apply1("dead_relu", ops.ReLU{}, h) // never used
+	b.Apply1("dead_relu", ops.ReLU, h) // never used
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, h, labels)
 	g, err := b.Build(loss, BuildOptions{Prune: true})
 	if err != nil {
@@ -212,7 +212,7 @@ func TestPruneKeepsUpdates(t *testing.T) {
 func TestValidateCatchesUseBeforeProduce(t *testing.T) {
 	b := NewBuilder("broken")
 	x := b.Input("data", tensor.Shape{4}, tensor.Float32)
-	y := b.Apply1("relu", ops.ReLU{}, x)
+	y := b.Apply1("relu", ops.ReLU, x)
 	g := &Graph{Name: "broken", Nodes: b.nodes, Loss: y}
 	g.reindex()
 	// Swap nodes so relu precedes data.
@@ -238,8 +238,8 @@ func TestApplyPanicsOnShapeError(t *testing.T) {
 func TestUniqueNames(t *testing.T) {
 	b := NewBuilder("dup")
 	x := b.Input("data", tensor.Shape{4}, tensor.Float32)
-	y1 := b.Apply1("relu", ops.ReLU{}, x)
-	y2 := b.Apply1("relu", ops.ReLU{}, y1)
+	y1 := b.Apply1("relu", ops.ReLU, x)
+	y2 := b.Apply1("relu", ops.ReLU, y1)
 	if y1.ID == y2.ID {
 		t.Errorf("duplicate tensor IDs: %s", y1.ID)
 	}
@@ -252,7 +252,7 @@ func TestArticulationTensorsChain(t *testing.T) {
 	labels := b.Input("labels", tensor.Shape{8, 16}, tensor.Float32)
 	h := x
 	for i := 0; i < 4; i++ {
-		h = b.Apply1("relu", ops.ReLU{}, h)
+		h = b.Apply1("relu", ops.ReLU, h)
 	}
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, h, labels)
 	g, err := b.Build(loss, BuildOptions{})
@@ -279,10 +279,10 @@ func TestArticulationTensorsSkipsParallelBranches(t *testing.T) {
 	b := NewBuilder("res")
 	x := b.Input("data", tensor.Shape{8, 16}, tensor.Float32)
 	labels := b.Input("labels", tensor.Shape{8, 16}, tensor.Float32)
-	pre := b.Apply1("pre", ops.ReLU{}, x)
-	left := b.Apply1("left", ops.GELU{}, pre)
-	sum := b.Apply1("join", ops.Add{}, pre, left)
-	post := b.Apply1("post", ops.ReLU{}, sum)
+	pre := b.Apply1("pre", ops.ReLU, x)
+	left := b.Apply1("left", ops.GELU, pre)
+	sum := b.Apply1("join", ops.Add, pre, left)
+	post := b.Apply1("post", ops.ReLU, sum)
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, post, labels)
 	g, err := b.Build(loss, BuildOptions{})
 	if err != nil {
@@ -415,10 +415,10 @@ func TestGradChunkTreeReduction(t *testing.T) {
 	labels := b.Input("labels", tensor.Shape{4, 8}, tensor.Float32)
 	w := b.Variable("w", tensor.Shape{8, 8})
 	h := b.Apply1("fc", ops.MatMul{}, x, w)
-	acc := b.Apply1("branch", ops.GELU{}, h)
+	acc := b.Apply1("branch", ops.GELU, h)
 	for i := 0; i < 19; i++ {
-		br := b.Apply1("branch", ops.GELU{}, h)
-		acc = b.Apply1("join", ops.Add{}, acc, br)
+		br := b.Apply1("branch", ops.GELU, h)
+		acc = b.Apply1("join", ops.Add, acc, br)
 	}
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, acc, labels)
 	g, err := b.Build(loss, BuildOptions{})

@@ -58,7 +58,7 @@ func BERTBaseSeq(batch, seqLen int64, opt graph.BuildOptions) (*graph.Graph, err
 	// inside attention.
 	x := b.Apply1("embed_flat", ops.Reshape{To: tensor.Shape{batch * seqLen, bertHidden}}, emb)
 	x = layerNorm(b, "embed_ln", x)
-	x = b.Apply1("embed_drop", ops.Dropout{Rate: 0.1}, x)
+	x = b.Apply1("embed_drop", ops.Dropout, x)
 
 	for i := 0; i < bertLayers; i++ {
 		x = encoderLayer(b, fmt.Sprintf("layer%d", i), x, batch, seqLen)
@@ -107,23 +107,23 @@ func encoderLayer(b *graph.Builder, name string, x *tensor.Tensor, batch, seqLen
 
 	kt := b.Apply1(name+"_k_t", ops.Transpose{Perm: []int{0, 1, 3, 2}}, kh) // [B, heads, dh, S]
 	scores := b.Apply1(name+"_scores", ops.MatMul{}, qh, kt)                // [B, heads, S, S]
-	probs := b.Apply1(name+"_softmax", ops.Softmax{}, scores)
-	probs = b.Apply1(name+"_attn_drop", ops.Dropout{Rate: 0.1}, probs)
+	probs := b.Apply1(name+"_softmax", ops.Softmax, scores)
+	probs = b.Apply1(name+"_attn_drop", ops.Dropout, probs)
 	ctx := b.Apply1(name+"_context", ops.MatMul{}, probs, vh) // [B, heads, S, dh]
 
 	merged := b.Apply1(name+"_merge", ops.Transpose{Perm: []int{0, 2, 1, 3}}, ctx)
 	flat := b.Apply1(name+"_ctx_flat", ops.Reshape{To: tensor.Shape{batch * seqLen, bertHidden}}, merged)
 
 	attn := denseSeq(b, name+"_attn_out", flat, bertHidden)
-	attn = b.Apply1(name+"_attn_out_drop", ops.Dropout{Rate: 0.1}, attn)
-	res1 := b.Apply1(name+"_res1", ops.Add{}, attn, x)
+	attn = b.Apply1(name+"_attn_out_drop", ops.Dropout, attn)
+	res1 := b.Apply1(name+"_res1", ops.Add, attn, x)
 	x1 := layerNorm(b, name+"_ln1", res1)
 
 	// Feed-forward.
 	ff := denseSeq(b, name+"_ff1", x1, bertFF)
-	ff = b.Apply1(name+"_gelu", ops.GELU{}, ff)
+	ff = b.Apply1(name+"_gelu", ops.GELU, ff)
 	ff = denseSeq(b, name+"_ff2", ff, bertHidden)
-	ff = b.Apply1(name+"_ff_drop", ops.Dropout{Rate: 0.1}, ff)
-	res2 := b.Apply1(name+"_res2", ops.Add{}, ff, x1)
+	ff = b.Apply1(name+"_ff_drop", ops.Dropout, ff)
+	res2 := b.Apply1(name+"_res2", ops.Add, ff, x1)
 	return layerNorm(b, name+"_ln2", res2)
 }

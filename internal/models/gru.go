@@ -97,23 +97,23 @@ func gruCell(b *graph.Builder, name string, x, h *tensor.Tensor, w struct {
 	// Fused r,z gates.
 	gx := b.Apply1(name+"_gx", ops.MatMul{}, x, w.wxGates)
 	gh := b.Apply1(name+"_gh", ops.MatMul{}, h, w.whGates)
-	gates := b.Apply1(name+"_gsum", ops.Add{}, gx, gh)
+	gates := b.Apply1(name+"_gsum", ops.Add, gx, gh)
 	gates = b.Apply1(name+"_gbias", ops.BiasAdd{}, gates, w.bGates)
-	r := b.Apply1(name+"_r", ops.Sigmoid{},
+	r := b.Apply1(name+"_r", ops.Sigmoid,
 		b.Apply1(name+"_rs", ops.Slice{Dim: 1, Start: 0, Length: gruHidden}, gates))
-	z := b.Apply1(name+"_z", ops.Sigmoid{},
+	z := b.Apply1(name+"_z", ops.Sigmoid,
 		b.Apply1(name+"_zs", ops.Slice{Dim: 1, Start: gruHidden, Length: gruHidden}, gates))
 
 	// Candidate state from the reset-gated history.
-	rh := b.Apply1(name+"_rh", ops.Mul{}, r, h)
+	rh := b.Apply1(name+"_rh", ops.Mul, r, h)
 	cx := b.Apply1(name+"_cx", ops.MatMul{}, x, w.wxCand)
 	ch := b.Apply1(name+"_ch", ops.MatMul{}, rh, w.whCand)
-	cand := b.Apply1(name+"_csum", ops.Add{}, cx, ch)
+	cand := b.Apply1(name+"_csum", ops.Add, cx, ch)
 	cand = b.Apply1(name+"_cbias", ops.BiasAdd{}, cand, w.bCand)
-	n := b.Apply1(name+"_n", ops.Tanh{}, cand)
+	n := b.Apply1(name+"_n", ops.Tanh, cand)
 
 	// h' = n + z*(h - n).
-	diff := b.Apply1(name+"_diff", ops.Sub{}, h, n)
-	scaled := b.Apply1(name+"_zdiff", ops.Mul{}, z, diff)
-	return b.Apply1(name+"_h", ops.Add{}, n, scaled)
+	diff := b.Apply1(name+"_diff", ops.Sub, h, n)
+	scaled := b.Apply1(name+"_zdiff", ops.Mul, z, diff)
+	return b.Apply1(name+"_h", ops.Add, n, scaled)
 }

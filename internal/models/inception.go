@@ -52,7 +52,7 @@ func InceptionV3(batch int64, opt graph.BuildOptions) (*graph.Graph, error) {
 	}
 
 	x = n.globalAvgPool("pool", x)
-	x = n.b.Apply1("dropout", ops.Dropout{Rate: 0.2}, x)
+	x = n.b.Apply1("dropout", ops.Dropout, x)
 	loss := n.classifier(x, batch, 1000)
 	return n.b.Build(loss, opt)
 }
@@ -166,7 +166,7 @@ func InceptionV4(batch int64, opt graph.BuildOptions) (*graph.Graph, error) {
 	}
 
 	x = n.globalAvgPool("pool", x)
-	x = n.b.Apply1("dropout", ops.Dropout{Rate: 0.2}, x)
+	x = n.b.Apply1("dropout", ops.Dropout, x)
 	loss := n.classifier(x, batch, 1000)
 	return n.b.Build(loss, opt)
 }

@@ -106,22 +106,22 @@ func lstmCell(b *graph.Builder, name string, x, h, c *tensor.Tensor, w struct {
 }) (hOut, cOut *tensor.Tensor) {
 	px := b.Apply1(name+"_px", ops.MatMul{}, x, w.wx)
 	ph := b.Apply1(name+"_ph", ops.MatMul{}, h, w.wh)
-	gates := b.Apply1(name+"_sum", ops.Add{}, px, ph)
+	gates := b.Apply1(name+"_sum", ops.Add, px, ph)
 	gates = b.Apply1(name+"_bias", ops.BiasAdd{}, gates, w.bias)
 
 	slice := func(i int64, tag string) *tensor.Tensor {
 		return b.Apply1(name+"_"+tag,
 			ops.Slice{Dim: 1, Start: i * lstmHidden, Length: lstmHidden}, gates)
 	}
-	in := b.Apply1(name+"_i", ops.Sigmoid{}, slice(0, "gi"))
-	f := b.Apply1(name+"_f", ops.Sigmoid{}, slice(1, "gf"))
-	g := b.Apply1(name+"_g", ops.Tanh{}, slice(2, "gg"))
-	o := b.Apply1(name+"_o", ops.Sigmoid{}, slice(3, "go"))
+	in := b.Apply1(name+"_i", ops.Sigmoid, slice(0, "gi"))
+	f := b.Apply1(name+"_f", ops.Sigmoid, slice(1, "gf"))
+	g := b.Apply1(name+"_g", ops.Tanh, slice(2, "gg"))
+	o := b.Apply1(name+"_o", ops.Sigmoid, slice(3, "go"))
 
-	keep := b.Apply1(name+"_keep", ops.Mul{}, f, c)
-	write := b.Apply1(name+"_write", ops.Mul{}, in, g)
-	cOut = b.Apply1(name+"_c", ops.Add{}, keep, write)
-	ct := b.Apply1(name+"_ct", ops.Tanh{}, cOut)
-	hOut = b.Apply1(name+"_h", ops.Mul{}, o, ct)
+	keep := b.Apply1(name+"_keep", ops.Mul, f, c)
+	write := b.Apply1(name+"_write", ops.Mul, in, g)
+	cOut = b.Apply1(name+"_c", ops.Add, keep, write)
+	ct := b.Apply1(name+"_ct", ops.Tanh, cOut)
+	hOut = b.Apply1(name+"_h", ops.Mul, o, ct)
 	return hOut, cOut
 }

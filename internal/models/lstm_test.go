@@ -22,7 +22,7 @@ func TestLSTMStructure(t *testing.T) {
 		if n.Phase != graph.Forward {
 			continue
 		}
-		switch n.Op.(type) {
+		switch n.Op {
 		case ops.Sigmoid:
 			sigmoids++
 		case ops.Tanh:
@@ -105,7 +105,7 @@ func TestMobileNetV2Structure(t *testing.T) {
 		if _, ok := n.Op.(ops.DepthwiseConv2D); ok {
 			depthwise++
 		}
-		if _, ok := n.Op.(ops.Add); ok {
+		if n.Op == ops.Add {
 			residuals++
 		}
 	}
@@ -134,16 +134,14 @@ func TestMobileNetV2Structure(t *testing.T) {
 
 func TestDepthwiseMemoryBound(t *testing.T) {
 	// A depthwise conv moves the same activations as a dense 3x3 conv but
-	// does ~C times less arithmetic: its recomputation is nearly free in
-	// wall-clock, which MSPS sees and FLOP heuristics do not.
+	// does ~C times less arithmetic (checked in internal/ops): its
+	// recomputation is nearly free in wall-clock, which MSPS sees and FLOP
+	// heuristics do not.
 	dw := ops.DepthwiseConv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	dense := ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x := tensor.Shape{8, 256, 28, 28}
 	dwIn := []tensor.Shape{x, {256, 1, 3, 3}}
 	denseIn := []tensor.Shape{x, {256, 256, 3, 3}}
-	if r := dense.FLOPs(denseIn) / dw.FLOPs(dwIn); r < 200 {
-		t.Errorf("dense/depthwise FLOP ratio = %.0f, want ~256", r)
-	}
 	d := hwP100()
 	dwT := dw.Algorithms(d, dwIn)[0].Duration
 	denseT := dense.Algorithms(d, denseIn)[0].Duration
@@ -168,7 +166,7 @@ func TestGRUStructure(t *testing.T) {
 		if n.Phase != graph.Forward {
 			continue
 		}
-		switch n.Op.(type) {
+		switch n.Op {
 		case ops.Sigmoid:
 			sigmoids++
 		case ops.Tanh:
@@ -190,7 +188,7 @@ func TestGRUStructure(t *testing.T) {
 	// The interpolation's Sub gets a negated gradient path.
 	negs := 0
 	for _, n := range g.Nodes {
-		if _, ok := n.Op.(ops.Neg); ok && n.Phase == graph.Backward {
+		if n.Op == ops.Neg && n.Phase == graph.Backward {
 			negs++
 		}
 	}

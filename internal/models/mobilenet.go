@@ -64,7 +64,7 @@ func (n *net) invertedResidual(name string, x *tensor.Tensor, expand, out, strid
 	h = n.depthwiseBNReLU(name+"_dw", h, 3, stride, 1)
 	h = n.convBN(name+"_project", h, out, 1, 1, 1, 0, 0) // linear bottleneck: no ReLU
 	if stride == 1 && in == out {
-		h = n.b.Apply1(name+"_add", ops.Add{}, h, x)
+		h = n.b.Apply1(name+"_add", ops.Add, h, x)
 	}
 	return h
 }

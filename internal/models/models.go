@@ -142,7 +142,7 @@ func (n *net) convBNReLU(name string, x *tensor.Tensor, outC, kh, kw, stride, pa
 }
 
 func (n *net) relu(name string, x *tensor.Tensor) *tensor.Tensor {
-	return n.b.Apply1(name+"_relu", ops.ReLU{}, x)
+	return n.b.Apply1(name+"_relu", ops.ReLU, x)
 }
 
 func (n *net) maxPool(name string, x *tensor.Tensor, k, stride, pad int64) *tensor.Tensor {

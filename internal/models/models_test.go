@@ -219,8 +219,8 @@ func TestBERTStructure(t *testing.T) {
 		if n.Phase != graph.Forward {
 			continue
 		}
-		switch n.Op.(type) {
-		case ops.LayerNorm:
+		switch n.Op {
+		case ops.LayerNorm{}:
 			layerNorms++
 		case ops.Softmax:
 			softmaxes++

@@ -48,7 +48,7 @@ func (n *net) bottleneck(name string, x *tensor.Tensor, mid, out, stride int64) 
 	h := n.convBNReLU(name+"_a", x, mid, 1, 1, 1, 0, 0)
 	h = n.convBNReLU(name+"_b", h, mid, 3, 3, stride, 1, 1)
 	h = n.convBN(name+"_c", h, out, 1, 1, 1, 0, 0)
-	sum := n.b.Apply1(name+"_add", ops.Add{}, h, shortcut)
+	sum := n.b.Apply1(name+"_add", ops.Add, h, shortcut)
 	return n.relu(name, sum)
 }
 

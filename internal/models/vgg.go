@@ -37,9 +37,9 @@ func VGG16(batch int64, opt graph.BuildOptions) (*graph.Graph, error) {
 
 	flat := n.b.Apply1("flatten", ops.Reshape{To: tensor.Shape{batch, x.Shape.Elems() / batch}}, x)
 	h := n.relu("fc6", n.dense("fc6", flat, 4096))
-	h = n.b.Apply1("fc6_drop", ops.Dropout{Rate: 0.5}, h)
+	h = n.b.Apply1("fc6_drop", ops.Dropout, h)
 	h = n.relu("fc7", n.dense("fc7", h, 4096))
-	h = n.b.Apply1("fc7_drop", ops.Dropout{Rate: 0.5}, h)
+	h = n.b.Apply1("fc7_drop", ops.Dropout, h)
 	logits := n.dense("fc8", h, 1000)
 	labels := n.b.Input("labels", tensor.Shape{batch, 1000}, tensor.Float32)
 	loss := n.b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)

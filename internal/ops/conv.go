@@ -51,8 +51,8 @@ func (c Conv2D) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{{n, k, oh, ow}}, nil
 }
 
-// FLOPs implements Op: 2*N*K*OH*OW*C*KH*KW multiply-accumulates.
-func (c Conv2D) FLOPs(in []tensor.Shape) float64 {
+// flops is the convolution's work: 2*N*K*OH*OW*C*KH*KW multiply-accumulates.
+func (c Conv2D) flops(in []tensor.Shape) float64 {
 	n, ci, _, _, k, kh, kw, oh, ow, err := c.convDims(in)
 	if err != nil {
 		return 0
@@ -95,7 +95,7 @@ func (c Conv2D) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	traffic := sumBytes(in[0], in[1], out)
 	im2col := n * ci * kh * kw * oh * ow * 4
 	winogradOK := kh == 3 && kw == 3 && c.StrideH == 1 && c.StrideW == 1
-	return convAlgorithms(dev, c.FLOPs(in), traffic, im2col, winogradOK)
+	return convAlgorithms(dev, c.flops(in), traffic, im2col, winogradOK)
 }
 
 // Conv2DBackpropInput computes the gradient with respect to the
@@ -117,12 +117,12 @@ func (b Conv2DBackpropInput) InferShapes(in []tensor.Shape) ([]tensor.Shape, err
 	return []tensor.Shape{b.InputShape}, nil
 }
 
-// FLOPs implements Op: same MAC count as the forward convolution.
-func (b Conv2DBackpropInput) FLOPs(in []tensor.Shape) float64 {
+// flops is the same MAC count as the forward convolution's.
+func (b Conv2DBackpropInput) flops(in []tensor.Shape) float64 {
 	if err := arity("Conv2DBackpropInput", in, 2); err != nil {
 		return 0
 	}
-	return b.Conv.FLOPs([]tensor.Shape{b.InputShape, in[0]})
+	return b.Conv.flops([]tensor.Shape{b.InputShape, in[0]})
 }
 
 // Algorithms implements Op.
@@ -134,7 +134,7 @@ func (b Conv2DBackpropInput) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []
 	traffic := sumBytes(f, dy, b.InputShape)
 	im2col := bytesOf(dy) * f[2] * f[3]
 	winogradOK := len(f) == 4 && f[2] == 3 && f[3] == 3 && b.Conv.StrideH == 1 && b.Conv.StrideW == 1
-	return convAlgorithms(dev, b.FLOPs(in), traffic, im2col, winogradOK)
+	return convAlgorithms(dev, b.flops(in), traffic, im2col, winogradOK)
 }
 
 // Conv2DBackpropFilter computes the gradient with respect to the filter.
@@ -155,12 +155,12 @@ func (b Conv2DBackpropFilter) InferShapes(in []tensor.Shape) ([]tensor.Shape, er
 	return []tensor.Shape{b.FilterShape}, nil
 }
 
-// FLOPs implements Op: same MAC count as the forward convolution.
-func (b Conv2DBackpropFilter) FLOPs(in []tensor.Shape) float64 {
+// flops is the same MAC count as the forward convolution's.
+func (b Conv2DBackpropFilter) flops(in []tensor.Shape) float64 {
 	if err := arity("Conv2DBackpropFilter", in, 2); err != nil {
 		return 0
 	}
-	return b.Conv.FLOPs([]tensor.Shape{in[0], b.FilterShape})
+	return b.Conv.flops([]tensor.Shape{in[0], b.FilterShape})
 }
 
 // Algorithms implements Op.
@@ -173,7 +173,7 @@ func (b Conv2DBackpropFilter) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) [
 	im2col := x.Elems() / max64(x[2]*x[3], 1) * b.FilterShape[2] * b.FilterShape[3] * dy[2] * dy[3] * 4
 	// Filter gradients accumulate across the batch; Winograd variants are
 	// rarely used here, so offer gemm and implicit-gemm only.
-	return convAlgorithms(dev, b.FLOPs(in), traffic, im2col, false)
+	return convAlgorithms(dev, b.flops(in), traffic, im2col, false)
 }
 
 func max64(a, b int64) int64 {

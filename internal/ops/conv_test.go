@@ -12,6 +12,9 @@ var dev = hw.P100()
 
 func shapes(ss ...tensor.Shape) []tensor.Shape { return ss }
 
+// flopper is the FLOP count the compute-bound kernels feed their roofline.
+type flopper interface{ flops([]tensor.Shape) float64 }
+
 func TestConv2DShapes(t *testing.T) {
 	c := Conv2D{StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}
 	// ResNet stem: 224x224x3 -> 112x112x64 with 7x7/2 pad 3.
@@ -48,7 +51,7 @@ func TestConv2DFLOPs(t *testing.T) {
 	in := shapes(tensor.Shape{1, 64, 56, 56}, tensor.Shape{64, 64, 3, 3})
 	// 2 * N*K*OH*OW*C*KH*KW
 	want := 2.0 * 1 * 64 * 56 * 56 * 64 * 3 * 3
-	if got := c.FLOPs(in); got != want {
+	if got := c.flops(in); got != want {
 		t.Errorf("FLOPs = %g, want %g", got, want)
 	}
 }
@@ -120,11 +123,11 @@ func TestConv2DBackpropShapes(t *testing.T) {
 	}
 
 	// Backward FLOPs match forward (same MAC count).
-	fw := conv.FLOPs(shapes(xShape, wShape))
-	if got := bi.FLOPs(shapes(wShape, dy)); got != fw {
+	fw := conv.flops(shapes(xShape, wShape))
+	if got := bi.flops(shapes(wShape, dy)); got != fw {
 		t.Errorf("BackpropInput FLOPs = %g, want %g", got, fw)
 	}
-	if got := bf.FLOPs(shapes(xShape, dy)); got != fw {
+	if got := bf.flops(shapes(xShape, dy)); got != fw {
 		t.Errorf("BackpropFilter FLOPs = %g, want %g", got, fw)
 	}
 }

@@ -47,8 +47,9 @@ func (c DepthwiseConv2D) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) 
 	return []tensor.Shape{{n, ch, oh, ow}}, nil
 }
 
-// FLOPs implements Op: one MAC per kernel tap per output element.
-func (c DepthwiseConv2D) FLOPs(in []tensor.Shape) float64 {
+// flops is the convolution's work: one MAC per kernel tap per output
+// element.
+func (c DepthwiseConv2D) flops(in []tensor.Shape) float64 {
 	n, ch, oh, ow, kh, kw, err := c.dims(in)
 	if err != nil {
 		return 0
@@ -63,7 +64,7 @@ func (c DepthwiseConv2D) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algo
 		return single("invalid", dev.KernelLaunch)
 	}
 	traffic := sumBytes(in[0], in[1], out[0])
-	return single("depthwise", roofline(dev, c.FLOPs(in), 0.25, halfSatConv/4, traffic))
+	return single("depthwise", roofline(dev, c.flops(in), 0.25, halfSatConv/4, traffic))
 }
 
 // DepthwiseBackpropInput computes dx from [filter, dy].
@@ -83,12 +84,12 @@ func (b DepthwiseBackpropInput) InferShapes(in []tensor.Shape) ([]tensor.Shape, 
 	return []tensor.Shape{b.InputShape}, nil
 }
 
-// FLOPs implements Op.
-func (b DepthwiseBackpropInput) FLOPs(in []tensor.Shape) float64 {
+// flops is the same MAC count as the forward convolution's.
+func (b DepthwiseBackpropInput) flops(in []tensor.Shape) float64 {
 	if len(in) != 2 {
 		return 0
 	}
-	return b.Conv.FLOPs([]tensor.Shape{b.InputShape, in[0]})
+	return b.Conv.flops([]tensor.Shape{b.InputShape, in[0]})
 }
 
 // Algorithms implements Op.
@@ -97,7 +98,7 @@ func (b DepthwiseBackpropInput) Algorithms(dev hw.DeviceSpec, in []tensor.Shape)
 		return single("invalid", dev.KernelLaunch)
 	}
 	traffic := sumBytes(in[0], in[1], b.InputShape)
-	return single("depthwise", roofline(dev, b.FLOPs(in), 0.25, halfSatConv/4, traffic))
+	return single("depthwise", roofline(dev, b.flops(in), 0.25, halfSatConv/4, traffic))
 }
 
 // DepthwiseBackpropFilter computes dw from [x, dy].
@@ -117,12 +118,12 @@ func (b DepthwiseBackpropFilter) InferShapes(in []tensor.Shape) ([]tensor.Shape,
 	return []tensor.Shape{b.FilterShape}, nil
 }
 
-// FLOPs implements Op.
-func (b DepthwiseBackpropFilter) FLOPs(in []tensor.Shape) float64 {
+// flops is the same MAC count as the forward convolution's.
+func (b DepthwiseBackpropFilter) flops(in []tensor.Shape) float64 {
 	if len(in) != 2 {
 		return 0
 	}
-	return b.Conv.FLOPs([]tensor.Shape{in[0], b.FilterShape})
+	return b.Conv.flops([]tensor.Shape{in[0], b.FilterShape})
 }
 
 // Algorithms implements Op.
@@ -131,5 +132,5 @@ func (b DepthwiseBackpropFilter) Algorithms(dev hw.DeviceSpec, in []tensor.Shape
 		return single("invalid", dev.KernelLaunch)
 	}
 	traffic := sumBytes(in[0], in[1], b.FilterShape)
-	return single("depthwise", roofline(dev, b.FLOPs(in), 0.25, halfSatConv/4, traffic))
+	return single("depthwise", roofline(dev, b.flops(in), 0.25, halfSatConv/4, traffic))
 }

@@ -5,160 +5,6 @@ import (
 	"capuchin/internal/tensor"
 )
 
-// unaryShape validates a single-input op returning the same shape.
-func unaryShape(name string, in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity(name, in, 1); err != nil {
-		return nil, err
-	}
-	return []tensor.Shape{in[0]}, nil
-}
-
-// ReLU is the rectified-linear activation.
-type ReLU struct{}
-
-// Name implements Op.
-func (ReLU) Name() string { return "ReLU" }
-
-// InferShapes implements Op.
-func (ReLU) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) { return unaryShape("ReLU", in) }
-
-// FLOPs implements Op (one compare per element; memory-bound in practice).
-func (ReLU) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 1 {
-		return 0
-	}
-	return float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (ReLU) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 2*bytesOf(in[0]))
-}
-
-// ReLUGrad computes dx from [y, dy]: dx = dy where y > 0.
-type ReLUGrad struct{}
-
-// Name implements Op.
-func (ReLUGrad) Name() string { return "ReLUGrad" }
-
-// InferShapes implements Op.
-func (ReLUGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("ReLUGrad", in, 2); err != nil {
-		return nil, err
-	}
-	if !in[0].Equal(in[1]) {
-		return nil, shapeError("ReLUGrad", in, "y and dy shapes differ")
-	}
-	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (ReLUGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (ReLUGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 3*bytesOf(in[0]))
-}
-
-// GELU is the Gaussian-error linear unit used by BERT.
-type GELU struct{}
-
-// Name implements Op.
-func (GELU) Name() string { return "GELU" }
-
-// InferShapes implements Op.
-func (GELU) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) { return unaryShape("GELU", in) }
-
-// FLOPs implements Op (~8 flops per element for the tanh approximation).
-func (GELU) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 1 {
-		return 0
-	}
-	return 8 * float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (GELU) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 2*bytesOf(in[0]))
-}
-
-// GELUGrad computes dx from [x, dy].
-type GELUGrad struct{}
-
-// Name implements Op.
-func (GELUGrad) Name() string { return "GELUGrad" }
-
-// InferShapes implements Op.
-func (GELUGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("GELUGrad", in, 2); err != nil {
-		return nil, err
-	}
-	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (GELUGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return 12 * float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (GELUGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 3*bytesOf(in[0]))
-}
-
-// Add is elementwise addition of two same-shaped tensors (residual joins).
-type Add struct{}
-
-// Name implements Op.
-func (Add) Name() string { return "Add" }
-
-// InferShapes implements Op.
-func (Add) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("Add", in, 2); err != nil {
-		return nil, err
-	}
-	if !in[0].Equal(in[1]) {
-		return nil, shapeError("Add", in, "operand shapes differ")
-	}
-	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (Add) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (Add) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 3*bytesOf(in[0]))
-}
-
 // AddN sums any number of same-shaped tensors; the autodiff builder uses it
 // to accumulate gradient contributions at fan-out points.
 type AddN struct{}
@@ -177,14 +23,6 @@ func (AddN) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 		}
 	}
 	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (AddN) FLOPs(in []tensor.Shape) float64 {
-	if len(in) == 0 {
-		return 0
-	}
-	return float64(int64(len(in)-1) * in[0].Elems())
 }
 
 // Algorithms implements Op.
@@ -221,14 +59,6 @@ func (BiasAdd) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-// FLOPs implements Op.
-func (BiasAdd) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return float64(in[0].Elems())
-}
-
 // Algorithms implements Op.
 func (BiasAdd) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 2 {
@@ -252,79 +82,12 @@ func (BiasAddGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{{biasChannel(in[0])}}, nil
 }
 
-// FLOPs implements Op.
-func (BiasAddGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 1 {
-		return 0
-	}
-	return float64(in[0].Elems())
-}
-
 // Algorithms implements Op.
 func (BiasAddGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 1 {
 		return single("invalid", dev.KernelLaunch)
 	}
 	return memBound(dev, "reduce", bytesOf(in[0]))
-}
-
-// Dropout randomly zeroes elements. The mask is regenerated from the op's
-// seed during backward, so DropoutGrad does not consume the forward input.
-type Dropout struct {
-	Rate float64
-}
-
-// Name implements Op.
-func (Dropout) Name() string { return "Dropout" }
-
-// InferShapes implements Op.
-func (Dropout) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	return unaryShape("Dropout", in)
-}
-
-// FLOPs implements Op.
-func (Dropout) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 1 {
-		return 0
-	}
-	return 2 * float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (Dropout) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 2*bytesOf(in[0]))
-}
-
-// DropoutGrad applies the regenerated mask to dy.
-type DropoutGrad struct {
-	Rate float64
-}
-
-// Name implements Op.
-func (DropoutGrad) Name() string { return "DropoutGrad" }
-
-// InferShapes implements Op.
-func (DropoutGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	return unaryShape("DropoutGrad", in)
-}
-
-// FLOPs implements Op.
-func (DropoutGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 1 {
-		return 0
-	}
-	return 2 * float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (DropoutGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "elementwise", 2*bytesOf(in[0]))
 }
 
 // Reshape reinterprets a tensor with a new shape of equal element count.
@@ -347,9 +110,6 @@ func (r Reshape) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	}
 	return []tensor.Shape{r.To}, nil
 }
-
-// FLOPs implements Op.
-func (Reshape) FLOPs([]tensor.Shape) float64 { return 0 }
 
 // Algorithms implements Op.
 func (r Reshape) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
@@ -387,9 +147,6 @@ func (t Transpose) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{out}, nil
 }
 
-// FLOPs implements Op.
-func (Transpose) FLOPs([]tensor.Shape) float64 { return 0 }
-
 // Algorithms implements Op.
 func (t Transpose) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 1 {
@@ -421,9 +178,6 @@ func (p Pad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	}
 	return []tensor.Shape{out}, nil
 }
-
-// FLOPs implements Op.
-func (Pad) FLOPs([]tensor.Shape) float64 { return 0 }
 
 // Algorithms implements Op.
 func (p Pad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
@@ -461,9 +215,6 @@ func (s Slice) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	out[s.Dim] = s.Length
 	return []tensor.Shape{out}, nil
 }
-
-// FLOPs implements Op.
-func (Slice) FLOPs([]tensor.Shape) float64 { return 0 }
 
 // Algorithms implements Op.
 func (s Slice) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
@@ -508,9 +259,6 @@ func (c Concat) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	}
 	return []tensor.Shape{out}, nil
 }
-
-// FLOPs implements Op.
-func (Concat) FLOPs([]tensor.Shape) float64 { return 0 }
 
 // Algorithms implements Op.
 func (c Concat) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {

@@ -26,19 +26,6 @@ func (f FusedBias) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return f.Inner.InferShapes(in[:len(in)-1])
 }
 
-// FLOPs implements Op.
-func (f FusedBias) FLOPs(in []tensor.Shape) float64 {
-	if len(in) < 2 {
-		return 0
-	}
-	inner := in[:len(in)-1]
-	out, err := f.Inner.InferShapes(inner)
-	if err != nil {
-		return 0
-	}
-	return f.Inner.FLOPs(inner) + float64(out[0].Elems())
-}
-
 // Algorithms implements Op; the epilogue rides along with the inner kernel.
 func (f FusedBias) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) < 2 {

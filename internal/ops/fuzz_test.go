@@ -29,7 +29,7 @@ func FuzzConvShapeInference(f *testing.F) {
 				t.Fatalf("non-positive output dim in %v for x=%v w=%v conv=%+v", out[0], x, w, conv)
 			}
 		}
-		if conv.FLOPs([]tensor.Shape{x, w}) < 0 {
+		if conv.flops([]tensor.Shape{x, w}) < 0 {
 			t.Fatal("negative FLOPs")
 		}
 		for _, a := range conv.Algorithms(dev, []tensor.Shape{x, w}) {
@@ -57,7 +57,7 @@ func FuzzMatMulShapeInference(f *testing.F) {
 		if len(out[0]) != 2 || out[0][0] <= 0 || out[0][1] <= 0 {
 			t.Fatalf("bad output %v for a=%v b=%v ta=%v tb=%v", out[0], a, b, ta, tb)
 		}
-		if mm.FLOPs([]tensor.Shape{a, b}) < 0 {
+		if mm.flops([]tensor.Shape{a, b}) < 0 {
 			t.Fatal("negative FLOPs")
 		}
 	})

@@ -64,8 +64,8 @@ func (m MatMul) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{out}, nil
 }
 
-// FLOPs implements Op: 2*batch*M*K*N.
-func (m MatMul) FLOPs(in []tensor.Shape) float64 {
+// flops is the multiply's work: 2*batch*M*K*N.
+func (m MatMul) flops(in []tensor.Shape) float64 {
 	batch, mm, kk, nn, err := m.matDims(in)
 	if err != nil {
 		return 0
@@ -80,5 +80,5 @@ func (m MatMul) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 		return single("invalid", dev.KernelLaunch)
 	}
 	traffic := sumBytes(in[0], in[1]) + batch*mm*nn*4
-	return single("gemm", roofline(dev, m.FLOPs(in), effMatMul, halfSatMatMul, traffic))
+	return single("gemm", roofline(dev, m.flops(in), effMatMul, halfSatMatMul, traffic))
 }

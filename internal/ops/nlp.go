@@ -24,9 +24,6 @@ func (Embedding) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{{ids[0], ids[1], table[1]}}, nil
 }
 
-// FLOPs implements Op (a gather: no arithmetic).
-func (Embedding) FLOPs([]tensor.Shape) float64 { return 0 }
-
 // Algorithms implements Op.
 func (e Embedding) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	out, err := e.InferShapes(in)
@@ -51,14 +48,6 @@ func (g EmbeddingGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 		return nil, err
 	}
 	return []tensor.Shape{g.TableShape}, nil
-}
-
-// FLOPs implements Op.
-func (g EmbeddingGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return float64(in[1].Elems())
 }
 
 // Algorithms implements Op.
@@ -88,14 +77,6 @@ func (SoftmaxCrossEntropy) InferShapes(in []tensor.Shape) ([]tensor.Shape, error
 	return []tensor.Shape{{}}, nil // scalar loss
 }
 
-// FLOPs implements Op.
-func (SoftmaxCrossEntropy) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return 6 * float64(in[0].Elems())
-}
-
 // Algorithms implements Op.
 func (SoftmaxCrossEntropy) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 2 {
@@ -116,14 +97,6 @@ func (SoftmaxCrossEntropyGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, e
 		return nil, err
 	}
 	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (SoftmaxCrossEntropyGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 3 {
-		return 0
-	}
-	return 5 * float64(in[0].Elems())
 }
 
 // Algorithms implements Op.

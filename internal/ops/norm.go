@@ -26,15 +26,6 @@ func (BatchNorm) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-// FLOPs implements Op (~5 flops per element: two reduction passes plus
-// normalize-scale-shift).
-func (BatchNorm) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 3 {
-		return 0
-	}
-	return 5 * float64(in[0].Elems())
-}
-
 // Algorithms implements Op.
 func (BatchNorm) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 3 {
@@ -57,14 +48,6 @@ func (BatchNormGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	}
 	c := biasChannel(in[0])
 	return []tensor.Shape{in[0], {c}, {c}}, nil
-}
-
-// FLOPs implements Op.
-func (BatchNormGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 3 {
-		return 0
-	}
-	return 8 * float64(in[0].Elems())
 }
 
 // Algorithms implements Op.
@@ -96,14 +79,6 @@ func (LayerNorm) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-// FLOPs implements Op.
-func (LayerNorm) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 3 {
-		return 0
-	}
-	return 5 * float64(in[0].Elems())
-}
-
 // Algorithms implements Op.
 func (LayerNorm) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 3 {
@@ -127,75 +102,10 @@ func (LayerNormGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0], {h}, {h}}, nil
 }
 
-// FLOPs implements Op.
-func (LayerNormGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 3 {
-		return 0
-	}
-	return 8 * float64(in[0].Elems())
-}
-
 // Algorithms implements Op.
 func (LayerNormGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	if len(in) != 3 {
 		return single("invalid", dev.KernelLaunch)
 	}
 	return memBound(dev, "norm", 4*bytesOf(in[0]))
-}
-
-// Softmax normalizes over the last dimension.
-type Softmax struct{}
-
-// Name implements Op.
-func (Softmax) Name() string { return "Softmax" }
-
-// InferShapes implements Op.
-func (Softmax) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	return unaryShape("Softmax", in)
-}
-
-// FLOPs implements Op.
-func (Softmax) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 1 {
-		return 0
-	}
-	return 5 * float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (Softmax) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "norm", 3*bytesOf(in[0]))
-}
-
-// SoftmaxGrad computes dx from [y, dy].
-type SoftmaxGrad struct{}
-
-// Name implements Op.
-func (SoftmaxGrad) Name() string { return "SoftmaxGrad" }
-
-// InferShapes implements Op.
-func (SoftmaxGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("SoftmaxGrad", in, 2); err != nil {
-		return nil, err
-	}
-	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (SoftmaxGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 2 {
-		return 0
-	}
-	return 4 * float64(in[0].Elems())
-}
-
-// Algorithms implements Op.
-func (SoftmaxGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
-	}
-	return memBound(dev, "norm", 3*bytesOf(in[0]))
 }

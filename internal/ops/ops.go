@@ -1,7 +1,7 @@
 // Package ops defines the operator library of the simulated deep-learning
-// framework: shape inference, FLOP and memory-traffic formulas, and the
-// roofline cost model that turns them into virtual durations on a
-// hw.DeviceSpec.
+// framework: shape inference, memory-traffic formulas, FLOP counts for the
+// compute-bound kernels, and the roofline cost model that turns them into
+// virtual durations on a hw.DeviceSpec.
 //
 // Convolutions expose multiple algorithms with different workspace
 // requirements and speeds, mirroring cuDNN: the executor picks the fastest
@@ -28,7 +28,9 @@ type Algorithm struct {
 	Duration  sim.Time
 }
 
-// Op describes an operation's static properties. Implementations are
+// Op describes an operation's static properties: everything the
+// simulator reads of an operator is its name, its output shapes and the
+// workspace and duration of each way to run it. Implementations are
 // immutable once built into a graph.
 type Op interface {
 	// Name is the operation kind, e.g. "Conv2D".
@@ -37,8 +39,6 @@ type Op interface {
 	// is a caller-owned scratch buffer: implementations must not retain
 	// or return it (returning a fresh slice, as all built-ins do).
 	InferShapes(in []tensor.Shape) ([]tensor.Shape, error)
-	// FLOPs is the floating-point work of the operation.
-	FLOPs(in []tensor.Shape) float64
 	// Algorithms returns the executable variants, sorted fastest first,
 	// with a zero-workspace entry last.
 	Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"testing"
+	"testing/quick"
 
 	"capuchin/internal/tensor"
 )
@@ -28,7 +29,7 @@ func TestMatMulBatched(t *testing.T) {
 		t.Errorf("output = %v", out[0])
 	}
 	want := 2.0 * 8 * 12 * 128 * 64 * 128
-	if got := m.FLOPs(shapes(tensor.Shape{8, 12, 128, 64}, tensor.Shape{8, 12, 64, 128})); got != want {
+	if got := m.flops(shapes(tensor.Shape{8, 12, 128, 64}, tensor.Shape{8, 12, 64, 128})); got != want {
 		t.Errorf("FLOPs = %g, want %g", got, want)
 	}
 }
@@ -71,7 +72,7 @@ func TestMatMulErrors(t *testing.T) {
 
 func TestElementwiseShapes(t *testing.T) {
 	x := tensor.Shape{8, 64, 56, 56}
-	for _, op := range []Op{ReLU{}, GELU{}, Dropout{Rate: 0.1}, DropoutGrad{Rate: 0.1}} {
+	for _, op := range []Op{ReLU, GELU, Dropout, DropoutGrad} {
 		out, err := op.InferShapes(shapes(x))
 		if err != nil {
 			t.Fatalf("%s: %v", op.Name(), err)
@@ -84,14 +85,14 @@ func TestElementwiseShapes(t *testing.T) {
 
 func TestAddShapes(t *testing.T) {
 	x := tensor.Shape{8, 256, 56, 56}
-	out, err := Add{}.InferShapes(shapes(x, x))
+	out, err := Add.InferShapes(shapes(x, x))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out[0].Equal(x) {
 		t.Errorf("output = %v", out[0])
 	}
-	if _, err := (Add{}).InferShapes(shapes(x, tensor.Shape{8, 1, 56, 56})); err == nil {
+	if _, err := Add.InferShapes(shapes(x, tensor.Shape{8, 1, 56, 56})); err == nil {
 		t.Error("mismatched Add accepted")
 	}
 }
@@ -104,9 +105,6 @@ func TestAddNShapes(t *testing.T) {
 	}
 	if !out[0].Equal(x) {
 		t.Errorf("output = %v", out[0])
-	}
-	if got := (AddN{}).FLOPs(shapes(x, x, x)); got != 32 {
-		t.Errorf("FLOPs = %g, want 32", got)
 	}
 	if _, err := (AddN{}).InferShapes(nil); err == nil {
 		t.Error("empty AddN accepted")
@@ -179,14 +177,14 @@ func TestNormShapes(t *testing.T) {
 
 func TestSoftmaxShapes(t *testing.T) {
 	x := tensor.Shape{8, 12, 128, 128}
-	out, err := Softmax{}.InferShapes(shapes(x))
+	out, err := Softmax.InferShapes(shapes(x))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out[0].Equal(x) {
 		t.Errorf("output = %v", out[0])
 	}
-	out, err = SoftmaxGrad{}.InferShapes(shapes(x, x))
+	out, err = SoftmaxGrad.InferShapes(shapes(x, x))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,10 +372,6 @@ func TestSourceOps(t *testing.T) {
 	if _, err := a.InferShapes(shapes(tensor.Shape{64}, tensor.Shape{32})); err == nil {
 		t.Error("mismatched ApplyGradient accepted")
 	}
-	m := ApplyGradient{Momentum: true}
-	if m.FLOPs(shapes(tensor.Shape{64}, tensor.Shape{64})) <= a.FLOPs(shapes(tensor.Shape{64}, tensor.Shape{64})) {
-		t.Error("momentum update should cost more than plain SGD")
-	}
 }
 
 // Every op must produce a non-empty algorithm list whose last entry needs
@@ -395,16 +389,16 @@ func TestAllOpsAlgorithmContract(t *testing.T) {
 		{Conv2DBackpropInput{Conv: Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, InputShape: x}, shapes(tensor.Shape{64, 64, 3, 3}, x)},
 		{Conv2DBackpropFilter{Conv: Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, FilterShape: tensor.Shape{64, 64, 3, 3}}, shapes(x, x)},
 		{MatMul{}, shapes(tensor.Shape{128, 768}, tensor.Shape{768, 768})},
-		{ReLU{}, shapes(x)},
-		{ReLUGrad{}, shapes(x, x)},
-		{GELU{}, shapes(seq)},
-		{GELUGrad{}, shapes(seq, seq)},
-		{Add{}, shapes(x, x)},
+		{ReLU, shapes(x)},
+		{ReLUGrad, shapes(x, x)},
+		{GELU, shapes(seq)},
+		{GELUGrad, shapes(seq, seq)},
+		{Add, shapes(x, x)},
 		{AddN{}, shapes(x, x, x)},
 		{BiasAdd{}, shapes(x, c64)},
 		{BiasAddGrad{}, shapes(x)},
-		{Dropout{Rate: 0.1}, shapes(seq)},
-		{DropoutGrad{Rate: 0.1}, shapes(seq)},
+		{Dropout, shapes(seq)},
+		{DropoutGrad, shapes(seq)},
 		{Reshape{To: tensor.Shape{8, 64 * 56 * 56}}, shapes(x)},
 		{Transpose{Perm: []int{0, 2, 1}}, shapes(seq)},
 		{Pad{Before: []int64{0, 0, 1, 1}, After: []int64{0, 0, 1, 1}}, shapes(x)},
@@ -414,8 +408,8 @@ func TestAllOpsAlgorithmContract(t *testing.T) {
 		{BatchNormGrad{}, shapes(x, c64, x)},
 		{LayerNorm{}, shapes(seq, h, h)},
 		{LayerNormGrad{}, shapes(seq, h, seq)},
-		{Softmax{}, shapes(seq)},
-		{SoftmaxGrad{}, shapes(seq, seq)},
+		{Softmax, shapes(seq)},
+		{SoftmaxGrad, shapes(seq, seq)},
 		{Pool{Kind: MaxPoolKind, KH: 2, KW: 2, StrideH: 2, StrideW: 2}, shapes(x)},
 		{PoolGrad{Pool: Pool{Kind: MaxPoolKind, KH: 2, KW: 2, StrideH: 2, StrideW: 2}}, shapes(x, tensor.Shape{8, 64, 28, 28}, tensor.Shape{8, 64, 28, 28})},
 		{Embedding{}, shapes(tensor.Shape{8, 128}, tensor.Shape{30522, 768})},
@@ -426,13 +420,13 @@ func TestAllOpsAlgorithmContract(t *testing.T) {
 		{Variable{Shape: c64}, nil},
 		{ApplyGradient{}, shapes(c64, c64)},
 		{ApplyGradient{Rule: Adam}, shapes(c64, c64, c64, c64)},
-		{Sigmoid{}, shapes(seq)},
-		{SigmoidGrad{}, shapes(seq, seq)},
-		{Tanh{}, shapes(seq)},
-		{TanhGrad{}, shapes(seq, seq)},
-		{Mul{}, shapes(seq, seq)},
-		{Sub{}, shapes(seq, seq)},
-		{Neg{}, shapes(seq)},
+		{Sigmoid, shapes(seq)},
+		{SigmoidGrad, shapes(seq, seq)},
+		{Tanh, shapes(seq)},
+		{TanhGrad, shapes(seq, seq)},
+		{Mul, shapes(seq, seq)},
+		{Sub, shapes(seq, seq)},
+		{Neg, shapes(seq)},
 		{DepthwiseConv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, shapes(x, tensor.Shape{64, 1, 3, 3})},
 		{DepthwiseBackpropInput{Conv: DepthwiseConv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, InputShape: x}, shapes(tensor.Shape{64, 1, 3, 3}, x)},
 		{DepthwiseBackpropFilter{Conv: DepthwiseConv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, FilterShape: tensor.Shape{64, 1, 3, 3}}, shapes(x, x)},
@@ -457,7 +451,7 @@ func TestAllOpsAlgorithmContract(t *testing.T) {
 				t.Errorf("%s/%s: negative duration", c.op.Name(), a.Name)
 			}
 		}
-		if c.op.FLOPs(c.in) < 0 {
+		if f, ok := c.op.(flopper); ok && f.flops(c.in) < 0 {
 			t.Errorf("%s: negative FLOPs", c.op.Name())
 		}
 		if c.op.Name() == "" {
@@ -483,10 +477,6 @@ func TestFusedBiasBehaviour(t *testing.T) {
 	if !out[0].Equal(innerOut[0]) {
 		t.Errorf("fused output %v != inner output %v", out[0], innerOut[0])
 	}
-	// The epilogue adds one FLOP per output element.
-	if got, want := f.FLOPs(shapes(x, w, bias)), inner.FLOPs(shapes(x, w))+float64(innerOut[0].Elems()); got != want {
-		t.Errorf("FLOPs = %g, want %g", got, want)
-	}
 	// Algorithms ride along with the inner kernel.
 	fa := f.Algorithms(dev, shapes(x, w, bias))
 	ia := inner.Algorithms(dev, shapes(x, w))
@@ -496,5 +486,87 @@ func TestFusedBiasBehaviour(t *testing.T) {
 	// Too few inputs rejected.
 	if _, err := f.InferShapes(shapes(x)); err == nil {
 		t.Error("single-input FusedBias accepted")
+	}
+}
+
+func TestOptimizerRules(t *testing.T) {
+	if SGD.StateSlots() != 0 || Momentum.StateSlots() != 1 || Adam.StateSlots() != 2 {
+		t.Error("state slot counts wrong")
+	}
+	if SGD.String() != "sgd" || Adam.String() != "adam" {
+		t.Error("optimizer names wrong")
+	}
+	// Legacy Momentum flag resolves to the Momentum rule.
+	if (ApplyGradient{Momentum: true}).Effective() != Momentum {
+		t.Error("legacy Momentum flag ignored")
+	}
+	if (ApplyGradient{Rule: Adam}).Effective() != Adam {
+		t.Error("Adam rule ignored")
+	}
+	// Adam accepts [var, grad, m, v].
+	s := tensor.Shape{64}
+	if _, err := (ApplyGradient{Rule: Adam}).InferShapes(shapes(s, s, s, s)); err != nil {
+		t.Errorf("Adam arity rejected: %v", err)
+	}
+	if _, err := (ApplyGradient{Rule: Adam}).InferShapes(shapes(s, s, s)); err == nil {
+		t.Error("Adam with one state slot accepted")
+	}
+	// Update costs rise with optimizer statefulness.
+	sgdT := (ApplyGradient{}).Algorithms(dev, shapes(s, s))[0].Duration
+	adamT := (ApplyGradient{Rule: Adam}).Algorithms(dev, shapes(s, s, s, s))[0].Duration
+	if adamT <= sgdT {
+		t.Error("Adam update not costlier than SGD")
+	}
+}
+
+// Property: shape inference never panics and, on success, yields
+// non-negative-dimension outputs, across randomized valid-rank inputs.
+func TestShapeInferenceRobustnessProperty(t *testing.T) {
+	mk := func(dims []uint16, rank int) tensor.Shape {
+		s := make(tensor.Shape, rank)
+		for i := range s {
+			s[i] = int64(dims[i%len(dims)]%64) + 1
+		}
+		return s
+	}
+	f := func(dims []uint16, k uint8) bool {
+		if len(dims) == 0 {
+			return true
+		}
+		x4 := mk(dims, 4)
+		x2 := mk(dims, 2)
+		c := mk(dims, 1)
+		candidates := []struct {
+			op Op
+			in []tensor.Shape
+		}{
+			{Conv2D{StrideH: 1 + int64(k%3), StrideW: 1, PadH: int64(k % 4), PadW: 0}, shapes(x4, mk(dims, 4))},
+			{MatMul{TransposeA: k%2 == 0}, shapes(x2, mk(dims, 2))},
+			{Pool{Kind: MaxPoolKind, KH: 1 + int64(k%5), KW: 2, StrideH: 1, StrideW: 1}, shapes(x4)},
+			{BatchNorm{}, shapes(x4, c, c)},
+			{Concat{Dim: int(k % 4)}, shapes(x4, mk(dims, 4))},
+			{Slice{Dim: int(k % 4), Start: int64(k % 8), Length: 1 + int64(k%4)}, shapes(x4)},
+			{DepthwiseConv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, shapes(x4, mk(dims, 4))},
+		}
+		for _, cand := range candidates {
+			out, err := cand.op.InferShapes(cand.in) // must not panic
+			if err != nil {
+				continue
+			}
+			for _, s := range out {
+				for _, d := range s {
+					if d < 0 {
+						return false
+					}
+				}
+			}
+			if f, ok := cand.op.(flopper); ok && f.flops(cand.in) < 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -63,15 +63,6 @@ func (p Pool) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{{n, c, oh, ow}}, nil
 }
 
-// FLOPs implements Op.
-func (p Pool) FLOPs(in []tensor.Shape) float64 {
-	n, c, oh, ow, kh, kw, err := p.dims(in)
-	if err != nil {
-		return 0
-	}
-	return float64(n * c * oh * ow * kh * kw)
-}
-
 // Algorithms implements Op.
 func (p Pool) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	out, err := p.InferShapes(in)
@@ -97,14 +88,6 @@ func (g PoolGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 		return nil, err
 	}
 	return []tensor.Shape{in[0]}, nil
-}
-
-// FLOPs implements Op.
-func (g PoolGrad) FLOPs(in []tensor.Shape) float64 {
-	if len(in) != 3 {
-		return 0
-	}
-	return g.Pool.FLOPs(in[:1])
 }
 
 // Algorithms implements Op.

@@ -26,9 +26,6 @@ func (i Input) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{i.Shape}, nil
 }
 
-// FLOPs implements Op.
-func (Input) FLOPs([]tensor.Shape) float64 { return 0 }
-
 // Algorithms implements Op.
 func (i Input) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
 	return memBound(dev, "fill", i.Shape.Elems()*i.DType.Size())
@@ -52,9 +49,6 @@ func (v Variable) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	}
 	return []tensor.Shape{v.Shape}, nil
 }
-
-// FLOPs implements Op.
-func (Variable) FLOPs([]tensor.Shape) float64 { return 0 }
 
 // Algorithms implements Op.
 func (v Variable) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
@@ -136,21 +130,6 @@ func (a ApplyGradient) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 		}
 	}
 	return []tensor.Shape{{}}, nil // control output
-}
-
-// FLOPs implements Op.
-func (a ApplyGradient) FLOPs(in []tensor.Shape) float64 {
-	if len(in) < 2 {
-		return 0
-	}
-	per := float64(2)
-	switch a.Effective() {
-	case Momentum:
-		per = 4
-	case Adam:
-		per = 10 // two moment updates, bias correction, sqrt
-	}
-	return per * float64(in[0].Elems())
 }
 
 // Algorithms implements Op.

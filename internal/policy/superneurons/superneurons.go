@@ -49,9 +49,11 @@ var _ exec.Policy = (*Policy)(nil)
 // cheapLayer reports whether a forward node is a cost-aware recomputation
 // target: memory-bound layers SuperNeurons always regenerates.
 func cheapLayer(n *graph.Node) bool {
-	switch n.Op.(type) {
-	case ops.ReLU, ops.Pool, ops.BatchNorm, ops.Sigmoid, ops.Tanh:
+	switch op := n.Op.(type) {
+	case ops.Pool, ops.BatchNorm:
 		return true
+	case ops.Pointwise:
+		return op == ops.ReLU || op == ops.Sigmoid || op == ops.Tanh
 	default:
 		return false
 	}

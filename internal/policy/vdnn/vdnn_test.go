@@ -145,7 +145,7 @@ func TestVDNNIgnoresConvFreeNetwork(t *testing.T) {
 	w1 := b.Variable("w1", tensor.Shape{64, 64})
 	w2 := b.Variable("w2", tensor.Shape{64, 10})
 	h := b.Apply1("fc1", ops.MatMul{}, x, w1)
-	h = b.Apply1("relu", ops.ReLU{}, h)
+	h = b.Apply1("relu", ops.ReLU, h)
 	logits := b.Apply1("fc2", ops.MatMul{}, h, w2)
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)
 	g, err := b.Build(loss, graph.GraphModeOptions())

@@ -26,7 +26,7 @@ func SmallCNN(tb testing.TB, depth int, width int64, opt graph.BuildOptions) *gr
 	for i := 0; i < depth; i++ {
 		w := b.Variable(fmt.Sprintf("conv%d_w", i), tensor.Shape{width, h.Shape[1], 3, 3})
 		h = b.Apply1(fmt.Sprintf("conv%d", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1(fmt.Sprintf("relu%d", i), ops.ReLU{}, h)
+		h = b.Apply1(fmt.Sprintf("relu%d", i), ops.ReLU, h)
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
 	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{8, h.Shape.Elems() / 8}}, h)
@@ -79,11 +79,11 @@ func ResidualCNN(tb testing.TB) *graph.Graph {
 		short := h
 		w1 := b.Variable(fmt.Sprintf("res%d_w1", i), tensor.Shape{width, width, 3, 3})
 		h = b.Apply1(fmt.Sprintf("res%d_conv1", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w1)
-		h = b.Apply1(fmt.Sprintf("res%d_relu1", i), ops.ReLU{}, h)
+		h = b.Apply1(fmt.Sprintf("res%d_relu1", i), ops.ReLU, h)
 		w2 := b.Variable(fmt.Sprintf("res%d_w2", i), tensor.Shape{width, width, 3, 3})
 		h = b.Apply1(fmt.Sprintf("res%d_conv2", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w2)
-		h = b.Apply1(fmt.Sprintf("res%d_add", i), ops.Add{}, h, short)
-		h = b.Apply1(fmt.Sprintf("res%d_relu2", i), ops.ReLU{}, h)
+		h = b.Apply1(fmt.Sprintf("res%d_add", i), ops.Add, h, short)
+		h = b.Apply1(fmt.Sprintf("res%d_relu2", i), ops.ReLU, h)
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
 	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{8, h.Shape.Elems() / 8}}, h)
