@@ -185,7 +185,8 @@ serve-smoke:
 # access-TSV run under memory pressure that only completes if -system
 # really selects Capuchin (tf-ori runs out of memory there). Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
-# run must pass, and four invalid settings must fail before running.
+# run must pass, and five invalid settings must fail before running (the
+# -spans one must also print nothing to stdout).
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
@@ -202,3 +203,5 @@ profile-smoke:
 		echo "profile-smoke: capuchin-bench -exp fig1 ran with -schedule bogus"; exit 1; fi
 	if $(GO) run ./cmd/capuchin-bench -exp dynamic -quick -schedule bogus >/dev/null 2>&1; then \
 		echo "profile-smoke: capuchin-bench -exp dynamic ran with -schedule bogus"; exit 1; fi
+	if out=$$($(GO) run ./cmd/capuchin-trace -spans bogus -system capuchin -mem 4 2>/dev/null) || test -n "$$out"; then \
+		echo "profile-smoke: capuchin-trace ran with -spans bogus"; exit 1; fi

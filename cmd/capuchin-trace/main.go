@@ -109,6 +109,11 @@ func main() {
 	}
 	memBytes, err := hw.GiBToBytes(*memGiB)
 	exitOn(2, err)
+	switch *spans {
+	case "", "compute", "h2d", "d2h":
+	default:
+		exitOn(2, fmt.Errorf("unknown -spans stream %q (want compute, h2d or d2h)", *spans))
+	}
 	observing := *chrome != "" || *memprof || *explain != "" || *spans != "" || *prom != "" || *events != ""
 	if *devices > 1 && !observing {
 		fmt.Fprintln(os.Stderr, "-devices requires an observability mode (-chrome, -memprof, -explain, -spans, -prom or -events)")
@@ -276,19 +281,14 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 	p := res.Profile
 
 	if spans != "" {
-		compute, h2d, d2h := sess.Streams()
-		var err error
+		stream, h2d, d2h := sess.Streams()
 		switch spans {
-		case "compute":
-			err = trace.WriteSpansTSV(os.Stdout, "compute", compute.Spans())
 		case "h2d":
-			err = trace.WriteSpansTSV(os.Stdout, "h2d", h2d.Spans())
+			stream = h2d
 		case "d2h":
-			err = trace.WriteSpansTSV(os.Stdout, "d2h", d2h.Spans())
-		default:
-			err = fmt.Errorf("unknown stream %q", spans)
+			stream = d2h
 		}
-		exitOn(1, err)
+		exitOn(1, trace.WriteSpansTSV(os.Stdout, spans, stream.Spans()))
 	}
 
 	if chrome != "" {
