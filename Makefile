@@ -5,9 +5,9 @@
 # template's immutable state) + the chaos soak suite.
 GO ?= go
 
-.PHONY: check vet build test benchmark-test race soak bench goldens profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
+.PHONY: check vet build test benchmark-test race soak bench goldens examples-smoke profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
 
-check: vet build test benchmark-test race soak profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke
+check: vet build test benchmark-test race soak examples-smoke profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +36,15 @@ race:
 soak:
 	$(GO) test -race -count=2 ./internal/bench -run 'Chaos|Resilience|ZeroPlan|Dynamic'
 	$(GO) test -race -count=2 ./internal/exec -run 'Fault|FallsBack|Abandonment|Spikes|ErrorChain|Dynamic'
+
+# examples-smoke runs every program under examples/ and fails on a
+# non-zero exit; `go build ./...` only compiles them. custom_network
+# defines the only user-written ops.Op outside internal/ops, so it proves
+# the Op interface still supports a new operator end to end.
+examples-smoke:
+	for e in examples/*/; do \
+		$(GO) run ./$$e >/dev/null || { echo "examples-smoke: $$e failed"; exit 1; }; \
+	done
 
 # fuzz-smoke runs each fuzz target briefly (30s in CI): the two allocator
 # fuzzers, the shape-inference fuzzers, the trust-boundary parsers
