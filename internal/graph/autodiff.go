@@ -360,12 +360,14 @@ func (ad *autodiff) emit(n *Node, dys []*tensor.Tensor) error {
 			if !ok {
 				return ad.emitCustom(n, dys)
 			}
-			args := []*tensor.Tensor{dy}
+			var args []*tensor.Tensor
 			switch rule.reads {
 			case readsInput:
 				args = []*tensor.Tensor{in[0], dy}
 			case readsOutput:
 				args = []*tensor.Tensor{n.Outputs[0], dy}
+			default:
+				args = []*tensor.Tensor{dy}
 			}
 			ad.addGrad(in[0], ad.apply1(name, rule.grad, args...))
 		}
