@@ -73,3 +73,70 @@ func TestPointwise(t *testing.T) {
 		}
 	}
 }
+
+func TestActivationShapes(t *testing.T) {
+	x := tensor.Shape{8, 1024}
+	for _, op := range []Op{Sigmoid, Tanh} {
+		out, err := op.InferShapes(shapes(x))
+		if err != nil {
+			t.Fatalf("%s: %v", op.Name(), err)
+		}
+		if !out[0].Equal(x) {
+			t.Errorf("%s output = %v", op.Name(), out[0])
+		}
+	}
+	for _, op := range []Op{SigmoidGrad, TanhGrad} {
+		out, err := op.InferShapes(shapes(x, x))
+		if err != nil {
+			t.Fatalf("%s: %v", op.Name(), err)
+		}
+		if !out[0].Equal(x) {
+			t.Errorf("%s output = %v", op.Name(), out[0])
+		}
+	}
+	if o2, err := Sub.InferShapes(shapes(x, x)); err != nil || !o2[0].Equal(x) {
+		t.Errorf("Sub: %v %v", o2, err)
+	}
+	if o1, err := Neg.InferShapes(shapes(x)); err != nil || !o1[0].Equal(x) {
+		t.Errorf("Neg: %v %v", o1, err)
+	}
+	out, err := Mul.InferShapes(shapes(x, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out[0].Equal(x) {
+		t.Errorf("Mul output = %v", out[0])
+	}
+	if _, err := Mul.InferShapes(shapes(x, tensor.Shape{8, 512})); err == nil {
+		t.Error("mismatched Mul accepted")
+	}
+}
+
+// TestActivationAlgorithmContract: each activation-path op offers a
+// zero-workspace fallback that takes positive time.
+func TestActivationAlgorithmContract(t *testing.T) {
+	x := tensor.Shape{8, 1024}
+	cases := []struct {
+		op Op
+		in []tensor.Shape
+	}{
+		{Sigmoid, shapes(x)},
+		{SigmoidGrad, shapes(x, x)},
+		{Tanh, shapes(x)},
+		{TanhGrad, shapes(x, x)},
+		{Mul, shapes(x, x)},
+		{Sub, shapes(x, x)},
+		{Neg, shapes(x)},
+	}
+	for _, c := range cases {
+		algos := c.op.Algorithms(dev, c.in)
+		if len(algos) == 0 || algos[len(algos)-1].Workspace != 0 {
+			t.Errorf("%s: bad algorithm list %v", c.op.Name(), algos)
+		}
+		for _, a := range algos {
+			if a.Duration <= 0 {
+				t.Errorf("%s: %s has non-positive duration %v", c.op.Name(), a.Name, a.Duration)
+			}
+		}
+	}
+}
