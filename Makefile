@@ -192,7 +192,9 @@ serve-smoke:
 # real capuchin-trace invocation that must emit a loadable timeline, a
 # non-empty decision history and a non-empty JSONL event log, and an
 # access-TSV run under memory pressure that only completes if -system
-# really selects Capuchin (tf-ori runs out of memory there). Like
+# really selects Capuchin (tf-ori runs out of memory there), and a
+# run that OOMs in capuchin-train and in capuchin-trace: each must exit
+# 1 only after writing its exports, whose JSONL holds the oom instant. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
 # run must pass, and five invalid settings must fail before running (the
 # -spans one must also print nothing to stdout).
@@ -204,6 +206,14 @@ profile-smoke:
 	test -s /tmp/capuchin-smoke.jsonl
 	rm -f /tmp/capuchin-smoke.json /tmp/capuchin-smoke.jsonl
 	$(GO) run ./cmd/capuchin-trace -model resnet50 -batch 400 -mem 8 -system capuchin -iters 2 >/dev/null
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train ./cmd/capuchin-trace && \
+	{ $$d/capuchin-train -model resnet50 -batch 4000 -system tf-ori -iters 2 \
+		-events $$d/train.jsonl -prom $$d/train.prom >/dev/null; test $$? -eq 1; } && \
+	grep -q '"name":"oom"' $$d/train.jsonl && test -s $$d/train.prom && \
+	{ $$d/capuchin-trace -model resnet50 -batch 4000 -mem 16 -system tf-ori -iters 2 \
+		-events $$d/trace.jsonl >/dev/null 2>&1; test $$? -eq 1; } && \
+	grep -q '"name":"oom"' $$d/trace.jsonl && rm -rf $$d || \
+	{ echo "profile-smoke: a failed run must write its exports, with the oom instant, and exit 1"; exit 1; }
 	if $(GO) run ./cmd/capuchin-train -mem -3 >/dev/null 2>&1; then \
 		echo "profile-smoke: capuchin-train ran with -mem -3"; exit 1; fi
 	if $(GO) run ./cmd/capuchin-bench -exp table2 -quick -mem 9000000000 >/dev/null 2>&1; then \

@@ -437,6 +437,30 @@ func BenchmarkHotPathProbeCell(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathProbeCellTF is BenchmarkHotPathProbeCell for TF-ori:
+// a cold 3-iteration resnet50 probe that fits on a 16 GiB P100, on a
+// warm template set, alternating two batches. Session.Run simulates its
+// first iteration, finds the next boundary repeats it, and fills in the
+// other two by a fingerprint-only replay. Its budget pins that the
+// boundary digest and the replay allocate nothing per boundary.
+func BenchmarkHotPathProbeCellTF(b *testing.B) {
+	ts := bench.NewTemplates()
+	var cfgs [2]bench.RunConfig
+	for i, batch := range []int64{64, 128} {
+		cfgs[i] = bench.RunConfig{Model: "resnet50", Batch: batch, System: bench.SystemTF, Device: hw.P100()}
+		if r := ts.RunTraced(cfgs[i], nil); !r.OK {
+			b.Fatal(r.Err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r := ts.RunTraced(cfgs[i%2], nil); !r.OK {
+			b.Fatal(r.Err)
+		}
+	}
+}
+
 // BenchmarkHotPathServeCell is one new capuchin-serve run: a traced
 // resnet50/b16 Capuchin cell of 3 iterations on a 2 GiB device, its
 // graph instantiated from a warm template set as the server's is. Its

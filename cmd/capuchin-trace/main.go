@@ -317,4 +317,7 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 		}
 		exitOn(1, obs.WriteExplain(os.Stdout, subject, decisions, p.Events.Events()))
 	}
+	if res.Err != nil {
+		os.Exit(1) // a failed run, reported above, after its exports
+	}
 }

@@ -67,11 +67,18 @@ func main() {
 	r, _, pol := bench.RunLive(cfg)
 	fmt.Printf("%s, batch %d, %s mode, %s (%.1f GiB)\n",
 		*model, *batch, m, dev.Name, float64(dev.MemoryBytes)/float64(hw.GiB))
-	for _, st := range r.Stats {
+	for i, st := range r.Stats {
+		if !r.OK && i == len(r.Stats)-1 {
+			fmt.Printf("  %s (failed)\n", st) // a failed iteration has no throughput
+			continue
+		}
 		fmt.Printf("  %s (%.1f samples/s)\n", st, st.Throughput(*batch))
 	}
 	if !r.OK {
+		// The exports of a failed run explain the failure: write them
+		// first, then exit 1.
 		fmt.Printf("FAILED: %v\n", r.Err)
+		exports(r.Profile, *prom, *events)
 		os.Exit(1)
 	}
 	fmt.Printf("steady state: %.1f samples/s, iteration %v, device peak %.2f GiB, host peak %.2f GiB\n",
@@ -101,12 +108,22 @@ func main() {
 		exitOn(1, cap.ExportPlan(f))
 		fmt.Printf("plan written to %s\n", *savePlan)
 	}
-	if *prom != "" {
-		export(*prom, func(w *os.File) error { return r.Profile.Metrics.WritePrometheus(w) })
+	exports(r.Profile, *prom, *events)
+}
+
+// exports writes the requested observability artifacts of a run: the
+// metrics to prom and the event log to events, each when named. A run
+// that failed before simulating has no profile and writes nothing.
+func exports(p *bench.ProfileReport, prom, events string) {
+	if p == nil {
+		return
 	}
-	if *events != "" {
-		export(*events, func(w *os.File) error {
-			b, _, _ := r.Profile.Events.AppendJSONL(nil, obs.Cursor{})
+	if prom != "" {
+		export(prom, func(w *os.File) error { return p.Metrics.WritePrometheus(w) })
+	}
+	if events != "" {
+		export(events, func(w *os.File) error {
+			b, _, _ := p.Events.AppendJSONL(nil, obs.Cursor{})
 			_, err := w.Write(b)
 			return err
 		})

@@ -6,7 +6,6 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
 
 	"capuchin/internal/core"
@@ -343,15 +342,19 @@ func MaxBatch(cfg RunConfig) int64 {
 // maxBatch is the one max-batch search behind MaxBatch and
 // Runner.MaxBatch: it probes cfg at the batches maxBatchSearch picks,
 // simulating each probe through probe, and counts a probe as fitting
-// when it completes without OOM. Every probe is the same model and mode
-// at another batch, so the caller hands probe a template set: the first
-// probe that simulates builds the template and the rest instantiate it.
+// when it completes. Any failure counts as "does not fit", so a sweep
+// is sound only if every failure is an OOM, which checkCells in
+// internal/exec's TestRunSkipMatchesTracedSweep and
+// TestRunSkipMatchesTracedGoldens checks for the Table 2 sweep and quick
+// Table 3. Every probe
+// is the same model and mode at another batch, so the caller hands
+// probe a template set: the first probe that simulates builds the
+// template and the rest instantiate it.
 func maxBatch(cfg RunConfig, probe func(RunConfig) Result) int64 {
 	return maxBatchSearch(func(b int64) bool {
 		c := cfg
 		c.Batch = b
-		res := probe(c)
-		return res.OK && !errors.Is(res.Err, exec.ErrIterationOOM)
+		return probe(c).OK
 	})
 }
 

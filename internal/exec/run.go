@@ -28,6 +28,7 @@ const maxSpuriousAllocRetries = 4
 // RunIteration executes one training iteration and returns its statistics.
 // On out-of-memory failure the returned error matches ErrIterationOOM.
 func (s *Session) RunIteration() (IterStats, error) {
+	iterationsSimulated.Add(1)
 	env := &s.env
 	s.stats = IterStats{Iter: s.iter}
 	s.startTime = s.now()
@@ -62,10 +63,27 @@ func (s *Session) RunIteration() (IterStats, error) {
 }
 
 // Run executes n iterations, returning per-iteration stats. It stops at
-// the first failure.
+// the first failure, and the last entry is then the iteration that
+// failed: its partial stats, or only its number when the boundary before
+// it failed. When nothing observes the run and its policy
+// digests its state (see StateDigester), Run stops simulating at the
+// first iteration boundary whose state equals the previous boundary's:
+// every remaining iteration would repeat the last one, so repeat fills
+// them in. The stats, and the session Run leaves, are those of
+// simulating all n.
 func (s *Session) Run(n int) ([]IterStats, error) {
 	stats := make([]IterStats, 0, n)
+	dg, skippable := s.digester()
 	for i := 0; i < n; i++ {
+		if skippable {
+			repeated, err := s.boundaryRepeats(dg, i == 0)
+			if err != nil {
+				return append(stats, IterStats{Iter: s.iter}), err
+			}
+			if repeated {
+				return s.repeat(stats, n), nil
+			}
+		}
 		st, err := s.RunIteration()
 		stats = append(stats, st)
 		if err != nil {
@@ -207,28 +225,12 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 	}
 
 	// Produce fingerprints: the correctness oracle.
-	inFPs := s.scFPs[:0]
 	for _, in := range n.Inputs {
 		if in.Fingerprint == 0 {
 			return invariant("fingerprint", in.ID, fmt.Errorf("input consumed with empty fingerprint (residency bug)"))
 		}
-		inFPs = append(inFPs, in.Fingerprint)
 	}
-	s.scFPs = inFPs
-	seed := s.fpSeeds[n.Pos]
-	for i, out := range n.Outputs {
-		out.Fingerprint = tensor.FingerprintFrom(seed, i, inFPs)
-	}
-	if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate {
-		// In-place variable update: fold the gradient into the weight's
-		// fingerprint chain.
-		v := n.Inputs[0]
-		fold := [2]uint64{v.Fingerprint, n.Inputs[1].Fingerprint}
-		v.Fingerprint = tensor.FingerprintFrom(seed, -1, fold[:])
-	}
-	if len(n.Outputs) > 0 && n.Outputs[0] == s.g.Loss {
-		s.stats.LossFingerprint = n.Outputs[0].Fingerprint
-	}
+	s.fingerprint(n)
 	// Gradient schedule for the cluster's all-reduce planner: record when
 	// each gradient tensor materializes. Bookkeeping only.
 	for _, out := range n.Outputs {
@@ -276,6 +278,48 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 		return err
 	}
 	return nil
+}
+
+// fingerprint applies node n's content rule: each output's fingerprint
+// derives from the node's seed, the output index and the input
+// fingerprints, and an ApplyGradient folds the gradient into its weight's
+// chain in place. It records the loss fingerprint when n produces the
+// loss. executeNode and the fingerprint-only replay of a repeated
+// iteration (repeat) share it.
+func (s *Session) fingerprint(n *graph.Node) {
+	inFPs := s.scFPs[:0]
+	for _, in := range n.Inputs {
+		inFPs = append(inFPs, in.Fingerprint)
+	}
+	s.scFPs = inFPs
+	seed := s.fpSeeds[n.Pos]
+	for i, out := range n.Outputs {
+		out.Fingerprint = tensor.FingerprintFrom(seed, i, inFPs)
+	}
+	if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate {
+		// In-place variable update: fold the gradient into the weight's
+		// fingerprint chain.
+		v := n.Inputs[0]
+		fold := [2]uint64{v.Fingerprint, n.Inputs[1].Fingerprint}
+		v.Fingerprint = tensor.FingerprintFrom(seed, -1, fold[:])
+	}
+	if len(n.Outputs) > 0 && n.Outputs[0] == s.g.Loss {
+		s.stats.LossFingerprint = n.Outputs[0].Fingerprint
+	}
+}
+
+// paramFingerprint hashes the parameter fingerprints in declaration
+// order: the iteration's ParamFingerprint.
+func (s *Session) paramFingerprint() uint64 {
+	h := paramsSeed
+	for _, n := range s.g.Nodes {
+		for _, t := range n.Outputs {
+			if t.Persistent {
+				h = tensor.HashCombine(h, t.Fingerprint)
+			}
+		}
+	}
+	return h
 }
 
 // chooseAlgorithm picks the fastest algorithm whose workspace can be
@@ -929,10 +973,14 @@ func (s *Session) finishSwapOut(i int32) error {
 }
 
 // endIteration waits for outstanding transfers, snapshots the parameter
-// fingerprint and resets per-iteration tensor state.
+// fingerprint and resets per-iteration tensor state. The barrier is a
+// device-wide sync: the copy streams advance to it with the compute
+// stream, so every iteration boundary starts the three from one clock.
 func (s *Session) endIteration(env *Env) error {
 	barrier := sim.MaxTime(s.now(), sim.MaxTime(s.d2h.AvailableAt(), s.h2d.AvailableAt()))
 	s.compute.AdvanceTo(barrier)
+	s.h2d.AdvanceTo(barrier)
+	s.d2h.AdvanceTo(barrier)
 	var firstErr error
 	for {
 		_, i, ok := s.pendingFrees.Pop()
@@ -944,16 +992,7 @@ func (s *Session) endIteration(env *Env) error {
 		}
 	}
 
-	// Parameter fingerprint over variables in declaration order.
-	h := paramsSeed
-	for _, n := range s.g.Nodes {
-		for _, t := range n.Outputs {
-			if t.Persistent {
-				h = tensor.HashCombine(h, t.Fingerprint)
-			}
-		}
-	}
-	s.stats.ParamFingerprint = h
+	s.stats.ParamFingerprint = s.paramFingerprint()
 
 	for _, n := range s.g.Nodes {
 		for _, t := range n.Outputs {

@@ -160,10 +160,11 @@ type Session struct {
 	swapInOn   []bool
 	swapInList []int32
 
-	// refsInit counts scheduled uses per tensor (static per graph); refs
-	// is the per-iteration working copy, restored by copy() each
-	// iteration. lastUse holds the schedule index of each tensor's final
-	// read (-1 when never read); updateBarrier is the index of the first
+	// refsInit counts scheduled uses per tensor (static per graph): for a
+	// parameter, the accesses each iteration adds to its count. refs is
+	// the per-iteration working copy, restored by copy() each iteration.
+	// lastUse holds the schedule index of each tensor's final read (-1
+	// when never read); updateBarrier is the index of the first
 	// in-place parameter update. Together they bound which tensors may be
 	// degraded from swapping to recomputation: a replay after a parameter
 	// update would read modified weights and change the computed values.
@@ -215,6 +216,13 @@ type Session struct {
 
 	// env is the policy-facing view, allocated once per session.
 	env Env
+
+	// digest and prevDigest encode the state at the current and the
+	// previous iteration boundary of a Run that may skip (digest.go);
+	// paramBytes is the device memory the parameters hold, all the pool
+	// may hold at a boundary.
+	digest, prevDigest []byte
+	paramBytes         int64
 
 	// actionAnchor is the virtual time at which policy-triggered
 	// asynchronous actions start (the current access's effect point).
@@ -345,6 +353,7 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 				return nil, fmt.Errorf("exec: model parameters do not fit on device: %w", err)
 			}
 			t.Alloc = a
+			s.paramBytes += a.Size
 			t.Fingerprint = tensor.HashSeed(t.ID)
 			if err := t.TransitionTo(tensor.In); err != nil {
 				return nil, err
@@ -398,6 +407,7 @@ func (s *Session) initTables(old *Session) {
 	s.scStalls, s.scInflight, s.scFPs = old.scStalls[:0], old.scInflight[:0], old.scFPs[:0]
 	s.scVictims, s.scShapes, s.gradEvents = old.scVictims[:0], old.scShapes[:0], old.gradEvents[:0]
 	s.replayBufs = old.replayBufs
+	s.digest, s.prevDigest = old.digest[:0], old.prevDigest[:0]
 	for l, tab := range old.names {
 		s.names[l] = tab[:0] // name resizes and clears it on first use
 	}
@@ -409,8 +419,8 @@ func (s *Session) initTables(old *Session) {
 			s.updateBarrier = i
 		}
 		for _, in := range n.Inputs {
+			s.refsInit[in.Idx]++
 			if !in.Persistent {
-				s.refsInit[in.Idx]++
 				s.lastUse[in.Idx] = int32(i)
 			}
 		}

@@ -42,7 +42,10 @@ type Policy struct {
 	checkpoints int
 }
 
-var _ exec.Policy = (*Policy)(nil)
+var (
+	_ exec.Policy        = (*Policy)(nil)
+	_ exec.StateDigester = (*Policy)(nil)
+)
 
 // New builds the static drop schedule from the graph.
 func New(g *graph.Graph, mode Mode) *Policy {
@@ -151,6 +154,11 @@ func (p *Policy) EndIteration(int, *exec.Env) {}
 
 // TracksAccesses implements exec.Policy.
 func (p *Policy) TracksAccesses() bool { return false }
+
+// AppendStateDigest implements exec.StateDigester: the plan is static.
+// OnAccess reads access counts, but a parameter's (which runs on across
+// iterations) never matches its zero dropAt entry.
+func (p *Policy) AppendStateDigest(dst []byte) []byte { return dst }
 
 // Drops reports how many tensors the schedule releases for recomputation.
 func (p *Policy) Drops() int { return p.drops }

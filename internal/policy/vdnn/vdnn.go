@@ -48,7 +48,10 @@ type accessKey struct {
 	nodeID   string
 }
 
-var _ exec.Policy = (*Policy)(nil)
+var (
+	_ exec.Policy        = (*Policy)(nil)
+	_ exec.StateDigester = (*Policy)(nil)
+)
 
 // New builds the static offload/prefetch schedule from the graph.
 func New(g *graph.Graph, mode Mode) *Policy {
@@ -180,6 +183,11 @@ func (p *Policy) EndIteration(iter int, env *exec.Env) {}
 
 // TracksAccesses implements exec.Policy: vDNN's bookkeeping is static.
 func (p *Policy) TracksAccesses() bool { return false }
+
+// AppendStateDigest implements exec.StateDigester. The schedule is
+// static and BeginIteration clears the fired-trigger set, so no state
+// carries from one iteration to the next.
+func (p *Policy) AppendStateDigest(dst []byte) []byte { return dst }
 
 // Targets reports how many tensors the schedule offloads (for tests).
 func (p *Policy) Targets() int { return len(p.evictAt) }
