@@ -190,9 +190,10 @@ serve-smoke:
 # profile-smoke drives the observability stack end to end: the exporter
 # tests (golden Chrome trace, memory profile, audit log, metrics) plus a
 # real capuchin-trace invocation that must emit a loadable timeline, a
-# non-empty decision history and a non-empty JSONL event log, and an
+# non-empty decision history and a non-empty JSONL event log, an
 # access-TSV run under memory pressure that only completes if -system
-# really selects Capuchin (tf-ori runs out of memory there), and a
+# really selects Capuchin (tf-ori runs out of memory there), the dynamic
+# access-TSV mode (a -schedule run must write more than the header), and a
 # run that OOMs in capuchin-train and in capuchin-trace: each must exit
 # 1 only after writing its exports, whose JSONL holds the oom instant. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
@@ -206,6 +207,10 @@ profile-smoke:
 	test -s /tmp/capuchin-smoke.jsonl
 	rm -f /tmp/capuchin-smoke.json /tmp/capuchin-smoke.jsonl
 	$(GO) run ./cmd/capuchin-trace -model resnet50 -batch 400 -mem 8 -system capuchin -iters 2 >/dev/null
+	$(GO) run ./cmd/capuchin-trace -model resnet50 -batch 256 -mem 4 -system capuchin \
+		-schedule batch -iters 12 -tensors conv1:0 >/tmp/capuchin-smoke.tsv
+	test $$(wc -l </tmp/capuchin-smoke.tsv) -gt 1
+	rm -f /tmp/capuchin-smoke.tsv
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train ./cmd/capuchin-trace && \
 	{ $$d/capuchin-train -model resnet50 -batch 4000 -system tf-ori -iters 2 \
 		-events $$d/train.jsonl -prom $$d/train.prom >/dev/null; test $$? -eq 1; } && \

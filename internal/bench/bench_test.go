@@ -8,9 +8,11 @@ import (
 
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
+	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/memory"
 	"capuchin/internal/models"
+	"capuchin/internal/testutil"
 )
 
 // smallDev keeps harness tests fast: a scaled-down P100.
@@ -129,25 +131,30 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestFingerprintsAgreeAcrossSystems(t *testing.T) {
-	// The central oracle at harness level: every system computes the same
-	// training step.
-	ref := Run(RunConfig{Model: "resnet50", Batch: 8, System: SystemTF,
-		Device: hw.P100().WithMemory(64 * hw.GiB), Iterations: 2})
-	if !ref.OK {
-		t.Fatal(ref.Err)
+// referenceGraph builds model's graph at batch for exec.Reference.
+func referenceGraph(t *testing.T, model string, batch int64) *graph.Graph {
+	t.Helper()
+	spec, err := models.Get(model)
+	if err != nil {
+		t.Fatal(err)
 	}
+	g, err := spec.BuildShaped(batch, 0, graph.GraphModeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestFingerprintsAgreeAcrossSystems(t *testing.T) {
+	// The central oracle at harness level: every system computes the
+	// training step exec.Reference computes.
 	for _, sys := range []System{SystemVDNN, SystemSuperNeurons, SystemOpenAIMemory, SystemOpenAISpeed, SystemCapuchin, SystemDTR, SystemChunk} {
 		r := Run(RunConfig{Model: "resnet50", Batch: 8, System: sys, Device: smallDev(), Iterations: 2})
 		if !r.OK {
 			t.Errorf("%s: %v", sys, r.Err)
 			continue
 		}
-		for i := range r.Stats {
-			if r.Stats[i].ParamFingerprint != ref.Stats[i].ParamFingerprint {
-				t.Errorf("%s iter %d: fingerprint diverged from reference", sys, i)
-			}
-		}
+		testutil.MatchesReference(t, string(sys), referenceGraph(t, "resnet50", 8), r.Stats)
 	}
 }
 
@@ -336,16 +343,16 @@ func TestNegativeIterationsFail(t *testing.T) {
 
 func TestExtensionWorkloadsUnderCapuchin(t *testing.T) {
 	// The zoo extensions (unrolled LSTM, MobileNetV2) run under memory
-	// pressure with Capuchin and stay bit-identical to the uncapped run.
+	// pressure with Capuchin and compute what exec.Reference computes.
 	for _, m := range []string{"lstm", "mobilenetv2"} {
-		ref := Run(RunConfig{Model: m, Batch: 16, System: SystemTF,
+		uncapped := Run(RunConfig{Model: m, Batch: 16, System: SystemTF,
 			Device: hw.P100().WithMemory(64 * hw.GiB), Iterations: 2})
-		if !ref.OK {
-			t.Fatalf("%s reference: %v", m, ref.Err)
+		if !uncapped.OK {
+			t.Fatalf("%s uncapped: %v", m, uncapped.Err)
 		}
 		// The pool's high-water mark is the largest per-iteration peak.
 		var peak int64
-		for _, st := range ref.Stats {
+		for _, st := range uncapped.Stats {
 			peak = max(peak, st.PeakBytes)
 		}
 		capMem := peak * 3 / 5
@@ -357,11 +364,7 @@ func TestExtensionWorkloadsUnderCapuchin(t *testing.T) {
 		if !r.OK {
 			t.Fatalf("%s capuchin: %v", m, r.Err)
 		}
-		for i := 0; i < 2; i++ {
-			if r.Stats[i].ParamFingerprint != ref.Stats[i].ParamFingerprint {
-				t.Errorf("%s iter %d: fingerprint diverged", m, i)
-			}
-		}
+		testutil.MatchesReference(t, m, referenceGraph(t, m, 16), r.Stats)
 	}
 }
 

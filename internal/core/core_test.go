@@ -9,15 +9,21 @@ import (
 	"capuchin/internal/ops"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
+	"capuchin/internal/testutil"
 )
 
 // testCNN builds a constant-width conv net: the per-op working set stays
 // near 3 activations (24 MB) while the total footprint of backward-needed
 // feature maps is far larger, leaving Capuchin real room to plan.
-func testCNN(t testing.TB) *graph.Graph {
+func testCNN(t testing.TB) *graph.Graph { return testCNNBatch(t, 8) }
+
+// testCNNBatch is testCNN at any batch size, the shape axis dynamic runs
+// drift along.
+func testCNNBatch(t testing.TB, batch int64) *graph.Graph {
+	t.Helper()
 	b := graph.NewBuilder("testcnn")
-	x := b.Input("data", tensor.Shape{8, 3, 64, 64}, tensor.Float32)
-	labels := b.Input("labels", tensor.Shape{8, 10}, tensor.Float32)
+	x := b.Input("data", tensor.Shape{batch, 3, 64, 64}, tensor.Float32)
+	labels := b.Input("labels", tensor.Shape{batch, 10}, tensor.Float32)
 	h := x
 	for i := 0; i < 6; i++ {
 		w := b.Variable(name2("conv", i)+"_w", tensor.Shape{64, h.Shape[1], 3, 3})
@@ -25,7 +31,7 @@ func testCNN(t testing.TB) *graph.Graph {
 		h = b.Apply1(name2("relu", i), ops.ReLU, h)
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
-	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{8, h.Shape.Elems() / 8}}, h)
+	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{batch, h.Shape.Elems() / batch}}, h)
 	w := b.Variable("fc_w", tensor.Shape{flat.Shape[1], 10})
 	logits := b.Apply1("fc", ops.MatMul{}, flat, w)
 	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)
@@ -46,23 +52,8 @@ func device(mem int64) hw.DeviceSpec {
 	return d
 }
 
-// oracleStats runs the uncapped baseline for n iterations.
-func oracleStats(t testing.TB, n int) []exec.IterStats {
-	t.Helper()
-	s, err := exec.NewSession(testCNN(t), exec.Config{Device: device(4 * hw.GiB)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sts, err := s.Run(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sts
-}
-
 func TestCapuchinGuidedMatchesOracle(t *testing.T) {
 	const iters = 4
-	want := oracleStats(t, iters)
 	cap := New(Options{})
 	s, err := exec.NewSession(testCNN(t), exec.Config{
 		Device:              device(48 * hw.MiB),
@@ -76,14 +67,7 @@ func TestCapuchinGuidedMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sts {
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: parameter fingerprint diverged under Capuchin", i)
-		}
-		if sts[i].LossFingerprint != want[i].LossFingerprint {
-			t.Errorf("iter %d: loss fingerprint diverged under Capuchin", i)
-		}
-	}
+	testutil.MatchesReference(t, "capuchin", testCNN(t), sts)
 	sum := cap.Summary()
 	if !sum.Planned {
 		t.Fatal("no plan was made despite memory pressure")
@@ -175,7 +159,6 @@ func TestCapuchinModes(t *testing.T) {
 }
 
 func TestCapuchinModesMatchOracle(t *testing.T) {
-	want := oracleStats(t, 3)
 	for _, o := range []Options{{SwapOnly: true}, {RecomputeOnly: true}, {DisableFeedback: true}} {
 		c := New(o)
 		s, err := exec.NewSession(testCNN(t), exec.Config{
@@ -190,11 +173,7 @@ func TestCapuchinModesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
 		}
-		for i := range sts {
-			if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-				t.Errorf("%s iter %d: fingerprint diverged", c.Name(), i)
-			}
-		}
+		testutil.MatchesReference(t, c.Name(), testCNN(t), sts)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -11,34 +12,8 @@ import (
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
-	"capuchin/internal/ops"
-	"capuchin/internal/tensor"
+	"capuchin/internal/testutil"
 )
-
-// testCNNBatch is testCNN parameterized by batch size, the shape axis
-// dynamic runs drift along.
-func testCNNBatch(t testing.TB, batch int64) *graph.Graph {
-	t.Helper()
-	b := graph.NewBuilder("testcnn")
-	x := b.Input("data", tensor.Shape{batch, 3, 64, 64}, tensor.Float32)
-	labels := b.Input("labels", tensor.Shape{batch, 10}, tensor.Float32)
-	h := x
-	for i := 0; i < 6; i++ {
-		w := b.Variable(name2("conv", i)+"_w", tensor.Shape{64, h.Shape[1], 3, 3})
-		h = b.Apply1(name2("conv", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1(name2("relu", i), ops.ReLU, h)
-	}
-	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
-	flat := b.Apply1("flatten", ops.Reshape{To: tensor.Shape{batch, h.Shape.Elems() / batch}}, h)
-	w := b.Variable("fc_w", tensor.Shape{flat.Shape[1], 10})
-	logits := b.Apply1("fc", ops.MatMul{}, flat, w)
-	loss := b.Apply1("loss", ops.SoftmaxCrossEntropy{}, logits, labels)
-	g, err := b.Build(loss, graph.GraphModeOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
 
 // phases is a ShapeSchedule stepping through fixed batch phases.
 type phases []int64
@@ -127,16 +102,8 @@ func TestCapuchinDynamicSignatures(t *testing.T) {
 		t.Errorf("b8 measured iterations = %d, want 1 (revisit reused the cached plan)", b8.Measured)
 	}
 
-	// Correctness oracle: the dynamic b8 iterations compute the same
-	// values as an unconstrained static b8 run.
-	oracle, err := exec.NewSession(testCNNBatch(t, 8), exec.Config{Device: device(4 * hw.GiB)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Correctness oracle: the dynamic b8 iterations compute what
+	// exec.Reference gives for the b8 graph.
 	walk := phases{8, 6, 8}
 	var got []exec.IterStats
 	for _, st := range stats {
@@ -144,11 +111,7 @@ func TestCapuchinDynamicSignatures(t *testing.T) {
 			got = append(got, st)
 		}
 	}
-	for i := range got {
-		if got[i].LossFingerprint != want[i].LossFingerprint {
-			t.Errorf("b8 iteration %d: loss fingerprint diverged from oracle", i)
-		}
-	}
+	testutil.MatchesReference(t, "b8", testCNNBatch(t, 8), got)
 }
 
 // normalizedExport decodes a plan export and canonicalizes the two
@@ -386,19 +349,7 @@ func TestPlanCacheAcrossRebuiltGraphs(t *testing.T) {
 		t.Errorf("the cached plan acted differently on the rebuilt graph:\n first visit %v\n revisit     %v", first, revisit)
 	}
 
-	oracle, err := exec.NewSession(testCNNBatch(t, 8), exec.Config{Device: device(4 * hw.GiB)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := oracle.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, v := range []int{0, last} {
-		for i, st := range visits[v] {
-			if st.LossFingerprint != want[i].LossFingerprint || st.ParamFingerprint != want[i].ParamFingerprint {
-				t.Errorf("visit %d iteration %d: fingerprints diverged from the uncapped run", v, i)
-			}
-		}
+		testutil.MatchesReference(t, fmt.Sprintf("visit %d", v), testCNNBatch(t, 8), visits[v])
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"capuchin/internal/graph"
 	"capuchin/internal/ops"
 	"capuchin/internal/sim"
+	"capuchin/internal/tensor"
 )
 
 // StateDigester is the optional interface of a policy whose behaviour in
@@ -119,24 +121,18 @@ func (s *Session) appendBoundary(dst []byte, d StateDigester) ([]byte, error) {
 
 // repeat completes a run whose last iteration boundary repeated the one
 // before: every iteration up to n repeats the last one in stats. Each
-// copy is renumbered and takes its fingerprints from a fingerprint-only
-// replay, executeNode's content rules in node order with no allocator
-// and no streams. repeat leaves the session as simulating the iterations
-// would have: the iteration counter, parameter fingerprints, parameter
-// access counters, the gradient schedule and every stream clock move on
-// by the repeated iterations.
+// copy is renumbered and takes its fingerprints from replayIteration.
+// repeat leaves the session as simulating the iterations would have: the
+// iteration counter, parameter fingerprints, parameter access counters,
+// the gradient schedule and every stream clock move on by the repeated
+// iterations.
 func (s *Session) repeat(stats []IterStats, n int) []IterStats {
 	last := stats[len(stats)-1]
 	m := n - len(stats)
 	for len(stats) < n {
 		s.stats = last
 		s.stats.Iter = s.iter
-		for _, nd := range s.g.Nodes {
-			if _, isVar := nd.Op.(ops.Variable); !isVar {
-				s.fingerprint(nd)
-			}
-		}
-		s.stats.ParamFingerprint = s.paramFingerprint()
+		s.replayIteration()
 		stats = append(stats, s.stats)
 		s.iter++
 	}
@@ -159,4 +155,53 @@ func (s *Session) repeat(stats []IterStats, n int) []IterStats {
 		s.gradEvents[i].At += shift
 	}
 	return stats
+}
+
+// replayIteration applies executeNode's content rule (fingerprint) to
+// every node but the Variables, in node order, and records the loss and
+// parameter fingerprints in s.stats: one iteration's values with no
+// allocator and no streams. repeat and Reference share it.
+func (s *Session) replayIteration() {
+	for _, nd := range s.g.Nodes {
+		if _, isVar := nd.Op.(ops.Variable); !isVar {
+			s.fingerprint(nd)
+		}
+	}
+	s.stats.ParamFingerprint = s.paramFingerprint()
+}
+
+// Reference returns the fingerprints of n training iterations of g from
+// the executor's content rule alone (replayIteration), with no device,
+// allocator or stream, so no graph is too large for it. Swapping and
+// recomputation change when a tensor lives, never what it holds, so
+// every session of g, under any policy, memory cap or fault plan, must
+// report these fingerprints.
+//
+// Reference writes g's tensor fingerprints, so no session may be running
+// g. It seeds the parameters as NewSession does and zeroes every
+// activation's, so a session built on g afterwards reports the IterStats
+// one built on a fresh graph does.
+func Reference(g *graph.Graph, n int) []Fingerprints {
+	g.EnsureIndexed()
+	// fingerprint and paramFingerprint read nothing else.
+	s := &Session{g: g, fpSeeds: make([]uint64, len(g.Nodes))}
+	for _, nd := range g.Nodes {
+		s.fpSeeds[nd.Pos] = tensor.HashSeed(nd.ID)
+	}
+	for _, t := range g.TensorList() {
+		if t.Persistent {
+			t.Fingerprint = tensor.HashSeed(t.ID)
+		}
+	}
+	refs := make([]Fingerprints, n)
+	for i := range refs {
+		s.replayIteration()
+		refs[i] = s.stats.Fingerprints()
+	}
+	for _, t := range g.TensorList() {
+		if !t.Persistent {
+			t.Fingerprint = 0
+		}
+	}
+	return refs
 }

@@ -191,13 +191,14 @@ func TestRunSkipGate(t *testing.T) {
 	}
 }
 
-// TestRepeatFingerprints checks the fingerprint-only replay against real
-// iterations: after one real iteration, repeating K more gives the loss
-// and parameter fingerprint chain K real iterations give, for every zoo
-// model in graph and eager mode, TF-ori on an uncapped device.
+// TestRepeatFingerprints checks the content rule against real
+// iterations, TF-ori on an uncapped device, for every zoo model in graph
+// and eager mode: Reference's n iterations, and a run that repeats n-1
+// after one real iteration, give the fingerprints of n real iterations.
+// The real run is on the graph Reference walked, and its stats must
+// equal a run's on a fresh graph.
 func TestRepeatFingerprints(t *testing.T) {
-	const k = 3
-	type chain [1 + k][2]uint64
+	const n = 4
 	for _, name := range models.Names() {
 		spec, err := models.Get(name)
 		if err != nil {
@@ -209,25 +210,35 @@ func TestRepeatFingerprints(t *testing.T) {
 				if mode == EagerMode {
 					opt = graph.EagerModeOptions()
 				}
-				g, err := spec.BuildShaped(2, 0, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
 				cfg := Config{Device: device(hw.MaxMemory), Mode: mode}
-				var real, replayed chain
-				s, err := NewSession(g, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range real {
-					st, err := s.RunIteration()
+				var ref []Fingerprints
+				run := func(walk bool) ([]IterStats, *Session) {
+					g, err := spec.BuildShaped(2, 0, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					real[i] = [2]uint64{st.LossFingerprint, st.ParamFingerprint}
+					if walk {
+						ref = Reference(g, n)
+					}
+					s, err := NewSession(g, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sts := make([]IterStats, n)
+					for i := range sts {
+						if sts[i], err = s.RunIteration(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					return sts, s
+				}
+				real, _ := run(true)
+				fresh, s := run(false)
+				if !reflect.DeepEqual(real, fresh) {
+					t.Fatalf("stats on the graph Reference walked differ from a fresh graph's:\n%+v\n%+v", real, fresh)
 				}
 				// A new session on the same graph reseeds the parameters.
-				s, err = NewSession(g, cfg)
+				s, err := NewSession(s.g, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,11 +246,12 @@ func TestRepeatFingerprints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, st := range s.repeat([]IterStats{st}, 1+k) {
-					replayed[i] = [2]uint64{st.LossFingerprint, st.ParamFingerprint}
-				}
-				if real != replayed {
-					t.Fatalf("replayed {loss, param} fingerprints %x, real %x", replayed, real)
+				replayed := s.repeat([]IterStats{st}, n)
+				for i, st := range real {
+					if st.Fingerprints() != ref[i] || replayed[i].Fingerprints() != ref[i] {
+						t.Fatalf("iter %d: {loss, param} fingerprints real %x, Reference %x, repeated %x",
+							i, st.Fingerprints(), ref[i], replayed[i].Fingerprints())
+					}
 				}
 				for _, tt := range s.tlist {
 					if !tt.Persistent && tt.Fingerprint != 0 {
@@ -248,6 +260,30 @@ func TestRepeatFingerprints(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReferenceNeedsNoDevice: resnet50 at batch 4096 runs out of memory
+// in its first iteration on a 256 GiB device, and Reference still gives
+// its fingerprints.
+func TestReferenceNeedsNoDevice(t *testing.T) {
+	spec, err := models.Get("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := spec.BuildShaped(4096, 0, graph.GraphModeOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref := Reference(g, 2); len(ref) != 2 || ref[0] == ref[1] || ref[1].Loss == 0 {
+		t.Fatalf("Reference = %x, want two distinct iterations", ref)
+	}
+	s, err := NewSession(g, Config{Device: device(256 * hw.GiB)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunIteration(); !errors.Is(err, ErrIterationOOM) {
+		t.Fatalf("a 256 GiB session: %v, want ErrIterationOOM", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -150,18 +151,16 @@ func randName(rng *rand.Rand, base string) string {
 // execution, never exceeds capacity, and leaks nothing.
 func TestRandomNetworksOracleProperty(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
-		ref, err := NewSession(randomChain(t, seed), Config{Device: device(4 * hw.GiB)})
+		// Capacity: 40% of an uncapped iteration's peak, floored to fit
+		// the largest working set of these small nets.
+		uncapped, err := NewSession(randomChain(t, seed), Config{Device: device(4 * hw.GiB)})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want, err := ref.Run(2)
-		if err != nil {
+		if _, err := uncapped.RunIteration(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-
-		// Capacity: 40% of observed uncapped peak, floored to fit the
-		// largest working set of these small nets.
-		cap := ref.Pool().Peak() * 2 / 5
+		cap := uncapped.Pool().Peak() * 2 / 5
 		if cap < 24*hw.MiB {
 			cap = 24 * hw.MiB
 		}
@@ -189,11 +188,7 @@ func TestRandomNetworksOracleProperty(t *testing.T) {
 			t.Logf("seed %d: capped run failed (%v) — acceptable if the working set exceeds %d", seed, runErr, cap)
 			continue
 		}
-		for i := range got {
-			if got[i].ParamFingerprint != want[i].ParamFingerprint {
-				t.Errorf("seed %d iter %d: fingerprint diverged", seed, i)
-			}
-		}
+		matchesReference(t, fmt.Sprintf("seed %d", seed), randomChain(t, seed), got)
 		if s.Pool().Peak() > cap {
 			t.Errorf("seed %d: peak %d exceeded capacity %d", seed, s.Pool().Peak(), cap)
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"capuchin/internal/graph"
@@ -21,9 +22,9 @@ func testCNN(t *testing.T, opt graph.BuildOptions) *graph.Graph {
 	h := x
 	ch := int64(16)
 	for i := 0; i < 4; i++ {
-		w := b.Variable(named(t, "conv", i, "w"), tensor.Shape{ch * 2, h.Shape[1], 3, 3})
-		h = b.Apply1(named(t, "conv", i, ""), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
-		h = b.Apply1(named(t, "relu", i, ""), ops.ReLU, h)
+		w := b.Variable(fmt.Sprintf("conv%d_w", i), tensor.Shape{ch * 2, h.Shape[1], 3, 3})
+		h = b.Apply1(fmt.Sprintf("conv%d", i), ops.Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}, h, w)
+		h = b.Apply1(fmt.Sprintf("relu%d", i), ops.ReLU, h)
 		ch *= 2
 	}
 	h = b.Apply1("gap", ops.Pool{Kind: ops.AvgPoolKind}, h)
@@ -36,25 +37,6 @@ func testCNN(t *testing.T, opt graph.BuildOptions) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
-}
-
-func named(t *testing.T, base string, i int, suffix string) string {
-	t.Helper()
-	name := base
-	switch i {
-	case 0:
-		name += "0"
-	case 1:
-		name += "1"
-	case 2:
-		name += "2"
-	case 3:
-		name += "3"
-	}
-	if suffix != "" {
-		name += "_" + suffix
-	}
-	return name
 }
 
 // device returns a small test device so memory pressure is reachable.
@@ -165,24 +147,19 @@ func TestOOMWithoutPolicy(t *testing.T) {
 	}
 }
 
-// oracle runs the baseline at ample memory and returns two iterations of
-// fingerprints.
-func oracle(t *testing.T, opt graph.BuildOptions) [2]IterStats {
+// matchesReference fails t unless each iteration in sts, a run of what,
+// reports the loss and parameter fingerprints Reference gives for g, a
+// graph no session is running.
+func matchesReference(t *testing.T, what string, g *graph.Graph, sts []IterStats) {
 	t.Helper()
-	g := testCNN(t, opt)
-	s, err := NewSession(g, Config{Device: device(4 * hw.GiB)})
-	if err != nil {
-		t.Fatal(err)
+	for i, want := range Reference(g, len(sts)) {
+		if got := sts[i].Fingerprints(); got != want {
+			t.Errorf("%s iter %d: {loss, param} fingerprints %x, Reference %x", what, i, got, want)
+		}
 	}
-	sts, err := s.Run(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return [2]IterStats{sts[0], sts[1]}
 }
 
 func TestPassiveModeMatchesOracle(t *testing.T) {
-	want := oracle(t, graph.GraphModeOptions())
 	g := testCNN(t, graph.GraphModeOptions())
 	// Capacity chosen to force passive eviction but allow completion.
 	s, err := NewSession(g, Config{Device: device(128 * hw.MiB), Policy: lruPolicy{}})
@@ -196,16 +173,17 @@ func TestPassiveModeMatchesOracle(t *testing.T) {
 	if sts[0].PassiveEvicts == 0 {
 		t.Fatal("expected passive evictions under 128 MiB")
 	}
-	for i := range sts {
-		if sts[i].LossFingerprint != want[i].LossFingerprint {
-			t.Errorf("iter %d: loss fingerprint diverged under memory pressure", i)
-		}
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: param fingerprint diverged under memory pressure", i)
-		}
-	}
+	matchesReference(t, "passive eviction", testCNN(t, graph.GraphModeOptions()), sts)
 	// Memory pressure costs time.
-	if sts[0].Duration <= want[0].Duration {
+	uncapped, err := NewSession(testCNN(t, graph.GraphModeOptions()), Config{Device: device(4 * hw.GiB)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := uncapped.RunIteration()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sts[0].Duration <= base.Duration {
 		t.Error("passive swapping should be slower than uncapped execution")
 	}
 	if s.Pool().Peak() > 128*hw.MiB {
@@ -233,7 +211,6 @@ func (swapAllPolicy) OnOOM(need int64, env *Env) ([]*tensor.Tensor, bool) {
 }
 
 func TestProactiveSwapMatchesOracle(t *testing.T) {
-	want := oracle(t, graph.GraphModeOptions())
 	g := testCNN(t, graph.GraphModeOptions())
 	s, err := NewSession(g, Config{Device: device(112 * hw.MiB), Policy: swapAllPolicy{}})
 	if err != nil {
@@ -249,11 +226,7 @@ func TestProactiveSwapMatchesOracle(t *testing.T) {
 	if sts[0].OnDemandInCount == 0 {
 		t.Fatal("expected on-demand swap-ins at back-accesses")
 	}
-	for i := range sts {
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: fingerprint diverged with swapping", i)
-		}
-	}
+	matchesReference(t, "proactive swapping", testCNN(t, graph.GraphModeOptions()), sts)
 }
 
 // recomputePolicy releases ReLU outputs after their forward use; backward
@@ -277,7 +250,6 @@ func (recomputePolicy) OnOOM(need int64, env *Env) ([]*tensor.Tensor, bool) {
 }
 
 func TestRecomputeMatchesOracle(t *testing.T) {
-	want := oracle(t, graph.GraphModeOptions())
 	g := testCNN(t, graph.GraphModeOptions())
 	s, err := NewSession(g, Config{Device: device(128 * hw.MiB), Policy: recomputePolicy{}})
 	if err != nil {
@@ -290,11 +262,7 @@ func TestRecomputeMatchesOracle(t *testing.T) {
 	if sts[0].RecomputeCount == 0 {
 		t.Fatal("no recomputations recorded")
 	}
-	for i := range sts {
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: fingerprint diverged with recomputation", i)
-		}
-	}
+	matchesReference(t, "recomputation", testCNN(t, graph.GraphModeOptions()), sts)
 }
 
 func TestCollectiveRecomputeReducesReplays(t *testing.T) {
@@ -423,7 +391,6 @@ func TestSwapInAsyncPrefetchPath(t *testing.T) {
 	// Drive Env.SwapOutAsync + SwapInAsync manually through a scripted
 	// policy: evict conv outputs after forward, prefetch at a fixed later
 	// access, and verify PrefetchCount and correctness.
-	want := oracle(t, graph.GraphModeOptions())
 	p := &scriptedPrefetch{}
 	g := testCNN(t, graph.GraphModeOptions())
 	s, err := NewSession(g, Config{Device: device(96 * hw.MiB), Policy: p})
@@ -440,9 +407,7 @@ func TestSwapInAsyncPrefetchPath(t *testing.T) {
 	if st.PrefetchCount == 0 {
 		t.Fatal("scripted policy did not prefetch")
 	}
-	if st.ParamFingerprint != want[0].ParamFingerprint {
-		t.Error("fingerprint diverged with prefetching")
-	}
+	matchesReference(t, "prefetching", testCNN(t, graph.GraphModeOptions()), []IterStats{st})
 }
 
 // scriptedPrefetch swaps out relu outputs at their forward read and

@@ -284,8 +284,8 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 // derives from the node's seed, the output index and the input
 // fingerprints, and an ApplyGradient folds the gradient into its weight's
 // chain in place. It records the loss fingerprint when n produces the
-// loss. executeNode and the fingerprint-only replay of a repeated
-// iteration (repeat) share it.
+// loss. executeNode and replayIteration share it. It reads only the
+// graph, fpSeeds, scFPs and stats, all that Reference's session holds.
 func (s *Session) fingerprint(n *graph.Node) {
 	inFPs := s.scFPs[:0]
 	for _, in := range n.Inputs {

@@ -71,6 +71,15 @@ type IterStats struct {
 	ParamFingerprint uint64
 }
 
+// Fingerprints are one iteration's correctness-oracle values.
+type Fingerprints struct{ Loss, Param uint64 }
+
+// Fingerprints returns the iteration's correctness-oracle values, the
+// ones Reference computes.
+func (st IterStats) Fingerprints() Fingerprints {
+	return Fingerprints{Loss: st.LossFingerprint, Param: st.ParamFingerprint}
+}
+
 // Throughput reports training speed in samples per second for the given
 // batch size.
 func (st IterStats) Throughput(batch int64) float64 {

@@ -1,11 +1,11 @@
 // Package conformance is the cross-policy oracle: every registered policy,
-// whatever it does to tensor placement, must compute the same training
-// step as the no-management baseline and respect the executor's residency
-// contract. The harness runs a policy over a scenario (model × memory cap
-// × fault plan) and checks three invariants per iteration:
+// whatever it does to tensor placement, must compute the training step
+// exec.Reference computes and respect the executor's residency contract.
+// The harness runs a policy over a scenario (model × memory cap × fault
+// plan) and checks three invariants per iteration:
 //
-//  1. Fingerprint oracle: parameter and loss fingerprints match a
-//     fault-free, uncapped baseline run of the same graph.
+//  1. Fingerprint oracle: parameter and loss fingerprints match
+//     exec.Reference, the graph's computation with no device at all.
 //  2. Residency order: the session's residency invariant (pool bytes,
 //     status machine, LRU bookkeeping) holds at every iteration boundary.
 //  3. Access residency: no tensor is both evicted and accessed in the same
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"capuchin/internal/bench"
 	"capuchin/internal/exec"
 	"capuchin/internal/fault"
 	"capuchin/internal/graph"
@@ -113,34 +112,13 @@ func wrap(p exec.Policy) (exec.Policy, *checker) {
 	return c, c
 }
 
-// referenceMemory is the uncapped baseline's device memory.
-const referenceMemory = 256 * hw.GiB
-
 // buildGraph builds the scenario's graph; each is used by one session.
 func buildGraph(sc Scenario) (*graph.Graph, error) {
 	spec, err := models.Get(sc.Model)
 	if err != nil {
 		return nil, err
 	}
-	var oneShot *bench.Templates // nil: the graph is built
-	return oneShot.Graph(spec, exec.GraphMode, sc.Batch, 0)
-}
-
-// Reference runs the fault-free, uncapped baseline and returns its
-// per-iteration stats — the oracle every policy is compared against.
-func Reference(sc Scenario) ([]exec.IterStats, error) {
-	g, err := buildGraph(sc)
-	if err != nil {
-		return nil, err
-	}
-	s, err := exec.NewSession(g, exec.Config{
-		Device: hw.P100().WithMemory(referenceMemory),
-		Policy: exec.NullPolicy{},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(iterations(sc))
+	return spec.BuildShaped(sc.Batch, 0, graph.GraphModeOptions())
 }
 
 func iterations(sc Scenario) int {
@@ -150,16 +128,18 @@ func iterations(sc Scenario) int {
 	return sc.Iterations
 }
 
-// Check runs one registered policy over the scenario against the given
-// reference stats. The returned error reports harness problems (unknown
-// policy or model, session construction failure), not contract breaches —
-// those land in Result.Violations.
-func Check(policyName string, sc Scenario, ref []exec.IterStats) (Result, error) {
+// Check runs one registered policy over the scenario against the
+// scenario graph's exec.Reference. The returned error reports harness
+// problems (unknown policy or model, session construction failure), not
+// contract breaches — those land in Result.Violations.
+func Check(policyName string, sc Scenario) (Result, error) {
 	res := Result{Policy: policyName, Scenario: sc.Name}
 	g, err := buildGraph(sc)
 	if err != nil {
 		return res, err
 	}
+	n := iterations(sc)
+	ref := exec.Reference(g, n)
 	ec := exec.Config{Device: hw.P100().WithMemory(sc.Memory), Faults: sc.Faults}
 	if err := ec.UsePolicy(policyName, g); err != nil {
 		return res, fmt.Errorf("conformance: %w", err)
@@ -170,7 +150,6 @@ func Check(policyName string, sc Scenario, ref []exec.IterStats) (Result, error)
 	if err != nil {
 		return res, err
 	}
-	n := iterations(sc)
 	for i := 0; i < n; i++ {
 		st, err := s.RunIteration()
 		if err != nil {
@@ -190,13 +169,11 @@ func Check(policyName string, sc Scenario, ref []exec.IterStats) (Result, error)
 		if ierr := s.CheckResidencyInvariant(); ierr != nil {
 			res.Violations = append(res.Violations, fmt.Sprintf("iter %d: residency invariant: %v", i, ierr))
 		}
-		if i < len(ref) {
-			if st.ParamFingerprint != ref[i].ParamFingerprint {
-				res.Violations = append(res.Violations, fmt.Sprintf("iter %d: parameter fingerprint diverged from baseline", i))
-			}
-			if st.LossFingerprint != ref[i].LossFingerprint {
-				res.Violations = append(res.Violations, fmt.Sprintf("iter %d: loss fingerprint diverged from baseline", i))
-			}
+		if st.ParamFingerprint != ref[i].Param {
+			res.Violations = append(res.Violations, fmt.Sprintf("iter %d: parameter fingerprint diverged from exec.Reference", i))
+		}
+		if st.LossFingerprint != ref[i].Loss {
+			res.Violations = append(res.Violations, fmt.Sprintf("iter %d: loss fingerprint diverged from exec.Reference", i))
 		}
 	}
 	res.Violations = append(res.Violations, ck.violations...)

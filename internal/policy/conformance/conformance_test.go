@@ -58,8 +58,8 @@ var knownAccessGaps = map[string]bool{
 }
 
 // TestEveryPolicyConforms is the cross-policy oracle of the arena: every
-// registered policy × every scenario must either compute the exact same
-// training step as the uncapped baseline or fail with an acceptable OOM —
+// registered policy × every scenario must either compute the training
+// step exec.Reference computes or fail with an acceptable OOM —
 // never diverge, never break residency, never see a non-resident access
 // (outside knownAccessGaps).
 func TestEveryPolicyConforms(t *testing.T) {
@@ -68,14 +68,10 @@ func TestEveryPolicyConforms(t *testing.T) {
 		t.Fatalf("only %d policies registered: %v", len(policies), policies)
 	}
 	for _, sc := range scenarios() {
-		ref, err := Reference(sc)
-		if err != nil {
-			t.Fatalf("%s: reference run: %v", sc.Name, err)
-		}
 		for _, pol := range policies {
 			cell := sc.Name + "/" + pol
 			t.Run(cell, func(t *testing.T) {
-				res, err := Check(pol, sc, ref)
+				res, err := Check(pol, sc)
 				if err != nil {
 					t.Fatal(err)
 				}

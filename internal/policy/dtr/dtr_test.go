@@ -35,19 +35,11 @@ func tightRun(t *testing.T, mem int64, iters int) (*Policy, []exec.IterStats) {
 }
 
 func TestDTRMatchesOracle(t *testing.T) {
-	want := testutil.Oracle(t, func() *graph.Graph { return build(t) }, 2)
 	p, sts := tightRun(t, 72*hw.MiB, 2)
 	if p.Evictions() == 0 {
 		t.Fatal("no evictions at 72 MiB; the run exercised nothing")
 	}
-	for i := range sts {
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: fingerprint diverged under dtr", i)
-		}
-		if sts[i].LossFingerprint != want[i].LossFingerprint {
-			t.Errorf("iter %d: loss fingerprint diverged under dtr", i)
-		}
-	}
+	testutil.MatchesReference(t, "dtr", build(t), sts)
 }
 
 // TestDTRVictimIsMaximalH is the eviction-choice property: every audited

@@ -37,7 +37,6 @@ func TestScheduleTargets(t *testing.T) {
 }
 
 func TestVDNNMatchesOracle(t *testing.T) {
-	want := testutil.Oracle(t, func() *graph.Graph { return build(t) }, 2)
 	g := build(t)
 	s, err := exec.NewSession(g, exec.Config{
 		Device:      testutil.Device(56 * hw.MiB),
@@ -57,11 +56,7 @@ func TestVDNNMatchesOracle(t *testing.T) {
 	if sts[0].PrefetchCount == 0 {
 		t.Fatal("vDNN prefetched nothing")
 	}
-	for i := range sts {
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: fingerprint diverged under vDNN", i)
-		}
-	}
+	testutil.MatchesReference(t, "vdnn", build(t), sts)
 }
 
 func TestVDNNFailsOnInsufficientStaticPlan(t *testing.T) {
@@ -112,7 +107,6 @@ func TestVDNNCoupledSyncOverhead(t *testing.T) {
 }
 
 func TestVDNNAllModeMatchesOracle(t *testing.T) {
-	want := testutil.Oracle(t, func() *graph.Graph { return build(t) }, 2)
 	g := build(t)
 	s, err := exec.NewSession(g, exec.Config{
 		Device:      testutil.Device(56 * hw.MiB),
@@ -129,11 +123,7 @@ func TestVDNNAllModeMatchesOracle(t *testing.T) {
 	if sts[0].SwapOutCount == 0 {
 		t.Fatal("vDNN-all swapped nothing")
 	}
-	for i := range sts {
-		if sts[i].ParamFingerprint != want[i].ParamFingerprint {
-			t.Errorf("iter %d: fingerprint diverged under vDNN-all", i)
-		}
-	}
+	testutil.MatchesReference(t, "vdnn-all", build(t), sts)
 }
 
 func TestVDNNIgnoresConvFreeNetwork(t *testing.T) {

@@ -47,18 +47,16 @@ func Device(mem int64) hw.DeviceSpec {
 	return d
 }
 
-// Oracle runs the uncapped baseline for n iterations and returns stats.
-func Oracle(tb testing.TB, build func() *graph.Graph, n int) []exec.IterStats {
+// MatchesReference fails tb unless each iteration in sts, a run of what,
+// reports the loss and parameter fingerprints exec.Reference gives for
+// g, a graph no session is running.
+func MatchesReference(tb testing.TB, what string, g *graph.Graph, sts []exec.IterStats) {
 	tb.Helper()
-	s, err := exec.NewSession(build(), exec.Config{Device: Device(8 * hw.GiB)})
-	if err != nil {
-		tb.Fatal(err)
+	for i, want := range exec.Reference(g, len(sts)) {
+		if got := sts[i].Fingerprints(); got != want {
+			tb.Errorf("%s iter %d: {loss, param} fingerprints %x, exec.Reference %x", what, i, got, want)
+		}
 	}
-	sts, err := s.Run(n)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return sts
 }
 
 // ResidualCNN builds a small ResNet-ish graph: a stem convolution and two

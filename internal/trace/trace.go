@@ -52,12 +52,23 @@ func NewRecorder(inner exec.Policy, filter func(exec.Access) bool) *Recorder {
 }
 
 // Policy returns the policy a session should run: the Recorder, with
-// the inner policy's exec.OOMHandler hook forwarded when it has one, so
-// recording never demotes a handler policy (h-DTR) to the passive OnOOM
-// path.
+// the inner policy's exec.OOMHandler and exec.Replanner hooks forwarded
+// when it has them, so recording neither demotes a handler policy
+// (h-DTR) to the passive OnOOM path nor stops a dynamic session from
+// re-planning Capuchin.
 func (r *Recorder) Policy() exec.Policy {
-	if h, ok := r.Inner.(exec.OOMHandler); ok {
+	h, handles := r.Inner.(exec.OOMHandler)
+	rp, replans := r.Inner.(exec.Replanner)
+	switch {
+	case handles && replans:
+		return struct {
+			replanRecorder
+			exec.OOMHandler
+		}{replanRecorder{r, replanner{rp}}, h}
+	case handles:
 		return handlerRecorder{r, h}
+	case replans:
+		return replanRecorder{r, replanner{rp}}
 	}
 	return r
 }
@@ -68,6 +79,17 @@ type handlerRecorder struct {
 	*Recorder
 	exec.OOMHandler
 }
+
+// replanRecorder is a Recorder that forwards its inner policy's
+// exec.Replanner hooks. The Replanner sits one embedding level below the
+// Recorder, so the Recorder's exec.Policy methods win and only the
+// re-planning methods are promoted.
+type replanRecorder struct {
+	*Recorder
+	replanner
+}
+
+type replanner struct{ exec.Replanner }
 
 // Name implements exec.Policy.
 func (r *Recorder) Name() string { return r.Inner.Name() + "+trace" }

@@ -2,12 +2,14 @@ package trace
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"capuchin/internal/exec"
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
+	"capuchin/internal/models"
 	"capuchin/internal/sim"
 	"capuchin/internal/testutil"
 )
@@ -120,5 +122,50 @@ func TestWriteSpansTSV(t *testing.T) {
 	}
 	if got := strings.Count(out, "\n"); got != 3 {
 		t.Errorf("TSV has %d lines, want 3", got)
+	}
+}
+
+// TestRecorderKeepsDynamicReplanning: recording a dynamic Capuchin run
+// changes none of its stats. A Recorder that hid exec.Replanner kept the
+// run from re-planning on shape switches.
+func TestRecorderKeepsDynamicReplanning(t *testing.T) {
+	spec, err := models.Get("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(record bool) ([]exec.IterStats, exec.DynamicStats) {
+		sched, err := models.NewSchedule(models.ScheduleBatch, spec, 256, 1, 0)
+		ec := exec.Config{Device: hw.P100().WithMemory(4 * hw.GiB)}
+		if err == nil {
+			err = ec.UsePolicy("capuchin", nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if record {
+			ec.Policy = NewRecorder(ec.Policy, nil).Policy()
+		}
+		d, err := exec.NewDynamicSession(exec.DynamicConfig{Base: ec, Schedule: sched,
+			Build: func(b, seq int64) (*graph.Graph, error) {
+				return spec.BuildShaped(b, seq, graph.GraphModeOptions())
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts, err := d.Run(12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sts, d.Stats()
+	}
+	plain, plainDyn := run(false)
+	recorded, recordedDyn := run(true)
+	if plainDyn.Replans == 0 || recordedDyn != plainDyn {
+		t.Errorf("DynamicStats with the Recorder %+v, without %+v (want replans)", recordedDyn, plainDyn)
+	}
+	for i := range plain {
+		if !reflect.DeepEqual(recorded[i], plain[i]) {
+			t.Fatalf("iteration %d with the Recorder: %+v\nwithout: %+v", i, recorded[i], plain[i])
+		}
 	}
 }
