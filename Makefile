@@ -195,7 +195,10 @@ serve-smoke:
 # really selects Capuchin (tf-ori runs out of memory there), the dynamic
 # access-TSV mode (a -schedule run must write more than the header), and a
 # run that OOMs in capuchin-train and in capuchin-trace: each must exit
-# 1 only after writing its exports, whose JSONL holds the oom instant. Like
+# 1 only after writing its exports, whose JSONL holds the oom instant. A
+# Capuchin capuchin-train run that settles and skips its repeated
+# iterations must print byte for byte what the same run traced by
+# -events prints, which simulates every iteration. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
 # run must pass, and five invalid settings must fail before running (the
 # -spans one must also print nothing to stdout).
@@ -219,6 +222,11 @@ profile-smoke:
 		-events $$d/trace.jsonl >/dev/null 2>&1; test $$? -eq 1; } && \
 	grep -q '"name":"oom"' $$d/trace.jsonl && rm -rf $$d || \
 	{ echo "profile-smoke: a failed run must write its exports, with the oom instant, and exit 1"; exit 1; }
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train && \
+	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 >$$d/skip.txt && \
+	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events /dev/null >$$d/traced.txt && \
+	cmp $$d/skip.txt $$d/traced.txt && rm -rf $$d || \
+	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints"; exit 1; }
 	if $(GO) run ./cmd/capuchin-train -mem -3 >/dev/null 2>&1; then \
 		echo "profile-smoke: capuchin-train ran with -mem -3"; exit 1; fi
 	if $(GO) run ./cmd/capuchin-bench -exp table2 -quick -mem 9000000000 >/dev/null 2>&1; then \

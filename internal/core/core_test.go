@@ -475,16 +475,3 @@ func TestFeedbackAdjustsTrigger(t *testing.T) {
 			withFA[last].Duration, withoutFA[last].Duration)
 	}
 }
-
-// TestCapuchinNeverSkips pins that Capuchin does not digest its state,
-// so Session.Run never stops simulating a Capuchin run early. The
-// benchmark's train workload times 400 real guided iterations of
-// Capuchin through bench.Run, and ROADMAP item 3(c) requires that they
-// keep running: its feedback loop moves in-triggers in guided
-// iterations, so its state is not static.
-func TestCapuchinNeverSkips(t *testing.T) {
-	var p exec.Policy = New(Options{})
-	if _, ok := p.(exec.StateDigester); ok {
-		t.Fatal("*core.Capuchin implements exec.StateDigester: Run would skip the train workload's guided iterations")
-	}
-}

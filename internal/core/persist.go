@@ -199,6 +199,7 @@ func compile(dto *planDTO, g *graph.Graph) (*plan, error) {
 			nextTrig: -1,
 		}
 		p.swaps[idx] = sp
+		p.swapList = append(p.swapList, sp)
 		p.registerTrigger(sp)
 		p.numSwap++
 		p.coveredSwap += sp.size

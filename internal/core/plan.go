@@ -70,6 +70,9 @@ type plan struct {
 	// tracker).
 	swaps []*swapPlan
 	sizes []int64
+	// swapList holds the non-nil swaps, in a fixed order, for the state
+	// digest.
+	swapList []*swapPlan
 
 	required      int64
 	coveredSwap   int64
@@ -413,6 +416,7 @@ func (pl *planner) scheduleTriggers(p *plan) {
 		sp.triggerIdx = pl.chooseInTrigger(p, sp, starts[i])
 		p.registerTrigger(sp)
 	}
+	p.swapList = plans
 }
 
 // identifyCandidates applies the paper's two conditions: more than one

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
@@ -61,21 +62,31 @@ func resultDiff(got, want bench.Result) string {
 	return ""
 }
 
-// skips reports whether a fitting cell of cfg's system skips from its
-// second iteration: the static policies digest their state, and in graph
-// mode every iteration boundary of theirs is the same.
-func skips(cfg bench.RunConfig) bool {
+// simulates returns the fewest and the most iterations an untraced run
+// of cfg that completes n may simulate. Only a graph-mode run that
+// nothing observes may skip. The static policies' boundaries then all
+// repeat, so they simulate one iteration. Capuchin's repeat once its
+// guided schedule settles, which is never before the second boundary:
+// the first holds the measured iteration still pending.
+func simulates(cfg bench.RunConfig, n int64) (lo, hi int64) {
+	if cfg.Mode != exec.GraphMode || cfg.Schedule != "" || cfg.Devices > 1 || cfg.Faults.Enabled() || cfg.RecordSpans {
+		return n, n
+	}
 	switch cfg.System {
 	case bench.SystemTF, bench.SystemVDNN, "vdnn-all", bench.SystemOpenAIMemory, bench.SystemOpenAISpeed:
-		return cfg.Mode == exec.GraphMode && cfg.Schedule == "" && cfg.Devices <= 1 && !cfg.Faults.Enabled() && !cfg.RecordSpans
+		return min(n, 1), min(n, 1)
+	case bench.SystemCapuchin, bench.SystemCapuchinSwap, bench.SystemCapuchinSwapNoFA,
+		bench.SystemCapuchinRecompute, bench.SystemCapuchinRecompNoCR:
+		return min(n, 2), n
 	}
-	return false
+	return n, n
 }
 
 // checkCells runs every cell untraced, where Run may skip, and with a
 // discarding tracer, where it may not, and requires the two results to
-// be equal field for field and every failure to be an OOM. A cell that skips must simulate exactly one
-// iteration and every other cell all of its iterations. It returns the
+// be equal field for field and every failure to be an OOM. A fitting
+// cell must simulate as many iterations as simulates allows, and a
+// failing one all of its iterations. It returns the
 // iterations the untraced runs simulated and the iterations their stats
 // hold.
 func checkCells(t *testing.T, cells []bench.RunConfig) (simulated, iterations int64) {
@@ -95,12 +106,12 @@ func checkCells(t *testing.T, cells []bench.RunConfig) (simulated, iterations in
 		if !got.OK && !errors.Is(got.Err, exec.ErrIterationOOM) {
 			t.Errorf("%s: failed without OOM: %v", name, got.Err)
 		}
-		wantSim := int64(len(got.Stats))
-		if got.OK && skips(c) && wantSim > 1 {
-			wantSim = 1
+		lo, hi := int64(len(got.Stats)), int64(len(got.Stats))
+		if got.OK {
+			lo, hi = simulates(c, hi)
 		}
-		if c.Devices <= 1 && c.Schedule == "" && n != wantSim {
-			t.Errorf("%s: simulated %d of %d iterations, want %d", name, n, len(got.Stats), wantSim)
+		if c.Devices <= 1 && c.Schedule == "" && (n < lo || n > hi) {
+			t.Errorf("%s: simulated %d of %d iterations, want %d to %d", name, n, len(got.Stats), lo, hi)
 		}
 		simulated += n
 		iterations += int64(len(got.Stats))
@@ -111,9 +122,9 @@ func checkCells(t *testing.T, cells []bench.RunConfig) (simulated, iterations in
 // TestRunSkipMatchesTracedSweep is the iteration skip's differential
 // proof on the benchmark's max-batch sweep: the Table 2 searches of six
 // models and four systems on a 16 GiB P100, 410 probe cells. Every cell
-// must give the same result with and without a tracer, and every
-// fitting TF-ori, vDNN and OpenAI-M probe must simulate one iteration of
-// its three.
+// must give the same result with and without a tracer, every fitting
+// TF-ori, vDNN and OpenAI-M probe must simulate one iteration of its
+// three, and a fitting Capuchin probe two or three.
 func TestRunSkipMatchesTracedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full Table 2 max-batch sweep")
@@ -128,9 +139,10 @@ func TestRunSkipMatchesTracedSweep(t *testing.T) {
 	cells := sweepCells(2, func(r *bench.Runner) { r.MaxBatchAll(searches) })
 	simulated, iterations := checkCells(t, cells)
 	// Without the skip every iteration simulates: 1,028. 208 fitting
-	// static-policy probes each skip two.
-	if len(cells) != 410 || simulated != 612 || iterations != 1028 {
-		t.Errorf("%d probe cells simulated %d of %d iterations, want 410 cells simulating 612 of 1028",
+	// static-policy probes each skip two, and 44 fitting Capuchin probes
+	// their third.
+	if len(cells) != 410 || simulated != 568 || iterations != 1028 {
+		t.Errorf("%d probe cells simulated %d of %d iterations, want 410 cells simulating 568 of 1028",
 			len(cells), simulated, iterations)
 	}
 }
@@ -154,5 +166,80 @@ func TestRunSkipMatchesTracedGoldens(t *testing.T) {
 		}
 	})
 	simulated, iterations := checkCells(t, cells)
-	t.Logf("%d golden cells: %d iterations simulated of %d", len(cells), simulated, iterations)
+	if len(cells) != 371 || simulated != 660 || iterations != 901 {
+		t.Errorf("%d golden cells simulated %d of %d iterations, want 371 cells simulating 660 of 901",
+			len(cells), simulated, iterations)
+	}
+}
+
+// TestRunSkipMatchesTracedTrain is the differential proof for Capuchin on
+// the benchmark's train workload: its five 400-iteration runs on a 16 GiB
+// P100, from no to heavy memory pressure, then the swap-only and
+// recompute-only variants and the system without feedback. Each
+// untraced run must equal its traced run, plan and feedback adjustments
+// included, and simulate the pinned number of iterations: a run stops
+// simulating once its guided schedule settles.
+func TestRunSkipMatchesTracedTrain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 400-iteration Capuchin cells")
+	}
+	// Every run here is sequential, so the race detector has nothing to
+	// check, and it would make this the slowest test of make race.
+	if raceDetector {
+		t.Skip("single-goroutine; 50 s under the race detector")
+	}
+	cells := []struct {
+		model     string
+		batch     int64
+		system    bench.System
+		simulated int64
+	}{
+		// The train workload. resnet50/b160 plans nothing and repeats
+		// from its first guided iteration; feedback settles vgg16/b300,
+		// resnet50/b512 and bert/b128 later, and inceptionv3/b400 never
+		// within 400 iterations.
+		{"resnet50", 160, bench.SystemCapuchin, 2},
+		{"vgg16", 300, bench.SystemCapuchin, 41},
+		{"resnet50", 512, bench.SystemCapuchin, 329},
+		{"inceptionv3", 400, bench.SystemCapuchin, 400},
+		{"bert", 128, bench.SystemCapuchin, 81},
+		{"bert", 128, bench.SystemCapuchinSwap, 131},
+		// A recompute-only plan has no in-trigger for feedback to move.
+		{"resnet50", 512, bench.SystemCapuchinRecompute, 2},
+	}
+	var train int64
+	for i, c := range cells {
+		cfg := bench.RunConfig{Model: c.model, Batch: c.batch, System: c.system, Device: hw.P100(), Iterations: 400}
+		before := exec.IterationsSimulated()
+		got := bench.Run(cfg)
+		n := exec.IterationsSimulated() - before
+		want := bench.RunTraced(cfg, discard{})
+		name := fmt.Sprintf("%s/b%d/%s", c.model, c.batch, c.system)
+		if d := resultDiff(got, want); d != "" {
+			t.Errorf("%s: skipping run differs from the traced run: %s", name, d)
+		}
+		if n != c.simulated {
+			t.Errorf("%s: simulated %d of 400 iterations, want %d", name, n, c.simulated)
+		}
+		if i < 5 {
+			train += n
+		}
+	}
+	if train != 853 {
+		t.Errorf("the train workload's cells simulated %d of 2000 iterations, want 853", train)
+	}
+
+	// Without feedback the in-triggers never move, so the run repeats
+	// from its first guided iteration.
+	run := func(tr obs.Tracer) ([]exec.IterStats, core.PlanSummary, int64) {
+		return runCapuchin(t, "resnet50", 512, core.New(core.Options{DisableFeedback: true}), tr, 400)
+	}
+	got, gotPlan, n := run(nil)
+	want, wantPlan, _ := run(discard{})
+	if !reflect.DeepEqual(got, want) || gotPlan != wantPlan {
+		t.Errorf("resnet50/b512 without feedback: skipping run differs from the traced run")
+	}
+	if n != 2 {
+		t.Errorf("resnet50/b512 without feedback: simulated %d of 400 iterations, want 2", n)
+	}
 }
