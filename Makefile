@@ -198,7 +198,10 @@ serve-smoke:
 # 1 only after writing its exports, whose JSONL holds the oom instant. A
 # Capuchin capuchin-train run that settles and skips its repeated
 # iterations must print byte for byte what the same run traced by
-# -events prints, which simulates every iteration. Like
+# -events prints, which simulates every iteration. The faulted
+# two-replica Capuchin run's -prom counters must equal the counts of
+# their decisions in its -events log, since the metrics are folded
+# from that log (comm-defer, passive-evict, swap-out). Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
 # run must pass, and five invalid settings must fail before running (the
 # -spans one must also print nothing to stdout).
@@ -227,6 +230,15 @@ profile-smoke:
 	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events /dev/null >$$d/traced.txt && \
 	cmp $$d/skip.txt $$d/traced.txt && rm -rf $$d || \
 	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints"; exit 1; }
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-trace && \
+	$$d/capuchin-trace -model resnet50 -batch 64 -mem 1.5 -system capuchin -devices 2 -iters 3 \
+		-faults seed=7,transfer=0.2,retries=2 -prom $$d/run.prom -events $$d/run.jsonl >/dev/null && \
+	for pair in comm_defer:comm-defer evict_passive:passive-evict swap_out:swap-out; do \
+		c=$$(awk -v k=capuchin_$${pair%%:*}_total '$$1 == k {print $$2}' $$d/run.prom); \
+		n=$$(grep -c "\"action\":\"$${pair#*:}\"" $$d/run.jsonl); \
+		echo "profile-smoke: capuchin_$${pair%%:*}_total $$c, $$n $${pair#*:} decisions"; \
+		test "$$c" = "$$n" || exit 1; \
+	done && rm -rf $$d
 	if $(GO) run ./cmd/capuchin-train -mem -3 >/dev/null 2>&1; then \
 		echo "profile-smoke: capuchin-train ran with -mem -3"; exit 1; fi
 	if $(GO) run ./cmd/capuchin-bench -exp table2 -quick -mem 9000000000 >/dev/null 2>&1; then \

@@ -156,7 +156,7 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 // systems there (TF-ori and the Capuchin variants, which re-key their
 // plan per signature). extra, when non-nil, receives the run's live
 // event stream alongside whatever Profile wires up (the RunTraced path).
-func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *obs.Collector, *obs.Metrics, error) {
+func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *obs.Collector, error) {
 	ec := exec.Config{
 		Device:      cfg.Device,
 		Mode:        cfg.Mode,
@@ -166,20 +166,17 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 		Faults:      cfg.Faults,
 	}
 	var col *obs.Collector
-	var met *obs.Metrics
 	if cfg.Profile {
 		col = obs.NewCollector()
-		met = obs.NewMetrics()
 		ec.Tracer = obs.Tee(col, extra)
-		ec.Metrics = met
 	} else if extra != nil {
 		ec.Tracer = extra
 	}
 	if err := ec.UsePolicy(string(cfg.System), g); err != nil {
-		return ec, nil, nil, fmt.Errorf("bench: %w", err)
+		return ec, nil, fmt.Errorf("bench: %w", err)
 	}
 	ec.CoupledSwap = ec.CoupledSwap || cfg.ForceCoupledSwap
-	return ec, col, met, nil
+	return ec, col, nil
 }
 
 // Run executes one configuration.
@@ -248,7 +245,7 @@ func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session,
 // from spare (nil builds a new one). It returns that session, or spare
 // when building the session failed.
 func simulate(cfg RunConfig, res Result, g *graph.Graph, spare *exec.Session, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
-	ec, col, met, err := execConfig(cfg, g, extra)
+	ec, col, err := execConfig(cfg, g, extra)
 	if err != nil {
 		res.Err = err
 		return res, spare, nil
@@ -261,7 +258,7 @@ func simulate(cfg RunConfig, res Result, g *graph.Graph, spare *exec.Session, ex
 	stats, err := s.Run(cfg.Iterations)
 	res.Stats = stats
 	if col != nil {
-		res.Profile = newProfileReport(col, met)
+		res.Profile = newProfileReport(col)
 	}
 	if err != nil {
 		res.Err = err

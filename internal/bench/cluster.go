@@ -39,10 +39,8 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 		ts = NewTemplates()
 	}
 	var col *obs.Collector
-	var met *obs.Metrics
 	if cfg.Profile {
 		col = obs.NewCollector()
-		met = obs.NewMetrics()
 	}
 	baseCfg := cfg
 	baseCfg.Profile = false // per-replica tracing is wired below, not via execConfig
@@ -55,11 +53,10 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 			return ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
 		},
 		Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
-			ec, _, _, err := execConfig(baseCfg, g, nil)
+			ec, _, err := execConfig(baseCfg, g, nil)
 			if err != nil {
 				return ec, err
 			}
-			ec.Metrics = met
 			if replica == 0 {
 				pol = ec.Policy
 			}
@@ -77,7 +74,7 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 		res.Stats = append(res.Stats, firstReplica(st))
 	}
 	if col != nil {
-		res.Profile = newProfileReport(col, met)
+		res.Profile = newProfileReport(col)
 	}
 	if err != nil {
 		res.Err = err

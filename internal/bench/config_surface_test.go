@@ -29,7 +29,7 @@ func TestConfigSurface(t *testing.T) {
 		}},
 		{reflect.TypeFor[exec.Config](), []string{
 			"Device", "HostMemory", "Mode", "Policy", "Allocator", "CoupledSwap",
-			"CollectiveRecompute", "RecordSpans", "Faults", "Comm", "CommAware", "Tracer", "Metrics",
+			"CollectiveRecompute", "RecordSpans", "Faults", "Comm", "CommAware", "Tracer",
 		}},
 		{reflect.TypeFor[bench.RunConfig](), []string{
 			"Model", "Batch", "System", "Device", "Mode", "Iterations", "Allocator", "RecordSpans",
@@ -43,7 +43,7 @@ func TestConfigSurface(t *testing.T) {
 		{reflect.TypeFor[exec.DynamicConfig](), []string{"Base", "Build", "Schedule"}},
 		{reflect.TypeFor[core.Options](), []string{"SwapOnly", "RecomputeOnly", "DisableFeedback"}},
 		{reflect.TypeFor[cluster.Config](), []string{
-			"Devices", "CommAware", "Build", "Exec", "Tracer", "Metrics",
+			"Devices", "CommAware", "Build", "Exec", "Tracer",
 		}},
 	} {
 		var got []string

@@ -43,7 +43,7 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 		res.Err = err
 		return res, nil, nil
 	}
-	ec, col, met, err := execConfig(cfg, nil, extra)
+	ec, col, err := execConfig(cfg, nil, extra)
 	if err != nil {
 		res.Err = err
 		return res, nil, nil
@@ -63,7 +63,7 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 	res.Stats = stats
 	res.Dynamic = &DynamicReport{Stats: d.Stats(), Buckets: d.Buckets()}
 	if col != nil {
-		res.Profile = newProfileReport(col, met)
+		res.Profile = newProfileReport(col)
 	}
 	if err != nil {
 		res.Err = err

@@ -104,22 +104,21 @@ func pinBytes(t *testing.T, path string, got []byte, regen bool) {
 
 // runResidualObserved replays internal/trace's golden scenario: the
 // residual CNN of testutil.ResidualCNN under memory pressure, with
-// Capuchin wrapped in a Recorder, a Collector, and a metrics registry.
+// Capuchin wrapped in a Recorder and a Collector, whose log is folded
+// into a metrics registry (obs.BuildMetrics).
 // Its run setup must match runObserved in
 // internal/trace/chrome_golden_test.go — both pin the same golden.
 func runResidualObserved(t *testing.T) (*obs.Collector, *obs.Metrics) {
 	t.Helper()
 	col := obs.NewCollector()
-	met := obs.NewMetrics()
 	rec := trace.NewRecorder(core.New(core.Options{}), func(acc exec.Access) bool {
 		return acc.Tensor.ID == "res0_relu1:0"
 	})
 	rec.Tracer = col
 	s, err := exec.NewSession(testutil.ResidualCNN(t), exec.Config{
-		Device:  testutil.Device(24 * hw.MiB),
-		Policy:  rec,
-		Tracer:  col,
-		Metrics: met,
+		Device: testutil.Device(24 * hw.MiB),
+		Policy: rec,
+		Tracer: col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,5 +126,5 @@ func runResidualObserved(t *testing.T) (*obs.Collector, *obs.Metrics) {
 	if _, err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	return col, met
+	return col, obs.BuildMetrics(col.Events(), col.Decisions())
 }

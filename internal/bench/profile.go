@@ -15,12 +15,17 @@ type ProfileReport struct {
 	Events *obs.Collector
 	// Mem is the memory profile reconstructed from the event stream.
 	Mem *obs.MemProfile
-	// Metrics is the run's local registry (kernel/transfer/stall
-	// histograms, fault and swap counters).
+	// Metrics is the run's registry (kernel/transfer/stall histograms,
+	// fault and swap counters), folded from Events by obs.BuildMetrics.
 	Metrics *obs.Metrics
 }
 
 // newProfileReport assembles the report after a run completes.
-func newProfileReport(col *obs.Collector, met *obs.Metrics) *ProfileReport {
-	return &ProfileReport{Events: col, Mem: obs.BuildMemProfile(col.Events()), Metrics: met}
+func newProfileReport(col *obs.Collector) *ProfileReport {
+	events := col.Events()
+	return &ProfileReport{
+		Events:  col,
+		Mem:     obs.BuildMemProfile(events),
+		Metrics: obs.BuildMetrics(events, col.Decisions()),
+	}
 }

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"capuchin/internal/exec"
+	"capuchin/internal/fault"
 	"capuchin/internal/hw"
+	"capuchin/internal/obs"
+	"capuchin/internal/sim"
 )
 
 // profiledCfg is a small memory-pressured Capuchin cell: cheap enough for
@@ -132,5 +137,122 @@ func TestRunnerMetricsAggregation(t *testing.T) {
 	}
 	if h3, _ := r.Metrics().Hist("kernel"); h3.Count <= kernels {
 		t.Errorf("aggregate did not grow: %d -> %d", kernels, h3.Count)
+	}
+}
+
+// TestMetricsMatchIterStats checks the folded registry against the
+// executor's own counters for every registered system, fault-free, under
+// the transfer-pin plan and under the default plan, on one and two
+// devices. Each completed run's IterStats, summed over iterations and
+// replicas, must equal the counters folded from its log; an on-demand
+// swap-in counts when issued, so an abandoned one is in swap/ondemand but
+// not in OnDemandInCount.
+func TestMetricsMatchIterStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 72 profiled ResNet-50 cells")
+	}
+	completed := 0
+	for _, sys := range SystemNames() {
+		for _, spec := range []string{"", transferPinPlan, "default"} {
+			plan, err := fault.ParsePlan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, devices := range []int{1, 2} {
+				res := Run(RunConfig{
+					Model: "resnet50", Batch: 64, System: System(sys),
+					Device: hw.P100().WithMemory(3 * hw.GiB / 2), Iterations: 3,
+					Faults: plan, Devices: devices, Profile: true,
+				})
+				if !res.OK {
+					continue
+				}
+				completed++
+				checkMetricsMatchStats(t, fmt.Sprintf("%s/%q/%ddev", sys, spec, devices), res)
+			}
+		}
+	}
+	if completed == 0 {
+		t.Fatal("no cell completed")
+	}
+	t.Logf("%d cells completed", completed)
+}
+
+// checkMetricsMatchStats compares one completed run's registry with its
+// IterStats summed over iterations and replicas.
+func checkMetricsMatchStats(t *testing.T, name string, res Result) {
+	t.Helper()
+	var sum exec.IterStats
+	add := func(st exec.IterStats) {
+		sum.SwapOutCount += st.SwapOutCount
+		sum.PrefetchCount += st.PrefetchCount
+		sum.PassiveEvicts += st.PassiveEvicts
+		sum.SwapFallbacks += st.SwapFallbacks
+		sum.TransferFaults += st.TransferFaults
+		sum.AllocFaults += st.AllocFaults
+		sum.KernelSpikes += st.KernelSpikes
+		sum.HostFaults += st.HostFaults
+		sum.OOMRecoveries += st.OOMRecoveries
+		sum.RecomputeCount += st.RecomputeCount
+		sum.RecomputeTime += st.RecomputeTime
+		sum.StallTime += st.StallTime
+		sum.Nodes += st.Nodes
+		sum.OnDemandInCount += st.OnDemandInCount
+	}
+	if res.Cluster != nil {
+		for _, it := range res.Cluster.Iters {
+			for _, st := range it.Replicas {
+				add(st)
+			}
+		}
+	} else {
+		for _, st := range res.Stats {
+			add(st)
+		}
+	}
+	m := res.Profile.Metrics
+	for _, c := range []struct {
+		counter string
+		want    int
+	}{
+		{"swap/out", sum.SwapOutCount},
+		{"swap/prefetch", sum.PrefetchCount},
+		{"evict/passive", sum.PassiveEvicts},
+		{"fallback/recompute", sum.SwapFallbacks},
+		{"faults/transfer", sum.TransferFaults},
+		{"faults/alloc", sum.AllocFaults},
+		{"faults/kernel-spike", sum.KernelSpikes},
+		{"faults/host", sum.HostFaults},
+		{"oom/recoveries", sum.OOMRecoveries},
+	} {
+		if got := m.Counter(c.counter); got != int64(c.want) {
+			t.Errorf("%s: %s = %d, IterStats say %d", name, c.counter, got, c.want)
+		}
+	}
+	rc, _ := m.Hist("recompute")
+	if rc.Count != int64(sum.RecomputeCount) || rc.Sum != sum.RecomputeTime {
+		t.Errorf("%s: recompute histogram count %d sum %v, IterStats say %d and %v",
+			name, rc.Count, rc.Sum, sum.RecomputeCount, sum.RecomputeTime)
+	}
+	// The log names the stall reasons; the registry holds their sums.
+	reasons := map[string]bool{}
+	for _, ev := range res.Profile.Events.Events() {
+		if ev.Kind == obs.KindSpan && ev.Cat == "stall" {
+			reasons[ev.Detail] = true
+		}
+	}
+	var stall sim.Time
+	for reason := range reasons {
+		h, _ := m.Hist("stall/" + reason)
+		stall += h.Sum
+	}
+	if stall != sum.StallTime {
+		t.Errorf("%s: stall histograms sum to %v, StallTime is %v", name, stall, sum.StallTime)
+	}
+	if k, _ := m.Hist("kernel"); k.Count != int64(sum.Nodes) {
+		t.Errorf("%s: kernel count %d, Nodes %d", name, k.Count, sum.Nodes)
+	}
+	if od := m.Counter("swap/ondemand"); od < int64(sum.OnDemandInCount) {
+		t.Errorf("%s: swap/ondemand %d below OnDemandInCount %d", name, od, sum.OnDemandInCount)
 	}
 }

@@ -93,7 +93,9 @@ func checkTransferPin(t *testing.T, name string, pin, jsonl []byte) {
 
 // checkTransferCoverage demands at least one landed and one aborted
 // attempt of each transfer kind, at least one retry, and, with several
-// replicas, at least one comm-aware deferral.
+// replicas, at least one comm-aware deferral of a proactive copy. Every
+// deferral, proactive or mandatory, records one comm-defer decision, so
+// their number is the comm/defer counter.
 func checkTransferCoverage(t *testing.T, res Result, multiDevice bool) {
 	t.Helper()
 	kinds := []string{"swapout", "swapin", "ondemand", "passive"}
@@ -112,10 +114,13 @@ func checkTransferCoverage(t *testing.T, res Result, multiDevice bool) {
 			retries++
 		}
 	}
-	deferrals := 0
+	deferrals, proactive := 0, 0
 	for _, d := range res.Profile.Events.Decisions() {
 		if d.Action == "comm-defer" {
 			deferrals++
+			if strings.HasPrefix(d.Reason, "deferred swapout ") || strings.HasPrefix(d.Reason, "deferred swapin ") {
+				proactive++
+			}
 		}
 	}
 	t.Logf("landed %v, aborted %v, %d retries, %d comm-defer decisions", landed, aborted, retries, deferrals)
@@ -127,7 +132,10 @@ func checkTransferCoverage(t *testing.T, res Result, multiDevice bool) {
 	if retries == 0 {
 		t.Error("no transfer retried")
 	}
-	if multiDevice && deferrals == 0 {
-		t.Error("no comm-defer decision")
+	if multiDevice && proactive == 0 {
+		t.Errorf("no comm-defer decision for a proactive copy among %d", deferrals)
+	}
+	if c := res.Profile.Metrics.Counter("comm/defer"); c != int64(deferrals) {
+		t.Errorf("comm/defer counter %d, want the %d comm-defer decisions", c, deferrals)
 	}
 }

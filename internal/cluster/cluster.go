@@ -46,16 +46,13 @@ type Config struct {
 	Build func(replica int) (*graph.Graph, error)
 	// Exec returns one replica's executor configuration with a fresh
 	// policy instance, given the replica's graph (graph-keyed policies
-	// like vDNN need it). The cluster overrides the Comm, CommAware,
-	// Tracer and (when Config.Metrics is set) Metrics fields.
+	// like vDNN need it). The cluster overrides the Comm, CommAware and
+	// Tracer fields, so a replica's metrics come from folding the shared
+	// Tracer's log (obs.BuildMetrics).
 	Exec func(replica int, g *graph.Graph) (exec.Config, error)
 	// Tracer receives every replica's events (stamped with "replica N"
 	// groups) plus the interconnect lane; nil disables tracing.
 	Tracer obs.Tracer
-	// Metrics, when non-nil, aggregates every replica's counters and
-	// latency histograms into one shared registry (obs.Metrics is
-	// concurrency-safe), ready for obs.WritePrometheus.
-	Metrics *obs.Metrics
 }
 
 // IterStats aggregates one cluster iteration.
@@ -139,9 +136,6 @@ func New(cfg Config) (*Cluster, error) {
 		ec.Tracer = nil
 		if cfg.Tracer != nil {
 			ec.Tracer = obs.GroupTracer{T: cfg.Tracer, Group: fmt.Sprintf("replica %d", i)}
-		}
-		if cfg.Metrics != nil {
-			ec.Metrics = cfg.Metrics
 		}
 		sess, err := exec.NewSession(g, ec)
 		if err != nil {

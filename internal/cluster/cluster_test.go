@@ -261,22 +261,25 @@ func TestMoreDevicesMoreComm(t *testing.T) {
 	}
 }
 
-// TestSharedMetricsRegistry pins the Config.Metrics plumbing: replicas
-// aggregate into one shared obs.Metrics registry, the kernel histogram
-// scales with the replica count, and attaching the registry never
-// changes the simulation (metrics are observation, not participation).
-func TestSharedMetricsRegistry(t *testing.T) {
-	run := func(devices int, met *obs.Metrics) []IterStats {
-		c, err := New(Config{
+// TestSharedCollector pins the shared Config.Tracer: every replica's
+// events land in one Collector, the kernel histogram folded from it
+// (obs.BuildMetrics) scales with the replica count, and tracing never
+// changes the simulation (observation, not participation).
+func TestSharedCollector(t *testing.T) {
+	run := func(devices int, col *obs.Collector) []IterStats {
+		cfg := Config{
 			Devices: devices,
-			Metrics: met,
 			Build: func(replica int) (*graph.Graph, error) {
 				return testCNN(t, 8, "fc_w"), nil
 			},
 			Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
 				return exec.Config{Device: hw.P100().WithMemory(2 * hw.GiB)}, nil
 			},
-		})
+		}
+		if col != nil {
+			cfg.Tracer = col
+		}
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,24 +290,26 @@ func TestSharedMetricsRegistry(t *testing.T) {
 		return stats
 	}
 
-	m1, m2 := obs.NewMetrics(), obs.NewMetrics()
+	c1, c2 := obs.NewCollector(), obs.NewCollector()
 	plain := run(2, nil)
-	observed := run(2, m2)
+	observed := run(2, c2)
 	if !reflect.DeepEqual(plain, observed) {
-		t.Error("attaching a metrics registry changed the cluster's statistics")
+		t.Error("attaching a tracer changed the cluster's statistics")
 	}
-	run(1, m1)
+	run(1, c1)
 
+	m1 := obs.BuildMetrics(c1.Events(), c1.Decisions())
+	m2 := obs.BuildMetrics(c2.Events(), c2.Decisions())
 	h1, ok1 := m1.Hist("kernel")
 	h2, ok2 := m2.Hist("kernel")
 	if !ok1 || !ok2 {
-		t.Fatal("no kernel histogram collected")
+		t.Fatal("no kernel histogram folded")
 	}
 	if h2.Count != 2*h1.Count {
 		t.Errorf("2-replica kernel count %d, want twice the 1-replica count %d", h2.Count, h1.Count)
 	}
 
-	// The shared registry renders for Prometheus like any other.
+	// The folded registry renders for Prometheus like any other.
 	var buf strings.Builder
 	if err := m2.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -45,14 +45,13 @@ type nullDigest struct{}
 func (nullDigest) AppendStateDigest(dst []byte) []byte { return dst }
 
 // digester returns the policy's StateDigester when Run may skip
-// repeated iterations: nothing observes the run (no tracer, metrics or
-// recorded spans), no fault is injected, no collective traffic shares
-// the link (its windows sit at absolute times), and the policy digests
-// its state. A traced run therefore simulates every iteration, which
+// repeated iterations: nothing observes the run (no tracer or recorded
+// spans), no fault is injected, no collective traffic shares the link
+// (its windows sit at absolute times), and the policy digests its state. A traced run therefore simulates every iteration, which
 // keeps tracing outcome-neutral: its stats are the reference the skip
 // must equal.
 func (s *Session) digester() (StateDigester, bool) {
-	if s.tr != nil || s.met != nil || s.cfg.RecordSpans || s.inj.Enabled() || s.cfg.Comm != nil {
+	if s.tr != nil || s.cfg.RecordSpans || s.inj.Enabled() || s.cfg.Comm != nil {
 		return nil, false
 	}
 	switch p := s.policy.(type) {

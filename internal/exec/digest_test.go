@@ -155,8 +155,8 @@ func TestRunSkipMatchesTraced(t *testing.T) {
 }
 
 // TestRunSkipGate checks the gate's other side: a TF-ori session that a
-// tracer, a metrics registry, span recording or a fault plan observes
-// simulates every iteration.
+// tracer, span recording or a fault plan observes simulates every
+// iteration.
 func TestRunSkipGate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -165,7 +165,6 @@ func TestRunSkipGate(t *testing.T) {
 	}{
 		{"unobserved", func(*Config) {}, 1},
 		{"tracer", func(c *Config) { c.Tracer = nopTracer{} }, 4},
-		{"metrics", func(c *Config) { c.Metrics = obs.NewMetrics() }, 4},
 		{"spans", func(c *Config) { c.RecordSpans = true }, 4},
 		{"faults", func(c *Config) { c.Faults = fault.Plan{Seed: 1, KernelSpikeRate: 1e-9} }, 4},
 		// Embedding NullPolicy for its defaults does not opt in: the

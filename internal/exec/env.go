@@ -120,9 +120,6 @@ func (e *Env) SwapOutAsync(t *tensor.Tensor) bool {
 		l.foldComm(&d)
 		s.decide(d)
 	}
-	if s.met != nil {
-		s.met.Add("swap/out", 1)
-	}
 	return true
 }
 
@@ -149,9 +146,6 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 				Tensor: t.ID, Action: "prefetch-failed", Bytes: t.Bytes(),
 				Reason: "injected allocation fault; back-access will fetch on demand",
 			})
-		}
-		if s.met != nil {
-			s.met.Add("faults/alloc", 1)
 		}
 		return false
 	}
@@ -193,9 +187,6 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 		}
 		l.foldComm(&d)
 		s.decide(d)
-	}
-	if s.met != nil {
-		s.met.Add("swap/prefetch", 1)
 	}
 	return true
 }
@@ -252,9 +243,6 @@ func (e *Env) FallbackToRecompute(t *tensor.Tensor) bool {
 			Tensor: t.ID, Action: "fallback-recompute", Bytes: t.Bytes(),
 			Reason: "policy abandoned the swap path (failed swap-out or degraded link)",
 		})
-	}
-	if e.s.met != nil {
-		e.s.met.Add("fallback/recompute", 1)
 	}
 	return true
 }

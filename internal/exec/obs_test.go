@@ -9,19 +9,18 @@ import (
 	"capuchin/internal/obs"
 )
 
-// runTraced executes n iterations of the test CNN with a Collector and
-// metrics registry attached.
+// runTraced executes n iterations of the test CNN with a Collector
+// attached, and folds its log into a metrics registry.
 func runTraced(t *testing.T, mem int64, plan fault.Plan, n int) ([]IterStats, *obs.Collector, *obs.Metrics, error) {
 	t.Helper()
 	g := testCNN(t, graph.GraphModeOptions())
 	col := obs.NewCollector()
-	met := obs.NewMetrics()
-	s, err := NewSession(g, Config{Device: device(mem), Policy: lruPolicy{}, Faults: plan, Tracer: col, Metrics: met})
+	s, err := NewSession(g, Config{Device: device(mem), Policy: lruPolicy{}, Faults: plan, Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sts, runErr := s.Run(n)
-	return sts, col, met, runErr
+	return sts, col, obs.BuildMetrics(col.Events(), col.Decisions()), runErr
 }
 
 // TestTracingNeutrality is the zero-overhead-when-nil contract's other

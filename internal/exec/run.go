@@ -106,9 +106,6 @@ func (s *Session) spikeKernel(nodeID string, dur sim.Time) sim.Time {
 	if s.tr != nil {
 		s.laneInstant("fault", "kernel-spike", "compute", nodeID, s.now())
 	}
-	if s.met != nil {
-		s.met.Add("faults/kernel-spike", 1)
-	}
 	return dur + extra
 }
 
@@ -211,9 +208,6 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 			Kind: obs.KindSpan, Cat: "kernel", Name: n.ID, Lane: "compute",
 			Start: start, End: end, Iter: s.iter, Node: n.ID,
 		})
-	}
-	if s.met != nil {
-		s.met.Observe("kernel", dur)
 	}
 	if wsAlloc != nil {
 		if err := s.pool.Free(wsAlloc); err != nil {
@@ -461,9 +455,6 @@ func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (r
 				Reason: "accessed while swapped out (no prefetch landed)",
 			})
 		}
-		if s.met != nil {
-			s.met.Add("swap/ondemand", 1)
-		}
 		l, terr := s.transfer(fault.H2D, labelOnDemand, t, s.now(), s.mandatoryAttempts())
 		if terr != nil {
 			return s.abandonSwapIn(t, terr)
@@ -505,9 +496,6 @@ func (s *Session) abandonSwapIn(t *tensor.Tensor, terr error) (sim.Time, bool, b
 			Tensor: t.ID, Action: "fallback-recompute", Bytes: t.Bytes(),
 			Reason: "on-demand swap-in exhausted its DMA retry budget; degrading to lineage replay",
 		})
-	}
-	if s.met != nil {
-		s.met.Add("fallback/recompute", 1)
 	}
 	return 0, false, false, nil
 }
@@ -613,9 +601,6 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 			Node: node.ID, Tensor: t.ID,
 		})
 	}
-	if s.met != nil {
-		s.met.Observe("recompute", dur)
-	}
 	if wsAlloc != nil {
 		if err := s.pool.Free(wsAlloc); err != nil {
 			return 0, invariant("free-workspace", "", err)
@@ -688,9 +673,6 @@ func (s *Session) allocate(size int64, env *Env) (*memory.Allocation, error) {
 			if s.tr != nil {
 				s.laneInstant("fault", "alloc-fault", "compute", "spurious device allocation failure", s.now())
 			}
-			if s.met != nil {
-				s.met.Add("faults/alloc", 1)
-			}
 			if delay := sim.Backoff(s.inj.Plan().Backoff(), spurious-1); delay > 0 {
 				s.stallTo(s.now()+delay, "alloc-backoff")
 			}
@@ -704,9 +686,6 @@ func (s *Session) allocate(size int64, env *Env) (*memory.Allocation, error) {
 				if s.tr != nil {
 					s.laneInstant("oom", "oom-recovered", "compute",
 						fmt.Sprintf("%s allocated after %d evictions", obs.FmtBytes(size), evicts), s.now())
-				}
-				if s.met != nil {
-					s.met.Add("oom/recoveries", 1)
 				}
 			}
 			return a, nil
@@ -851,9 +830,6 @@ func (s *Session) recomputeFallback(v *tensor.Tensor) (bool, error) {
 			Reason: "host arena or D2H link unusable; releasing victim for lineage replay",
 		})
 	}
-	if s.met != nil {
-		s.met.Add("fallback/recompute", 1)
-	}
 	return true, nil
 }
 
@@ -916,9 +892,6 @@ func (s *Session) passiveEvict(v *tensor.Tensor) error {
 			Tensor: v.ID, Action: "passive-evict", Bytes: v.Bytes(),
 			Reason: "LRU victim copied to host synchronously under OOM",
 		})
-	}
-	if s.met != nil {
-		s.met.Add("evict/passive", 1)
 	}
 	if h := s.host.Peak(); h > s.stats.HostPeak {
 		s.stats.HostPeak = h

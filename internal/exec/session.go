@@ -121,10 +121,6 @@ type Config struct {
 	// audit records. nil disables tracing entirely: no event is
 	// constructed and the virtual-time outcome is identical.
 	Tracer obs.Tracer
-	// Metrics aggregates counters and virtual-time histograms across the
-	// run; nil disables collection. Multiple sessions may share one
-	// registry (it is concurrency-safe).
-	Metrics *obs.Metrics
 }
 
 // Session executes iterations of one training graph.
@@ -240,10 +236,8 @@ type Session struct {
 	// iteration with the structured cause.
 	defErr error
 
-	// tr and met mirror Config.Tracer/Config.Metrics; both may be nil
-	// (tracing and metrics off).
-	tr  obs.Tracer
-	met *obs.Metrics
+	// tr mirrors Config.Tracer; nil means tracing is off.
+	tr obs.Tracer
 
 	// gradIDs marks tensors consumed as gradients by ApplyGradient nodes;
 	// gradEvents records their production times each iteration for the
@@ -321,7 +315,6 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 		d2h:     sim.NewStream("d2h"),
 		inj:     fault.NewInjector(cfg.Faults),
 		tr:      cfg.Tracer,
-		met:     cfg.Metrics,
 	}
 	s.env = Env{s: s}
 	s.initTables(&old)
@@ -367,13 +360,13 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 }
 
 // Park releases everything the session holds besides the storage
-// RecycleSession refills: its policy, tracer, metrics, fault injector and
+// RecycleSession refills: its policy, tracer, fault injector and
 // streams (with any recorded spans). A parked session must not be run or
 // inspected again; it is only a spare for RecycleSession, and pins no
 // more than its tables, its graph and its pools while it waits.
 func (s *Session) Park() {
-	s.cfg.Policy, s.cfg.Tracer, s.cfg.Metrics, s.cfg.Comm = nil, nil, nil, nil
-	s.policy, s.tr, s.met, s.inj = nil, nil, nil, nil
+	s.cfg.Policy, s.cfg.Tracer, s.cfg.Comm = nil, nil, nil
+	s.policy, s.tr, s.inj = nil, nil, nil
 	s.compute, s.h2d, s.d2h, s.cpu = nil, nil, nil, nil
 	s.defErr = nil
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is the executor's observability surface. Every helper is a
-// no-op without an attached tracer/metrics registry, and none of them
-// touches simulation state: with Config.Tracer nil the run is
-// byte-identical to an untraced one.
+// no-op without an attached tracer, and none of them touches simulation
+// state: with Config.Tracer nil the run is byte-identical to an untraced
+// one.
 
 // decide records a decision in the audit log, stamping the deciding
 // policy, the current virtual time and the iteration when unset.
@@ -149,9 +149,6 @@ func (s *Session) stallTo(at sim.Time, reason string) {
 			Lane: "compute", Start: now, End: at, Iter: s.iter, Detail: reason,
 		})
 	}
-	if s.met != nil {
-		s.met.Observe("stall/"+reason, d)
-	}
 }
 
 // exposedStall charges compute time lost waiting on transfer dependencies
@@ -168,8 +165,5 @@ func (s *Session) exposedStall(preRun, start sim.Time) {
 			Kind: obs.KindSpan, Cat: "stall", Name: "stall:input-wait",
 			Lane: "compute", Start: preRun, End: start, Iter: s.iter, Detail: "input-wait",
 		})
-	}
-	if s.met != nil {
-		s.met.Observe("stall/input-wait", exposed)
 	}
 }

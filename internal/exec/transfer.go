@@ -10,13 +10,12 @@ import (
 	"capuchin/internal/tensor"
 )
 
-// pcie returns direction dir's stream, its link and the metric keys of
-// its lane.
-func (s *Session) pcie(dir fault.Direction) (st *sim.Stream, link hw.Link, durKey, queueKey string) {
+// pcie returns direction dir's stream and its link.
+func (s *Session) pcie(dir fault.Direction) (*sim.Stream, hw.Link) {
 	if dir == fault.D2H {
-		return s.d2h, s.dev.D2H, "transfer/d2h", "transfer-queue/d2h"
+		return s.d2h, s.dev.D2H
 	}
-	return s.h2d, s.dev.H2D, "transfer/h2d", "transfer-queue/h2d"
+	return s.h2d, s.dev.H2D
 }
 
 // transferEstimate is the duration of a copy of bytes in direction dir,
@@ -25,7 +24,7 @@ func (s *Session) pcie(dir fault.Direction) (st *sim.Stream, link hw.Link, durKe
 // anchor, so Free-Time ranking sees the real cost of swapping into
 // collective traffic.
 func (s *Session) transferEstimate(dir fault.Direction, bytes int64) sim.Time {
-	_, link, _, _ := s.pcie(dir)
+	_, link := s.pcie(dir)
 	if s.cfg.CommAware {
 		if w, ok := s.commSlowdownAt(s.actionAnchor); ok {
 			return link.DegradedTransferTime(bytes, w.Slowdown)
@@ -39,22 +38,18 @@ func (s *Session) transferEstimate(dir fault.Direction, bytes int64) sim.Time {
 func (s *Session) mandatoryAttempts() int { return s.inj.Plan().TransferRetries() + 1 }
 
 // landed is a completed transfer: when it ended, and the all-reduce
-// window deferral consulted (if commOK) and whether it waited it out.
+// window deferral consulted (if commOK).
 type landed struct {
-	end              sim.Time
-	comm             CommWindow
-	commOK, deferred bool
+	end    sim.Time
+	comm   CommWindow
+	commOK bool
 }
 
 // foldComm adds the consulted all-reduce window to a proactive copy's
 // swap-out or prefetch decision.
 func (l landed) foldComm(d *obs.Decision) {
-	if !l.commOK {
-		return
-	}
-	d.CommSlowdown, d.CommUntil = l.comm.Slowdown, l.comm.End
-	if l.deferred {
-		d.Reason += "; deferred past a pending all-reduce window"
+	if l.commOK {
+		d.CommSlowdown, d.CommUntil = l.comm.Slowdown, l.comm.End
 	}
 }
 
@@ -68,13 +63,13 @@ func (l landed) foldComm(d *obs.Decision) {
 // half-duration abort point, and the next attempt waits out
 // sim.Backoff; after attempts aborts transfer returns a *TransferError.
 //
-// Two details depend on the kind. A proactive copy is stamped Queued at
-// earliest, its action anchor, and its caller folds the comm window into
-// its own decision; a mandatory copy is stamped after deferral and
-// records a comm-defer decision. A prefetch's buffer allocation is
-// traced just before its span.
+// Every deferred copy records a comm-defer decision, and the caller of a
+// proactive copy also folds the consulted window into its own decision.
+// Only the Queued stamp depends on the kind: a proactive copy is stamped
+// at earliest, its action anchor, and a mandatory copy after deferral.
+// A prefetch's buffer allocation is traced just before its span.
 func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor, earliest sim.Time, attempts int) (landed, error) {
-	st, link, durKey, queueKey := s.pcie(dir)
+	st, link := s.pcie(dir)
 	key, bytes := t.ID, t.Bytes()
 	label := s.tensorSpanLabel(kind, t, st)
 	proactive := kind == labelSwapOut || kind == labelSwapIn
@@ -83,17 +78,13 @@ func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor
 	if adj, w, ok := s.deferForComm(st, link, bytes, earliest); ok {
 		l.comm, l.commOK = w, true
 		if adj != earliest {
-			l.deferred = true
 			earliest = adj
-			if !proactive && s.tr != nil {
+			if s.tr != nil {
 				s.decide(obs.Decision{
 					Tensor: key, Action: "comm-defer", Bytes: bytes,
 					Reason:       "deferred " + label + " past a pending all-reduce window (earlier completion than contending)",
 					CommSlowdown: w.Slowdown, CommUntil: w.End,
 				})
-			}
-			if s.met != nil {
-				s.met.Add("comm/defer", 1)
 			}
 		}
 	}
@@ -114,10 +105,6 @@ func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor
 					Tensor: key, Bytes: bytes,
 				})
 			}
-			if s.met != nil {
-				s.met.Observe(durKey, end-start)
-				s.met.Observe(queueKey, start-queued)
-			}
 			l.end = end
 			return l, nil
 		}
@@ -131,9 +118,6 @@ func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor
 				Tensor: key, Bytes: bytes, Detail: "aborted",
 			})
 			s.laneInstant("fault", "dma-abort", st.Name(), key, failEnd)
-		}
-		if s.met != nil {
-			s.met.Add("faults/transfer", 1)
 		}
 		if attempt+1 >= attempts {
 			return l, &TransferError{Dir: dir, TensorID: key, Bytes: bytes, Attempts: attempt + 1, GaveUpAt: failEnd}
@@ -154,9 +138,6 @@ func (s *Session) reserveHost(t *tensor.Tensor, lane string, at sim.Time) error 
 		s.stats.HostFaults++
 		if s.tr != nil {
 			s.laneInstant("fault", "host-fault", lane, t.ID, at)
-		}
-		if s.met != nil {
-			s.met.Add("faults/host", 1)
 		}
 		return fmt.Errorf("host reservation for %s: %w", t.ID, fault.ErrInjected)
 	}

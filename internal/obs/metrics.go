@@ -154,12 +154,7 @@ func (m *Metrics) Add(name string, delta int64) {
 // Observe records a duration in a named histogram.
 func (m *Metrics) Observe(name string, d sim.Time) {
 	m.mu.Lock()
-	h := m.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		m.hists[name] = h
-	}
-	h.Observe(d)
+	m.observe(name, d)
 	m.mu.Unlock()
 }
 
@@ -246,4 +241,75 @@ func (m *Metrics) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// faultCounters names the counter of each fault instant the executor
+// emits; the "retry" instant that follows a DMA abort counts nothing.
+var faultCounters = map[string]string{
+	"kernel-spike": "faults/kernel-spike",
+	"alloc-fault":  "faults/alloc",
+	"dma-abort":    "faults/transfer",
+	"host-fault":   "faults/host",
+}
+
+// decisionCounters names the counter of each counted decision action.
+var decisionCounters = map[string]string{
+	"swap-out":           "swap/out",
+	"prefetch":           "swap/prefetch",
+	"ondemand-swapin":    "swap/ondemand",
+	"fallback-recompute": "fallback/recompute",
+	"passive-evict":      "evict/passive",
+	"comm-defer":         "comm/defer",
+}
+
+// BuildMetrics folds a run's event log and decision audit into a metrics
+// registry. It is the one mapping from what the executor records to
+// metric names: spans observe their durations (a landed transfer also
+// its queueing delay, Start - Queued), and the fault and oom-recovered
+// instants and the decisionCounters actions count. Whatever else the log
+// holds lands in no metric.
+func BuildMetrics(events []Event, decisions []Decision) *Metrics {
+	m := NewMetrics()
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case KindSpan:
+			switch ev.Cat {
+			case "kernel", "recompute":
+				m.observe(ev.Cat, ev.End-ev.Start)
+			case "stall":
+				m.observe("stall/"+ev.Detail, ev.End-ev.Start)
+			case "transfer":
+				if ev.Detail != "aborted" {
+					m.observe("transfer/"+ev.Lane, ev.End-ev.Start)
+					m.observe("transfer-queue/"+ev.Lane, ev.Start-ev.Queued)
+				}
+			}
+		case KindInstant:
+			switch {
+			case ev.Cat == "fault":
+				if k, ok := faultCounters[ev.Name]; ok {
+					m.counters[k]++
+				}
+			case ev.Cat == "oom" && ev.Name == "oom-recovered":
+				m.counters["oom/recoveries"]++
+			}
+		}
+	}
+	for i := range decisions {
+		if k, ok := decisionCounters[decisions[i].Action]; ok {
+			m.counters[k]++
+		}
+	}
+	return m
+}
+
+// observe is Observe with m.mu held, or on a registry not yet shared.
+func (m *Metrics) observe(name string, d sim.Time) {
+	h := m.hists[name]
+	if h == nil {
+		h = &Histogram{}
+		m.hists[name] = h
+	}
+	h.Observe(d)
 }

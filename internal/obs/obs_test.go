@@ -408,6 +408,73 @@ func TestMetricsMergeAndText(t *testing.T) {
 	}
 }
 
+// TestBuildMetrics sends one event or decision of each kind through the
+// fold and checks the metrics it lands in, or that it lands in none.
+func TestBuildMetrics(t *testing.T) {
+	span := func(cat, lane, detail string) Event {
+		return Event{
+			Kind: KindSpan, Cat: cat, Name: "x", Lane: lane, Detail: detail,
+			Queued: sim.Microsecond, Start: 3 * sim.Microsecond, End: 10 * sim.Microsecond,
+		}
+	}
+	instant := func(cat, name string) Event {
+		return Event{Kind: KindInstant, Cat: cat, Name: name, Lane: "compute", Start: sim.Microsecond}
+	}
+	cases := []struct {
+		name string
+		ev   Event
+		d    Decision
+		want []string // "counter=N" and "hist:count/sum", sorted
+	}{
+		{name: "kernel span", ev: span("kernel", "compute", ""), want: []string{"kernel:1/7.00us"}},
+		{name: "recompute span", ev: span("recompute", "compute", ""), want: []string{"recompute:1/7.00us"}},
+		{name: "stall span", ev: span("stall", "compute", "passive-evict"), want: []string{"stall/passive-evict:1/7.00us"}},
+		{name: "landed transfer", ev: span("transfer", "h2d", ""), want: []string{"transfer-queue/h2d:1/2.00us", "transfer/h2d:1/7.00us"}},
+		{name: "aborted transfer", ev: span("transfer", "d2h", "aborted")},
+		{name: "interconnect span", ev: span("allreduce", "interconnect", "")},
+		{name: "fleet span", ev: span("running", "job 1", "complete")},
+		{name: "kernel spike", ev: instant("fault", "kernel-spike"), want: []string{"faults/kernel-spike=1"}},
+		{name: "alloc fault", ev: instant("fault", "alloc-fault"), want: []string{"faults/alloc=1"}},
+		{name: "dma abort", ev: instant("fault", "dma-abort"), want: []string{"faults/transfer=1"}},
+		{name: "host fault", ev: instant("fault", "host-fault"), want: []string{"faults/host=1"}},
+		{name: "retry", ev: instant("fault", "retry")},
+		{name: "oom recovered", ev: instant("oom", "oom-recovered"), want: []string{"oom/recoveries=1"}},
+		{name: "oom", ev: instant("oom", "oom")},
+		{name: "fleet oom kill", ev: instant("oom", "oom-kill")},
+		{name: "access", ev: instant("access", "res0_relu1:0")},
+		{name: "alloc", ev: instant("alloc", "alloc")},
+		{name: "free", ev: instant("free", "free")},
+		{name: "swap-out", d: Decision{Action: "swap-out"}, want: []string{"swap/out=1"}},
+		{name: "prefetch", d: Decision{Action: "prefetch"}, want: []string{"swap/prefetch=1"}},
+		{name: "ondemand-swapin", d: Decision{Action: "ondemand-swapin"}, want: []string{"swap/ondemand=1"}},
+		{name: "fallback-recompute", d: Decision{Action: "fallback-recompute"}, want: []string{"fallback/recompute=1"}},
+		{name: "passive-evict", d: Decision{Action: "passive-evict"}, want: []string{"evict/passive=1"}},
+		{name: "comm-defer", d: Decision{Action: "comm-defer"}, want: []string{"comm/defer=1"}},
+		{name: "prefetch-failed", d: Decision{Action: "prefetch-failed"}},
+	}
+	for _, c := range cases {
+		var events []Event
+		var decisions []Decision
+		if c.d.Action != "" {
+			decisions = []Decision{c.d}
+		} else {
+			events = []Event{c.ev}
+		}
+		m := BuildMetrics(events, decisions)
+		var got []string
+		for k, v := range m.counters {
+			got = append(got, fmt.Sprintf("%s=%d", k, v))
+		}
+		for k, h := range m.hists {
+			got = append(got, fmt.Sprintf("%s:%d/%v", k, h.Count, h.Sum))
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: folded into %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 // memEvents builds a tiny alloc/free stream with allocator samples.
 func memEvents() []Event {
 	mk := func(cat, tensor, detail string, at sim.Time, bytes, used, free, largest, host int64) Event {

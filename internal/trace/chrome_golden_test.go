@@ -23,20 +23,19 @@ var update = flag.Bool("update", false, "rewrite the golden Chrome trace")
 
 // runObserved executes the residual CNN under memory pressure with the full
 // observability stack attached: Capuchin as the policy (decision audit),
-// a Recorder forwarding one tensor's accesses, a Collector, and metrics.
+// a Recorder forwarding one tensor's accesses, and a Collector whose log
+// is folded into metrics.
 func runObserved(tb testing.TB) ([]exec.IterStats, *obs.Collector, *obs.Metrics, *Recorder) {
 	tb.Helper()
 	col := obs.NewCollector()
-	met := obs.NewMetrics()
 	rec := NewRecorder(core.New(core.Options{}), func(acc exec.Access) bool {
 		return acc.Tensor.ID == "res0_relu1:0"
 	})
 	rec.Tracer = col
 	s, err := exec.NewSession(testutil.ResidualCNN(tb), exec.Config{
-		Device:  testutil.Device(24 * hw.MiB),
-		Policy:  rec,
-		Tracer:  col,
-		Metrics: met,
+		Device: testutil.Device(24 * hw.MiB),
+		Policy: rec,
+		Tracer: col,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -45,7 +44,7 @@ func runObserved(tb testing.TB) ([]exec.IterStats, *obs.Collector, *obs.Metrics,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sts, col, met, rec
+	return sts, col, obs.BuildMetrics(col.Events(), col.Decisions()), rec
 }
 
 // chromeFile mirrors the export's top-level JSON shape.
