@@ -198,7 +198,10 @@ serve-smoke:
 # 1 only after writing its exports, whose JSONL holds the oom instant. A
 # Capuchin capuchin-train run that settles and skips its repeated
 # iterations must print byte for byte what the same run traced by
-# -events prints, which simulates every iteration. The faulted
+# -events prints, which skips too, its Collector repeating the skipped
+# iterations' records. That -events log must equal byte for byte the one
+# a capuchin-trace -spans run of the same cell writes: recording spans
+# makes it simulate every iteration. The faulted
 # two-replica Capuchin run's -prom counters must equal the counts of
 # their decisions in its -events log, since the metrics are folded
 # from that log (comm-defer, passive-evict, swap-out). Like
@@ -225,11 +228,13 @@ profile-smoke:
 		-events $$d/trace.jsonl >/dev/null 2>&1; test $$? -eq 1; } && \
 	grep -q '"name":"oom"' $$d/trace.jsonl && rm -rf $$d || \
 	{ echo "profile-smoke: a failed run must write its exports, with the oom instant, and exit 1"; exit 1; }
-	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train && \
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train ./cmd/capuchin-trace && \
 	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 >$$d/skip.txt && \
-	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events /dev/null >$$d/traced.txt && \
-	cmp $$d/skip.txt $$d/traced.txt && rm -rf $$d || \
-	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints"; exit 1; }
+	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events $$d/traced.jsonl >$$d/traced.txt && \
+	$$d/capuchin-trace -model vgg16 -batch 300 -mem 16 -system capuchin -iters 60 -spans compute \
+		-events $$d/full.jsonl >/dev/null && \
+	cmp $$d/skip.txt $$d/traced.txt && cmp $$d/traced.jsonl $$d/full.jsonl && rm -rf $$d || \
+	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints, whose events must equal a fully simulated run's"; exit 1; }
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-trace && \
 	$$d/capuchin-trace -model resnet50 -batch 64 -mem 1.5 -system capuchin -devices 2 -iters 3 \
 		-faults seed=7,transfer=0.2,retries=2 -prom $$d/run.prom -events $$d/run.jsonl >/dev/null && \

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"capuchin/internal/graph"
+	"capuchin/internal/obs"
 	"capuchin/internal/ops"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
@@ -45,13 +46,15 @@ type nullDigest struct{}
 func (nullDigest) AppendStateDigest(dst []byte) []byte { return dst }
 
 // digester returns the policy's StateDigester when Run may skip
-// repeated iterations: nothing observes the run (no tracer or recorded
-// spans), no fault is injected, no collective traffic shares the link
-// (its windows sit at absolute times), and the policy digests its state. A traced run therefore simulates every iteration, which
-// keeps tracing outcome-neutral: its stats are the reference the skip
-// must equal.
+// repeated iterations: the run has no tracer or one that can repeat its
+// own records (obs.Repeater), records no spans, injects no fault, shares
+// the link with no collective traffic (its windows sit at absolute
+// times), and the policy digests its state. Any other tracer makes the
+// run simulate every iteration, so a run it traces is the reference a
+// skipping run's stats and records must equal.
 func (s *Session) digester() (StateDigester, bool) {
-	if s.tr != nil || s.cfg.RecordSpans || s.inj.Enabled() || s.cfg.Comm != nil {
+	if _, repeats := s.tr.(obs.Repeater); s.tr != nil && !repeats ||
+		s.cfg.RecordSpans || s.inj.Enabled() || s.cfg.Comm != nil {
 		return nil, false
 	}
 	switch p := s.policy.(type) {

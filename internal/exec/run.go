@@ -65,15 +65,17 @@ func (s *Session) RunIteration() (IterStats, error) {
 // Run executes n iterations, returning per-iteration stats. It stops at
 // the first failure, and the last entry is then the iteration that
 // failed: its partial stats, or only its number when the boundary before
-// it failed. When nothing observes the run and its policy
-// digests its state (see StateDigester), Run stops simulating at the
-// first iteration boundary whose state equals the previous boundary's:
-// every remaining iteration would repeat the last one, so repeat fills
-// them in. The stats, and the session Run leaves, are those of
-// simulating all n.
+// it failed. When its policy digests its state (see StateDigester) and
+// nothing but a Repeater traces it, Run stops simulating at the first
+// iteration boundary whose state equals the previous boundary's: every
+// remaining iteration would repeat the last one, so repeat fills them
+// in, and the tracer repeats the last iteration's records. The stats,
+// the records and the session Run leaves are those of simulating all n.
 func (s *Session) Run(n int) ([]IterStats, error) {
 	stats := make([]IterStats, 0, n)
 	dg, skippable := s.digester()
+	rep, _ := s.tr.(obs.Repeater)
+	var mark obs.Cursor
 	for i := 0; i < n; i++ {
 		if skippable {
 			repeated, err := s.boundaryRepeats(dg, i == 0)
@@ -81,7 +83,15 @@ func (s *Session) Run(n int) ([]IterStats, error) {
 				return append(stats, IterStats{Iter: s.iter}), err
 			}
 			if repeated {
-				return s.repeat(stats, n), nil
+				m := n - len(stats)
+				stats = s.repeat(stats, n)
+				if rep != nil {
+					rep.Repeat(mark, stats[len(stats)-1].Duration, m)
+				}
+				return stats, nil
+			}
+			if rep != nil {
+				mark = rep.Mark()
 			}
 		}
 		st, err := s.RunIteration()

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
+	"capuchin/internal/serve"
 )
 
 // discard is a tracer that drops every record. Attaching it makes a run
@@ -82,6 +84,11 @@ func simulates(cfg bench.RunConfig, n int64) (lo, hi int64) {
 	return n, n
 }
 
+// cellName labels a cell in a failure message.
+func cellName(c bench.RunConfig) string {
+	return fmt.Sprintf("%s/%s/%s/b%d/%.1fGiB", c.Model, c.Mode, c.System, c.Batch, float64(c.Device.MemoryBytes)/float64(hw.GiB))
+}
+
 // checkCells runs every cell untraced, where Run may skip, and with a
 // discarding tracer, where it may not, and requires the two results to
 // be equal field for field and every failure to be an OOM. A fitting
@@ -97,7 +104,7 @@ func checkCells(t *testing.T, cells []bench.RunConfig) (simulated, iterations in
 		got := ts.RunTraced(c, nil)
 		n := exec.IterationsSimulated() - before
 		want := ts.RunTraced(c, discard{})
-		name := fmt.Sprintf("%s/%s/%s/b%d/%.1fGiB", c.Model, c.Mode, c.System, c.Batch, float64(c.Device.MemoryBytes)/float64(hw.GiB))
+		name := cellName(c)
 		if d := resultDiff(got, want); d != "" {
 			t.Errorf("%s: skipping run differs from the traced run: %s", name, d)
 		}
@@ -147,15 +154,12 @@ func TestRunSkipMatchesTracedSweep(t *testing.T) {
 	}
 }
 
-// TestRunSkipMatchesTracedGoldens repeats the differential proof on
-// every cell the quick goldens run (Fig. 1, Table 2, the policy arena
-// and the fleet scenarios' profiling) and on quick Table 3's eager
-// searches.
-func TestRunSkipMatchesTracedGoldens(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the quick golden experiments")
-	}
-	cells := sweepCells(2, func(r *bench.Runner) {
+// goldenCells returns every cell the quick goldens run (Fig. 1, Table 2,
+// the policy arena and the fleet scenarios' profiling) and quick Table
+// 3's eager searches.
+func goldenCells(t *testing.T) []bench.RunConfig {
+	t.Helper()
+	return sweepCells(2, func(r *bench.Runner) {
 		o := bench.Options{Device: hw.P100().WithMemory(4 * hw.GiB), Quick: true, Iterations: 2, Runner: r}
 		bench.Fig1(o)
 		bench.Table2(o)
@@ -165,11 +169,131 @@ func TestRunSkipMatchesTracedGoldens(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestRunSkipMatchesTracedGoldens repeats the differential proof on
+// goldenCells.
+func TestRunSkipMatchesTracedGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick golden experiments")
+	}
+	cells := goldenCells(t)
 	simulated, iterations := checkCells(t, cells)
 	if len(cells) != 371 || simulated != 660 || iterations != 901 {
 		t.Errorf("%d golden cells simulated %d of %d iterations, want 371 cells simulating 660 of 901",
 			len(cells), simulated, iterations)
 	}
+}
+
+// checkCollectorCells runs every cell traced by a bare Collector, which
+// repeats the records of the iterations Run skips, and by a Collector
+// teed with a discarding tracer, which makes Run simulate every
+// iteration. The two must give equal results and decision logs, and a
+// run that skipped byte-equal JSONL and Chrome traces (one that did not
+// recorded what the reference did by construction). It returns the
+// iterations the bare-Collector runs simulated and the iterations their
+// stats hold.
+func checkCollectorCells(t *testing.T, cells []bench.RunConfig) (simulated, iterations int64) {
+	t.Helper()
+	ts := bench.NewTemplates()
+	for _, c := range cells {
+		skipping, full := obs.NewCollector(), obs.NewCollector()
+		before := exec.IterationsSimulated()
+		got := ts.RunTraced(c, skipping)
+		n := exec.IterationsSimulated() - before
+		want := ts.RunTraced(c, obs.Tee(full, discard{}))
+		name := cellName(c)
+		if d := resultDiff(got, want); d != "" {
+			t.Errorf("%s: Collector-traced run differs from the simulated run: %s", name, d)
+		}
+		if !reflect.DeepEqual(skipping.Decisions(), full.Decisions()) {
+			t.Errorf("%s: decision log differs from the simulated run's", name)
+		}
+		simulated += n
+		iterations += int64(len(got.Stats))
+		if n == int64(len(got.Stats)) {
+			continue
+		}
+		gotJSONL, _, _ := skipping.AppendJSONL(nil, obs.Cursor{})
+		wantJSONL, _, _ := full.AppendJSONL(nil, obs.Cursor{})
+		if !bytes.Equal(gotJSONL, wantJSONL) {
+			t.Errorf("%s: JSONL differs from the simulated run's (%d bytes, want %d)", name, len(gotJSONL), len(wantJSONL))
+		}
+		var gotTrace, wantTrace bytes.Buffer
+		if err := obs.WriteChromeTrace(&gotTrace, skipping.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.WriteChromeTrace(&wantTrace, full.Events()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotTrace.Bytes(), wantTrace.Bytes()) {
+			t.Errorf("%s: Chrome trace differs from the simulated run's", name)
+		}
+	}
+	return simulated, iterations
+}
+
+// serveMenu returns the cells of the benchmark's serve workload, as
+// capuchin-serve canonicalizes its requests: alexnet, mobilenetv2 and
+// resnet50 at batches 1 to 32, TF-ori and Capuchin, on 2, 4 and 16 GiB,
+// 3 iterations each.
+func serveMenu(t *testing.T) []bench.RunConfig {
+	t.Helper()
+	var cells []bench.RunConfig
+	for _, m := range []string{"alexnet", "mobilenetv2", "resnet50"} {
+		for _, b := range []int64{1, 2, 4, 8, 12, 16, 24, 32} {
+			for _, sys := range []string{"tf-ori", "capuchin"} {
+				for _, mem := range []float64{2, 4, 16} {
+					rr := serve.RunRequest{Model: m, Batch: b, System: sys, Iterations: 3, MemGiB: mem}
+					cfg, err := rr.ToRunConfig()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cells = append(cells, bench.CanonicalConfig(cfg))
+				}
+			}
+		}
+	}
+	return cells
+}
+
+// TestRunSkipCollectorByteIdentical is the differential proof for traced
+// runs: a run traced by a Collector skips the iterations an untraced run
+// skips, and the Collector's records equal a fully simulated run's byte
+// for byte. It covers every cell of the benchmark's serve menu, where
+// each capuchin-serve request is such a run, and every cell the quick
+// goldens run.
+func TestRunSkipCollectorByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the serve menu and the quick golden experiments, each twice traced")
+	}
+	// Every run here is sequential, so the race detector has nothing to
+	// check; the Collector's own races are covered in internal/obs.
+	if raceDetector {
+		t.Skip("single-goroutine")
+	}
+	t.Run("serve-menu", func(t *testing.T) {
+		cells := serveMenu(t)
+		simulated, iterations := checkCollectorCells(t, cells)
+		// 144 cells of 3 iterations. resnet50 TF-ori at batches 24 and
+		// 32 on 2 GiB run out of memory in their first, so the stats
+		// hold 428. The other TF-ori cells simulate one iteration, and
+		// the Capuchin cells two, or three where the schedule settles
+		// late.
+		if len(cells) != 144 || simulated != 218 || iterations != 428 {
+			t.Errorf("%d serve cells simulated %d of %d iterations, want 144 cells simulating 218 of 428",
+				len(cells), simulated, iterations)
+		}
+	})
+	t.Run("goldens", func(t *testing.T) {
+		cells := goldenCells(t)
+		simulated, iterations := checkCollectorCells(t, cells)
+		// The counts of TestRunSkipMatchesTracedGoldens' untraced runs.
+		if len(cells) != 371 || simulated != 660 || iterations != 901 {
+			t.Errorf("%d golden cells simulated %d of %d iterations, want 371 cells simulating 660 of 901",
+				len(cells), simulated, iterations)
+		}
+	})
 }
 
 // TestRunSkipMatchesTracedTrain is the differential proof for Capuchin on

@@ -142,12 +142,29 @@ type Decision struct {
 //
 // A nil Tracer means tracing is off: every call site in the executor
 // checks for nil before constructing an event, so the disabled path costs
-// one pointer comparison.
+// one pointer comparison. A Tracer that also implements Repeater, as the
+// Collector does, lets the executor skip iterations that repeat; any
+// other makes it simulate every iteration.
 type Tracer interface {
 	// Emit records one timeline event.
 	Emit(Event)
 	// Decide records one policy decision in the audit log.
 	Decide(Decision)
+}
+
+// Repeater is the optional interface of a Tracer that can record a run
+// of repeated iterations itself. When an iteration repeats the one
+// before it in every record but the clock and the iteration number, the
+// executor calls Repeat instead of simulating it again; a Tracer without
+// the method makes the executor simulate every iteration, so it is the
+// full-simulation reference.
+type Repeater interface {
+	// Mark returns the position after the last record.
+	Mark() Cursor
+	// Repeat appends times copies of the records after since. Copy k
+	// (from 1) is the window with every absolute virtual time moved on
+	// by k·period and every iteration number by k.
+	Repeat(since Cursor, period sim.Time, times int)
 }
 
 // Collector is the in-memory Tracer: an append-only event log and
@@ -205,6 +222,51 @@ func (c *Collector) Decide(d Decision) {
 	c.decAt.append(c.events.n)
 	c.wakeReaders()
 	c.mu.Unlock()
+}
+
+var _ Repeater = (*Collector)(nil)
+
+// Mark implements Repeater.
+func (c *Collector) Mark() Cursor {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Cursor{events: c.events.n, decisions: c.decisions.n}
+}
+
+// Repeat implements Repeater. Copied event records reuse the window's
+// string references, so repeating adds nothing to the arena, and each
+// copy's decisions keep their places among its events, including those
+// recorded after the window's last event. A zero Queued or CommUntil
+// stays zero.
+func (c *Collector) Repeat(since Cursor, period sim.Time, times int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	evEnd, decEnd := c.events.n, c.decisions.n
+	for k := 1; k <= times; k++ {
+		shift := sim.Time(k) * period
+		base := c.events.n - since.events
+		for i := since.events; i < evEnd; i++ {
+			r := c.events.at(i)
+			r.start += shift
+			r.end += shift
+			if r.queued != 0 {
+				r.queued += shift
+			}
+			r.iter += k
+			c.events.append(r)
+		}
+		for i := since.decisions; i < decEnd; i++ {
+			d := c.decisions.at(i)
+			d.At += shift
+			if d.CommUntil != 0 {
+				d.CommUntil += shift
+			}
+			d.Iter += k
+			c.decisions.append(d)
+			c.decAt.append(c.decAt.at(i) + base)
+		}
+	}
+	c.wakeReaders()
 }
 
 // wakeReaders closes the wake channel if a reader armed it; c.mu is held.

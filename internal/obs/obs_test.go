@@ -314,6 +314,137 @@ func TestAppendJSONLWake(t *testing.T) {
 	}
 }
 
+// repeatWindow is copy k of one iteration's records, as Collector.Repeat
+// must write it from copy 0: a decision before the first event, a kernel
+// span with no queue time, a queued transfer, a decision between events,
+// a free instant, and two decisions after the last event, one with a
+// comm window.
+func repeatWindow(k int, period sim.Time) []tapeRecord {
+	at := func(t sim.Time) sim.Time { return t + sim.Time(k)*period }
+	return []tapeRecord{
+		{decision: true, d: Decision{Iter: k, At: at(10), Policy: "capuchin", Tensor: "conv1:0", Action: "prefetch"}},
+		{ev: Event{Kind: KindSpan, Cat: "kernel", Name: "conv1", Lane: "compute", Start: at(10), End: at(20), Iter: k, Node: "conv1"}},
+		{ev: Event{Kind: KindSpan, Cat: "transfer", Name: "swapout conv1:0", Lane: "d2h", Start: at(22), End: at(30),
+			Queued: at(20), Iter: k, Tensor: "conv1:0", Bytes: 4096}},
+		{decision: true, d: Decision{Iter: k, At: at(25), Policy: "capuchin", Tensor: "conv1:0", Action: "swap-out", FreeTime: 7, BackAccess: 40}},
+		{ev: Event{Kind: KindInstant, Cat: "free", Name: "free conv1:0", Start: at(31), End: at(31), Iter: k,
+			Tensor: "conv1:0", Used: 100, Free: 200, LargestFree: 150}},
+		{decision: true, d: Decision{Iter: k, At: at(40), Policy: "capuchin", Tensor: "conv1:0", Action: "advance-trigger"}},
+		{decision: true, d: Decision{Iter: k, At: at(41), Policy: "capuchin", Action: "comm-defer", CommSlowdown: 2, CommUntil: at(45)}},
+	}
+}
+
+// record replays tape into tr.
+func record(tr Tracer, tape []tapeRecord) {
+	for _, r := range tape {
+		if r.decision {
+			tr.Decide(r.d)
+		} else {
+			tr.Emit(r.ev)
+		}
+	}
+}
+
+// repeatPrelude is recorded before the mark, so Repeat must not copy it.
+var repeatPrelude = []tapeRecord{
+	{ev: Event{Kind: KindInstant, Cat: "alloc", Name: "alloc fc:w", Tensor: "fc:w", Detail: "persistent"}},
+	{decision: true, d: Decision{Policy: "capuchin", Action: "plan"}},
+}
+
+// repeatedCollectors returns a Collector that recorded repeatPrelude and
+// one window, then repeated the window times, and a Collector that
+// recorded repeatPrelude and all times+1 windows itself.
+func repeatedCollectors(period sim.Time, times int) (repeated, recorded *Collector) {
+	repeated, recorded = NewCollector(), NewCollector()
+	record(repeated, repeatPrelude)
+	record(recorded, repeatPrelude)
+	mark := repeated.Mark()
+	record(repeated, repeatWindow(0, period))
+	repeated.Repeat(mark, period, times)
+	for k := 0; k <= times; k++ {
+		record(recorded, repeatWindow(k, period))
+	}
+	return repeated, recorded
+}
+
+// TestCollectorRepeatMatchesRecording: a window repeated by Repeat reads
+// back, through Events, Decisions and AppendJSONL, exactly as the same
+// records emitted one by one: times and iterations shifted per copy,
+// decisions in their places among the events (those after the window's
+// last event included), and a zero Queued left zero.
+func TestCollectorRepeatMatchesRecording(t *testing.T) {
+	const period, times = 1000, 3
+	got, want := repeatedCollectors(period, times)
+	if !slices.Equal(got.Events(), want.Events()) || !slices.Equal(got.Decisions(), want.Decisions()) {
+		t.Fatalf("repeated log reads back %d events and %d decisions unlike the %d and %d recorded",
+			got.Len(), len(got.Decisions()), want.Len(), len(want.Decisions()))
+	}
+	gotJSONL, _, _ := got.AppendJSONL(nil, Cursor{})
+	wantJSONL, _, _ := want.AppendJSONL(nil, Cursor{})
+	if !bytes.Equal(gotJSONL, wantJSONL) {
+		t.Fatalf("repeated log renders:\n%s\nrecorded log renders:\n%s", gotJSONL, wantJSONL)
+	}
+	var queued int
+	for _, ev := range got.Events() {
+		if ev.Queued != 0 {
+			queued++
+		}
+	}
+	if queued != times+1 {
+		t.Errorf("%d events carry a queue time, want the %d transfers", queued, times+1)
+	}
+}
+
+// TestAppendJSONLAcrossRepeat: a reader whose cursor stops anywhere in
+// the window, before the mark included, continues after Repeat to the
+// bytes a single read renders, and the channel it waits on closes.
+func TestAppendJSONLAcrossRepeat(t *testing.T) {
+	const period, times = 1000, 2
+	_, want := repeatedCollectors(period, times)
+	wantJSONL, _, _ := want.AppendJSONL(nil, Cursor{})
+	window := repeatWindow(0, period)
+	for cut := 0; cut <= len(window); cut++ {
+		c := NewCollector()
+		record(c, repeatPrelude)
+		mark := c.Mark()
+		record(c, window[:cut])
+		got, cur, wake := c.AppendJSONL(nil, Cursor{})
+		record(c, window[cut:])
+		c.Repeat(mark, period, times)
+		select {
+		case <-wake:
+		default:
+			t.Fatalf("cut %d: a reader's wake channel stayed open", cut)
+		}
+		got, _, _ = c.AppendJSONL(got, cur)
+		if !bytes.Equal(got, wantJSONL) {
+			t.Fatalf("cut %d: a reader that stopped mid-window rendered %d bytes, a single read %d", cut, len(got), len(wantJSONL))
+		}
+	}
+}
+
+// TestCollectorRepeatAddsNoStrings: repeated records reuse the window's
+// strings, so Bytes grows by record chunks only, here across several
+// chunk boundaries, and the arena does not grow at all.
+func TestCollectorRepeatAddsNoStrings(t *testing.T) {
+	c := NewCollector()
+	mark := c.Mark()
+	record(c, repeatWindow(0, 1000))
+	arenaLen, arenaBytes, before := c.strs.n, c.strs.bytes(), c.Bytes()
+	records := func() int64 { return c.events.bytes() + c.decisions.bytes() + c.decAt.bytes() }
+	recordsBefore := records()
+	c.Repeat(mark, 1000, 2*eventChunk)
+	if c.Len() != 3*(2*eventChunk+1) {
+		t.Fatalf("Len() = %d after repeating 3 events %d times", c.Len(), 2*eventChunk)
+	}
+	if c.strs.n != arenaLen || c.strs.bytes() != arenaBytes {
+		t.Errorf("arena grew from %d to %d bytes", arenaLen, c.strs.n)
+	}
+	if grew := c.Bytes() - before; grew <= 0 || grew != records()-recordsBefore {
+		t.Errorf("Bytes() grew by %d, want the %d bytes of new record chunks", grew, records()-recordsBefore)
+	}
+}
+
 func TestFmtBytes(t *testing.T) {
 	cases := []struct {
 		n    int64

@@ -36,10 +36,13 @@
 // (instantiation and tracing are outcome-neutral, so streamed and
 // direct results are byte-identical); the event stream
 // renders JSON lines from it on read and the Chrome trace exports it
-// once the run completes. The store keeps every run's Collector, whose
-// history is pointer-free records and a byte arena the GC never scans:
-// about 0.76 MB per run of the benchmark's serve menu (4,506 events on
-// average), summed over stored runs as storeBytes in /v1/stats. A run
+// once the run completes. The Collector is the run's only tracer, so the
+// run skips the iterations that repeat, and the Collector copies their
+// records from the last simulated one. The store keeps every run's
+// Collector, whose history is pointer-free records and a byte arena the
+// GC never scans: about 0.73 MB per run of the benchmark's serve menu
+// (4,506 events on average; copied records add no arena bytes), summed
+// over stored runs as storeBytes in /v1/stats. A run
 // that panics is recovered into a failed
 // result. On SIGTERM the daemon drains: it stops admitting (503 on
 // POST, /readyz goes 503), finishes every in-flight run, flushes event

@@ -14,6 +14,7 @@ import (
 
 	"capuchin/internal/bench"
 	"capuchin/internal/obs"
+	"capuchin/internal/serve/loadgen"
 )
 
 // testConfig keeps serve tests fast and deterministic.
@@ -403,6 +404,67 @@ func TestEventsStream(t *testing.T) {
 		if string(got) != want[i] || string(after) != want[i] {
 			t.Errorf("%s: live read %d bytes, read after completion %d, JSONLTracer reference %d",
 				urls[i], len(got), len(after), len(want[i]))
+		}
+	}
+}
+
+// discard is a tracer that drops every record. Teed with a Collector it
+// makes a run simulate every iteration.
+type discard struct{}
+
+func (discard) Emit(obs.Event)      {}
+func (discard) Decide(obs.Decision) {}
+
+// TestMenuEndpointsMatchDirectRuns: for every config of the loadgen menu
+// the selftest drives, the server's result equals a direct bench.Run's,
+// and its /events and /trace bodies equal the JSONL and Chrome trace of
+// a direct bench.RunTraced whose tracer makes it simulate every
+// iteration. The server's Collector repeats the records of the
+// iterations its runs skip, so this proves the repeat exact end to end.
+func TestMenuEndpointsMatchDirectRuns(t *testing.T) {
+	s := NewServer(testConfig())
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	seen := make(map[loadgen.RunRequest]bool)
+	for _, m := range loadgen.Menu(1, 16) {
+		if seen[m] {
+			continue
+		}
+		seen[m] = true
+		rr := RunRequest{Model: m.Model, Batch: m.Batch, System: m.System, Iterations: m.Iterations, MemGiB: m.MemGiB}
+		cfg, err := rr.ToRunConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = bench.CanonicalConfig(cfg)
+		wantResult, err := EncodeResult(bench.Run(cfg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := obs.NewCollector()
+		bench.RunTraced(cfg, obs.Tee(ref, discard{}))
+		wantEvents, _, _ := ref.AppendJSONL(nil, obs.Cursor{})
+		var wantTrace bytes.Buffer
+		if err := obs.WriteChromeTrace(&wantTrace, ref.Events()); err != nil {
+			t.Fatal(err)
+		}
+
+		_, rep := postRun(t, ts.Client(), ts.URL, rr)
+		run := ts.URL + "/v1/runs/" + rep.ID
+		for _, c := range []struct {
+			url  string
+			want []byte
+		}{
+			{run + "?wait=1", wantResult},
+			{run + "/events", wantEvents},
+			{run + "/trace?wait=1", wantTrace.Bytes()},
+		} {
+			if code, got := getBody(t, ts.Client(), c.url); code != http.StatusOK || !bytes.Equal(got, c.want) {
+				t.Errorf("%s/b%d/%s: %s answered %d with %d bytes, the direct run gives %d",
+					m.Model, m.Batch, m.System, strings.TrimPrefix(c.url, ts.URL), code, len(got), len(c.want))
+			}
 		}
 	}
 }
