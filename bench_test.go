@@ -416,9 +416,11 @@ func BenchmarkHotPathInstantiate(b *testing.B) {
 // resnet50 Capuchin cell on a 16 GiB P100, beyond TF-ori's maximum so
 // Capuchin plans. It runs on a warm template set and alternates two
 // batches, so every iteration refills, at the other batch, the graph
-// and session the iteration before it handed back. Its budget pins
-// that recycling: a probe that instantiates or builds its session from
-// scratch again allocates a few thousand more.
+// and session the iteration before it handed back, and Capuchin's
+// policy in the policy that session parked. Its budget pins that
+// recycling: a probe that instantiates or builds its session from
+// scratch again allocates a few thousand more, and one that rebuilds
+// Capuchin's tracker, plan or the cost menus about a thousand more.
 func BenchmarkHotPathProbeCell(b *testing.B) {
 	ts := bench.NewTemplates()
 	var cfgs [2]bench.RunConfig
@@ -442,7 +444,9 @@ func BenchmarkHotPathProbeCell(b *testing.B) {
 // warm template set, alternating two batches. Session.Run simulates its
 // first iteration, finds the next boundary repeats it, and fills in the
 // other two by a fingerprint-only replay. Its budget pins that the
-// boundary digest and the replay allocate nothing per boundary.
+// boundary digest and the replay allocate nothing per boundary, and
+// that the refilled session appends its nodes' cost menus to the
+// spare's instead of allocating one per node.
 func BenchmarkHotPathProbeCellTF(b *testing.B) {
 	ts := bench.NewTemplates()
 	var cfgs [2]bench.RunConfig

@@ -158,7 +158,7 @@ func main() {
 		exitOn(1, err)
 	}
 	ec := exec.Config{Device: cfg.Device, Faults: plan}
-	exitOn(1, ec.UsePolicy(*system, g))
+	exitOn(1, ec.UsePolicy(*system, g, nil))
 	rec := trace.NewRecorder(ec.Policy, filter)
 	ec.Policy = rec.Policy()
 	if *schedule != "" {

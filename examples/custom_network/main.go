@@ -45,13 +45,14 @@ func (GatedMix) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-// Algorithms implements ops.Op: memory-bound, no workspace.
-func (GatedMix) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
+// Algorithms implements ops.Op: memory-bound, no workspace. Like every
+// op, it appends its menu to dst instead of allocating one.
+func (GatedMix) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []ops.Algorithm) []ops.Algorithm {
 	bytes := int64(0)
 	if len(in) == 2 {
 		bytes = 3 * in[0].Elems() * 4
 	}
-	return []ops.Algorithm{{Name: "elementwise", Workspace: 0, Duration: dev.MemoryTime(bytes)}}
+	return append(dst, ops.Algorithm{Name: "elementwise", Workspace: 0, Duration: dev.MemoryTime(bytes)})
 }
 
 // GatedMixGrad computes one operand's gradient of GatedMix from
@@ -73,12 +74,12 @@ func (GatedMixGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements ops.Op.
-func (GatedMixGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
+func (GatedMixGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []ops.Algorithm) []ops.Algorithm {
 	bytes := int64(0)
 	if len(in) == 2 {
 		bytes = 3 * in[0].Elems() * 4
 	}
-	return []ops.Algorithm{{Name: "elementwise", Workspace: 0, Duration: dev.MemoryTime(bytes)}}
+	return append(dst, ops.Algorithm{Name: "elementwise", Workspace: 0, Duration: dev.MemoryTime(bytes)})
 }
 
 // init registers GatedMix's gradient rule with the autodiff — the hook a

@@ -154,9 +154,11 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 // for one validated run. g is nil on the dynamic path, where the graph
 // changes per shape signature; Validate admits only graph-agnostic
 // systems there (TF-ori and the Capuchin variants, which re-key their
-// plan per signature). extra, when non-nil, receives the run's live
-// event stream alongside whatever Profile wires up (the RunTraced path).
-func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *obs.Collector, error) {
+// plan per signature). spare, when non-nil, is a parked policy the
+// policy may be built in (exec.BuildContext.Spare). extra, when non-nil,
+// receives the run's live event stream alongside whatever Profile wires
+// up (the RunTraced path).
+func execConfig(cfg RunConfig, g *graph.Graph, spare exec.Policy, extra obs.Tracer) (exec.Config, *obs.Collector, error) {
 	ec := exec.Config{
 		Device:      cfg.Device,
 		Mode:        cfg.Mode,
@@ -172,7 +174,7 @@ func execConfig(cfg RunConfig, g *graph.Graph, extra obs.Tracer) (exec.Config, *
 	} else if extra != nil {
 		ec.Tracer = extra
 	}
-	if err := ec.UsePolicy(string(cfg.System), g); err != nil {
+	if err := ec.UsePolicy(string(cfg.System), g, spare); err != nil {
 		return ec, nil, fmt.Errorf("bench: %w", err)
 	}
 	ec.CoupledSwap = ec.CoupledSwap || cfg.ForceCoupledSwap
@@ -242,10 +244,15 @@ func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session,
 }
 
 // simulate runs a static single-device cell on g in a session recycled
-// from spare (nil builds a new one). It returns that session, or spare
-// when building the session failed.
+// from spare (nil builds a new one), with a policy built in the policy
+// spare parked. It returns that session, or spare when building the
+// session failed.
 func simulate(cfg RunConfig, res Result, g *graph.Graph, spare *exec.Session, extra obs.Tracer) (Result, *exec.Session, exec.Policy) {
-	ec, col, err := execConfig(cfg, g, extra)
+	var sparePolicy exec.Policy
+	if spare != nil {
+		sparePolicy = spare.Policy()
+	}
+	ec, col, err := execConfig(cfg, g, sparePolicy, extra)
 	if err != nil {
 		res.Err = err
 		return res, spare, nil

@@ -53,7 +53,7 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 			return ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
 		},
 		Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
-			ec, _, err := execConfig(baseCfg, g, nil)
+			ec, _, err := execConfig(baseCfg, g, nil, nil)
 			if err != nil {
 				return ec, err
 			}

@@ -43,7 +43,7 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 		res.Err = err
 		return res, nil, nil
 	}
-	ec, col, err := execConfig(cfg, nil, extra)
+	ec, col, err := execConfig(cfg, nil, nil, extra)
 	if err != nil {
 		res.Err = err
 		return res, nil, nil

@@ -147,7 +147,7 @@ func Fig2(o Options) *Table {
 		if _, ok := n.Op.(ops.Conv2D); !ok {
 			continue
 		}
-		durs = append(durs, n.Op.Algorithms(o.Device, inputShapes(n))[0].Duration)
+		durs = append(durs, n.Op.Algorithms(o.Device, inputShapes(n), nil)[0].Duration)
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	if len(durs) == 0 {

@@ -1,16 +1,21 @@
 package bench
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/fault"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
+	"capuchin/internal/obs"
 )
 
 // recycledCells is a seeded sequence of resnet50 cells for one template
@@ -121,5 +126,131 @@ func TestMaxBatchAllSharesSpare(t *testing.T) {
 		if got[i] != want {
 			t.Errorf("%s: MaxBatchAll answered %d, a search from scratch %d", cfg.System, got[i], want)
 		}
+	}
+}
+
+// TestRecycledCapuchinMatchesFresh drives one template slot through
+// every Capuchin variant, each with a cell whose plan swaps, recomputes
+// or both, as far as the variant may, and a cell that fits without a
+// plan, alternating batches
+// and variants, with a vDNN cell's policy parked in the spare halfway.
+// A Capuchin cell that follows a Capuchin cell must refill that cell's
+// policy, and every cell's Result, decision log and JSONL must equal
+// those of a fresh run on a nil set. After the sequence every earlier
+// Result must still equal its fresh twin, so no Result aliases a
+// recycled plan.
+func TestRecycledCapuchinMatchesFresh(t *testing.T) {
+	const plans, fits = 160, 16
+	dev := hw.P100().WithMemory(4 * hw.GiB)
+	variants := []System{SystemCapuchin, SystemCapuchinSwap, SystemCapuchinSwapNoFA, SystemCapuchinRecompute, SystemCapuchinRecompNoCR}
+	var cells []RunConfig
+	for i, sys := range variants {
+		batches := []int64{plans, fits}
+		if i%2 == 1 {
+			batches = []int64{fits, plans}
+		}
+		for _, b := range batches {
+			cells = append(cells, RunConfig{Model: "resnet50", System: sys, Batch: b, Device: dev})
+		}
+		if i == 2 {
+			cells = append(cells, RunConfig{Model: "resnet50", System: SystemVDNN, Batch: fits, Device: dev})
+		}
+	}
+	spec, err := models.Get("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewTemplates()
+	got := make([]Result, len(cells))
+	want := make([]Result, len(cells))
+	var prev exec.Policy
+	var recycled int
+	for i, cfg := range cells {
+		label := fmt.Sprintf("cell %d (%s b%d)", i, cfg.System, cfg.Batch)
+		gotCol, wantCol := obs.NewCollector(), obs.NewCollector()
+		got[i] = ts.RunTraced(cfg, gotCol)
+		want[i] = RunTraced(cfg, wantCol)
+		if !got[i].OK {
+			t.Fatalf("%s: %v", label, got[i].Err)
+		}
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: recycled Result differs from a fresh run's\ngot:  %+v\nwant: %+v", label, got[i], want[i])
+		}
+		if !reflect.DeepEqual(gotCol.Decisions(), wantCol.Decisions()) {
+			t.Errorf("%s: recycled decision log differs from a fresh run's", label)
+		}
+		gotJSONL, _, _ := gotCol.AppendJSONL(nil, obs.Cursor{})
+		wantJSONL, _, _ := wantCol.AppendJSONL(nil, obs.Cursor{})
+		if !bytes.Equal(gotJSONL, wantJSONL) {
+			t.Errorf("%s: recycled JSONL differs from a fresh run's", label)
+		}
+
+		slot, err := ts.slot(spec, exec.GraphMode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := slot.spare.s.Policy()
+		_, isCapuchin := pol.(*core.Capuchin)
+		if _, was := prev.(*core.Capuchin); was && isCapuchin {
+			if pol != prev {
+				t.Errorf("%s: the cell built a new policy instead of refilling the spare's", label)
+			}
+			recycled++
+		}
+		prev = pol
+
+		plan := got[i].Plan
+		swaps := cfg.System != SystemCapuchinRecompute && cfg.System != SystemCapuchinRecompNoCR
+		recomputes := cfg.System != SystemCapuchinSwap && cfg.System != SystemCapuchinSwapNoFA
+		switch {
+		case cfg.System == SystemVDNN:
+		case cfg.Batch == fits && (!plan.Planned || plan.RequiredBytes > 0):
+			t.Errorf("%s: the cell needs a plan (%v); the check wants one that fits without", label, plan)
+		case cfg.Batch == plans && (plan.SwapTensors > 0 != swaps || plan.RecomputeCount > 0 != recomputes):
+			t.Errorf("%s: the plan (%v) does not swap %v and recompute %v", label, plan, swaps, recomputes)
+		}
+	}
+	if recycled != 2*len(variants)-2 {
+		t.Errorf("%d cells refilled a Capuchin spare, want %d", recycled, 2*len(variants)-2)
+	}
+	for i := range cells {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("cell %d: its Result changed after later cells recycled its storage", i)
+		}
+	}
+}
+
+// TestWarmProbeCellBytes pins the bytes a max-batch probe allocates once
+// its template set is warm, which an allocs/op budget cannot see: a
+// 3-iteration resnet50 Capuchin cell that refills the graph, session and
+// policy the cell before it handed back. A probe that rebuilds the
+// tracker, the plan or the cost menus allocates hundreds of kilobytes.
+// It takes the least of a few measurements, since TotalAlloc counts the
+// whole process.
+func TestWarmProbeCellBytes(t *testing.T) {
+	const bound = 64 << 10
+	ts := NewTemplates()
+	var cfgs [2]RunConfig
+	for i, batch := range []int64{256, 512} {
+		cfgs[i] = RunConfig{Model: "resnet50", Batch: batch, System: SystemCapuchin, Device: hw.P100()}
+	}
+	for i := 0; i < 4; i++ {
+		if r := ts.RunTraced(cfgs[i%2], nil); !r.OK || r.Plan.SwapTensors == 0 {
+			t.Fatalf("warm-up cell %d: ok %v, %v; the check wants cells that plan swaps", i, r.OK, r.Plan)
+		}
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		r := ts.RunTraced(cfgs[i%2], nil)
+		runtime.ReadMemStats(&after)
+		if !r.OK {
+			t.Fatal(r.Err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > bound {
+		t.Errorf("a warm probe cell allocated %d bytes, want at most %d", least, bound)
 	}
 }

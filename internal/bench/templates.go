@@ -18,10 +18,16 @@ import (
 //
 // Each template also keeps at most one spare probe: the graph instance
 // and exec.Session of the last static single-device cell of that
-// template that handed them back. run hands them back after every normal
-// return of such a cell, so the next cell of the template refills the
-// spare's storage instead of allocating it (graph.Template.Instantiate,
-// exec.RecycleSession). A cell takes the spare for its whole run, so
+// template that handed them back, and the policy the parked session
+// kept. run hands them back after every normal return of such a cell,
+// so the next cell of the template refills the spare's storage instead
+// of allocating it (graph.Template.Instantiate, exec.RecycleSession,
+// exec.BuildContext.Spare). A policy refills only a spare of its own
+// kind: a Capuchin cell reuses the tracker, planner and plan arrays of a
+// Capuchin spare and builds anew after any other system's cell. So in a
+// MaxBatchAll call, whose searches of every system share one set, a
+// Capuchin probe finds a Capuchin spare only when the cell before it on
+// that template was one. A cell takes the spare for its whole run, so
 // concurrent cells of one template never share it; the others allocate.
 // RunLive never hands its session back, and cluster and dynamic runs
 // never take a spare. A cell that panics hands nothing back, so the next
@@ -70,7 +76,7 @@ type templateSlot struct {
 }
 
 // probe is the storage of one static single-device cell: its graph and,
-// once the cell has run, its session. slot is the template slot the
+// once the cell has run, its session with the policy it parked. slot is the template slot the
 // graph was instantiated from, nil for a graph built from scratch.
 type probe struct {
 	slot *templateSlot

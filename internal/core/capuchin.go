@@ -35,9 +35,14 @@ const measuredIters = 1
 type Capuchin struct {
 	opts Options
 
-	// tk exists only during a measured iteration.
+	// tk exists only during a measured iteration; it is then &tkBuf.
 	tk   *tracker
 	plan *plan
+	// tkBuf and scratch are the tracker and the Policy Maker's storage,
+	// kept so each measured pass and plan build reuses the previous
+	// one's.
+	tkBuf   tracker
+	scratch planScratch
 	// planGraph is the graph whose Idx space the plan indexes; a nil or
 	// different graph makes the next iteration rebind the plan.
 	planGraph *graph.Graph
@@ -84,15 +89,42 @@ var _ exec.Policy = (*Capuchin)(nil)
 var _ exec.Replanner = (*Capuchin)(nil)
 
 // New creates a Capuchin policy.
-func New(opts Options) *Capuchin {
+func New(opts Options) *Capuchin { return recycle(nil, opts) }
+
+// recycle returns a Capuchin policy with opts, as New does, in spare's
+// storage when spare is non-nil: a policy no one runs or inspects any
+// more, typically the one a parked exec.Session kept. Every field is
+// reset, the options and counters included; only backing arrays
+// survive. Those are the tracker's and the Policy Maker's scratch, the
+// prefetch queue and the arrays of spare's current plan, which the next
+// plan build refills. Plans spare cached for other shape signatures are
+// dropped. A recycled policy behaves exactly like a new one.
+func recycle(spare *Capuchin, opts Options) *Capuchin {
 	if opts.SwapOnly && opts.RecomputeOnly {
 		panic("core: SwapOnly and RecomputeOnly are mutually exclusive")
 	}
-	return &Capuchin{
-		opts:        opts,
-		measureLeft: measuredIters,
-		cache:       newPlanCache(planCacheSize),
+	c := spare
+	if c == nil {
+		c = &Capuchin{cache: newPlanCache(planCacheSize)}
 	}
+	old := *c
+	*c = Capuchin{
+		opts:            opts,
+		measureLeft:     measuredIters,
+		cache:           old.cache,
+		tkBuf:           old.tkBuf,
+		scratch:         old.scratch,
+		pendingPrefetch: old.pendingPrefetch[:0],
+		pending:         old.pending,
+	}
+	c.cache.clear()
+	clear(c.pending)
+	if old.plan != nil {
+		// The plan took the tracker's sequence when it was built.
+		c.tkBuf.seq = old.plan.seq
+		c.scratch.spare = old.plan
+	}
+	return c
 }
 
 // Name implements exec.Policy.
@@ -121,7 +153,8 @@ func (c *Capuchin) BeginIteration(iter int, env *exec.Env) {
 	}
 	c.measuring = c.plan == nil && c.measureLeft > 0
 	if c.measuring && c.tk == nil {
-		c.tk = newTracker(len(c.tensors), len(g.Nodes))
+		c.tkBuf.reset(len(c.tensors), len(g.Nodes))
+		c.tk = &c.tkBuf
 	}
 	if c.plan != nil && g != c.planGraph {
 		c.plan.bind(g)
@@ -314,19 +347,24 @@ func (c *Capuchin) EndIteration(iter int, env *exec.Env) {
 		return
 	}
 	c.tk.finish()
-	pl := &planner{
+	pl := planner{
 		tk:       c.tk,
 		opts:     c.opts,
 		capacity: env.DeviceMemory(),
 		params:   paramResident(env),
 		swapOut:  env.SwapOutDuration,
 		swapIn:   env.SwapInDuration,
+		scratch:  c.scratch,
 	}
 	if env.Tracing() {
 		pl.decide = env.Decide
 	}
 	c.plan = pl.build()
+	c.scratch = pl.scratch
 	c.planGraph = env.Graph()
+	// The plan owns the sequence now: a later measured pass (a new shape
+	// signature's) must not overwrite a plan the cache may keep.
+	c.tkBuf.seq = nil
 	c.tk = nil
 	c.plansBuilt++
 	if c.sig != "" {

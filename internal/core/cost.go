@@ -3,6 +3,7 @@ package core
 import (
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
+	"capuchin/internal/ops"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
 )
@@ -19,12 +20,14 @@ import (
 func ProducerCosts(g *graph.Graph, dev hw.DeviceSpec) []sim.Time {
 	g.EnsureIndexed()
 	costs := make([]sim.Time, len(g.TensorList()))
+	var inShapes []tensor.Shape
+	var algos []ops.Algorithm
 	for _, n := range g.Nodes {
-		inShapes := make([]tensor.Shape, len(n.Inputs))
-		for i, in := range n.Inputs {
-			inShapes[i] = in.Shape
+		inShapes = inShapes[:0]
+		for _, in := range n.Inputs {
+			inShapes = append(inShapes, in.Shape)
 		}
-		algos := n.Op.Algorithms(dev, inShapes)
+		algos = n.Op.Algorithms(dev, inShapes, algos[:0])
 		if len(algos) == 0 {
 			continue
 		}

@@ -154,3 +154,9 @@ func (pc *planCache) remove(sig string) {
 }
 
 func (pc *planCache) len() int { return len(pc.plans) }
+
+// clear empties the cache, keeping its storage.
+func (pc *planCache) clear() {
+	clear(pc.plans)
+	pc.order = pc.order[:0]
+}

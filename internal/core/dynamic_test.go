@@ -48,9 +48,22 @@ func TestCapuchinDynamicSignatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := d.Run(9)
+	stats, err := d.Run(3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The b6 measured pass reuses the tracker of b8's, but the access
+	// sequence b8's plan took from it is the plan's own: the cached plan
+	// must come back unchanged.
+	b8Plan := cap.plan
+	b8Seq := slices.Clone(b8Plan.seq)
+	rest, err := d.Run(6)
+	stats = append(stats, rest...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap.plan != b8Plan || !slices.Equal(b8Plan.seq, b8Seq) {
+		t.Error("the b8 revisit's plan is not the cached plan as it was built")
 	}
 
 	sum := cap.Summary()

@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"capuchin/internal/bufs"
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 )
@@ -15,14 +16,16 @@ import (
 // adding its producer's measured duration.
 func (pl *planner) initRecompute(cands []*cand) {
 	n := len(pl.tk.records)
-	inSet := make([]bool, n)
+	inSet := bufs.Resized(pl.scratch.inSet, n)
+	pl.scratch.inSet = inSet
 	for _, c := range cands {
 		if c.canRecompute {
 			inSet[c.idx] = true
 		}
 	}
 	// visited[i] == stamp marks tensor i seen by the current walk.
-	visited := make([]int32, n)
+	visited := bufs.Resized(pl.scratch.visited, n)
+	pl.scratch.visited = visited
 	for k, c := range cands {
 		if !c.canRecompute {
 			continue

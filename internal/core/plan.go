@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"capuchin/internal/bufs"
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 )
@@ -71,8 +72,11 @@ type plan struct {
 	swaps []*swapPlan
 	sizes []int64
 	// swapList holds the non-nil swaps, in a fixed order, for the state
-	// digest.
+	// digest. slab is the storage of the swap plans the Policy Maker
+	// selects: sized to the candidate count before selection, so taking
+	// a swap plan from it never moves the ones already taken.
 	swapList []*swapPlan
+	slab     []swapPlan
 
 	required      int64
 	coveredSwap   int64
@@ -87,15 +91,26 @@ type plan struct {
 // newPlan returns an empty plan over the access sequence seq of a tensor
 // index space named by names.
 func newPlan(names []string, seq []seqEntry) *plan {
+	p := new(plan)
+	p.refill(names, seq)
+	return p
+}
+
+// refill empties p into a plan over seq and names, as newPlan makes,
+// reusing p's arrays. Nothing may use p's previous contents afterwards.
+func (p *plan) refill(names []string, seq []seqEntry) {
 	n := len(names)
-	p := &plan{
+	old := *p
+	*p = plan{
 		names:    names,
 		seq:      seq,
-		slotOff:  make([]int32, n+1),
-		evict:    make([]actionKind, len(seq)),
-		trigHead: make([]int32, len(seq)),
-		swaps:    make([]*swapPlan, n),
-		sizes:    make([]int64, n),
+		slotOff:  bufs.Resized(old.slotOff, n+1),
+		evict:    bufs.Resized(old.evict, len(seq)),
+		trigHead: bufs.Resized(old.trigHead, len(seq)),
+		swaps:    bufs.Resized(old.swaps, n),
+		sizes:    bufs.Resized(old.sizes, n),
+		swapList: old.swapList[:0],
+		slab:     old.slab[:0],
 	}
 	off := p.slotOff
 	for _, e := range seq {
@@ -106,7 +121,7 @@ func newPlan(names []string, seq []seqEntry) *plan {
 	}
 	// off[i] is now where tensor i's slots start; filling them moves it
 	// to where they end, which the shift below turns back into starts.
-	p.slots = make([]slot, off[n])
+	p.slots = bufs.Resized(old.slots, int(off[n]))
 	for pos, e := range seq {
 		p.trigHead[pos] = -1
 		p.slots[off[e.idx]] = slot{count: e.count, pos: int32(pos)}
@@ -114,7 +129,6 @@ func newPlan(names []string, seq []seqEntry) *plan {
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
-	return p
 }
 
 // access returns the sequence position of tensor idx's access number
@@ -258,6 +272,26 @@ type planner struct {
 	// (Free-Time, MSPS, back-access distance, candidate-set size) in the
 	// observability audit log.
 	decide func(obs.Decision)
+
+	// scratch is storage a previous build left behind, which this build
+	// reuses and leaves for the next.
+	scratch planScratch
+}
+
+// planScratch is the storage plan builds hand on to each other.
+type planScratch struct {
+	// spare, when non-nil, is a plan no one uses any more, which build
+	// refills instead of allocating one; build consumes it.
+	spare *plan
+	// The candidates, the pointers the selection ranks them by, the
+	// chosen recomputations, initRecompute's walk state and
+	// scheduleTriggers' start times.
+	found   []cand
+	cands   []*cand
+	recomps []*cand
+	inSet   []bool
+	visited []int32
+	starts  []sim.Time
 }
 
 // swapLaneBudget estimates per-direction PCIe capacity over one iteration.
@@ -288,13 +322,18 @@ func (pl *planner) effSwapOverhead(c *cand) sim.Time {
 // build runs candidate identification (§4.5), the swap-first selection,
 // and the hybrid Algorithm 1 loop.
 func (pl *planner) build() *plan {
-	names := make([]string, len(pl.tk.records))
+	p := pl.scratch.spare
+	pl.scratch.spare = nil
+	if p == nil {
+		p = new(plan)
+	}
+	names := bufs.Resized(p.names, len(pl.tk.records))
 	for i := range pl.tk.records {
 		if t := pl.tk.records[i].t; t != nil {
 			names[i] = t.ID
 		}
 	}
-	p := newPlan(names, pl.tk.seq)
+	p.refill(names, pl.tk.seq)
 	curve, peak := pl.tk.usageCurve()
 	p.peakUsage = peak
 	// The plan keeps 1/headroomDiv of device memory free for workspace
@@ -320,6 +359,7 @@ func (pl *planner) build() *plan {
 	p.windowFrom, p.windowTo = wFrom, wTo
 
 	candidates := pl.identifyCandidates(wFrom, wTo)
+	p.slab = slices.Grow(p.slab, len(candidates))
 	// Ranked by Free Time, longest first (§4.5); IDs are unique, so the
 	// order is total and independent of the order candidates were found.
 	slices.SortFunc(candidates, func(a, b *cand) int {
@@ -348,7 +388,7 @@ func (pl *planner) build() *plan {
 	// recomputation (Algorithm 1), with Algorithm 2's MSPS maintenance.
 	if remaining > 0 && len(rest) > 0 {
 		pl.initRecompute(rest)
-		var recomps []*cand
+		recomps := pl.scratch.recomps[:0]
 		for remaining > 0 && len(rest) > 0 {
 			i, isSwap := pl.chooseNext(rest)
 			if i < 0 {
@@ -364,6 +404,7 @@ func (pl *planner) build() *plan {
 			remaining -= c.r.size
 			rest = slices.Delete(rest, i, i+1)
 		}
+		pl.scratch.recomps = recomps
 	}
 	pl.scheduleTriggers(p)
 	if pl.decide != nil {
@@ -385,7 +426,7 @@ func (pl *planner) build() *plan {
 // runtime loop corrects residual error; without it (the ATP+DS ablation)
 // each trigger naively assumes a dedicated lane.
 func (pl *planner) scheduleTriggers(p *plan) {
-	plans := make([]*swapPlan, 0, p.numSwap)
+	plans := slices.Grow(p.swapList[:0], p.numSwap)
 	for _, sp := range p.swaps {
 		if sp != nil {
 			plans = append(plans, sp)
@@ -397,7 +438,8 @@ func (pl *planner) scheduleTriggers(p *plan) {
 		}
 		return cmp.Compare(p.names[a.idx], p.names[b.idx])
 	})
-	starts := make([]sim.Time, len(plans))
+	starts := bufs.Resized(pl.scratch.starts, len(plans))
+	pl.scratch.starts = starts
 	if pl.opts.DisableFeedback {
 		for i, sp := range plans {
 			starts[i] = sp.backAt - sp.swapInDur
@@ -422,9 +464,10 @@ func (pl *planner) scheduleTriggers(p *plan) {
 // identifyCandidates applies the paper's two conditions: more than one
 // access, and a lifetime overlapping the peak-memory window (§4.5). The
 // swap pair is the consecutive access pair with maximum Free Time.
-// Candidates come back in Idx order.
+// Candidates come back in Idx order, in pl's scratch: the next call
+// reuses them.
 func (pl *planner) identifyCandidates(wFrom, wTo sim.Time) []*cand {
-	var found []cand
+	found := pl.scratch.found[:0]
 	for i := range pl.tk.records {
 		r := &pl.tk.records[i]
 		if r.t == nil || r.t.Persistent || len(r.accesses) < 2 || r.size < minCandidateBytes {
@@ -456,12 +499,17 @@ func (pl *planner) identifyCandidates(wFrom, wTo sim.Time) []*cand {
 		// Gradients may be produced by multi-output backward nodes,
 		// which lineage replay cannot regenerate; they stay swap-only.
 		c.canRecompute = !r.t.Gradient && !pl.opts.SwapOnly
+		if len(found) < cap(found) {
+			c.srcs = found[:len(found)+1][len(found)].srcs[:0] // keep its array
+		}
 		found = append(found, c)
 	}
-	out := make([]*cand, len(found))
+	pl.scratch.found = found
+	out := pl.scratch.cands[:0]
 	for i := range found {
-		out[i] = &found[i]
+		out = append(out, &found[i])
 	}
+	pl.scratch.cands = out
 	return out
 }
 
@@ -469,7 +517,7 @@ func (pl *planner) identifyCandidates(wFrom, wTo sim.Time) []*cand {
 // its in-trigger. reason explains which selection phase chose it, for the
 // audit log.
 func (pl *planner) selectSwap(p *plan, c *cand, reason string) {
-	sp := &swapPlan{
+	p.slab = append(p.slab, swapPlan{
 		idx:        c.idx,
 		size:       c.r.size,
 		evictCount: c.evictCount,
@@ -479,7 +527,8 @@ func (pl *planner) selectSwap(p *plan, c *cand, reason string) {
 		swapInDur:  c.inDur,
 		triggerIdx: -1,
 		nextTrig:   -1,
-	}
+	})
+	sp := &p.slab[len(p.slab)-1]
 	p.evict[p.access(c.idx, c.evictCount)] = actionSwap
 	p.sizes[c.idx] = c.r.size
 	p.swaps[c.idx] = sp

@@ -15,6 +15,7 @@ import (
 	"math"
 	"slices"
 
+	"capuchin/internal/bufs"
 	"capuchin/internal/exec"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
@@ -53,7 +54,10 @@ type seqEntry struct {
 }
 
 // tracker is the Tensor Access Tracker: it consumes the access stream of
-// the measured iteration.
+// the measured iteration. A Capuchin policy keeps one tracker and resets
+// it for each measured pass, so every slice below except seq is scratch
+// the next pass reuses. seq becomes the plan's: the policy hands the
+// tracker a new one after each plan build (see Capuchin.EndIteration).
 type tracker struct {
 	// records is indexed by Tensor.Idx.
 	records []record
@@ -66,23 +70,36 @@ type tracker struct {
 	nodeStart []sim.Time
 	// endOfIteration is the adjusted time of the last observed access.
 	endOfIteration sim.Time
+
+	// end and flat are finish's scratch; events and curve usageCurve's.
+	end    []int32
+	flat   []accessRec
+	events []usageEvent
+	curve  []usagePoint
 }
 
 // noStart is the nodeStart entry of a node whose inputs were never read.
 const noStart = sim.Time(math.MinInt64)
 
 // newTracker returns a tracker sized for a graph of n tensors and nodes
-// nodes. Most tensors are produced once and read once or twice.
+// nodes.
 func newTracker(n, nodes int) *tracker {
-	tk := &tracker{
-		records:   make([]record, n),
-		seq:       make([]seqEntry, 0, 3*n),
-		nodeStart: make([]sim.Time, nodes),
-	}
+	tk := new(tracker)
+	tk.reset(n, nodes)
+	return tk
+}
+
+// reset empties tk for a measured pass over a graph of n tensors and
+// nodes nodes, reusing its arrays.
+func (tk *tracker) reset(n, nodes int) {
+	tk.records = bufs.Resized(tk.records, n)
+	// Most tensors are produced once and read once or twice.
+	tk.seq = slices.Grow(tk.seq[:0], 3*n)
+	tk.nodeStart = bufs.Resized(tk.nodeStart, nodes)
 	for i := range tk.nodeStart {
 		tk.nodeStart[i] = noStart
 	}
-	return tk
+	tk.endOfIteration = 0
 }
 
 // lookup returns the record of tensor i, or nil when the measured
@@ -130,7 +147,8 @@ func (tk *tracker) observe(acc exec.Access) {
 // block that the records slice, then sorts the global sequence by time
 // (it is nearly sorted already; produce events share timestamps).
 func (tk *tracker) finish() {
-	end := make([]int32, len(tk.records)+1)
+	end := bufs.Resized(tk.end, len(tk.records)+1)
+	tk.end = end
 	for _, e := range tk.seq {
 		end[e.idx+1]++
 	}
@@ -139,7 +157,8 @@ func (tk *tracker) finish() {
 	}
 	// end[i] is now where tensor i's block starts; filling the block
 	// moves it to where the block ends.
-	flat := make([]accessRec, len(tk.seq))
+	flat := bufs.Resized(tk.flat, len(tk.seq))
+	tk.flat = flat
 	for _, e := range tk.seq {
 		flat[end[e.idx]] = accessRec{count: int(e.count), at: e.at}
 		end[e.idx]++
@@ -177,9 +196,10 @@ type usageEvent struct {
 // usageCurve reconstructs the hypothetical (infinite-memory) activation
 // usage curve from allocation and deallocation times (§4.5: "we can keep
 // track allocation and deallocation time of tensors to infer memory
-// usage"). Returns the curve and its peak.
+// usage"). Returns the curve, which tk reuses at the next call, and its
+// peak.
 func (tk *tracker) usageCurve() ([]usagePoint, int64) {
-	events := make([]usageEvent, 0, 2*len(tk.records))
+	events := slices.Grow(tk.events[:0], 2*len(tk.records))
 	for i := range tk.records {
 		r := &tk.records[i]
 		if r.t == nil || r.t.Persistent || len(r.accesses) == 0 {
@@ -199,7 +219,8 @@ func (tk *tracker) usageCurve() ([]usagePoint, int64) {
 		}
 		return cmp.Compare(a.delta, b.delta)
 	})
-	curve := make([]usagePoint, 0, len(events))
+	tk.events = events
+	curve := slices.Grow(tk.curve[:0], len(events))
 	var usage, peak int64
 	for _, e := range events {
 		usage += e.delta
@@ -212,6 +233,7 @@ func (tk *tracker) usageCurve() ([]usagePoint, int64) {
 		}
 		curve = append(curve, usagePoint{at: e.at, usage: usage})
 	}
+	tk.curve = curve
 	return curve, peak
 }
 

@@ -29,8 +29,9 @@ func init() {
 			GraphAgnostic:       true,
 			CollectiveRecompute: v.cr,
 			Arena:               v.arena,
-			Build: func(exec.BuildContext) (exec.Policy, error) {
-				return New(opts), nil
+			Build: func(bc exec.BuildContext) (exec.Policy, error) {
+				spare, _ := bc.Spare.(*Capuchin)
+				return recycle(spare, opts), nil
 			},
 		})
 	}

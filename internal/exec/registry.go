@@ -13,9 +13,16 @@ import (
 // constructing itself. Graph is nil on the dynamic-shape path, where the
 // graph changes per shape signature; only graph-agnostic policies are
 // built there.
+//
+// Spare, when non-nil, is a policy no one runs or inspects any more,
+// typically the one a parked session kept (Session.Park). A Build that
+// recognizes its own kind may reset it in place and return it, reusing
+// its buffers, instead of allocating a new policy; a recycled policy
+// must behave exactly like a new one. A Build may also ignore it.
 type BuildContext struct {
 	Graph  *graph.Graph
 	Device hw.DeviceSpec
+	Spare  Policy
 }
 
 // PolicySpec describes one registered memory-management policy: its
@@ -75,14 +82,16 @@ func LookupPolicy(name string) (PolicySpec, bool) {
 
 // UsePolicy builds the policy registered as name for graph g (nil on the
 // dynamic path) and c.Device, and installs it in c with the executor
-// couplings its spec asks for. It is the one place where a registry
-// entry becomes an executor configuration.
-func (c *Config) UsePolicy(name string, g *graph.Graph) error {
+// couplings its spec asks for. spare, when non-nil, is handed to the
+// build as BuildContext.Spare; the caller must not use it again. It is
+// the one place where a registry entry becomes an executor
+// configuration.
+func (c *Config) UsePolicy(name string, g *graph.Graph, spare Policy) error {
 	spec, ok := LookupPolicy(name)
 	if !ok {
 		return fmt.Errorf("exec: unknown policy %q", name)
 	}
-	pol, err := spec.Build(BuildContext{Graph: g, Device: c.Device})
+	pol, err := spec.Build(BuildContext{Graph: g, Device: c.Device, Spare: spare})
 	if err != nil {
 		return fmt.Errorf("exec: building policy %q: %w", name, err)
 	}

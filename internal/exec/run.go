@@ -330,18 +330,24 @@ func (s *Session) paramFingerprint() uint64 {
 // allocated, falling back to the terminal zero-workspace variant. The
 // candidate list is a pure function of the device and the node's input
 // shapes, both fixed for the session's lifetime, so it is computed once
-// per node position and served from algoCache afterwards.
+// per node position and served from the session's algos afterwards.
 func (s *Session) chooseAlgorithm(n *graph.Node) (ops.Algorithm, *memory.Allocation, error) {
-	algos := s.algoCache[n.Pos]
-	if algos == nil {
+	span := &s.algoSpans[n.Pos]
+	if span.n == 0 {
 		inShapes := s.scShapes[:0]
 		for _, in := range n.Inputs {
 			inShapes = append(inShapes, in.Shape)
 		}
 		s.scShapes = inShapes
-		algos = n.Op.Algorithms(s.dev, inShapes)
-		s.algoCache[n.Pos] = algos
+		// The op appends to an empty slice over algos' spare capacity;
+		// copying its result onto the end of algos is then a copy in
+		// place, and an op that returns a slice of its own still works.
+		off := len(s.algos)
+		menu := n.Op.Algorithms(s.dev, inShapes, s.algos[off:])
+		s.algos = append(s.algos, menu...)
+		*span = algoSpan{off: int32(off), n: int32(len(menu))}
 	}
+	algos := s.algos[span.off : span.off+span.n]
 	for _, a := range algos {
 		if a.Workspace == 0 {
 			return a, nil, nil

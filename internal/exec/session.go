@@ -2,8 +2,10 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"capuchin/internal/bufs"
 	"capuchin/internal/fault"
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
@@ -199,11 +201,14 @@ type Session struct {
 	regen      []bool
 	regenList  []int32
 
-	// algoCache memoizes op.Algorithms per node position: the device and
+	// algos memoizes op.Algorithms per node position: the device and
 	// every input shape are fixed for a session's lifetime, so the
-	// candidate list is computed once per node. scShapes is the input
-	// shape list chooseAlgorithm hands op.Algorithms.
-	algoCache [][]ops.Algorithm
+	// candidate list is computed once per node, appended to the one flat
+	// algos slice, and found again through algoSpans[n.Pos] (a zero count
+	// means not yet computed). scShapes is the input shape list
+	// chooseAlgorithm hands op.Algorithms.
+	algos     []ops.Algorithm
+	algoSpans []algoSpan
 	scShapes  []tensor.Shape
 	// fpSeeds holds tensor.HashSeed(n.ID) per node position, so deriving
 	// an output fingerprint combines only the output index and the input
@@ -257,6 +262,11 @@ type Session struct {
 	names [numLabels][]string
 }
 
+// algoSpan locates one node's algorithm list in Session.algos.
+type algoSpan struct {
+	off, n int32
+}
+
 // replayBuf is the per-recursion-depth scratch state of a lineage replay.
 type replayBuf struct {
 	fps []uint64
@@ -272,8 +282,8 @@ func NewSession(g *graph.Graph, cfg Config) (*Session, error) {
 // RecycleSession prepares a session for g and cfg as NewSession does,
 // in spare's storage when spare is non-nil: a session that no one runs
 // or inspects any more, typically one that Park released. It returns
-// spare refilled, reusing its per-tensor tables, algorithm-cache
-// backing, scratch buffers, host arena and, when cfg selects the same
+// spare refilled, reusing its per-tensor tables, its flat slice of cost
+// menus, scratch buffers, host arena and, when cfg selects the same
 // allocator kind, its device pool (reset to the new capacity). A
 // recycled session behaves exactly like a new one; nothing of spare's
 // previous run survives the refill. On error it returns nil, and spare
@@ -360,13 +370,16 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 }
 
 // Park releases everything the session holds besides the storage
-// RecycleSession refills: its policy, tracer, fault injector and
-// streams (with any recorded spans). A parked session must not be run or
-// inspected again; it is only a spare for RecycleSession, and pins no
-// more than its tables, its graph and its pools while it waits.
+// RecycleSession refills: its tracer, fault injector and streams (with
+// any recorded spans). It keeps the session's policy, but only as spare
+// storage: Policy hands it to Config.UsePolicy, whose BuildContext.Spare
+// lets a policy of the same kind build the next cell's policy in it. A
+// parked session must not be run or inspected again; it is only a spare
+// for RecycleSession, and pins no more than its tables, its graph, its
+// pools and its policy's buffers while it waits.
 func (s *Session) Park() {
-	s.cfg.Policy, s.cfg.Tracer, s.cfg.Comm = nil, nil, nil
-	s.policy, s.tr, s.inj = nil, nil, nil
+	s.cfg.Tracer, s.cfg.Comm = nil, nil
+	s.tr, s.inj = nil, nil
 	s.compute, s.h2d, s.d2h, s.cpu = nil, nil, nil, nil
 	s.defErr = nil
 }
@@ -381,20 +394,24 @@ func (s *Session) Park() {
 func (s *Session) initTables(old *Session) {
 	s.tlist = s.g.TensorList()
 	nt, nn := len(s.tlist), len(s.g.Nodes)
-	s.refsInit = resized(old.refsInit, nt)
-	s.refs = resized(old.refs, nt)
-	s.lastUse = resized(old.lastUse, nt)
-	s.retained = resized(old.retained, nt)
-	s.gradIDs = resized(old.gradIDs, nt)
-	s.swapInAt = resized(old.swapInAt, nt)
-	s.swapInOn = resized(old.swapInOn, nt)
-	s.lruPrev = resized(old.lruPrev, nt)
-	s.lruNext = resized(old.lruNext, nt)
-	s.inLRU = resized(old.inLRU, nt)
-	s.pinned = resized(old.pinned, nt)
-	s.regen = resized(old.regen, nt)
-	s.algoCache = resized(old.algoCache, nn)
-	s.fpSeeds = resized(old.fpSeeds, nn)
+	s.refsInit = bufs.Resized(old.refsInit, nt)
+	s.refs = bufs.Resized(old.refs, nt)
+	s.lastUse = bufs.Resized(old.lastUse, nt)
+	s.retained = bufs.Resized(old.retained, nt)
+	s.gradIDs = bufs.Resized(old.gradIDs, nt)
+	s.swapInAt = bufs.Resized(old.swapInAt, nt)
+	s.swapInOn = bufs.Resized(old.swapInOn, nt)
+	s.lruPrev = bufs.Resized(old.lruPrev, nt)
+	s.lruNext = bufs.Resized(old.lruNext, nt)
+	s.inLRU = bufs.Resized(old.inLRU, nt)
+	s.pinned = bufs.Resized(old.pinned, nt)
+	s.regen = bufs.Resized(old.regen, nt)
+	// Most ops offer one algorithm and convolutions two or three: no zoo
+	// model averages more than 1.35 per node, so the menus of a new
+	// session fit one allocation.
+	s.algos = slices.Grow(old.algos[:0], nn+nn/2)
+	s.algoSpans = bufs.Resized(old.algoSpans, nn)
+	s.fpSeeds = bufs.Resized(old.fpSeeds, nn)
 	s.lruHead, s.lruTail = -1, -1
 	s.swapInList, s.pinStack, s.regenList = old.swapInList[:0], old.pinStack[:0], old.regenList[:0]
 	s.scStalls, s.scInflight, s.scFPs = old.scStalls[:0], old.scInflight[:0], old.scFPs[:0]
@@ -434,16 +451,9 @@ func (s *Session) initTables(old *Session) {
 	}
 }
 
-// resized returns buf resliced to n and cleared, or a new slice of n
-// when buf's backing array is too small.
-func resized[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}
+// Policy returns the session's policy: the one it runs, or, once the
+// session is parked, the spare storage Park kept.
+func (s *Session) Policy() Policy { return s.policy }
 
 // Graph returns the session's graph.
 func (s *Session) Graph() *graph.Graph { return s.g }

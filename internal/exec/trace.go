@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"capuchin/internal/bufs"
 	"capuchin/internal/graph"
 	"capuchin/internal/memory"
 	"capuchin/internal/obs"
@@ -84,7 +85,7 @@ func (l labelKind) word() string {
 func (s *Session) name(l labelKind, i, n int, id string) string {
 	tab := s.names[l]
 	if len(tab) != n {
-		tab = resized(tab, n)
+		tab = bufs.Resized(tab, n)
 		s.names[l] = tab
 	}
 	if tab[i] == "" {

@@ -17,8 +17,8 @@ func (squareOp) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-func (squareOp) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
-	return []ops.Algorithm{{Name: "elementwise", Duration: dev.MemoryTime(2 * in[0].Elems() * 4)}}
+func (squareOp) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []ops.Algorithm) []ops.Algorithm {
+	return append(dst, ops.Algorithm{Name: "elementwise", Duration: dev.MemoryTime(2 * in[0].Elems() * 4)})
 }
 
 // squareGrad computes dx = 2*x*dy from [x, dy].
@@ -30,8 +30,8 @@ func (squareGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{in[0]}, nil
 }
 
-func (squareGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []ops.Algorithm {
-	return []ops.Algorithm{{Name: "elementwise", Duration: dev.MemoryTime(3 * in[0].Elems() * 4)}}
+func (squareGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []ops.Algorithm) []ops.Algorithm {
+	return append(dst, ops.Algorithm{Name: "elementwise", Duration: dev.MemoryTime(3 * in[0].Elems() * 4)})
 }
 
 func TestRegisterGradientCustomOp(t *testing.T) {

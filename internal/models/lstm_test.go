@@ -143,8 +143,8 @@ func TestDepthwiseMemoryBound(t *testing.T) {
 	dwIn := []tensor.Shape{x, {256, 1, 3, 3}}
 	denseIn := []tensor.Shape{x, {256, 256, 3, 3}}
 	d := hwP100()
-	dwT := dw.Algorithms(d, dwIn)[0].Duration
-	denseT := dense.Algorithms(d, denseIn)[0].Duration
+	dwT := dw.Algorithms(d, dwIn, nil)[0].Duration
+	denseT := dense.Algorithms(d, denseIn, nil)[0].Duration
 	if float64(denseT)/float64(dwT) < 5 {
 		t.Errorf("dense conv (%v) should be much slower than depthwise (%v)", denseT, dwT)
 	}

@@ -107,7 +107,7 @@ func opCostTable(g *graph.Graph, dev hw.DeviceSpec) []byte {
 		for _, x := range n.Inputs {
 			in = append(in, x.Shape)
 		}
-		for _, a := range n.Op.Algorithms(dev, in) {
+		for _, a := range n.Op.Algorithms(dev, in, nil) {
 			fmt.Fprintf(&b, "\t%s/%d/%d", a.Name, a.Workspace, int64(a.Duration))
 		}
 		b.WriteByte('\n')

@@ -60,7 +60,7 @@ func TestConv2DAlgorithmMenu(t *testing.T) {
 	// A 3x3 stride-1 conv offers winograd, gemm and implicit-gemm.
 	c := Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in := shapes(tensor.Shape{32, 64, 56, 56}, tensor.Shape{64, 64, 3, 3})
-	algos := c.Algorithms(dev, in)
+	algos := c.Algorithms(dev, in, nil)
 	if len(algos) != 3 {
 		t.Fatalf("got %d algorithms, want 3", len(algos))
 	}
@@ -87,7 +87,7 @@ func TestConv2DAlgorithmMenu(t *testing.T) {
 func TestConv2DNoWinogradForStride2(t *testing.T) {
 	c := Conv2D{StrideH: 2, StrideW: 2, PadH: 3, PadW: 3}
 	in := shapes(tensor.Shape{32, 3, 224, 224}, tensor.Shape{64, 3, 7, 7})
-	for _, a := range c.Algorithms(dev, in) {
+	for _, a := range c.Algorithms(dev, in, nil) {
 		if a.Name == "winograd" {
 			t.Error("winograd offered for a 7x7 stride-2 convolution")
 		}
@@ -134,8 +134,8 @@ func TestConv2DBackpropShapes(t *testing.T) {
 
 func TestConvDurationScalesWithWork(t *testing.T) {
 	c := Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	small := c.Algorithms(dev, shapes(tensor.Shape{8, 64, 28, 28}, tensor.Shape{64, 64, 3, 3}))
-	big := c.Algorithms(dev, shapes(tensor.Shape{64, 64, 56, 56}, tensor.Shape{64, 64, 3, 3}))
+	small := c.Algorithms(dev, shapes(tensor.Shape{8, 64, 28, 28}, tensor.Shape{64, 64, 3, 3}), nil)
+	big := c.Algorithms(dev, shapes(tensor.Shape{64, 64, 56, 56}, tensor.Shape{64, 64, 3, 3}), nil)
 	if big[0].Duration <= small[0].Duration {
 		t.Error("duration did not grow with work")
 	}
@@ -150,8 +150,8 @@ func TestConvTimeVariationMatchesFig2Scale(t *testing.T) {
 	expensive := Conv2D{StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	expensiveIn := shapes(tensor.Shape{32, 288, 35, 35}, tensor.Shape{384, 288, 3, 3})
 
-	fast := cheap.Algorithms(dev, cheapIn)[0].Duration
-	slow := expensive.Algorithms(dev, expensiveIn)[0].Duration
+	fast := cheap.Algorithms(dev, cheapIn, nil)[0].Duration
+	slow := expensive.Algorithms(dev, expensiveIn, nil)[0].Duration
 	if fast < 50*sim.Microsecond || fast > 3*sim.Millisecond {
 		t.Errorf("cheap conv = %v, want sub-3ms (Fig. 2 scale)", fast)
 	}

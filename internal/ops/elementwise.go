@@ -26,11 +26,11 @@ func (AddN) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (AddN) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (AddN) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) == 0 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "elementwise", int64(len(in)+1)*bytesOf(in[0]))
+	return memBound(dst, dev, "elementwise", int64(len(in)+1)*bytesOf(in[0]))
 }
 
 // BiasAdd adds a per-channel bias [C] to an activation whose second
@@ -60,11 +60,11 @@ func (BiasAdd) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (BiasAdd) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (BiasAdd) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "elementwise", 2*bytesOf(in[0]))
+	return memBound(dst, dev, "elementwise", 2*bytesOf(in[0]))
 }
 
 // BiasAddGrad reduces dy over all non-channel dimensions to produce the
@@ -83,11 +83,11 @@ func (BiasAddGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (BiasAddGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (BiasAddGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "reduce", bytesOf(in[0]))
+	return memBound(dst, dev, "reduce", bytesOf(in[0]))
 }
 
 // Reshape reinterprets a tensor with a new shape of equal element count.
@@ -112,11 +112,11 @@ func (r Reshape) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (r Reshape) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (r Reshape) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "copy", 2*bytesOf(in[0]))
+	return memBound(dst, dev, "copy", 2*bytesOf(in[0]))
 }
 
 // Transpose permutes dimensions (used by attention's head reshuffles).
@@ -148,11 +148,11 @@ func (t Transpose) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (t Transpose) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (t Transpose) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 1 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "copy", 2*bytesOf(in[0]))
+	return memBound(dst, dev, "copy", 2*bytesOf(in[0]))
 }
 
 // Pad zero-pads spatial dimensions (Inception branch alignment).
@@ -166,11 +166,8 @@ func (Pad) Name() string { return "Pad" }
 
 // InferShapes implements Op.
 func (p Pad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("Pad", in, 1); err != nil {
+	if err := p.check(in); err != nil {
 		return nil, err
-	}
-	if len(p.Before) != len(in[0]) || len(p.After) != len(in[0]) {
-		return nil, shapeError("Pad", in, "padding rank mismatch")
 	}
 	out := make(tensor.Shape, len(in[0]))
 	for i := range out {
@@ -179,13 +176,27 @@ func (p Pad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{out}, nil
 }
 
-// Algorithms implements Op.
-func (p Pad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	out, err := p.InferShapes(in)
-	if err != nil {
-		return single("invalid", dev.KernelLaunch)
+// check validates Pad's input shapes.
+func (p Pad) check(in []tensor.Shape) error {
+	if err := arity("Pad", in, 1); err != nil {
+		return err
 	}
-	return memBound(dev, "copy", bytesOf(in[0])+bytesOf(out[0]))
+	if len(p.Before) != len(in[0]) || len(p.After) != len(in[0]) {
+		return shapeError("Pad", in, "padding rank mismatch")
+	}
+	return nil
+}
+
+// Algorithms implements Op.
+func (p Pad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	if p.check(in) != nil {
+		return single(dst, "invalid", dev.KernelLaunch)
+	}
+	out := int64(1)
+	for i, d := range in[0] {
+		out *= d + p.Before[i] + p.After[i]
+	}
+	return memBound(dst, dev, "copy", bytesOf(in[0])+out*4)
 }
 
 // Slice extracts a contiguous channel range; it is the gradient of Concat.
@@ -201,14 +212,8 @@ func (Slice) Name() string { return "Slice" }
 
 // InferShapes implements Op.
 func (s Slice) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("Slice", in, 1); err != nil {
+	if err := s.check(in); err != nil {
 		return nil, err
-	}
-	if s.Dim < 0 || s.Dim >= len(in[0]) {
-		return nil, shapeError("Slice", in, "dim %d out of range", s.Dim)
-	}
-	if s.Start < 0 || s.Start+s.Length > in[0][s.Dim] {
-		return nil, shapeError("Slice", in, "range [%d,%d) exceeds dim %d", s.Start, s.Start+s.Length, in[0][s.Dim])
 	}
 	out := make(tensor.Shape, len(in[0]))
 	copy(out, in[0])
@@ -216,13 +221,26 @@ func (s Slice) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 	return []tensor.Shape{out}, nil
 }
 
-// Algorithms implements Op.
-func (s Slice) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	out, err := s.InferShapes(in)
-	if err != nil {
-		return single("invalid", dev.KernelLaunch)
+// check validates Slice's input shape against its range.
+func (s Slice) check(in []tensor.Shape) error {
+	if err := arity("Slice", in, 1); err != nil {
+		return err
 	}
-	return memBound(dev, "copy", 2*bytesOf(out[0]))
+	if s.Dim < 0 || s.Dim >= len(in[0]) {
+		return shapeError("Slice", in, "dim %d out of range", s.Dim)
+	}
+	if s.Start < 0 || s.Start+s.Length > in[0][s.Dim] {
+		return shapeError("Slice", in, "range [%d,%d) exceeds dim %d", s.Start, s.Start+s.Length, in[0][s.Dim])
+	}
+	return nil
+}
+
+// Algorithms implements Op.
+func (s Slice) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	if s.check(in) != nil {
+		return single(dst, "invalid", dev.KernelLaunch)
+	}
+	return memBound(dst, dev, "copy", 2*4*elemsWith(in[0], s.Dim, s.Length))
 }
 
 // Concat joins tensors along one dimension (Inception/DenseNet joins).
@@ -235,36 +253,48 @@ func (Concat) Name() string { return "Concat" }
 
 // InferShapes implements Op.
 func (c Concat) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if len(in) < 2 {
-		return nil, shapeError("Concat", in, "want at least two inputs")
-	}
-	if c.Dim < 0 || c.Dim >= len(in[0]) {
-		return nil, shapeError("Concat", in, "dim %d out of range", c.Dim)
+	joined, err := c.joined(in)
+	if err != nil {
+		return nil, err
 	}
 	out := make(tensor.Shape, len(in[0]))
 	copy(out, in[0])
+	out[c.Dim] = joined
+	return []tensor.Shape{out}, nil
+}
+
+// joined validates Concat's input shapes and returns the size of the
+// joined dimension.
+func (c Concat) joined(in []tensor.Shape) (int64, error) {
+	if len(in) < 2 {
+		return 0, shapeError("Concat", in, "want at least two inputs")
+	}
+	if c.Dim < 0 || c.Dim >= len(in[0]) {
+		return 0, shapeError("Concat", in, "dim %d out of range", c.Dim)
+	}
+	joined := in[0][c.Dim]
 	for _, s := range in[1:] {
 		if len(s) != len(in[0]) {
-			return nil, shapeError("Concat", in, "rank mismatch")
+			return 0, shapeError("Concat", in, "rank mismatch")
 		}
 		for d := range s {
 			if d == c.Dim {
 				continue
 			}
 			if s[d] != in[0][d] {
-				return nil, shapeError("Concat", in, "dim %d mismatch", d)
+				return 0, shapeError("Concat", in, "dim %d mismatch", d)
 			}
 		}
-		out[c.Dim] += s[c.Dim]
+		joined += s[c.Dim]
 	}
-	return []tensor.Shape{out}, nil
+	return joined, nil
 }
 
 // Algorithms implements Op.
-func (c Concat) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	out, err := c.InferShapes(in)
+func (c Concat) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	joined, err := c.joined(in)
 	if err != nil {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "copy", 2*bytesOf(out[0]))
+	return memBound(dst, dev, "copy", 2*4*elemsWith(in[0], c.Dim, joined))
 }

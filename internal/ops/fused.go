@@ -27,9 +27,9 @@ func (f FusedBias) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op; the epilogue rides along with the inner kernel.
-func (f FusedBias) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (f FusedBias) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) < 2 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return f.Inner.Algorithms(dev, in[:len(in)-1])
+	return f.Inner.Algorithms(dev, in[:len(in)-1], dst)
 }

@@ -32,7 +32,7 @@ func FuzzConvShapeInference(f *testing.F) {
 		if conv.flops([]tensor.Shape{x, w}) < 0 {
 			t.Fatal("negative FLOPs")
 		}
-		for _, a := range conv.Algorithms(dev, []tensor.Shape{x, w}) {
+		for _, a := range conv.Algorithms(dev, []tensor.Shape{x, w}, nil) {
 			if a.Duration < 0 || a.Workspace < 0 {
 				t.Fatalf("negative cost in algorithm %+v", a)
 			}

@@ -74,11 +74,11 @@ func (m MatMul) flops(in []tensor.Shape) float64 {
 }
 
 // Algorithms implements Op.
-func (m MatMul) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (m MatMul) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	batch, mm, _, nn, err := m.matDims(in)
 	if err != nil {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
 	traffic := sumBytes(in[0], in[1]) + batch*mm*nn*4
-	return single("gemm", roofline(dev, m.flops(in), effMatMul, halfSatMatMul, traffic))
+	return single(dst, "gemm", roofline(dev, m.flops(in), effMatMul, halfSatMatMul, traffic))
 }

@@ -13,24 +13,32 @@ type Embedding struct{}
 func (Embedding) Name() string { return "Embedding" }
 
 // InferShapes implements Op.
-func (Embedding) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
-	if err := arity("Embedding", in, 2); err != nil {
+func (e Embedding) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
+	if err := e.check(in); err != nil {
 		return nil, err
 	}
 	ids, table := in[0], in[1]
-	if len(ids) != 2 || len(table) != 2 {
-		return nil, shapeError("Embedding", in, "want [batch,seq] ids and [vocab,hidden] table")
-	}
 	return []tensor.Shape{{ids[0], ids[1], table[1]}}, nil
 }
 
-// Algorithms implements Op.
-func (e Embedding) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	out, err := e.InferShapes(in)
-	if err != nil {
-		return single("invalid", dev.KernelLaunch)
+// check validates Embedding's input shapes.
+func (Embedding) check(in []tensor.Shape) error {
+	if err := arity("Embedding", in, 2); err != nil {
+		return err
 	}
-	return memBound(dev, "gather", 2*bytesOf(out[0]))
+	if len(in[0]) != 2 || len(in[1]) != 2 {
+		return shapeError("Embedding", in, "want [batch,seq] ids and [vocab,hidden] table")
+	}
+	return nil
+}
+
+// Algorithms implements Op.
+func (e Embedding) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	if e.check(in) != nil {
+		return single(dst, "invalid", dev.KernelLaunch)
+	}
+	ids, table := in[0], in[1]
+	return memBound(dst, dev, "gather", 2*4*ids[0]*ids[1]*table[1])
 }
 
 // EmbeddingGrad scatters dy back into a table-shaped gradient from
@@ -51,11 +59,11 @@ func (g EmbeddingGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (g EmbeddingGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (g EmbeddingGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "scatter", bytesOf(in[1])+bytesOf(g.TableShape))
+	return memBound(dst, dev, "scatter", bytesOf(in[1])+bytesOf(g.TableShape))
 }
 
 // SoftmaxCrossEntropy computes the scalar training loss from
@@ -78,11 +86,11 @@ func (SoftmaxCrossEntropy) InferShapes(in []tensor.Shape) ([]tensor.Shape, error
 }
 
 // Algorithms implements Op.
-func (SoftmaxCrossEntropy) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (SoftmaxCrossEntropy) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 2 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "norm", 2*bytesOf(in[0]))
+	return memBound(dst, dev, "norm", 2*bytesOf(in[0]))
 }
 
 // SoftmaxCrossEntropyGrad computes dlogits from [logits, labels, dloss].
@@ -100,9 +108,9 @@ func (SoftmaxCrossEntropyGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, e
 }
 
 // Algorithms implements Op.
-func (SoftmaxCrossEntropyGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (SoftmaxCrossEntropyGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 3 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "norm", 3*bytesOf(in[0]))
+	return memBound(dst, dev, "norm", 3*bytesOf(in[0]))
 }

@@ -27,12 +27,12 @@ func (BatchNorm) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (BatchNorm) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (BatchNorm) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 3 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
 	// Two read passes (statistics + normalize) and one write.
-	return memBound(dev, "norm", 3*bytesOf(in[0]))
+	return memBound(dst, dev, "norm", 3*bytesOf(in[0]))
 }
 
 // BatchNormGrad computes [dx, dscale, doffset] from [x, scale, dy].
@@ -51,11 +51,11 @@ func (BatchNormGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (BatchNormGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (BatchNormGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 3 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "norm", 4*bytesOf(in[0]))
+	return memBound(dst, dev, "norm", 4*bytesOf(in[0]))
 }
 
 // LayerNorm normalizes over the last dimension (transformer blocks).
@@ -80,11 +80,11 @@ func (LayerNorm) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (LayerNorm) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (LayerNorm) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 3 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "norm", 3*bytesOf(in[0]))
+	return memBound(dst, dev, "norm", 3*bytesOf(in[0]))
 }
 
 // LayerNormGrad computes [dx, dscale, doffset] from [x, scale, dy].
@@ -103,9 +103,9 @@ func (LayerNormGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (LayerNormGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (LayerNormGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 3 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "norm", 4*bytesOf(in[0]))
+	return memBound(dst, dev, "norm", 4*bytesOf(in[0]))
 }

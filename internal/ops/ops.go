@@ -39,9 +39,15 @@ type Op interface {
 	// is a caller-owned scratch buffer: implementations must not retain
 	// or return it (returning a fresh slice, as all built-ins do).
 	InferShapes(in []tensor.Shape) ([]tensor.Shape, error)
-	// Algorithms returns the executable variants, sorted fastest first,
-	// with a zero-workspace entry last.
-	Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm
+	// Algorithms appends the executable variants to dst and returns the
+	// extended slice, like strconv.AppendInt: sorted fastest first, with
+	// a zero-workspace entry last, and at least one. The in slice is
+	// caller-owned scratch, as for InferShapes. The executor keeps every
+	// node's menu in one flat slice per session, so an implementation
+	// that allocates nothing beyond growing dst costs a recycled session
+	// nothing; all built-ins do. One that returns a slice of its own
+	// instead is still correct: the executor copies the result.
+	Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm
 }
 
 // shapeError builds a consistent shape-inference error.
@@ -77,14 +83,26 @@ func roofline(dev hw.DeviceSpec, flops, maxEff, halfSat float64, bytes int64) si
 	return sim.MaxTime(ct, mt)
 }
 
-// single wraps one duration as the sole (zero-workspace) algorithm.
-func single(name string, d sim.Time) []Algorithm {
-	return []Algorithm{{Name: name, Workspace: 0, Duration: d}}
+// single appends one duration as the sole (zero-workspace) algorithm.
+func single(dst []Algorithm, name string, d sim.Time) []Algorithm {
+	return append(dst, Algorithm{Name: name, Workspace: 0, Duration: d})
 }
 
-// memBound returns the single-algorithm list for a purely memory-bound op.
-func memBound(dev hw.DeviceSpec, name string, bytes int64) []Algorithm {
-	return single(name, dev.MemoryTime(bytes))
+// memBound appends the single algorithm of a purely memory-bound op.
+func memBound(dst []Algorithm, dev hw.DeviceSpec, name string, bytes int64) []Algorithm {
+	return single(dst, name, dev.MemoryTime(bytes))
+}
+
+// elemsWith is the element count of shape s with dimension d set to v.
+func elemsWith(s tensor.Shape, d int, v int64) int64 {
+	n := int64(1)
+	for i, x := range s {
+		if i == d {
+			x = v
+		}
+		n *= x
+	}
+	return n
 }
 
 // Tunable efficiency constants of the cost model. They were chosen so that

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -357,7 +358,7 @@ func TestSourceOps(t *testing.T) {
 	if !out[0].Equal(v.Shape) {
 		t.Errorf("variable output = %v", out[0])
 	}
-	if algos := v.Algorithms(dev, nil); algos[0].Duration != 0 {
+	if algos := v.Algorithms(dev, nil, nil); algos[0].Duration != 0 {
 		t.Error("Variable should cost nothing (pre-resident)")
 	}
 
@@ -375,7 +376,9 @@ func TestSourceOps(t *testing.T) {
 }
 
 // Every op must produce a non-empty algorithm list whose last entry needs
-// no workspace, on valid inputs.
+// no workspace, on valid inputs. It appends that list to dst and, when
+// dst has room, allocates nothing: a session keeps every node's list in
+// one flat slice that a recycled session refills.
 func TestAllOpsAlgorithmContract(t *testing.T) {
 	x := tensor.Shape{8, 64, 56, 56}
 	c64 := tensor.Shape{64}
@@ -438,7 +441,7 @@ func TestAllOpsAlgorithmContract(t *testing.T) {
 			t.Errorf("%s: InferShapes failed: %v", c.op.Name(), err)
 			continue
 		}
-		algos := c.op.Algorithms(dev, c.in)
+		algos := c.op.Algorithms(dev, c.in, nil)
 		if len(algos) == 0 {
 			t.Errorf("%s: no algorithms", c.op.Name())
 			continue
@@ -456,6 +459,14 @@ func TestAllOpsAlgorithmContract(t *testing.T) {
 		}
 		if c.op.Name() == "" {
 			t.Error("empty op name")
+		}
+		head := Algorithm{Name: "head"}
+		got := c.op.Algorithms(dev, c.in, append(make([]Algorithm, 0, 8), head))
+		if got[0] != head || !slices.Equal(got[1:], algos) {
+			t.Errorf("%s: Algorithms(dst) = %v, want %v after dst's entry", c.op.Name(), got, algos)
+		}
+		if n := testing.AllocsPerRun(10, func() { got = c.op.Algorithms(dev, c.in, got[:0]) }); n != 0 {
+			t.Errorf("%s: Algorithms allocated %.0f times with room in dst, want 0", c.op.Name(), n)
 		}
 	}
 }
@@ -478,8 +489,8 @@ func TestFusedBiasBehaviour(t *testing.T) {
 		t.Errorf("fused output %v != inner output %v", out[0], innerOut[0])
 	}
 	// Algorithms ride along with the inner kernel.
-	fa := f.Algorithms(dev, shapes(x, w, bias))
-	ia := inner.Algorithms(dev, shapes(x, w))
+	fa := f.Algorithms(dev, shapes(x, w, bias), nil)
+	ia := inner.Algorithms(dev, shapes(x, w), nil)
 	if len(fa) != len(ia) || fa[0].Name != ia[0].Name {
 		t.Errorf("fused algorithms differ from inner: %v vs %v", fa, ia)
 	}
@@ -512,8 +523,8 @@ func TestOptimizerRules(t *testing.T) {
 		t.Error("Adam with one state slot accepted")
 	}
 	// Update costs rise with optimizer statefulness.
-	sgdT := (ApplyGradient{}).Algorithms(dev, shapes(s, s))[0].Duration
-	adamT := (ApplyGradient{Rule: Adam}).Algorithms(dev, shapes(s, s, s, s))[0].Duration
+	sgdT := (ApplyGradient{}).Algorithms(dev, shapes(s, s), nil)[0].Duration
+	adamT := (ApplyGradient{Rule: Adam}).Algorithms(dev, shapes(s, s, s, s), nil)[0].Duration
 	if adamT <= sgdT {
 		t.Error("Adam update not costlier than SGD")
 	}

@@ -80,10 +80,10 @@ func (p Pointwise) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (p Pointwise) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (p Pointwise) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	k := &pointwiseKinds[p]
 	if len(in) != k.arity {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, k.algo, k.traffic*bytesOf(in[0]))
+	return memBound(dst, dev, k.algo, k.traffic*bytesOf(in[0]))
 }

@@ -52,7 +52,7 @@ func TestPointwise(t *testing.T) {
 		if err != nil || len(out) != 1 || !out[0].Equal(x) {
 			t.Errorf("%s: InferShapes = %v, %v; want [%v]", c.name, out, err, x)
 		}
-		algos := c.op.Algorithms(dev, in)
+		algos := c.op.Algorithms(dev, in, nil)
 		want := Algorithm{Name: c.algo, Duration: dev.MemoryTime(c.traffic * bytesOf(x))}
 		if len(algos) != 1 || algos[0] != want {
 			t.Errorf("%s: Algorithms = %v, want [%v]", c.name, algos, want)
@@ -62,7 +62,7 @@ func TestPointwise(t *testing.T) {
 				t.Errorf("%s: %d inputs accepted", c.name, len(bad))
 			}
 			invalid := Algorithm{Name: "invalid", Duration: dev.KernelLaunch}
-			if algos := c.op.Algorithms(dev, bad); len(algos) != 1 || algos[0] != invalid {
+			if algos := c.op.Algorithms(dev, bad, nil); len(algos) != 1 || algos[0] != invalid {
 				t.Errorf("%s: Algorithms at %d inputs = %v, want [%v]", c.name, len(bad), algos, invalid)
 			}
 		}
@@ -129,7 +129,7 @@ func TestActivationAlgorithmContract(t *testing.T) {
 		{Neg, shapes(x)},
 	}
 	for _, c := range cases {
-		algos := c.op.Algorithms(dev, c.in)
+		algos := c.op.Algorithms(dev, c.in, nil)
 		if len(algos) == 0 || algos[len(algos)-1].Workspace != 0 {
 			t.Errorf("%s: bad algorithm list %v", c.op.Name(), algos)
 		}

@@ -64,12 +64,12 @@ func (p Pool) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (p Pool) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	out, err := p.InferShapes(in)
+func (p Pool) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	n, c, oh, ow, _, _, err := p.dims(in)
 	if err != nil {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "pool", bytesOf(in[0])+bytesOf(out[0]))
+	return memBound(dst, dev, "pool", bytesOf(in[0])+n*c*oh*ow*4)
 }
 
 // PoolGrad computes dx from [x, y, dy]: max pooling needs the forward
@@ -91,9 +91,9 @@ func (g PoolGrad) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (g PoolGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (g PoolGrad) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) != 3 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
-	return memBound(dev, "pool", 2*bytesOf(in[0])+2*bytesOf(in[1]))
+	return memBound(dst, dev, "pool", 2*bytesOf(in[0])+2*bytesOf(in[1]))
 }

@@ -27,8 +27,8 @@ func (i Input) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (i Input) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	return memBound(dev, "fill", i.Shape.Elems()*i.DType.Size())
+func (i Input) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	return memBound(dst, dev, "fill", i.Shape.Elems()*i.DType.Size())
 }
 
 // Variable materializes a persistent parameter tensor (weights, biases,
@@ -51,8 +51,8 @@ func (v Variable) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (v Variable) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
-	return single("resident", 0)
+func (v Variable) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
+	return single(dst, "resident", 0)
 }
 
 // Optimizer selects the update rule an ApplyGradient performs (§2.1 of
@@ -133,12 +133,12 @@ func (a ApplyGradient) InferShapes(in []tensor.Shape) ([]tensor.Shape, error) {
 }
 
 // Algorithms implements Op.
-func (a ApplyGradient) Algorithms(dev hw.DeviceSpec, in []tensor.Shape) []Algorithm {
+func (a ApplyGradient) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, dst []Algorithm) []Algorithm {
 	if len(in) < 2 {
-		return single("invalid", dev.KernelLaunch)
+		return single(dst, "invalid", dev.KernelLaunch)
 	}
 	// Read var + read grad + write var, plus a read-modify-write pass per
 	// optimizer-state slot.
 	passes := 3 + 2*a.Effective().StateSlots()
-	return memBound(dev, "update", passes*bytesOf(in[0]))
+	return memBound(dst, dev, "update", passes*bytesOf(in[0]))
 }

@@ -141,7 +141,7 @@ func Check(policyName string, sc Scenario) (Result, error) {
 	n := iterations(sc)
 	ref := exec.Reference(g, n)
 	ec := exec.Config{Device: hw.P100().WithMemory(sc.Memory), Faults: sc.Faults}
-	if err := ec.UsePolicy(policyName, g); err != nil {
+	if err := ec.UsePolicy(policyName, g, nil); err != nil {
 		return res, fmt.Errorf("conformance: %w", err)
 	}
 	var ck *checker

@@ -137,7 +137,7 @@ func TestRecorderKeepsDynamicReplanning(t *testing.T) {
 		sched, err := models.NewSchedule(models.ScheduleBatch, spec, 256, 1, 0)
 		ec := exec.Config{Device: hw.P100().WithMemory(4 * hw.GiB)}
 		if err == nil {
-			err = ec.UsePolicy("capuchin", nil)
+			err = ec.UsePolicy("capuchin", nil, nil)
 		}
 		if err != nil {
 			t.Fatal(err)
