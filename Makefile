@@ -169,16 +169,17 @@ hotpath-profiles:
 # serve-smoke guards the serving layer: the serve and loadgen suites
 # under the race detector (drain, backpressure, panic recovery and byte
 # identity live there), ten more race passes over the run lifecycle
-# serve owns (drain, close, shedding, panic recovery), three race passes
-# over the Collector's live-follower path (a /events reader indexes the
-# chunked log while a worker appends to it), then a quick CLI
-# selftest whose artifact must pass the serve gate — and, like the other
-# gates, the deliberately degraded fixture must fail it. The runner's
+# serve owns (drain, close, shedding, panic recovery, and trace on
+# demand, whose upgrade of a queued run races the worker's dequeue),
+# three race passes over the Collector's live-follower path (a /events
+# reader indexes the chunked log while a worker appends to it), then a
+# quick CLI selftest whose artifact must pass the serve gate — and, like
+# the other gates, the deliberately degraded fixture must fail it. The runner's
 # cancellation stress, TestRunnerCancelStress, lives in internal/bench
 # under `make race`.
 serve-smoke:
 	$(GO) test -race ./internal/serve/...
-	$(GO) test -race -count=10 -run 'Drain|Close|Backpressure|Panic' ./internal/serve
+	$(GO) test -race -count=10 -run 'Drain|Close|Backpressure|Panic|TraceOnDemand' ./internal/serve
 	$(GO) test -race -count=3 -run 'Collector|AppendJSONL' ./internal/obs
 	$(GO) run ./cmd/capuchin-serve -selftest -quick -json /tmp/capuchin-serve-smoke.json
 	$(GO) run ./cmd/capuchin-regress /tmp/capuchin-serve-smoke.json

@@ -465,11 +465,13 @@ func BenchmarkHotPathProbeCellTF(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathServeCell is one new capuchin-serve run: a traced
-// resnet50/b16 Capuchin cell of 3 iterations on a 2 GiB device, its
-// graph instantiated from a warm template set as the server's is. Its
-// budget pins the serve-sized cell's allocations; sliding back to a
-// build per run adds thousands.
+// BenchmarkHotPathServeCell is one traced capuchin-serve simulation: a
+// trace job, or a run upgraded because its log was asked for while it
+// was queued (a run nobody inspects is simulated untraced). The cell is
+// a resnet50/b16 Capuchin run of 3 iterations on a 2 GiB device, traced
+// into a fresh Collector, its graph instantiated from a warm template
+// set as the server's is. Its budget pins the serve-sized cell's
+// allocations; sliding back to a build per run adds thousands.
 func BenchmarkHotPathServeCell(b *testing.B) {
 	cfg := bench.RunConfig{
 		Model: "resnet50", Batch: 16, System: bench.SystemCapuchin,

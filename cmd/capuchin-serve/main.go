@@ -23,6 +23,11 @@
 //	GET  /metrics             Prometheus exposition of the serve counters
 //	GET  /healthz, /readyz    liveness; readiness flips 503 on drain
 //
+// Runs are simulated untraced. The first /events or /trace request for
+// a run records its event log: a queued run is traced as it runs, any
+// other is re-simulated by a trace job on the worker pool, which is
+// admitted like a submission (429 + Retry-After, 503 draining).
+//
 // -workers bounds concurrently executing simulations independently of
 // HTTP handler concurrency; -queue bounds accepted-but-not-running
 // submissions, past which the server sheds load with 429 + Retry-After.

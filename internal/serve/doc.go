@@ -1,8 +1,8 @@
 // Package serve turns the simulator into a long-running,
-// traffic-bearing HTTP/JSON service: capuchin-serve runs traced bench
-// simulations on a bounded worker pool behind a small REST surface so many
-// concurrent clients can submit simulation runs, stream their progress,
-// and fetch results and Perfetto traces by ID.
+// traffic-bearing HTTP/JSON service: capuchin-serve runs bench
+// simulations on a bounded worker pool behind a small REST surface so
+// many concurrent clients can submit simulation runs, stream their
+// progress, and fetch results and Perfetto traces by ID.
 //
 // The API:
 //
@@ -32,19 +32,24 @@
 // Each template also keeps the graph and session of its last static run
 // as a spare that the next run refills: 0.78 MB more for those three
 // models (40 KB, 352 KB and 388 KB).
-// Each run records into one obs.Collector passed to the set's RunTraced
-// (instantiation and tracing are outcome-neutral, so streamed and
-// direct results are byte-identical); the event stream
-// renders JSON lines from it on read and the Chrome trace exports it
-// once the run completes. The Collector is the run's only tracer, so the
-// run skips the iterations that repeat, and the Collector copies their
-// records from the last simulated one. The store keeps every run's
-// Collector, whose history is pointer-free records and a byte arena the
-// GC never scans: about 0.73 MB per run of the benchmark's serve menu
-// (4,506 events on average; copied records add no arena bytes), summed
-// over stored runs as storeBytes in /v1/stats. A run
-// that panics is recovered into a failed
-// result. On SIGTERM the daemon drains: it stops admitting (503 on
+// A run nobody inspects is never traced: the worker calls the set's
+// RunTraced with a nil tracer, so the run skips the iterations that
+// repeat and retains no event log. The first /events or /trace request
+// for a run has its log recorded into one obs.Collector. A run still
+// queued is upgraded, and its worker runs it traced, so one simulation
+// serves the result and the live stream. Any other run gets a trace job
+// on the same pool, admitted like a run (queue depth, 429, 503 while
+// draining, counted by the drain), which re-simulates its canonical
+// config; the simulator is deterministic and tracing outcome-neutral, so
+// the log equals the one eager tracing would have recorded, and
+// concurrent readers share the one job. The event stream renders JSON
+// lines from the Collector on read and the Chrome trace exports it once
+// the log ends. A traced run keeps its Collector, whose history is
+// pointer-free records and a byte arena the GC never scans, so retained
+// memory scales with the runs someone inspected: /v1/stats reports them
+// as tracedRuns and their Collectors' bytes as storeBytes. A run or
+// trace job that panics is recovered, the run into a failed result.
+// On SIGTERM the daemon drains: it stops admitting (503 on
 // POST, /readyz goes 503), finishes every in-flight run, flushes event
 // streams, then shuts the listener down.
 package serve

@@ -51,6 +51,20 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// writeAdmitError answers a job the server refused: 429 + Retry-After
+// when the queue is full, 503 while draining, 500 otherwise.
+func writeAdmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errQueueFull):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, err.Error())
+	case errors.Is(err, errDraining):
+		writeError(w, http.StatusServiceUnavailable, err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, err.Error())
+	}
+}
+
 // handleSubmit admits one run. 202 accepted (new entry), 200 deduped
 // (the config is already known — queued, running or done), 400 invalid,
 // 429 + Retry-After shed under backpressure, 503 draining.
@@ -61,16 +75,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e, created, err := s.admit(key)
-	switch {
-	case errors.Is(err, errQueueFull):
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, err.Error())
-		return
-	case errors.Is(err, errDraining):
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusInternalServerError, err.Error())
+	if err != nil {
+		writeAdmitError(w, err)
 		return
 	}
 	code := http.StatusOK
@@ -114,14 +120,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents streams the run's event log: JSON Lines by default, or
 // Server-Sent Events when the client asks for text/event-stream (or
-// ?sse=1). The lines are rendered from the run's Collector on read: the
-// stream replays everything recorded so far, then follows live records
-// until the run completes or the client disconnects. Every render is
-// whole JSONL lines, so the SSE framing wraps lines exactly.
+// ?sse=1). The first request for the log has it recorded (Server.traceOf);
+// one the server refuses answers 429 or 503 as a submission would. The
+// lines are rendered from the log's Collector on read: the stream replays
+// everything recorded so far, then follows live records until the log
+// ends or the client disconnects. Every render is whole JSONL lines, so
+// the SSE framing wraps lines exactly.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "serve: unknown run ID")
+		return
+	}
+	t, err := s.traceOf(e)
+	if err != nil {
+		writeAdmitError(w, err)
 		return
 	}
 	sse := r.URL.Query().Get("sse") == "1" ||
@@ -140,10 +153,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		wake  <-chan struct{}
 	)
 	for {
-		// A run records nothing after it completes, so a render that
-		// starts after done was seen holds the rest of the log.
-		done := e.status.Load() == statusDone
-		chunk, cur, wake = e.col.AppendJSONL(chunk[:0], cur)
+		// Nothing is recorded after the log ends, so a render that
+		// starts after its end was seen holds the rest of the log.
+		done := t.ended()
+		chunk, cur, wake = t.col.AppendJSONL(chunk[:0], cur)
 		switch {
 		case len(chunk) == 0:
 		case sse:
@@ -169,7 +182,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-wake:
-		case <-e.done:
+		case <-t.done:
 		case <-r.Context().Done():
 			return
 		}
@@ -177,28 +190,49 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves the run's Chrome trace (chrome://tracing /
-// Perfetto format). The trace covers the whole run, so an incomplete
-// run answers 202 — unless ?wait=1, which blocks until completion.
+// Perfetto format). Like /events, the first request has the log
+// recorded. The trace covers the whole log, so until the log ends the
+// request answers 202 with the run's status ("tracing" once the run is
+// done) — unless ?wait=1, which blocks until it ends. A log whose trace
+// job was abandoned answers 503, one whose job panicked 500.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.lookup(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, "serve: unknown run ID")
 		return
 	}
+	t, err := s.traceOf(e)
+	if err != nil {
+		writeAdmitError(w, err)
+		return
+	}
 	if r.URL.Query().Get("wait") == "1" {
 		select {
-		case <-e.done:
+		case <-t.done:
 		case <-r.Context().Done():
 			return
 		}
 	}
-	if e.status.Load() != statusDone {
-		writeJSON(w, http.StatusAccepted, statusReply{ID: e.id, Status: statusString(e.status.Load())})
+	if !t.ended() {
+		st := e.status.Load()
+		status := statusString(st)
+		if st == statusDone {
+			status = "tracing"
+		}
+		writeJSON(w, http.StatusAccepted, statusReply{ID: e.id, Status: status})
+		return
+	}
+	switch {
+	case errors.Is(t.err, errAbandoned):
+		writeError(w, http.StatusServiceUnavailable, t.err.Error())
+		return
+	case t.err != nil:
+		writeError(w, http.StatusInternalServerError, t.err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_ = obs.WriteChromeTrace(w, e.col.Events())
+	_ = obs.WriteChromeTrace(w, t.col.Events())
 }
 
 // handleStats serves the machine-readable server snapshot.
@@ -206,8 +240,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// handleMetrics writes the serve registry (admission, dedup, shed, run
-// latency) as Prometheus exposition. It renders a copy, so a slow
+// handleMetrics writes the serve registry (admission, dedup, shed,
+// trace jobs, run latency) as Prometheus exposition. It renders a copy, so a slow
 // client never holds the registry's lock.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	snap := obs.NewMetrics()

@@ -535,36 +535,53 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 }
 
-// TestStoreBytes: /v1/stats's storeBytes grows with each stored run and
-// equals the sum of the stored runs' Collector.Bytes.
+// TestStoreBytes: untraced runs retain no event log, so storeBytes
+// stays 0 however many runs are stored; one /events fetch traces one run
+// and storeBytes grows by exactly its Collector's Bytes, which equal a
+// direct traced run's.
 func TestStoreBytes(t *testing.T) {
 	s := NewServer(testConfig())
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	var prev int64
-	for i, rr := range distinctRequests(3) {
-		_, rep := postRun(t, ts.Client(), ts.URL, rr)
-		if code, _ := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+rep.ID+"?wait=1"); code != http.StatusOK {
-			t.Fatalf("run %d did not complete: %d", i, code)
-		}
+	stats := func() Stats {
+		t.Helper()
 		code, body := getBody(t, ts.Client(), ts.URL+"/v1/stats")
 		var st Stats
 		if err := json.Unmarshal(body, &st); code != http.StatusOK || err != nil {
 			t.Fatalf("stats: %d %v", code, err)
 		}
-		var sum int64
-		s.mu.RLock()
-		for _, e := range s.runs {
-			sum += e.col.Bytes()
+		return st
+	}
+	reqs := distinctRequests(3)
+	var ids []string
+	for i, rr := range reqs {
+		_, rep := postRun(t, ts.Client(), ts.URL, rr)
+		if code, _ := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+rep.ID+"?wait=1"); code != http.StatusOK {
+			t.Fatalf("run %d did not complete: %d", i, code)
 		}
-		s.mu.RUnlock()
-		if st.StoredRuns != i+1 || st.StoreBytes != sum || st.StoreBytes <= prev {
-			t.Fatalf("after run %d: storedRuns=%d storeBytes=%d, want %d runs and %d bytes, above %d",
-				i, st.StoredRuns, st.StoreBytes, i+1, sum, prev)
-		}
-		prev = st.StoreBytes
+		ids = append(ids, rep.ID)
+	}
+	if st := stats(); st.StoredRuns != 3 || st.TracedRuns != 0 || st.StoreBytes != 0 {
+		t.Fatalf("after three untraced runs: storedRuns=%d tracedRuns=%d storeBytes=%d, want 3/0/0",
+			st.StoredRuns, st.TracedRuns, st.StoreBytes)
+	}
+
+	if code, _ := getBody(t, ts.Client(), ts.URL+"/v1/runs/"+ids[0]+"/events"); code != http.StatusOK {
+		t.Fatalf("events: %d", code)
+	}
+	e, _ := s.lookup(ids[0])
+	cfg, err := reqs[0].ToRunConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := obs.NewCollector()
+	bench.RunTraced(bench.CanonicalConfig(cfg), ref)
+	st := stats()
+	if got := e.trace.Load().col.Bytes(); st.TracedRuns != 1 || st.StoreBytes != got || got != ref.Bytes() {
+		t.Fatalf("after one /events fetch: tracedRuns=%d storeBytes=%d, want 1 and the Collector's %d bytes (a direct traced run's: %d)",
+			st.TracedRuns, st.StoreBytes, got, ref.Bytes())
 	}
 }
 
@@ -596,17 +613,24 @@ func TestStoreShardingAndIDs(t *testing.T) {
 	}
 }
 
-// TestEventHub: a run entry's Collector is the hub /events follows. An
-// open entry with nothing recorded hands a reader no bytes and a wake
-// channel; a reader following a concurrent run through the wake channel
-// and the done channel, as handleEvents does, receives every record in
-// emission order, and a replay from the start after completion matches
-// it byte for byte.
+// TestEventHub: the log the trace path hands a reader is the hub
+// /events follows. A trace requested while the run is queued is
+// recorded by the run itself: before it begins, the log hands a reader
+// no bytes and a wake channel; a reader following the run through the
+// wake channel and the log's end, as handleEvents does, receives every
+// record in emission order, and a replay from the start after completion
+// matches it byte for byte.
 func TestEventHub(t *testing.T) {
+	s := NewServer(testConfig())
+	defer s.Close()
 	e := newRunEntry("0000000000000000", bench.RunConfig{})
-	chunk, _, wake := e.col.AppendJSONL(nil, obs.Cursor{})
-	if chunk != nil || wake == nil || e.status.Load() == statusDone {
-		t.Fatalf("empty open hub: chunk=%q wake=%v status=%s", chunk, wake, statusString(e.status.Load()))
+	tr, err := s.traceOf(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk, _, wake := tr.col.AppendJSONL(nil, obs.Cursor{})
+	if chunk != nil || wake == nil || tr.ended() {
+		t.Fatalf("empty open hub: chunk=%q wake=%v ended=%v", chunk, wake, tr.ended())
 	}
 
 	var want bytes.Buffer
@@ -618,7 +642,7 @@ func TestEventHub(t *testing.T) {
 	}
 	records(ref)
 	go func() {
-		records(e.col)
+		records(e.begin())
 		e.complete(bench.Result{})
 	}()
 
@@ -627,20 +651,20 @@ func TestEventHub(t *testing.T) {
 		cur obs.Cursor
 	)
 	for {
-		done := e.status.Load() == statusDone
-		got, cur, wake = e.col.AppendJSONL(got, cur)
+		done := tr.ended()
+		got, cur, wake = tr.col.AppendJSONL(got, cur)
 		if done {
 			break
 		}
 		select {
 		case <-wake:
-		case <-e.done:
+		case <-tr.done:
 		}
 	}
 	if string(got) != want.String() {
 		t.Errorf("streamed %q, want %q", got, want.String())
 	}
-	if replay, _, _ := e.col.AppendJSONL(nil, obs.Cursor{}); string(replay) != string(got) {
+	if replay, _, _ := tr.col.AppendJSONL(nil, obs.Cursor{}); string(replay) != string(got) {
 		t.Error("replay from the start differs from the streamed bytes")
 	}
 }

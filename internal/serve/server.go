@@ -56,11 +56,13 @@ var (
 	errQueueFull   = errors.New("serve: admission queue full")
 	errDraining    = errors.New("serve: draining, not admitting new runs")
 	errIDCollision = errors.New("serve: result ID collision between distinct configs")
+	errAbandoned   = fmt.Errorf("serve: run abandoned: %w", context.Canceled)
 )
 
-// Server is the capuchin-serve daemon: a worker pool running traced
-// simulations (bench.Templates.RunTraced) behind the HTTP surface
-// documented on the package.
+// Server is the capuchin-serve daemon: a worker pool running simulations
+// (bench.Templates.RunTraced) behind the HTTP surface documented on the
+// package. Runs are untraced; a run's event log is recorded only when
+// /events or /trace asks for it.
 // Construct with NewServer, serve via Handler (tests) or ListenAndServe
 // (the daemon), stop with Drain — which finishes every accepted run — or
 // Close, which abandons queued work.
@@ -75,15 +77,15 @@ type Server struct {
 	templates *bench.Templates
 
 	// mu guards runs, the daemon's one result store, keyed by run ID.
-	// The GET handlers read under RLock. Admission holds the write lock
-	// across the dedup lookup, the draining check, the queue-depth check,
-	// the insert and the enqueue, which makes the jobs channel send
-	// non-blocking and the drain cutoff exact.
+	// The GET handlers read under RLock. Admission, of a run or a trace
+	// job, holds the write lock across the dedup lookup, the draining
+	// check, the queue-depth check, the insert and the enqueue, which
+	// makes the jobs channel send non-blocking and the drain cutoff exact.
 	mu       sync.RWMutex
 	runs     map[string]*runEntry
 	draining atomic.Bool
 	queued   atomic.Int64
-	jobs     chan *runEntry
+	jobs     chan job
 	inflight sync.WaitGroup
 
 	// workerCtx stops the pool. Drain cancels it only once every accepted
@@ -93,9 +95,17 @@ type Server struct {
 	workerCancel context.CancelFunc
 	workerWG     sync.WaitGroup
 
-	// beforeRun is a test hook invoked by a worker after dequeueing an
-	// entry and before simulating it; nil outside tests.
+	// beforeRun is a test hook invoked by a worker before each
+	// simulation, of a run or a trace job: after dequeueing it and, for a
+	// run, while its status is still queued. nil outside tests.
 	beforeRun func(*runEntry)
+}
+
+// job is one unit of pool work: a run, or, when trace is non-nil, a
+// trace job that re-simulates the run into trace's Collector.
+type job struct {
+	e     *runEntry
+	trace *runTrace
 }
 
 // NewServer builds the daemon and starts its worker pool.
@@ -108,7 +118,7 @@ func NewServer(cfg Config) *Server {
 		start:        time.Now(),
 		templates:    bench.NewTemplates(),
 		runs:         make(map[string]*runEntry),
-		jobs:         make(chan *runEntry, cfg.QueueDepth),
+		jobs:         make(chan job, cfg.QueueDepth),
 		workerCtx:    workerCtx,
 		workerCancel: workerCancel,
 	}
@@ -137,20 +147,62 @@ func (s *Server) admit(key bench.RunConfig) (e *runEntry, created bool, err erro
 		s.metrics.Add("serve/deduped", 1)
 		return existing, false, nil
 	}
+	e = newRunEntry(id, key)
+	if err := s.enqueue(job{e: e}); err != nil {
+		return nil, false, err
+	}
+	s.runs[id] = e
+	s.metrics.Add("serve/admitted", 1)
+	return e, true, nil
+}
+
+// enqueue admits one job to the pool, or refuses it while draining or
+// when the queue is full; s.mu is held for writing.
+func (s *Server) enqueue(j job) error {
 	if s.draining.Load() {
-		return nil, false, errDraining
+		return errDraining
 	}
 	if int(s.queued.Load()) >= s.cfg.QueueDepth {
 		s.metrics.Add("serve/shed", 1)
-		return nil, false, errQueueFull
+		return errQueueFull
 	}
-	e = newRunEntry(id, key)
-	s.runs[id] = e
 	s.inflight.Add(1)
 	s.queued.Add(1)
-	s.metrics.Add("serve/admitted", 1)
-	s.jobs <- e // cap == QueueDepth and queued < QueueDepth: never blocks
-	return e, true, nil
+	s.jobs <- j // cap == QueueDepth and queued < QueueDepth: never blocks
+	return nil
+}
+
+// traceOf returns e's event log, arranging for it to be recorded on the
+// first request. A queued run is upgraded: its worker runs it traced. A
+// run that never ran has an empty log. Any other run gets a trace job,
+// admitted like a run (errDraining, errQueueFull); readers that arrive
+// while it is pending share it.
+func (s *Server) traceOf(e *runEntry) (*runTrace, error) {
+	if t := e.trace.Load(); t != nil {
+		return t, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if t := e.trace.Load(); t != nil {
+		return t, nil
+	}
+	var t *runTrace
+	switch {
+	case e.status.Load() == statusQueued:
+		t = newRunTrace(false) // begin hands its Collector to the run
+	case e.neverRan:
+		t = newRunTrace(false)
+		close(t.done)
+	default:
+		t = newRunTrace(true)
+		if err := s.enqueue(job{e: e, trace: t}); err != nil {
+			return nil, err
+		}
+	}
+	e.trace.Store(t)
+	return t, nil
 }
 
 // worker executes queued runs until the worker context is cancelled
@@ -159,42 +211,60 @@ func (s *Server) worker() {
 	defer s.workerWG.Done()
 	for {
 		select {
-		case e := <-s.jobs:
-			s.runOne(e)
+		case j := <-s.jobs:
+			s.runOne(j)
 		case <-s.workerCtx.Done():
 			return
 		}
 	}
 }
 
-// runOne executes a dequeued run. A worker can still dequeue an entry
-// after Close; such a run is abandoned exactly as Close abandons the
-// entries it drains, never started.
-func (s *Server) runOne(e *runEntry) {
+// runOne executes a dequeued job. A worker can still dequeue one after
+// Close; such a job is abandoned exactly as Close abandons the jobs it
+// drains, never started.
+func (s *Server) runOne(j job) {
 	s.queued.Add(-1)
 	if s.workerCtx.Err() != nil {
-		s.abandon(e)
+		s.abandon(j)
 		return
 	}
-	e.status.Store(statusRunning)
-	s.finish(e, s.simulate(e))
+	res, err := s.simulate(j)
+	if j.trace == nil {
+		if err != nil {
+			res = bench.Result{Config: j.e.cfg, Err: err}
+		}
+		s.finish(j.e, res)
+		return
+	}
+	if err != nil {
+		j.e.dropTrace(j.trace, err)
+	} else {
+		s.metrics.Add("serve/traces", 1)
+		close(j.trace.done)
+	}
+	s.inflight.Done()
 }
 
-// simulate runs e's config on graphs from the server's template set,
-// recording into its Collector; instantiation and tracing are both
-// outcome-neutral, so the result equals a direct bench.Run's. A panic is
-// recovered into a failed result, so the worker survives and the run's
-// waiters unblock.
-func (s *Server) simulate(e *runEntry) (res bench.Result) {
+// simulate runs the job's config on graphs from the server's template
+// set: a run untraced unless a trace was requested before it began, a
+// trace job into its own Collector. Instantiation and tracing are both
+// outcome-neutral and the simulator is deterministic, so the result
+// equals a direct bench.Run's and a trace job's log is the one the run
+// would have recorded. A panic is recovered into an error, so the worker
+// survives and the job's waiters unblock.
+func (s *Server) simulate(j job) (res bench.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			res = bench.Result{Config: e.cfg, Err: fmt.Errorf("serve: run panicked: %v", p)}
+			err = fmt.Errorf("serve: run panicked: %v", p)
 		}
 	}()
 	if s.beforeRun != nil {
-		s.beforeRun(e)
+		s.beforeRun(j.e)
 	}
-	return s.templates.RunTraced(e.cfg, e.col)
+	if j.trace != nil {
+		return s.templates.RunTraced(j.e.cfg, j.trace.col), nil
+	}
+	return s.templates.RunTraced(j.e.cfg, j.e.begin()), nil
 }
 
 func (s *Server) finish(e *runEntry, res bench.Result) {
@@ -252,25 +322,32 @@ func (s *Server) Close() {
 	s.workerWG.Wait()
 	for {
 		select {
-		case e := <-s.jobs:
+		case j := <-s.jobs:
 			s.queued.Add(-1)
-			s.abandon(e)
+			s.abandon(j)
 		default:
 			return
 		}
 	}
 }
 
-// abandon completes a queued run that will never start with a failed
-// result, so its waiters unblock.
-func (s *Server) abandon(e *runEntry) {
-	s.finish(e, bench.Result{Config: e.cfg,
-		Err: fmt.Errorf("serve: run abandoned: %w", context.Canceled)})
+// abandon ends a queued job that will never start, so its waiters
+// unblock: a run completes with a failed result, a trace job's log is
+// dropped.
+func (s *Server) abandon(j job) {
+	if j.trace != nil {
+		j.e.dropTrace(j.trace, errAbandoned)
+		s.inflight.Done()
+		return
+	}
+	s.finish(j.e, bench.Result{Config: j.e.cfg, Err: errAbandoned})
 }
 
 // Stats is the machine-readable server snapshot behind GET /v1/stats.
-// StoreBytes is the memory the stored runs' event logs retain, the sum of
-// their Collectors' Bytes.
+// TracedRuns counts the stored runs whose event log someone asked for;
+// StoreBytes is the memory those logs retain, the sum of their
+// Collectors' Bytes. An untraced run retains no log. Shed counts every
+// job refused for a full queue, runs and trace jobs alike.
 type Stats struct {
 	UptimeMillis int64 `json:"uptimeMillis"`
 	Draining     bool  `json:"draining"`
@@ -278,6 +355,7 @@ type Stats struct {
 	QueueDepth   int   `json:"queueDepth"`
 	Queued       int   `json:"queued"`
 	StoredRuns   int   `json:"storedRuns"`
+	TracedRuns   int   `json:"tracedRuns"`
 	StoreBytes   int64 `json:"storeBytes"`
 	Admitted     int64 `json:"admitted"`
 	Deduped      int64 `json:"deduped"`
@@ -290,9 +368,13 @@ type Stats struct {
 func (s *Server) Snapshot() Stats {
 	s.mu.RLock()
 	stored := len(s.runs)
+	var traced int
 	var storeBytes int64
 	for _, e := range s.runs {
-		storeBytes += e.col.Bytes()
+		if t := e.trace.Load(); t != nil {
+			traced++
+			storeBytes += t.col.Bytes()
+		}
 	}
 	s.mu.RUnlock()
 	return Stats{
@@ -302,6 +384,7 @@ func (s *Server) Snapshot() Stats {
 		QueueDepth:   s.cfg.QueueDepth,
 		Queued:       int(s.queued.Load()),
 		StoredRuns:   stored,
+		TracedRuns:   traced,
 		StoreBytes:   storeBytes,
 		Admitted:     s.metrics.Counter("serve/admitted"),
 		Deduped:      s.metrics.Counter("serve/deduped"),
