@@ -71,12 +71,13 @@ bench:
 
 # goldens regenerates the quick-mode regression tables after an
 # intentional policy or cost-model change, and the faulted transfer pin
-# (TestTransferPin) beside them. The Chrome trace golden lives in
-# internal/trace and the per-node op-cost pin of every zoo model
-# (TestOpCostGolden) in internal/models; both regenerate the same way.
+# (TestTransferPin) beside them. The Chrome trace and access tape
+# goldens live in internal/trace and the per-node op-cost pin of every
+# zoo model (TestOpCostGolden) in internal/models; all regenerate the
+# same way.
 goldens:
 	$(GO) test ./internal/bench -run 'Golden|TransferPin' -update
-	$(GO) test ./internal/trace -run ChromeGolden -update
+	$(GO) test ./internal/trace -run 'ChromeGolden|AccessTapeGolden' -update
 	$(GO) test ./internal/models -run OpCostGolden -update
 
 # The determinism replays. $(call replay,NAME) runs the command
@@ -193,10 +194,12 @@ serve-smoke:
 # real capuchin-trace invocation that must emit a loadable timeline, a
 # non-empty decision history and a non-empty JSONL event log, an
 # access-TSV run under memory pressure that only completes if -system
-# really selects Capuchin (tf-ori runs out of memory there), the dynamic
-# access-TSV mode (a -schedule run must write more than the header), and a
-# run that OOMs in capuchin-train and in capuchin-trace: each must exit
-# 1 only after writing its exports, whose JSONL holds the oom instant. A
+# really selects Capuchin (tf-ori runs out of memory there), whose
+# -tensors output must be exactly the full TSV's rows of those tensors,
+# the dynamic access-TSV mode (a -schedule run must write more than the
+# header), and a run that OOMs in capuchin-train and in capuchin-trace:
+# each must exit 1 only after writing its exports, whose JSONL holds the
+# oom instant and whose access TSV holds the partial run's accesses. A
 # Capuchin capuchin-train run that settles and skips its repeated
 # iterations must print byte for byte what the same run traced by
 # -events prints, which skips too, its Collector repeating the skipped
@@ -216,19 +219,27 @@ profile-smoke:
 		-events /tmp/capuchin-smoke.jsonl >/dev/null
 	test -s /tmp/capuchin-smoke.jsonl
 	rm -f /tmp/capuchin-smoke.json /tmp/capuchin-smoke.jsonl
-	$(GO) run ./cmd/capuchin-trace -model resnet50 -batch 400 -mem 8 -system capuchin -iters 2 >/dev/null
-	$(GO) run ./cmd/capuchin-trace -model resnet50 -batch 256 -mem 4 -system capuchin \
-		-schedule batch -iters 12 -tensors conv1:0 >/tmp/capuchin-smoke.tsv
-	test $$(wc -l </tmp/capuchin-smoke.tsv) -gt 1
-	rm -f /tmp/capuchin-smoke.tsv
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-trace && \
+	$$d/capuchin-trace -model resnet50 -batch 400 -mem 8 -system capuchin -iters 2 >$$d/all.tsv && \
+	$$d/capuchin-trace -model resnet50 -batch 400 -mem 8 -system capuchin -iters 2 \
+		-tensors conv1:0 >$$d/conv1.tsv && \
+	test $$(wc -l <$$d/conv1.tsv) -gt 1 && \
+	awk -F'\t' 'NR == 1 || $$2 == "conv1:0"' $$d/all.tsv | cmp - $$d/conv1.tsv && \
+	$$d/capuchin-trace -model resnet50 -batch 256 -mem 4 -system capuchin \
+		-schedule batch -iters 12 -tensors conv1:0 >$$d/dynamic.tsv && \
+	test $$(wc -l <$$d/dynamic.tsv) -gt 1 && rm -rf $$d || \
+	{ echo "profile-smoke: a -tensors access TSV must be the full TSV's rows of those tensors, and a -schedule run must write more than the header"; exit 1; }
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train ./cmd/capuchin-trace && \
 	{ $$d/capuchin-train -model resnet50 -batch 4000 -system tf-ori -iters 2 \
 		-events $$d/train.jsonl -prom $$d/train.prom >/dev/null; test $$? -eq 1; } && \
 	grep -q '"name":"oom"' $$d/train.jsonl && test -s $$d/train.prom && \
 	{ $$d/capuchin-trace -model resnet50 -batch 4000 -mem 16 -system tf-ori -iters 2 \
 		-events $$d/trace.jsonl >/dev/null 2>&1; test $$? -eq 1; } && \
-	grep -q '"name":"oom"' $$d/trace.jsonl && rm -rf $$d || \
-	{ echo "profile-smoke: a failed run must write its exports, with the oom instant, and exit 1"; exit 1; }
+	grep -q '"name":"oom"' $$d/trace.jsonl && \
+	{ $$d/capuchin-trace -model resnet50 -batch 4000 -mem 16 -system tf-ori -iters 2 \
+		>$$d/trace.tsv 2>/dev/null; test $$? -eq 1; } && \
+	test $$(wc -l <$$d/trace.tsv) -gt 1 && rm -rf $$d || \
+	{ echo "profile-smoke: a failed run must write its exports, with the oom instant or its partial access tape, and exit 1"; exit 1; }
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train ./cmd/capuchin-trace && \
 	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 >$$d/skip.txt && \
 	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events $$d/traced.jsonl >$$d/traced.txt && \

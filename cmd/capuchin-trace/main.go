@@ -21,21 +21,27 @@
 // ring all-reduce bucket spans; the decision audit records the
 // comm-window input of every comm-aware swap decision.
 //
+// Every mode runs the workload through the bench harness with a
+// Collector attached, so -system accepts every system the paper compares
+// (tf-ori, vdnn, superneurons, openai-m, openai-s, capuchin and its
+// ablations), and a failed run writes what it recorded before exiting 1.
+// Without an observability flag the output is the run's access tape as
+// TSV, folded from its event log (trace.Tape): one row per access the
+// policy saw, -tensors keeping only the listed tensors' rows.
+//
 // -schedule routes the run through the dynamic workload engine: tensor
 // shapes drift between iterations (constant, batch, seq or mixed drift)
 // and Capuchin re-plans online per shape signature. Works in every mode —
-// the access TSV shows the drifting geometry, the Chrome trace shows the
-// shape-switch and re-plan markers. -schedule-seed picks the sampler seed.
+// the access TSV follows the run across its signatures' sessions, the
+// Chrome trace shows the shape-switch and re-plan markers. -schedule-seed
+// picks the sampler seed.
 //
-// The observability modes (-chrome, -memprof, -explain) run the workload
-// through the bench harness with the tracer attached, so -system accepts
-// every system the paper compares (tf-ori, vdnn, superneurons, openai-m,
-// openai-s, capuchin and its ablations). -chrome writes Chrome trace-event
-// JSON loadable in Perfetto or chrome://tracing: one lane per stream,
-// memory counter tracks, and instant markers for faults, retries and OOM
-// recoveries. -memprof prints per-tensor peak attribution and the
-// fragmentation timeline. -explain prints every policy decision that
-// touched a tensor ("auto" picks the first tensor the policy acted on).
+// -chrome writes Chrome trace-event JSON loadable in Perfetto or
+// chrome://tracing: one lane per stream, memory counter tracks, and
+// instant markers for faults, retries and OOM recoveries. -memprof prints
+// per-tensor peak attribution and the fragmentation timeline. -explain
+// prints every policy decision that touched a tensor ("auto" picks the
+// first tensor the policy acted on).
 // -faults takes the same spec as capuchin-bench (see fault.ParsePlan).
 //
 // -prom and -events attach to any observability run: -prom writes the
@@ -61,12 +67,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"capuchin/internal/bench"
-	"capuchin/internal/exec"
 	"capuchin/internal/fault"
-	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
 	"capuchin/internal/obs"
@@ -133,58 +138,16 @@ func main() {
 		Devices:      *devices,
 	}
 	exitOn(2, cfg.Validate())
-	if observing {
-		observe(cfg, *chrome, *memprof, *explain, *spans, *prom, *events)
-		return
-	}
 
-	// Access-TSV mode: a Recorder wraps the -system policy.
-	spec, _ := models.Get(cfg.Model) // registered: cfg is valid
-	var filter func(exec.Access) bool
+	var keep map[string]bool
 	if *tensors != "" {
-		want := make(map[string]bool)
+		keep = make(map[string]bool)
 		for _, id := range strings.Split(*tensors, ",") {
-			want[strings.TrimSpace(id)] = true
+			keep[strings.TrimSpace(id)] = true
 		}
-		filter = func(acc exec.Access) bool { return want[acc.Tensor.ID] }
 	}
-	// A dynamic run builds a graph per shape signature; a static run
-	// builds its one graph here.
-	var g *graph.Graph
-	if *schedule == "" {
-		var oneShot *bench.Templates // nil: the one graph is built
-		var err error
-		g, err = oneShot.Graph(spec, exec.GraphMode, *batch, 0)
-		exitOn(1, err)
-	}
-	ec := exec.Config{Device: cfg.Device, Faults: plan}
-	exitOn(1, ec.UsePolicy(*system, g, nil))
-	rec := trace.NewRecorder(ec.Policy, filter)
-	ec.Policy = rec.Policy()
-	if *schedule != "" {
-		// Dynamic TSV: the recorder follows the run across per-signature
-		// sessions, so the trace shows the drifting access geometry. Each
-		// new signature instantiates its graph from the run's templates.
-		sched, err := models.NewSchedule(*schedule, spec, *batch, *scheduleSeed, 0)
-		exitOn(1, err)
-		ts := bench.NewTemplates()
-		d, err := exec.NewDynamicSession(exec.DynamicConfig{
-			Base: ec,
-			Build: func(b, seq int64) (*graph.Graph, error) {
-				return ts.Graph(spec, exec.GraphMode, b, seq)
-			},
-			Schedule: sched,
-		})
-		exitOn(1, err)
-		_, err = d.Run(*iters)
-		exitOn(1, err)
-	} else {
-		s, err := exec.NewSession(g, ec)
-		exitOn(1, err)
-		_, err = s.Run(*iters)
-		exitOn(1, err)
-	}
-	exitOn(1, rec.WriteTSV(os.Stdout))
+	observe(cfg, exports{chrome: *chrome, memprof: *memprof, explain: *explain, spans: *spans,
+		prom: *prom, events: *events, tape: !observing, keep: keep})
 }
 
 // exitOn reports err and exits with code unless err is nil: 2 for an
@@ -263,10 +226,21 @@ func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, chrom
 	}
 }
 
+// exports names the outputs of one observed run.
+type exports struct {
+	chrome, explain, spans, prom, events string
+	memprof                              bool
+	// tape writes the run's access tape as TSV, only the accesses of
+	// the tensors in keep when keep is non-nil.
+	tape bool
+	keep map[string]bool
+}
+
 // observe runs one profiled cell through the bench harness and emits the
-// requested observability outputs.
-func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans string, prom, events string) {
-	// RunLive keeps the session, whose streams -spans dumps.
+// requested outputs.
+func observe(cfg bench.RunConfig, x exports) {
+	// RunLive keeps the session, whose streams -spans dumps and whose
+	// graph the access tape is folded against.
 	res, sess, _ := bench.RunLive(cfg)
 	if res.Profile == nil {
 		if res.Err != nil {
@@ -280,33 +254,44 @@ func observe(cfg bench.RunConfig, chrome string, memprof bool, explain, spans st
 	}
 	p := res.Profile
 
-	if spans != "" {
+	if x.tape {
+		var tape []trace.Event
+		if sess != nil {
+			tape = trace.Tape(sess.Graph(), p.Events.Events(), p.Events.Decisions())
+		}
+		if x.keep != nil {
+			tape = slices.DeleteFunc(tape, func(e trace.Event) bool { return !x.keep[e.TensorID] })
+		}
+		exitOn(1, trace.WriteTSV(os.Stdout, tape))
+	}
+
+	if x.spans != "" {
 		stream, h2d, d2h := sess.Streams()
-		switch spans {
+		switch x.spans {
 		case "h2d":
 			stream = h2d
 		case "d2h":
 			stream = d2h
 		}
-		exitOn(1, trace.WriteSpansTSV(os.Stdout, spans, stream.Spans()))
+		exitOn(1, trace.WriteSpansTSV(os.Stdout, x.spans, stream.Spans()))
 	}
 
-	if chrome != "" {
-		writeChrome(chrome, p.Events)
+	if x.chrome != "" {
+		writeChrome(x.chrome, p.Events)
 	}
-	if prom != "" {
-		writeProm(prom, p.Metrics)
+	if x.prom != "" {
+		writeProm(x.prom, p.Metrics)
 	}
-	if events != "" {
-		writeEvents(events, p.Events)
+	if x.events != "" {
+		writeEvents(x.events, p.Events)
 	}
 
-	if memprof {
+	if x.memprof {
 		exitOn(1, p.Mem.WriteReport(os.Stdout))
 	}
 
-	if explain != "" {
-		subject := explain
+	if x.explain != "" {
+		subject := x.explain
 		decisions := p.Events.Decisions()
 		if subject == "auto" {
 			subjects := obs.ExplainTensors(decisions)

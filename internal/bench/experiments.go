@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,6 +12,7 @@ import (
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
+	"capuchin/internal/obs"
 	"capuchin/internal/ops"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
@@ -185,9 +187,15 @@ func inputShapes(n *graph.Node) []tensor.Shape {
 // iterations and reports the per-iteration timestamp spread.
 func Fig3(o Options) *Table {
 	o = o.fill()
+	iters, probeIters := 16, []int{5, 10, 15}
+	if o.Quick {
+		iters, probeIters = 6, []int{2, 3, 4}
+	}
+	first, last := probeIters[0], probeIters[len(probeIters)-1]
 	t := &Table{
-		Title:  "Fig 3: ResNet-50 tensor access timeline regularity",
-		Header: []string{"tensor", "accesses/iter", "timestamps in iter 5 (ms)", "max spread across iters 5..15"},
+		Title: "Fig 3: ResNet-50 tensor access timeline regularity",
+		Header: []string{"tensor", "accesses/iter", fmt.Sprintf("timestamps in iter %d (ms)", first),
+			fmt.Sprintf("max spread across iters %d..%d", first, last)},
 	}
 	g, err := models.ResNet50(32, graph.GraphModeOptions())
 	if err != nil {
@@ -219,43 +227,36 @@ func Fig3(o Options) *Table {
 	for _, p := range picks {
 		want[p.id] = true
 	}
-	rec := trace.NewRecorder(nil, func(acc exec.Access) bool {
-		return acc.Kind != exec.Dealloc && want[acc.Tensor.ID]
-	})
-	s, err := exec.NewSession(g, exec.Config{Device: o.Device.WithMemory(64 * hw.GiB), Policy: rec})
+	col := obs.NewCollector()
+	s, err := exec.NewSession(g, exec.Config{Device: o.Device.WithMemory(64 * hw.GiB), Tracer: col})
 	if err != nil {
 		t.AddNote("session failed: %v", err)
 		return t
-	}
-	iters := 16
-	if o.Quick {
-		iters = 6
 	}
 	if _, err := s.Run(iters); err != nil {
 		t.AddNote("run failed: %v", err)
 		return t
 	}
+	tape := slices.DeleteFunc(trace.Tape(g, col.Events(), col.Decisions()), func(e trace.Event) bool {
+		return e.Kind == exec.Dealloc || !want[e.TensorID]
+	})
 	// Group events: tensor -> iter -> offsets from iteration start.
 	iterStart := map[int]sim.Time{}
-	for _, e := range rec.Events() {
+	for _, e := range tape {
 		if st, ok := iterStart[e.Iter]; !ok || e.At < st {
 			iterStart[e.Iter] = e.At
 		}
 	}
 	offsets := map[string]map[int][]sim.Time{}
-	for _, e := range rec.Events() {
+	for _, e := range tape {
 		if offsets[e.TensorID] == nil {
 			offsets[e.TensorID] = map[int][]sim.Time{}
 		}
 		offsets[e.TensorID][e.Iter] = append(offsets[e.TensorID][e.Iter], e.At-iterStart[e.Iter])
 	}
-	probeIters := []int{5, 10, 15}
-	if o.Quick {
-		probeIters = []int{2, 3, 4}
-	}
 	for _, p := range picks {
 		byIter := offsets[p.id]
-		ref := byIter[probeIters[0]]
+		ref := byIter[first]
 		stamps := ""
 		for i, off := range ref {
 			if i > 0 {

@@ -56,6 +56,13 @@ func TestGoldenFig1Quick(t *testing.T) {
 	checkGolden(t, "fig1_quick", Fig1(goldenOpts()))
 }
 
+func TestGoldenFig3Quick(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick Fig3 runs ResNet-50 for six iterations")
+	}
+	checkGolden(t, "fig3_quick", Fig3(goldenOpts()))
+}
+
 func TestGoldenTable2Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick Table2 takes a few seconds")

@@ -11,7 +11,6 @@ import (
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
 	"capuchin/internal/testutil"
-	"capuchin/internal/trace"
 )
 
 // TestHotPathNeutrality is the zero-alloc hot-path work's correctness
@@ -19,8 +18,8 @@ import (
 // allocation, pooled event queues, batched span recording, BFC chunk
 // reuse) must be invisible in every rendered artifact. The test runs
 // the quick experiment suite, the fleet scenario, and the arena
-// tournament, and compares tables, fleet JSON, Prometheus exposition,
-// and the Chrome trace byte-for-byte against checked-in goldens.
+// tournament, and compares tables, fleet JSON and Prometheus exposition
+// byte-for-byte against checked-in goldens.
 //
 // The table comparisons deliberately bypass the -update flag: these
 // goldens predate the hot-path work, and drifting them is a behavior
@@ -54,16 +53,10 @@ func TestHotPathNeutrality(t *testing.T) {
 	}
 	pinBytes(t, filepath.Join("testdata", "fleet_quick_json.golden"), fleetJSON.Bytes(), *update)
 
-	// Observability: a memory-pressured residual CNN with the full
-	// stack attached — the same run internal/trace pins — must render
-	// the identical Chrome trace (pre-existing cross-package golden)
-	// and Prometheus exposition (golden introduced with this test).
-	col, met := runResidualObserved(t)
-	var chrome bytes.Buffer
-	if err := obs.WriteChromeTrace(&chrome, col.Events()); err != nil {
-		t.Fatal(err)
-	}
-	pinBytes(t, filepath.Join("..", "trace", "testdata", "chrome_trace.golden"), chrome.Bytes(), false)
+	// Observability: a memory-pressured residual CNN with Capuchin and
+	// a Collector attached must render the identical Prometheus
+	// exposition (golden introduced with this test).
+	met := runResidualObserved(t)
 	var prom bytes.Buffer
 	if err := met.WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
@@ -102,22 +95,15 @@ func pinBytes(t *testing.T, path string, got []byte, regen bool) {
 	}
 }
 
-// runResidualObserved replays internal/trace's golden scenario: the
-// residual CNN of testutil.ResidualCNN under memory pressure, with
-// Capuchin wrapped in a Recorder and a Collector, whose log is folded
+// runResidualObserved runs the residual CNN of testutil.ResidualCNN
+// under memory pressure with Capuchin and a Collector, and folds its log
 // into a metrics registry (obs.BuildMetrics).
-// Its run setup must match runObserved in
-// internal/trace/chrome_golden_test.go — both pin the same golden.
-func runResidualObserved(t *testing.T) (*obs.Collector, *obs.Metrics) {
+func runResidualObserved(t *testing.T) *obs.Metrics {
 	t.Helper()
 	col := obs.NewCollector()
-	rec := trace.NewRecorder(core.New(core.Options{}), func(acc exec.Access) bool {
-		return acc.Tensor.ID == "res0_relu1:0"
-	})
-	rec.Tracer = col
 	s, err := exec.NewSession(testutil.ResidualCNN(t), exec.Config{
 		Device: testutil.Device(24 * hw.MiB),
-		Policy: rec,
+		Policy: core.New(core.Options{}),
 		Tracer: col,
 	})
 	if err != nil {
@@ -126,5 +112,5 @@ func runResidualObserved(t *testing.T) (*obs.Collector, *obs.Metrics) {
 	if _, err := s.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	return col, obs.BuildMetrics(col.Events(), col.Decisions())
+	return obs.BuildMetrics(col.Events(), col.Decisions())
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"capuchin/internal/graph"
 	"capuchin/internal/obs"
@@ -36,6 +37,20 @@ func SigKey(batch, seq int64) string {
 		return fmt.Sprintf("b%d", batch)
 	}
 	return fmt.Sprintf("b%d/s%d", batch, seq)
+}
+
+// ShapeSwitch is the action of the decision a dynamic session records
+// when it switches shape signatures. Its Reason is "prev -> next", which
+// SwitchSigs reads back.
+const ShapeSwitch = "shape-switch"
+
+// switchArrow separates the two signatures of a shape-switch Reason.
+const switchArrow = " -> "
+
+// SwitchSigs returns the signatures a shape-switch decision's Reason
+// names: the one switched from and the one switched to.
+func SwitchSigs(reason string) (prev, next string, ok bool) {
+	return strings.Cut(reason, switchArrow)
 }
 
 // Replanner is the optional policy surface for online re-planning
@@ -265,8 +280,8 @@ func (d *DynamicSession) switchTo(key string, batch, seq int64) error {
 		d.stats.Switches++
 		d.staleStreak = 0
 		e.s.decide(obs.Decision{
-			Action: "shape-switch",
-			Reason: prev.key + " -> " + key,
+			Action: ShapeSwitch,
+			Reason: prev.key + switchArrow + key,
 		})
 	}
 	return nil

@@ -389,9 +389,6 @@ func (s *Session) release(t *tensor.Tensor, at sim.Time, env *Env) error {
 		if err := s.freeDevice(t, tensor.Freed, "release"); err != nil {
 			return err
 		}
-		if s.tr != nil {
-			s.memEvent(labelFree, "dead", t, t.Bytes(), at)
-		}
 	case tensor.Out:
 		if s.host.HoldsIdx(int(t.Idx)) {
 			if err := s.host.ReleaseIdx(int(t.Idx), t.ID); err != nil {
@@ -411,6 +408,11 @@ func (s *Session) release(t *tensor.Tensor, at sim.Time, env *Env) error {
 		// SwappingOut/SwappingIn: an in-flight transfer owns the buffer;
 		// the pending completion or the iteration barrier cleans up.
 		return nil
+	}
+	// Every Dealloc the policy sees has its free/dead instant, whatever
+	// the tensor's status, so the access tape is a fold over the log.
+	if s.tr != nil {
+		s.memEvent(labelFree, "dead", t, t.Bytes(), at)
 	}
 	s.stats.Accesses++
 	s.policy.OnAccess(Access{

@@ -68,7 +68,7 @@ type liveEntry struct {
 }
 
 // BuildMemProfile reconstructs a memory profile from a recorded event
-// stream (the "alloc", "free" and "host" events the executor emits with
+// stream (the "alloc" and "free" events the executor emits with
 // allocator samples attached).
 func BuildMemProfile(events []Event) *MemProfile {
 	p := &MemProfile{Residency: make(map[string][]ResidencySpan)}
@@ -89,8 +89,6 @@ func BuildMemProfile(events []Event) *MemProfile {
 					delete(live, ev.Tensor)
 				}
 			}
-		case "host":
-			// Host arena events carry samples but no device residency.
 		default:
 			continue
 		}

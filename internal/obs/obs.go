@@ -45,8 +45,7 @@ const (
 type Event struct {
 	Kind EventKind
 	// Cat is the event category: "kernel", "recompute", "dispatch",
-	// "transfer", "stall", "alloc", "free", "host", "fault", "oom",
-	// "access".
+	// "transfer", "stall", "alloc", "free", "fault", "oom".
 	Cat string
 	// Name is the display name (node ID, transfer label, fault kind).
 	Name string
@@ -72,7 +71,7 @@ type Event struct {
 	Bytes int64
 	// Used, Free and LargestFree sample the device allocator at the
 	// event, and HostUsed the pinned host arena; they are filled on
-	// memory events ("alloc", "free", "host") and power the Perfetto
+	// memory events ("alloc", "free") and power the Perfetto
 	// counter tracks and the fragmentation timeline.
 	Used, Free, LargestFree, HostUsed int64
 	// Detail carries a short qualifier: how a tensor became resident

@@ -1,9 +1,10 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,30 +12,35 @@ import (
 
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
+	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
+	"capuchin/internal/sim"
 	"capuchin/internal/testutil"
+	"capuchin/internal/trace"
 )
 
-// update regenerates the golden Chrome trace instead of comparing:
+// update regenerates the golden Chrome trace and the access tape golden
+// instead of comparing:
 //
-//	go test ./internal/trace -run ChromeGolden -update
-var update = flag.Bool("update", false, "rewrite the golden Chrome trace")
+//	go test ./internal/trace -run 'ChromeGolden|AccessTapeGolden' -update
+var update = flag.Bool("update", false, "rewrite the golden Chrome trace and access tapes")
 
-// runObserved executes the residual CNN under memory pressure with the full
-// observability stack attached: Capuchin as the policy (decision audit),
-// a Recorder forwarding one tensor's accesses, and a Collector whose log
-// is folded into metrics.
-func runObserved(tb testing.TB) ([]exec.IterStats, *obs.Collector, *obs.Metrics, *Recorder) {
+// observedTensor is the tensor whose accesses the observed run renders.
+const observedTensor = "res0_relu1:0"
+
+// runObserved executes the residual CNN under memory pressure with the
+// full observability stack attached: Capuchin as the policy (decision
+// audit) and a Collector whose log is folded into metrics. Its events
+// are returned a second time with observedTensor's accesses spliced in
+// as "access" instants (withAccesses).
+func runObserved(tb testing.TB) ([]exec.IterStats, *obs.Collector, *obs.Metrics, []obs.Event) {
 	tb.Helper()
 	col := obs.NewCollector()
-	rec := NewRecorder(core.New(core.Options{}), func(acc exec.Access) bool {
-		return acc.Tensor.ID == "res0_relu1:0"
-	})
-	rec.Tracer = col
-	s, err := exec.NewSession(testutil.ResidualCNN(tb), exec.Config{
+	g := testutil.ResidualCNN(tb)
+	s, err := exec.NewSession(g, exec.Config{
 		Device: testutil.Device(24 * hw.MiB),
-		Policy: rec,
+		Policy: core.New(core.Options{}),
 		Tracer: col,
 	})
 	if err != nil {
@@ -44,7 +50,53 @@ func runObserved(tb testing.TB) ([]exec.IterStats, *obs.Collector, *obs.Metrics,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sts, col, obs.BuildMetrics(col.Events(), col.Decisions()), rec
+	events := withAccesses(g, col.Events(), trace.Tape(g, col.Events(), col.Decisions()), observedTensor)
+	return sts, col, obs.BuildMetrics(col.Events(), col.Decisions()), events
+}
+
+// withAccesses returns events with tensor id's accesses on tape spliced
+// in as "access" instants on the cpu lane: a kernel span's reads and
+// produces right after it and its workspace free, a Dealloc right after
+// its free/dead instant. The tape is Tape's fold of events, so its
+// accesses come in the order of the events they derive from.
+func withAccesses(g *graph.Graph, events []obs.Event, tape []trace.Event, id string) []obs.Event {
+	t := g.Tensor(id)
+	nodes := make(map[string]*graph.Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		nodes[n.ID] = n
+	}
+	var out []obs.Event
+	next := 0
+	splice := func(n int, at sim.Time) {
+		for _, a := range tape[next : next+n] {
+			if a.TensorID != id {
+				continue
+			}
+			out = append(out, obs.Event{
+				Kind: obs.KindInstant, Cat: "access", Name: a.Kind.String() + " " + id,
+				Lane: "cpu", Start: at, Iter: a.Iter, Tensor: id, Node: a.NodeID,
+				Bytes: t.Bytes(), Detail: fmt.Sprintf("access #%d", a.Count),
+			})
+		}
+		next += n
+	}
+	for i := 0; i < len(events); i++ {
+		ev := events[i]
+		out = append(out, ev)
+		switch {
+		case ev.Cat == "kernel":
+			if i+1 < len(events) && events[i+1].Cat == "free" && events[i+1].Detail == "workspace" {
+				i++
+				out = append(out, events[i])
+			}
+			n := nodes[ev.Node]
+			splice(len(n.Inputs), ev.Start)
+			splice(len(n.Outputs), ev.End)
+		case ev.Cat == "free" && ev.Detail == "dead":
+			splice(1, ev.Start)
+		}
+	}
+	return out
 }
 
 // chromeFile mirrors the export's top-level JSON shape.
@@ -67,9 +119,9 @@ type chromeEvent struct {
 // on: parseable JSON, monotonically non-decreasing timestamps, and matched
 // B/E span pairs on every lane.
 func TestChromeGolden(t *testing.T) {
-	_, col, _, _ := runObserved(t)
+	_, _, _, events := runObserved(t)
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, col.Events()); err != nil {
+	if err := obs.WriteChromeTrace(&buf, events); err != nil {
 		t.Fatal(err)
 	}
 
@@ -157,7 +209,7 @@ func TestChromeGolden(t *testing.T) {
 // trace, the memory profile report, the decision audit, and the metrics
 // text dump. It is the test target behind make profile-smoke.
 func TestProfileSmoke(t *testing.T) {
-	sts, col, met, rec := runObserved(t)
+	sts, col, met, events := runObserved(t)
 
 	var chrome bytes.Buffer
 	if err := obs.WriteChromeTrace(&chrome, col.Events()); err != nil {
@@ -208,17 +260,23 @@ func TestProfileSmoke(t *testing.T) {
 		t.Errorf("metrics dump missing kernel histogram:\n%s", metrics.String())
 	}
 
-	// The Recorder forwarded exactly its filtered accesses as instants.
+	// The splice rendered exactly observedTensor's accesses as instants.
 	var accessInstants int
-	for _, ev := range col.Events() {
+	for _, ev := range events {
 		if ev.Cat == "access" {
 			accessInstants++
-			if ev.Tensor != "res0_relu1:0" {
-				t.Errorf("access instant leaked past the filter: %+v", ev)
+			if ev.Tensor != observedTensor {
+				t.Errorf("access instant of another tensor: %+v", ev)
 			}
 		}
 	}
-	if accessInstants == 0 || accessInstants != len(rec.Events()) {
-		t.Errorf("forwarded %d access instants, recorder holds %d events", accessInstants, len(rec.Events()))
+	var want int
+	for _, a := range trace.Tape(testutil.ResidualCNN(t), col.Events(), col.Decisions()) {
+		if a.TensorID == observedTensor {
+			want++
+		}
+	}
+	if accessInstants == 0 || accessInstants != want {
+		t.Errorf("spliced %d access instants, the tape holds %d accesses of %s", accessInstants, want, observedTensor)
 	}
 }

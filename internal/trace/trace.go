@@ -1,5 +1,5 @@
-// Package trace records tensor-access and stream-span events from
-// simulation runs and exports them as TSV, powering the paper's timeline
+// Package trace derives the tensor-access tape from a run's event log and
+// exports it, and stream spans, as TSV, powering the paper's timeline
 // figures (the vDNN swap timeline of Fig. 1 and the cross-iteration access
 // regularity of Fig. 3).
 package trace
@@ -9,147 +9,123 @@ import (
 	"io"
 
 	"capuchin/internal/exec"
+	"capuchin/internal/graph"
 	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 	"capuchin/internal/tensor"
 )
 
-// Event is one recorded tensor access.
+// Event is one tensor access on the tape.
 type Event struct {
 	Iter     int
 	TensorID string
-	Count    int
-	At       sim.Time
-	Kind     exec.AccessKind
-	NodeID   string
+	// Count is the tensor's access count after this access (a Dealloc
+	// repeats the count of the access before it).
+	Count int
+	// At is the access time on the stall-free timeline of §5.2: the
+	// run's clock minus the iteration's stall time so far.
+	At     sim.Time
+	Kind   exec.AccessKind
+	NodeID string
 }
 
-// Recorder is an exec.Policy decorator that records the access stream
-// while delegating every decision to the wrapped policy.
-type Recorder struct {
-	// Inner is the decorated policy; nil means exec.NullPolicy.
-	Inner exec.Policy
-	// Filter selects which accesses to record; nil records everything.
-	Filter func(acc exec.Access) bool
-	// Tracer, when set, additionally receives each recorded access as an
-	// obs instant (Cat "access") so access markers land on the same
-	// timeline as the executor's kernel and transfer spans. The Filter
-	// gates forwarding too — record-everything tracers would drown the
-	// Chrome export in per-access instants.
-	Tracer obs.Tracer
-
-	events []Event
+// session is one executor session's access counts, indexed by tensor
+// Idx, and the iteration they belong to (-1 before its first).
+type session struct {
+	counts []int
+	iter   int
 }
 
-var _ exec.Policy = (*Recorder)(nil)
-
-// NewRecorder wraps a policy with access recording.
-func NewRecorder(inner exec.Policy, filter func(exec.Access) bool) *Recorder {
-	if inner == nil {
-		inner = exec.NullPolicy{}
+// Tape folds a single-device run's event and decision logs into the
+// access stream the executor reported to its policy, in report order:
+//   - each kernel span of node n reads n's inputs at the span's start,
+//     then produces n's outputs at its end;
+//   - each free instant with detail "dead" deallocates its tensor.
+//
+// Counts are kept per tensor: non-persistent counts restart each
+// iteration, persistent ones run on. At subtracts the iteration's stall
+// spans so far, which is the executor's timeline-reconstruction penalty.
+//
+// A dynamic run keeps a session per shape signature, and a shape-switch
+// decision starts its target's session with the first kernel or stall
+// span at or after the decision. A session whose iterations restart was
+// rebuilt after an LRU eviction, so its counts start fresh. Signatures
+// share topology, so g may be any of the run's graphs.
+func Tape(g *graph.Graph, events []obs.Event, decisions []obs.Decision) []Event {
+	nodes := make(map[string]*graph.Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		nodes[n.ID] = n
 	}
-	return &Recorder{Inner: inner, Filter: filter}
-}
-
-// Policy returns the policy a session should run: the Recorder, with
-// the inner policy's exec.OOMHandler and exec.Replanner hooks forwarded
-// when it has them, so recording neither demotes a handler policy
-// (h-DTR) to the passive OnOOM path nor stops a dynamic session from
-// re-planning Capuchin.
-func (r *Recorder) Policy() exec.Policy {
-	h, handles := r.Inner.(exec.OOMHandler)
-	rp, replans := r.Inner.(exec.Replanner)
-	switch {
-	case handles && replans:
-		return struct {
-			replanRecorder
-			exec.OOMHandler
-		}{replanRecorder{r, replanner{rp}}, h}
-	case handles:
-		return handlerRecorder{r, h}
-	case replans:
-		return replanRecorder{r, replanner{rp}}
-	}
-	return r
-}
-
-// handlerRecorder is a Recorder that forwards its inner policy's
-// exec.OOMHandler hook.
-type handlerRecorder struct {
-	*Recorder
-	exec.OOMHandler
-}
-
-// replanRecorder is a Recorder that forwards its inner policy's
-// exec.Replanner hooks. The Replanner sits one embedding level below the
-// Recorder, so the Recorder's exec.Policy methods win and only the
-// re-planning methods are promoted.
-type replanRecorder struct {
-	*Recorder
-	replanner
-}
-
-type replanner struct{ exec.Replanner }
-
-// Name implements exec.Policy.
-func (r *Recorder) Name() string { return r.Inner.Name() + "+trace" }
-
-// BeginIteration implements exec.Policy.
-func (r *Recorder) BeginIteration(iter int, env *exec.Env) { r.Inner.BeginIteration(iter, env) }
-
-// OnAccess implements exec.Policy.
-func (r *Recorder) OnAccess(acc exec.Access, env *exec.Env) {
-	if r.Filter == nil || r.Filter(acc) {
-		iter := env.Iteration()
-		r.events = append(r.events, Event{
-			Iter:     iter,
-			TensorID: acc.Tensor.ID,
-			Count:    acc.Count,
-			At:       acc.At,
-			Kind:     acc.Kind,
-			NodeID:   acc.NodeID(),
-		})
-		if r.Tracer != nil {
-			r.Tracer.Emit(obs.Event{
-				Kind:   obs.KindInstant,
-				Cat:    "access",
-				Name:   acc.Kind.String() + " " + acc.Tensor.ID,
-				Lane:   "cpu",
-				Start:  acc.Raw,
-				Iter:   iter,
-				Tensor: acc.Tensor.ID,
-				Node:   acc.NodeID(),
-				Bytes:  acc.Tensor.Bytes(),
-				Detail: fmt.Sprintf("access #%d", acc.Count),
-			})
+	tensors := g.TensorList()
+	fresh := func() *session { return &session{counts: make([]int, len(tensors)), iter: -1} }
+	cur := fresh()
+	sessions := map[string]*session{}
+	var switches []obs.Decision
+	for _, d := range decisions {
+		if d.Action == exec.ShapeSwitch {
+			switches = append(switches, d)
 		}
 	}
-	r.Inner.OnAccess(acc, env)
+
+	var tape []Event
+	var stall sim.Time // the current iteration's stall time so far
+	access := func(iter int, t *tensor.Tensor, kind exec.AccessKind, raw sim.Time, node string) {
+		if kind != exec.Dealloc {
+			cur.counts[t.Idx]++
+		}
+		tape = append(tape, Event{Iter: iter, TensorID: t.ID, Count: cur.counts[t.Idx],
+			At: raw - stall, Kind: kind, NodeID: node})
+	}
+	for _, ev := range events {
+		span := ev.Cat == "kernel" || ev.Cat == "stall"
+		if !span && (ev.Cat != "free" || ev.Detail != "dead") {
+			continue
+		}
+		for span && len(switches) > 0 && ev.Start >= switches[0].At {
+			prev, next, _ := exec.SwitchSigs(switches[0].Reason)
+			switches = switches[1:]
+			if len(sessions) == 0 {
+				sessions[prev] = cur
+			}
+			s := sessions[next]
+			if s == nil || ev.Iter <= s.iter {
+				s = fresh()
+				sessions[next] = s
+			}
+			cur, stall = s, 0
+		}
+		if ev.Iter != cur.iter {
+			for i, t := range tensors {
+				if !t.Persistent {
+					cur.counts[i] = 0
+				}
+			}
+			cur.iter, stall = ev.Iter, 0
+		}
+		switch ev.Cat {
+		case "stall":
+			stall += ev.Duration()
+		case "kernel":
+			n := nodes[ev.Node]
+			for _, t := range n.Inputs {
+				access(ev.Iter, t, exec.Read, ev.Start, n.ID)
+			}
+			for _, t := range n.Outputs {
+				access(ev.Iter, t, exec.Produce, ev.End, n.ID)
+			}
+		default:
+			access(ev.Iter, g.Tensor(ev.Tensor), exec.Dealloc, ev.Start, "")
+		}
+	}
+	return tape
 }
 
-// OnOOM implements exec.Policy.
-func (r *Recorder) OnOOM(need int64, env *exec.Env) ([]*tensor.Tensor, bool) {
-	return r.Inner.OnOOM(need, env)
-}
-
-// EndIteration implements exec.Policy.
-func (r *Recorder) EndIteration(iter int, env *exec.Env) { r.Inner.EndIteration(iter, env) }
-
-// TracksAccesses implements exec.Policy.
-func (r *Recorder) TracksAccesses() bool { return r.Inner.TracksAccesses() }
-
-// Events returns the recorded events.
-func (r *Recorder) Events() []Event { return r.events }
-
-// Reset clears the recording.
-func (r *Recorder) Reset() { r.events = nil }
-
-// WriteTSV writes the recorded events as tab-separated values.
-func (r *Recorder) WriteTSV(w io.Writer) error {
+// WriteTSV writes a tape as tab-separated values.
+func WriteTSV(w io.Writer, tape []Event) error {
 	if _, err := fmt.Fprintln(w, "iter\ttensor\tcount\ttime_us\tkind\tnode"); err != nil {
 		return err
 	}
-	for _, e := range r.events {
+	for _, e := range tape {
 		if _, err := fmt.Fprintf(w, "%d\t%s\t%d\t%.2f\t%s\t%s\n",
 			e.Iter, e.TensorID, e.Count, e.At.Microseconds(), e.Kind, e.NodeID); err != nil {
 			return err

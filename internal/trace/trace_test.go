@@ -1,23 +1,27 @@
-package trace
+package trace_test
 
 import (
-	"errors"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"capuchin/internal/exec"
 	"capuchin/internal/graph"
 	"capuchin/internal/hw"
-	"capuchin/internal/models"
+	"capuchin/internal/obs"
 	"capuchin/internal/sim"
 	"capuchin/internal/testutil"
+	"capuchin/internal/trace"
 )
 
-func TestRecorderCapturesAccesses(t *testing.T) {
+// smallTape runs one iteration of the small CNN under tf-ori with a
+// Collector attached and returns the tape folded from its log and the
+// iteration's stats.
+func smallTape(t *testing.T) ([]trace.Event, exec.IterStats) {
+	t.Helper()
 	g := testutil.SmallCNN(t, 2, 16, graph.GraphModeOptions())
-	rec := NewRecorder(nil, nil)
-	s, err := exec.NewSession(g, exec.Config{Device: testutil.Device(hw.GiB), Policy: rec})
+	col := obs.NewCollector()
+	s, err := exec.NewSession(g, exec.Config{Device: testutil.Device(hw.GiB), Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +29,16 @@ func TestRecorderCapturesAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Events()) != st.Accesses {
-		t.Errorf("recorded %d events, executor reported %d accesses", len(rec.Events()), st.Accesses)
-	}
-	if rec.Name() != "tf-ori+trace" {
-		t.Errorf("Name = %q", rec.Name())
+	return trace.Tape(g, col.Events(), col.Decisions()), st
+}
+
+func TestRecorderCapturesAccesses(t *testing.T) {
+	tape, st := smallTape(t)
+	if len(tape) != st.Accesses {
+		t.Errorf("tape holds %d accesses, executor reported %d", len(tape), st.Accesses)
 	}
 	var sb strings.Builder
-	if err := rec.WriteTSV(&sb); err != nil {
+	if err := trace.WriteTSV(&sb, tape); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -42,68 +48,24 @@ func TestRecorderCapturesAccesses(t *testing.T) {
 	if !strings.Contains(out, "conv0:0") {
 		t.Error("conv0 output access missing from trace")
 	}
-	rec.Reset()
-	if len(rec.Events()) != 0 {
-		t.Error("Reset did not clear events")
-	}
 }
 
+// TestRecorderFilter: keeping one tensor's accesses, as capuchin-trace
+// -tensors does, leaves a non-empty tape of that tensor alone, with the
+// counts it had on the full tape.
 func TestRecorderFilter(t *testing.T) {
-	g := testutil.SmallCNN(t, 2, 16, graph.GraphModeOptions())
-	rec := NewRecorder(nil, func(acc exec.Access) bool {
-		return acc.Tensor.ID == "relu0:0"
-	})
-	s, err := exec.NewSession(g, exec.Config{Device: testutil.Device(hw.GiB), Policy: rec})
-	if err != nil {
-		t.Fatal(err)
+	tape, _ := smallTape(t)
+	kept := slices.DeleteFunc(slices.Clone(tape), func(e trace.Event) bool { return e.TensorID != "relu0:0" })
+	if len(kept) == 0 {
+		t.Fatal("filter kept nothing")
 	}
-	if _, err := s.RunIteration(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Events()) == 0 {
-		t.Fatal("filter recorded nothing")
-	}
-	for _, e := range rec.Events() {
+	for i, e := range kept {
 		if e.TensorID != "relu0:0" {
 			t.Errorf("filter leaked %s", e.TensorID)
 		}
-	}
-}
-
-// oomHandler is a policy with the exec.OOMHandler hook that counts its
-// calls and gives up.
-type oomHandler struct {
-	exec.NullPolicy
-	calls int
-}
-
-func (h *oomHandler) HandleOOM(int64, *exec.Env) (progress, ok bool) {
-	h.calls++
-	return false, false
-}
-
-// TestRecorderForwardsOOMHandler: recording a handler policy must keep
-// the executor on its HandleOOM path, and recording any other policy
-// must not invent the hook.
-func TestRecorderForwardsOOMHandler(t *testing.T) {
-	h := &oomHandler{}
-	pol := NewRecorder(h, nil).Policy()
-	if _, ok := pol.(exec.OOMHandler); !ok {
-		t.Fatal("Recorder.Policy dropped the inner OOMHandler")
-	}
-	if _, ok := NewRecorder(nil, nil).Policy().(exec.OOMHandler); ok {
-		t.Error("Recorder.Policy invented an OOMHandler for tf-ori")
-	}
-	g := testutil.SmallCNN(t, 2, 16, graph.GraphModeOptions())
-	s, err := exec.NewSession(g, exec.Config{Device: testutil.Device(64 * hw.KiB), Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunIteration(); !errors.Is(err, exec.ErrIterationOOM) {
-		t.Fatalf("RunIteration = %v, want an OOM", err)
-	}
-	if h.calls == 0 {
-		t.Error("the executor never called the recorded policy's HandleOOM")
+		if e.Kind != exec.Dealloc && e.Count != i+1 {
+			t.Errorf("access %d of relu0:0 has count %d", i+1, e.Count)
+		}
 	}
 }
 
@@ -113,7 +75,7 @@ func TestWriteSpansTSV(t *testing.T) {
 		{Label: "swapout x", Start: 10 * sim.Microsecond, End: 30 * sim.Microsecond},
 	}
 	var sb strings.Builder
-	if err := WriteSpansTSV(&sb, "d2h", spans); err != nil {
+	if err := trace.WriteSpansTSV(&sb, "d2h", spans); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -122,50 +84,5 @@ func TestWriteSpansTSV(t *testing.T) {
 	}
 	if got := strings.Count(out, "\n"); got != 3 {
 		t.Errorf("TSV has %d lines, want 3", got)
-	}
-}
-
-// TestRecorderKeepsDynamicReplanning: recording a dynamic Capuchin run
-// changes none of its stats. A Recorder that hid exec.Replanner kept the
-// run from re-planning on shape switches.
-func TestRecorderKeepsDynamicReplanning(t *testing.T) {
-	spec, err := models.Get("resnet50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(record bool) ([]exec.IterStats, exec.DynamicStats) {
-		sched, err := models.NewSchedule(models.ScheduleBatch, spec, 256, 1, 0)
-		ec := exec.Config{Device: hw.P100().WithMemory(4 * hw.GiB)}
-		if err == nil {
-			err = ec.UsePolicy("capuchin", nil, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if record {
-			ec.Policy = NewRecorder(ec.Policy, nil).Policy()
-		}
-		d, err := exec.NewDynamicSession(exec.DynamicConfig{Base: ec, Schedule: sched,
-			Build: func(b, seq int64) (*graph.Graph, error) {
-				return spec.BuildShaped(b, seq, graph.GraphModeOptions())
-			}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sts, err := d.Run(12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sts, d.Stats()
-	}
-	plain, plainDyn := run(false)
-	recorded, recordedDyn := run(true)
-	if plainDyn.Replans == 0 || recordedDyn != plainDyn {
-		t.Errorf("DynamicStats with the Recorder %+v, without %+v (want replans)", recordedDyn, plainDyn)
-	}
-	for i := range plain {
-		if !reflect.DeepEqual(recorded[i], plain[i]) {
-			t.Fatalf("iteration %d with the Recorder: %+v\nwithout: %+v", i, recorded[i], plain[i])
-		}
 	}
 }
