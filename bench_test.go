@@ -447,11 +447,26 @@ func BenchmarkHotPathProbeCell(b *testing.B) {
 // boundary digest and the replay allocate nothing per boundary, and
 // that the refilled session appends its nodes' cost menus to the
 // spare's instead of allocating one per node.
-func BenchmarkHotPathProbeCellTF(b *testing.B) {
+func BenchmarkHotPathProbeCellTF(b *testing.B) { benchProbeCell(b, bench.SystemTF) }
+
+// BenchmarkHotPathProbeCellVDNN is BenchmarkHotPathProbeCellTF for vDNN.
+// Its budget also pins that the refilled session keeps the vDNN schedule
+// its policy built for the template, and that the policy's per-access
+// work allocates nothing.
+func BenchmarkHotPathProbeCellVDNN(b *testing.B) { benchProbeCell(b, bench.SystemVDNN) }
+
+// BenchmarkHotPathProbeCellOpenAIM is BenchmarkHotPathProbeCellVDNN for
+// OpenAI's memory-mode gradient checkpointing, whose schedule costs an
+// articulation-point analysis of the graph to build.
+func BenchmarkHotPathProbeCellOpenAIM(b *testing.B) { benchProbeCell(b, bench.SystemOpenAIMemory) }
+
+// benchProbeCell runs sys's cold 3-iteration resnet50 probes that fit on
+// a 16 GiB P100 on a warm template set, alternating two batches.
+func benchProbeCell(b *testing.B, sys bench.System) {
 	ts := bench.NewTemplates()
 	var cfgs [2]bench.RunConfig
 	for i, batch := range []int64{64, 128} {
-		cfgs[i] = bench.RunConfig{Model: "resnet50", Batch: batch, System: bench.SystemTF, Device: hw.P100()}
+		cfgs[i] = bench.RunConfig{Model: "resnet50", Batch: batch, System: sys, Device: hw.P100()}
 		if r := ts.RunTraced(cfgs[i], nil); !r.OK {
 			b.Fatal(r.Err)
 		}

@@ -147,7 +147,7 @@ func AblationAllocator(o Options) *Table {
 	maxes := o.Runner.MaxBatchAll(mbCfgs)
 	runs := o.Runner.RunAll(runCfgs)
 	for i, alloc := range allocs {
-		t.AddRow(alloc, fmt.Sprintf("%d", maxes[i]), speedCell(runs[i]))
+		t.AddRow(alloc, maxBatchCell(maxes[i]), speedCell(runs[i]))
 	}
 	return t
 }

@@ -116,7 +116,7 @@ func Arena(o Options) *Table {
 					outcome = "failed"
 				}
 				t.AddRow(m, obs.FmtBytes(capBytes), p,
-					fmt.Sprintf("%d", maxB), fmt.Sprintf("%d", probe),
+					maxBatchCell(maxB), fmt.Sprintf("%d", probe),
 					iterCell, swapCell, recompCell, outcome)
 			}
 		}

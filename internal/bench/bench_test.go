@@ -408,3 +408,33 @@ func TestCapacitySweepQuick(t *testing.T) {
 		t.Fatalf("quick sweep rows = %d, want 2", len(tbl.Rows))
 	}
 }
+
+// TestCeilingCells checks how tables render a max batch the search
+// stopped at MaxBatchCeiling: the answer as a lower bound and its
+// ratios as bounds, aligned in text by rune.
+func TestCeilingCells(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{maxBatchCell(MaxBatchCeiling - 1), "4095"},
+		{maxBatchCell(MaxBatchCeiling), "≥4096"},
+		{ratioCell(400, 100), "4.00x"},
+		{ratioCell(400, 0), "-"},
+		{ratioCell(MaxBatchCeiling, 512), "≥8.00x"},
+		{ratioCell(512, MaxBatchCeiling), "≤0.12x"},
+		{ratioCell(MaxBatchCeiling, MaxBatchCeiling), "-"},
+	} {
+		if c.got != c.want {
+			t.Errorf("cell %q, want %q", c.got, c.want)
+		}
+	}
+	tbl := &Table{Title: "t", Header: []string{"model", "max"}}
+	tbl.AddRow("lstm", maxBatchCell(MaxBatchCeiling))
+	tbl.AddRow("vgg16", "319")
+	var b strings.Builder
+	if err := tbl.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "## t\n\nmodel  max\n-----  -----\nlstm   ≥4096\nvgg16  319\n\n"
+	if b.String() != want {
+		t.Errorf("text table:\n%s\nwant:\n%s", b.String(), want)
+	}
+}

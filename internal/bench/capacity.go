@@ -41,12 +41,8 @@ func CapacitySweep(o Options) *Table {
 	speeds := o.Runner.RunAll(runCfgs)
 	for i, mem := range caps {
 		tf, cp := maxes[2*i], maxes[2*i+1]
-		ratio := "-"
-		if tf > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(cp)/float64(tf))
-		}
 		t.AddRow(fmt.Sprintf("%d GiB", mem/hw.GiB),
-			fmt.Sprintf("%d", tf), fmt.Sprintf("%d", cp), ratio, speedCell(speeds[i]))
+			maxBatchCell(tf), maxBatchCell(cp), ratioCell(cp, tf), speedCell(speeds[i]))
 	}
 	t.AddNote("the batch multiplier is roughly capacity-independent: Capuchin turns any card into a ~6x larger one on this workload, which is why the paper targets 16 GB cloud GPUs rather than waiting for bigger hardware (§1)")
 	return t
@@ -82,11 +78,7 @@ func TableExtensions(o Options) *Table {
 			oa = os
 		}
 		cp := search.get(m, SystemCapuchin)
-		ratio := "-"
-		if tf > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(cp)/float64(tf))
-		}
-		t.AddRow(m, fmt.Sprintf("%d", tf), fmt.Sprintf("%d", sn), fmt.Sprintf("%d", oa), fmt.Sprintf("%d", cp), ratio)
+		t.AddRow(m, maxBatchCell(tf), maxBatchCell(sn), maxBatchCell(oa), maxBatchCell(cp), ratioCell(cp, tf))
 	}
 	t.AddNote("not in the paper; these workloads exercise recurrent unrolling (LSTM/GRU), depthwise convolutions (MobileNetV2) and vDNN's original workload (AlexNet); SuperNeurons (PPoPP'18) is the third static baseline family the paper discusses in §3.1")
 	return t

@@ -177,7 +177,7 @@ func Scaling(o Options) *Table {
 			t.AddRow(m, fmt.Sprintf("%d", n),
 				awareIter.String(), oblivIter.String(), saved,
 				exposed.String(), fmt.Sprintf("%.1f", aware.Throughput),
-				fmt.Sprintf("%d", maxes[i]))
+				maxBatchCell(maxes[i]))
 		}
 	}
 	t.AddNote("comm-aware defers swaps past predicted all-reduce windows; single-device rows are the differential baseline (aware == oblivious by construction)")

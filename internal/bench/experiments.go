@@ -448,16 +448,9 @@ func Table2(o Options) *Table {
 		}
 		vdCell := "-"
 		if m != "bert" {
-			vdCell = fmt.Sprintf("%d", vd)
+			vdCell = maxBatchCell(vd)
 		}
-		ratioTF, ratio2 := "-", "-"
-		if tf > 0 {
-			ratioTF = fmt.Sprintf("%.2fx", float64(cp)/float64(tf))
-		}
-		if second > 0 {
-			ratio2 = fmt.Sprintf("%.2fx", float64(cp)/float64(second))
-		}
-		t.AddRow(m, fmt.Sprintf("%d", tf), vdCell, fmt.Sprintf("%d", oa), fmt.Sprintf("%d", cp), ratioTF, ratio2)
+		t.AddRow(m, maxBatchCell(tf), vdCell, maxBatchCell(oa), maxBatchCell(cp), ratioCell(cp, tf), ratioCell(cp, second))
 	}
 	t.AddNote("paper: Capuchin up to 9.27x TF-ori (avg 5.49x) and up to 2.14x the second best (avg 1.84x)")
 	return t
@@ -482,11 +475,7 @@ func Table3(o Options) *Table {
 		tf := search.getMode(m, SystemTF, exec.EagerMode)
 		cp := search.getMode(m, SystemCapuchin, exec.EagerMode)
 		gr := search.getMode(m, SystemTF, exec.GraphMode)
-		ratio := "-"
-		if tf > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(cp)/float64(tf))
-		}
-		t.AddRow(m, fmt.Sprintf("%d", tf), fmt.Sprintf("%d", cp), ratio, fmt.Sprintf("%d", gr))
+		t.AddRow(m, maxBatchCell(tf), maxBatchCell(cp), ratioCell(cp, tf), maxBatchCell(gr))
 	}
 	t.AddNote("paper: ResNet-50 122 -> 300 (2.46x), DenseNet 70 -> 190 (2.71x); eager TF below graph TF")
 	return t

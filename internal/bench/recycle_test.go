@@ -13,6 +13,7 @@ import (
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/fault"
+	"capuchin/internal/graph"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
 	"capuchin/internal/obs"
@@ -252,5 +253,120 @@ func TestWarmProbeCellBytes(t *testing.T) {
 	}
 	if least > bound {
 		t.Errorf("a warm probe cell allocated %d bytes, want at most %d", least, bound)
+	}
+}
+
+// TestRecycledVDNNMatchesFresh drives one template slot through vDNN
+// cells at alternating batches: each must refill the schedule of the
+// cell before it, hold the schedule a fresh build makes, and match a
+// fresh run's Result, decision log and JSONL (checkRecycledSchedule).
+func TestRecycledVDNNMatchesFresh(t *testing.T) {
+	checkRecycledSchedule(t, SystemVDNN)
+}
+
+// TestRecycledCheckpointMatchesFresh is TestRecycledVDNNMatchesFresh for
+// the OpenAI memory-mode and speed-mode checkpointing schedules.
+func TestRecycledCheckpointMatchesFresh(t *testing.T) {
+	checkRecycledSchedule(t, SystemOpenAIMemory)
+	checkRecycledSchedule(t, SystemOpenAISpeed)
+}
+
+// checkRecycledSchedule runs sys's resnet50 cells on one template set at
+// alternating batches. From the second cell on, the cell must refill the
+// policy the cell before it parked. The schedule that policy holds must
+// equal the one a fresh build makes for the slot's graph, and each
+// cell's Result, decision log and JSONL must equal those of a fresh run
+// on a nil set. Last, a spare must not be reused for another model's
+// template, for a graph built without a template, or, built from such a
+// graph, for a template's graph.
+func checkRecycledSchedule(t *testing.T, sys System) {
+	t.Helper()
+	ts := NewTemplates()
+	spec, err := models.Get("resnet50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prev exec.Policy
+	for i, batch := range []int64{64, 128, 64, 128} {
+		cfg := RunConfig{Model: "resnet50", System: sys, Batch: batch, Device: hw.P100()}
+		label := fmt.Sprintf("%s cell %d (b%d)", sys, i, batch)
+		gotCol, wantCol := obs.NewCollector(), obs.NewCollector()
+		got := ts.RunTraced(cfg, gotCol)
+		want := RunTraced(cfg, wantCol)
+		if !got.OK {
+			t.Fatalf("%s: %v", label, got.Err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recycled Result differs from a fresh run's\ngot:  %+v\nwant: %+v", label, got, want)
+		}
+		if !reflect.DeepEqual(gotCol.Decisions(), wantCol.Decisions()) {
+			t.Errorf("%s: recycled decision log differs from a fresh run's", label)
+		}
+		gotJSONL, _, _ := gotCol.AppendJSONL(nil, obs.Cursor{})
+		wantJSONL, _, _ := wantCol.AppendJSONL(nil, obs.Cursor{})
+		if !bytes.Equal(gotJSONL, wantJSONL) {
+			t.Errorf("%s: recycled JSONL differs from a fresh run's", label)
+		}
+
+		slot, err := ts.slot(spec, exec.GraphMode, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol := slot.spare.s.Policy()
+		if i > 0 && pol != prev {
+			t.Errorf("%s: the cell built a new policy instead of refilling the spare's", label)
+		}
+		prev = pol
+		var fresh, recycled exec.Config
+		if err := fresh.UsePolicy(string(sys), slot.spare.g, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := recycled.UsePolicy(string(sys), slot.spare.g, pol); err != nil {
+			t.Fatal(err)
+		}
+		if recycled.Policy != pol {
+			t.Errorf("%s: the spare was not refilled for its own template's graph", label)
+		}
+		if !reflect.DeepEqual(recycled.Policy, fresh.Policy) {
+			t.Errorf("%s: the recycled schedule differs from a fresh build's", label)
+		}
+	}
+
+	other, err := models.Get("vgg16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherG, err := ts.Graph(other, exec.GraphMode, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := spec.BuildShaped(64, 0, buildOptions(exec.GraphMode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	templated, err := ts.Graph(spec, exec.GraphMode, 64, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fromBuilt exec.Config
+	if err := fromBuilt.UsePolicy(string(sys), built, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what  string
+		g     *graph.Graph
+		spare exec.Policy
+	}{
+		{"another model's template", otherG, prev},
+		{"a graph built without a template", built, prev},
+		{"a template's graph, from a spare built without one", templated, fromBuilt.Policy},
+	} {
+		var ec exec.Config
+		if err := ec.UsePolicy(string(sys), c.g, c.spare); err != nil {
+			t.Fatal(err)
+		}
+		if ec.Policy == c.spare {
+			t.Errorf("%s: a spare was reused for %s", sys, c.what)
+		}
 	}
 }

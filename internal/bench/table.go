@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a formatted experiment result: rows of cells plus free-form
@@ -25,16 +27,43 @@ func (t *Table) AddNote(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// widths computes per-column widths.
+// maxBatchCell renders a max-batch answer. An answer at MaxBatchCeiling
+// means every probe up to the ceiling fit: the search stopped at the
+// ceiling, not at the largest batch that fits, which is at least that.
+func maxBatchCell(b int64) string {
+	if b >= MaxBatchCeiling {
+		return "≥" + strconv.FormatInt(b, 10)
+	}
+	return strconv.FormatInt(b, 10)
+}
+
+// ratioCell renders the ratio of two max-batch answers, "-" when den is
+// 0. An answer at the ceiling is a lower bound, so a ceiling numerator
+// makes the ratio one ("≥"), a ceiling denominator an upper bound ("≤"),
+// and both an unknown ("-").
+func ratioCell(num, den int64) string {
+	numCut, denCut := num >= MaxBatchCeiling, den >= MaxBatchCeiling
+	switch {
+	case den == 0 || numCut && denCut:
+		return "-"
+	case numCut:
+		return fmt.Sprintf("≥%.2fx", float64(num)/float64(den))
+	case denCut:
+		return fmt.Sprintf("≤%.2fx", float64(num)/float64(den))
+	}
+	return fmt.Sprintf("%.2fx", float64(num)/float64(den))
+}
+
+// widths computes per-column widths, in runes: text cells pad by rune.
 func (t *Table) widths() []int {
 	w := make([]int, len(t.Header))
 	for i, h := range t.Header {
-		w[i] = len(h)
+		w[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, c := range row {
-			if i < len(w) && len(c) > w[i] {
-				w[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(w) && n > w[i] {
+				w[i] = n
 			}
 		}
 	}

@@ -23,12 +23,15 @@ import (
 // so the next cell of the template refills the spare's storage instead
 // of allocating it (graph.Template.Instantiate, exec.RecycleSession,
 // exec.BuildContext.Spare). A policy refills only a spare of its own
-// kind: a Capuchin cell reuses the tracker, planner and plan arrays of a
-// Capuchin spare and builds anew after any other system's cell. So in a
-// MaxBatchAll call, whose searches of every system share one set, a
-// Capuchin probe finds a Capuchin spare only when the cell before it on
-// that template was one. A cell takes the spare for its whole run, so
-// concurrent cells of one template never share it; the others allocate.
+// kind and builds anew after any other system's cell: a Capuchin cell
+// reuses the tracker, planner and plan arrays of a Capuchin spare, and
+// a vDNN or OpenAI checkpointing cell keeps the whole static schedule
+// of a spare of its own mode, which depends on the template's topology
+// only. So in a MaxBatchAll call, whose searches of every system share
+// one set, a probe finds a spare of its own system only when the cell
+// before it on that template was one. A cell takes the spare for its
+// whole run, so concurrent cells of one template never share it; the
+// others allocate.
 // RunLive never hands its session back, and cluster and dynamic runs
 // never take a spare. A cell that panics hands nothing back, so the next
 // cell allocates afresh.

@@ -385,7 +385,8 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 	if c1 == nil || c2 == nil || c4 == nil {
 		t.Fatalf("candidates missing: %v %v %v", c1, c2, c4)
 	}
-	pl.initRecompute([]*cand{c1, c2, c4})
+	cands = []*cand{c1, c2, c4}
+	pl.initRecompute(cands)
 
 	// Initially T4 recomputes from T3's producer: T3 is dead at T4's
 	// back-access, so T4's sources are {t2} (a candidate, assumed
@@ -401,8 +402,8 @@ func TestAlgorithm2PaperExample(t *testing.T) {
 	// Select T2 for recomputation: T4's source moves to T2's sources
 	// (t1) and its replay time grows by T2's.
 	p := newPlan(make([]string, len(tk.records)), tk.seq)
-	rest := []*cand{c1, c4}
-	pl.selectRecompute(p, c2, rest, nil)
+	pl.rankCandidates(cands)
+	pl.selectRecompute(p, cands, 1)
 	if hasSrc(c4.srcs, t2.Idx) {
 		t.Error("t4 still sources from chosen t2")
 	}

@@ -43,12 +43,23 @@ func (r *recorder) EndIteration(iter int, env *exec.Env) {
 // It covers the tracker's per-access work, candidate identification,
 // Algorithm 1's selection loop with Algorithm 2's MSPS upkeep, and
 // in-trigger scheduling. The alloc gate (make perf-smoke) budgets it.
-func BenchmarkHotPathPlan(b *testing.B) {
-	spec, err := models.Get("bert")
+func BenchmarkHotPathPlan(b *testing.B) { benchPlan(b, "bert", 128) }
+
+// BenchmarkHotPathPlanLarge is BenchmarkHotPathPlan on the measured
+// iteration of Table 2's resnet152 answer, batch 1255 on a 16 GiB P100:
+// several thousand accesses and the largest selection of the sweep,
+// where a planner quadratic in the candidate count shows.
+func BenchmarkHotPathPlanLarge(b *testing.B) { benchPlan(b, "resnet152", 1255) }
+
+// benchPlan records the measured iteration of model at batch on a
+// 16 GiB P100 under Capuchin and replays it into a fresh tracker and
+// planner per op.
+func benchPlan(b *testing.B, model string, batch int64) {
+	spec, err := models.Get(model)
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := spec.Build(128, graph.GraphModeOptions())
+	g, err := spec.Build(batch, graph.GraphModeOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

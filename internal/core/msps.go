@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"capuchin/internal/bufs"
@@ -13,19 +14,20 @@ import (
 // inputs, an input serves as a source when it is persistent, still alive
 // at the candidate's back-access, or itself a candidate (candidates are
 // assumed resident until chosen); anything else must be replayed too,
-// adding its producer's measured duration.
+// adding its producer's measured duration. It also lists, for each
+// candidate, the candidates whose sources include it, which
+// selectRecompute keeps current.
 func (pl *planner) initRecompute(cands []*cand) {
 	n := len(pl.tk.records)
-	inSet := bufs.Resized(pl.scratch.inSet, n)
-	pl.scratch.inSet = inSet
-	for _, c := range cands {
-		if c.canRecompute {
-			inSet[c.idx] = true
-		}
+	s := &pl.scratch
+	s.candAt = bufs.Resized(s.candAt, n)
+	for k, c := range cands {
+		s.candAt[c.idx] = int32(k + 1)
 	}
 	// visited[i] == stamp marks tensor i seen by the current walk.
-	visited := bufs.Resized(pl.scratch.visited, n)
-	pl.scratch.visited = visited
+	visited := bufs.Resized(s.visited, n)
+	s.visited = visited
+	links := 0
 	for k, c := range cands {
 		if !c.canRecompute {
 			continue
@@ -34,12 +36,19 @@ func (pl *planner) initRecompute(cands []*cand) {
 		c.srcs = c.srcs[:0]
 		visited[c.idx] = stamp
 		c.rpTime = c.r.producerDur
-		pl.walkSources(c, c.r, c.backAt, inSet, visited, stamp)
+		pl.walkSources(c, c.r, cands, visited, stamp)
+		links += len(c.srcs)
+	}
+	s.srcLinks = slices.Grow(s.srcLinks[:0], 2*links)
+	for k, c := range cands {
+		for _, x := range c.srcs {
+			pl.linkSrc(cands, x, int32(k))
+		}
 	}
 }
 
 // walkSources recursively classifies the inputs of rec's producer.
-func (pl *planner) walkSources(c *cand, rec *record, backAt sim.Time, inSet []bool, visited []int32, stamp int32) {
+func (pl *planner) walkSources(c *cand, rec *record, cands []*cand, visited []int32, stamp int32) {
 	for _, in := range rec.t.Inputs {
 		i := in.Idx
 		ir := pl.tk.lookup(i)
@@ -52,22 +61,43 @@ func (pl *planner) walkSources(c *cand, rec *record, backAt sim.Time, inSet []bo
 			continue
 		}
 		visited[i] = stamp
-		switch {
+		switch k := pl.candPos(i); {
 		case in.Persistent:
 			c.srcs = addSrc(c.srcs, i)
-		case inSet[i]:
+		case k >= 0 && cands[k].canRecompute:
 			// A fellow candidate: assumed in GPU memory for now; the
 			// selection loop corrects this when it is chosen (§4.5).
 			c.srcs = addSrc(c.srcs, i)
-		case ir.deallocAt == liveForever || ir.deallocAt > backAt:
+		case ir.deallocAt == liveForever || ir.deallocAt > c.backAt:
 			// Alive at the back-access; serves as the replay source.
 			c.srcs = addSrc(c.srcs, i)
 		default:
 			// Dead by then: must be replayed as well.
 			c.rpTime += ir.producerDur
-			pl.walkSources(c, ir, backAt, inSet, visited, stamp)
+			pl.walkSources(c, ir, cands, visited, stamp)
 		}
 	}
+}
+
+// candPos returns the position among the candidates of tensor x, or -1
+// when x is not a candidate.
+func (pl *planner) candPos(x int32) int32 {
+	if x < 0 || int(x) >= len(pl.scratch.candAt) {
+		return -1
+	}
+	return pl.scratch.candAt[x] - 1
+}
+
+// linkSrc records that the candidate at pos sources from tensor x. Only
+// candidates are indexed: a source is looked up when it is chosen.
+func (pl *planner) linkSrc(cands []*cand, x, pos int32) {
+	k := pl.candPos(x)
+	if k < 0 {
+		return
+	}
+	s := &pl.scratch
+	s.srcLinks = append(s.srcLinks, srcLink{pos: pos, next: cands[k].srcHead})
+	cands[k].srcHead = int32(len(s.srcLinks))
 }
 
 // addSrc inserts i into the sorted source set s.
@@ -85,15 +115,76 @@ func hasSrc(s []int32, i int32) bool {
 	return found
 }
 
-// resource replaces i in the sorted source set s by the sources of i's
-// own recomputation: s now starts its replay where i's starts.
-func resource(s []int32, i int32, from []int32) []int32 {
-	at, _ := slices.BinarySearch(s, i)
-	s = slices.Delete(s, at, at+1)
-	for _, x := range from {
-		s = addSrc(s, x)
+// resource replaces c in the source set of the candidate at pos by c's
+// own sources, as Algorithm 2 does when c is chosen for recomputation:
+// its replay now starts where c's starts. It links the sources the
+// candidate gains, counts them for a chosen recomputation, and reports
+// whether the candidate sourced from c at all.
+func (pl *planner) resource(rest []*cand, pos int32, c *cand) bool {
+	cd := rest[pos]
+	at, found := slices.BinarySearch(cd.srcs, c.idx)
+	if !found {
+		return false
 	}
-	return s
+	// c's own count is read no more: c is being chosen.
+	counted := cd.chosen == actionRecompute
+	cd.srcs = slices.Delete(cd.srcs, at, at+1)
+	for _, x := range c.srcs {
+		at, found := slices.BinarySearch(cd.srcs, x)
+		if found {
+			continue
+		}
+		cd.srcs = slices.Insert(cd.srcs, at, x)
+		pl.linkSrc(rest, x, pos)
+		if k := pl.candPos(x); counted && k >= 0 {
+			rest[k].recSrcs++
+		}
+	}
+	return true
+}
+
+// rankCandidates builds Algorithm 1's indexes over the candidates of
+// phase B: each candidate's swap overhead, the lane-budget penalty of
+// those the budget already excludes, and each recomputable candidate's
+// MSPS.
+func (pl *planner) rankCandidates(rest []*cand) {
+	s := &pl.scratch
+	s.swapTree.reset(len(rest))
+	s.recTree.reset(len(rest))
+	bySize := s.bySize[:0]
+	for k, c := range rest {
+		if !pl.opts.RecomputeOnly {
+			s.swapTree.place(int32(k), c.swapOverhead())
+			bySize = append(bySize, int32(k))
+		}
+		if c.canRecompute {
+			s.recTree.place(int32(k), -c.msps())
+		}
+	}
+	s.swapTree.build()
+	s.recTree.build()
+	slices.SortFunc(bySize, func(a, b int32) int { return cmp.Compare(rest[b].r.size, rest[a].r.size) })
+	s.bySize = bySize
+	pl.penalized = 0
+	pl.penalize(rest)
+}
+
+// penalize adds the lane-budget penalty to the swap overhead of every
+// remaining candidate the budget no longer fits: once the budget is
+// spent, the full swap-in time is exposed. swapConsumed only grows, so a
+// candidate's penalty switches on once, and the largest candidates' first.
+func (pl *planner) penalize(rest []*cand) {
+	s := &pl.scratch
+	for ; pl.penalized < len(s.bySize); pl.penalized++ {
+		k := s.bySize[pl.penalized]
+		c := rest[k]
+		if pl.swapConsumed+c.r.size <= pl.swapBudget {
+			return
+		}
+		if c.chosen == actionNone {
+			s.swapTree.set(k, c.swapOverhead()+c.inDur)
+		}
+	}
 }
 
 // chooseNext implements Algorithm 1's comparison: the remaining candidate
@@ -101,40 +192,29 @@ func resource(s []int32, i int32, from []int32) []int32 {
 // one with the highest MSPS; the cheaper of the two is selected. It
 // returns the candidate's position in rest, or -1 when no candidate is
 // usable. Ties keep the first in rest.
-func (pl *planner) chooseNext(rest []*cand) (int, bool) {
-	bestSwap, bestRec := -1, -1
-	var swapOv sim.Time
-	var recMSPS float64
-	for i, c := range rest {
-		if !pl.opts.RecomputeOnly {
-			if ov := pl.effSwapOverhead(c); bestSwap < 0 || ov < swapOv {
-				bestSwap, swapOv = i, ov
-			}
-		}
-		if c.canRecompute {
-			if m := c.msps(); bestRec < 0 || m > recMSPS {
-				bestRec, recMSPS = i, m
-			}
-		}
-	}
+func (pl *planner) chooseNext(rest []*cand) (int32, bool) {
+	s := &pl.scratch
+	bestSwap, bestRec := s.swapTree.top(), s.recTree.top()
 	switch {
 	case bestSwap < 0:
 		return bestRec, false
 	case bestRec < 0:
 		return bestSwap, true
 	}
-	if swapOv <= rest[bestRec].recomputeOverhead() {
+	if s.swapTree.keys[bestSwap] <= rest[bestRec].recomputeOverhead() {
 		return bestSwap, true
 	}
 	return bestRec, false
 }
 
-// selectRecompute commits a candidate to the eviction set as a
+// selectRecompute commits the candidate at pos to the eviction set as a
 // recomputation target and performs Algorithm 2's bookkeeping: tensors
-// that used c as a source now start from c's sources (their replay grows
-// by c's replay time), and sources shared with already-chosen targets
-// accumulate repeated-recomputation penalties (ext_time).
-func (pl *planner) selectRecompute(p *plan, c *cand, rest []*cand, recomps []*cand) {
+// that used it as a source now start from its sources (their replay
+// grows by its replay time), and sources shared with already-chosen
+// targets accumulate repeated-recomputation penalties (ext_time). Only
+// the candidates the source index names are touched.
+func (pl *planner) selectRecompute(p *plan, rest []*cand, pos int32) {
+	c := rest[pos]
 	p.evict[p.access(c.idx, c.evictCount)] = actionRecompute
 	p.sizes[c.idx] = c.r.size
 	p.numRecompute++
@@ -148,35 +228,48 @@ func (pl *planner) selectRecompute(p *plan, c *cand, rest []*cand, recomps []*ca
 		})
 	}
 
+	s := &pl.scratch
 	// Lines 5-12 of Algorithm 2: chosen targets that sourced from c now
-	// source from c's sources; each such target replays c again.
+	// source from c's sources; each such target replays c again. Links
+	// resource adds go to the head of the list, past this walk.
+	head := c.srcHead
 	extCt := sim.Time(1)
-	for _, rp := range recomps {
-		if hasSrc(rp.srcs, c.idx) {
-			rp.srcs = resource(rp.srcs, c.idx, c.srcs)
+	for l := head; l != 0; l = s.srcLinks[l-1].next {
+		k := s.srcLinks[l-1].pos
+		if rest[k].chosen == actionRecompute && pl.resource(rest, k, c) {
 			extCt++
 		}
 	}
-	// Lines 17-34: update the remaining candidates' MSPS inputs.
-	for _, cd := range rest {
-		if cd == c || !cd.canRecompute {
+	// Lines 17-34: update the remaining candidates' MSPS inputs, first
+	// of those that sourced from c, then of c's sources.
+	for l := head; l != 0; l = s.srcLinks[l-1].next {
+		k := s.srcLinks[l-1].pos
+		cd := rest[k]
+		if k == pos || cd.chosen != actionNone || !pl.resource(rest, k, c) {
 			continue
 		}
-		if hasSrc(cd.srcs, c.idx) {
-			cd.srcs = resource(cd.srcs, c.idx, c.srcs)
-			cd.rpTime += c.rpTime
-			cd.extTime = 0
-			for _, rp := range recomps {
-				if hasSrc(rp.srcs, cd.idx) {
-					cd.extTime += cd.rpTime
-				}
-			}
-			if hasSrc(c.srcs, cd.idx) {
-				cd.extTime += cd.rpTime
-			}
-		}
+		cd.rpTime += c.rpTime
+		n := sim.Time(cd.recSrcs)
 		if hasSrc(c.srcs, cd.idx) {
+			n++
+		}
+		cd.extTime = n * cd.rpTime
+		s.recTree.set(k, -cd.msps())
+	}
+	for _, x := range c.srcs {
+		k := pl.candPos(x)
+		if k < 0 || k == pos {
+			continue
+		}
+		if cd := rest[k]; cd.chosen == actionNone && cd.canRecompute {
 			cd.extTime = extCt * cd.rpTime
+			s.recTree.set(k, -cd.msps())
+		}
+	}
+	c.chosen = actionRecompute
+	for _, x := range c.srcs {
+		if k := pl.candPos(x); k >= 0 {
+			rest[k].recSrcs++
 		}
 	}
 }

@@ -219,6 +219,16 @@ type cand struct {
 	srcs    []int32
 	rpTime  sim.Time
 	extTime sim.Time
+
+	// chosen is how the selection evicts the candidate, actionNone while
+	// it remains a candidate.
+	chosen actionKind
+	// srcHead is one past the index in the planner's srcLinks of the
+	// first entry of the list of candidates whose sources include this
+	// one, 0 for none; recSrcs counts the chosen recomputations whose
+	// sources include it.
+	srcHead int32
+	recSrcs int32
 }
 
 // id is the candidate tensor's ID, for tie-breaks and the audit log.
@@ -267,6 +277,9 @@ type planner struct {
 	// the mixed plans the paper observes at large batch sizes (§6.3.2).
 	swapBudget   int64
 	swapConsumed int64
+	// penalized counts the candidates of scratch.bySize whose swap
+	// overhead includes the lane-budget penalty.
+	penalized int
 
 	// decide, when non-nil, records each planning decision with its inputs
 	// (Free-Time, MSPS, back-access distance, candidate-set size) in the
@@ -283,15 +296,34 @@ type planScratch struct {
 	// spare, when non-nil, is a plan no one uses any more, which build
 	// refills instead of allocating one; build consumes it.
 	spare *plan
-	// The candidates, the pointers the selection ranks them by, the
-	// chosen recomputations, initRecompute's walk state and
-	// scheduleTriggers' start times.
+	// The candidates, the pointers the selection ranks them by,
+	// initRecompute's walk state and scheduleTriggers' start times.
 	found   []cand
 	cands   []*cand
-	recomps []*cand
-	inSet   []bool
 	visited []int32
 	starts  []sim.Time
+
+	// Algorithm 1's indexes over the candidates of phase B, by position
+	// in its fixed candidate order: the swap overheads and the negated
+	// MSPS of the candidates that remain, and the positions sorted by
+	// size, largest first, the order their lane-budget penalties switch
+	// on in.
+	swapTree tourney[sim.Time]
+	recTree  tourney[float64]
+	bySize   []int32
+	// candAt holds, by tensor Idx, one past the tensor's position among
+	// phase B's candidates, 0 for none. srcLinks stores the lists
+	// cand.srcHead heads.
+	candAt   []int32
+	srcLinks []srcLink
+}
+
+// srcLink is one entry of a candidate's list of the candidates sourcing
+// from it: the sourcing candidate's position and the next entry, as
+// cand.srcHead locates the first.
+type srcLink struct {
+	pos  int32
+	next int32
 }
 
 // swapLaneBudget estimates per-direction PCIe capacity over one iteration.
@@ -307,16 +339,6 @@ func (pl *planner) swapLaneBudget() int64 {
 	// the backward window, so only a fraction of the iteration's
 	// lane-seconds are usable per direction.
 	return int64(pl.tk.endOfIteration.Seconds() * bytesPerSec / 4)
-}
-
-// effSwapOverhead is a candidate's swap overhead including lane
-// saturation: once the budget is spent, the full swap-in time is exposed.
-func (pl *planner) effSwapOverhead(c *cand) sim.Time {
-	base := c.swapOverhead()
-	if pl.swapConsumed+c.r.size > pl.swapBudget {
-		base += c.inDur
-	}
-	return base
 }
 
 // build runs candidate identification (§4.5), the swap-first selection,
@@ -386,25 +408,26 @@ func (pl *planner) build() *plan {
 
 	// Phase B: hybrid selection between the cheapest swap and the best
 	// recomputation (Algorithm 1), with Algorithm 2's MSPS maintenance.
+	// rest keeps its order; a chosen candidate leaves the indexes only.
 	if remaining > 0 && len(rest) > 0 {
 		pl.initRecompute(rest)
-		recomps := pl.scratch.recomps[:0]
-		for remaining > 0 && len(rest) > 0 {
-			i, isSwap := pl.chooseNext(rest)
-			if i < 0 {
+		pl.rankCandidates(rest)
+		for left := len(rest); remaining > 0 && left > 0; left-- {
+			k, isSwap := pl.chooseNext(rest)
+			if k < 0 {
 				break
 			}
-			c := rest[i]
+			c := rest[k]
+			pl.scratch.swapTree.drop(k)
+			pl.scratch.recTree.drop(k)
 			if isSwap {
 				pl.selectSwap(p, c, "lowest swap overhead beat best-MSPS recomputation (Algorithm 1)")
+				pl.penalize(rest)
 			} else {
-				pl.selectRecompute(p, c, rest, recomps)
-				recomps = append(recomps, c)
+				pl.selectRecompute(p, rest, k)
 			}
 			remaining -= c.r.size
-			rest = slices.Delete(rest, i, i+1)
 		}
-		pl.scratch.recomps = recomps
 	}
 	pl.scheduleTriggers(p)
 	if pl.decide != nil {
@@ -529,6 +552,7 @@ func (pl *planner) selectSwap(p *plan, c *cand, reason string) {
 		nextTrig:   -1,
 	})
 	sp := &p.slab[len(p.slab)-1]
+	c.chosen = actionSwap
 	p.evict[p.access(c.idx, c.evictCount)] = actionSwap
 	p.sizes[c.idx] = c.r.size
 	p.swaps[c.idx] = sp

@@ -61,9 +61,17 @@ type seqEntry struct {
 type tracker struct {
 	// records is indexed by Tensor.Idx.
 	records []record
-	// seq holds every access in observation order until finish sorts it
-	// by time; finish also slices each record's accesses out of it.
+	// seq holds every access in observation order, which finish checks
+	// is time order (sorting it by time when it is not); finish also
+	// slices each record's accesses out of it.
 	seq []seqEntry
+	// events holds the usage curve's allocations and frees (see
+	// usageEvents) as observe sees them: a non-persistent tensor's first
+	// access and its Dealloc. unordered records that they are not one
+	// allocation and at most one later free per tensor, in time order,
+	// so usageEvents must rebuild and sort them.
+	events    []usageEvent
+	unordered bool
 	// nodeStart records the first input-read time per node, indexed by
 	// Node.Pos, to derive operation durations from the access stream;
 	// noStart marks a node none of whose inputs has been read.
@@ -71,11 +79,10 @@ type tracker struct {
 	// endOfIteration is the adjusted time of the last observed access.
 	endOfIteration sim.Time
 
-	// end and flat are finish's scratch; events and curve usageCurve's.
-	end    []int32
-	flat   []accessRec
-	events []usageEvent
-	curve  []usagePoint
+	// end and flat are finish's scratch; curve is usageCurve's.
+	end   []int32
+	flat  []accessRec
+	curve []usagePoint
 }
 
 // noStart is the nodeStart entry of a node whose inputs were never read.
@@ -95,6 +102,8 @@ func (tk *tracker) reset(n, nodes int) {
 	tk.records = bufs.Resized(tk.records, n)
 	// Most tensors are produced once and read once or twice.
 	tk.seq = slices.Grow(tk.seq[:0], 3*n)
+	tk.events = slices.Grow(tk.events[:0], 2*n)
+	tk.unordered = false
 	tk.nodeStart = bufs.Resized(tk.nodeStart, nodes)
 	for i := range tk.nodeStart {
 		tk.nodeStart[i] = noStart
@@ -119,7 +128,8 @@ func (tk *tracker) observe(acc exec.Access) {
 		return // not a tensor of the measured graph: nothing can key a plan on it
 	}
 	r := &tk.records[i]
-	if r.t == nil {
+	first := r.t == nil
+	if first {
 		*r = record{t: t, size: t.Bytes(), deallocAt: liveForever}
 	}
 	if acc.At > tk.endOfIteration {
@@ -127,7 +137,11 @@ func (tk *tracker) observe(acc exec.Access) {
 	}
 	switch acc.Kind {
 	case exec.Dealloc:
+		// A Dealloc before any access, or a second one, leaves the
+		// frees to usageEvents' rebuild.
+		tk.unordered = tk.unordered || first || r.deallocAt != liveForever
 		r.deallocAt = acc.At
+		tk.logUsage(t, acc.At, -r.size)
 		return
 	case exec.Read:
 		if n := acc.Node; n != nil && n.Pos < len(tk.nodeStart) && tk.nodeStart[n.Pos] == noStart {
@@ -140,12 +154,29 @@ func (tk *tracker) observe(acc exec.Access) {
 			}
 		}
 	}
+	if first {
+		tk.logUsage(t, acc.At, r.size)
+	}
 	tk.seq = append(tk.seq, seqEntry{idx: int32(i), count: int32(acc.Count), at: acc.At})
 }
 
+// logUsage appends a non-persistent tensor's allocation or free to
+// events, noting when it breaks time order.
+func (tk *tracker) logUsage(t *tensor.Tensor, at sim.Time, delta int64) {
+	if t.Persistent {
+		return
+	}
+	if n := len(tk.events); n > 0 && at < tk.events[n-1].at {
+		tk.unordered = true
+	}
+	tk.events = append(tk.events, usageEvent{at, delta})
+}
+
 // finish groups each tensor's accesses, in observation order, into one
-// block that the records slice, then sorts the global sequence by time
-// (it is nearly sorted already; produce events share timestamps).
+// block that the records slice, and makes sure the global sequence is in
+// time order. The executor reports accesses in time order, so an O(n)
+// check normally finds it sorted; otherwise a stable sort keeps
+// equal-time accesses in observation order.
 func (tk *tracker) finish() {
 	end := bufs.Resized(tk.end, len(tk.records)+1)
 	tk.end = end
@@ -168,8 +199,10 @@ func (tk *tracker) finish() {
 		tk.records[i].accesses = flat[start:end[i]:end[i]]
 		start = end[i]
 	}
-	// Stability keeps equal-time accesses in observation order.
-	slices.SortStableFunc(tk.seq, func(a, b seqEntry) int { return cmp.Compare(a.at, b.at) })
+	byTime := func(a, b seqEntry) int { return cmp.Compare(a.at, b.at) }
+	if !slices.IsSortedFunc(tk.seq, byTime) {
+		slices.SortStableFunc(tk.seq, byTime)
+	}
 }
 
 // lifetime returns the interval during which the tensor holds device
@@ -198,8 +231,39 @@ type usageEvent struct {
 // track allocation and deallocation time of tensors to infer memory
 // usage"). Returns the curve, which tk reuses at the next call, and its
 // peak.
+//
+// The curve has one point per timestamp at which some tensor is
+// allocated or freed, holding the usage after all of that timestamp's
+// events, and the peak is the highest such point (or 0). Both depend
+// only on each timestamp's net delta, never on the order of its events,
+// so any time-ordered event list gives the same curve and peak.
 func (tk *tracker) usageCurve() ([]usagePoint, int64) {
-	events := slices.Grow(tk.events[:0], 2*len(tk.records))
+	events := tk.usageEvents()
+	curve := slices.Grow(tk.curve[:0], len(events))
+	var usage, peak int64
+	for i, e := range events {
+		usage += e.delta
+		if i+1 < len(events) && events[i+1].at == e.at {
+			continue // the timestamp has more events
+		}
+		peak = max(peak, usage)
+		curve = append(curve, usagePoint{at: e.at, usage: usage})
+	}
+	tk.curve = curve
+	return curve, peak
+}
+
+// usageEvents lists, in time order, the allocation of every
+// non-persistent tensor the iteration accessed, at its first access, and
+// its free, at its last Dealloc. The executor reports accesses in time
+// order, one Dealloc per tensor after its accesses, so the events
+// observe logged are the list; otherwise it is rebuilt from the records
+// and sorted. The list is tk's scratch.
+func (tk *tracker) usageEvents() []usageEvent {
+	if !tk.unordered {
+		return tk.events
+	}
+	events := tk.events[:0]
 	for i := range tk.records {
 		r := &tk.records[i]
 		if r.t == nil || r.t.Persistent || len(r.accesses) == 0 {
@@ -211,30 +275,9 @@ func (tk *tracker) usageCurve() ([]usagePoint, int64) {
 			events = append(events, usageEvent{to, -r.size})
 		}
 	}
-	// Frees before allocations at equal times: an op's dead inputs
-	// release at its end, where its successor's outputs allocate.
-	slices.SortFunc(events, func(a, b usageEvent) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.delta, b.delta)
-	})
+	slices.SortFunc(events, func(a, b usageEvent) int { return cmp.Compare(a.at, b.at) })
 	tk.events = events
-	curve := slices.Grow(tk.curve[:0], len(events))
-	var usage, peak int64
-	for _, e := range events {
-		usage += e.delta
-		if usage > peak {
-			peak = usage
-		}
-		if n := len(curve); n > 0 && curve[n-1].at == e.at {
-			curve[n-1].usage = usage
-			continue
-		}
-		curve = append(curve, usagePoint{at: e.at, usage: usage})
-	}
-	tk.curve = curve
-	return curve, peak
+	return events
 }
 
 // peakWindow returns the earliest and latest times at which usage exceeds

@@ -103,7 +103,7 @@ func (s *Session) appendBoundary(dst []byte, d StateDigester) ([]byte, error) {
 	now := s.now()
 	var held string
 	switch {
-	case s.pendingFrees.Len() > 0, len(s.swapInList) > 0, s.lruLen > 0, len(s.pinStack) > 0:
+	case s.pendingFrees.Len() > 0, len(s.swapInList) > 0, s.swapInBytes != 0, s.lruLen > 0, len(s.pinStack) > 0:
 		held = "a pending free, in-flight swap-in, eviction-order entry or pin"
 	case s.host.Used() != 0:
 		held = "a host reservation"

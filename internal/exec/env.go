@@ -196,15 +196,7 @@ func (e *Env) InflightSwapIns() int { return len(e.s.swapInList) }
 
 // InflightSwapInBytes reports the device memory held by in-flight
 // swap-ins; these buffers are not evictable until the transfers land.
-func (e *Env) InflightSwapInBytes() int64 {
-	var total int64
-	for _, i := range e.s.swapInList {
-		if t := e.s.tlist[i]; t.Alloc != nil {
-			total += t.Alloc.Size
-		}
-	}
-	return total
-}
+func (e *Env) InflightSwapInBytes() int64 { return e.s.swapInBytes }
 
 // ReleaseForRecompute frees a resident tensor's memory without a host
 // copy; a later access regenerates it from lineage. No-op unless resident.

@@ -408,18 +408,38 @@ func TestSwapInAsyncPrefetchPath(t *testing.T) {
 		t.Fatal("scripted policy did not prefetch")
 	}
 	matchesReference(t, "prefetching", testCNN(t, graph.GraphModeOptions()), []IterStats{st})
+	// The running in-flight byte count matches the in-flight list at every
+	// access and drains at the boundary.
+	if p.inflightErr != nil || p.inflightPeak == 0 {
+		t.Errorf("InflightSwapInBytes: %v, peak %d", p.inflightErr, p.inflightPeak)
+	}
+	if s.swapInBytes != 0 {
+		t.Errorf("%d in-flight swap-in bytes survived the iteration", s.swapInBytes)
+	}
 }
 
 // scriptedPrefetch swaps out relu outputs at their forward read and
 // prefetches each swapped tensor when the loss gradient seed appears.
+// At every access it checks Env.InflightSwapInBytes against the bytes
+// the in-flight list holds.
 type scriptedPrefetch struct {
 	NullPolicy
-	swapped []*tensor.Tensor
+	swapped      []*tensor.Tensor
+	inflightPeak int64
+	inflightErr  error
 }
 
 func (p *scriptedPrefetch) Name() string { return "scripted-prefetch" }
 
 func (p *scriptedPrefetch) OnAccess(acc Access, env *Env) {
+	var want int64
+	for _, i := range env.s.swapInList {
+		want += env.s.tlist[i].Alloc.Size
+	}
+	if got := env.InflightSwapInBytes(); got != want && p.inflightErr == nil {
+		p.inflightErr = fmt.Errorf("%d bytes at %s's access, the in-flight list holds %d", got, acc.Tensor.ID, want)
+	}
+	p.inflightPeak = max(p.inflightPeak, want)
 	t := acc.Tensor
 	if acc.Kind == Read && !t.Persistent && !t.Gradient {
 		if env.SwapOutAsync(t) {

@@ -985,6 +985,8 @@ func (s *Session) endIteration(env *Env) error {
 
 	s.stats.ParamFingerprint = s.paramFingerprint()
 
+	// Before the frees: a listed swap-in still holds its allocation.
+	s.clearSwapIns()
 	for _, n := range s.g.Nodes {
 		for _, t := range n.Outputs {
 			if t.Persistent {
@@ -1008,7 +1010,6 @@ func (s *Session) endIteration(env *Env) error {
 		}
 	}
 	s.resetLRU()
-	s.clearSwapIns()
 	s.unpinTo(0)
 	if firstErr == nil && s.defErr != nil {
 		firstErr = s.defErr

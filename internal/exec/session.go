@@ -153,10 +153,13 @@ type Session struct {
 
 	// swapInAt/swapInOn track the completion time of in-flight prefetches
 	// and on-demand swap-ins; swapInList holds the active indices so
-	// clearing is O(in-flight), not O(tensors).
-	swapInAt   []sim.Time
-	swapInOn   []bool
-	swapInList []int32
+	// clearing is O(in-flight), not O(tensors). swapInBytes sums the
+	// device memory the listed tensors hold: a tensor keeps its
+	// allocation while it is listed.
+	swapInAt    []sim.Time
+	swapInOn    []bool
+	swapInList  []int32
+	swapInBytes int64
 
 	// refsInit counts scheduled uses per tensor (static per graph): for a
 	// parameter, the accesses each iteration adds to its count. refs is
@@ -578,6 +581,7 @@ func (s *Session) swapInSet(t *tensor.Tensor, at sim.Time) {
 	if !s.swapInOn[i] {
 		s.swapInOn[i] = true
 		s.swapInList = append(s.swapInList, i)
+		s.swapInBytes += allocBytes(t)
 	}
 	s.swapInAt[i] = at
 }
@@ -588,6 +592,7 @@ func (s *Session) swapInClear(i int32) {
 		return
 	}
 	s.swapInOn[i] = false
+	s.swapInBytes -= allocBytes(s.tlist[i])
 	for k, v := range s.swapInList {
 		if v == i {
 			s.swapInList = append(s.swapInList[:k], s.swapInList[k+1:]...)
@@ -600,8 +605,17 @@ func (s *Session) swapInClear(i int32) {
 func (s *Session) clearSwapIns() {
 	for _, i := range s.swapInList {
 		s.swapInOn[i] = false
+		s.swapInBytes -= allocBytes(s.tlist[i])
 	}
 	s.swapInList = s.swapInList[:0]
+}
+
+// allocBytes is the device memory t holds.
+func allocBytes(t *tensor.Tensor) int64 {
+	if t.Alloc == nil {
+		return 0
+	}
+	return t.Alloc.Size
 }
 
 // The three helpers below are the only places the executor couples a

@@ -172,6 +172,12 @@ func (t *Template) Instantiate(batch int64, spare *Graph) (*Graph, error) {
 	return g, nil
 }
 
+// Template returns the template g was instantiated from, or nil for a
+// graph built from scratch. Graphs of one template share its topology:
+// node and tensor IDs, Node.Pos, Tensor.Idx, phases, lineage and the
+// rank of every shape.
+func (g *Graph) Template() *Template { return g.inst.from }
+
 // instance is the storage of a graph instantiated from a template, one
 // block per kind, kept with the graph so that a later Instantiate of the
 // same template can refill it.

@@ -29,9 +29,14 @@ const (
 	Speed
 )
 
-// Policy is the gradient-checkpointing baseline.
+// Policy is the gradient-checkpointing baseline. Its schedule is keyed
+// by Tensor.Idx and depends on the graph's topology only, so every graph
+// instantiated from one template shares it.
 type Policy struct {
 	mode Mode
+	// from is the template of the graph the schedule was built from, nil
+	// for a graph built from scratch.
+	from *graph.Template
 	// dropAt holds, per Tensor.Idx of the schedule's graph, the access
 	// count of the tensor's last forward access, where it is released for
 	// recomputation; 0 means the tensor is never dropped.
@@ -50,9 +55,9 @@ var (
 // New builds the static drop schedule from the graph.
 func New(g *graph.Graph, mode Mode) *Policy {
 	g.EnsureIndexed()
-	p := &Policy{mode: mode, dropAt: make([]int, len(g.TensorList()))}
+	p := &Policy{mode: mode, from: g.Template(), dropAt: make([]int, len(g.TensorList()))}
 
-	keep := make(map[string]bool)
+	keep := make([]bool, len(g.TensorList()))
 	switch mode {
 	case Speed:
 		for _, n := range g.ForwardNodes() {
@@ -62,7 +67,10 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			}
 			switch op.(type) {
 			case ops.Conv2D, ops.MatMul:
-				keep[n.Outputs[0].ID] = true
+				if t := n.Outputs[0]; !keep[t.Idx] {
+					keep[t.Idx] = true
+					p.checkpoints++
+				}
 			}
 		}
 	case Memory:
@@ -76,10 +84,12 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			stride = 1
 		}
 		for i := 0; i < len(arts); i += stride {
-			keep[arts[i].ID] = true
+			if t := arts[i]; !keep[t.Idx] {
+				keep[t.Idx] = true
+				p.checkpoints++
+			}
 		}
 	}
-	p.checkpoints = len(keep)
 
 	// Drop every forward tensor that backward needs, except checkpoints,
 	// at its last forward access.
@@ -91,7 +101,7 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			continue // raw inputs are cheap to keep and not recomputed
 		}
 		for _, out := range n.Outputs {
-			if out.Persistent || keep[out.ID] {
+			if out.Persistent || keep[out.Idx] {
 				continue
 			}
 			forwardUses, backwardUses := useCounts(g, out)
@@ -105,6 +115,16 @@ func New(g *graph.Graph, mode Mode) *Policy {
 		}
 	}
 	return p
+}
+
+// recycle returns the schedule of g in mode, as New builds it: spare
+// itself when it was built in mode from a graph of g's template (a
+// schedule depends on the topology only), else a new one.
+func recycle(spare *Policy, g *graph.Graph, mode Mode) *Policy {
+	if spare == nil || spare.mode != mode || spare.from == nil || spare.from != g.Template() {
+		return New(g, mode)
+	}
+	return spare
 }
 
 // useCounts splits a tensor's consumer references by phase.

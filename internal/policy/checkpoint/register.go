@@ -25,7 +25,8 @@ func init() {
 				if bc.Graph == nil {
 					return nil, errors.New("checkpoint: policy keys its schedule to one graph")
 				}
-				return New(bc.Graph, mode), nil
+				spare, _ := bc.Spare.(*Policy)
+				return recycle(spare, bc.Graph, mode), nil
 			},
 		})
 	}

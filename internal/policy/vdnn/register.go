@@ -16,7 +16,8 @@ func init() {
 			if bc.Graph == nil {
 				return nil, errors.New("vdnn: policy keys its schedule to one graph")
 			}
-			return New(bc.Graph, ConvOnly), nil
+			spare, _ := bc.Spare.(*Policy)
+			return recycle(spare, bc.Graph, ConvOnly), nil
 		},
 	})
 }

@@ -28,24 +28,31 @@ const (
 	All
 )
 
-// Policy is the vDNN baseline.
+// Policy is the vDNN baseline. Its schedule is keyed by Tensor.Idx and
+// Node.Pos and depends on the graph's topology only, so every graph
+// instantiated from one template shares it.
 type Policy struct {
 	mode Mode
+	// from is the template of the graph the schedule was built from, nil
+	// for a graph built from scratch.
+	from *graph.Template
 
-	// evictAt maps a {tensorID, nodeID} of the tensor's last forward
-	// read to the offload action.
-	evictAt map[accessKey]bool
-	// prefetchAt maps a backward node ID to the tensors to prefetch when
-	// that node first touches any tensor.
-	prefetchAt map[string][]*tensor.Tensor
-	// firedNodes tracks which backward triggers already fired this
-	// iteration.
-	firedNodes map[string]bool
-}
+	// evictAt holds, per Tensor.Idx, one past the Node.Pos of the
+	// tensor's last forward reader, whose read offloads it; 0 for a
+	// tensor never offloaded.
+	evictAt []int32
+	// trigger holds, per Node.Pos, one past the index in groups of the
+	// prefetch group the node's first access starts; 0 for none. A group
+	// lists the tensors it prefetches, by Idx.
+	trigger []int32
+	groups  [][]int32
+	// fired marks the groups already started this iteration.
+	fired []bool
+	// targets counts the offloaded tensors.
+	targets int
 
-type accessKey struct {
-	tensorID string
-	nodeID   string
+	// tensors is the running graph's TensorList, to resolve prefetches.
+	tensors []*tensor.Tensor
 }
 
 var (
@@ -55,11 +62,12 @@ var (
 
 // New builds the static offload/prefetch schedule from the graph.
 func New(g *graph.Graph, mode Mode) *Policy {
+	g.EnsureIndexed()
 	p := &Policy{
-		mode:       mode,
-		evictAt:    make(map[accessKey]bool),
-		prefetchAt: make(map[string][]*tensor.Tensor),
-		firedNodes: make(map[string]bool),
+		mode:    mode,
+		from:    g.Template(),
+		evictAt: make([]int32, len(g.TensorList())),
+		trigger: make([]int32, len(g.Nodes)),
 	}
 
 	forward := g.ForwardNodes()
@@ -69,13 +77,13 @@ func New(g *graph.Graph, mode Mode) *Policy {
 		t     *tensor.Tensor
 	}
 	var targets []target
-	seen := make(map[string]bool)
+	seen := make([]bool, len(g.TensorList()))
 	for _, n := range forward {
 		if !p.offloadLayer(n) {
 			continue
 		}
 		for _, in := range n.Inputs {
-			if in.Persistent || in.Gradient || seen[in.ID] || len(in.Shape) < 2 {
+			if in.Persistent || in.Gradient || seen[in.Idx] || len(in.Shape) < 2 {
 				continue
 			}
 			// Only offload tensors that are needed again (in backward);
@@ -83,7 +91,7 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			if g.ConsumerCount(in) < 2 {
 				continue
 			}
-			seen[in.ID] = true
+			seen[in.Idx] = true
 			targets = append(targets, target{layer: n, t: in})
 		}
 	}
@@ -91,20 +99,65 @@ func New(g *graph.Graph, mode Mode) *Policy {
 	// Offload at the tensor's last forward read; prefetch when the
 	// backward pass reaches the *next* offloading layer, i.e. one layer
 	// ahead of the tensor's own backward use (vDNN's static pipeline).
+	// Groups are numbered by first use; members keep target order.
+	group := make(map[string]int32)
 	for i, tg := range targets {
 		last := lastForwardReader(g, tg.t)
 		if last == nil {
 			continue
 		}
-		p.evictAt[accessKey{tg.t.ID, last.ID}] = true
+		p.evictAt[tg.t.Idx] = int32(last.Pos + 1)
+		p.targets++
 		triggerLayer := forward[len(forward)-1]
 		if i+1 < len(targets) {
 			triggerLayer = targets[i+1].layer
 		}
-		trigger := "grad/" + triggerLayer.ID
-		p.prefetchAt[trigger] = append(p.prefetchAt[trigger], tg.t)
+		key := "grad/" + triggerLayer.ID
+		k, ok := group[key]
+		if !ok {
+			k = int32(len(p.groups))
+			group[key] = k
+			p.groups = append(p.groups, nil)
+		}
+		p.groups[k] = append(p.groups[k], tg.t.Idx)
+	}
+	p.fired = make([]bool, len(p.groups))
+	// A backward node starts the group of its layer: its ID up to the
+	// first "/" after "grad/" (dropping the gradient-variant suffix,
+	// "/input", "/filter", ...) names the trigger.
+	for _, n := range g.Nodes {
+		if k, ok := group[triggerKey(n.ID)]; ok {
+			p.trigger[n.Pos] = k + 1
+		}
 	}
 	return p
+}
+
+// recycle returns the schedule of g in mode, as New builds it: spare
+// itself, reset, when it was built in mode from a graph of g's template
+// (a schedule depends on the topology only), else a new one.
+func recycle(spare *Policy, g *graph.Graph, mode Mode) *Policy {
+	if spare == nil || spare.mode != mode || spare.from == nil || spare.from != g.Template() {
+		return New(g, mode)
+	}
+	clear(spare.fired)
+	spare.tensors = nil
+	return spare
+}
+
+// triggerKey returns the prefetch trigger a node ID names: a backward
+// node's "grad/" prefix and the first path element after it, or "" for
+// any other node.
+func triggerKey(id string) string {
+	if !strings.HasPrefix(id, "grad/") {
+		return ""
+	}
+	if i := strings.LastIndex(id, "/"); i > len("grad/") {
+		if j := strings.Index(id[len("grad/"):], "/"); j >= 0 {
+			return id[:len("grad/")+j]
+		}
+	}
+	return id
 }
 
 // offloadLayer reports whether a forward node is an offload point.
@@ -142,33 +195,25 @@ func (p *Policy) Name() string {
 
 // BeginIteration implements exec.Policy.
 func (p *Policy) BeginIteration(iter int, env *exec.Env) {
-	clear(p.firedNodes)
+	clear(p.fired)
+	p.tensors = env.Graph().TensorList()
 }
 
 // OnAccess implements exec.Policy.
 func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
-	if acc.Kind == exec.Dealloc {
+	n := acc.Node
+	if acc.Kind == exec.Dealloc || n == nil || n.Pos >= len(p.trigger) {
 		return
 	}
 	// Backward prefetch triggers: the first access by a matching
 	// backward node starts the swap-ins scheduled for that layer.
-	nodeID := acc.NodeID()
-	if strings.HasPrefix(nodeID, "grad/") {
-		base := nodeID
-		// Trim the gradient-variant suffix ("/input", "/filter", ...).
-		if i := strings.LastIndex(base, "/"); i > len("grad/") {
-			if j := strings.Index(base[len("grad/"):], "/"); j >= 0 {
-				base = base[:len("grad/")+j]
-			}
-		}
-		if !p.firedNodes[base] {
-			p.firedNodes[base] = true
-			for _, t := range p.prefetchAt[base] {
-				env.SwapInAsync(t)
-			}
+	if k := p.trigger[n.Pos] - 1; k >= 0 && !p.fired[k] {
+		p.fired[k] = true
+		for _, i := range p.groups[k] {
+			env.SwapInAsync(p.tensors[i])
 		}
 	}
-	if acc.Kind == exec.Read && p.evictAt[accessKey{acc.Tensor.ID, nodeID}] {
+	if i := acc.Tensor.Idx; acc.Kind == exec.Read && i >= 0 && int(i) < len(p.evictAt) && p.evictAt[i] == int32(n.Pos+1) {
 		env.SwapOutAsync(acc.Tensor)
 	}
 }
@@ -190,4 +235,4 @@ func (p *Policy) TracksAccesses() bool { return false }
 func (p *Policy) AppendStateDigest(dst []byte) []byte { return dst }
 
 // Targets reports how many tensors the schedule offloads (for tests).
-func (p *Policy) Targets() int { return len(p.evictAt) }
+func (p *Policy) Targets() int { return p.targets }
