@@ -208,10 +208,13 @@ serve-smoke:
 # makes it simulate every iteration. The faulted
 # two-replica Capuchin run's -prom counters must equal the counts of
 # their decisions in its -events log, since the metrics are folded
-# from that log (comm-defer, passive-evict, swap-out). Like
+# from that log (comm-defer, passive-evict, swap-out). capuchin-bench
+# -profile must print exactly the tables of a run without it (fig1 and
+# table2, quick) and a non-empty aggregate to stderr. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
-# run must pass, and five invalid settings must fail before running (the
-# -spans one must also print nothing to stdout).
+# run must pass, and seven invalid settings must fail before running
+# (the -spans one and the two -devices ones, which must exit 2, must
+# also print nothing to stdout).
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
@@ -266,3 +269,15 @@ profile-smoke:
 		echo "profile-smoke: capuchin-bench -exp dynamic ran with -schedule bogus"; exit 1; fi
 	if out=$$($(GO) run ./cmd/capuchin-trace -spans bogus -system capuchin -mem 4 2>/dev/null) || test -n "$$out"; then \
 		echo "profile-smoke: capuchin-trace ran with -spans bogus"; exit 1; fi
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-bench && \
+	for e in fig1 table2; do \
+		$$d/capuchin-bench -exp $$e -quick >$$d/$$e.txt && \
+		$$d/capuchin-bench -exp $$e -quick -profile >$$d/$$e.profiled.txt 2>$$d/$$e.agg && \
+		cmp $$d/$$e.txt $$d/$$e.profiled.txt && grep -q . $$d/$$e.agg || \
+		{ echo "profile-smoke: capuchin-bench -exp $$e -profile must print the unprofiled tables and a non-empty aggregate"; exit 1; }; \
+	done && \
+	for n in 2x 100; do \
+		$$d/capuchin-bench -exp scale -quick -devices $$n >$$d/devices.txt 2>/dev/null; \
+		test $$? -eq 2 && test ! -s $$d/devices.txt || \
+		{ echo "profile-smoke: capuchin-bench ran with -devices $$n"; exit 1; }; \
+	done && rm -rf $$d

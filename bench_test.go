@@ -315,7 +315,7 @@ func BenchmarkIterationResNet50Capuchin(b *testing.B) {
 	r, s, _ := bench.RunLive(bench.RunConfig{
 		Model: "resnet50", Batch: 400, System: bench.SystemCapuchin,
 		Device: hw.P100(), Iterations: 2,
-	})
+	}, nil)
 	if !r.OK {
 		b.Fatal(r.Err)
 	}
@@ -349,7 +349,7 @@ func BenchmarkHotPathIteration(b *testing.B) {
 	r, s, _ := bench.RunLive(bench.RunConfig{
 		Model: "resnet50", Batch: 400, System: bench.SystemCapuchin,
 		Device: hw.P100(), Iterations: 3,
-	})
+	}, nil)
 	if !r.OK {
 		b.Fatal(r.Err)
 	}

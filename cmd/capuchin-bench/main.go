@@ -48,7 +48,8 @@
 // a shared PCIe-ring interconnect with a per-iteration gradient barrier,
 // comparing comm-aware swap scheduling (swaps deferred past predicted
 // all-reduce windows) against comm-oblivious scheduling. -devices narrows
-// the replica-count sweep (comma-separated, e.g. "1,2,4").
+// the replica-count sweep (comma-separated whole numbers from 1 to 64,
+// e.g. "1,2,4").
 //
 // -exp dynamic evaluates dynamic-shape training (§3): workloads whose
 // tensor geometry drifts between iterations, with Capuchin re-planning
@@ -83,6 +84,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"capuchin/internal/bench"
@@ -133,16 +135,25 @@ func main() {
 		dev = dev.WithMemory(memBytes)
 	}
 	// The experiments run their cells on this device, or on copies with
-	// swept memory, for these iterations, and the dynamic experiment
-	// drives resnet50 through -schedule: validating one cell rejects a
-	// bad -mem, -iters or -schedule before any table prints. tf-ori
-	// follows any schedule, so the cell can carry it.
-	exitOn(2, bench.RunConfig{Model: "resnet50", Batch: 1, System: bench.SystemTF,
-		Device: dev, Iterations: *iters, Schedule: *schedule}.Validate())
-	o := bench.Options{Device: dev, Iterations: *iters, Quick: *quick, Jobs: *jobs, Profile: *profile,
+	// swept memory, for these iterations, the dynamic experiment drives
+	// resnet50 through -schedule and the scaling experiment runs it on
+	// each -devices count: validating one cell rejects a bad -mem,
+	// -iters, -schedule or -devices before any table prints. tf-ori
+	// follows any schedule, so the cell can carry it; a schedule is
+	// single-device, so the counts are checked without it.
+	cell := bench.RunConfig{Model: "resnet50", Batch: 1, System: bench.SystemTF,
+		Device: dev, Iterations: *iters, Schedule: *schedule}
+	exitOn(2, cell.Validate())
+	cell.Schedule = ""
+	for _, n := range deviceCounts {
+		cell.Devices = n
+		exitOn(2, cell.Validate())
+	}
+	o := bench.Options{Device: dev, Iterations: *iters, Quick: *quick, Jobs: *jobs,
 		Schedule: *schedule, ScheduleSeed: *scheduleSeed, Devices: deviceCounts}
 	if *profile {
 		o.Runner = bench.NewRunner(*jobs)
+		o.Runner.EnableProfiling()
 		defer func() {
 			fmt.Fprintln(os.Stderr)
 			if err := o.Runner.Metrics().WriteText(os.Stderr); err != nil {
@@ -230,7 +241,7 @@ func main() {
 		}
 		if *fleetTrace != "" {
 			col := obs.NewCollector()
-			_, err = bench.FleetObserved(o, fo, col, nil)
+			_, _, err = bench.FleetObserved(o, fo, col)
 			exitOn(1, err)
 			f, err := os.Create(*fleetTrace)
 			exitOn(1, err)
@@ -260,8 +271,8 @@ func parseDevices(s string) ([]int, error) {
 	}
 	var out []int
 	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 1 {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
 			return nil, fmt.Errorf("bad replica count %q", f)
 		}
 		out = append(out, n)

@@ -132,7 +132,6 @@ func main() {
 		Iterations:   *iters,
 		Faults:       plan,
 		RecordSpans:  *spans != "",
-		Profile:      true,
 		Schedule:     *schedule,
 		ScheduleSeed: *scheduleSeed,
 		Devices:      *devices,
@@ -207,11 +206,10 @@ func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, chrom
 		os.Exit(2)
 	}
 	col := obs.NewCollector()
-	met := obs.NewMetrics()
-	rep, err := bench.FleetObserved(
+	rep, met, err := bench.FleetObserved(
 		bench.Options{Quick: true, Jobs: jobs},
 		bench.FleetOptions{Jobs: fleetJobs, Devices: fleetDevices, Seed: fleetSeed},
-		col, met)
+		col)
 	exitOn(1, err)
 	fmt.Fprintf(os.Stderr, "fleet: %d jobs on %d devices: %d completed, %d kills, %d preemptions\n",
 		rep.Jobs, rep.Devices, rep.Completed, rep.Kills, rep.Preemptions)
@@ -236,29 +234,23 @@ type exports struct {
 	keep map[string]bool
 }
 
-// observe runs one profiled cell through the bench harness and emits the
-// requested outputs.
+// observe runs one cell through the bench harness, recording its event
+// log, and emits the requested outputs.
 func observe(cfg bench.RunConfig, x exports) {
+	col := obs.NewCollector()
 	// RunLive keeps the session, whose streams -spans dumps and whose
 	// graph the access tape is folded against.
-	res, sess, _ := bench.RunLive(cfg)
-	if res.Profile == nil {
-		if res.Err != nil {
-			exitOn(1, res.Err)
-		}
-		exitOn(1, fmt.Errorf("capuchin-trace: run produced no profile"))
+	res, sess, _ := bench.RunLive(cfg, col)
+	if sess == nil {
+		exitOn(1, res.Err) // the run failed before simulating
 	}
 	if res.Err != nil {
 		// A failed run still has a timeline — often the one you want.
 		fmt.Fprintf(os.Stderr, "run failed (%v); exports cover the partial run\n", res.Err)
 	}
-	p := res.Profile
 
 	if x.tape {
-		var tape []trace.Event
-		if sess != nil {
-			tape = trace.Tape(sess.Graph(), p.Events.Events(), p.Events.Decisions())
-		}
+		tape := trace.Tape(sess.Graph(), col.Events(), col.Decisions())
 		if x.keep != nil {
 			tape = slices.DeleteFunc(tape, func(e trace.Event) bool { return !x.keep[e.TensorID] })
 		}
@@ -277,22 +269,22 @@ func observe(cfg bench.RunConfig, x exports) {
 	}
 
 	if x.chrome != "" {
-		writeChrome(x.chrome, p.Events)
+		writeChrome(x.chrome, col)
 	}
 	if x.prom != "" {
-		writeProm(x.prom, p.Metrics)
+		writeProm(x.prom, obs.BuildMetrics(col.Events(), col.Decisions()))
 	}
 	if x.events != "" {
-		writeEvents(x.events, p.Events)
+		writeEvents(x.events, col)
 	}
 
 	if x.memprof {
-		exitOn(1, p.Mem.WriteReport(os.Stdout))
+		exitOn(1, obs.BuildMemProfile(col.Events()).WriteReport(os.Stdout))
 	}
 
 	if x.explain != "" {
 		subject := x.explain
-		decisions := p.Events.Decisions()
+		decisions := col.Decisions()
 		if subject == "auto" {
 			subjects := obs.ExplainTensors(decisions)
 			if len(subjects) == 0 {
@@ -300,7 +292,7 @@ func observe(cfg bench.RunConfig, x exports) {
 			}
 			subject = subjects[0]
 		}
-		exitOn(1, obs.WriteExplain(os.Stdout, subject, decisions, p.Events.Events()))
+		exitOn(1, obs.WriteExplain(os.Stdout, subject, decisions, col.Events()))
 	}
 	if res.Err != nil {
 		os.Exit(1) // a failed run, reported above, after its exports

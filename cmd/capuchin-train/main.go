@@ -59,12 +59,22 @@ func main() {
 		Device:     dev,
 		Mode:       m,
 		Iterations: *iters,
-		Profile:    *prom != "" || *events != "",
 	}
 	exitOn(2, cfg.Validate())
 
+	// -prom and -events are folded from the run's event log, so only they
+	// trace the run.
+	var col *obs.Collector
+	var tr obs.Tracer
+	if *prom != "" || *events != "" {
+		col = obs.NewCollector()
+		tr = col
+	}
 	// RunLive keeps the policy, which -plan and -save-plan inspect.
-	r, _, pol := bench.RunLive(cfg)
+	r, sess, pol := bench.RunLive(cfg, tr)
+	if sess == nil {
+		col = nil // the run failed before simulating: nothing to export
+	}
 	fmt.Printf("%s, batch %d, %s mode, %s (%.1f GiB)\n",
 		*model, *batch, m, dev.Name, float64(dev.MemoryBytes)/float64(hw.GiB))
 	for i, st := range r.Stats {
@@ -78,7 +88,7 @@ func main() {
 		// The exports of a failed run explain the failure: write them
 		// first, then exit 1.
 		fmt.Printf("FAILED: %v\n", r.Err)
-		exports(r.Profile, *prom, *events)
+		exports(col, *prom, *events)
 		os.Exit(1)
 	}
 	fmt.Printf("steady state: %.1f samples/s, iteration %v, device peak %.2f GiB, host peak %.2f GiB\n",
@@ -108,22 +118,23 @@ func main() {
 		exitOn(1, cap.ExportPlan(f))
 		fmt.Printf("plan written to %s\n", *savePlan)
 	}
-	exports(r.Profile, *prom, *events)
+	exports(col, *prom, *events)
 }
 
-// exports writes the requested observability artifacts of a run: the
-// metrics to prom and the event log to events, each when named. A run
-// that failed before simulating has no profile and writes nothing.
-func exports(p *bench.ProfileReport, prom, events string) {
-	if p == nil {
+// exports writes the requested observability artifacts of a run from
+// its event log col: the metrics folded from it to prom and the log
+// itself to events, each when named. A nil col writes nothing.
+func exports(col *obs.Collector, prom, events string) {
+	if col == nil {
 		return
 	}
 	if prom != "" {
-		export(prom, func(w *os.File) error { return p.Metrics.WritePrometheus(w) })
+		met := obs.BuildMetrics(col.Events(), col.Decisions())
+		export(prom, func(w *os.File) error { return met.WritePrometheus(w) })
 	}
 	if events != "" {
 		export(events, func(w *os.File) error {
-			b, _, _ := p.Events.AppendJSONL(nil, obs.Cursor{})
+			b, _, _ := col.AppendJSONL(nil, obs.Cursor{})
 			_, err := w.Write(b)
 			return err
 		})

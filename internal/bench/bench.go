@@ -74,16 +74,6 @@ type RunConfig struct {
 	// injects nothing. Kept flat and comparable so RunConfig remains a
 	// valid cache key for Runner's single-flight result cache.
 	Faults fault.Plan
-	// Profile attaches the observability stack (tracer, metrics, memory
-	// profile) to the run and fills Result.Profile. Tracing is
-	// outcome-neutral — profiled and unprofiled runs report identical
-	// IterStats — so the Runner canonicalizes the flag out of its cache
-	// key and applies it after keying: an explicit Profile:true config
-	// and a caller relying on the runner-wide EnableProfiling switch
-	// share one entry per cell. Whether a cached Result carries a
-	// Profile is therefore decided by the caller that actually simulated
-	// the cell; everything else in the Result is identical either way.
-	Profile bool
 	// Schedule selects a dynamic shape schedule kind (a models.Schedule*
 	// constant); "" runs the static path. Any non-empty kind — including
 	// "constant" — routes through the dynamic engine, which makes the
@@ -108,8 +98,9 @@ type RunConfig struct {
 }
 
 // Result is the outcome of one run. It is pure data: it reaches no
-// session, policy, graph or tensor, so a cached Result costs its stats
-// and nothing more. RunLive hands out the live session and policy.
+// session, policy, graph, tensor or event log, so a cached Result costs
+// its stats and nothing more. RunLive hands out the live session and
+// policy; a run's event log is the Collector its caller passed in.
 type Result struct {
 	Config RunConfig
 	// OK is false when the run failed (OOM for the given system).
@@ -123,9 +114,6 @@ type Result struct {
 	Throughput float64
 	// Plan summarizes Capuchin's decisions when applicable.
 	Plan core.PlanSummary
-	// Profile holds the run's observability artifacts when
-	// RunConfig.Profile was set (present even when the run failed).
-	Profile *ProfileReport
 	// Dynamic holds the dynamic engine's structural counters and
 	// per-signature aggregates when RunConfig.Schedule was set.
 	Dynamic *DynamicReport
@@ -155,10 +143,9 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 // changes per shape signature; Validate admits only graph-agnostic
 // systems there (TF-ori and the Capuchin variants, which re-key their
 // plan per signature). spare, when non-nil, is a parked policy the
-// policy may be built in (exec.BuildContext.Spare). extra, when non-nil,
-// receives the run's live event stream alongside whatever Profile wires
-// up (the RunTraced path).
-func execConfig(cfg RunConfig, g *graph.Graph, spare exec.Policy, extra obs.Tracer) (exec.Config, *obs.Collector, error) {
+// policy may be built in (exec.BuildContext.Spare). tr, when non-nil,
+// receives the run's live event stream.
+func execConfig(cfg RunConfig, g *graph.Graph, spare exec.Policy, tr obs.Tracer) (exec.Config, error) {
 	ec := exec.Config{
 		Device:      cfg.Device,
 		Mode:        cfg.Mode,
@@ -166,19 +153,13 @@ func execConfig(cfg RunConfig, g *graph.Graph, spare exec.Policy, extra obs.Trac
 		RecordSpans: cfg.RecordSpans,
 		HostMemory:  cfg.HostMemory,
 		Faults:      cfg.Faults,
-	}
-	var col *obs.Collector
-	if cfg.Profile {
-		col = obs.NewCollector()
-		ec.Tracer = obs.Tee(col, extra)
-	} else if extra != nil {
-		ec.Tracer = extra
+		Tracer:      tr,
 	}
 	if err := ec.UsePolicy(string(cfg.System), g, spare); err != nil {
-		return ec, nil, fmt.Errorf("bench: %w", err)
+		return ec, fmt.Errorf("bench: %w", err)
 	}
 	ec.CoupledSwap = ec.CoupledSwap || cfg.ForceCoupledSwap
-	return ec, col, nil
+	return ec, nil
 }
 
 // Run executes one configuration.
@@ -198,13 +179,16 @@ func RunTraced(cfg RunConfig, tr obs.Tracer) Result {
 	return res
 }
 
-// RunLive executes one configuration like Run and also returns the
-// run's live session and policy, for callers that inspect stream spans,
-// the allocator or Capuchin's plan, or keep iterating the warm session.
-// Multi-device runs return replica 0's; dynamic runs the session of the
-// last signature. Both are nil when the run failed before its session
-// was built. It is never cached: whatever the caller keeps, it pins.
-func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cfg, nil, nil) }
+// RunLive executes one configuration like RunTraced and also returns
+// the run's live session and policy, for callers that inspect stream
+// spans, the allocator or Capuchin's plan, or keep iterating the warm
+// session. tr may be nil. Multi-device runs return replica 0's; dynamic
+// runs the session of the last signature. Both are nil when the run
+// failed before its session was built. It is never cached: whatever the
+// caller keeps, it pins.
+func RunLive(cfg RunConfig, tr obs.Tracer) (Result, *exec.Session, exec.Policy) {
+	return run(cfg, tr, nil)
+}
 
 // run is the shared body of Run, RunTraced and RunLive. ts is the
 // template set of the run's owner (a serve Server, a max-batch search, a
@@ -216,9 +200,7 @@ func RunLive(cfg RunConfig) (Result, *exec.Session, exec.Policy) { return run(cf
 // run on a nil set (RunLive's) returns its live session.
 func run(cfg RunConfig, extra obs.Tracer, ts *Templates) (Result, *exec.Session, exec.Policy) {
 	res := Result{Config: cfg}
-	profile := cfg.Profile
 	cfg = cacheKey(cfg)
-	cfg.Profile = profile
 	if res.Err = cfg.Validate(); res.Err != nil {
 		return res, nil, nil
 	}
@@ -252,7 +234,7 @@ func simulate(cfg RunConfig, res Result, g *graph.Graph, spare *exec.Session, ex
 	if spare != nil {
 		sparePolicy = spare.Policy()
 	}
-	ec, col, err := execConfig(cfg, g, sparePolicy, extra)
+	ec, err := execConfig(cfg, g, sparePolicy, extra)
 	if err != nil {
 		res.Err = err
 		return res, spare, nil
@@ -264,9 +246,6 @@ func simulate(cfg RunConfig, res Result, g *graph.Graph, spare *exec.Session, ex
 	}
 	stats, err := s.Run(cfg.Iterations)
 	res.Stats = stats
-	if col != nil {
-		res.Profile = newProfileReport(col)
-	}
 	if err != nil {
 		res.Err = err
 		return res, s, ec.Policy

@@ -375,7 +375,7 @@ func TestExtensionWorkloadsUnderCapuchin(t *testing.T) {
 func TestCapuchinPolicyAccessor(t *testing.T) {
 	cfg := RunConfig{Model: "resnet50", Batch: 8, System: SystemCapuchin,
 		Device: smallDev(), Iterations: 2}
-	r, s, pol := RunLive(cfg)
+	r, s, pol := RunLive(cfg, nil)
 	if !r.OK {
 		t.Fatal(r.Err)
 	}
@@ -393,7 +393,7 @@ func TestCapuchinPolicyAccessor(t *testing.T) {
 		t.Errorf("Run and RunLive results differ:\nRun:     %+v\nRunLive: %+v", plain, r)
 	}
 	_, _, pol2 := RunLive(RunConfig{Model: "resnet50", Batch: 8, System: SystemTF,
-		Device: smallDev(), Iterations: 1})
+		Device: smallDev(), Iterations: 1}, nil)
 	if _, ok := pol2.(*core.Capuchin); ok {
 		t.Error("RunLive returned a Capuchin policy for a TF run")
 	}

@@ -38,22 +38,16 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 	if ts == nil {
 		ts = NewTemplates()
 	}
-	var col *obs.Collector
-	if cfg.Profile {
-		col = obs.NewCollector()
-	}
-	baseCfg := cfg
-	baseCfg.Profile = false // per-replica tracing is wired below, not via execConfig
 	var pol exec.Policy
 	cl, err := cluster.New(cluster.Config{
 		Devices:   cfg.Devices,
 		CommAware: !cfg.CommOblivious,
-		Tracer:    obs.Tee(collectorOrNil(col), extra),
+		Tracer:    extra, // the cluster wires each replica's tracer
 		Build: func(replica int) (*graph.Graph, error) {
 			return ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
 		},
 		Exec: func(replica int, g *graph.Graph) (exec.Config, error) {
-			ec, _, err := execConfig(baseCfg, g, nil, nil)
+			ec, err := execConfig(cfg, g, nil, nil)
 			if err != nil {
 				return ec, err
 			}
@@ -73,9 +67,6 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 	for _, st := range stats {
 		res.Stats = append(res.Stats, firstReplica(st))
 	}
-	if col != nil {
-		res.Profile = newProfileReport(col)
-	}
 	if err != nil {
 		res.Err = err
 		return res, cl.Replica(0), pol
@@ -90,15 +81,6 @@ func runCluster(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 	}
 	res.Plan = planSummary(pol)
 	return res, cl.Replica(0), pol
-}
-
-// collectorOrNil converts a possibly-nil *Collector to the Tracer
-// interface without wrapping nil in a non-nil interface value.
-func collectorOrNil(col *obs.Collector) obs.Tracer {
-	if col == nil {
-		return nil
-	}
-	return col
 }
 
 // firstReplica returns replica 0's iteration statistics, or a zero value

@@ -25,7 +25,7 @@ func TestConfigSurface(t *testing.T) {
 	}{
 		{reflect.TypeFor[fleet.Config](), []string{
 			"Seed", "Jobs", "Devices", "DeviceMemory", "Admission", "Manager", "Profiler",
-			"Workloads", "MeanInterarrival", "JitterFrac", "Tracer", "Metrics",
+			"Workloads", "MeanInterarrival", "JitterFrac", "Tracer",
 		}},
 		{reflect.TypeFor[exec.Config](), []string{
 			"Device", "HostMemory", "Mode", "Policy", "Allocator", "CoupledSwap",
@@ -33,7 +33,7 @@ func TestConfigSurface(t *testing.T) {
 		}},
 		{reflect.TypeFor[bench.RunConfig](), []string{
 			"Model", "Batch", "System", "Device", "Mode", "Iterations", "Allocator", "RecordSpans",
-			"HostMemory", "ForceCoupledSwap", "Faults", "Profile", "Schedule", "ScheduleSeed",
+			"HostMemory", "ForceCoupledSwap", "Faults", "Schedule", "ScheduleSeed",
 			"SchedulePeriod", "Devices", "CommOblivious",
 		}},
 		{reflect.TypeFor[serve.RunRequest](), []string{

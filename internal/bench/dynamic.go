@@ -43,7 +43,7 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 		res.Err = err
 		return res, nil, nil
 	}
-	ec, col, err := execConfig(cfg, nil, nil, extra)
+	ec, err := execConfig(cfg, nil, nil, extra)
 	if err != nil {
 		res.Err = err
 		return res, nil, nil
@@ -62,9 +62,6 @@ func runDynamic(cfg RunConfig, spec models.Spec, res Result, extra obs.Tracer, t
 	stats, err := d.Run(cfg.Iterations)
 	res.Stats = stats
 	res.Dynamic = &DynamicReport{Stats: d.Stats(), Buckets: d.Buckets()}
-	if col != nil {
-		res.Profile = newProfileReport(col)
-	}
 	if err != nil {
 		res.Err = err
 		return res, d.Active(), ec.Policy

@@ -19,13 +19,13 @@ import (
 // decisions and no virtual time when shapes never change.
 func TestDynamicConstantMatchesStatic(t *testing.T) {
 	dev := hw.P100().WithMemory(2 * hw.GiB)
-	static := Run(RunConfig{Model: "resnet50", Batch: 24, System: SystemCapuchin,
-		Device: dev, Iterations: 4, Profile: true})
+	static, sCol := traced(RunConfig{Model: "resnet50", Batch: 24, System: SystemCapuchin,
+		Device: dev, Iterations: 4})
 	if !static.OK {
 		t.Fatalf("static run failed: %v", static.Err)
 	}
-	dyn := Run(RunConfig{Model: "resnet50", Batch: 24, System: SystemCapuchin,
-		Device: dev, Iterations: 4, Profile: true,
+	dyn, dCol := traced(RunConfig{Model: "resnet50", Batch: 24, System: SystemCapuchin,
+		Device: dev, Iterations: 4,
 		Schedule: models.ScheduleConstant, ScheduleSeed: 7})
 	if !dyn.OK {
 		t.Fatalf("constant-schedule dynamic run failed: %v", dyn.Err)
@@ -41,10 +41,10 @@ func TestDynamicConstantMatchesStatic(t *testing.T) {
 			static.Stats, dyn.Stats)
 	}
 	var sTrace, dTrace bytes.Buffer
-	if err := obs.WriteChromeTrace(&sTrace, static.Profile.Events.Events()); err != nil {
+	if err := obs.WriteChromeTrace(&sTrace, sCol.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteChromeTrace(&dTrace, dyn.Profile.Events.Events()); err != nil {
+	if err := obs.WriteChromeTrace(&dTrace, dCol.Events()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(sTrace.Bytes(), dTrace.Bytes()) {
@@ -60,9 +60,9 @@ func TestDynamicConstantMatchesStatic(t *testing.T) {
 // drifting schedule re-plans at least once, and the decision audit log
 // records the measure/re-plan/switch transitions.
 func TestDynamicReplansUnderDrift(t *testing.T) {
-	res := Run(RunConfig{Model: "resnet50", Batch: 48, System: SystemCapuchin,
+	res, col := traced(RunConfig{Model: "resnet50", Batch: 48, System: SystemCapuchin,
 		Device: hw.P100().WithMemory(4 * hw.GiB), Iterations: 10,
-		Schedule: models.ScheduleBatch, ScheduleSeed: 1, Profile: true})
+		Schedule: models.ScheduleBatch, ScheduleSeed: 1})
 	if !res.OK {
 		t.Fatalf("drifting run failed: %v", res.Err)
 	}
@@ -74,7 +74,7 @@ func TestDynamicReplansUnderDrift(t *testing.T) {
 		t.Errorf("signatures = %d, want >= 2", st.Signatures)
 	}
 	actions := map[string]int{}
-	for _, d := range res.Profile.Events.Decisions() {
+	for _, d := range col.Decisions() {
 		actions[d.Action]++
 	}
 	for _, want := range []string{"plan-measure", "re-plan", "shape-switch"} {

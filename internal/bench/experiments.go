@@ -35,10 +35,6 @@ type Options struct {
 	// Runner overrides the experiment engine, sharing its result cache
 	// across generators; nil builds one from Jobs.
 	Runner *Runner
-	// Profile enables the observability stack on every cell the sweep
-	// simulates; read the aggregate afterwards from Runner.Metrics().
-	// Tracing is outcome-neutral, so tables are unchanged.
-	Profile bool
 	// Schedule is the drift kind the Dynamic experiment applies to models
 	// without a sequence axis (default models.ScheduleBatch; sequence
 	// models always drift both axes).
@@ -63,9 +59,6 @@ func (o Options) fill() Options {
 	}
 	if o.Runner == nil {
 		o.Runner = NewRunner(o.Jobs)
-	}
-	if o.Profile {
-		o.Runner.EnableProfiling()
 	}
 	if o.Schedule == "" {
 		o.Schedule = models.ScheduleBatch
@@ -104,11 +97,12 @@ func Fig1(o Options) *Table {
 	// The span timeline needs the live session, so the vDNN cell runs
 	// uncached through RunLive: no other cell records spans, so the cache
 	// loses nothing. A profiling runner still aggregates its metrics.
-	vd, sess, _ := RunLive(RunConfig{Model: "vgg16", Batch: batch, System: SystemVDNN,
-		Device: o.Device, Iterations: 2, RecordSpans: true, Profile: o.Runner.profile})
-	if vd.Profile != nil {
-		o.Runner.agg.Merge(vd.Profile.Metrics)
-	}
+	var vd Result
+	var sess *exec.Session
+	o.Runner.profiled(nil, func(tr obs.Tracer) {
+		vd, sess, _ = RunLive(RunConfig{Model: "vgg16", Batch: batch, System: SystemVDNN,
+			Device: o.Device, Iterations: 2, RecordSpans: true}, tr)
+	})
 	if !vd.OK || !ideal.OK {
 		t.AddNote("run failed: vdnn=%v ideal=%v", vd.Err, ideal.Err)
 		return t

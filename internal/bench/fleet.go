@@ -322,24 +322,24 @@ func FleetScenarios(o Options, fo FleetOptions) (FleetComparison, error) {
 // FleetObserved runs the flagship scenario — predictive admission with
 // Capuchin-managed jobs — over the same setup as FleetScenarios with the
 // full observability stack attached: tracer receives the fleet timeline
-// and decision audit, and met (when non-nil) a merge of the run's
-// registry. Tracing is outcome-neutral: the returned report is
-// byte-identical to the corresponding FleetScenarios run.
-func FleetObserved(o Options, fo FleetOptions, tracer obs.Tracer, met *obs.Metrics) (fleet.Report, error) {
+// and decision audit. It also returns the run's own metrics registry
+// (fleet.Fleet.Metrics). Tracing is outcome-neutral: the returned report
+// is byte-identical to the corresponding FleetScenarios run.
+func FleetObserved(o Options, fo FleetOptions, tracer obs.Tracer) (fleet.Report, *obs.Metrics, error) {
 	o = o.fill()
 	fo = fo.fill(o.Quick)
 	menu, prof, mean, err := fleetSetup(o, fo)
 	if err != nil {
-		return fleet.Report{}, err
+		return fleet.Report{}, nil, err
 	}
 	cfg := fleetConfig(o, fo, menu, prof, mean, fleet.Predictive, fleet.ManagerCapuchin)
 	cfg.Tracer = tracer
-	cfg.Metrics = met
 	f, err := fleet.New(cfg)
 	if err != nil {
-		return fleet.Report{}, err
+		return fleet.Report{}, nil, err
 	}
-	return f.Run()
+	rep, err := f.Run()
+	return rep, f.Metrics(), err
 }
 
 // Fleet runs the multi-tenant fleet experiment: a seeded stochastic

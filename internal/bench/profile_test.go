@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"capuchin/internal/exec"
@@ -23,46 +25,45 @@ func profiledCfg() RunConfig {
 	}
 }
 
+// traced runs cfg like Run with a fresh Collector attached and returns
+// the run's Result and its event log.
+func traced(cfg RunConfig) (Result, *obs.Collector) {
+	col := obs.NewCollector()
+	return RunTraced(cfg, col), col
+}
+
 // TestProfileNeutrality pins the bench-level half of the zero-overhead
-// contract: a profiled run reports exactly the IterStats of an unprofiled
-// one — virtual time, peaks and swap counters included.
+// contract: a traced run reports exactly the Result of an untraced one —
+// virtual time, peaks and swap counters included.
 func TestProfileNeutrality(t *testing.T) {
 	base := Run(profiledCfg())
 	if !base.OK {
 		t.Fatalf("baseline run failed: %v", base.Err)
 	}
-	cfg := profiledCfg()
-	cfg.Profile = true
-	prof := Run(cfg)
+	prof, col := traced(profiledCfg())
 	if !prof.OK {
-		t.Fatalf("profiled run failed: %v", prof.Err)
+		t.Fatalf("traced run failed: %v", prof.Err)
 	}
-	if !reflect.DeepEqual(base.Stats, prof.Stats) {
-		t.Errorf("profiling changed run outcomes:\n base     %+v\n profiled %+v", base.Stats, prof.Stats)
+	if !reflect.DeepEqual(base, prof) {
+		t.Errorf("tracing changed run outcomes:\n base   %+v\n traced %+v", base.Stats, prof.Stats)
 	}
-	if prof.Profile == nil {
-		t.Fatal("profiled run returned no ProfileReport")
-	}
-	if base.Profile != nil {
-		t.Error("unprofiled run carries a ProfileReport")
+	if col.Len() == 0 {
+		t.Fatal("traced run recorded no events")
 	}
 }
 
-// TestProfileReportContents checks the report is populated: events,
-// decisions, a memory profile whose peak matches the allocator's, and
-// metrics histograms.
-func TestProfileReportContents(t *testing.T) {
-	cfg := profiledCfg()
-	cfg.Profile = true
-	res := Run(cfg)
+// TestTracedLogContents checks what a traced run's log folds into:
+// events, decisions, a memory profile whose peak matches the allocator's,
+// and metrics histograms.
+func TestTracedLogContents(t *testing.T) {
+	res, col := traced(profiledCfg())
 	if !res.OK {
 		t.Fatalf("run failed: %v", res.Err)
 	}
-	p := res.Profile
-	if p.Events.Len() == 0 {
-		t.Fatal("profile recorded no events")
+	if col.Len() == 0 {
+		t.Fatal("traced run recorded no events")
 	}
-	if len(p.Events.Decisions()) == 0 {
+	if len(col.Decisions()) == 0 {
 		t.Error("capuchin run under pressure produced no audit decisions")
 	}
 	var peak int64
@@ -71,11 +72,12 @@ func TestProfileReportContents(t *testing.T) {
 			peak = st.PeakBytes
 		}
 	}
-	if p.Mem.PeakBytes != peak {
-		t.Errorf("profile peak %d != allocator peak %d", p.Mem.PeakBytes, peak)
+	if mem := obs.BuildMemProfile(col.Events()); mem.PeakBytes != peak {
+		t.Errorf("profile peak %d != allocator peak %d", mem.PeakBytes, peak)
 	}
-	if h, ok := p.Metrics.Hist("kernel"); !ok || h.Count == 0 {
-		t.Error("kernel histogram missing from profiled run")
+	met := obs.BuildMetrics(col.Events(), col.Decisions())
+	if h, ok := met.Hist("kernel"); !ok || h.Count == 0 {
+		t.Error("kernel histogram missing from traced run")
 	}
 }
 
@@ -86,12 +88,11 @@ func TestPolicyAuditCoverage(t *testing.T) {
 	for _, sys := range []System{SystemVDNN, SystemOpenAIMemory, SystemSuperNeurons} {
 		cfg := profiledCfg()
 		cfg.System = sys
-		cfg.Profile = true
-		res := Run(cfg)
-		if res.Profile == nil {
-			t.Fatalf("%s: no profile (%v)", sys, res.Err)
+		res, col := traced(cfg)
+		if res.Stats == nil {
+			t.Fatalf("%s: the run did not simulate (%v)", sys, res.Err)
 		}
-		if len(res.Profile.Events.Decisions()) == 0 {
+		if len(col.Decisions()) == 0 {
 			t.Errorf("%s produced no audit decisions under pressure", sys)
 		}
 	}
@@ -99,7 +100,8 @@ func TestPolicyAuditCoverage(t *testing.T) {
 
 // TestRunnerMetricsAggregation checks the sweep-wide registry: profiled
 // cells merge into Runner.Metrics() exactly once each, with cache hits not
-// double-counting.
+// double-counting, and the aggregate of one cell is what its own log
+// folds into.
 func TestRunnerMetricsAggregation(t *testing.T) {
 	r := NewRunner(2)
 	r.EnableProfiling()
@@ -109,8 +111,16 @@ func TestRunnerMetricsAggregation(t *testing.T) {
 	if !first.OK {
 		t.Fatalf("run failed: %v", first.Err)
 	}
-	if first.Profile == nil {
-		t.Fatal("runner-wide profiling did not attach a report")
+	_, col := traced(cfg)
+	var got, want bytes.Buffer
+	if err := r.Metrics().WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.BuildMetrics(col.Events(), col.Decisions()).WriteText(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("aggregate of one profiled cell differs from its log's metrics:\n%s\nwant:\n%s", &got, &want)
 	}
 	h, ok := r.Metrics().Hist("kernel")
 	if !ok || h.Count == 0 {
@@ -159,16 +169,16 @@ func TestMetricsMatchIterStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, devices := range []int{1, 2} {
-				res := Run(RunConfig{
+				res, col := traced(RunConfig{
 					Model: "resnet50", Batch: 64, System: System(sys),
 					Device: hw.P100().WithMemory(3 * hw.GiB / 2), Iterations: 3,
-					Faults: plan, Devices: devices, Profile: true,
+					Faults: plan, Devices: devices,
 				})
 				if !res.OK {
 					continue
 				}
 				completed++
-				checkMetricsMatchStats(t, fmt.Sprintf("%s/%q/%ddev", sys, spec, devices), res)
+				checkMetricsMatchStats(t, fmt.Sprintf("%s/%q/%ddev", sys, spec, devices), res, col)
 			}
 		}
 	}
@@ -178,9 +188,9 @@ func TestMetricsMatchIterStats(t *testing.T) {
 	t.Logf("%d cells completed", completed)
 }
 
-// checkMetricsMatchStats compares one completed run's registry with its
-// IterStats summed over iterations and replicas.
-func checkMetricsMatchStats(t *testing.T, name string, res Result) {
+// checkMetricsMatchStats compares the registry folded from one completed
+// run's log col with its IterStats summed over iterations and replicas.
+func checkMetricsMatchStats(t *testing.T, name string, res Result, col *obs.Collector) {
 	t.Helper()
 	var sum exec.IterStats
 	add := func(st exec.IterStats) {
@@ -210,7 +220,7 @@ func checkMetricsMatchStats(t *testing.T, name string, res Result) {
 			add(st)
 		}
 	}
-	m := res.Profile.Metrics
+	m := obs.BuildMetrics(col.Events(), col.Decisions())
 	for _, c := range []struct {
 		counter string
 		want    int
@@ -236,7 +246,7 @@ func checkMetricsMatchStats(t *testing.T, name string, res Result) {
 	}
 	// The log names the stall reasons; the registry holds their sums.
 	reasons := map[string]bool{}
-	for _, ev := range res.Profile.Events.Events() {
+	for _, ev := range col.Events() {
 		if ev.Kind == obs.KindSpan && ev.Cat == "stall" {
 			reasons[ev.Detail] = true
 		}
@@ -254,5 +264,44 @@ func checkMetricsMatchStats(t *testing.T, name string, res Result) {
 	}
 	if od := m.Counter("swap/ondemand"); od < int64(sum.OnDemandInCount) {
 		t.Errorf("%s: swap/ondemand %d below OnDemandInCount %d", name, od, sum.OnDemandInCount)
+	}
+}
+
+// TestProfilingRunnerSharedByGenerators runs quick Fig2 and Table2
+// concurrently on one profiling Runner, as capuchin-bench -profile runs
+// its generators, and serially on another: no generator may write the
+// shared Runner (make race runs this under the race detector), and the
+// aggregates must be non-empty and identical.
+func TestProfilingRunnerSharedByGenerators(t *testing.T) {
+	aggregate := func(concurrent bool) []byte {
+		r := NewRunner(2)
+		r.EnableProfiling()
+		o := Options{Device: hw.P100().WithMemory(4 * hw.GiB), Quick: true, Iterations: 2, Runner: r}
+		gens := []func(Options) *Table{Fig2, Table2}
+		var wg sync.WaitGroup
+		for _, gen := range gens {
+			if !concurrent {
+				gen(o)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gen(o)
+			}()
+		}
+		wg.Wait()
+		var b bytes.Buffer
+		if err := r.Metrics().WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	serial, concurrent := aggregate(false), aggregate(true)
+	if len(serial) == 0 {
+		t.Fatal("the profiling runner aggregated nothing")
+	}
+	if !bytes.Equal(serial, concurrent) {
+		t.Errorf("concurrent generators aggregated\n%s\nserial ones\n%s", concurrent, serial)
 	}
 }

@@ -21,7 +21,8 @@ import (
 
 // recycledCells is a seeded sequence of resnet50 cells for one template
 // slot: every system in turn, at mixed batches, memory sizes and
-// allocators, one of them under a fault plan and one profiled.
+// allocators, one of them under a fault plan. Cell tracedCell runs
+// traced.
 func recycledCells() []RunConfig {
 	systems := []System{SystemTF, SystemVDNN, SystemOpenAIMemory, SystemCapuchin, SystemDTR}
 	batches := []int64{8, 24, 64, 128, 160, 256}
@@ -39,15 +40,18 @@ func recycledCells() []RunConfig {
 		}
 	}
 	cells[7].Faults = fault.DefaultPlan(11)
-	cells[12].Profile = true
 	return cells
 }
+
+// tracedCell is the recycledCells cell that runs with a Collector.
+const tracedCell = 12
 
 // TestRecycledProbeMatchesFresh drives one template slot through
 // recycledCells: each cell refills the graph and session the cell before
 // it handed back, and its Result must equal that of a cell run from
-// scratch on a nil set. After the sequence every earlier Result must
-// still equal its fresh twin, so no Result aliases recycled storage.
+// scratch on a nil set, and the traced cell's JSONL that of the fresh
+// run. After the sequence every earlier Result must still equal its
+// fresh twin, so no Result aliases recycled storage.
 func TestRecycledProbeMatchesFresh(t *testing.T) {
 	cells := recycledCells()
 	ts := NewTemplates()
@@ -61,10 +65,23 @@ func TestRecycledProbeMatchesFresh(t *testing.T) {
 	var oomBefore, faulted, firstfit, bfc int
 	for i, cfg := range cells {
 		label := fmt.Sprintf("cell %d (%s b%d %d GiB %q)", i, cfg.System, cfg.Batch, cfg.Device.MemoryBytes/hw.GiB, cfg.Allocator)
-		got[i] = ts.RunTraced(cfg, nil)
-		want[i], _, _ = run(cfg, nil, nil)
+		var gotCol, wantCol *obs.Collector
+		var gotTr, wantTr obs.Tracer
+		if i == tracedCell {
+			gotCol, wantCol = obs.NewCollector(), obs.NewCollector()
+			gotTr, wantTr = gotCol, wantCol
+		}
+		got[i] = ts.RunTraced(cfg, gotTr)
+		want[i], _, _ = run(cfg, wantTr, nil)
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s: recycled Result differs from a fresh run's\ngot:  %+v\nwant: %+v", label, got[i], want[i])
+		}
+		if gotCol != nil {
+			g, _, _ := gotCol.AppendJSONL(nil, obs.Cursor{})
+			w, _, _ := wantCol.AppendJSONL(nil, obs.Cursor{})
+			if gotCol.Len() == 0 || !bytes.Equal(g, w) {
+				t.Errorf("%s: recycled JSONL (%d events) differs from a fresh run's (%d events)", label, gotCol.Len(), wantCol.Len())
+			}
 		}
 		slot, err := ts.slot(spec, exec.GraphMode, 0)
 		if err != nil {

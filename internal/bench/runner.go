@@ -16,11 +16,11 @@ import (
 // a config-keyed cache, so MaxBatch searches and figure generators that
 // revisit the same cell (Fig1, Table2 and the capacity sweep all probe
 // resnet50 under TF-ori, for example) pay for the simulation once. The
-// cache holds values only: a Result reaches no session, policy, graph or
-// tensor (TestResultHoldsNoLiveState), so a sweep's live heap grows by
-// its cells' stats (plus one event Collector per cell under
-// EnableProfiling), not by their simulations. Callers that need a live
-// session call RunLive, which is never cached.
+// cache holds values only: a Result reaches no session, policy, graph,
+// tensor or event log (TestResultHoldsNoLiveState), so a sweep's live
+// heap grows by its cells' stats, not by their simulations, profiled or
+// not. Callers that need a live session call RunLive, which is never
+// cached.
 //
 // The Runner owns no graph templates. A MaxBatch search, a MaxBatchAll
 // call and a fleet profiling setup each own a Templates set that their
@@ -64,12 +64,12 @@ type Runner struct {
 	// stream.
 	traceFor func(RunConfig) obs.Tracer
 
-	// profile forces RunConfig.Profile on every executed cell; set via
-	// EnableProfiling before submitting work.
+	// profile, set via EnableProfiling before submitting work, traces
+	// every executed cell into agg, which accumulates the metrics of
+	// every cell the runner actually simulated (cache hits do not
+	// double-count).
 	profile bool
-	// agg accumulates the metrics of every profiled cell the runner
-	// actually simulated (cache hits do not double-count).
-	agg *obs.Metrics
+	agg     *obs.Metrics
 
 	mu    sync.Mutex
 	cache map[RunConfig]*cacheEntry
@@ -114,12 +114,12 @@ func NewRunnerContext(ctx context.Context, jobs int) *Runner {
 	}
 }
 
-// EnableProfiling makes every cell run with RunConfig.Profile set, feeding
-// the sweep-wide metrics aggregate. Call it before submitting work. The
-// flag is applied after cache keying — Profile is canonicalized out of
-// the key entirely — so callers profiling explicitly and callers relying
-// on the runner-wide switch share one entry per cell and never
-// re-simulate it.
+// EnableProfiling makes every cell the runner simulates feed the
+// sweep-wide metrics aggregate (Metrics). Call it before submitting
+// work. Each cell's event log is folded into the aggregate after the
+// cell returns and then dropped, so the cache still holds values only;
+// tracing is outcome-neutral, so profiled cells share the cache with
+// unprofiled ones.
 func (r *Runner) EnableProfiling() { r.profile = true }
 
 // Observe registers a tracer factory consulted once per actually
@@ -132,8 +132,8 @@ func (r *Runner) EnableProfiling() { r.profile = true }
 func (r *Runner) Observe(f func(RunConfig) obs.Tracer) { r.traceFor = f }
 
 // Metrics returns the aggregate metrics registry merged across every
-// profiled cell this runner simulated. Cells served from the cache are
-// counted once — when they actually ran.
+// cell this runner simulated under EnableProfiling. Cells served from
+// the cache are counted once — when they actually ran.
 func (r *Runner) Metrics() *obs.Metrics { return r.agg }
 
 // Jobs reports the worker-pool bound.
@@ -164,8 +164,7 @@ func (r *Runner) Stats() RunnerStats {
 
 // CanonicalConfig returns the cache key the Runner files cfg under:
 // defaulted fields are canonicalized so equivalent configurations share
-// one entry, and Profile is cleared (it is applied after keying; see
-// EnableProfiling). capuchin-serve derives result IDs from this key, so
+// one entry. capuchin-serve derives result IDs from this key, so
 // its store dedupes exactly the configurations a Runner would coalesce.
 func CanonicalConfig(cfg RunConfig) RunConfig { return cacheKey(cfg) }
 
@@ -194,10 +193,6 @@ func cacheKey(cfg RunConfig) RunConfig {
 		cfg.Devices = 1
 		cfg.CommOblivious = false
 	}
-	// Profile is applied after keying (tracing is outcome-neutral), so an
-	// explicit Profile:true config and a runner-wide EnableProfiling
-	// caller share one entry instead of re-simulating the cell.
-	cfg.Profile = false
 	return cfg
 }
 
@@ -224,7 +219,6 @@ func (r *Runner) runCell(ctx context.Context, cfg RunConfig, ts *Templates) Resu
 	if ctx == nil {
 		ctx = r.ctx
 	}
-	profile := cfg.Profile || r.profile
 	key := cacheKey(cfg)
 	for {
 		r.mu.Lock()
@@ -252,7 +246,7 @@ func (r *Runner) runCell(ctx context.Context, cfg RunConfig, ts *Templates) Resu
 		r.cache[key] = e
 		r.mu.Unlock()
 
-		e.res = r.execute(ctx, key, profile, ts)
+		e.res = r.execute(ctx, key, ts)
 		// Completion and cache finalization are one critical section:
 		// removing an aborted entry after closing done would open a window
 		// where late arrivals observe the abort as a memoized hit,
@@ -275,10 +269,9 @@ func aborted(err error) bool {
 // execute acquires a worker slot and runs one cell with panic recovery.
 // Only computing goroutines hold slots — cache waiters do not — so a
 // MaxBatch search waiting on another search's probe cannot deadlock the
-// pool. cfg is the cell's canonical key; profile is the post-keying
-// profiling decision (explicit Profile or the runner-wide switch); ts is
-// the cell's template set, or nil.
-func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, ts *Templates) (res Result) {
+// pool. cfg is the cell's canonical key; ts is the cell's template set,
+// or nil.
+func (r *Runner) execute(ctx context.Context, cfg RunConfig, ts *Templates) (res Result) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -298,20 +291,27 @@ func (r *Runner) execute(ctx context.Context, cfg RunConfig, profile bool, ts *T
 			r.panics.Add(1)
 			res = Result{Config: cfg, Err: fmt.Errorf("bench: run panicked: %v", p)}
 		}
-		if res.Profile != nil {
-			r.agg.Merge(res.Profile.Metrics)
-		}
 	}()
-	// The Observe hook sees the canonical key, before the post-keying
-	// Profile decision is stamped on.
 	var tr obs.Tracer
 	if r.traceFor != nil {
 		tr = r.traceFor(cfg)
 	}
-	if profile {
-		cfg.Profile = true
+	r.profiled(tr, func(tr obs.Tracer) { res = r.runFn(cfg, tr, ts) })
+	return res
+}
+
+// profiled runs one cell, handing it tr. On a profiling runner it tees
+// a fresh Collector in, folds the Collector's log into the aggregate
+// after the cell returns and drops it; a cell that panics merges
+// nothing.
+func (r *Runner) profiled(tr obs.Tracer, cell func(obs.Tracer)) {
+	if !r.profile {
+		cell(tr)
+		return
 	}
-	return r.runFn(cfg, tr, ts)
+	col := obs.NewCollector()
+	cell(obs.Tee(col, tr))
+	r.agg.Merge(obs.BuildMetrics(col.Events(), col.Decisions()))
 }
 
 // RunAll executes the configurations concurrently (bounded by the worker

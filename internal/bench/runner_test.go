@@ -229,45 +229,6 @@ func TestRunnerAbortedFlightNotServedToLiveCallers(t *testing.T) {
 	}
 }
 
-// TestRunnerProfileSharesCacheEntry pins the EnableProfiling contract:
-// Profile is canonicalized out of the cache key and applied after
-// keying, so an explicit Profile:true config and a caller relying on
-// the runner-wide switch (or on no profiling at all) share one entry
-// per cell instead of re-simulating it.
-func TestRunnerProfileSharesCacheEntry(t *testing.T) {
-	cfg := RunConfig{Model: "resnet50", Batch: 8, System: SystemTF, Device: smallDev(), Iterations: 2}
-	explicit := cfg
-	explicit.Profile = true
-
-	r := NewRunner(2)
-	r.EnableProfiling()
-	plain, second := r.Run(cfg), r.Run(explicit)
-	if st := r.Stats(); st.Misses != 1 || st.Hits != 1 || st.Cached != 1 {
-		t.Errorf("explicit-profile config duplicated the cache entry under EnableProfiling: %+v", st)
-	}
-	if !reflect.DeepEqual(plain.Stats, second.Stats) {
-		t.Error("explicit-profile and switch-profiled callers got different IterStats")
-	}
-	if plain.Profile == nil {
-		t.Error("EnableProfiling run carried no profile")
-	}
-
-	// Without the runner-wide switch the sharing holds too; the caller
-	// that actually simulates the cell decides whether the cached Result
-	// carries a profile.
-	r2 := NewRunner(2)
-	a, b := r2.Run(explicit), r2.Run(cfg)
-	if st := r2.Stats(); st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("explicit-profile config re-simulated the cell: %+v", st)
-	}
-	if a.Profile == nil {
-		t.Error("explicit Profile:true run carried no profile")
-	}
-	if !reflect.DeepEqual(a.Stats, b.Stats) {
-		t.Error("profiled and unprofiled callers got different IterStats")
-	}
-}
-
 // TestRunnerCancelStress hammers one runner with doomed and live
 // callers under the race detector: per-call contexts cancelled
 // mid-flight while live-context callers race the same keys. The

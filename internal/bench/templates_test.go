@@ -175,8 +175,7 @@ func clusterReference(t *testing.T, cfg RunConfig, build func() (*graph.Graph, e
 		CommAware: !cfg.CommOblivious,
 		Build:     func(int) (*graph.Graph, error) { return build() },
 		Exec: func(_ int, g *graph.Graph) (exec.Config, error) {
-			ec, _, err := execConfig(cfg, g, nil, nil)
-			return ec, err
+			return execConfig(cfg, g, nil, nil)
 		},
 	})
 	if err != nil {
@@ -256,7 +255,7 @@ func TestTemplatedDynamicMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ec, _, err := execConfig(cfg, nil, nil, nil)
+	ec, err := execConfig(cfg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

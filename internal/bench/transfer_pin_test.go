@@ -38,22 +38,22 @@ func TestTransferPin(t *testing.T) {
 	}
 	for _, devices := range []int{1, 2} {
 		t.Run(fmt.Sprintf("devices=%d", devices), func(t *testing.T) {
-			res := Run(RunConfig{
+			res, col := traced(RunConfig{
 				Model: "resnet50", Batch: 64, System: SystemCapuchin,
 				Device: hw.P100().WithMemory(3 * hw.GiB / 2), Iterations: 3,
-				Faults: plan, Devices: devices, Profile: true,
+				Faults: plan, Devices: devices,
 			})
 			if !res.OK {
 				t.Fatalf("run failed: %v", res.Err)
 			}
-			jsonl, _, _ := res.Profile.Events.AppendJSONL(nil, obs.Cursor{})
+			jsonl, _, _ := col.AppendJSONL(nil, obs.Cursor{})
 			var pin bytes.Buffer
 			fmt.Fprintf(&pin, "# events.jsonl: %d bytes, sha256 %x\n", len(jsonl), sha256.Sum256(jsonl))
-			if err := res.Profile.Metrics.WritePrometheus(&pin); err != nil {
+			if err := obs.BuildMetrics(col.Events(), col.Decisions()).WritePrometheus(&pin); err != nil {
 				t.Fatal(err)
 			}
 			checkTransferPin(t, fmt.Sprintf("transfer_pin_%ddev", devices), pin.Bytes(), jsonl)
-			checkTransferCoverage(t, res, devices > 1)
+			checkTransferCoverage(t, col, devices > 1)
 		})
 	}
 }
@@ -91,17 +91,17 @@ func checkTransferPin(t *testing.T, name string, pin, jsonl []byte) {
 	t.Errorf("%s drifted; actual pin in %s, actual event stream in %s", path, gotPin, gotJSONL)
 }
 
-// checkTransferCoverage demands at least one landed and one aborted
-// attempt of each transfer kind, at least one retry, and, with several
-// replicas, at least one comm-aware deferral of a proactive copy. Every
-// deferral, proactive or mandatory, records one comm-defer decision, so
-// their number is the comm/defer counter.
-func checkTransferCoverage(t *testing.T, res Result, multiDevice bool) {
+// checkTransferCoverage demands that a run's log col holds at least one
+// landed and one aborted attempt of each transfer kind, at least one
+// retry, and, with several replicas, at least one comm-aware deferral of
+// a proactive copy. Every deferral, proactive or mandatory, records one
+// comm-defer decision, so their number is the comm/defer counter.
+func checkTransferCoverage(t *testing.T, col *obs.Collector, multiDevice bool) {
 	t.Helper()
 	kinds := []string{"swapout", "swapin", "ondemand", "passive"}
 	landed, aborted := map[string]int{}, map[string]int{}
 	retries := 0
-	for _, ev := range res.Profile.Events.Events() {
+	for _, ev := range col.Events() {
 		switch {
 		case ev.Kind == obs.KindSpan && ev.Cat == "transfer":
 			word, _, _ := strings.Cut(ev.Name, " ")
@@ -115,7 +115,7 @@ func checkTransferCoverage(t *testing.T, res Result, multiDevice bool) {
 		}
 	}
 	deferrals, proactive := 0, 0
-	for _, d := range res.Profile.Events.Decisions() {
+	for _, d := range col.Decisions() {
 		if d.Action == "comm-defer" {
 			deferrals++
 			if strings.HasPrefix(d.Reason, "deferred swapout ") || strings.HasPrefix(d.Reason, "deferred swapin ") {
@@ -135,7 +135,7 @@ func checkTransferCoverage(t *testing.T, res Result, multiDevice bool) {
 	if multiDevice && proactive == 0 {
 		t.Errorf("no comm-defer decision for a proactive copy among %d", deferrals)
 	}
-	if c := res.Profile.Metrics.Counter("comm/defer"); c != int64(deferrals) {
+	if c := obs.BuildMetrics(col.Events(), col.Decisions()).Counter("comm/defer"); c != int64(deferrals) {
 		t.Errorf("comm/defer counter %d, want the %d comm-defer decisions", c, deferrals)
 	}
 }

@@ -52,9 +52,6 @@ func (f *Fleet) Run() (Report, error) {
 	if err := f.checkAccounting(); err != nil {
 		return Report{}, err
 	}
-	if f.cfg.Metrics != nil {
-		f.cfg.Metrics.Merge(f.met)
-	}
 	return f.buildReport(), nil
 }
 

@@ -318,13 +318,6 @@ type Config struct {
 	// OOM kills. Tracing is outcome-neutral: a traced run's Report is
 	// byte-identical to an untraced one.
 	Tracer obs.Tracer
-	// Metrics, when non-nil, receives a merge of the run's metric
-	// registry (fleet/* counters, per-class queue-wait and JCT
-	// histograms) after Run drains. The fleet always accumulates into
-	// its own fresh registry — exposed via Fleet.Metrics — so a shared
-	// destination aggregates scenarios without polluting any one run's
-	// Report.
-	Metrics *obs.Metrics
 }
 
 // fill applies defaults and validates.

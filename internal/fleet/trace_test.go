@@ -199,23 +199,6 @@ func TestFleetReportMatchesRegistry(t *testing.T) {
 	if int(jcts) != rep.Completed {
 		t.Errorf("jct observations %d != completions %d", jcts, rep.Completed)
 	}
-
-	// A shared Config.Metrics registry aggregates across runs.
-	shared := obs.NewMetrics()
-	for i := 0; i < 2; i++ {
-		cfg := traceConfig()
-		cfg.Metrics = shared
-		g, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got, want := shared.Counter("fleet/completed"), 2*m.Counter("fleet/completed"); got != want {
-		t.Errorf("shared registry completed = %d, want %d", got, want)
-	}
 }
 
 // TestFleetChromeTraceGolden pins the fleet timeline export: one

@@ -10,10 +10,9 @@ import (
 
 // resultWire is the JSON shape of one completed run. It mirrors the
 // serializable core of bench.Result — everything a remote client can
-// use — and deliberately omits the in-memory artifacts (Session,
-// Profile collectors); traces and event streams have their own
-// endpoints. Field order is fixed by this struct, so encoding is
-// deterministic and the serve-vs-direct byte-identity check is exact.
+// use; traces and event streams have their own endpoints. Field order
+// is fixed by this struct, so encoding is deterministic and the
+// serve-vs-direct byte-identity check is exact.
 type resultWire struct {
 	Config     bench.RunConfig      `json:"config"`
 	OK         bool                 `json:"ok"`

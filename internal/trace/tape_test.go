@@ -13,6 +13,7 @@ import (
 	"capuchin/internal/bench"
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
+	"capuchin/internal/obs"
 	"capuchin/internal/trace"
 )
 
@@ -69,15 +70,15 @@ func runCell(tb testing.TB, c tapeCell) ([]trace.Event, []exec.IterStats, error)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	col := obs.NewCollector()
 	res, sess, _ := bench.RunLive(bench.RunConfig{
 		Model: c.model, Batch: c.batch, System: bench.System(c.system),
 		Device: hw.P100().WithMemory(mem), Iterations: c.iters,
-		Schedule: c.schedule, ScheduleSeed: c.seed, Profile: true,
-	})
+		Schedule: c.schedule, ScheduleSeed: c.seed,
+	}, col)
 	if sess == nil {
 		tb.Fatalf("%s: no session: %v", c.name(), res.Err)
 	}
-	col := res.Profile.Events
 	return trace.Tape(sess.Graph(), col.Events(), col.Decisions()), res.Stats, res.Err
 }
 
