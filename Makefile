@@ -212,9 +212,10 @@ serve-smoke:
 # -profile must print exactly the tables of a run without it (fig1 and
 # table2, quick) and a non-empty aggregate to stderr. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
-# run must pass, and seven invalid settings must fail before running
-# (the -spans one and the two -devices ones, which must exit 2, must
-# also print nothing to stdout).
+# run must pass, and ten invalid settings must fail before running
+# (the -spans one, and capuchin-bench's two -devices ones and its
+# negative -jobs, -fleet-jobs and -fleet-devices, which must exit 2,
+# must also print nothing to stdout).
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
@@ -276,8 +277,9 @@ profile-smoke:
 		cmp $$d/$$e.txt $$d/$$e.profiled.txt && grep -q . $$d/$$e.agg || \
 		{ echo "profile-smoke: capuchin-bench -exp $$e -profile must print the unprofiled tables and a non-empty aggregate"; exit 1; }; \
 	done && \
-	for n in 2x 100; do \
-		$$d/capuchin-bench -exp scale -quick -devices $$n >$$d/devices.txt 2>/dev/null; \
-		test $$? -eq 2 && test ! -s $$d/devices.txt || \
-		{ echo "profile-smoke: capuchin-bench ran with -devices $$n"; exit 1; }; \
+	for a in "scale -devices 2x" "scale -devices 100" "table2 -jobs -2" \
+		"fleet -fleet-jobs -5" "fleet -fleet-devices -1"; do \
+		$$d/capuchin-bench -quick -exp $$a >$$d/flag.txt 2>/dev/null; \
+		test $$? -eq 2 && test ! -s $$d/flag.txt || \
+		{ echo "profile-smoke: capuchin-bench ran with -exp $$a"; exit 1; }; \
 	done && rm -rf $$d

@@ -412,6 +412,34 @@ func BenchmarkHotPathInstantiate(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathRefill is the graph half of a warm max-batch probe:
+// refilling one resnet50 graph-mode instance at alternating batches 64
+// and 128. A refill resets the tensors' runtime state and rewrites the
+// instance's dims block, which every rescaled tensor shape and op
+// attribute is a slice of. Its budget of 0 pins that it copies, remaps
+// and boxes nothing again.
+func BenchmarkHotPathRefill(b *testing.B) {
+	spec, err := models.Get("resnet50")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tmpl, err := spec.Template(0, graph.GraphModeOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := tmpl.Instantiate(64, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g, err = tmpl.Instantiate(64<<(i%2), g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkHotPathProbeCell is one max-batch probe: a cold 3-iteration
 // resnet50 Capuchin cell on a 16 GiB P100, beyond TF-ori's maximum so
 // Capuchin plans. It runs on a warm template set and alternates two

@@ -74,7 +74,8 @@
 // Experiments run on the concurrent engine: -jobs bounds simultaneous
 // simulations (default GOMAXPROCS) and a config-keyed cache deduplicates
 // cells shared between experiments. The simulator is deterministic, so
-// the output is byte-identical at every -jobs value.
+// the output is byte-identical at every -jobs value. A negative -jobs,
+// -fleet-jobs or -fleet-devices exits 2 before any experiment runs.
 //
 // Each experiment prints a table with a note recalling the paper's
 // reported numbers for comparison.
@@ -115,6 +116,15 @@ func main() {
 	metaDate := flag.String("meta-date", "", "stamp this date (YYYY-MM-DD) into the JSON artifact's meta block (default: omitted for byte-reproducibility)")
 	flag.Parse()
 
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"jobs", *jobs}, {"fleet-jobs", *fleetJobs}, {"fleet-devices", *fleetDevices}} {
+		if f.n < 0 {
+			fmt.Fprintf(os.Stderr, "invalid -%s %d: must be 0 (the default) or positive\n", f.name, f.n)
+			os.Exit(2)
+		}
+	}
 	deviceCounts, err := parseDevices(*devices)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "invalid -devices list: %v\n", err)

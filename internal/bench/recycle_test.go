@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"capuchin/internal/core"
@@ -126,11 +127,12 @@ func TestRecycledProbeMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestMaxBatchAllSharesSpare runs four searches of one model through one
-// MaxBatchAll call, so their probes take and hand back the same slot's
-// spare concurrently; make race runs it under the race detector. Each
-// answer must equal a search whose probes all run from scratch.
-func TestMaxBatchAllSharesSpare(t *testing.T) {
+// TestMaxBatchAllSharesTemplates runs four systems' searches of one
+// model through one MaxBatchAll call, so they instantiate one template
+// concurrently, each search refilling spares of its own; make race runs
+// it under the race detector. Each answer must equal a search whose
+// probes all run from scratch.
+func TestMaxBatchAllSharesTemplates(t *testing.T) {
 	var cfgs []RunConfig
 	for _, sys := range []System{SystemTF, SystemVDNN, SystemOpenAIMemory, SystemCapuchin} {
 		cfgs = append(cfgs, RunConfig{Model: "alexnet", System: sys, Device: smallDev()})
@@ -144,6 +146,72 @@ func TestMaxBatchAllSharesSpare(t *testing.T) {
 		if got[i] != want {
 			t.Errorf("%s: MaxBatchAll answered %d, a search from scratch %d", cfg.System, got[i], want)
 		}
+	}
+}
+
+// TestRecycledSessionAcrossGraphs refills one session spare through
+// graphs whose topology changes and returns: an instance of resnet50's
+// template, one of alexnet's, a resnet50 graph built without a template,
+// resnet50's template again, and last an instance of it whose session is
+// a spare that RecycleSession failed to refill because the parameters
+// did not fit. Each Result must equal a fresh run's on a built graph. A
+// session keeps its topology tables only across instances of one
+// template in one mode, so a refill that kept them across the others
+// fails here.
+func TestRecycledSessionAcrossGraphs(t *testing.T) {
+	ts := NewTemplates()
+	dev := hw.P100().WithMemory(4 * hw.GiB)
+	cells := []struct {
+		what  string
+		cfg   RunConfig
+		built bool
+	}{
+		{"resnet50's template", RunConfig{Model: "resnet50", System: SystemCapuchin, Batch: 128}, false},
+		{"alexnet's template", RunConfig{Model: "alexnet", System: SystemCapuchin, Batch: 512}, false},
+		{"a built resnet50 graph", RunConfig{Model: "resnet50", System: SystemTF, Batch: 32}, true},
+		{"resnet50's template again", RunConfig{Model: "resnet50", System: SystemCapuchin, Batch: 160}, false},
+		{"resnet50's template after a failed refill", RunConfig{Model: "resnet50", System: SystemTF, Batch: 48}, false},
+	}
+	graphOf := func(cfg RunConfig, ts *Templates) *graph.Graph {
+		spec, err := models.Get(cfg.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ts.Graph(spec, cfg.Mode, cfg.Batch, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	var spare *exec.Session
+	for i, c := range cells {
+		c.cfg.Device = dev
+		cfg := cacheKey(c.cfg)
+		if i == len(cells)-1 {
+			tiny := cfg
+			tiny.Device = hw.P100().WithMemory(1 << 20)
+			res, s, _ := simulate(tiny, Result{Config: tiny}, graphOf(tiny, ts), spare, nil)
+			if res.Err == nil || !strings.Contains(res.Err.Error(), "parameters do not fit") || s != spare {
+				t.Fatalf("a refill on a 1 MiB device returned %v and a new session; the check wants a failed refill", res.Err)
+			}
+		}
+		set := ts
+		if c.built {
+			set = nil
+		}
+		got, s, _ := simulate(cfg, Result{Config: cfg}, graphOf(cfg, set), spare, nil)
+		want, _, _ := simulate(cfg, Result{Config: cfg}, graphOf(cfg, nil), nil, nil)
+		if !got.OK {
+			t.Fatalf("%s: %v", c.what, got.Err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the refilled session's Result differs from a fresh run's\ngot:  %+v\nwant: %+v", c.what, got, want)
+		}
+		if spare != nil && s != spare {
+			t.Errorf("%s: the cell built a new session instead of refilling the spare", c.what)
+		}
+		s.Park()
+		spare = s
 	}
 }
 

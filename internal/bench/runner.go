@@ -22,13 +22,16 @@ import (
 // not. Callers that need a live session call RunLive, which is never
 // cached.
 //
-// The Runner owns no graph templates. A MaxBatch search, a MaxBatchAll
-// call and a fleet profiling setup each own a Templates set that their
-// cells instantiate graphs from, each cell refilling the graph and
-// session the template's previous cell handed back, and the set is
-// garbage when they return; any other cell runs on a nil set (see run).
-// So a sweep's live heap never holds the templates, or their spares, of
-// the models it has finished with.
+// The Runner holds graph templates only while a MaxBatch search is in
+// flight. The searches in flight share one template source, so
+// concurrent searches of one model and mode build its template once;
+// each search keeps its own set of spares, whose slots take their
+// templates from the source, so each cell refills the graph, session and
+// policy its own search's previous cell of that template handed back.
+// The source is dropped when the last search in flight returns, and a
+// search's spares die with it. A fleet profiling setup owns a set of its
+// own; any other cell runs on a nil set (see run). So a sweep's live
+// heap never holds templates or spares once its searches are done.
 //
 // Safety rests on two properties this package tests:
 //
@@ -75,6 +78,10 @@ type Runner struct {
 	cache map[RunConfig]*cacheEntry
 	hits  int64
 	miss  int64
+	// templates is the template source of the searches in flight, and
+	// searches their number (holdTemplates, dropTemplates).
+	templates *Templates
+	searches  int
 
 	panics atomic.Int64
 }
@@ -212,9 +219,9 @@ func (r *Runner) RunContext(ctx context.Context, cfg RunConfig) Result {
 }
 
 // runCell is RunContext for a cell whose graphs come from the template
-// set ts (a max-batch search's, a MaxBatchAll call's or a fleet
-// profiling setup's; nil outside one). Only a cache miss uses ts, and it
-// runs on the caller's goroutine.
+// set ts (a max-batch search's or a fleet profiling setup's; nil outside
+// one). Only a cache miss uses ts, and it runs on the caller's
+// goroutine.
 func (r *Runner) runCell(ctx context.Context, cfg RunConfig, ts *Templates) Result {
 	if ctx == nil {
 		ctx = r.ctx
@@ -334,34 +341,57 @@ func (r *Runner) RunAll(cfgs []RunConfig) []Result {
 // configuration (cfg.Batch is ignored), with every probe served through
 // the cache. The search itself is sequential — each probe depends on the
 // last — but independent searches fan out across the pool, and repeated
-// searches are nearly free. The search owns a template set, so the
-// probes it simulates instantiate one graph template instead of
-// rebuilding the model; the set is garbage once the search returns.
+// searches are nearly free. The probes the search simulates instantiate
+// one graph template instead of rebuilding the model, taken from the
+// template source the runner holds while any search is in flight, and
+// each refills the spare graph, session and policy the search's previous
+// probe handed back; the spares are garbage once the search returns.
 func (r *Runner) MaxBatch(cfg RunConfig) int64 {
-	return r.maxBatch(cfg, NewTemplates())
-}
-
-// maxBatch is Runner.MaxBatch with the template set of the search's
-// owner.
-func (r *Runner) maxBatch(cfg RunConfig, ts *Templates) int64 {
+	ts := NewTemplates()
+	ts.from = r.holdTemplates()
+	defer r.dropTemplates()
 	return maxBatch(cfg, func(c RunConfig) Result {
 		return r.runCell(r.ctx, c, ts)
 	})
 }
 
+// holdTemplates returns the template source of the searches in flight,
+// a new one when there is none, and counts the caller in until its
+// dropTemplates.
+func (r *Runner) holdTemplates() *Templates {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.searches == 0 {
+		r.templates = NewTemplates()
+	}
+	r.searches++
+	return r.templates
+}
+
+// dropTemplates ends a holdTemplates, dropping the source when no search
+// is in flight any more.
+func (r *Runner) dropTemplates() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.searches--; r.searches == 0 {
+		r.templates = nil
+	}
+}
+
 // MaxBatchAll runs the max-batch searches concurrently, returning results
-// in submission order. The call owns one template set that all its
-// searches share, so searches of one model and mode build its template
-// once; the set is garbage once the call returns.
+// in submission order: one MaxBatch call per configuration. It holds the
+// runner's template source until the last search returns, so searches
+// of one model and mode build its template once however they interleave.
 func (r *Runner) MaxBatchAll(cfgs []RunConfig) []int64 {
-	ts := NewTemplates()
+	r.holdTemplates()
+	defer r.dropTemplates()
 	out := make([]int64, len(cfgs))
 	var wg sync.WaitGroup
 	for i, cfg := range cfgs {
 		wg.Add(1)
 		go func(i int, cfg RunConfig) {
 			defer wg.Done()
-			out[i] = r.maxBatch(cfg, ts)
+			out[i] = r.MaxBatch(cfg)
 		}(i, cfg)
 	}
 	wg.Wait()

@@ -14,22 +14,23 @@ import (
 // Templates is a set of graph templates keyed by (model, mode, seq). Each
 // template is built on first use, once, however many goroutines ask for
 // it at the same time, and every later graph of that key is an
-// Instantiate of it: a copy instead of a build.
+// Instantiate of it: a copy instead of a build. A set whose from is set
+// takes its templates from that set instead of building them, and keeps
+// spares of its own.
 //
-// Each template also keeps at most one spare probe: the graph instance
-// and exec.Session of the last static single-device cell of that
-// template that handed them back, and the policy the parked session
+// Each template of a set also keeps at most one spare probe: the graph
+// instance and exec.Session of the last static single-device cell of
+// that template that handed them back, and the policy the parked session
 // kept. run hands them back after every normal return of such a cell,
-// so the next cell of the template refills the spare's storage instead
-// of allocating it (graph.Template.Instantiate, exec.RecycleSession,
+// so the next cell of the template refills the spare instead of
+// allocating it (graph.Template.Instantiate, exec.RecycleSession,
 // exec.BuildContext.Spare). A policy refills only a spare of its own
 // kind and builds anew after any other system's cell: a Capuchin cell
 // reuses the tracker, planner and plan arrays of a Capuchin spare, and
 // a vDNN or OpenAI checkpointing cell keeps the whole static schedule
 // of a spare of its own mode, which depends on the template's topology
-// only. So in a MaxBatchAll call, whose searches of every system share
-// one set, a probe finds a spare of its own system only when the cell
-// before it on that template was one. A cell takes the spare for its
+// only. A max-batch search probes one system, so every probe after its
+// first refills its own system's policy. A cell takes the spare for its
 // whole run, so concurrent cells of one template never share it; the
 // others allocate.
 // RunLive never hands its session back, and cluster and dynamic runs
@@ -40,20 +41,21 @@ import (
 // it, and has one owner, one of:
 //
 //   - a serve Server, for its lifetime;
-//   - one max-batch search, or one MaxBatchAll call shared by all its
-//     searches;
+//   - one max-batch search, for its spares, taking its templates from
+//     a source that a Runner holds while any of its searches is in
+//     flight, or building them for the package-level MaxBatch;
 //   - one fleet profiling setup;
 //   - one cluster run, whose replicas instantiate one template;
 //   - one dynamic run, where each new shape signature instantiates the
 //     template of its sequence length.
 //
-// A Runner never owns one: a set that lived as long as a sweep's Runner
-// would keep every template the sweep touched. A nil *Templates is valid
-// and builds every graph from scratch, the cheapest path for a graph
-// that is used once.
+// A nil *Templates is valid and builds every graph from scratch, the
+// cheapest path for a graph that is used once.
 type Templates struct {
 	mu    sync.Mutex
 	byKey map[templateKey]*templateSlot
+	// from is the set this one takes its templates from, or nil.
+	from *Templates
 	// builds counts the templates the set has built.
 	builds atomic.Int64
 }
@@ -146,7 +148,7 @@ func (p probe) recycle() {
 }
 
 // slot returns the set's slot for (spec, mode, seq), building its
-// template on first use.
+// template on first use, or taking it from ts.from.
 func (ts *Templates) slot(spec models.Spec, mode exec.Mode, seq int64) (*templateSlot, error) {
 	// BuildShaped ignores seq without a sequence axis, and the default
 	// length is the default shape, so those requests share one template.
@@ -162,8 +164,13 @@ func (ts *Templates) slot(spec models.Spec, mode exec.Mode, seq int64) (*templat
 	}
 	ts.mu.Unlock()
 	s.once.Do(func() {
-		ts.builds.Add(1)
 		s.err = errTemplatePanicked // replaced below unless the build panics
+		if ts.from != nil {
+			src, err := ts.from.slot(spec, mode, seq)
+			s.tmpl, s.err = src.tmpl, err
+			return
+		}
+		ts.builds.Add(1)
 		s.tmpl, s.err = spec.Template(seq, buildOptions(mode))
 	})
 	return s, s.err

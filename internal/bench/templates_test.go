@@ -95,11 +95,13 @@ func TestTemplatesSingleFlight(t *testing.T) {
 	}
 }
 
-// TestTemplateSetDiesWithItsOwner: the set a Runner.MaxBatch search or a
-// MaxBatchAll call owns is garbage once the call returns, though the
-// Runner that ran it lives on. A MaxBatchAll call shares one set across
-// its searches, so two searches of one model build its template once.
-// This pins maxbatch heap_mb: no template outlives its search.
+// TestTemplateSetDiesWithItsOwner: the template source a Runner holds
+// while searches are in flight is garbage once the last search returns,
+// though the Runner lives on. Two concurrent MaxBatch calls, made to
+// overlap, and a MaxBatchAll call of the same two searches each build
+// the one model and mode's template once, from one source, and each
+// search keeps a set of spares of its own. This pins maxbatch heap_mb:
+// no template outlives the searches in flight.
 func TestTemplateSetDiesWithItsOwner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two max-batch searches")
@@ -111,30 +113,55 @@ func TestTemplateSetDiesWithItsOwner(t *testing.T) {
 		name string
 		call func(r *Runner) []int64
 	}{
-		{"MaxBatch", func(r *Runner) []int64 { return []int64{r.MaxBatch(tf)} }},
+		{"MaxBatch", func(r *Runner) []int64 {
+			out := make([]int64, 2)
+			var wg sync.WaitGroup
+			for i, cfg := range []RunConfig{tf, capu} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					out[i] = r.MaxBatch(cfg)
+				}()
+			}
+			wg.Wait()
+			return out
+		}},
 		{"MaxBatchAll", func(r *Runner) []int64 { return r.MaxBatchAll([]RunConfig{tf, capu}) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r := NewRunner(2)
 			freed := make(chan struct{})
+			// Each search's first cell waits until the other's has
+			// started, so the two searches are in flight together.
+			var started sync.WaitGroup
+			started.Add(2)
 			var mu sync.Mutex
-			var owner uintptr // the one set every cell saw; an address only, so it keeps nothing alive
+			// Addresses only, so they keep nothing alive: the source
+			// every cell's set takes its templates from, and each search's set.
+			var source uintptr
+			sets := make(map[uintptr]bool)
 			var builds int64
 			var strays int
 			r.runFn = func(cfg RunConfig, tr obs.Tracer, ts *Templates) Result {
-				p := reflect.ValueOf(ts).Pointer()
+				set, src := reflect.ValueOf(ts).Pointer(), reflect.ValueOf(ts.from).Pointer()
 				mu.Lock()
 				switch {
-				case owner == 0:
-					owner = p
-					runtime.SetFinalizer(ts, func(*Templates) { close(freed) })
-				case p != owner:
+				case source == 0:
+					source = src
+					runtime.SetFinalizer(ts.from, func(*Templates) { close(freed) })
+				case src != source:
 					strays++
 				}
+				first := !sets[set]
+				sets[set] = true
 				mu.Unlock()
+				if first {
+					started.Done()
+					started.Wait()
+				}
 				res, _, _ := run(cfg, tr, ts)
 				mu.Lock()
-				builds = max(builds, ts.builds.Load())
+				builds = max(builds, ts.from.builds.Load())
 				mu.Unlock()
 				return res
 			}
@@ -144,10 +171,13 @@ func TestTemplateSetDiesWithItsOwner(t *testing.T) {
 				}
 			}
 			if strays != 0 {
-				t.Errorf("%d cells ran on a set other than the call's", strays)
+				t.Errorf("%d cells took their templates from another source", strays)
 			}
 			if builds != 1 {
-				t.Errorf("the call built %d templates of one model and mode, want 1", builds)
+				t.Errorf("the searches built %d templates of one model and mode, want 1", builds)
+			}
+			if len(sets) != 2 {
+				t.Errorf("two searches ran on %d sets of spares, want 2", len(sets))
 			}
 			for i := 0; ; i++ {
 				runtime.GC()
@@ -158,7 +188,7 @@ func TestTemplateSetDiesWithItsOwner(t *testing.T) {
 				case <-time.After(10 * time.Millisecond):
 				}
 				if i == 100 {
-					t.Fatal("the call's template set is still reachable after it returned")
+					t.Fatal("the runner's template source is still reachable after its last search returned")
 				}
 			}
 		})

@@ -216,7 +216,14 @@ type Session struct {
 	// fpSeeds holds tensor.HashSeed(n.ID) per node position, so deriving
 	// an output fingerprint combines only the output index and the input
 	// fingerprints instead of re-hashing the node ID every iteration.
-	fpSeeds []uint64
+	// paramSeeds holds tensor.HashSeed(t.ID) of every parameter, in the
+	// order RecycleSession allocates them.
+	fpSeeds    []uint64
+	paramSeeds []uint64
+	// topology is the template of the graph the topology tables
+	// (initTopology) were last fully built for, and nil when that graph
+	// had none or the build did not finish.
+	topology *graph.Template
 
 	// env is the policy-facing view, allocated once per session.
 	env Env
@@ -331,11 +338,6 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 	}
 	s.env = Env{s: s}
 	s.initTables(&old)
-	for _, n := range g.Nodes {
-		if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate && len(n.Inputs) > 1 {
-			s.gradIDs[n.Inputs[1].Idx] = true
-		}
-	}
 	if cfg.Mode == EagerMode {
 		s.cpu = sim.NewStream("cpu")
 	}
@@ -349,6 +351,7 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 	}
 
 	// Persistent tensors: allocate once, seed fingerprints.
+	seeds := s.paramSeeds
 	for _, n := range g.Nodes {
 		for _, t := range n.Outputs {
 			if !t.Persistent {
@@ -360,7 +363,7 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 			}
 			t.Alloc = a
 			s.paramBytes += a.Size
-			t.Fingerprint = tensor.HashSeed(t.ID)
+			t.Fingerprint, seeds = seeds[0], seeds[1:]
 			if err := t.TransitionTo(tensor.In); err != nil {
 				return nil, err
 			}
@@ -387,21 +390,24 @@ func (s *Session) Park() {
 	s.defErr = nil
 }
 
-// initTables sizes the interned per-tensor tables and computes the static
-// schedule analysis: reference counts, final-read positions, the update
-// barrier, eager-tape retention and the gradient-tensor marks. All of it
-// is a pure function of the (immutable) graph, so it runs once per
-// session instead of once per iteration. Every table and scratch buffer
-// reuses old's backing array when it is large enough (old is the zero
-// Session for a new session), cleared.
+// initTables sizes the interned per-tensor tables. The topology tables
+// (initTopology) are a pure function of the graph's topology and the
+// mode, so a session whose old tables were built for another instance of
+// the same template in the same mode keeps them; every other table and
+// scratch buffer reuses old's backing array when it is large enough (old
+// is the zero Session for a new session), cleared.
 func (s *Session) initTables(old *Session) {
 	s.tlist = s.g.TensorList()
 	nt, nn := len(s.tlist), len(s.g.Nodes)
-	s.refsInit = bufs.Resized(old.refsInit, nt)
+	if tmpl := s.g.Template(); tmpl != nil && old.topology == tmpl && old.cfg.Mode == s.cfg.Mode {
+		s.refsInit, s.lastUse, s.updateBarrier = old.refsInit, old.lastUse, old.updateBarrier
+		s.retained, s.gradIDs = old.retained, old.gradIDs
+		s.fpSeeds, s.paramSeeds = old.fpSeeds, old.paramSeeds
+		s.topology = tmpl
+	} else {
+		s.initTopology(old)
+	}
 	s.refs = bufs.Resized(old.refs, nt)
-	s.lastUse = bufs.Resized(old.lastUse, nt)
-	s.retained = bufs.Resized(old.retained, nt)
-	s.gradIDs = bufs.Resized(old.gradIDs, nt)
 	s.swapInAt = bufs.Resized(old.swapInAt, nt)
 	s.swapInOn = bufs.Resized(old.swapInOn, nt)
 	s.lruPrev = bufs.Resized(old.lruPrev, nt)
@@ -414,7 +420,6 @@ func (s *Session) initTables(old *Session) {
 	// session fit one allocation.
 	s.algos = slices.Grow(old.algos[:0], nn+nn/2)
 	s.algoSpans = bufs.Resized(old.algoSpans, nn)
-	s.fpSeeds = bufs.Resized(old.fpSeeds, nn)
 	s.lruHead, s.lruTail = -1, -1
 	s.swapInList, s.pinStack, s.regenList = old.swapInList[:0], old.pinStack[:0], old.regenList[:0]
 	s.scStalls, s.scInflight, s.scFPs = old.scStalls[:0], old.scInflight[:0], old.scFPs[:0]
@@ -424,17 +429,40 @@ func (s *Session) initTables(old *Session) {
 	for l, tab := range old.names {
 		s.names[l] = tab[:0] // name resizes and clears it on first use
 	}
+}
 
-	s.updateBarrier = len(s.g.Nodes)
+// initTopology computes the static schedule analysis in old's storage:
+// reference counts, final-read positions, the update barrier, eager-tape
+// retention, the gradient-tensor marks and the node and parameter
+// fingerprint seeds. None of it depends on a shape, so it runs once per
+// session, not once per iteration, and a refill of the same template
+// keeps it (initTables).
+func (s *Session) initTopology(old *Session) {
+	nt, nn := len(s.tlist), len(s.g.Nodes)
+	s.refsInit = bufs.Resized(old.refsInit, nt)
+	s.lastUse = bufs.Resized(old.lastUse, nt)
+	s.retained = bufs.Resized(old.retained, nt)
+	s.gradIDs = bufs.Resized(old.gradIDs, nt)
+	s.fpSeeds = bufs.Resized(old.fpSeeds, nn)
+	s.paramSeeds = old.paramSeeds[:0]
+	s.updateBarrier = nn
 	for i, n := range s.g.Nodes {
 		s.fpSeeds[n.Pos] = tensor.HashSeed(n.ID)
-		if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate && i < s.updateBarrier {
-			s.updateBarrier = i
+		if _, isUpdate := n.Op.(ops.ApplyGradient); isUpdate {
+			s.updateBarrier = min(s.updateBarrier, i)
+			if len(n.Inputs) > 1 {
+				s.gradIDs[n.Inputs[1].Idx] = true
+			}
 		}
 		for _, in := range n.Inputs {
 			s.refsInit[in.Idx]++
 			if !in.Persistent {
 				s.lastUse[in.Idx] = int32(i)
+			}
+		}
+		for _, out := range n.Outputs {
+			if out.Persistent {
+				s.paramSeeds = append(s.paramSeeds, tensor.HashSeed(out.ID))
 			}
 		}
 	}
@@ -452,6 +480,7 @@ func (s *Session) initTables(old *Session) {
 			}
 		}
 	}
+	s.topology = s.g.Template()
 }
 
 // Policy returns the session's policy: the one it runs, or, once the

@@ -74,8 +74,8 @@ type Graph struct {
 	consumerOff  []int32 // tensor Idx -> offset into consumerFlat
 	consumerFlat []*Node // consumer lists, concatenated in node order
 	cursor       []int32 // reindex scratch, reused across passes
-	// inst holds an instantiated graph's storage blocks; it is zero for
-	// a built graph.
+	// inst is what Instantiate refills in an instantiated graph; it is
+	// zero for a built graph.
 	inst instance
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"capuchin/internal/ops"
 	"capuchin/internal/tensor"
@@ -21,20 +22,23 @@ import (
 // ops without activation shapes, weight shapes, the ID→Idx index and the
 // consumer offsets — so nothing may write through an instance into
 // those; the executor writes only tensor runtime state, which every
-// instance owns. An instance can be handed back to Instantiate as a
-// spare once no one uses it, and is then refilled, not shared: two
-// concurrent calls must not pass the same spare.
+// instance owns. An instance is linked once, when Instantiate creates
+// it; it can be handed back to Instantiate as a spare once no one uses
+// it, and is then refilled at the new batch, not shared: two concurrent
+// calls must not pass the same spare.
 type Template struct {
 	g        *Graph
 	sentinel int64
 	// shaped lists the tensor indices and opShaped the node positions
 	// whose shape (or op shape attribute) has sentinel-multiple
-	// dimensions; dims is the total rank of those shapes and refs the
-	// number of tensor references an instance's node inputs, outputs and
-	// private lineage slices hold. Instantiate sizes one block each.
+	// dimensions, and refs is the number of tensor references an
+	// instance's node inputs, outputs and private lineage slices hold.
+	// dims holds those shapes' dimensions at the sentinel, in the order
+	// an instance carves them from its dims block: tensors first, then
+	// op attributes.
 	shaped   []int32
 	opShaped []int32
-	dims     int
+	dims     []int64
 	refs     int
 }
 
@@ -52,10 +56,10 @@ func NewTemplate(g *Graph, sentinel int64) (*Template, error) {
 		return nil, fmt.Errorf("graph %s: template loss is not interned", g.Name)
 	}
 	t := &Template{g: g, sentinel: sentinel}
-	// A dry run at the sentinel itself finds what Instantiate rescales.
-	r := rebatcher{from: sentinel, to: sentinel}
+	// A dry run of link's carving records what Instantiate rescales.
+	c := carver{sentinel: sentinel}
 	for i, tt := range g.tensorList {
-		if _, ok := r.shape(tt.Shape); ok {
+		if _, ok := c.shape(tt.Shape); ok {
 			t.shaped = append(t.shaped, int32(i))
 		}
 		if p := g.producer[i]; p == nil || !sameSlice(tt.Inputs, p.Inputs) {
@@ -66,7 +70,7 @@ func NewTemplate(g *Graph, sentinel int64) (*Template, error) {
 		}
 	}
 	for pos, n := range g.Nodes {
-		if _, ok := r.op(n.Op); ok {
+		if _, ok := c.op(n.Op); ok {
 			t.opShaped = append(t.opShaped, int32(pos))
 		}
 		t.refs += len(n.Inputs) + len(n.Outputs)
@@ -78,7 +82,7 @@ func NewTemplate(g *Graph, sentinel int64) (*Template, error) {
 			return nil, fmt.Errorf("graph %s: node %s references %s outside the graph", g.Name, n.ID, x.ID)
 		}
 	}
-	t.dims = r.used
+	t.dims = c.dims
 	return t, nil
 }
 
@@ -88,33 +92,62 @@ func NewTemplate(g *Graph, sentinel int64) (*Template, error) {
 // independent graph that one session may execute.
 //
 // spare, when non-nil, is an earlier instance of this template that no
-// one uses any more: Instantiate refills its tensor, node, reference,
-// shape and producer/consumer blocks and returns it, instead of
-// allocating new ones. A spare of another template, or a built graph, is
-// ignored. Refilling rewrites every field, so whatever batch, runtime
-// state or rescaled shapes the spare held is gone.
+// one uses any more: Instantiate refills and returns it instead of
+// linking a new instance. A spare of another template, or a built graph,
+// is ignored. An instance is linked once: its tensors, nodes, references
+// and producer and consumer arrays are copied from the template, and
+// every rescaled shape, tensor shapes and op attributes alike, is a
+// slice of its dims block. Every call, first or refill, then does the
+// same two things: it resets each tensor's runtime state (status, access
+// count, last access, fingerprint and allocation) and rewrites the dims
+// block at batch. So nothing of a spare's batch or run survives, and
+// nothing batch-independent is copied again.
 func (t *Template) Instantiate(batch int64, spare *Graph) (*Graph, error) {
 	if batch <= 0 {
 		return nil, fmt.Errorf("graph %s: batch %d must be positive", t.g.Name, batch)
 	}
 	g := spare
 	if g == nil || g.inst.from != t {
-		g = &Graph{inst: t.newInstance()}
+		g = t.link()
 	}
-	in := g.inst
-	src := t.g
-	tensors, list, nodes, nodeList, refs := in.tensors, in.list, in.nodes, in.nodeList, in.refs
-	r := rebatcher{from: t.sentinel, to: batch, buf: in.dims}
-
-	for i, st := range src.tensorList {
-		tt := &tensors[i]
-		*tt = *st
+	for i := range g.inst.tensors {
+		tt := &g.inst.tensors[i]
 		tt.Status, tt.AccessCount, tt.LastAccess = tensor.Freed, 0, 0
 		tt.Fingerprint, tt.Alloc = 0, nil
-		list[i] = tt
+	}
+	dims := g.inst.dims
+	for i, d := range t.dims {
+		if d%t.sentinel == 0 {
+			d = d / t.sentinel * batch
+		}
+		dims[i] = d
+	}
+	return g, nil
+}
+
+// link returns a new instance of t: a copy of the template's graph in
+// blocks of its own, with every tensor reference remapped to the
+// instance's tensors and every rescaled shape carved from its dims
+// block, which still holds the sentinel's dimensions.
+func (t *Template) link() *Graph {
+	src := t.g
+	in := instance{
+		from:    t,
+		tensors: make([]tensor.Tensor, len(src.tensorList)),
+		nodes:   make([]Node, len(src.Nodes)),
+	}
+	list := make([]*tensor.Tensor, len(src.tensorList))
+	nodeList := make([]*Node, len(src.Nodes))
+	refs := make([]*tensor.Tensor, t.refs)
+	nodeAt := make([]*Node, len(src.producer)+len(src.consumerFlat))
+	c := carver{sentinel: t.sentinel, dims: make([]int64, 0, len(t.dims))}
+
+	for i, st := range src.tensorList {
+		in.tensors[i] = *st
+		list[i] = &in.tensors[i]
 	}
 	for _, i := range t.shaped {
-		list[i].Shape, _ = r.shape(list[i].Shape)
+		list[i].Shape, _ = c.shape(list[i].Shape)
 	}
 	remap := func(from []*tensor.Tensor) []*tensor.Tensor {
 		if len(from) == 0 {
@@ -128,37 +161,37 @@ func (t *Template) Instantiate(batch int64, spare *Graph) (*Graph, error) {
 		return to
 	}
 	for pos, sn := range src.Nodes {
-		n := &nodes[pos]
+		n := &in.nodes[pos]
 		*n = *sn
 		n.Inputs = remap(sn.Inputs)
 		n.Outputs = remap(sn.Outputs)
 		nodeList[pos] = n
 	}
 	for _, pos := range t.opShaped {
-		nodes[pos].Op, _ = r.op(nodes[pos].Op)
+		in.nodes[pos].Op, _ = c.op(in.nodes[pos].Op)
 	}
+	in.dims = c.dims
 	// A tensor's lineage is its producer's input slice (the Builder and
 	// the bias-add fusion both alias them), so instances alias it too.
 	for i, st := range src.tensorList {
 		if p := src.producer[i]; p != nil && sameSlice(st.Inputs, p.Inputs) {
-			list[i].Inputs = nodes[p.Pos].Inputs
+			list[i].Inputs = in.nodes[p.Pos].Inputs
 		} else {
 			list[i].Inputs = remap(st.Inputs)
 		}
 	}
 
 	np := len(src.producer)
-	producer, consumers := in.nodeAt[:np:np], in.nodeAt[np:]
+	producer, consumers := nodeAt[:np:np], nodeAt[np:]
 	for i, p := range src.producer {
-		producer[i] = nil
 		if p != nil {
-			producer[i] = &nodes[p.Pos]
+			producer[i] = &in.nodes[p.Pos]
 		}
 	}
-	for i, c := range src.consumerFlat {
-		consumers[i] = &nodes[c.Pos]
+	for i, n := range src.consumerFlat {
+		consumers[i] = &in.nodes[n.Pos]
 	}
-	*g = Graph{
+	return &Graph{
 		Name:         src.Name,
 		Nodes:        nodeList,
 		Loss:         list[src.Loss.Idx],
@@ -169,7 +202,6 @@ func (t *Template) Instantiate(batch int64, spare *Graph) (*Graph, error) {
 		consumerFlat: consumers,
 		inst:         in,
 	}
-	return g, nil
 }
 
 // Template returns the template g was instantiated from, or nil for a
@@ -178,33 +210,14 @@ func (t *Template) Instantiate(batch int64, spare *Graph) (*Graph, error) {
 // rank of every shape.
 func (g *Graph) Template() *Template { return g.inst.from }
 
-// instance is the storage of a graph instantiated from a template, one
-// block per kind, kept with the graph so that a later Instantiate of the
-// same template can refill it.
+// instance is what Instantiate refills in a graph instantiated from a
+// template: the tensors and nodes its lists point into, and the dims
+// block every rescaled shape is a slice of.
 type instance struct {
-	from     *Template
-	tensors  []tensor.Tensor
-	list     []*tensor.Tensor
-	nodes    []Node
-	nodeList []*Node
-	refs     []*tensor.Tensor // node inputs, outputs and private lineage
-	nodeAt   []*Node          // producers, then the flat consumer lists
-	dims     []int64          // rescaled shapes
-}
-
-// newInstance allocates the blocks of one instance of t.
-func (t *Template) newInstance() instance {
-	src := t.g
-	return instance{
-		from:     t,
-		tensors:  make([]tensor.Tensor, len(src.tensorList)),
-		list:     make([]*tensor.Tensor, len(src.tensorList)),
-		nodes:    make([]Node, len(src.Nodes)),
-		nodeList: make([]*Node, len(src.Nodes)),
-		refs:     make([]*tensor.Tensor, t.refs),
-		nodeAt:   make([]*Node, len(src.producer)+len(src.consumerFlat)),
-		dims:     make([]int64, t.dims),
-	}
+	from    *Template
+	tensors []tensor.Tensor
+	nodes   []Node
+	dims    []int64
 }
 
 // foreignRef returns the first tensor in ts that g has not interned, or
@@ -224,69 +237,49 @@ func sameSlice(a, b []*tensor.Tensor) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// rebatcher rescales the batch-proportional dimensions of a template's
-// shapes from the sentinel batch to another, carving the rescaled shapes
-// from buf (allocating once buf runs out) and counting the dimensions it
-// carves in used.
-type rebatcher struct {
-	from, to int64
-	buf      []int64
-	used     int
+// carver hands out the shapes of a template's graph that hold a
+// sentinel multiple, each a copy appended to dims. Appending within
+// dims's capacity, as link sizes it, keeps every carved shape a slice of
+// one block.
+type carver struct {
+	sentinel int64
+	dims     []int64
 }
 
-// shape returns s with every sentinel-multiple dimension rescaled, and
-// whether there was one; s itself is never modified or returned rescaled.
-func (r *rebatcher) shape(s tensor.Shape) (tensor.Shape, bool) {
-	scaled := false
-	for _, d := range s {
-		if d != 0 && d%r.from == 0 {
-			scaled = true
-			break
-		}
-	}
-	if !scaled {
+// shape returns a carved copy of s when s has a sentinel-multiple
+// dimension, and whether it had one; otherwise it returns s itself.
+func (c *carver) shape(s tensor.Shape) (tensor.Shape, bool) {
+	if !slices.ContainsFunc(s, func(d int64) bool { return d != 0 && d%c.sentinel == 0 }) {
 		return s, false
 	}
-	n := len(s)
-	r.used += n
-	var out tensor.Shape
-	if len(r.buf) >= n {
-		out, r.buf = r.buf[:n:n], r.buf[n:]
-	} else {
-		out = make(tensor.Shape, n)
-	}
-	for i, d := range s {
-		if d != 0 && d%r.from == 0 {
-			d = d / r.from * r.to
-		}
-		out[i] = d
-	}
-	return out, true
+	n := len(c.dims)
+	c.dims = append(c.dims, s...)
+	return c.dims[n:len(c.dims):len(c.dims)], true
 }
 
-// op returns op with its activation-shape attribute rescaled, and
-// whether it had sentinel-multiple dimensions. These four ops are the
-// ones whose attributes carry activation shapes: data sources, reshapes,
-// and the convolution input gradients that record their input's shape.
-// Every other built-in op's attributes (weight shapes, slice bounds,
+// op returns op with its activation-shape attribute carved, and whether
+// it had sentinel-multiple dimensions. These four ops are the ones whose
+// attributes carry activation shapes: data sources, reshapes, and the
+// convolution input gradients that record their input's shape. Every
+// other built-in op's attributes (weight shapes, slice bounds,
 // permutations) do not depend on the batch.
-func (r *rebatcher) op(op ops.Op) (ops.Op, bool) {
+func (c *carver) op(op ops.Op) (ops.Op, bool) {
 	var ok bool
 	switch o := op.(type) {
 	case ops.Input:
-		if o.Shape, ok = r.shape(o.Shape); ok {
+		if o.Shape, ok = c.shape(o.Shape); ok {
 			return o, true
 		}
 	case ops.Reshape:
-		if o.To, ok = r.shape(o.To); ok {
+		if o.To, ok = c.shape(o.To); ok {
 			return o, true
 		}
 	case ops.Conv2DBackpropInput:
-		if o.InputShape, ok = r.shape(o.InputShape); ok {
+		if o.InputShape, ok = c.shape(o.InputShape); ok {
 			return o, true
 		}
 	case ops.DepthwiseBackpropInput:
-		if o.InputShape, ok = r.shape(o.InputShape); ok {
+		if o.InputShape, ok = c.shape(o.InputShape); ok {
 			return o, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -33,8 +34,11 @@ var buildModes = []struct {
 // bucket for the models with a sequence axis), and requires the result
 // to be structurally identical to a fresh build at that batch: nodes,
 // ops and their shape attributes, tensors, lineage, producers, consumers
-// and the loss. Every instance is made twice, fresh and refilled into a
-// dirty spare (see dirtySpare), and both must match.
+// and the loss. Every instance is made three times, fresh, refilled
+// into a dirty spare (see dirtySpare), and refilled into the one
+// instance each template carries from batch to batch, so every batch
+// after the first compares a refill's op attributes against a build at
+// a second batch; all three must match.
 func TestTemplateMatchesBuild(t *testing.T) {
 	for _, name := range models.Names() {
 		spec, err := models.Get(name)
@@ -46,33 +50,38 @@ func TestTemplateMatchesBuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, mode.name, err)
 			}
+			var carried *graph.Graph
 			for _, b := range templateBatches {
 				want, err := spec.Build(b, mode.opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareTemplate(t, fmt.Sprintf("%s/%s/b%d", name, mode.name, b), tmpl, b, want)
+				carried = compareTemplate(t, fmt.Sprintf("%s/%s/b%d", name, mode.name, b), tmpl, b, want, carried)
 			}
 			for _, seq := range spec.SeqBuckets {
 				tmpl, err := spec.Template(seq, mode.opt)
 				if err != nil {
 					t.Fatalf("%s/%s/seq%d: %v", name, mode.name, seq, err)
 				}
+				var carried *graph.Graph
 				for _, b := range templateBatches {
 					want, err := spec.BuildSeq(b, seq, mode.opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					compareTemplate(t, fmt.Sprintf("%s/%s/seq%d/b%d", name, mode.name, seq, b), tmpl, b, want)
+					carried = compareTemplate(t, fmt.Sprintf("%s/%s/seq%d/b%d", name, mode.name, seq, b), tmpl, b, want, carried)
 				}
 			}
 		}
 	}
 }
 
-// compareTemplate instantiates tmpl at batch b, once fresh and once into
-// a dirty spare, and compares both with want.
-func compareTemplate(t *testing.T, label string, tmpl *graph.Template, b int64, want *graph.Graph) {
+// compareTemplate instantiates tmpl at batch b fresh, into a dirty
+// spare and into carried (an instance of tmpl at the previous batch, or
+// nil), and compares all three with want. Both refills must take the
+// refill path: the same graph with the same tensors. It returns the
+// instance to carry to the next batch.
+func compareTemplate(t *testing.T, label string, tmpl *graph.Template, b int64, want, carried *graph.Graph) *graph.Graph {
 	t.Helper()
 	got, err := tmpl.Instantiate(b, nil)
 	if err != nil {
@@ -81,17 +90,29 @@ func compareTemplate(t *testing.T, label string, tmpl *graph.Template, b int64, 
 	if msg := graphDiff(got, want); msg != "" {
 		t.Errorf("%s: instance differs from a fresh build: %s", label, msg)
 	}
-	spare := dirtySpare(t, label, tmpl, b)
-	got, err = tmpl.Instantiate(b, spare)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+	if carried == nil {
+		carried = got
 	}
-	if got != spare {
-		t.Errorf("%s: Instantiate allocated a new graph instead of refilling its spare", label)
+	for _, c := range []struct {
+		what  string
+		spare *graph.Graph
+	}{
+		{"a dirty spare", dirtySpare(t, label, tmpl, b)},
+		{"the instance carried from the previous batch", carried},
+	} {
+		tensors := slices.Clone(c.spare.TensorList())
+		got, err := tmpl.Instantiate(b, c.spare)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if got != c.spare || !slices.Equal(got.TensorList(), tensors) {
+			t.Errorf("%s: Instantiate into %s allocated a new graph or new tensors instead of refilling it", label, c.what)
+		}
+		if msg := graphDiff(got, want); msg != "" {
+			t.Errorf("%s: instance refilled into %s differs from a fresh build: %s", label, c.what, msg)
+		}
 	}
-	if msg := graphDiff(got, want); msg != "" {
-		t.Errorf("%s: instance refilled into a dirty spare differs from a fresh build: %s", label, msg)
-	}
+	return carried
 }
 
 // dirtySpare returns an instance of tmpl at a batch other than b that
