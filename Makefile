@@ -5,9 +5,9 @@
 # template's immutable state) + the chaos soak suite.
 GO ?= go
 
-.PHONY: check vet build test benchmark-test race soak bench goldens examples-smoke profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke hotpath-profiles
+.PHONY: check vet build test benchmark-test race soak bench goldens examples-smoke profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke crossarch hotpath-profiles
 
-check: vet build test benchmark-test race soak examples-smoke profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke
+check: vet build test benchmark-test race soak examples-smoke profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke crossarch
 
 vet:
 	$(GO) vet ./...
@@ -156,6 +156,27 @@ perf-smoke:
 		internal/bench/testdata/alloc_budget_regressed.json >/dev/null; then \
 		echo "perf-smoke: alloc gate passed a degraded budget"; exit 1; fi
 	rm -f /tmp/capuchin-hotpath-bench.txt
+
+# crossarch keeps every golden's bytes independent of the host. Go may
+# fuse x*y+z into one fused multiply-add (FMA) on arm64, ppc64le, s390x
+# and riscv64, and a fused result rounds once instead of twice, so it
+# can move a float that a golden prints. The FMA census compiles every
+# capuchin package for those four and fails on any FMA instruction in
+# the listing (an explicit float64(...) conversion of the product keeps
+# Go from fusing it). Then the golden tests run as 32-bit 386 binaries,
+# which an amd64 Linux host executes natively.
+CROSSARCH_FMA = [[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]
+CROSSARCH_GOLDENS = Golden|TransferPin|HotPathNeutrality|AccessFitsInRegisters
+crossarch:
+	d=$$(mktemp -d) && \
+	for a in arm64 ppc64le s390x riscv64; do \
+		GOARCH=$$a $(GO) build -gcflags='capuchin/...=-S' ./... >$$d/$$a.s 2>&1 || \
+			{ tail -20 $$d/$$a.s; exit 1; }; \
+		n=$$(grep -cE '$(CROSSARCH_FMA)' $$d/$$a.s); \
+		echo "crossarch: $$a: $$n fused multiply-adds in capuchin packages"; \
+		test $$n -eq 0 || { grep -E '$(CROSSARCH_FMA)' $$d/$$a.s | head -20; exit 1; }; \
+	done && rm -rf $$d
+	GOARCH=386 $(GO) test -run '$(CROSSARCH_GOLDENS)' ./internal/...
 
 # hotpath-profiles collects pprof CPU and allocation profiles of the
 # flagship hot-path benchmark into hotpath_pprof/. CI runs this when

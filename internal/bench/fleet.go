@@ -235,7 +235,7 @@ func fleetSetup(o Options, fo FleetOptions) (menu []fleet.Workload, prof *ExecPr
 
 	var work float64 // mean job demand in byte-seconds
 	for _, pr := range profs {
-		work += float64(pr.SteadyPeak) * (70 * pr.IterTime).Seconds() // 70 = mean iters
+		work += float64(float64(pr.SteadyPeak) * (70 * pr.IterTime).Seconds()) // 70 = mean iters
 	}
 	work /= float64(len(menu))
 	fleetBytes := float64(fo.Devices) * float64(o.Device.MemoryBytes)

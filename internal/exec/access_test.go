@@ -12,8 +12,13 @@ import (
 // Policy.OnAccess takes it by value on every tensor access, and the amd64
 // register ABI passes a struct in registers only while it has few enough
 // word-sized fields. Past that it is copied through memory (duffcopy) on
-// every call; this test fails before that can return silently.
+// every call; this test fails before that can return silently. The
+// contract is stated for a 64-bit word: on a 32-bit target int64 and
+// sim.Time fields span two words, so the test skips there.
 func TestAccessFitsInRegisters(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) < 8 {
+		t.Skip("register-size contract assumes a 64-bit word")
+	}
 	const maxFields = 8
 	typ := reflect.TypeOf(Access{})
 	if n := typ.NumField(); n > maxFields {

@@ -18,28 +18,7 @@ func (f *Fleet) Run() (Report, error) {
 	for _, j := range f.jobs {
 		f.q.push(j.Arrival, evArrive, j, j.gen)
 	}
-	for {
-		at, ev, ok := f.q.Pop()
-		if !ok {
-			break
-		}
-		f.advance(at)
-		j := ev.job
-		if ev.gen != j.gen {
-			continue // stale: the job was killed or preempted since
-		}
-		switch ev.kind {
-		case evArrive:
-			f.onArrive(j)
-		case evProfiled:
-			f.onProfiled(j)
-		case evPeak:
-			f.onPeak(j)
-		case evComplete:
-			f.onComplete(j)
-		case evRequeue:
-			f.onRequeue(j)
-		}
+	for f.step() {
 	}
 	// Anything still queued can never run: the fleet is drained (no
 	// completions pending), so the blocker is structural — bands or
@@ -53,6 +32,32 @@ func (f *Fleet) Run() (Report, error) {
 		return Report{}, err
 	}
 	return f.buildReport(), nil
+}
+
+// step handles the next event, and reports false once none is left.
+func (f *Fleet) step() bool {
+	at, ev, ok := f.q.Pop()
+	if !ok {
+		return false
+	}
+	f.advance(at)
+	j := ev.job
+	if ev.gen != j.gen {
+		return true // stale: the job was killed or preempted since
+	}
+	switch ev.kind {
+	case evArrive:
+		f.onArrive(j)
+	case evProfiled:
+		f.onProfiled(j)
+	case evPeak:
+		f.onPeak(j)
+	case evComplete:
+		f.onComplete(j)
+	case evRequeue:
+		f.onRequeue(j)
+	}
+	return true
 }
 
 // onArrive starts the admission pipeline for a newly arrived job.
@@ -72,7 +77,7 @@ func (f *Fleet) onArrive(j *Job) {
 
 // onProfiled moves a warmed-up job into the admission queue.
 func (f *Fleet) onProfiled(j *Job) {
-	f.emitJobSpan(j, schedGroup, "warmup", j.Arrival, "sandbox", j.Profile.WarmupPeak)
+	f.emitJobSpan(j, -1, "warmup", j.Arrival, "sandbox", j.Profile.WarmupPeak)
 	reason := ""
 	if f.traced() {
 		reason = fmt.Sprintf("warmup peak %d -> predicted %d", j.Profile.WarmupPeak, j.Predicted)
@@ -238,16 +243,24 @@ func (f *Fleet) preemptShielded(c Class, freed, bytes int64) bool {
 // pool satisfies a request iff its largest free chunk holds the rounded
 // size, so if the argmax device fails every device fails: probing it
 // alone picks exactly the device a probe of every device in worst-fit
-// order would.
+// order would. The argmax is rescanned only after a pool has changed,
+// and a request above its chunk is refused without a probe, since
+// rounding only grows a request.
 func (f *Fleet) place(j *Job, need int64) int {
-	best, bestFree := 0, f.devs[0].pool.LargestFree()
-	for i, d := range f.devs[1:] {
-		if lf := d.pool.LargestFree(); lf > bestFree {
-			best, bestFree = i+1, lf
+	if !f.fit.ok || f.fit.ver != f.poolVer {
+		best, bestFree := 0, f.devs[0].pool.LargestFree()
+		for i, d := range f.devs[1:] {
+			if lf := d.pool.LargestFree(); lf > bestFree {
+				best, bestFree = i+1, lf
+			}
 		}
+		f.fit = worstFit{ver: f.poolVer, ok: true, dev: best, free: bestFree}
 	}
-	if f.allocOn(best, j, need) {
-		return best
+	if need > f.fit.free {
+		return -1
+	}
+	if dev := f.fit.dev; f.allocOn(dev, j, need) {
+		return dev
 	}
 	return -1
 }
@@ -256,13 +269,16 @@ func (f *Fleet) place(j *Job, need int64) int {
 // class accounting on success. It probes with TryAlloc: a refusal is an
 // ordinary scheduling outcome here, not an error to diagnose.
 func (f *Fleet) allocOn(di int, j *Job, need int64) bool {
-	a := f.devs[di].pool.TryAlloc(need)
+	d := f.devs[di]
+	a := d.pool.TryAlloc(need)
 	if a == nil {
 		return false
 	}
+	f.poolVer++
 	j.alloc = append(j.alloc, a)
 	j.allocBytes += a.Size
 	f.classUsed[j.Class] += a.Size
+	d.held[j.Class] += a.Size
 	f.emitDeviceMemory(di)
 	return true
 }
@@ -275,7 +291,7 @@ func (f *Fleet) startAttempt(j *Job, dev int, reserve int64) {
 	f.devs[dev].jobs[j.ID] = j
 	j.Admissions++
 	f.met.Add(mAdmissions, 1)
-	f.met.Observe(classed(hQueueWait, j.Class), f.now-j.queuedAt)
+	f.met.Observe(hQueueWaitBy[j.Class], f.now-j.queuedAt)
 	j.admitAt = f.now
 	j.startIters = j.DoneIters
 	j.peaked = false
@@ -378,7 +394,7 @@ func (f *Fleet) onPeak(j *Job) {
 // managed slowdown, and completion is rescheduled.
 func (f *Fleet) absorbCap(j *Job, slowdown float64) {
 	f.checkpoint(j)
-	f.emitJobSpan(j, deviceGroup(j.Device), "running", j.admitAt, "absorb-cap", j.allocBytes)
+	f.emitJobSpan(j, j.Device, "running", j.admitAt, "absorb-cap", j.allocBytes)
 	j.Cap = j.allocBytes
 	j.Capped = true
 	j.gen++ // invalidate the old completion event
@@ -409,7 +425,7 @@ func (f *Fleet) checkpoint(j *Job) {
 		total = j.Iters
 	}
 	if total > j.DoneIters {
-		j.workByteSec += float64(j.allocBytes) * (sim.Time(total-j.DoneIters) * j.effIter).Seconds()
+		j.workByteSec += float64(float64(j.allocBytes) * (sim.Time(total-j.DoneIters) * j.effIter).Seconds())
 		j.DoneIters = total
 	}
 }
@@ -418,11 +434,13 @@ func (f *Fleet) checkpoint(j *Job) {
 // accounting.
 func (f *Fleet) releaseAllocs(j *Job) {
 	if j.Device >= 0 {
-		pool := f.devs[j.Device].pool
+		d := f.devs[j.Device]
 		for _, a := range j.alloc {
-			memory.MustFree(pool, a)
+			memory.MustFree(d.pool, a)
 		}
+		d.held[j.Class] -= j.allocBytes
 		if len(j.alloc) > 0 {
+			f.poolVer++
 			f.emitDeviceMemory(j.Device)
 		}
 	}
@@ -460,12 +478,12 @@ const (
 func (f *Fleet) oomKill(j *Job, reason string) {
 	dev := j.Device
 	f.checkpoint(j)
-	f.emitJobSpan(j, deviceGroup(dev), "running", j.admitAt, "oom-kill", j.allocBytes)
+	f.emitJobSpan(j, dev, "running", j.admitAt, "oom-kill", j.allocBytes)
 	f.emitInstant(j, dev, "oom", "oom-kill", reason, j.allocBytes)
 	f.evict(j)
 	j.Kills++
 	f.met.Add(mKills, 1)
-	f.met.Add(classed(mKills, j.Class), 1)
+	f.met.Add(mKillsBy[j.Class], 1)
 	f.decide(j, "oom-kill", reason, -1, 0)
 	if j.Kills > maxKills {
 		reason := ""
@@ -494,28 +512,18 @@ func (f *Fleet) oomKill(j *Job, reason string) {
 // eviction. Returns the device index or -1. Victims are requeued with
 // their progress checkpointed, never rejected.
 func (f *Fleet) preemptFor(j *Job, need int64) int {
+	// Per-class freeable bytes fleet-wide: what each lower class holds
+	// above its minFrac shield. A device's share is clipped by it (an
+	// upper bound; preemptOn re-checks victim by victim).
+	var allow [numClasses]int64
+	for c := Low; c < j.Class; c++ {
+		allow[c] = max(0, f.classUsed[c]-int64(f.bands[c].minFrac*float64(f.fleetAlloc)))
+	}
 	best, bestBytes := -1, int64(0)
 	for di, d := range f.devs {
-		// Per-class freeable bytes on this device, clipped by the
-		// fleet-wide minFrac shield (an upper bound; preemptOn
-		// re-checks victim by victim).
-		var byClass [numClasses]int64
-		for _, v := range d.jobs {
-			if v.Class < j.Class {
-				byClass[v.Class] += v.allocBytes
-			}
-		}
 		var lower int64
 		for c := Low; c < j.Class; c++ {
-			allow := f.classUsed[c] - int64(f.bands[c].minFrac*float64(f.fleetAlloc))
-			if allow < 0 {
-				allow = 0
-			}
-			if byClass[c] < allow {
-				lower += byClass[c]
-			} else {
-				lower += allow
-			}
+			lower += min(d.held[c], allow[c])
 		}
 		// Prefer the device where the least victim memory must move.
 		if d.pool.FreeBytes()+lower >= need && (best < 0 || lower < bestBytes) {
@@ -565,14 +573,14 @@ func (f *Fleet) preemptOn(di int, j *Job, need int64) bool {
 		freed += v.allocBytes
 		freedByClass[v.Class] += v.allocBytes
 		f.checkpoint(v)
-		f.emitJobSpan(v, deviceGroup(di), "running", v.admitAt, "preempt", v.allocBytes)
+		f.emitJobSpan(v, di, "running", v.admitAt, "preempt", v.allocBytes)
 		if f.traced() {
 			f.emitInstant(v, di, "preempt", "preempt", fmt.Sprintf("displaced by %s job %d", j.Class, j.ID), v.allocBytes)
 		}
 		f.evict(v)
 		v.Preempted++
 		f.met.Add(mPreemptions, 1)
-		f.met.Add(classed(mPreemptions, v.Class), 1)
+		f.met.Add(mPreemptionsBy[v.Class], 1)
 		if f.traced() {
 			f.decide(v, "preempt", fmt.Sprintf("%s job %d displaces it on device %d", j.Class, j.ID, di), di, v.allocBytes)
 		}
@@ -586,13 +594,13 @@ func (f *Fleet) onComplete(j *Job) {
 	if j.State != StateRunning {
 		return
 	}
-	j.workByteSec += float64(j.allocBytes) * (sim.Time(j.Iters-j.DoneIters) * j.effIter).Seconds()
+	j.workByteSec += float64(float64(j.allocBytes) * (sim.Time(j.Iters-j.DoneIters) * j.effIter).Seconds())
 	j.DoneIters = j.Iters
 	// Goodput counts only work that ends up in a completed job: killed
 	// attempts of jobs that are eventually rejected are waste, however
 	// many iterations they checkpointed along the way.
 	f.goodput += j.workByteSec
-	f.emitJobSpan(j, deviceGroup(j.Device), "running", j.admitAt, "complete", j.allocBytes)
+	f.emitJobSpan(j, j.Device, "running", j.admitAt, "complete", j.allocBytes)
 	f.releaseAllocs(j)
 	delete(f.devs[j.Device].jobs, j.ID)
 	j.Device = -1
@@ -600,8 +608,8 @@ func (f *Fleet) onComplete(j *Job) {
 	j.State = StateCompleted
 	j.Done = f.now
 	f.met.Add(mCompleted, 1)
-	f.met.Add(classed(mCompleted, j.Class), 1)
-	f.met.Observe(classed(hJCT, j.Class), j.Done-j.Arrival)
+	f.met.Add(mCompletedBy[j.Class], 1)
+	f.met.Observe(hJCTBy[j.Class], j.Done-j.Arrival)
 	if f.traced() {
 		f.decide(j, "complete", fmt.Sprintf("%d iters, %d admissions, %d kills", j.Iters, j.Admissions, j.Kills), -1, 0)
 	}
@@ -613,12 +621,13 @@ func (f *Fleet) reject(j *Job, reason string) {
 	j.State = StateRejected
 	j.Done = f.now
 	f.met.Add(mRejected, 1)
-	f.met.Add(classed(mRejected, j.Class), 1)
+	f.met.Add(mRejectedBy[j.Class], 1)
 	f.decide(j, "reject", reason, -1, 0)
 }
 
 // checkAccounting verifies the no-double-accounting invariant at drain:
-// every device pool is empty and the class ledgers are zero.
+// every device pool is empty and the class ledgers, fleet-wide and per
+// device, are zero.
 func (f *Fleet) checkAccounting() error {
 	for _, d := range f.devs {
 		if u := d.pool.Used(); u != 0 {
@@ -626,6 +635,11 @@ func (f *Fleet) checkAccounting() error {
 		}
 		if len(d.jobs) != 0 {
 			return fmt.Errorf("fleet: device %d has %d resident jobs after drain", d.id, len(d.jobs))
+		}
+		for c, u := range d.held {
+			if u != 0 {
+				return fmt.Errorf("fleet: device %d class %s ledger holds %d bytes after drain", d.id, Class(c), u)
+			}
 		}
 	}
 	for c, u := range f.classUsed {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -115,4 +116,86 @@ func TestEventQueuePropertyDifferential(t *testing.T) {
 			t.Fatalf("trial %d: queue reports %d after drain", trial, impl.Len())
 		}
 	}
+}
+
+// TestFleetLedgersPerEvent steps pressured scenarios of every
+// mode/manager combination one event at a time and checks, after every
+// event, the state admission reads instead of rescanning: each device's
+// class ledger equals the bytes its resident jobs hold per class, the
+// ledgers summed over devices equal classUsed, and a worst-fit cache
+// whose version is current names the device a fresh argmax scan would.
+func TestFleetLedgersPerEvent(t *testing.T) {
+	for _, tc := range []struct {
+		mode AdmissionMode
+		mgr  Manager
+		seed uint64
+	}{
+		{AdmitAll, ManagerNone, 42},
+		{Predictive, ManagerNone, 42},
+		{Predictive, ManagerNone, 7},
+		{Predictive, ManagerCapuchin, 42},
+		{Predictive, ManagerCapuchin, 7},
+	} {
+		cfg := testConfig(tc.mode, tc.mgr)
+		cfg.Seed = tc.seed
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range f.jobs {
+			f.q.push(j.Arrival, evArrive, j, j.gen)
+		}
+		events, cached := 0, 0
+		for f.step() {
+			events++
+			if err := checkLedgers(f); err != nil {
+				t.Fatalf("%v/%v seed %d event %d at %v: %v", tc.mode, tc.mgr, tc.seed, events, f.now, err)
+			}
+			if f.fit.ok && f.fit.ver == f.poolVer {
+				cached++
+			}
+		}
+		for _, d := range f.devs {
+			if d.held != [numClasses]int64{} {
+				t.Errorf("%v/%v: device %d ledger %v after the last event", tc.mode, tc.mgr, d.id, d.held)
+			}
+		}
+		if cached == 0 {
+			t.Errorf("%v/%v: the worst-fit cache was never current after an event", tc.mode, tc.mgr)
+		}
+	}
+}
+
+// checkLedgers verifies the per-device class ledgers and the worst-fit
+// cache against the state they summarize.
+func checkLedgers(f *Fleet) error {
+	var sum [numClasses]int64
+	for _, d := range f.devs {
+		var want [numClasses]int64
+		for _, j := range d.jobs {
+			want[j.Class] += j.allocBytes
+		}
+		if d.held != want {
+			return fmt.Errorf("device %d ledger %v, resident jobs hold %v", d.id, d.held, want)
+		}
+		for c := range sum {
+			sum[c] += d.held[c]
+		}
+	}
+	if sum != f.classUsed {
+		return fmt.Errorf("device ledgers sum to %v, classUsed %v", sum, f.classUsed)
+	}
+	if f.fit.ok && f.fit.ver == f.poolVer {
+		best, bestFree := 0, f.devs[0].pool.LargestFree()
+		for i, d := range f.devs {
+			if lf := d.pool.LargestFree(); lf > bestFree {
+				best, bestFree = i, lf
+			}
+		}
+		if f.fit.dev != best || f.fit.free != bestFree {
+			return fmt.Errorf("current worst-fit cache names device %d (%d free), a scan device %d (%d free)",
+				f.fit.dev, f.fit.free, best, bestFree)
+		}
+	}
+	return nil
 }

@@ -357,6 +357,19 @@ type device struct {
 	id   int
 	pool *memory.BFC
 	jobs map[int]*Job
+	// held is the bytes its resident jobs hold, per class: the device's
+	// share of classUsed, kept by allocOn and releaseAllocs beside it.
+	held [numClasses]int64
+}
+
+// worstFit is place's cached argmax: the device with the largest free
+// chunk (the lowest index on ties) and that chunk's size, as scanned at
+// pool version ver. ok is false until the first scan.
+type worstFit struct {
+	ver  uint64
+	ok   bool
+	dev  int
+	free int64
 }
 
 // Fleet is one scenario's scheduler state. Build with New, drive with
@@ -379,6 +392,13 @@ type Fleet struct {
 
 	// classUsed tracks reserved bytes per class, fleet-wide.
 	classUsed [numClasses]int64
+
+	// poolVer counts device pool changes: allocOn bumps it on every
+	// successful TryAlloc, releaseAllocs on every release that frees
+	// something. place rescans for the worst-fit argmax only when it has
+	// moved since fit was taken.
+	poolVer uint64
+	fit     worstFit
 
 	now          sim.Time
 	lastT        sim.Time
@@ -448,7 +468,7 @@ func New(cfg Config) (*Fleet, error) {
 		at += expTime(u01(cfg.Seed, uint64(i), "interarrival"), cfg.MeanInterarrival)
 		w := cfg.Workloads[int(bits(cfg.Seed, uint64(i), "workload")%uint64(len(cfg.Workloads)))]
 		p := profiles[w]
-		jitter := 1 + cfg.JitterFrac*(2*u01(cfg.Seed, uint64(i), "jitter")-1)
+		jitter := 1 + float64(cfg.JitterFrac*(2*float64(u01(cfg.Seed, uint64(i), "jitter"))-1))
 		j := &Job{
 			ID:      i,
 			Class:   drawClass(u01(cfg.Seed, uint64(i), "class")),
@@ -468,7 +488,7 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.jobs = append(f.jobs, j)
 		f.met.Add(mJobs, 1)
-		f.met.Add(classed(mJobs, j.Class), 1)
+		f.met.Add(mJobsBy[j.Class], 1)
 	}
 	return f, nil
 }
@@ -517,7 +537,7 @@ func (f *Fleet) queueRemove(j *Job) {
 	for i, q := range f.queued {
 		if q == j {
 			f.queued = append(f.queued[:i], f.queued[i+1:]...)
-			f.emitJobSpan(j, schedGroup, "queued", j.queuedAt, "", 0)
+			f.emitJobSpan(j, -1, "queued", j.queuedAt, "", 0)
 			f.emitQueueDepth()
 			return
 		}
@@ -534,7 +554,7 @@ func (f *Fleet) advance(to sim.Time) {
 	for _, d := range f.devs {
 		used += d.pool.Used()
 	}
-	f.usedIntegral += float64(used) * (to - f.lastT).Seconds()
+	f.usedIntegral += float64(float64(used) * (to - f.lastT).Seconds())
 	f.lastT = to
 	f.now = to
 }
@@ -556,7 +576,7 @@ func (f *Fleet) decide(j *Job, action, reason string, dev int, bytes int64) {
 		d.Class = j.Class.String()
 	}
 	if dev >= 0 {
-		d.Group = fmt.Sprintf("device %d", dev)
+		d.Group = deviceGroup(dev)
 	}
 	f.cfg.Tracer.Decide(d)
 }

@@ -229,6 +229,23 @@ func TestUnfittableJobRejected(t *testing.T) {
 	}
 }
 
+// TestCheckAccountingDeviceLedgers: a device class ledger left nonzero
+// at drain fails the run's accounting, naming the device and class.
+func TestCheckAccountingDeviceLedgers(t *testing.T) {
+	f, err := New(testConfig(Predictive, ManagerNone))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	f.devs[2].held[High] = 256
+	err = f.checkAccounting()
+	if err == nil || !strings.Contains(err.Error(), "device 2 class HIGH ledger holds 256 bytes") {
+		t.Fatalf("checkAccounting = %v, want the device 2 HIGH ledger named", err)
+	}
+}
+
 // TestQueueSheds: a tiny queue bound sheds overflow instead of growing
 // without limit, and sheds count as rejections.
 func TestQueueSheds(t *testing.T) {

@@ -86,16 +86,16 @@ func (f *Fleet) buildReport() Report {
 	}
 	r.ByClass = make(map[string]ClassStats, int(numClasses))
 	for c := Low; c < numClasses; c++ {
-		jobs := f.met.Counter(classed(mJobs, c))
+		jobs := f.met.Counter(mJobsBy[c])
 		if jobs == 0 {
 			continue
 		}
 		r.ByClass[c.String()] = ClassStats{
 			Jobs:      int(jobs),
-			Completed: int(f.met.Counter(classed(mCompleted, c))),
-			Rejected:  int(f.met.Counter(classed(mRejected, c))),
-			Preempted: int(f.met.Counter(classed(mPreemptions, c))),
-			Kills:     int(f.met.Counter(classed(mKills, c))),
+			Completed: int(f.met.Counter(mCompletedBy[c])),
+			Rejected:  int(f.met.Counter(mRejectedBy[c])),
+			Preempted: int(f.met.Counter(mPreemptionsBy[c])),
+			Kills:     int(f.met.Counter(mKillsBy[c])),
 		}
 	}
 

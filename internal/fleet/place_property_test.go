@@ -40,6 +40,7 @@ func refPlace(f *Fleet, j *Job, need int64) int {
 		j.alloc = append(j.alloc, a)
 		j.allocBytes += a.Size
 		f.classUsed[j.Class] += a.Size
+		f.devs[di].held[j.Class] += a.Size
 		return di
 	}
 	return -1
@@ -185,4 +186,249 @@ func tiedAtMax(f *Fleet) bool {
 		}
 	}
 	return n > 1
+}
+
+// refPreemptFor is the preemption search the per-device class ledgers
+// replaced: it sums each device's lower-class bytes by walking the
+// device's resident jobs, then evicts through the shared preemptOn.
+func refPreemptFor(f *Fleet, j *Job, need int64) int {
+	best, bestBytes := -1, int64(0)
+	for di, d := range f.devs {
+		var byClass [numClasses]int64
+		for _, v := range d.jobs {
+			if v.Class < j.Class {
+				byClass[v.Class] += v.allocBytes
+			}
+		}
+		var lower int64
+		for c := Low; c < j.Class; c++ {
+			allow := f.classUsed[c] - int64(f.bands[c].minFrac*float64(f.fleetAlloc))
+			if allow < 0 {
+				allow = 0
+			}
+			if byClass[c] < allow {
+				lower += byClass[c]
+			} else {
+				lower += allow
+			}
+		}
+		if d.pool.FreeBytes()+lower >= need && (best < 0 || lower < bestBytes) {
+			best, bestBytes = di, lower
+		}
+	}
+	if best < 0 {
+		return -1
+	}
+	if !f.preemptOn(best, j, need-f.devs[best].pool.FreeBytes()) {
+		return -1
+	}
+	return best
+}
+
+// admitter is one side of the admission differential: a placement and a
+// preemption search.
+type admitter struct {
+	place   func(f *Fleet, j *Job, need int64) int
+	preempt func(f *Fleet, j *Job, need int64) int
+}
+
+// admit is tryAdmit's placement tail over a's searches: worst-fit
+// placement, else preemption for a class above LOW, then the start of
+// the attempt. It reports the device chosen, or -1.
+func (a admitter) admit(f *Fleet, j *Job) int {
+	need := f.reserveBytes(j)
+	dev := a.place(f, j, need)
+	if dev < 0 && j.Class > Low {
+		if dev = a.preempt(f, j, need); dev >= 0 && !f.allocOn(dev, j, need) {
+			dev = -1
+		}
+	}
+	if dev >= 0 {
+		f.queueRemove(j)
+		f.startAttempt(j, dev, need)
+	}
+	return dev
+}
+
+// admissionFleet is a bare predictive fleet over BFC devices of the
+// given capacities, with the class bands in force.
+func admissionFleet(caps []int64, mgr Manager) *Fleet {
+	f := placeFleet(caps)
+	f.cfg.Admission, f.cfg.Manager = Predictive, mgr
+	f.bands = classBands
+	for _, c := range caps {
+		f.fleetAlloc += c
+		f.maxDev = max(f.maxDev, c)
+	}
+	return f
+}
+
+// jobView is what the differential compares of one job.
+type jobView struct {
+	State                 JobState
+	Device                int
+	AllocBytes            int64
+	Cap                   int64
+	Kills, Preempted      int
+	Admissions, DoneIters int
+}
+
+func fleetJobViews(jobs []*Job) []jobView {
+	out := make([]jobView, len(jobs))
+	for i, j := range jobs {
+		out[i] = jobView{j.State, j.Device, j.allocBytes, j.Cap, j.Kills, j.Preempted, j.Admissions, j.DoneIters}
+	}
+	return out
+}
+
+func queueIDs(f *Fleet) []int {
+	ids := make([]int, len(f.queued))
+	for i, j := range f.queued {
+		ids[i] = j.ID
+	}
+	return ids
+}
+
+// TestAdmissionPropertyDifferential replays seeded tapes of arrivals,
+// admissions, ramp peaks, completions, OOM kills and requeues over 1–32
+// BFC pools through the fleet's admission (cached worst-fit argmax,
+// per-device class ledgers) and through the references (refPlace and
+// refPreemptFor, which rescan every device and walk every resident
+// job). Peaks over the reservation preempt, absorb or kill; admissions
+// of HIGH and CRITICAL jobs into full pools preempt. After every step
+// both sides must have chosen the same device, evicted the same victims
+// into the same queue order, and left every pool, every job and every
+// ledger in the same state.
+func TestAdmissionPropertyDifferential(t *testing.T) {
+	const miB = 1 << 20
+	impl := admitter{
+		place:   func(f *Fleet, j *Job, need int64) int { return f.place(j, need) },
+		preempt: func(f *Fleet, j *Job, need int64) int { return f.preemptFor(j, need) },
+	}
+	ref := admitter{place: refPlace, preempt: refPreemptFor}
+	capMenu := []int64{256 * miB, 256 * miB, 384 * miB, 512 * miB}
+	var placed, preempted, victims, refused, peaks, kills int
+	for trial := 0; trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		caps := make([]int64, 1+rng.Intn(32))
+		for i := range caps {
+			caps[i] = capMenu[rng.Intn(len(capMenu))]
+		}
+		mgr := Manager(rng.Intn(2))
+		fi, fr := admissionFleet(caps, mgr), admissionFleet(caps, mgr)
+		var ji, jr []*Job // twins, by ID
+		// pick draws the ID of a twin whose implementation side satisfies
+		// ok, or -1.
+		pick := func(ok func(*Job) bool) int {
+			var ids []int
+			for id, j := range ji {
+				if ok(j) {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids) == 0 {
+				return -1
+			}
+			return ids[rng.Intn(len(ids))]
+		}
+		running := func(j *Job) bool { return j.State == StateRunning }
+		for op, ops := 0, 1+rng.Intn(400); op < ops; op++ {
+			var what string
+			switch r := rng.Intn(20); {
+			case r < 5: // arrival
+				actual := int64(16+rng.Intn(240)) * miB
+				predicted := int64(float64(actual) * (0.7 + 0.6*rng.Float64()))
+				class := Class(rng.Intn(int(numClasses)))
+				for _, side := range []struct {
+					f    *Fleet
+					jobs *[]*Job
+				}{{fi, &ji}, {fr, &jr}} {
+					j := &Job{
+						ID: len(*side.jobs), Class: class, Iters: 50, Device: -1,
+						Actual: actual, Predicted: predicted,
+						Profile: Profile{IterTime: 1000, MinCapRatio: 0.45, CapAnchorRatio: 0.7, CapAnchorSlowdown: 1.35},
+					}
+					*side.jobs = append(*side.jobs, j)
+					side.f.queueInsert(j)
+				}
+				what = "arrive"
+			case r < 12: // admission attempt of a queued job
+				if len(fi.queued) == 0 {
+					continue
+				}
+				k := rng.Intn(len(fi.queued))
+				id := fi.queued[k].ID
+				if fr.queued[k].ID != id {
+					t.Fatalf("trial %d op %d: queues diverge at %d", trial, op, k)
+				}
+				before := fi.met.Counter(mPreemptions)
+				got, want := impl.admit(fi, ji[id]), ref.admit(fr, jr[id])
+				what = fmt.Sprintf("admit(job %d, class %s)", id, ji[id].Class)
+				if got != want {
+					t.Fatalf("trial %d op %d: %s chose device %d, reference %d", trial, op, what, got, want)
+				}
+				if got < 0 {
+					refused++
+				} else {
+					placed++
+				}
+				if n := fi.met.Counter(mPreemptions) - before; n > 0 {
+					preempted++
+					victims += int(n)
+				}
+			case r < 15: // ramp peak
+				id := pick(func(j *Job) bool { return running(j) && !j.peaked })
+				if id < 0 {
+					continue
+				}
+				fi.onPeak(ji[id])
+				fr.onPeak(jr[id])
+				what = fmt.Sprintf("peak(job %d)", id)
+				peaks++
+			case r < 18: // completion
+				id := pick(running)
+				if id < 0 {
+					continue
+				}
+				fi.evict(ji[id])
+				fr.evict(jr[id])
+				ji[id].State, jr[id].State = StateCompleted, StateCompleted
+				what = fmt.Sprintf("complete(job %d)", id)
+			case r < 19: // OOM kill
+				id := pick(running)
+				if id < 0 {
+					continue
+				}
+				fi.oomKill(ji[id], "")
+				fr.oomKill(jr[id], "")
+				what = fmt.Sprintf("kill(job %d)", id)
+				kills++
+			default: // a killed job's backoff expires
+				id := pick(func(j *Job) bool { return j.State == StateBackoff })
+				if id < 0 {
+					continue
+				}
+				fi.queueInsert(ji[id])
+				fr.queueInsert(jr[id])
+				what = fmt.Sprintf("requeue(job %d)", id)
+			}
+			if g, w := queueIDs(fi), queueIDs(fr); !reflect.DeepEqual(g, w) {
+				t.Fatalf("trial %d op %d: queues diverge after %s: %v vs %v", trial, op, what, g, w)
+			}
+			if g, w := fleetJobViews(ji), fleetJobViews(jr); !reflect.DeepEqual(g, w) {
+				t.Fatalf("trial %d op %d: jobs diverge after %s:\n impl=%+v\n ref =%+v", trial, op, what, g, w)
+			}
+			if g, w := fleetPoolStates(fi), fleetPoolStates(fr); !reflect.DeepEqual(g, w) {
+				t.Fatalf("trial %d op %d: pool states diverge after %s:\n impl=%+v\n ref =%+v", trial, op, what, g, w)
+			}
+			if err := checkLedgers(fi); err != nil {
+				t.Fatalf("trial %d op %d: after %s: %v", trial, op, what, err)
+			}
+		}
+	}
+	t.Logf("%d admissions, %d refusals, %d preempting admissions (%d victims), %d peaks, %d kills",
+		placed, refused, preempted, victims, peaks, kills)
+	if placed == 0 || refused == 0 || preempted == 0 || victims <= preempted || peaks == 0 || kills == 0 {
+		t.Fatal("tapes missed a case")
+	}
 }

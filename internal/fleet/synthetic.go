@@ -48,7 +48,7 @@ func (sp SyntheticProfiler) Profile(w Workload) (Profile, error) {
 	}
 	steady := base + base*scale/4
 	key := hashString(w.String())
-	gap := under * u01(sp.Seed, key, "warmup-gap")
+	gap := float64(under * u01(sp.Seed, key, "warmup-gap"))
 	warm := int64(float64(steady) * (1 - gap))
 	iter := 2*sim.Millisecond + sim.Time(steady/(64*hw.MiB))*sim.Millisecond
 	return Profile{

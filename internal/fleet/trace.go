@@ -9,10 +9,10 @@ import (
 
 // The fleet's obs.Metrics names. Counters follow the executor's
 // slash-separated convention; per-class variants append the class name
-// via classed ("fleet/kills/LOW"). The registry is the single source of
-// truth for every Report counter — buildReport derives its fields from
-// these, so the report and any Prometheus exposition of the registry can
-// never disagree.
+// ("fleet/kills/LOW"), their keys built once by byClass. The registry
+// is the single source of truth for every Report counter — buildReport
+// derives its fields from these, so the report and any Prometheus
+// exposition of the registry can never disagree.
 const (
 	mJobs        = "fleet/jobs"
 	mAdmissions  = "fleet/admissions"
@@ -30,8 +30,25 @@ const (
 	hJCT       = "fleet/jct"
 )
 
-// classed appends a tenant class to a metric name.
-func classed(name string, c Class) string { return name + "/" + c.String() }
+// byClass builds name's per-class metric keys once, so the event loop
+// concatenates no key per admission, kill or completion.
+func byClass(name string) (keys [numClasses]string) {
+	for c := range keys {
+		keys[c] = name + "/" + Class(c).String()
+	}
+	return keys
+}
+
+// The per-class keys of the class-split metrics, indexed by Class.
+var (
+	mJobsBy        = byClass(mJobs)
+	mCompletedBy   = byClass(mCompleted)
+	mRejectedBy    = byClass(mRejected)
+	mKillsBy       = byClass(mKills)
+	mPreemptionsBy = byClass(mPreemptions)
+	hQueueWaitBy   = byClass(hQueueWait)
+	hJCTBy         = byClass(hJCT)
+)
 
 // The fleet timeline model. Every job gets its own lane ("job 17") so
 // overlapping lifecycles never share a Chrome thread and B/E pairs nest
@@ -64,10 +81,15 @@ func jobLane(j *Job) string { return fmt.Sprintf("job %d", j.ID) }
 // deviceGroup names a device's Perfetto process.
 func deviceGroup(dev int) string { return fmt.Sprintf("device %d", dev) }
 
-// emitJobSpan records one closed lifecycle phase of j on lane "job N".
-func (f *Fleet) emitJobSpan(j *Job, group, cat string, start sim.Time, detail string, bytes int64) {
+// emitJobSpan records one closed lifecycle phase of j on lane "job N",
+// in device dev's process, or the scheduler's when dev is negative.
+func (f *Fleet) emitJobSpan(j *Job, dev int, cat string, start sim.Time, detail string, bytes int64) {
 	if f.cfg.Tracer == nil {
 		return
+	}
+	group := schedGroup
+	if dev >= 0 {
+		group = deviceGroup(dev)
 	}
 	f.emit(obs.Event{
 		Kind: obs.KindSpan, Cat: cat, Name: j.Load.String(),
