@@ -1,13 +1,15 @@
 # CI entry points. `make check` is what the repo considers green:
 # vet and full tests of both modules (the root module and the benchmark
-# module) + build + the race detector over the packages the parallel
-# experiment engine touches (graph and models included: concurrent sessions share a graph
-# template's immutable state) + the chaos soak suite.
+# module) + build + the reachability gate (every non-test function is
+# linked by a binary or allowlisted) + the race detector over the
+# packages the parallel experiment engine touches (graph and models
+# included: concurrent sessions share a graph template's immutable
+# state) + the chaos soak suite.
 GO ?= go
 
-.PHONY: check vet build test benchmark-test race soak bench goldens examples-smoke profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke crossarch hotpath-profiles
+.PHONY: check vet build test benchmark-test reach race soak bench goldens examples-smoke profile-smoke fuzz-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke crossarch hotpath-profiles
 
-check: vet build test benchmark-test race soak examples-smoke profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke crossarch
+check: vet build test benchmark-test reach race soak examples-smoke profile-smoke scale-smoke arena-smoke fleet-smoke regress-smoke perf-smoke serve-smoke crossarch
 
 vet:
 	$(GO) vet ./...
@@ -24,6 +26,17 @@ test:
 # separate module, so the root `go test ./...` never reaches it.
 benchmark-test:
 	cd benchmark && $(GO) test ./...
+
+# reach is the reachability gate (reach_test.go, behind the reach build
+# tag so `go test ./...` never builds it): it builds every main package
+# under cmd/ and examples/ and the benchmark module with inlining off,
+# reads their symbols with `go tool nm`, and fails on a function declared
+# in a non-test file that no binary links and testdata/reach_allow.txt
+# does not name, and on an allowlist entry that is linked or no longer
+# declared. -count=1 because the test's result depends on files the go
+# command reads, which the test cache does not track.
+reach:
+	$(GO) test -count=1 -tags reach -run '^TestReach$$' .
 
 race:
 	$(GO) test -race ./internal/bench ./internal/exec ./internal/sim ./internal/obs ./internal/graph ./internal/models

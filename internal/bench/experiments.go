@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -704,14 +703,4 @@ func AllTables(o Options) []*Table {
 		tables = append(tables, g...)
 	}
 	return tables
-}
-
-// WriteAll runs every experiment and writes the tables to w.
-func WriteAll(w io.Writer, o Options) error {
-	for _, t := range AllTables(o) {
-		if err := t.WriteText(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -225,7 +225,7 @@ func TestCapuchinNames(t *testing.T) {
 // syntheticTensor creates a bare tensor for tracker tests. It has no
 // graph, so intern assigns its Idx when it is first observed.
 func syntheticTensor(id string, bytes int64, inputs ...*tensor.Tensor) *tensor.Tensor {
-	tt := tensor.New(id, tensor.Shape{bytes / 4}, tensor.Float32)
+	tt := new(tensor.Arena).New(id, tensor.Shape{bytes / 4}, tensor.Float32)
 	tt.OpName = "op_" + id
 	tt.Inputs = inputs
 	return tt

@@ -30,3 +30,11 @@ func ReplayPlanAgainstReference(g *graph.Graph, dev hw.DeviceSpec) (selections i
 	n, err := diffPlanners(tk, rec.pl)
 	return n, false, err
 }
+
+// newTracker returns a tracker sized for a graph of n tensors and nodes
+// nodes.
+func newTracker(n, nodes int) *tracker {
+	tk := new(tracker)
+	tk.reset(n, nodes)
+	return tk
+}

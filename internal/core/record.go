@@ -88,14 +88,6 @@ type tracker struct {
 // noStart is the nodeStart entry of a node whose inputs were never read.
 const noStart = sim.Time(math.MinInt64)
 
-// newTracker returns a tracker sized for a graph of n tensors and nodes
-// nodes.
-func newTracker(n, nodes int) *tracker {
-	tk := new(tracker)
-	tk.reset(n, nodes)
-	return tk
-}
-
 // reset empties tk for a measured pass over a graph of n tensors and
 // nodes nodes, reusing its arrays.
 func (tk *tracker) reset(n, nodes int) {

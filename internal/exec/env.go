@@ -20,12 +20,6 @@ type Env struct {
 	s *Session
 }
 
-// Now reports the current virtual time on the compute stream.
-func (e *Env) Now() sim.Time { return e.s.now() }
-
-// Iteration reports the running iteration index.
-func (e *Env) Iteration() int { return e.s.iter }
-
 // Graph exposes the graph for static policies (vDNN, checkpointing).
 // Capuchin deliberately never calls this: it is computation-graph agnostic.
 func (e *Env) Graph() *graph.Graph { return e.s.g }
@@ -190,9 +184,6 @@ func (e *Env) SwapInAsync(t *tensor.Tensor) bool {
 	}
 	return true
 }
-
-// InflightSwapIns reports the number of swap-ins currently in flight.
-func (e *Env) InflightSwapIns() int { return len(e.s.swapInList) }
 
 // InflightSwapInBytes reports the device memory held by in-flight
 // swap-ins; these buffers are not evictable until the transfers land.

@@ -493,19 +493,6 @@ func (s *Session) Graph() *graph.Graph { return s.g }
 // Pool exposes allocator statistics.
 func (s *Session) Pool() memory.Pool { return s.pool }
 
-// Host exposes pinned-memory statistics.
-func (s *Session) Host() *memory.HostArena { return s.host }
-
-// ResetPeak rescopes the device and host high-water marks to current
-// usage. Sequential jobs reusing one session's allocator (a fleet device
-// running job after job, or back-to-back Run calls profiling different
-// regimes) call this between jobs so the next IterStats.PeakBytes reports
-// that job's own peak rather than inheriting its predecessor's.
-func (s *Session) ResetPeak() {
-	s.pool.ResetPeak()
-	s.host.ResetPeak()
-}
-
 // Streams returns the compute, H2D and D2H streams for span inspection.
 func (s *Session) Streams() (compute, h2d, d2h *sim.Stream) {
 	return s.compute, s.h2d, s.d2h
@@ -758,18 +745,4 @@ func (s *Session) CheckResidencyInvariant() error {
 		}
 	}
 	return nil
-}
-
-// Residents returns the tensors currently holding device memory with
-// their chunk sizes, largest first — a diagnostic for OOM analysis.
-func (s *Session) Residents() map[string]int64 {
-	out := make(map[string]int64)
-	for _, n := range s.g.Nodes {
-		for _, t := range n.Outputs {
-			if t.Alloc != nil {
-				out[t.ID] = t.Alloc.Size
-			}
-		}
-	}
-	return out
 }

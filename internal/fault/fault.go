@@ -392,9 +392,8 @@ type Injector struct {
 	degPhase sim.Time
 	counts   map[uint64]uint64
 
-	// Query tallies, for diagnostics and tests.
+	// queries tallies the decisions drawn, for tests.
 	queries uint64
-	faults  uint64
 }
 
 // NewInjector builds an injector for the plan. A zero plan yields a
@@ -416,13 +415,6 @@ func (in *Injector) Enabled() bool { return in != nil && in.enabled }
 // Plan returns the injector's plan.
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Queries and Faults report how many decisions were drawn and how many
-// came up faulty, for diagnostics.
-func (in *Injector) Queries() uint64 { return in.queries }
-
-// Faults reports the number of faulty decisions drawn so far.
-func (in *Injector) Faults() uint64 { return in.faults }
-
 // draw returns a deterministic uniform sample in [0,1) for the n-th query
 // at (site, key). The counter is keyed by the pair, so retries observe
 // fresh draws while queries for other subjects never perturb this stream.
@@ -441,11 +433,7 @@ func (in *Injector) decide(site, key string, rate float64) bool {
 		return false
 	}
 	in.queries++
-	if in.draw(site, key) < rate {
-		in.faults++
-		return true
-	}
-	return false
+	return in.draw(site, key) < rate
 }
 
 // TransferFails reports whether one DMA attempt for the given subject

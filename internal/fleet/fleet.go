@@ -507,9 +507,6 @@ func drawClass(u float64) Class {
 	return Critical
 }
 
-// Jobs exposes the job set for invariant checks in tests.
-func (f *Fleet) Jobs() []*Job { return f.jobs }
-
 // queueInsert places j into the admission queue in priority order:
 // higher class first, then earlier arrival, then lower ID.
 func (f *Fleet) queueInsert(j *Job) {

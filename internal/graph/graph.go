@@ -159,10 +159,6 @@ func (g *Graph) ForwardNodes() []*Node {
 	return out
 }
 
-// NumNodes reports the total node count; the paper notes ResNet-50 exceeds
-// 3000 nodes and BERT 7000 in TensorFlow's internal graph (§1).
-func (g *Graph) NumNodes() int { return len(g.Nodes) }
-
 // ParameterBytes reports the total size of persistent tensors (weights).
 func (g *Graph) ParameterBytes() int64 {
 	var total int64

@@ -352,7 +352,7 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := b.Build(nil, BuildOptions{}); err == nil {
 		t.Error("Build accepted nil loss")
 	}
-	foreign := tensor.New("foreign:0", tensor.Shape{}, tensor.Float32)
+	foreign := new(tensor.Arena).New("foreign:0", tensor.Shape{}, tensor.Float32)
 	if _, err := b.Build(foreign, BuildOptions{}); err == nil {
 		t.Error("Build accepted a loss from another graph")
 	}

@@ -17,12 +17,11 @@ const (
 // or free. Chunks form a doubly-linked list ordered by offset; adjacent
 // free chunks are always coalesced, so two free chunks are never neighbours.
 type chunk struct {
-	offset    int64
-	size      int64 // rounded size, multiple of minChunkSize
-	requested int64 // caller-requested size when in use
-	inUse     bool
-	prev      *chunk
-	next      *chunk
+	offset int64
+	size   int64 // rounded size, multiple of minChunkSize
+	inUse  bool
+	prev   *chunk
+	next   *chunk
 	// alloc is the Allocation handle returned while the chunk is in use,
 	// embedded so Alloc never heap-allocates a handle. A chunk absorbed by
 	// coalescing is parked on the allocator's spare list and reused by the
@@ -90,7 +89,6 @@ func (b *bin) bestFit(want int64) *chunk {
 type BFC struct {
 	capacity int64
 	used     int64 // sum of chunk sizes in use
-	reqUsed  int64 // sum of requested sizes in use
 	peak     int64
 	allocs   int64
 	frees    int64
@@ -115,14 +113,14 @@ func (a *BFC) newChunk() *chunk {
 		return &chunk{}
 	}
 	a.spare = c.next
-	c.offset, c.size, c.requested, c.inUse, c.prev, c.next = 0, 0, 0, false, nil, nil
+	c.offset, c.size, c.inUse, c.prev, c.next = 0, 0, false, nil, nil
 	return c
 }
 
 // recycle parks an absorbed chunk record on the spare list, linked through
 // next. The embedded alloc keeps its state (see newChunk).
 func (a *BFC) recycle(c *chunk) {
-	c.offset, c.size, c.requested, c.inUse, c.prev = 0, 0, 0, false, nil
+	c.offset, c.size, c.inUse, c.prev = 0, 0, false, nil
 	c.next = a.spare
 	a.spare = c
 }
@@ -235,9 +233,7 @@ func (a *BFC) TryAlloc(size int64) *Allocation {
 		a.insertFree(rest)
 	}
 	c.inUse = true
-	c.requested = size
 	a.used += c.size
-	a.reqUsed += size
 	if a.used > a.peak {
 		a.peak = a.used
 	}
@@ -271,10 +267,8 @@ func (a *BFC) Free(al *Allocation) error {
 	}
 	c := al.chunk
 	a.used -= c.size
-	a.reqUsed -= c.requested
 	a.frees++
 	c.inUse = false
-	c.requested = 0
 	// Coalesce with a free successor.
 	if n := c.next; n != nil && !n.inUse {
 		a.removeFree(n)
@@ -303,9 +297,6 @@ func (a *BFC) Free(al *Allocation) error {
 // Used implements Pool.
 func (a *BFC) Used() int64 { return a.used }
 
-// InUseRequested implements Pool.
-func (a *BFC) InUseRequested() int64 { return a.reqUsed }
-
 // Capacity implements Pool.
 func (a *BFC) Capacity() int64 { return a.capacity }
 
@@ -314,11 +305,6 @@ func (a *BFC) FreeBytes() int64 { return a.capacity - a.used }
 
 // Peak implements Pool.
 func (a *BFC) Peak() int64 { return a.peak }
-
-// ResetPeak implements Pool: the high-water mark restarts from the bytes
-// currently reserved, not from zero, because live allocations still count
-// against whatever job observes the pool next.
-func (a *BFC) ResetPeak() { a.peak = a.used }
 
 // LargestFree implements Pool. It is O(1): the highest occupied bin
 // holds the largest chunk, and bins are sorted by size, so it is last.
@@ -331,7 +317,19 @@ func (a *BFC) LargestFree() int64 {
 }
 
 // Stats returns a snapshot of allocator statistics.
-func (a *BFC) Stats() Stats { return collectStats(a, a.allocs, a.frees) }
+func (a *BFC) Stats() Stats {
+	s := Stats{
+		Allocs:      a.allocs,
+		Frees:       a.frees,
+		Used:        a.used,
+		Peak:        a.peak,
+		Capacity:    a.capacity,
+		FreeBytes:   a.FreeBytes(),
+		LargestFree: a.LargestFree(),
+	}
+	s.Fragmentation = FragRatio(s.LargestFree, s.FreeBytes)
+	return s
+}
 
 // BinOccupancy describes one size class of the allocator.
 type BinOccupancy struct {

@@ -49,8 +49,8 @@ func TestBFCAllocFree(t *testing.T) {
 	if al.Size != 1024 || al.Requested != 1000 {
 		t.Errorf("allocation = %+v, want size 1024 requested 1000", al)
 	}
-	if a.Used() != 1024 || a.InUseRequested() != 1000 {
-		t.Errorf("Used = %d, InUseRequested = %d", a.Used(), a.InUseRequested())
+	if a.Used() != 1024 {
+		t.Errorf("Used = %d", a.Used())
 	}
 	a.Free(al)
 	if a.Used() != 0 || a.FreeBytes() != a.Capacity() {
@@ -503,8 +503,8 @@ func TestBinsOccupancy(t *testing.T) {
 // the step made (zero for a free or a failed allocation) and the pool's
 // occupancy after it.
 type traceStep struct {
-	offset, size               int64
-	used, largest, peak, inUse int64
+	offset, size        int64
+	used, largest, peak int64
 }
 
 // poolTrace runs a seeded alloc/free sequence on p and records every
@@ -525,7 +525,7 @@ func poolTrace(p Pool, seed int64) []traceStep {
 			MustFree(p, lives[j])
 			lives = append(lives[:j], lives[j+1:]...)
 		}
-		st.used, st.largest, st.peak, st.inUse = p.Used(), p.LargestFree(), p.Peak(), p.InUseRequested()
+		st.used, st.largest, st.peak = p.Used(), p.LargestFree(), p.Peak()
 		out = append(out, st)
 	}
 	return out
@@ -578,20 +578,20 @@ func TestPoolResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestHostArenaReset: a reset arena holds no reservation under either
-// keyspace and reports the new capacity with zero use and peak.
+// TestHostArenaReset: a reset arena holds no reservation and reports the
+// new capacity with zero use and peak.
 func TestHostArenaReset(t *testing.T) {
 	h := NewHostArena(1 << 20)
-	if err := h.Reserve("a", 100); err != nil {
+	if err := h.ReserveIdx(0, "a", 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.ReserveIdx(5, "b", 200); err != nil {
 		t.Fatal(err)
 	}
 	h.Reset(1 << 10)
-	if h.Used() != 0 || h.Peak() != 0 || h.Live() != 0 || h.Capacity() != 1<<10 || h.Holds("a") || h.HoldsIdx(5) {
-		t.Fatalf("reset arena: used %d peak %d live %d capacity %d holds a %v holds 5 %v",
-			h.Used(), h.Peak(), h.Live(), h.Capacity(), h.Holds("a"), h.HoldsIdx(5))
+	if h.Used() != 0 || h.Peak() != 0 || h.Live() != 0 || h.Capacity() != 1<<10 || h.HoldsIdx(0) || h.HoldsIdx(5) {
+		t.Fatalf("reset arena: used %d peak %d live %d capacity %d holds 0 %v holds 5 %v",
+			h.Used(), h.Peak(), h.Live(), h.Capacity(), h.HoldsIdx(0), h.HoldsIdx(5))
 	}
 	if err := h.ReserveIdx(5, "b", 2000); err == nil {
 		t.Fatal("a reservation beyond the reset capacity succeeded")

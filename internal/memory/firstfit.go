@@ -10,10 +10,7 @@ import "fmt"
 type FirstFit struct {
 	capacity int64
 	used     int64
-	reqUsed  int64
 	peak     int64
-	allocs   int64
-	frees    int64
 	head     *chunk
 	// spare is a free list of chunk records absorbed by coalescing,
 	// singly linked through next (see BFC.newChunk for the aliasing
@@ -27,27 +24,21 @@ func (a *FirstFit) newChunk() *chunk {
 		return &chunk{}
 	}
 	a.spare = c.next
-	c.offset, c.size, c.requested, c.inUse, c.prev, c.next = 0, 0, 0, false, nil, nil
+	c.offset, c.size, c.inUse, c.prev, c.next = 0, 0, false, nil, nil
 	return c
 }
 
 func (a *FirstFit) recycle(c *chunk) {
-	c.offset, c.size, c.requested, c.inUse, c.prev = 0, 0, 0, false, nil
+	c.offset, c.size, c.inUse, c.prev = 0, 0, false, nil
 	c.next = a.spare
 	a.spare = c
 }
 
 var _ Pool = (*FirstFit)(nil)
 
-// NewFirstFit creates a first-fit allocator managing capacity bytes.
-func NewFirstFit(capacity int64) *FirstFit {
-	a := &FirstFit{}
-	a.Reset(capacity)
-	return a
-}
-
-// Reset returns the allocator to the state NewFirstFit(capacity) creates,
-// parking every chunk record on the spare list (see BFC.Reset).
+// Reset readies the allocator to manage capacity bytes, releasing every
+// allocation and parking every chunk record on the spare list (see
+// BFC.Reset). A zero FirstFit must be Reset before use.
 func (a *FirstFit) Reset(capacity int64) {
 	capacity = capacity / minChunkSize * minChunkSize
 	if capacity < minChunkSize {
@@ -94,13 +85,10 @@ func (a *FirstFit) TryAlloc(size int64) *Allocation {
 			c.size = rounded
 		}
 		c.inUse = true
-		c.requested = size
 		a.used += c.size
-		a.reqUsed += size
 		if a.used > a.peak {
 			a.peak = a.used
 		}
-		a.allocs++
 		c.alloc = Allocation{Offset: c.offset, Size: c.size, Requested: size, chunk: c, owner: a}
 		return &c.alloc
 	}
@@ -114,10 +102,7 @@ func (a *FirstFit) Free(al *Allocation) error {
 	}
 	c := al.chunk
 	a.used -= c.size
-	a.reqUsed -= c.requested
-	a.frees++
 	c.inUse = false
-	c.requested = 0
 	if n := c.next; n != nil && !n.inUse {
 		c.size += n.size
 		c.next = n.next
@@ -140,9 +125,6 @@ func (a *FirstFit) Free(al *Allocation) error {
 // Used implements Pool.
 func (a *FirstFit) Used() int64 { return a.used }
 
-// InUseRequested implements Pool.
-func (a *FirstFit) InUseRequested() int64 { return a.reqUsed }
-
 // Capacity implements Pool.
 func (a *FirstFit) Capacity() int64 { return a.capacity }
 
@@ -151,10 +133,6 @@ func (a *FirstFit) FreeBytes() int64 { return a.capacity - a.used }
 
 // Peak implements Pool.
 func (a *FirstFit) Peak() int64 { return a.peak }
-
-// ResetPeak implements Pool: the high-water mark restarts from the bytes
-// currently reserved (see BFC.ResetPeak).
-func (a *FirstFit) ResetPeak() { a.peak = a.used }
 
 // LargestFree implements Pool.
 func (a *FirstFit) LargestFree() int64 {
@@ -166,6 +144,3 @@ func (a *FirstFit) LargestFree() int64 {
 	}
 	return largest
 }
-
-// Stats returns a snapshot of allocator statistics.
-func (a *FirstFit) Stats() Stats { return collectStats(a, a.allocs, a.frees) }

@@ -72,7 +72,7 @@ func FuzzBFCAllocator(f *testing.F) {
 			// require strictly increasing, non-intersecting chunks.
 			byOff := append([]*Allocation(nil), live...)
 			sort.Slice(byOff, func(i, j int) bool { return byOff[i].Offset < byOff[j].Offset })
-			var used, requested int64
+			var used int64
 			for i, al := range byOff {
 				if al.Offset < 0 || al.Offset+al.Size > capacity {
 					t.Fatalf("%s: allocation [%d, %d) outside region", op, al.Offset, al.Offset+al.Size)
@@ -88,13 +88,9 @@ func FuzzBFCAllocator(f *testing.F) {
 					}
 				}
 				used += al.Size
-				requested += al.Requested
 			}
 			if a.Used() != used {
 				t.Fatalf("%s: Used() = %d, shadow sum = %d", op, a.Used(), used)
-			}
-			if a.InUseRequested() != requested {
-				t.Fatalf("%s: InUseRequested() = %d, shadow sum = %d", op, a.InUseRequested(), requested)
 			}
 			if a.FreeBytes() != capacity-used {
 				t.Fatalf("%s: FreeBytes() = %d, want %d", op, a.FreeBytes(), capacity-used)

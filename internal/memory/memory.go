@@ -15,7 +15,8 @@ import (
 )
 
 // MinCapacity is the smallest capacity a device pool manages: one chunk
-// of the allocation granularity. NewBFC and NewFirstFit panic below it.
+// of the allocation granularity. NewBFC and the pools' Reset panic below
+// it.
 const MinCapacity = minChunkSize
 
 // ErrOOM is returned (wrapped) when an allocation cannot be satisfied.
@@ -97,7 +98,11 @@ type Allocation struct {
 	freed bool
 }
 
-// Pool is the allocator interface shared by BFC and FirstFit.
+// Pool is the device-allocator interface shared by BFC and FirstFit:
+// allocation and free, plus the occupancy reads the executor, the fleet
+// and the observability layer take. A pool's accounting, its peak
+// included, covers one owner; a pool handed to a new owner is Reset
+// (BFC.Reset, FirstFit.Reset) rather than rescoped.
 type Pool interface {
 	// Alloc reserves size bytes, returning an *OOMError (matching ErrOOM)
 	// on failure. Alloc(0) is legal and reserves a minimum-sized chunk.
@@ -118,20 +123,15 @@ type Pool interface {
 	// Used reports the bytes currently reserved by live allocations
 	// (rounded chunk sizes).
 	Used() int64
-	// InUseRequested reports the caller-requested bytes of live allocations.
-	InUseRequested() int64
 	// Capacity reports the total pool size.
 	Capacity() int64
 	// FreeBytes reports Capacity - Used.
 	FreeBytes() int64
 	// LargestFree reports the largest contiguous free region.
 	LargestFree() int64
-	// Peak reports the high-water mark of Used.
+	// Peak reports the high-water mark of Used since the pool was
+	// created or last Reset.
 	Peak() int64
-	// ResetPeak rescopes the high-water mark to the bytes currently in
-	// use, so a pool reused across sequential jobs attributes each job's
-	// peak to that job instead of inheriting its predecessor's.
-	ResetPeak()
 	// Name identifies the allocator for stats and ablation output.
 	Name() string
 }
@@ -161,13 +161,6 @@ func FragRatio(largestFree, free int64) float64 {
 		return 1
 	}
 	return r
-}
-
-// Fragmentation reports how broken-up the free space is:
-// FragRatio of the snapshot, so 0 means one contiguous region and values
-// near 1 mean no free chunk is usefully large. A full pool reports 0.
-func (s Snapshot) Fragmentation() float64 {
-	return FragRatio(s.LargestFree, s.Free)
 }
 
 // Snap samples a pool. The three reads are not atomic with respect to
@@ -216,18 +209,4 @@ type Stats struct {
 	LargestFree int64
 	// Fragmentation is 1 - LargestFree/FreeBytes (0 when nothing is free).
 	Fragmentation float64
-}
-
-func collectStats(p Pool, allocs, frees int64) Stats {
-	s := Stats{
-		Allocs:      allocs,
-		Frees:       frees,
-		Used:        p.Used(),
-		Peak:        p.Peak(),
-		Capacity:    p.Capacity(),
-		FreeBytes:   p.FreeBytes(),
-		LargestFree: p.LargestFree(),
-	}
-	s.Fragmentation = FragRatio(s.LargestFree, s.FreeBytes)
-	return s
 }

@@ -15,7 +15,7 @@ func TestSnapshotFragmentation(t *testing.T) {
 		{Snapshot{Used: 512, Free: 1000, LargestFree: 250}, .75}, // shredded
 	}
 	for _, c := range cases {
-		if got := c.s.Fragmentation(); math.Abs(got-c.want) > 1e-9 {
+		if got := FragRatio(c.s.LargestFree, c.s.Free); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("%+v: fragmentation %v, want %v", c.s, got, c.want)
 		}
 	}
@@ -52,8 +52,9 @@ func TestFragRatioClamped(t *testing.T) {
 			t.Errorf("FragRatio(%d, %d) = %v, want %v", c.largest, c.free, got, c.want)
 		}
 	}
-	// The snapshot method routes through the same clamp.
-	if got := (Snapshot{Free: 1024, LargestFree: 4096}).Fragmentation(); got != 0 {
+	// An inconsistent snapshot's fields clamp the same way.
+	s := Snapshot{Free: 1024, LargestFree: 4096}
+	if got := FragRatio(s.LargestFree, s.Free); got != 0 {
 		t.Errorf("inconsistent snapshot fragmentation = %v, want clamped 0", got)
 	}
 }
@@ -86,7 +87,7 @@ func TestSnapMatchesPool(t *testing.T) {
 	if snap.LargestFree >= snap.Free {
 		t.Errorf("expected fragmentation after hole-punch: %+v", snap)
 	}
-	if f := snap.Fragmentation(); f <= 0 || f >= 1 {
+	if f := FragRatio(snap.LargestFree, snap.Free); f <= 0 || f >= 1 {
 		t.Errorf("fragmentation %v out of (0,1)", f)
 	}
 	MustFree(p, b)

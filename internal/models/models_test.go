@@ -139,13 +139,13 @@ func TestNodeCountScale(t *testing.T) {
 	// graph. Our IR fuses less aggressively at the framework level, so
 	// expect the same order of magnitude: hundreds to thousands.
 	graphs := buildAll(t, graph.GraphModeOptions())
-	if n := graphs["resnet50"].NumNodes(); n < 300 {
+	if n := len(graphs["resnet50"].Nodes); n < 300 {
 		t.Errorf("resnet50 has %d nodes; implausibly small", n)
 	}
-	if n := graphs["bert"].NumNodes(); n < 500 {
+	if n := len(graphs["bert"].Nodes); n < 500 {
 		t.Errorf("bert has %d nodes; implausibly small", n)
 	}
-	if graphs["resnet152"].NumNodes() <= graphs["resnet50"].NumNodes() {
+	if len(graphs["resnet152"].Nodes) <= len(graphs["resnet50"].Nodes) {
 		t.Error("resnet152 should have more nodes than resnet50")
 	}
 }

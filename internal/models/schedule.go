@@ -101,16 +101,6 @@ func (sc Schedule) At(iter int) (batch, seq int64) {
 	return batch, seq
 }
 
-// Signature formats the canonical key of iteration iter's shape,
-// matching exec.SigKey.
-func (sc Schedule) Signature(iter int) string {
-	b, s := sc.At(iter)
-	if s == 0 {
-		return fmt.Sprintf("b%d", b)
-	}
-	return fmt.Sprintf("b%d/s%d", b, s)
-}
-
 // batchLadder is the divisor ladder a batch/mixed schedule samples
 // from: full, three-quarter and half batches, deduplicated and floored
 // at 1 (a batch-1 base is a constant ladder).

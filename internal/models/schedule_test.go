@@ -42,7 +42,7 @@ func TestScheduleDeterministicAndDrifting(t *testing.T) {
 		t.Fatal(err)
 	}
 	again, _ := NewSchedule(ScheduleMixed, spec, 32, 42, 2)
-	sigs := map[string]bool{}
+	sigs := map[[2]int64]bool{}
 	for iter := 0; iter < 64; iter++ {
 		b, s := sc.At(iter)
 		b2, s2 := again.At(iter)
@@ -64,7 +64,7 @@ func TestScheduleDeterministicAndDrifting(t *testing.T) {
 		if !found {
 			t.Fatalf("iter %d: seq %d outside buckets %v", iter, s, spec.SeqBuckets)
 		}
-		sigs[sc.Signature(iter)] = true
+		sigs[[2]int64{b, s}] = true
 	}
 	if len(sigs) < 3 {
 		t.Fatalf("mixed schedule produced %d signatures over 64 iterations, want >= 3", len(sigs))
@@ -85,10 +85,10 @@ func TestScheduleSignatureStableWithinPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	for iter := 0; iter < 40; iter += 4 {
-		sig := sc.Signature(iter)
+		b, s := sc.At(iter)
 		for k := 1; k < 4; k++ {
-			if got := sc.Signature(iter + k); got != sig {
-				t.Fatalf("iter %d: signature %q != period start %q", iter+k, got, sig)
+			if b2, s2 := sc.At(iter + k); b2 != b || s2 != s {
+				t.Fatalf("iter %d: shape (%d,%d) != period start (%d,%d)", iter+k, b2, s2, b, s)
 			}
 		}
 	}
@@ -126,8 +126,8 @@ func TestBuildShapedDefaultMatchesBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base.NumNodes() != seq.NumNodes() {
-			t.Errorf("%s: node count %d != %d at default seq", name, seq.NumNodes(), base.NumNodes())
+		if len(base.Nodes) != len(seq.Nodes) {
+			t.Errorf("%s: node count %d != %d at default seq", name, len(seq.Nodes), len(base.Nodes))
 		}
 		var baseBytes, seqBytes int64
 		for _, tt := range base.TensorList() {

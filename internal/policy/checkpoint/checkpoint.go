@@ -179,9 +179,3 @@ func (p *Policy) TracksAccesses() bool { return false }
 // OnAccess reads access counts, but a parameter's (which runs on across
 // iterations) never matches its zero dropAt entry.
 func (p *Policy) AppendStateDigest(dst []byte) []byte { return dst }
-
-// Drops reports how many tensors the schedule releases for recomputation.
-func (p *Policy) Drops() int { return p.drops }
-
-// Checkpoints reports the size of the kept set.
-func (p *Policy) Checkpoints() int { return p.checkpoints }

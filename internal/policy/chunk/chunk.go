@@ -64,7 +64,7 @@ type Policy struct {
 	evictAt    map[int][]int
 	prefetchAt map[int][]int
 
-	planEvicts, planPrefetches int
+	planEvicts int
 }
 
 var _ exec.Policy = (*Policy)(nil)
@@ -260,7 +260,6 @@ func (p *Policy) buildPlan() {
 			continue // no room between eviction and re-access
 		}
 		p.prefetchAt[trig] = append(p.prefetchAt[trig], ev.chunk)
-		p.planPrefetches++
 	}
 }
 
@@ -323,15 +322,6 @@ func (p *Policy) OnOOM(need int64, env *exec.Env) ([]*tensor.Tensor, bool) {
 	}
 	return victims, true
 }
-
-// NumChunks reports how many chunks packing produced.
-func (p *Policy) NumChunks() int { return len(p.chunks) }
-
-// PlanEvicts and PlanPrefetches expose the plan's move counts.
-func (p *Policy) PlanEvicts() int { return p.planEvicts }
-
-// PlanPrefetches counts planned chunk prefetches.
-func (p *Policy) PlanPrefetches() int { return p.planPrefetches }
 
 func init() {
 	exec.RegisterPolicy(exec.PolicySpec{

@@ -302,26 +302,6 @@ func (p *Policy) HandleOOM(need int64, env *exec.Env) (progress, ok bool) {
 // policies that implement exec.OOMHandler.
 func (p *Policy) OnOOM(int64, *exec.Env) ([]*tensor.Tensor, bool) { return nil, false }
 
-// Evictions and Remats expose the decision counters for tests and the
-// arena table.
-func (p *Policy) Evictions() int { return p.evictions }
-
-// Remats counts evicted tensors observed resident again.
-func (p *Policy) Remats() int { return p.remats }
-
-// Records returns the audit log recorded while Audit was set.
-func (p *Policy) Records() []AuditRecord { return p.records }
-
-// projectedCost exposes an entry's current projected cost for the
-// round-trip property test.
-func (p *Policy) projectedCost(id string) (sim.Time, bool) {
-	e, ok := p.entries[id]
-	if !ok {
-		return 0, false
-	}
-	return e.projected, true
-}
-
 func init() {
 	exec.RegisterPolicy(exec.PolicySpec{
 		Name:  "dtr",

@@ -233,6 +233,3 @@ func (p *Policy) TracksAccesses() bool { return false }
 // static and BeginIteration clears the fired-trigger set, so no state
 // carries from one iteration to the next.
 func (p *Policy) AppendStateDigest(dst []byte) []byte { return dst }
-
-// Targets reports how many tensors the schedule offloads (for tests).
-func (p *Policy) Targets() int { return p.targets }

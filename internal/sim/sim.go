@@ -152,13 +152,6 @@ func (s *Stream) Recording() bool { return s.recording }
 // AvailableAt reports the virtual time at which the stream next becomes idle.
 func (s *Stream) AvailableAt() Time { return s.availableAt }
 
-// BusyTime reports the cumulative execution time of all operations run so
-// far, excluding idle gaps. BusyTime/AvailableAt is the stream's utilization.
-func (s *Stream) BusyTime() Time { return s.busyTime }
-
-// Ops reports the number of operations executed on the stream.
-func (s *Stream) Ops() int { return s.ops }
-
 // Run executes an operation of the given duration. The operation starts at
 // the later of the stream's availability and earliest (the completion time
 // of the operation's dependencies) and the stream becomes available again at

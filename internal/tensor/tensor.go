@@ -197,14 +197,9 @@ type Tensor struct {
 	Alloc       *memory.Allocation // device memory when In/SwappingOut/SwappingIn
 }
 
-// New creates a tensor with the given identity and shape.
-func New(id string, shape Shape, dtype DType) *Tensor {
-	return &Tensor{ID: id, Shape: shape, DType: dtype, Status: Freed, Idx: -1}
-}
-
 // Arena block-allocates tensors for bulk producers (the graph builder
-// creates thousands per model). Tensors from an arena are identical to
-// New's and live as long as any tensor in their block is referenced.
+// creates thousands per model). Tensors from an arena live as long as any
+// tensor in their block is referenced. A zero Arena is ready to use.
 type Arena struct {
 	chunk []Tensor
 }
@@ -212,8 +207,8 @@ type Arena struct {
 // arenaChunk is the arena block size; one ResNet-50 build fills a few.
 const arenaChunk = 512
 
-// New creates a tensor inside the arena, equivalent to the package-level
-// New.
+// New creates a tensor with the given identity and shape inside the
+// arena: not yet placed (Freed) and without a dense index (-1).
 func (a *Arena) New(id string, shape Shape, dtype DType) *Tensor {
 	if len(a.chunk) == cap(a.chunk) {
 		a.chunk = make([]Tensor, 0, arenaChunk)
@@ -229,12 +224,6 @@ func (t *Tensor) Bytes() int64 { return t.Shape.Elems() * t.DType.Size() }
 // A tensor mid-swap-out is still readable on device.
 func (t *Tensor) Resident() bool {
 	return t.Status == In || t.Status == SwappingOut
-}
-
-// OnDevice reports whether the tensor holds device memory at all (including
-// an in-flight swap-in whose buffer is already allocated).
-func (t *Tensor) OnDevice() bool {
-	return t.Status == In || t.Status == SwappingOut || t.Status == SwappingIn
 }
 
 // TransitionTo moves the tensor to a new residency status, enforcing the
@@ -306,16 +295,11 @@ func HashCombine(h, v uint64) uint64 {
 	return h
 }
 
-// ComputeFingerprint derives an output fingerprint from the producing op
-// and its input fingerprints. outputIndex distinguishes multiple outputs of
-// one op.
-func ComputeFingerprint(opID string, outputIndex int, inputs []uint64) uint64 {
-	return FingerprintFrom(HashSeed(opID), outputIndex, inputs)
-}
-
-// FingerprintFrom is ComputeFingerprint with the op's HashSeed already
-// computed, for callers that derive fingerprints of one op repeatedly (the
-// executor seeds every node once per session).
+// FingerprintFrom derives an output fingerprint from the producing op's
+// HashSeed and its input fingerprints; outputIndex distinguishes multiple
+// outputs of one op. The seed is computed once per op, for callers that
+// derive fingerprints of one op repeatedly (the executor seeds every node
+// once per session).
 func FingerprintFrom(seed uint64, outputIndex int, inputs []uint64) uint64 {
 	h := HashCombine(seed, uint64(outputIndex))
 	for _, in := range inputs {
