@@ -246,10 +246,16 @@ serve-smoke:
 # -profile must print exactly the tables of a run without it (fig1 and
 # table2, quick) and a non-empty aggregate to stderr. Like
 # regress-smoke, the CLIs' config validation is proven both ways: that
-# run must pass, and ten invalid settings must fail before running
+# run must pass, and fifteen invalid settings must fail before running
 # (the -spans one, and capuchin-bench's two -devices ones and its
 # negative -jobs, -fleet-jobs and -fleet-devices, which must exit 2,
-# must also print nothing to stdout).
+# must also print nothing to stdout; so must the shared front end's
+# rules: -save-plan on a system that is not Capuchin, -tsv with -exp all
+# or with -markdown, and a negative count flag of capuchin-trace -fleet
+# and capuchin-serve). The one output writer is proven both ways too: a
+# capuchin-train and a capuchin-trace run whose -events file cannot be
+# created must exit 1, and capuchin-bench -fleet-json - must print the
+# JSON artifact to stdout.
 profile-smoke:
 	$(GO) test ./internal/trace -run 'ChromeGolden|ProfileSmoke'
 	$(GO) run ./cmd/capuchin-trace -model alexnet -batch 256 -mem 1.5 \
@@ -317,3 +323,20 @@ profile-smoke:
 		test $$? -eq 2 && test ! -s $$d/flag.txt || \
 		{ echo "profile-smoke: capuchin-bench ran with -exp $$a"; exit 1; }; \
 	done && rm -rf $$d
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-bench ./cmd/capuchin-train \
+		./cmd/capuchin-trace ./cmd/capuchin-serve && \
+	for a in "capuchin-train -system tf-ori -save-plan $$d/plan.json" \
+		"capuchin-bench -exp all -tsv" "capuchin-bench -exp table2 -quick -tsv -markdown" \
+		"capuchin-trace -fleet -fleet-devices -1 -prom $$d/fleet.prom" \
+		"capuchin-serve -workers -1 -addr 127.0.0.1:0"; do \
+		timeout 60 $$d/$$a >$$d/flag.txt 2>/dev/null; \
+		test $$? -eq 2 && test ! -s $$d/flag.txt || \
+		{ echo "profile-smoke: $$a must exit 2 with empty stdout"; exit 1; }; \
+	done && \
+	for c in capuchin-train capuchin-trace; do \
+		$$d/$$c -model alexnet -batch 16 -iters 1 -events $$d/missing/run.jsonl >/dev/null 2>&1; \
+		test $$? -eq 1 || { echo "profile-smoke: $$c must exit 1 when its -events file cannot be created"; exit 1; }; \
+	done && \
+	$$d/capuchin-bench -exp fleet -quick -fleet-jobs 60 -fleet-devices 4 -fleet-json - >$$d/fleet.txt && \
+	grep -q '"runs": \[' $$d/fleet.txt && rm -rf $$d || \
+	{ echo "profile-smoke: capuchin-bench -fleet-json - must print the JSON artifact to stdout"; exit 1; }

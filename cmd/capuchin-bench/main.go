@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	capuchin-bench [-exp all|fig1|fig2|fig3|fig8a|fig8b|table2|table3|fig9|fig10|overhead|ablations|resilience|dynamic|scale|arena|fleet]
-//	               [-device p100|v100|t4] [-mem GiB] [-iters N] [-jobs N] [-quick] [-markdown]
+//	capuchin-bench [-exp all|resilience|fig1|fig2|fig3|fig8a|fig8b|table2|table3|fig9|fig10|overhead|
+//	                     capacity|extensions|sensitivity|ablations|dynamic|scale|arena|fleet]
+//	               [-device p100|v100|t4] [-mem GiB] [-iters N] [-jobs N] [-quick] [-markdown|-tsv]
 //	               [-faults spec] [-profile] [-schedule kind] [-schedule-seed N] [-devices list]
 //	               [-fleet-jobs N] [-fleet-devices N] [-fleet-seed N] [-fleet-json path]
 //	               [-fleet-trace path] [-meta-date YYYY-MM-DD]
@@ -18,7 +19,8 @@
 // Capuchin-managed jobs (oversized jobs run under a memory cap instead
 // of being killed or rejected). -fleet-jobs, -fleet-devices and
 // -fleet-seed size and seed the arrival stream; -fleet-json also writes
-// the three-scenario comparison as machine-readable JSON, an artifact
+// the three-scenario comparison as machine-readable JSON ("-" = stdout,
+// after the table), an artifact
 // `capuchin-regress FILE` gates as a fleet baseline. The fleet is
 // a discrete-event simulation, fully determined by its seed: identical
 // flags reproduce byte-identical tables at any -jobs value.
@@ -78,10 +80,15 @@
 // -fleet-jobs or -fleet-devices exits 2 before any experiment runs.
 //
 // Each experiment prints a table with a note recalling the paper's
-// reported numbers for comparison.
+// reported numbers for comparison, as aligned text, Markdown (-markdown)
+// or, for a single experiment, tab-separated values (-tsv); -tsv with
+// -markdown or with -exp all exits 2. -fleet-json and -fleet-trace follow
+// the cli package's output rule: "-" is stdout, and a file that cannot be
+// written or closed exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -89,13 +96,18 @@ import (
 	"strings"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/cli"
 	"capuchin/internal/fault"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig1, fig2, fig3, fig8a, fig8b, table2, table3, fig9, fig10, overhead, capacity, extensions, sensitivity, ablations, resilience, dynamic, scale, arena, fleet")
+	names := []string{"all", "resilience"}
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, ", "))
 	device := flag.String("device", "p100", "device model: p100, v100, t4")
 	mem := flag.Float64("mem", 0, "override device memory in GiB, fractions allowed (0 = device default)")
 	iters := flag.Int("iters", 0, "iterations per timed run (0 = default 8)")
@@ -116,31 +128,42 @@ func main() {
 	metaDate := flag.String("meta-date", "", "stamp this date (YYYY-MM-DD) into the JSON artifact's meta block (default: omitted for byte-reproducibility)")
 	flag.Parse()
 
-	for _, f := range []struct {
-		name string
-		n    int
-	}{{"jobs", *jobs}, {"fleet-jobs", *fleetJobs}, {"fleet-devices", *fleetDevices}} {
-		if f.n < 0 {
-			fmt.Fprintf(os.Stderr, "invalid -%s %d: must be 0 (the default) or positive\n", f.name, f.n)
-			os.Exit(2)
+	cli.Counts("jobs", "fleet-jobs", "fleet-devices")
+	// resilience and fleet take inputs no other generator takes (-faults,
+	// and the fleet flags and artifacts), so they keep their own branch.
+	name := strings.ToLower(*exp)
+	var gen func(bench.Options) []*bench.Table
+	switch name {
+	case "all", "resilience", "fleet":
+	default:
+		for _, e := range bench.Experiments {
+			if e.Name == name {
+				gen = e.Tables
+			}
 		}
+		if gen == nil {
+			cli.Invalid(fmt.Errorf("unknown experiment %q (want %s)", *exp, strings.Join(names, ", ")))
+		}
+	}
+	switch {
+	case *tsv && *markdown:
+		cli.Invalid(errors.New("-tsv and -markdown are exclusive"))
+	case *tsv && name == "all":
+		cli.Invalid(errors.New("-tsv takes a single experiment, not -exp all"))
 	}
 	deviceCounts, err := parseDevices(*devices)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "invalid -devices list: %v\n", err)
-		os.Exit(2)
+		cli.Invalid(fmt.Errorf("invalid -devices list: %w", err))
 	}
-
 	plan, err := fault.ParsePlan(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "invalid -faults spec: %v\n", err)
-		os.Exit(2)
+		cli.Invalid(fmt.Errorf("invalid -faults spec: %w", err))
 	}
 
 	dev, err := hw.ByName(*device)
-	exitOn(2, err)
+	cli.Invalid(err)
 	memBytes, err := hw.GiBToBytes(*mem)
-	exitOn(2, err)
+	cli.Invalid(err)
 	if memBytes > 0 {
 		dev = dev.WithMemory(memBytes)
 	}
@@ -153,11 +176,11 @@ func main() {
 	// single-device, so the counts are checked without it.
 	cell := bench.RunConfig{Model: "resnet50", Batch: 1, System: bench.SystemTF,
 		Device: dev, Iterations: *iters, Schedule: *schedule}
-	exitOn(2, cell.Validate())
+	cli.Invalid(cell.Validate())
 	cell.Schedule = ""
 	for _, n := range deviceCounts {
 		cell.Devices = n
-		exitOn(2, cell.Validate())
+		cli.Invalid(cell.Validate())
 	}
 	o := bench.Options{Device: dev, Iterations: *iters, Quick: *quick, Jobs: *jobs,
 		Schedule: *schedule, ScheduleSeed: *scheduleSeed, Devices: deviceCounts}
@@ -172,105 +195,43 @@ func main() {
 		}()
 	}
 
-	write := func(t *bench.Table) {
-		var err error
-		switch {
-		case *tsv:
-			err = t.WriteTSV(os.Stdout)
-		case *markdown:
-			err = t.WriteMarkdown(os.Stdout)
-		default:
-			err = t.WriteText(os.Stdout)
-		}
-		exitOn(1, err)
-	}
-	writeAll := func(ts []*bench.Table) {
+	write := func(ts ...*bench.Table) {
 		for _, t := range ts {
-			write(t)
+			switch {
+			case *tsv:
+				cli.Fail(t.WriteTSV(os.Stdout))
+			case *markdown:
+				cli.Fail(t.WriteMarkdown(os.Stdout))
+			default:
+				cli.Fail(t.WriteText(os.Stdout))
+			}
 		}
 	}
 
-	switch strings.ToLower(*exp) {
+	switch name {
 	case "all":
-		for _, t := range bench.AllTables(o) {
-			if *markdown {
-				exitOn(1, t.WriteMarkdown(os.Stdout))
-				continue
-			}
-			exitOn(1, t.WriteText(os.Stdout))
-		}
-	case "fig1":
-		write(bench.Fig1(o))
-	case "fig2":
-		write(bench.Fig2(o))
-	case "fig3":
-		write(bench.Fig3(o))
-	case "fig8a":
-		write(bench.Fig8a(o))
-	case "fig8b":
-		write(bench.Fig8b(o))
-	case "table2":
-		write(bench.Table2(o))
-	case "table3":
-		write(bench.Table3(o))
-	case "fig9":
-		writeAll(bench.Fig9(o))
-	case "fig10":
-		writeAll(bench.Fig10(o))
-	case "overhead":
-		write(bench.Overhead(o))
-	case "capacity":
-		write(bench.CapacitySweep(o))
-	case "extensions":
-		write(bench.TableExtensions(o))
-	case "sensitivity":
-		write(bench.DeviceSensitivity(o))
-	case "ablations":
-		writeAll(bench.Ablations(o))
+		write(bench.AllTables(o)...)
 	case "resilience":
 		write(bench.Resilience(o, plan))
-	case "dynamic":
-		write(bench.Dynamic(o))
-	case "scale":
-		write(bench.Scaling(o))
-	case "arena":
-		write(bench.Arena(o))
 	case "fleet":
 		fo := bench.FleetOptions{Jobs: *fleetJobs, Devices: *fleetDevices, Seed: *fleetSeed}
 		fc, err := bench.FleetScenarios(o, fo)
-		exitOn(1, err)
+		cli.Fail(err)
 		if *metaDate != "" {
 			fc.Meta = fc.Meta.WithDate(*metaDate)
 		}
 		write(bench.FleetTableFrom(fc))
 		if *fleetJSON != "" {
-			f, err := os.Create(*fleetJSON)
-			exitOn(1, err)
-			exitOn(1, fc.WriteJSON(f))
-			exitOn(1, f.Close())
+			cli.Write(*fleetJSON, fc.WriteJSON)
 		}
 		if *fleetTrace != "" {
 			col := obs.NewCollector()
 			_, _, err = bench.FleetObserved(o, fo, col)
-			exitOn(1, err)
-			f, err := os.Create(*fleetTrace)
-			exitOn(1, err)
-			exitOn(1, obs.WriteChromeTrace(f, col.Events()))
-			exitOn(1, f.Close())
-			fmt.Fprintf(os.Stderr, "wrote %d fleet trace events to %s (load in Perfetto)\n", col.Len(), *fleetTrace)
+			cli.Fail(err)
+			cli.Exports{Chrome: *fleetTrace}.Write(col, nil, nil)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-}
-
-// exitOn reports err and exits with code unless err is nil: 2 for an
-// invalid setting, before anything prints, 1 for a failure.
-func exitOn(code int, err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(code)
+		write(gen(o)...)
 	}
 }
 

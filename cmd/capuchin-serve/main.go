@@ -42,11 +42,17 @@
 // backpressure-and-drain scenario, written as the BENCH_serve.json
 // artifact (-json) that `capuchin-regress FILE` gates. -quick trims
 // the fleet for CI smoke and records itself in the artifact's meta
-// block; -meta-date opts into stamping a wall-clock date.
+// block; -meta-date opts into stamping a wall-clock date. -json follows
+// the cli package's output rule ("-" is stdout, and a file that cannot
+// be written or closed exits 1); "" writes the artifact to stdout only.
+//
+// A negative -workers, -queue, -clients, -requests or -drain-timeout
+// exits 2 before anything runs: 0 is each one's default.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -54,6 +60,7 @@ import (
 	"syscall"
 	"time"
 
+	"capuchin/internal/cli"
 	"capuchin/internal/serve"
 )
 
@@ -76,16 +83,18 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	cli.Counts("workers", "queue", "clients", "requests", "drain-timeout")
 
 	if *selftest {
-		os.Exit(runSelfTest(serve.SelfTestOptions{
+		runSelfTest(serve.SelfTestOptions{
 			Clients:  *clients,
 			Requests: *requests,
 			Seed:     *seed,
 			Workers:  *workers,
 			Quick:    *quick,
 			MetaDate: *metaDate,
-		}, *jsonPath))
+		}, *jsonPath)
+		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -97,51 +106,35 @@ func main() {
 	})
 	fmt.Fprintf(os.Stderr, "capuchin-serve: listening on %s\n", *addr)
 	if err := s.ListenAndServe(ctx, *addr); err != nil {
-		fmt.Fprintf(os.Stderr, "capuchin-serve: %v\n", err)
-		os.Exit(1)
+		cli.Fail(fmt.Errorf("capuchin-serve: %w", err))
 	}
 	fmt.Fprintln(os.Stderr, "capuchin-serve: drained cleanly")
 }
 
-func runSelfTest(o serve.SelfTestOptions, jsonPath string) int {
+// runSelfTest runs the serving benchmark, writes its artifact to
+// jsonPath ("" = stdout only) and prints its summary, exiting 1 when the
+// harness failed, the served result was not byte-identical to a direct
+// run, or the drain dropped an accepted run.
+func runSelfTest(o serve.SelfTestOptions, jsonPath string) {
 	art, err := serve.SelfTest(o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "capuchin-serve: selftest: %v\n", err)
-		return 1
+		cli.Fail(fmt.Errorf("capuchin-serve: selftest: %w", err))
 	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capuchin-serve: %v\n", err)
-			return 1
-		}
-		if err := art.WriteJSON(f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "capuchin-serve: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "capuchin-serve: %v\n", err)
-			return 1
-		}
-	} else if err := art.WriteJSON(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "capuchin-serve: %v\n", err)
-		return 1
+	if jsonPath == "" {
+		jsonPath = "-"
 	}
+	cli.Write(jsonPath, art.WriteJSON)
 	l, d := art.Load, art.Drain
 	fmt.Printf("serve selftest: %d clients, %d requests: %.0f req/s, p50 %.1fms p99 %.1fms, shed %.1f%%, dedup %.1f%%, errors %d\n",
 		l.Clients, l.Total, l.RPS, l.P50Millis, l.P99Millis, l.ShedRatePct, l.DedupRatePct, l.Errors)
 	fmt.Printf("drain scenario: %d in flight, %d completed, %d dropped, shed observed %v, 503 during drain %d\n",
 		d.InFlightAtDrain, d.CompletedAfterDrain, d.Dropped, d.ShedObserved, d.RejectedDuringDrain)
 	if !art.ByteIdentity.Identical {
-		fmt.Fprintf(os.Stderr, "capuchin-serve: served result for %s is NOT byte-identical to direct bench.Run\n",
-			art.ByteIdentity.Config)
-		return 1
+		cli.Fail(fmt.Errorf("capuchin-serve: served result for %s is NOT byte-identical to direct bench.Run",
+			art.ByteIdentity.Config))
 	}
 	fmt.Printf("byte identity: served %s == direct bench.Run encoding\n", art.ByteIdentity.Config)
 	if d.Dropped != 0 {
-		fmt.Fprintln(os.Stderr, "capuchin-serve: drain dropped accepted runs")
-		return 1
+		cli.Fail(errors.New("capuchin-serve: drain dropped accepted runs"))
 	}
-	return 0
 }

@@ -47,8 +47,9 @@
 // -prom and -events attach to any observability run: -prom writes the
 // run's metrics registry in Prometheus text exposition format 0.0.4,
 // -events streams the full event and decision log as JSONL (one typed
-// record per line, in emission order). Both accept a path or "-" for
-// stdout.
+// record per line, in emission order). -chrome, -prom and -events follow
+// the cli package's output rule: "-" is stdout, and a file that cannot be
+// written or closed exits 1.
 //
 // -fleet switches to the fleet timeline: it runs the flagship
 // multi-tenant scenario (predictive admission, capuchin-managed jobs)
@@ -60,10 +61,12 @@
 // queue-wait/JCT histograms; -events streams the same timeline plus the
 // scheduler's decision audit. -fleet-jobs, -fleet-devices and
 // -fleet-seed size the scenario; -jobs parallelizes the profiling
-// fan-out (output is byte-identical at any -jobs).
+// fan-out (output is byte-identical at any -jobs). A negative -jobs,
+// -fleet-jobs or -fleet-devices exits 2 before anything runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -71,6 +74,7 @@ import (
 	"strings"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/cli"
 	"capuchin/internal/fault"
 	"capuchin/internal/hw"
 	"capuchin/internal/models"
@@ -101,28 +105,28 @@ func main() {
 	fleetSeed := flag.Uint64("fleet-seed", 1, "fleet mode: arrival-stream seed")
 	jobs := flag.Int("jobs", 0, "fleet mode: parallel workers for the profiling fan-out (0 = GOMAXPROCS)")
 	flag.Parse()
+	cli.Counts("jobs", "fleet-jobs", "fleet-devices")
 
 	if *fleetMode {
-		observeFleet(*fleetJobs, *fleetDevices, *fleetSeed, *jobs, *chrome, *prom, *events)
+		observeFleet(*fleetJobs, *fleetDevices, *fleetSeed, *jobs,
+			cli.Exports{Chrome: *chrome, Prom: *prom, Events: *events})
 		return
 	}
 
 	plan, err := fault.ParsePlan(*faults)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "invalid -faults spec: %v\n", err)
-		os.Exit(2)
+		cli.Invalid(fmt.Errorf("invalid -faults spec: %w", err))
 	}
 	memBytes, err := hw.GiBToBytes(*memGiB)
-	exitOn(2, err)
+	cli.Invalid(err)
 	switch *spans {
 	case "", "compute", "h2d", "d2h":
 	default:
-		exitOn(2, fmt.Errorf("unknown -spans stream %q (want compute, h2d or d2h)", *spans))
+		cli.Invalid(fmt.Errorf("unknown -spans stream %q (want compute, h2d or d2h)", *spans))
 	}
 	observing := *chrome != "" || *memprof || *explain != "" || *spans != "" || *prom != "" || *events != ""
 	if *devices > 1 && !observing {
-		fmt.Fprintln(os.Stderr, "-devices requires an observability mode (-chrome, -memprof, -explain, -spans, -prom or -events)")
-		os.Exit(2)
+		cli.Invalid(errors.New("-devices requires an observability mode (-chrome, -memprof, -explain, -spans, -prom or -events)"))
 	}
 	cfg := bench.RunConfig{
 		Model:        *model,
@@ -136,7 +140,7 @@ func main() {
 		ScheduleSeed: *scheduleSeed,
 		Devices:      *devices,
 	}
-	exitOn(2, cfg.Validate())
+	cli.Invalid(cfg.Validate())
 
 	var keep map[string]bool
 	if *tensors != "" {
@@ -145,156 +149,58 @@ func main() {
 			keep[strings.TrimSpace(id)] = true
 		}
 	}
-	observe(cfg, exports{chrome: *chrome, memprof: *memprof, explain: *explain, spans: *spans,
-		prom: *prom, events: *events, tape: !observing, keep: keep})
-}
-
-// exitOn reports err and exits with code unless err is nil: 2 for an
-// invalid setting, before anything prints, 1 for a failure.
-func exitOn(code int, err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(code)
-	}
-}
-
-// outFile resolves an output flag to a writer: "-" is stdout, anything
-// else is created. The returned func closes file targets.
-func outFile(path string) (*os.File, func()) {
-	if path == "-" {
-		return os.Stdout, func() {}
-	}
-	f, err := os.Create(path)
-	exitOn(1, err)
-	return f, func() { f.Close() }
-}
-
-// writeProm writes a metrics registry in Prometheus exposition format.
-func writeProm(path string, met *obs.Metrics) {
-	w, done := outFile(path)
-	defer done()
-	exitOn(1, met.WritePrometheus(w))
-}
-
-// writeEvents writes the event log and decision audit as JSONL, in
-// emission order.
-func writeEvents(path string, col *obs.Collector) {
-	w, done := outFile(path)
-	defer done()
-	b, _, _ := col.AppendJSONL(nil, obs.Cursor{})
-	if _, err := w.Write(b); err != nil {
-		exitOn(1, err)
-	}
-}
-
-// writeChrome writes a Chrome trace-event timeline.
-func writeChrome(path string, col *obs.Collector) {
-	w, done := outFile(path)
-	defer done()
-	exitOn(1, obs.WriteChromeTrace(w, col.Events()))
-	if path != "-" {
-		fmt.Fprintf(os.Stderr, "wrote %d trace events to %s (load in Perfetto or chrome://tracing)\n",
-			col.Len(), path)
-	}
+	observe(cfg, !observing, keep, *spans,
+		cli.Exports{Chrome: *chrome, Prom: *prom, Events: *events, MemProf: *memprof, Explain: *explain})
 }
 
 // observeFleet runs the flagship fleet scenario with the observability
-// stack attached and emits the requested exports.
-func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, chrome, prom, events string) {
-	if chrome == "" && prom == "" && events == "" {
-		fmt.Fprintln(os.Stderr, "-fleet needs at least one export: -chrome, -prom or -events")
-		os.Exit(2)
+// stack attached and writes the requested exports.
+func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, x cli.Exports) {
+	if x.Chrome == "" && x.Prom == "" && x.Events == "" {
+		cli.Invalid(errors.New("-fleet needs at least one export: -chrome, -prom or -events"))
 	}
 	col := obs.NewCollector()
 	rep, met, err := bench.FleetObserved(
 		bench.Options{Quick: true, Jobs: jobs},
 		bench.FleetOptions{Jobs: fleetJobs, Devices: fleetDevices, Seed: fleetSeed},
 		col)
-	exitOn(1, err)
+	cli.Fail(err)
 	fmt.Fprintf(os.Stderr, "fleet: %d jobs on %d devices: %d completed, %d kills, %d preemptions\n",
 		rep.Jobs, rep.Devices, rep.Completed, rep.Kills, rep.Preemptions)
-	if chrome != "" {
-		writeChrome(chrome, col)
-	}
-	if prom != "" {
-		writeProm(prom, met)
-	}
-	if events != "" {
-		writeEvents(events, col)
-	}
-}
-
-// exports names the outputs of one observed run.
-type exports struct {
-	chrome, explain, spans, prom, events string
-	memprof                              bool
-	// tape writes the run's access tape as TSV, only the accesses of
-	// the tensors in keep when keep is non-nil.
-	tape bool
-	keep map[string]bool
+	x.Write(col, met, nil)
 }
 
 // observe runs one cell through the bench harness, recording its event
-// log, and emits the requested outputs.
-func observe(cfg bench.RunConfig, x exports) {
+// log, and writes the requested outputs: the access tape as TSV when
+// tape is set (only the accesses of the tensors in keep when keep is
+// non-nil), the spans of the stream spans names, then x.
+func observe(cfg bench.RunConfig, tape bool, keep map[string]bool, spans string, x cli.Exports) {
 	col := obs.NewCollector()
 	// RunLive keeps the session, whose streams -spans dumps and whose
 	// graph the access tape is folded against.
 	res, sess, _ := bench.RunLive(cfg, col)
 	if sess == nil {
-		exitOn(1, res.Err) // the run failed before simulating
-	}
-	if res.Err != nil {
-		// A failed run still has a timeline — often the one you want.
-		fmt.Fprintf(os.Stderr, "run failed (%v); exports cover the partial run\n", res.Err)
+		cli.Fail(res.Err) // the run failed before simulating
 	}
 
-	if x.tape {
-		tape := trace.Tape(sess.Graph(), col.Events(), col.Decisions())
-		if x.keep != nil {
-			tape = slices.DeleteFunc(tape, func(e trace.Event) bool { return !x.keep[e.TensorID] })
+	if tape {
+		t := trace.Tape(sess.Graph(), col.Events(), col.Decisions())
+		if keep != nil {
+			t = slices.DeleteFunc(t, func(e trace.Event) bool { return !keep[e.TensorID] })
 		}
-		exitOn(1, trace.WriteTSV(os.Stdout, tape))
+		cli.Fail(trace.WriteTSV(os.Stdout, t))
 	}
 
-	if x.spans != "" {
+	if spans != "" {
 		stream, h2d, d2h := sess.Streams()
-		switch x.spans {
+		switch spans {
 		case "h2d":
 			stream = h2d
 		case "d2h":
 			stream = d2h
 		}
-		exitOn(1, trace.WriteSpansTSV(os.Stdout, x.spans, stream.Spans()))
+		cli.Fail(trace.WriteSpansTSV(os.Stdout, spans, stream.Spans()))
 	}
-
-	if x.chrome != "" {
-		writeChrome(x.chrome, col)
-	}
-	if x.prom != "" {
-		writeProm(x.prom, obs.BuildMetrics(col.Events(), col.Decisions()))
-	}
-	if x.events != "" {
-		writeEvents(x.events, col)
-	}
-
-	if x.memprof {
-		exitOn(1, obs.BuildMemProfile(col.Events()).WriteReport(os.Stdout))
-	}
-
-	if x.explain != "" {
-		subject := x.explain
-		decisions := col.Decisions()
-		if subject == "auto" {
-			subjects := obs.ExplainTensors(decisions)
-			if len(subjects) == 0 {
-				exitOn(1, fmt.Errorf("no policy decisions recorded: the %s run never came under memory pressure (try a smaller -mem)", cfg.System))
-			}
-			subject = subjects[0]
-		}
-		exitOn(1, obs.WriteExplain(os.Stdout, subject, decisions, col.Events()))
-	}
-	if res.Err != nil {
-		os.Exit(1) // a failed run, reported above, after its exports
-	}
+	// A failed run still has a timeline — often the one you want.
+	x.Write(col, nil, res.Err)
 }

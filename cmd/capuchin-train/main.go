@@ -12,16 +12,20 @@
 // histograms, swap and fault counters) in Prometheus text exposition
 // format; -events streams the event log and policy decision audit as
 // JSONL, in emission order. Both attach the observability stack to the
-// run, which is outcome-neutral, and accept "-" for stdout.
+// run, which is outcome-neutral. Every path-valued output, -save-plan
+// too, follows the cli package's rule: "-" is stdout, and a file that
+// cannot be written or closed exits 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"capuchin/internal/bench"
+	"capuchin/internal/cli"
 	"capuchin/internal/core"
 	"capuchin/internal/exec"
 	"capuchin/internal/hw"
@@ -44,14 +48,14 @@ func main() {
 	flag.Parse()
 
 	dev, err := hw.ByName(*device)
-	exitOn(2, err)
+	cli.Invalid(err)
 	memBytes, err := hw.GiBToBytes(*mem)
-	exitOn(2, err)
+	cli.Invalid(err)
 	if memBytes > 0 {
 		dev = dev.WithMemory(memBytes)
 	}
 	m, err := exec.ParseMode(*mode)
-	exitOn(2, err)
+	cli.Invalid(err)
 	cfg := bench.RunConfig{
 		Model:      *model,
 		Batch:      *batch,
@@ -60,7 +64,11 @@ func main() {
 		Mode:       m,
 		Iterations: *iters,
 	}
-	exitOn(2, cfg.Validate())
+	cli.Invalid(cfg.Validate())
+	if *savePlan != "" && !capuchinSystem(cfg) {
+		cli.Invalid(errors.New("-save-plan applies to capuchin systems only"))
+	}
+	x := cli.Exports{Prom: *prom, Events: *events}
 
 	// -prom and -events are folded from the run's event log, so only they
 	// trace the run.
@@ -88,8 +96,7 @@ func main() {
 		// The exports of a failed run explain the failure: write them
 		// first, then exit 1.
 		fmt.Printf("FAILED: %v\n", r.Err)
-		exports(col, *prom, *events)
-		os.Exit(1)
+		x.Write(col, nil, r.Err)
 	}
 	fmt.Printf("steady state: %.1f samples/s, iteration %v, device peak %.2f GiB, host peak %.2f GiB\n",
 		r.Throughput, r.Steady.Duration,
@@ -101,63 +108,27 @@ func main() {
 	if *showPlan {
 		if cap, ok := pol.(*core.Capuchin); ok {
 			fmt.Println()
-			exitOn(1, cap.WritePlan(os.Stdout))
+			cli.Fail(cap.WritePlan(os.Stdout))
 		} else {
 			fmt.Println("(-plan applies to capuchin systems only)")
 		}
 	}
 	if *savePlan != "" {
-		cap, ok := pol.(*core.Capuchin)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "-save-plan applies to capuchin systems only")
-			os.Exit(2)
-		}
-		f, err := os.Create(*savePlan)
-		exitOn(1, err)
-		defer f.Close()
-		exitOn(1, cap.ExportPlan(f))
+		cli.Write(*savePlan, pol.(*core.Capuchin).ExportPlan)
 		fmt.Printf("plan written to %s\n", *savePlan)
 	}
-	exports(col, *prom, *events)
+	x.Write(col, nil, nil)
 }
 
-// exports writes the requested observability artifacts of a run from
-// its event log col: the metrics folded from it to prom and the log
-// itself to events, each when named. A nil col writes nothing.
-func exports(col *obs.Collector, prom, events string) {
-	if col == nil {
-		return
+// capuchinSystem reports whether cfg's system builds a Capuchin policy,
+// whose plan -save-plan exports. Only a graph-agnostic policy builds
+// without a graph, and every Capuchin variant is one.
+func capuchinSystem(cfg bench.RunConfig) bool {
+	spec, _ := exec.LookupPolicy(string(cfg.System))
+	if !spec.GraphAgnostic {
+		return false
 	}
-	if prom != "" {
-		met := obs.BuildMetrics(col.Events(), col.Decisions())
-		export(prom, func(w *os.File) error { return met.WritePrometheus(w) })
-	}
-	if events != "" {
-		export(events, func(w *os.File) error {
-			b, _, _ := col.AppendJSONL(nil, obs.Cursor{})
-			_, err := w.Write(b)
-			return err
-		})
-	}
-}
-
-// exitOn reports err and exits with code unless err is nil: 2 for an
-// invalid setting, before anything prints, 1 for a failure.
-func exitOn(code int, err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(code)
-	}
-}
-
-// export writes one observability artifact to a path or stdout ("-").
-func export(path string, write func(*os.File) error) {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		exitOn(1, err)
-		defer f.Close()
-		w = f
-	}
-	exitOn(1, write(w))
+	pol, err := spec.Build(exec.BuildContext{Device: cfg.Device})
+	_, ok := pol.(*core.Capuchin)
+	return err == nil && ok
 }

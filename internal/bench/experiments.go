@@ -660,6 +660,41 @@ func Overhead(o Options) *Table {
 	return t
 }
 
+// Experiment is one named generator of the evaluation suite.
+type Experiment struct {
+	Name   string
+	Tables func(Options) []*Table
+}
+
+// Experiments is the suite AllTables runs, in its canonical order. The
+// resilience experiment is not in it: it takes a fault plan, which no
+// other generator takes.
+var Experiments = []Experiment{
+	{"fig1", one(Fig1)},
+	{"fig2", one(Fig2)},
+	{"fig3", one(Fig3)},
+	{"fig8a", one(Fig8a)},
+	{"fig8b", one(Fig8b)},
+	{"table2", one(Table2)},
+	{"table3", one(Table3)},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"overhead", one(Overhead)},
+	{"capacity", one(CapacitySweep)},
+	{"extensions", one(TableExtensions)},
+	{"sensitivity", one(DeviceSensitivity)},
+	{"ablations", Ablations},
+	{"dynamic", one(Dynamic)},
+	{"scale", one(Scaling)},
+	{"arena", one(Arena)},
+	{"fleet", one(Fleet)},
+}
+
+// one lifts a single-table generator into an Experiment's.
+func one(gen func(Options) *Table) func(Options) []*Table {
+	return func(o Options) []*Table { return []*Table{gen(o)} }
+}
+
 // AllTables runs the full experiment suite and returns the tables in
 // canonical order. The generators execute concurrently on the options'
 // shared Runner — independent cells overlap across experiments and
@@ -668,34 +703,14 @@ func Overhead(o Options) *Table {
 // output, is identical at any job count.
 func AllTables(o Options) []*Table {
 	o = o.fill()
-	gens := []func() []*Table{
-		func() []*Table { return []*Table{Fig1(o)} },
-		func() []*Table { return []*Table{Fig2(o)} },
-		func() []*Table { return []*Table{Fig3(o)} },
-		func() []*Table { return []*Table{Fig8a(o)} },
-		func() []*Table { return []*Table{Fig8b(o)} },
-		func() []*Table { return []*Table{Table2(o)} },
-		func() []*Table { return []*Table{Table3(o)} },
-		func() []*Table { return Fig9(o) },
-		func() []*Table { return Fig10(o) },
-		func() []*Table { return []*Table{Overhead(o)} },
-		func() []*Table { return []*Table{CapacitySweep(o)} },
-		func() []*Table { return []*Table{TableExtensions(o)} },
-		func() []*Table { return []*Table{DeviceSensitivity(o)} },
-		func() []*Table { return Ablations(o) },
-		func() []*Table { return []*Table{Dynamic(o)} },
-		func() []*Table { return []*Table{Scaling(o)} },
-		func() []*Table { return []*Table{Arena(o)} },
-		func() []*Table { return []*Table{Fleet(o)} },
-	}
-	groups := make([][]*Table, len(gens))
+	groups := make([][]*Table, len(Experiments))
 	var wg sync.WaitGroup
-	for i, g := range gens {
+	for i, e := range Experiments {
 		wg.Add(1)
-		go func(i int, g func() []*Table) {
+		go func(i int, e Experiment) {
 			defer wg.Done()
-			groups[i] = g()
-		}(i, g)
+			groups[i] = e.Tables(o)
+		}(i, e)
 	}
 	wg.Wait()
 	var tables []*Table

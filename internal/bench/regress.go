@@ -12,6 +12,7 @@ import (
 
 	"capuchin/internal/exec"
 	"capuchin/internal/fleet"
+	"capuchin/internal/serve/loadgen"
 )
 
 // The perf-regression gate. A checked-in artifact — a BENCH_*.json run
@@ -91,8 +92,8 @@ func b2f(b bool) float64 {
 // artifact is every baseline schema the gate reads, decoded once. Each
 // schema has a top-level key only it has, and the field behind that key
 // is nil when the key is absent; fields no gate reads stay in the raw
-// JSON. bench cannot import internal/serve (serve builds on this
-// package), so the serve fields are the gate's own view of that schema.
+// JSON. The serve fields are loadgen's blocks of BENCH_serve.json:
+// bench cannot import internal/serve, which builds on this package.
 type artifact struct {
 	// FleetComparison holds meta and, for a fleet record, runs.
 	FleetComparison
@@ -114,32 +115,9 @@ type artifact struct {
 	AllocBudget string         `json:"alloc_budget"`
 	Pprof       map[string]any `json:"pprof"`
 
-	Load *struct {
-		Clients        int     `json:"clients"`
-		Total          int64   `json:"total"`
-		OK             int64   `json:"ok"`
-		Shed           int64   `json:"shed"`
-		Errors         int64   `json:"errors"`
-		Accepted       int64   `json:"accepted"`
-		Deduped        int64   `json:"deduped"`
-		DurationMillis float64 `json:"durationMillis"`
-		RPS            float64 `json:"rps"`
-		P50Millis      float64 `json:"p50Millis"`
-		P99Millis      float64 `json:"p99Millis"`
-		MaxMillis      float64 `json:"maxMillis"`
-		ShedRatePct    float64 `json:"shedRatePct"`
-		DedupRatePct   float64 `json:"dedupRatePct"`
-	} `json:"load"`
-	ByteIdentity struct {
-		Identical bool `json:"identical"`
-	} `json:"byte_identity"`
-	Drain struct {
-		InFlightAtDrain     int  `json:"inFlightAtDrain"`
-		CompletedAfterDrain int  `json:"completedAfterDrain"`
-		Dropped             int  `json:"dropped"`
-		RejectedDuringDrain int  `json:"rejectedDuringDrain"`
-		ShedObserved        bool `json:"shedObserved"`
-	} `json:"drain"`
+	Load         *loadgen.Report      `json:"load"`
+	ByteIdentity loadgen.ByteIdentity `json:"byte_identity"`
+	Drain        loadgen.DrainReport  `json:"drain"`
 
 	// Budgets maps "<import path>.<benchmark name>" to its allocs/op
 	// ceiling; 0 demands a steady-state allocation-free loop.

@@ -41,10 +41,6 @@ type Policy struct {
 	// count of the tensor's last forward access, where it is released for
 	// recomputation; 0 means the tensor is never dropped.
 	dropAt []int
-	// drops counts planned drop tensors.
-	drops int
-	// checkpoints counts kept tensors (for tests).
-	checkpoints int
 }
 
 var (
@@ -56,40 +52,7 @@ var (
 func New(g *graph.Graph, mode Mode) *Policy {
 	g.EnsureIndexed()
 	p := &Policy{mode: mode, from: g.Template(), dropAt: make([]int, len(g.TensorList()))}
-
-	keep := make([]bool, len(g.TensorList()))
-	switch mode {
-	case Speed:
-		for _, n := range g.ForwardNodes() {
-			op := n.Op
-			if f, ok := op.(ops.FusedBias); ok {
-				op = f.Inner
-			}
-			switch op.(type) {
-			case ops.Conv2D, ops.MatMul:
-				if t := n.Outputs[0]; !keep[t.Idx] {
-					keep[t.Idx] = true
-					p.checkpoints++
-				}
-			}
-		}
-	case Memory:
-		arts := graph.ArticulationTensors(g)
-		m := int(math.Ceil(math.Sqrt(float64(len(arts)))))
-		if m < 1 {
-			m = 1
-		}
-		stride := len(arts) / m
-		if stride < 1 {
-			stride = 1
-		}
-		for i := 0; i < len(arts); i += stride {
-			if t := arts[i]; !keep[t.Idx] {
-				keep[t.Idx] = true
-				p.checkpoints++
-			}
-		}
-	}
+	keep := checkpoints(g, mode)
 
 	// Drop every forward tensor that backward needs, except checkpoints,
 	// at its last forward access.
@@ -111,10 +74,42 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			// Access count at the last forward access: 1 (produce) plus
 			// all forward reads.
 			p.dropAt[out.Idx] = 1 + forwardUses
-			p.drops++
 		}
 	}
 	return p
+}
+
+// checkpoints marks, per Tensor.Idx of an indexed g, the tensors mode
+// keeps resident.
+func checkpoints(g *graph.Graph, mode Mode) []bool {
+	keep := make([]bool, len(g.TensorList()))
+	switch mode {
+	case Speed:
+		for _, n := range g.ForwardNodes() {
+			op := n.Op
+			if f, ok := op.(ops.FusedBias); ok {
+				op = f.Inner
+			}
+			switch op.(type) {
+			case ops.Conv2D, ops.MatMul:
+				keep[n.Outputs[0].Idx] = true
+			}
+		}
+	case Memory:
+		arts := graph.ArticulationTensors(g)
+		m := int(math.Ceil(math.Sqrt(float64(len(arts)))))
+		if m < 1 {
+			m = 1
+		}
+		stride := len(arts) / m
+		if stride < 1 {
+			stride = 1
+		}
+		for i := 0; i < len(arts); i += stride {
+			keep[arts[i].Idx] = true
+		}
+	}
+	return keep
 }
 
 // recycle returns the schedule of g in mode, as New builds it: spare

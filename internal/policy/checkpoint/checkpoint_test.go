@@ -26,13 +26,13 @@ func TestScheduleShape(t *testing.T) {
 		t.Errorf("no drops planned: memory %d, speed %d", mem.Drops(), spd.Drops())
 	}
 	// Speed mode keeps conv/matmul outputs: exactly 6 convs + 1 fc.
-	if got := spd.Checkpoints(); got != 7 {
+	if got := Checkpoints(g, Speed); got != 7 {
 		t.Errorf("speed checkpoints = %d, want 7", got)
 	}
 	// Memory mode keeps about sqrt of the articulation count.
 	arts := len(graph.ArticulationTensors(g))
 	want := int(math.Ceil(math.Sqrt(float64(arts))))
-	if got := mem.Checkpoints(); got < want || got > 2*want+1 {
+	if got := Checkpoints(g, Memory); got < want || got > 2*want+1 {
 		t.Errorf("memory checkpoints = %d, want about sqrt(%d)=%d", got, arts, want)
 	}
 	if mem.TracksAccesses() {

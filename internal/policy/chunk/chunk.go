@@ -63,8 +63,6 @@ type Policy struct {
 	// after that access.
 	evictAt    map[int][]int
 	prefetchAt map[int][]int
-
-	planEvicts int
 }
 
 var _ exec.Policy = (*Policy)(nil)
@@ -241,7 +239,6 @@ func (p *Policy) buildPlan() {
 			delete(resident, victim)
 			residentBytes -= p.sizes[victim]
 			p.evictAt[i] = append(p.evictAt[i], victim)
-			p.planEvicts++
 			evictions = append(evictions, evicted{victim, i, victimNext})
 		}
 	}

@@ -30,8 +30,6 @@ type Policy struct {
 	// forward access to a release-for-recompute action.
 	dropAt map[countKey]bool
 	fired  map[string]bool
-
-	swapTargets, dropTargets int
 }
 
 type accessKey struct {
@@ -101,7 +99,6 @@ func New(g *graph.Graph) *Policy {
 			}
 			p.dropAt[countKey{out.ID, 1 + forwardUses}] = true
 			dropped[out.ID] = true
-			p.dropTargets++
 		}
 	}
 
@@ -134,7 +131,6 @@ func New(g *graph.Graph) *Policy {
 			continue
 		}
 		p.swapAt[accessKey{tg.t.ID, last.ID}] = true
-		p.swapTargets++
 		triggerLayer := forward[len(forward)-1]
 		if i+1 < len(targets) {
 			triggerLayer = targets[i+1].layer

@@ -48,8 +48,6 @@ type Policy struct {
 	groups  [][]int32
 	// fired marks the groups already started this iteration.
 	fired []bool
-	// targets counts the offloaded tensors.
-	targets int
 
 	// tensors is the running graph's TensorList, to resolve prefetches.
 	tensors []*tensor.Tensor
@@ -107,7 +105,6 @@ func New(g *graph.Graph, mode Mode) *Policy {
 			continue
 		}
 		p.evictAt[tg.t.Idx] = int32(last.Pos + 1)
-		p.targets++
 		triggerLayer := forward[len(forward)-1]
 		if i+1 < len(targets) {
 			triggerLayer = targets[i+1].layer

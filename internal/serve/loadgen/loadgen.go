@@ -103,6 +103,35 @@ type Report struct {
 	DedupRatePct float64 `json:"dedupRatePct"`
 }
 
+// DrainReport is the outcome of capuchin-serve -selftest's deterministic
+// drain scenario: the artifact's "drain" block.
+type DrainReport struct {
+	// InFlightAtDrain is how many accepted runs (running + queued) the
+	// drain began with; CompletedAfterDrain is how many of them finished
+	// with a fetchable OK result. Dropped is their difference — the
+	// number the acceptance criteria require to be zero.
+	InFlightAtDrain     int `json:"inFlightAtDrain"`
+	CompletedAfterDrain int `json:"completedAfterDrain"`
+	Dropped             int `json:"dropped"`
+	// RejectedDuringDrain counts submissions answered 503 mid-drain.
+	RejectedDuringDrain int `json:"rejectedDuringDrain"`
+	// ShedObserved records that the full queue answered 429 before the
+	// drain began.
+	ShedObserved bool `json:"shedObserved"`
+	// DrainMillis is the wall time from drain start to completion.
+	DrainMillis float64 `json:"drainMillis"`
+}
+
+// ByteIdentity records the selftest's serve-vs-direct result
+// comparison: the artifact's "byte_identity" block.
+type ByteIdentity struct {
+	// Config labels the compared cell (menu notation).
+	Config string `json:"config"`
+	// Identical is true when the HTTP result body equals EncodeResult of
+	// a direct bench.Run of the same canonical config, byte for byte.
+	Identical bool `json:"identical"`
+}
+
 // splitmix64 is the SplitMix64 finalizer; seeded menu and pick
 // sequences derive from it so a load run is reproducible bit-for-bit.
 func splitmix64(x uint64) uint64 {

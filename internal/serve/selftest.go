@@ -41,39 +41,12 @@ type SelfTestOptions struct {
 	MetaDate string
 }
 
-// DrainReport is the deterministic drain scenario's outcome.
-type DrainReport struct {
-	// InFlightAtDrain is how many accepted runs (running + queued) the
-	// drain began with; CompletedAfterDrain is how many of them finished
-	// with a fetchable OK result. Dropped is their difference — the
-	// number the acceptance criteria require to be zero.
-	InFlightAtDrain     int `json:"inFlightAtDrain"`
-	CompletedAfterDrain int `json:"completedAfterDrain"`
-	Dropped             int `json:"dropped"`
-	// RejectedDuringDrain counts submissions answered 503 mid-drain.
-	RejectedDuringDrain int `json:"rejectedDuringDrain"`
-	// ShedObserved records that the full queue answered 429 before the
-	// drain began.
-	ShedObserved bool `json:"shedObserved"`
-	// DrainMillis is the wall time from drain start to completion.
-	DrainMillis float64 `json:"drainMillis"`
-}
-
-// ByteIdentity records the serve-vs-direct result comparison.
-type ByteIdentity struct {
-	// Config labels the compared cell (menu notation).
-	Config string `json:"config"`
-	// Identical is true when the HTTP result body equals EncodeResult of
-	// a direct bench.Run of the same canonical config, byte for byte.
-	Identical bool `json:"identical"`
-}
-
 // ServeBench is the BENCH_serve.json artifact.
 type ServeBench struct {
-	Meta         bench.RunMeta  `json:"meta"`
-	Load         loadgen.Report `json:"load"`
-	ByteIdentity ByteIdentity   `json:"byte_identity"`
-	Drain        DrainReport    `json:"drain"`
+	Meta         bench.RunMeta        `json:"meta"`
+	Load         loadgen.Report       `json:"load"`
+	ByteIdentity loadgen.ByteIdentity `json:"byte_identity"`
+	Drain        loadgen.DrainReport  `json:"drain"`
 }
 
 // WriteJSON renders the artifact with a trailing newline.
@@ -144,11 +117,11 @@ func SelfTest(o SelfTestOptions) (ServeBench, error) {
 
 // selfTestLoad is the throughput phase: a fleet of closed-loop clients
 // against a production-shaped server, then the byte-identity probe.
-func selfTestLoad(o SelfTestOptions) (loadgen.Report, ByteIdentity, error) {
+func selfTestLoad(o SelfTestOptions) (loadgen.Report, loadgen.ByteIdentity, error) {
 	s := NewServer(Config{Workers: o.Workers, QueueDepth: 2 * o.Clients})
 	base, stop, err := startLocal(s)
 	if err != nil {
-		return loadgen.Report{}, ByteIdentity{}, err
+		return loadgen.Report{}, loadgen.ByteIdentity{}, err
 	}
 	defer stop()
 	defer s.Close()
@@ -160,7 +133,7 @@ func selfTestLoad(o SelfTestOptions) (loadgen.Report, ByteIdentity, error) {
 		Seed:     o.Seed,
 	})
 	if err != nil {
-		return load, ByteIdentity{}, fmt.Errorf("serve: load phase: %w", err)
+		return load, loadgen.ByteIdentity{}, fmt.Errorf("serve: load phase: %w", err)
 	}
 
 	// Byte-identity probe: re-fetch the menu's first cell over HTTP and
@@ -169,7 +142,7 @@ func selfTestLoad(o SelfTestOptions) (loadgen.Report, ByteIdentity, error) {
 	probe := loadgen.Menu(o.Seed, 1)[0]
 	rr := RunRequest{Model: probe.Model, Batch: probe.Batch, System: probe.System,
 		Iterations: probe.Iterations, MemGiB: probe.MemGiB}
-	ident := ByteIdentity{Config: fmt.Sprintf("%s/b%d/%s", rr.Model, rr.Batch, rr.System)}
+	ident := loadgen.ByteIdentity{Config: fmt.Sprintf("%s/b%d/%s", rr.Model, rr.Batch, rr.System)}
 	cfg, err := rr.ToRunConfig()
 	if err != nil {
 		return load, ident, err
@@ -205,8 +178,8 @@ func selfTestLoad(o SelfTestOptions) (loadgen.Report, ByteIdentity, error) {
 // selfTestDrain is the deterministic scenario: one worker, queue depth
 // one, the worker parked under harness control — so queue occupancy,
 // the 429, the mid-drain 503 and the zero-drop drain are all exact.
-func selfTestDrain() (DrainReport, error) {
-	var rep DrainReport
+func selfTestDrain() (loadgen.DrainReport, error) {
+	var rep loadgen.DrainReport
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	s := NewServer(Config{Workers: 1, QueueDepth: 1})

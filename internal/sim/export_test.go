@@ -1,8 +1,15 @@
 package sim
 
-// BusyTime reports the cumulative execution time of all operations run so
-// far, excluding idle gaps.
-func (s *Stream) BusyTime() Time { return s.busyTime }
+// BusyTime reports the cumulative execution time of the recorded spans,
+// excluding idle gaps: every operation's, when the stream recorded
+// since its last Reset.
+func (s *Stream) BusyTime() Time {
+	var busy Time
+	for _, sp := range s.spans {
+		busy += sp.Duration()
+	}
+	return busy
+}
 
-// Ops reports the number of operations executed on the stream.
-func (s *Stream) Ops() int { return s.ops }
+// Ops reports the number of recorded operations.
+func (s *Stream) Ops() int { return len(s.spans) }

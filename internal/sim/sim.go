@@ -128,10 +128,8 @@ func (sp Span) Duration() Time { return sp.End - sp.Start }
 type Stream struct {
 	name        string
 	availableAt Time
-	busyTime    Time // total time spent executing (excludes idle gaps)
 	spans       []Span
 	recording   bool
-	ops         int
 }
 
 // NewStream returns an idle stream available at time zero.
@@ -163,8 +161,6 @@ func (s *Stream) Run(label string, earliest Time, duration Time) (start, end Tim
 	start = MaxTime(s.availableAt, earliest)
 	end = start + duration
 	s.availableAt = end
-	s.busyTime += duration
-	s.ops++
 	if s.recording {
 		s.spans = append(s.spans, Span{Label: label, Start: start, End: end})
 	}
@@ -191,11 +187,9 @@ func (s *Stream) Spans() []Span {
 	return out
 }
 
-// Reset returns the stream to its initial idle state, clearing spans and
-// counters. Used between benchmark configurations.
+// Reset returns the stream to its initial idle state, clearing spans.
+// Used between benchmark configurations.
 func (s *Stream) Reset() {
 	s.availableAt = 0
-	s.busyTime = 0
 	s.spans = nil
-	s.ops = 0
 }

@@ -55,6 +55,7 @@ func TestMaxMinTime(t *testing.T) {
 
 func TestStreamSequencing(t *testing.T) {
 	s := NewStream("compute")
+	s.SetRecording(true) // BusyTime and Ops read the recorded spans
 	start, end := s.Run("a", 0, 100)
 	if start != 0 || end != 100 {
 		t.Fatalf("first op: got [%d,%d], want [0,100]", start, end)
@@ -82,6 +83,7 @@ func TestStreamSequencing(t *testing.T) {
 
 func TestStreamAdvanceTo(t *testing.T) {
 	s := NewStream("h2d")
+	s.SetRecording(true)
 	s.Run("x", 0, 10)
 	s.AdvanceTo(5) // in the past: no effect
 	if s.AvailableAt() != 10 {
@@ -229,6 +231,7 @@ func TestStreamInvariantsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		s := NewStream("p")
+		s.SetRecording(true)
 		var prevEnd Time
 		var busy Time
 		for i := 0; i < 50; i++ {
