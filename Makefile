@@ -84,13 +84,13 @@ bench:
 
 # goldens regenerates the quick-mode regression tables after an
 # intentional policy or cost-model change, and the faulted transfer pin
-# (TestTransferPin) beside them. The Chrome trace and access tape
-# goldens live in internal/trace and the per-node op-cost pin of every
+# (TestTransferPin) beside them. The Chrome trace, access tape and
+# stream span goldens live in internal/trace and the per-node op-cost pin of every
 # zoo model (TestOpCostGolden) in internal/models; all regenerate the
 # same way.
 goldens:
 	$(GO) test ./internal/bench -run 'Golden|TransferPin' -update
-	$(GO) test ./internal/trace -run 'ChromeGolden|AccessTapeGolden' -update
+	$(GO) test ./internal/trace -run 'ChromeGolden|AccessTapeGolden|SpansGolden' -update
 	$(GO) test ./internal/models -run OpCostGolden -update
 
 # The determinism replays. $(call replay,NAME) runs the command

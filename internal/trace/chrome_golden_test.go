@@ -20,11 +20,11 @@ import (
 	"capuchin/internal/trace"
 )
 
-// update regenerates the golden Chrome trace and the access tape golden
-// instead of comparing:
+// update regenerates the golden Chrome trace, the access tape golden and
+// the stream span golden instead of comparing:
 //
-//	go test ./internal/trace -run 'ChromeGolden|AccessTapeGolden' -update
-var update = flag.Bool("update", false, "rewrite the golden Chrome trace and access tapes")
+//	go test ./internal/trace -run 'ChromeGolden|AccessTapeGolden|SpansGolden' -update
+var update = flag.Bool("update", false, "rewrite the golden Chrome trace, access tapes and stream spans")
 
 // observedTensor is the tensor whose accesses the observed run renders.
 const observedTensor = "res0_relu1:0"
