@@ -85,9 +85,9 @@ bench:
 # goldens regenerates the quick-mode regression tables after an
 # intentional policy or cost-model change, and the faulted transfer pin
 # (TestTransferPin) beside them. The Chrome trace, access tape and
-# stream span goldens live in internal/trace and the per-node op-cost pin of every
-# zoo model (TestOpCostGolden) in internal/models; all regenerate the
-# same way.
+# stream span goldens live in internal/trace and the per-node op-cost
+# pin of every zoo model (TestOpCostGolden) in internal/models; all
+# regenerate the same way.
 goldens:
 	$(GO) test ./internal/bench -run 'Golden|TransferPin' -update
 	$(GO) test ./internal/trace -run 'ChromeGolden|AccessTapeGolden|SpansGolden' -update
@@ -237,9 +237,8 @@ serve-smoke:
 # Capuchin capuchin-train run that settles and skips its repeated
 # iterations must print byte for byte what the same run traced by
 # -events prints, which skips too, its Collector repeating the skipped
-# iterations' records. That -events log must equal byte for byte the one
-# a capuchin-trace -spans run of the same cell writes: recording spans
-# makes it simulate every iteration. The faulted
+# iterations' records (TestRunSkipCollectorByteIdentical's vgg16-train
+# cell proves that log equal to a fully simulated run's). The faulted
 # two-replica Capuchin run's -prom counters must equal the counts of
 # their decisions in its -events log, since the metrics are folded
 # from that log (comm-defer, passive-evict, swap-out). capuchin-bench
@@ -284,13 +283,11 @@ profile-smoke:
 		>$$d/trace.tsv 2>/dev/null; test $$? -eq 1; } && \
 	test $$(wc -l <$$d/trace.tsv) -gt 1 && rm -rf $$d || \
 	{ echo "profile-smoke: a failed run must write its exports, with the oom instant or its partial access tape, and exit 1"; exit 1; }
-	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train ./cmd/capuchin-trace && \
+	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train && \
 	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 >$$d/skip.txt && \
 	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events $$d/traced.jsonl >$$d/traced.txt && \
-	$$d/capuchin-trace -model vgg16 -batch 300 -mem 16 -system capuchin -iters 60 -spans compute \
-		-events $$d/full.jsonl >/dev/null && \
-	cmp $$d/skip.txt $$d/traced.txt && cmp $$d/traced.jsonl $$d/full.jsonl && rm -rf $$d || \
-	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints, whose events must equal a fully simulated run's"; exit 1; }
+	cmp $$d/skip.txt $$d/traced.txt && rm -rf $$d || \
+	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints"; exit 1; }
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-trace && \
 	$$d/capuchin-trace -model resnet50 -batch 64 -mem 1.5 -system capuchin -devices 2 -iters 3 \
 		-faults seed=7,transfer=0.2,retries=2 -prom $$d/run.prom -events $$d/run.jsonl >/dev/null && \

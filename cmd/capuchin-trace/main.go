@@ -135,7 +135,6 @@ func main() {
 		Device:       hw.P100().WithMemory(memBytes),
 		Iterations:   *iters,
 		Faults:       plan,
-		RecordSpans:  *spans != "",
 		Schedule:     *schedule,
 		ScheduleSeed: *scheduleSeed,
 		Devices:      *devices,
@@ -176,8 +175,8 @@ func observeFleet(fleetJobs, fleetDevices int, fleetSeed uint64, jobs int, x cli
 // non-nil), the spans of the stream spans names, then x.
 func observe(cfg bench.RunConfig, tape bool, keep map[string]bool, spans string, x cli.Exports) {
 	col := obs.NewCollector()
-	// RunLive keeps the session, whose streams -spans dumps and whose
-	// graph the access tape is folded against.
+	// RunLive keeps the session, whose graph the access tape is folded
+	// against.
 	res, sess, _ := bench.RunLive(cfg, col)
 	if sess == nil {
 		cli.Fail(res.Err) // the run failed before simulating
@@ -192,14 +191,7 @@ func observe(cfg bench.RunConfig, tape bool, keep map[string]bool, spans string,
 	}
 
 	if spans != "" {
-		stream, h2d, d2h := sess.Streams()
-		switch spans {
-		case "h2d":
-			stream = h2d
-		case "d2h":
-			stream = d2h
-		}
-		cli.Fail(trace.WriteSpansTSV(os.Stdout, spans, stream.Spans()))
+		cli.Fail(trace.WriteSpansTSV(os.Stdout, spans, trace.Spans(col.Events(), col.Decisions(), spans)))
 	}
 	// A failed run still has a timeline — often the one you want.
 	x.Write(col, nil, res.Err)

@@ -63,7 +63,10 @@ type RunConfig struct {
 	Iterations int
 	// Allocator selects "bfc" (default) or "firstfit".
 	Allocator string
-	// RecordSpans enables stream span recording (timeline figures).
+	// RecordSpans is ignored: a run's stream spans are folded from its
+	// event log (trace.Spans).
+	//
+	// Deprecated: ignored; trace the run with an obs.Collector.
 	RecordSpans bool
 	// HostMemory overrides the 256 GiB pinned-host default.
 	HostMemory int64
@@ -147,13 +150,12 @@ func buildOptions(mode exec.Mode) graph.BuildOptions {
 // receives the run's live event stream.
 func execConfig(cfg RunConfig, g *graph.Graph, spare exec.Policy, tr obs.Tracer) (exec.Config, error) {
 	ec := exec.Config{
-		Device:      cfg.Device,
-		Mode:        cfg.Mode,
-		Allocator:   cfg.Allocator,
-		RecordSpans: cfg.RecordSpans,
-		HostMemory:  cfg.HostMemory,
-		Faults:      cfg.Faults,
-		Tracer:      tr,
+		Device:     cfg.Device,
+		Mode:       cfg.Mode,
+		Allocator:  cfg.Allocator,
+		HostMemory: cfg.HostMemory,
+		Faults:     cfg.Faults,
+		Tracer:     tr,
 	}
 	if err := ec.UsePolicy(string(cfg.System), g, spare); err != nil {
 		return ec, fmt.Errorf("bench: %w", err)

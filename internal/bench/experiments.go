@@ -93,25 +93,23 @@ func Fig1(o Options) *Table {
 	}
 	ideal := o.Runner.Run(RunConfig{Model: "vgg16", Batch: batch, System: SystemTF,
 		Device: o.Device.WithMemory(256 * hw.GiB), Iterations: 2})
-	// The span timeline needs the live session, so the vDNN cell runs
-	// uncached through RunLive: no other cell records spans, so the cache
-	// loses nothing. A profiling runner still aggregates its metrics.
+	// The span timeline is folded from the run's event log, so the vDNN
+	// cell runs uncached through RunTraced: no other cell needs its log,
+	// so the cache loses nothing. A profiling runner still aggregates its
+	// metrics.
 	var vd Result
-	var sess *exec.Session
-	o.Runner.profiled(nil, func(tr obs.Tracer) {
-		vd, sess, _ = RunLive(RunConfig{Model: "vgg16", Batch: batch, System: SystemVDNN,
-			Device: o.Device, Iterations: 2, RecordSpans: true}, tr)
+	col := obs.NewCollector()
+	o.Runner.profiled(col, func(tr obs.Tracer) {
+		vd = RunTraced(RunConfig{Model: "vgg16", Batch: batch, System: SystemVDNN,
+			Device: o.Device, Iterations: 2}, tr)
 	})
 	if !vd.OK || !ideal.OK {
 		t.AddNote("run failed: vdnn=%v ideal=%v", vd.Err, ideal.Err)
 		return t
 	}
-	_, _, d2h := sess.Streams()
-	var largest sim.Span
-	for _, sp := range d2h.Spans() {
-		if sp.Duration() > largest.Duration() {
-			largest = sp
-		}
+	var largest sim.Time
+	for _, sp := range trace.Spans(col.Events(), col.Decisions(), "d2h") {
+		largest = max(largest, sp.Duration())
 	}
 	loss := (float64(vd.Steady.Duration)/float64(ideal.Steady.Duration) - 1) * 100
 	t.AddRow("batch size", fmt.Sprintf("%d", batch))
@@ -119,7 +117,7 @@ func Fig1(o Options) *Table {
 	t.AddRow("vDNN iteration", vd.Steady.Duration.String())
 	t.AddRow("performance loss", fmt.Sprintf("%.1f%%", loss))
 	t.AddRow("sync stall per iteration", vd.Steady.StallTime.String())
-	t.AddRow("largest swap transfer", largest.Duration().String())
+	t.AddRow("largest swap transfer", largest.String())
 	t.AddNote("paper: total performance loss 41.3%%; swap ~3x the overlapped layer time")
 	return t
 }

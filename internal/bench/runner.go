@@ -180,6 +180,7 @@ func CanonicalConfig(cfg RunConfig) RunConfig { return cacheKey(cfg) }
 // leaves invalid values as they are, so Validate judges the key as it
 // judges the config.
 func cacheKey(cfg RunConfig) RunConfig {
+	cfg.RecordSpans = false // ignored
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 3
 	}

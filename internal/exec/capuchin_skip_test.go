@@ -60,8 +60,8 @@ func runCapuchin(t *testing.T, model string, batch int64, c *core.Capuchin, tr o
 // TestCapuchinSkipGate: an unobserved vgg16/b300 Capuchin run settles
 // after 41 iterations and skips the rest, and so does one a Collector
 // traces. One that another tracer (a Collector teed with one included),
-// span recording, a fault plan or collective traffic can observe
-// simulates every iteration.
+// a fault plan or collective traffic can observe simulates every
+// iteration.
 func TestCapuchinSkipGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 50 vgg16 iterations per case")
@@ -75,7 +75,6 @@ func TestCapuchinSkipGate(t *testing.T) {
 		{"tracer", func(c *exec.Config) { c.Tracer = discard{} }, 50},
 		{"collector", func(c *exec.Config) { c.Tracer = obs.NewCollector() }, 41},
 		{"tee(collector, nop)", func(c *exec.Config) { c.Tracer = obs.Tee(obs.NewCollector(), discard{}) }, 50},
-		{"spans", func(c *exec.Config) { c.RecordSpans = true }, 50},
 		{"faults", func(c *exec.Config) { c.Faults = fault.Plan{Seed: 1, KernelSpikeRate: 1e-9} }, 50},
 		{"comm", func(c *exec.Config) { c.Comm = noComm{} }, 50},
 	}

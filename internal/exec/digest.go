@@ -47,14 +47,13 @@ func (nullDigest) AppendStateDigest(dst []byte) []byte { return dst }
 
 // digester returns the policy's StateDigester when Run may skip
 // repeated iterations: the run has no tracer or one that can repeat its
-// own records (obs.Repeater), records no spans, injects no fault, shares
-// the link with no collective traffic (its windows sit at absolute
-// times), and the policy digests its state. Any other tracer makes the
+// own records (obs.Repeater), injects no fault, shares the link with no
+// collective traffic (its windows sit at absolute times), and the policy
+// digests its state. Any other tracer makes the
 // run simulate every iteration, so a run it traces is the reference a
 // skipping run's stats and records must equal.
 func (s *Session) digester() (StateDigester, bool) {
-	if _, repeats := s.tr.(obs.Repeater); s.tr != nil && !repeats ||
-		s.cfg.RecordSpans || s.inj.Enabled() || s.cfg.Comm != nil {
+	if _, repeats := s.tr.(obs.Repeater); s.tr != nil && !repeats || s.inj.Enabled() || s.cfg.Comm != nil {
 		return nil, false
 	}
 	switch p := s.policy.(type) {

@@ -155,9 +155,9 @@ func TestRunSkipMatchesTraced(t *testing.T) {
 }
 
 // TestRunSkipGate checks the gate's other side: a TF-ori session that a
-// tracer other than a Collector, span recording or a fault plan observes
-// simulates every iteration. A Collector repeats its own records, so a
-// run it traces skips; teed with another tracer it does not.
+// tracer other than a Collector or a fault plan observes simulates every
+// iteration. A Collector repeats its own records, so a run it traces
+// skips; teed with another tracer it does not.
 func TestRunSkipGate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -168,7 +168,6 @@ func TestRunSkipGate(t *testing.T) {
 		{"tracer", func(c *Config) { c.Tracer = nopTracer{} }, 4},
 		{"collector", func(c *Config) { c.Tracer = obs.NewCollector() }, 1},
 		{"tee(collector, nop)", func(c *Config) { c.Tracer = obs.Tee(obs.NewCollector(), nopTracer{}) }, 4},
-		{"spans", func(c *Config) { c.RecordSpans = true }, 4},
 		{"faults", func(c *Config) { c.Faults = fault.Plan{Seed: 1, KernelSpikeRate: 1e-9} }, 4},
 		// Embedding NullPolicy for its defaults does not opt in: the
 		// embedder may have state of its own.

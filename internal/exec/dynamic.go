@@ -269,7 +269,7 @@ func (d *DynamicSession) switchTo(key string, batch, seq int64) error {
 	// Carry virtual time forward: sessions idle while other shapes run,
 	// so their streams advance to the global now and the unified
 	// timeline stays monotonic.
-	advanceSession(e.s, prevNow)
+	e.s.AdvanceTo(prevNow)
 	if d.rp != nil {
 		hit := d.rp.BeginSignature(key, &Env{s: e.s})
 		if prev != nil && hit {
@@ -393,18 +393,6 @@ func (d *DynamicSession) now() sim.Time {
 		}
 	}
 	return t
-}
-
-// advanceSession fast-forwards a session's streams to the global time.
-func advanceSession(s *Session, t sim.Time) {
-	if t == 0 {
-		return
-	}
-	for _, st := range []*sim.Stream{s.compute, s.h2d, s.d2h, s.cpu} {
-		if st != nil {
-			st.AdvanceTo(t)
-		}
-	}
 }
 
 // Stats reports the engine's structural counters.

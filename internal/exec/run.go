@@ -144,11 +144,10 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 	deps := issueAt
 	// Eager mode: the CPU dispatch stream serializes ahead of the kernel.
 	if s.cpu != nil {
-		label := s.nodeSpanLabel(labelDispatch, n, s.cpu)
-		cpuStart, cpuEnd := s.cpu.Run(label, 0, s.dev.EagerDispatch)
+		cpuStart, cpuEnd := s.cpu.Run(0, s.dev.EagerDispatch)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{
-				Kind: obs.KindSpan, Cat: "dispatch", Name: label,
+				Kind: obs.KindSpan, Cat: "dispatch", Name: s.nodeName(labelDispatch, n),
 				Lane: "cpu", Start: cpuStart, End: cpuEnd, Iter: s.iter, Node: n.ID,
 			})
 		}
@@ -211,7 +210,7 @@ func (s *Session) executeNode(n *graph.Node, env *Env) error {
 	// the compute stream (and were charged to penalty there); only the
 	// remaining wait on transfer dependencies is exposed here.
 	preRun := sim.MaxTime(s.now(), dispatchReady)
-	start, end := s.compute.Run(n.ID, deps, dur)
+	start, end := s.compute.Run(deps, dur)
 	s.exposedStall(preRun, start)
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{
@@ -428,7 +427,7 @@ func (s *Session) release(t *tensor.Tensor, at sim.Time, env *Env) error {
 // materialize ensures a scheduled input is readable on device, returning
 // when it becomes ready and whether it was mid-swap-in.
 func (s *Session) materialize(t *tensor.Tensor, env *Env) (sim.Time, bool, error) {
-	ready, inflight, handled, err := s.ensureOnDevice(t, env, true)
+	ready, inflight, handled, err := s.ensureOnDevice(t, env)
 	if err != nil || handled {
 		return ready, inflight, err
 	}
@@ -439,7 +438,7 @@ func (s *Session) materialize(t *tensor.Tensor, env *Env) (sim.Time, bool, error
 
 // ensureOnDevice handles the residency states that do not require
 // recomputation. handled=false means the tensor needs lineage replay.
-func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (ready sim.Time, inflight bool, handled bool, err error) {
+func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env) (ready sim.Time, inflight bool, handled bool, err error) {
 	now := s.now()
 	switch t.Status {
 	case tensor.In, tensor.SwappingOut:
@@ -480,10 +479,8 @@ func (s *Session) ensureOnDevice(t *tensor.Tensor, env *Env, countStats bool) (r
 		if err := s.landSwapIn(t, "ondemand-in"); err != nil {
 			return 0, false, true, err
 		}
-		if countStats {
-			s.stats.OnDemandInCount++
-			s.stats.OnDemandInBytes += t.Bytes()
-		}
+		s.stats.OnDemandInCount++
+		s.stats.OnDemandInBytes += t.Bytes()
 		return l.end, true, true, nil
 	default:
 		return 0, false, false, nil
@@ -567,7 +564,7 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 
 	deps := s.now()
 	for _, in := range node.Inputs {
-		ready, _, handled, err := s.ensureOnDevice(in, env, true)
+		ready, _, handled, err := s.ensureOnDevice(in, env)
 		if err != nil {
 			return 0, err
 		}
@@ -610,11 +607,10 @@ func (s *Session) replay(t *tensor.Tensor, env *Env, depth int) (sim.Time, error
 		return 0, err
 	}
 	dur := s.spikeKernel(node.ID, algo.Duration)
-	label := s.nodeSpanLabel(labelRecompute, node, s.compute)
-	rStart, end := s.compute.Run(label, deps, dur)
+	rStart, end := s.compute.Run(deps, dur)
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{
-			Kind: obs.KindSpan, Cat: "recompute", Name: label,
+			Kind: obs.KindSpan, Cat: "recompute", Name: s.nodeName(labelRecompute, node),
 			Lane: "compute", Start: rStart, End: end, Iter: s.iter,
 			Node: node.ID, Tensor: t.ID,
 		})

@@ -105,7 +105,10 @@ type Config struct {
 	// CollectiveRecompute keeps intermediate recomputation targets
 	// produced while replaying a lineage, memory permitting (§5.3).
 	CollectiveRecompute bool
-	// RecordSpans enables stream span recording for timeline figures.
+	// RecordSpans is ignored: a run's stream spans are folded from its
+	// event log (trace.Spans).
+	//
+	// Deprecated: ignored; trace the run with an obs.Collector.
 	RecordSpans bool
 	// Faults is the deterministic fault-injection plan; the zero value
 	// injects nothing and leaves every virtual-time outcome untouched.
@@ -265,10 +268,9 @@ type Session struct {
 	stats     IterStats
 	trackCost sim.Time
 	startTime sim.Time
-	failed    bool
 
-	// names caches the names traced events and recorded spans show, per
-	// label by tensor Idx or node Pos; see Session.name.
+	// names caches the names traced events show, per label by tensor Idx
+	// or node Pos; see Session.name.
 	names [numLabels][]string
 }
 
@@ -340,11 +342,6 @@ func RecycleSession(spare *Session, g *graph.Graph, cfg Config) (*Session, error
 	s.initTables(&old)
 	if cfg.Mode == EagerMode {
 		s.cpu = sim.NewStream("cpu")
-	}
-	if cfg.RecordSpans {
-		s.compute.SetRecording(true)
-		s.h2d.SetRecording(true)
-		s.d2h.SetRecording(true)
 	}
 	if s.policy.TracksAccesses() {
 		s.trackCost = s.dev.TrackAccess

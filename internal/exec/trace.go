@@ -103,22 +103,8 @@ func (s *Session) tensorName(l labelKind, t *tensor.Tensor) string {
 	return s.name(l, int(t.Idx), len(s.tlist), t.ID)
 }
 
-// tensorSpanLabel returns the label of a span st runs for t. The full
-// name is observable only through a tracer or st's span recording, so
-// the steady untraced path passes the bare word.
-func (s *Session) tensorSpanLabel(l labelKind, t *tensor.Tensor, st *sim.Stream) string {
-	if s.tr == nil && !st.Recording() {
-		return l.word()
-	}
-	return s.tensorName(l, t)
-}
-
-// nodeSpanLabel is tensorSpanLabel for node n's dispatch and recompute
-// spans.
-func (s *Session) nodeSpanLabel(l labelKind, n *graph.Node, st *sim.Stream) string {
-	if s.tr == nil && !st.Recording() {
-		return l.word()
-	}
+// nodeName returns l's name for node n's dispatch or recompute span.
+func (s *Session) nodeName(l labelKind, n *graph.Node) string {
 	return s.name(l, n.Pos, len(s.g.Nodes), n.ID)
 }
 

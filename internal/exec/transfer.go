@@ -71,7 +71,6 @@ func (l landed) foldComm(d *obs.Decision) {
 func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor, earliest sim.Time, attempts int) (landed, error) {
 	st, link := s.pcie(dir)
 	key, bytes := t.ID, t.Bytes()
-	label := s.tensorSpanLabel(kind, t, st)
 	proactive := kind == labelSwapOut || kind == labelSwapIn
 	var l landed
 	queued := earliest
@@ -82,7 +81,7 @@ func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor
 			if s.tr != nil {
 				s.decide(obs.Decision{
 					Tensor: key, Action: "comm-defer", Bytes: bytes,
-					Reason:       "deferred " + label + " past a pending all-reduce window (earlier completion than contending)",
+					Reason:       "deferred " + s.tensorName(kind, t) + " past a pending all-reduce window (earlier completion than contending)",
 					CommSlowdown: w.Slowdown, CommUntil: w.End,
 				})
 			}
@@ -94,13 +93,13 @@ func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor
 	for attempt := 0; ; attempt++ {
 		dur := link.DegradedTransferTime(bytes, s.linkSlowdown(sim.MaxTime(st.AvailableAt(), earliest)))
 		if !s.inj.TransferFails(dir, key) {
-			start, end := st.Run(label, earliest, dur)
+			start, end := st.Run(earliest, dur)
 			if s.tr != nil {
 				if kind == labelSwapIn {
 					s.memEvent(labelAlloc, "prefetch", t, bytes, queued)
 				}
 				s.tr.Emit(obs.Event{
-					Kind: obs.KindSpan, Cat: "transfer", Name: label, Lane: st.Name(),
+					Kind: obs.KindSpan, Cat: "transfer", Name: s.tensorName(kind, t), Lane: st.Name(),
 					Start: start, End: end, Queued: queued, Iter: s.iter,
 					Tensor: key, Bytes: bytes,
 				})
@@ -109,11 +108,10 @@ func (s *Session) transfer(dir fault.Direction, kind labelKind, t *tensor.Tensor
 			return l, nil
 		}
 		s.stats.TransferFaults++
-		faultLabel := label + " !fault"
-		failStart, failEnd := st.Run(faultLabel, earliest, dur/2)
+		failStart, failEnd := st.Run(earliest, dur/2)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{
-				Kind: obs.KindSpan, Cat: "transfer", Name: faultLabel, Lane: st.Name(),
+				Kind: obs.KindSpan, Cat: "transfer", Name: s.tensorName(kind, t) + " !fault", Lane: st.Name(),
 				Start: failStart, End: failEnd, Queued: queued, Iter: s.iter,
 				Tensor: key, Bytes: bytes, Detail: "aborted",
 			})

@@ -1,4 +1,11 @@
 package fault
 
-// Queries reports how many decisions the injector has drawn.
-func (in *Injector) Queries() uint64 { return in.queries }
+// Queries reports how many samples the injector has drawn: the sum of
+// its per-subject counters, which a disabled injector never allocates.
+func (in *Injector) Queries() uint64 {
+	var n uint64
+	for _, c := range in.counts {
+		n += c
+	}
+	return n
+}

@@ -391,9 +391,6 @@ type Injector struct {
 	enabled  bool
 	degPhase sim.Time
 	counts   map[uint64]uint64
-
-	// queries tallies the decisions drawn, for tests.
-	queries uint64
 }
 
 // NewInjector builds an injector for the plan. A zero plan yields a
@@ -427,12 +424,11 @@ func (in *Injector) draw(site string, key string) float64 {
 	return float64(bits>>11) / float64(1<<53)
 }
 
-// decide draws once and tallies.
+// decide draws once.
 func (in *Injector) decide(site, key string, rate float64) bool {
 	if !in.Enabled() || rate <= 0 {
 		return false
 	}
-	in.queries++
 	return in.draw(site, key) < rate
 }
 

@@ -251,10 +251,3 @@ func sampleFrag(frag []FragSample, n int) []FragSample {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -181,15 +181,8 @@ func (b Conv2DBackpropFilter) Algorithms(dev hw.DeviceSpec, in []tensor.Shape, d
 	}
 	x, dy := in[0], in[1]
 	traffic := sumBytes(x, dy, b.FilterShape)
-	im2col := x.Elems() / max64(x[2]*x[3], 1) * b.FilterShape[2] * b.FilterShape[3] * dy[2] * dy[3] * 4
+	im2col := x.Elems() / max(x[2]*x[3], 1) * b.FilterShape[2] * b.FilterShape[3] * dy[2] * dy[3] * 4
 	// Filter gradients accumulate across the batch; Winograd variants are
 	// rarely used here, so offer gemm and implicit-gemm only.
 	return convAlgorithms(dst, dev, b.flops(in), traffic, im2col, false)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -29,17 +29,19 @@ type Options struct {
 	// ChunkBytes is the fixed chunk capacity; 0 means device memory / 8.
 	// A single oversize tensor occupies a chunk of its own.
 	ChunkBytes int64
-	// Lookahead is how many chunk accesses before a chunk's next use its
-	// prefetch is issued; 0 means 8.
-	Lookahead int
-	// Headroom is device memory withheld from the placement budget for
-	// workspace and fragmentation; 0 means device memory / 16.
-	Headroom int64
 }
+
+const (
+	// lookahead is how many chunk accesses before a chunk's next use its
+	// prefetch is issued.
+	lookahead = 8
+	// headroomDiv withholds 1/headroomDiv of device memory from the
+	// placement budget for workspace and fragmentation.
+	headroomDiv = 16
+)
 
 // Policy is the chunk-based placement policy.
 type Policy struct {
-	opts   Options
 	budget int64
 
 	// chunkOf maps tensor ID to chunk index; chunks holds the members in
@@ -72,20 +74,13 @@ func New(g *graph.Graph, dev hw.DeviceSpec, opts Options) *Policy {
 	if opts.ChunkBytes == 0 {
 		opts.ChunkBytes = dev.MemoryBytes / 8
 	}
-	if opts.Lookahead == 0 {
-		opts.Lookahead = 8
-	}
-	if opts.Headroom == 0 {
-		opts.Headroom = dev.MemoryBytes / 16
-	}
 	p := &Policy{
-		opts:       opts,
 		chunkOf:    make(map[string]int),
 		evictAt:    make(map[int][]int),
 		prefetchAt: make(map[int][]int),
 		hot:        -1,
 	}
-	p.budget = dev.MemoryBytes - g.ParameterBytes() - opts.Headroom
+	p.budget = dev.MemoryBytes - g.ParameterBytes() - dev.MemoryBytes/headroomDiv
 	if p.budget < 1 {
 		p.budget = 1
 	}
@@ -199,7 +194,7 @@ func (p *Policy) nextAccess(c, i int) int {
 // buildPlan simulates chunk residency over the warmup tape under the
 // memory budget: arriving chunks displace the resident chunk whose next
 // access is furthest away (never the chunk being accessed), and each
-// displaced chunk that is needed again gets a prefetch Lookahead accesses
+// displaced chunk that is needed again gets a prefetch lookahead accesses
 // ahead of that need.
 func (p *Policy) buildPlan() {
 	p.occ = make([][]int, len(p.chunks))
@@ -246,7 +241,7 @@ func (p *Policy) buildPlan() {
 		if ev.back == -1 {
 			continue
 		}
-		trig := ev.back - p.opts.Lookahead
+		trig := ev.back - lookahead
 		if trig < ev.at+1 {
 			trig = ev.at + 1
 		}

@@ -78,8 +78,6 @@ type Policy struct {
 	order []string
 	now   sim.Time
 
-	evictions, remats int
-
 	// Audit enables per-eviction candidate snapshots (test-only; the
 	// snapshots are O(tensors) per eviction).
 	Audit   bool
@@ -187,7 +185,6 @@ func (p *Policy) OnAccess(acc exec.Access, env *exec.Env) {
 	p.now = acc.At
 	if e.evicted && acc.Tensor.Resident() {
 		p.restore(e)
-		p.remats++
 	}
 	e.last = acc.At
 }
@@ -217,7 +214,6 @@ func (p *Policy) evict(e *entry) {
 		n.projected += e.projected
 		e.gave[nb] = e.projected
 	}
-	p.evictions++
 }
 
 // score is h = size·staleness/cost; DTR evicts the maximal-h tensor

@@ -15,10 +15,10 @@ func build(t *testing.T) *graph.Graph {
 	return testutil.SmallCNN(t, 6, 64, graph.GraphModeOptions())
 }
 
-func tightRun(t *testing.T, mem int64, iters int) (*Policy, []exec.IterStats) {
+func tightRun(t *testing.T, mem int64, iters int) (*counted, []exec.IterStats) {
 	t.Helper()
 	g := build(t)
-	p := New(g, testutil.Device(mem))
+	p := &counted{Policy: New(g, testutil.Device(mem))}
 	p.Audit = true
 	s, err := exec.NewSession(g, exec.Config{
 		Device: testutil.Device(mem),

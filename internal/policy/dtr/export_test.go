@@ -1,12 +1,51 @@
 package dtr
 
-import "capuchin/internal/sim"
+import (
+	"capuchin/internal/exec"
+	"capuchin/internal/sim"
+)
+
+// counted wraps a Policy and counts what it does: the tensors it evicted
+// and the evicted tensors it observed resident again.
+type counted struct {
+	*Policy
+	evictions, remats int
+}
+
+// HandleOOM counts the entries the wrapped HandleOOM evicted: only
+// OnAccess restores one, so the evicted set only grows here.
+func (c *counted) HandleOOM(need int64, env *exec.Env) (progress, ok bool) {
+	before := c.evicted()
+	progress, ok = c.Policy.HandleOOM(need, env)
+	c.evictions += c.evicted() - before
+	return progress, ok
+}
+
+// OnAccess counts an access to an evicted entry's tensor that found it
+// resident, which the wrapped OnAccess restores.
+func (c *counted) OnAccess(acc exec.Access, env *exec.Env) {
+	if e := c.entries[acc.Tensor.ID]; e != nil && acc.Kind != exec.Dealloc && e.evicted && acc.Tensor.Resident() {
+		c.remats++
+	}
+	c.Policy.OnAccess(acc, env)
+}
+
+// evicted counts the entries currently evicted.
+func (c *counted) evicted() int {
+	n := 0
+	for _, e := range c.entries {
+		if e.evicted {
+			n++
+		}
+	}
+	return n
+}
 
 // Evictions counts the tensors the policy evicted.
-func (p *Policy) Evictions() int { return p.evictions }
+func (c *counted) Evictions() int { return c.evictions }
 
 // Remats counts evicted tensors observed resident again.
-func (p *Policy) Remats() int { return p.remats }
+func (c *counted) Remats() int { return c.remats }
 
 // Records returns the audit log recorded while Audit was set.
 func (p *Policy) Records() []AuditRecord { return p.records }

@@ -54,14 +54,14 @@ func BenchmarkHotPathPendingPopDue(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathStreamRun times non-recording stream occupancy
-// bookkeeping — the per-op cost every simulated kernel launch pays.
-// Recording is off by default, so no span may be retained.
+// BenchmarkHotPathStreamRun times stream occupancy bookkeeping — the
+// per-op cost every simulated kernel launch pays. A stream keeps no
+// spans, so nothing may be retained.
 func BenchmarkHotPathStreamRun(b *testing.B) {
 	st := NewStream("compute")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Run("op", Time(i), Microsecond)
+		st.Run(Time(i), Microsecond)
 	}
 }

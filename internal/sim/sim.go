@@ -110,17 +110,6 @@ func Backoff(base Time, attempt int) Time {
 	return base << attempt
 }
 
-// Span records one operation executed on a stream, for timeline analysis
-// (e.g. regenerating the swap-overlap timeline of the paper's Figure 1).
-type Span struct {
-	Label string
-	Start Time
-	End   Time
-}
-
-// Duration reports the length of the span.
-func (sp Span) Duration() Time { return sp.End - sp.Start }
-
 // Stream models a CUDA stream: a FIFO queue of operations that execute
 // back-to-back in virtual time. A stream remembers when it next becomes
 // available; Run places an operation at the later of that time and the
@@ -128,8 +117,6 @@ func (sp Span) Duration() Time { return sp.End - sp.Start }
 type Stream struct {
 	name        string
 	availableAt Time
-	spans       []Span
-	recording   bool
 }
 
 // NewStream returns an idle stream available at time zero.
@@ -140,13 +127,6 @@ func NewStream(name string) *Stream {
 // Name reports the stream's name.
 func (s *Stream) Name() string { return s.name }
 
-// SetRecording enables or disables span recording. Recording is off by
-// default because long simulations emit millions of spans.
-func (s *Stream) SetRecording(on bool) { s.recording = on }
-
-// Recording reports whether span recording is enabled.
-func (s *Stream) Recording() bool { return s.recording }
-
 // AvailableAt reports the virtual time at which the stream next becomes idle.
 func (s *Stream) AvailableAt() Time { return s.availableAt }
 
@@ -154,16 +134,13 @@ func (s *Stream) AvailableAt() Time { return s.availableAt }
 // the later of the stream's availability and earliest (the completion time
 // of the operation's dependencies) and the stream becomes available again at
 // its end. It returns the operation's start and end times.
-func (s *Stream) Run(label string, earliest Time, duration Time) (start, end Time) {
+func (s *Stream) Run(earliest Time, duration Time) (start, end Time) {
 	if duration < 0 {
-		panic(fmt.Sprintf("sim: negative duration %v for %q on stream %s", duration, label, s.name))
+		panic(fmt.Sprintf("sim: negative duration %v on stream %s", duration, s.name))
 	}
 	start = MaxTime(s.availableAt, earliest)
 	end = start + duration
 	s.availableAt = end
-	if s.recording {
-		s.spans = append(s.spans, Span{Label: label, Start: start, End: end})
-	}
 	return start, end
 }
 
@@ -175,21 +152,6 @@ func (s *Stream) AdvanceTo(t Time) {
 	}
 }
 
-// Spans returns a copy of the recorded spans: exporters read spans while
-// the session may keep running, so the internal slice must not escape
-// (an append could reallocate or overwrite under the caller).
-func (s *Stream) Spans() []Span {
-	if s.spans == nil {
-		return nil
-	}
-	out := make([]Span, len(s.spans))
-	copy(out, s.spans)
-	return out
-}
-
-// Reset returns the stream to its initial idle state, clearing spans.
+// Reset returns the stream to its initial idle state.
 // Used between benchmark configurations.
-func (s *Stream) Reset() {
-	s.availableAt = 0
-	s.spans = nil
-}
+func (s *Stream) Reset() { s.availableAt = 0 }

@@ -55,36 +55,35 @@ func TestMaxMinTime(t *testing.T) {
 
 func TestStreamSequencing(t *testing.T) {
 	s := NewStream("compute")
-	s.SetRecording(true) // BusyTime and Ops read the recorded spans
-	start, end := s.Run("a", 0, 100)
+	var busy Time // the ops' durations, from Run's returned times
+	start, end := s.Run(0, 100)
+	busy += end - start
 	if start != 0 || end != 100 {
 		t.Fatalf("first op: got [%d,%d], want [0,100]", start, end)
 	}
 	// Second op with an earlier dependency still queues behind the first.
-	start, end = s.Run("b", 50, 30)
+	start, end = s.Run(50, 30)
+	busy += end - start
 	if start != 100 || end != 130 {
 		t.Fatalf("second op: got [%d,%d], want [100,130]", start, end)
 	}
 	// Third op with a future dependency waits for it.
-	start, end = s.Run("c", 500, 10)
+	start, end = s.Run(500, 10)
+	busy += end - start
 	if start != 500 || end != 510 {
 		t.Fatalf("third op: got [%d,%d], want [500,510]", start, end)
 	}
 	if s.AvailableAt() != 510 {
 		t.Errorf("AvailableAt = %d, want 510", s.AvailableAt())
 	}
-	if s.BusyTime() != 140 {
-		t.Errorf("BusyTime = %d, want 140", s.BusyTime())
-	}
-	if s.Ops() != 3 {
-		t.Errorf("Ops = %d, want 3", s.Ops())
+	if busy != 140 {
+		t.Errorf("busy time = %d, want 140", busy)
 	}
 }
 
 func TestStreamAdvanceTo(t *testing.T) {
 	s := NewStream("h2d")
-	s.SetRecording(true)
-	s.Run("x", 0, 10)
+	start, end := s.Run(0, 10)
 	s.AdvanceTo(5) // in the past: no effect
 	if s.AvailableAt() != 10 {
 		t.Errorf("AdvanceTo past moved the stream: %d", s.AvailableAt())
@@ -93,43 +92,24 @@ func TestStreamAdvanceTo(t *testing.T) {
 	if s.AvailableAt() != 100 {
 		t.Errorf("AdvanceTo future: got %d, want 100", s.AvailableAt())
 	}
-	// Stall does not count as busy time.
-	if s.BusyTime() != 10 {
-		t.Errorf("BusyTime after stall = %d, want 10", s.BusyTime())
+	// Stall does not count as busy time: the next op starts after it.
+	if end-start != 10 {
+		t.Errorf("busy time after stall = %d, want 10", end-start)
 	}
-}
-
-func TestStreamRecording(t *testing.T) {
-	s := NewStream("d2h")
-	s.Run("hidden", 0, 5)
-	if len(s.Spans()) != 0 {
-		t.Fatal("spans recorded while recording disabled")
-	}
-	s.SetRecording(true)
-	if !s.Recording() {
-		t.Fatal("Recording() false after SetRecording(true)")
-	}
-	s.Run("visible", 0, 7)
-	spans := s.Spans()
-	if len(spans) != 1 {
-		t.Fatalf("got %d spans, want 1", len(spans))
-	}
-	sp := spans[0]
-	if sp.Label != "visible" || sp.Start != 5 || sp.End != 12 {
-		t.Errorf("span = %+v, want {visible 5 12}", sp)
-	}
-	if sp.Duration() != 7 {
-		t.Errorf("Duration = %d, want 7", sp.Duration())
+	if start, _ := s.Run(0, 1); start != 100 {
+		t.Errorf("op after stall starts at %d, want 100", start)
 	}
 }
 
 func TestStreamReset(t *testing.T) {
 	s := NewStream("compute")
-	s.SetRecording(true)
-	s.Run("a", 0, 10)
+	s.Run(0, 10)
 	s.Reset()
-	if s.AvailableAt() != 0 || s.BusyTime() != 0 || s.Ops() != 0 || len(s.Spans()) != 0 {
+	if s.AvailableAt() != 0 {
 		t.Error("Reset did not clear state")
+	}
+	if start, end := s.Run(0, 5); start != 0 || end != 5 {
+		t.Errorf("op after Reset: got [%d,%d], want [0,5]", start, end)
 	}
 }
 
@@ -139,7 +119,7 @@ func TestStreamNegativeDurationPanics(t *testing.T) {
 			t.Fatal("no panic on negative duration")
 		}
 	}()
-	NewStream("x").Run("bad", 0, -1)
+	NewStream("x").Run(0, -1)
 }
 
 func TestPendingSetOrdering(t *testing.T) {
@@ -231,13 +211,12 @@ func TestStreamInvariantsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 100; trial++ {
 		s := NewStream("p")
-		s.SetRecording(true)
 		var prevEnd Time
-		var busy Time
+		var busy, ran Time // the durations asked for, and those Run's times span
 		for i := 0; i < 50; i++ {
 			dep := Time(rng.Int63n(1000))
 			d := Time(rng.Int63n(100))
-			start, end := s.Run("op", dep, d)
+			start, end := s.Run(dep, d)
 			if start < dep {
 				t.Fatalf("op started %d before dependency %d", start, dep)
 			}
@@ -249,9 +228,10 @@ func TestStreamInvariantsProperty(t *testing.T) {
 			}
 			prevEnd = end
 			busy += d
+			ran += end - start
 		}
-		if s.BusyTime() != busy {
-			t.Fatalf("BusyTime %d != sum of durations %d", s.BusyTime(), busy)
+		if ran != busy {
+			t.Fatalf("busy time %d != sum of durations %d", ran, busy)
 		}
 	}
 }

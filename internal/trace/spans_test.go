@@ -12,7 +12,6 @@ import (
 	"capuchin/internal/fault"
 	"capuchin/internal/hw"
 	"capuchin/internal/obs"
-	"capuchin/internal/sim"
 	"capuchin/internal/trace"
 )
 
@@ -52,23 +51,20 @@ func spanCells(tb testing.TB) []spanCell {
 	}
 }
 
-// spansTSVs runs c the way capuchin-trace -spans does and returns each
-// stream's span count and TSV, in spanStreams order.
-func spansTSVs(tb testing.TB, c spanCell) ([]int, [][]byte) {
+// spansTSVs runs c the way capuchin-trace -spans does, traced by tr,
+// and returns each stream's span count and TSV, in spanStreams order:
+// Spans folded from col's log.
+func spansTSVs(tb testing.TB, c spanCell, col *obs.Collector, tr obs.Tracer) ([]int, [][]byte) {
 	tb.Helper()
-	cfg := c.cfg
-	cfg.RecordSpans = true
-	res, sess, _ := bench.RunLive(cfg, obs.NewCollector())
-	if !res.OK {
+	if res := bench.RunTraced(c.cfg, tr); !res.OK {
 		tb.Fatalf("%s: %v", c.name, res.Err)
 	}
-	compute, h2d, d2h := sess.Streams()
 	var counts []int
 	var tsvs [][]byte
-	for i, st := range []*sim.Stream{compute, h2d, d2h} {
+	for _, st := range spanStreams {
 		var b bytes.Buffer
-		spans := st.Spans()
-		if err := trace.WriteSpansTSV(&b, spanStreams[i], spans); err != nil {
+		spans := trace.Spans(col.Events(), col.Decisions(), st)
+		if err := trace.WriteSpansTSV(&b, st, spans); err != nil {
 			tb.Fatal(err)
 		}
 		counts = append(counts, len(spans))
@@ -77,20 +73,31 @@ func spansTSVs(tb testing.TB, c spanCell) ([]int, [][]byte) {
 	return counts, tsvs
 }
 
+// discard drops every record. Teed with a Collector it makes a run
+// simulate every iteration.
+type discard struct{}
+
+func (discard) Emit(obs.Event)      {}
+func (discard) Decide(obs.Decision) {}
+
 // TestSpansGolden pins capuchin-trace -spans on every cell and stream as
 // one line: the cell, the stream, its span count and the SHA-256 of its
-// TSV. On a mismatch the TSVs are written to a temporary directory.
-// Regenerate with
+// TSV. The golden was made by the streams' own span recorder, which the
+// fold replaced. On a mismatch each stream's TSV is written to a
+// temporary directory beside the TSV of a run that simulates every
+// iteration. Regenerate with
 //
 //	go test ./internal/trace -run SpansGolden -update
 func TestSpansGolden(t *testing.T) {
 	var got bytes.Buffer
-	dumped := map[string][]byte{}
-	for _, c := range spanCells(t) {
-		counts, tsvs := spansTSVs(t, c)
-		for i, st := range spanStreams {
-			fmt.Fprintf(&got, "%s\t%s\t%d\t%x\n", c.name, st, counts[i], sha256.Sum256(tsvs[i]))
-			dumped[fmt.Sprintf("%s.%s.tsv", c.name, st)] = tsvs[i]
+	cells := spanCells(t)
+	tsvs := make([][][]byte, len(cells))
+	for i, c := range cells {
+		col := obs.NewCollector()
+		var counts []int
+		counts, tsvs[i] = spansTSVs(t, c, col, col)
+		for j, st := range spanStreams {
+			fmt.Fprintf(&got, "%s\t%s\t%d\t%x\n", c.name, st, counts[j], sha256.Sum256(tsvs[i][j]))
 		}
 	}
 	path := filepath.Join("testdata", "spans.golden")
@@ -111,13 +118,21 @@ func TestSpansGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range dumped {
+	write := func(name string, b []byte) {
 		file := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(file, b, 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+	for i, c := range cells {
+		col := obs.NewCollector()
+		_, full := spansTSVs(t, c, col, obs.Tee(col, discard{}))
+		for j, st := range spanStreams {
+			write(c.name+"/"+st+".tsv", tsvs[i][j])
+			write(c.name+"/"+st+".full.tsv", full[j])
 		}
 	}
 	t.Errorf("stream spans drifted from golden (TSVs in %s)\n--- want\n%s--- got\n%s", dir, want, got.Bytes())

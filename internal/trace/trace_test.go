@@ -70,9 +70,9 @@ func TestRecorderFilter(t *testing.T) {
 }
 
 func TestWriteSpansTSV(t *testing.T) {
-	spans := []sim.Span{
-		{Label: "conv0", Start: 0, End: 10 * sim.Microsecond},
-		{Label: "swapout x", Start: 10 * sim.Microsecond, End: 30 * sim.Microsecond},
+	spans := []obs.Event{
+		{Kind: obs.KindSpan, Name: "conv0", Start: 0, End: 10 * sim.Microsecond},
+		{Kind: obs.KindSpan, Name: "swapout x", Start: 10 * sim.Microsecond, End: 30 * sim.Microsecond},
 	}
 	var sb strings.Builder
 	if err := trace.WriteSpansTSV(&sb, "d2h", spans); err != nil {
