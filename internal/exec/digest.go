@@ -49,9 +49,9 @@ func (nullDigest) AppendStateDigest(dst []byte) []byte { return dst }
 // repeated iterations: the run has no tracer or one that can repeat its
 // own records (obs.Repeater), injects no fault, shares the link with no
 // collective traffic (its windows sit at absolute times), and the policy
-// digests its state. Any other tracer makes the
-// run simulate every iteration, so a run it traces is the reference a
-// skipping run's stats and records must equal.
+// digests its state. Any other tracer makes the run simulate every
+// iteration, so a run it traces is the reference a skipping run's stats
+// and records must equal.
 func (s *Session) digester() (StateDigester, bool) {
 	if _, repeats := s.tr.(obs.Repeater); s.tr != nil && !repeats || s.inj.Enabled() || s.cfg.Comm != nil {
 		return nil, false
