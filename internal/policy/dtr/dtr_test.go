@@ -36,7 +36,7 @@ func tightRun(t *testing.T, mem int64, iters int) (*counted, []exec.IterStats) {
 
 func TestDTRMatchesOracle(t *testing.T) {
 	p, sts := tightRun(t, 72*hw.MiB, 2)
-	if p.Evictions() == 0 {
+	if p.evictions == 0 {
 		t.Fatal("no evictions at 72 MiB; the run exercised nothing")
 	}
 	testutil.MatchesReference(t, "dtr", build(t), sts)
@@ -153,7 +153,7 @@ func TestDTRPartialRestoreInterleaving(t *testing.T) {
 // again, and checks the policy observed the rematerializations.
 func TestDTRRematRestores(t *testing.T) {
 	p, _ := tightRun(t, 72*hw.MiB, 2)
-	if p.Remats() == 0 {
+	if p.remats == 0 {
 		t.Error("no rematerializations observed; restore path untested at runtime")
 	}
 }

@@ -41,12 +41,6 @@ func (c *counted) evicted() int {
 	return n
 }
 
-// Evictions counts the tensors the policy evicted.
-func (c *counted) Evictions() int { return c.evictions }
-
-// Remats counts evicted tensors observed resident again.
-func (c *counted) Remats() int { return c.remats }
-
 // Records returns the audit log recorded while Audit was set.
 func (p *Policy) Records() []AuditRecord { return p.records }
 

@@ -158,7 +158,7 @@ func Tape(g *graph.Graph, events []obs.Event, decisions []obs.Decision) []Event 
 // spans of the session it ended on.
 func Spans(events []obs.Event, decisions []obs.Decision, stream string) []obs.Event {
 	w := newSessions(decisions)
-	var spans [][]obs.Event // per session
+	spans := make([][]obs.Event, 1) // per session
 	for _, ev := range events {
 		if ev.Kind != obs.KindSpan || ev.Group != "" && ev.Group != "replica 0" {
 			continue
@@ -171,9 +171,6 @@ func Spans(events []obs.Event, decisions []obs.Decision, stream string) []obs.Ev
 		if ev.Lane == stream && ev.Cat != "stall" {
 			spans[w.cur] = append(spans[w.cur], ev)
 		}
-	}
-	if len(spans) == 0 {
-		return nil
 	}
 	return spans[w.cur]
 }
