@@ -284,10 +284,12 @@ profile-smoke:
 	test $$(wc -l <$$d/trace.tsv) -gt 1 && rm -rf $$d || \
 	{ echo "profile-smoke: a failed run must write its exports, with the oom instant or its partial access tape, and exit 1"; exit 1; }
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-train && \
-	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 >$$d/skip.txt && \
-	$$d/capuchin-train -model vgg16 -batch 300 -system capuchin -iters 60 -events $$d/traced.jsonl >$$d/traced.txt && \
-	cmp $$d/skip.txt $$d/traced.txt && rm -rf $$d || \
-	{ echo "profile-smoke: a skipping capuchin-train run must print what the traced run prints"; exit 1; }
+	for a in "vgg16 -batch 300 -iters 60" "resnet50 -batch 32 -iters 20"; do \
+		$$d/capuchin-train -system capuchin -model $$a >$$d/skip.txt && \
+		$$d/capuchin-train -system capuchin -model $$a -events $$d/traced.jsonl >$$d/traced.txt && \
+		cmp $$d/skip.txt $$d/traced.txt || \
+		{ echo "profile-smoke: a skipping capuchin-train -model $$a run must print what the traced run prints"; exit 1; }; \
+	done && rm -rf $$d
 	d=$$(mktemp -d) && $(GO) build -o $$d/ ./cmd/capuchin-trace && \
 	$$d/capuchin-trace -model resnet50 -batch 64 -mem 1.5 -system capuchin -devices 2 -iters 3 \
 		-faults seed=7,transfer=0.2,retries=2 -prom $$d/run.prom -events $$d/run.jsonl >/dev/null && \

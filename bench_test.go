@@ -488,6 +488,14 @@ func BenchmarkHotPathProbeCellVDNN(b *testing.B) { benchProbeCell(b, bench.Syste
 // articulation-point analysis of the graph to build.
 func BenchmarkHotPathProbeCellOpenAIM(b *testing.B) { benchProbeCell(b, bench.SystemOpenAIMemory) }
 
+// BenchmarkHotPathProbeCellCapuchin is BenchmarkHotPathProbeCellTF for
+// Capuchin at batches with memory to spare: the measured iteration
+// plans nothing, so Session.Run simulates it alone, as it does TF-ori's
+// first, and fills in the other two. Its budget pins that the empty
+// plan's build and the boundary digest allocate nothing per probe beyond
+// what the recycled policy and session keep.
+func BenchmarkHotPathProbeCellCapuchin(b *testing.B) { benchProbeCell(b, bench.SystemCapuchin) }
+
 // benchProbeCell runs sys's cold 3-iteration resnet50 probes that fit on
 // a 16 GiB P100 on a warm template set, alternating two batches.
 func benchProbeCell(b *testing.B, sys bench.System) {

@@ -281,6 +281,7 @@ func (cfg RunConfig) Validate() error {
 	}
 	sys, known := exec.LookupPolicy(string(cfg.System))
 	mem, host := cfg.Device.MemoryBytes, cfg.HostMemory
+	dev := cfg.Device.Validate()
 	alloc := exec.CheckAllocator(cfg.Allocator)
 	switch {
 	case !known:
@@ -299,6 +300,8 @@ func (cfg RunConfig) Validate() error {
 	case host < 0 || host > hw.MaxMemory:
 		return fmt.Errorf("bench: host memory must be 0 (default) or between 1 byte and %d GiB, got %d bytes",
 			hw.MaxMemory/hw.GiB, host)
+	case dev != nil:
+		return fmt.Errorf("bench: %w", dev)
 	case alloc != nil || cfg.Schedule == "":
 		return alloc
 	case !sys.GraphAgnostic:

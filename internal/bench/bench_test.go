@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"capuchin/internal/hw"
 	"capuchin/internal/memory"
 	"capuchin/internal/models"
+	"capuchin/internal/sim"
 	"capuchin/internal/testutil"
 )
 
@@ -73,6 +75,11 @@ func TestRunErrors(t *testing.T) {
 		{"seq schedule without a sequence axis", func(c *RunConfig) { c.Schedule = models.ScheduleSeq }, "sequence axis"},
 		{"schedule on a graph-keyed system", func(c *RunConfig) { c.System, c.Schedule = SystemVDNN, models.ScheduleBatch }, "one graph"},
 		{"schedule across devices", func(c *RunConfig) { c.Schedule, c.Devices = models.ScheduleBatch, 2 }, ErrDynamicCluster.Error()},
+		// Each would panic in a simulated stream on a negative duration.
+		{"device with no rates", func(c *RunConfig) { c.Device = hw.DeviceSpec{Name: "x", MemoryBytes: 16 << 30} }, "PeakFLOPS 0"},
+		{"no H2D link", func(c *RunConfig) { c.Device.H2D = hw.Link{} }, "H2D.BytesPerSec 0"},
+		{"NaN memory bandwidth", func(c *RunConfig) { c.Device.MemBandwidth = math.NaN() }, "MemBandwidth NaN"},
+		{"negative H2D latency", func(c *RunConfig) { c.Device.H2D.Latency = -sim.Microsecond }, "H2D.Latency"},
 
 		{"minimal", func(*RunConfig) {}, ""},
 		{"default iterations", func(c *RunConfig) { c.Iterations = 0 }, ""},
@@ -86,6 +93,10 @@ func TestRunErrors(t *testing.T) {
 		{"devices at cap", func(c *RunConfig) { c.Devices = MaxDevices }, ""},
 		{"seq schedule", func(c *RunConfig) { c.Model, c.Schedule = "lstm", models.ScheduleSeq }, ""},
 		{"mixed schedule", func(c *RunConfig) { c.Model, c.Schedule = "lstm", models.ScheduleMixed }, ""},
+		{"free overheads", func(c *RunConfig) {
+			c.Device.KernelLaunch, c.Device.EagerDispatch, c.Device.TrackAccess = 0, 0, 0
+			c.Device.D2H.Latency, c.Device.H2D.Latency = 0, 0
+		}, ""},
 	}
 	for _, alloc := range []string{"", "bfc", "firstfit"} {
 		rows = append(rows, row{"allocator " + alloc, func(c *RunConfig) { c.Allocator = alloc }, ""})

@@ -50,7 +50,24 @@ func (c *Capuchin) paramTrigger(sp *swapPlan) (*tensor.Tensor, int) {
 // evictions and sizes are fixed once built, and BeginIteration resets
 // the rest. The encoding is O(swaps) and allocates nothing once dst has
 // grown to fit it.
+//
+// A bound plan that swaps and recomputes nothing, with no prefetch
+// queued, is encoded as the state its measured iteration started from:
+// no plan, one measured iteration pending, one plan build fewer (§6.3.2:
+// with enough memory Capuchin only tracks accesses). A guided iteration
+// under it does what the measured one did, access for access: neither
+// acts on an access, and both evict on demand alone (OnOOM). Only the
+// measured iteration's EndIteration differs, by building the plan, and
+// a guided one's records nothing. So the boundary after the measured
+// iteration repeats the one before it, and Run repeats the measured
+// iteration without its EndIteration's records.
 func (c *Capuchin) AppendStateDigest(dst []byte) []byte {
+	queued := c.pendingPrefetch[c.pendingHead:]
+	bound := c.plan != nil && c.planGraph != nil
+	if bound && c.plan.numSwap == 0 && c.plan.numRecompute == 0 && len(queued) == 0 {
+		// The measured iteration's start: no plan, no tracker, no queue.
+		return binary.AppendUvarint(c.appendCounters(dst, 0, 1, c.plansBuilt-1), 0)
+	}
 	var flags byte
 	if c.plan != nil {
 		flags |= 1
@@ -58,16 +75,10 @@ func (c *Capuchin) AppendStateDigest(dst []byte) []byte {
 	if c.tk != nil {
 		flags |= 2
 	}
-	bound := c.plan != nil && c.planGraph != nil
 	if bound {
 		flags |= 4
 	}
-	dst = append(dst, flags)
-	for _, v := range [...]int{c.measureLeft, c.plansBuilt, c.invalidations, c.cacheHits, len(c.sig)} {
-		dst = binary.AppendUvarint(dst, uint64(v))
-	}
-	dst = append(dst, c.sig...)
-	queued := c.pendingPrefetch[c.pendingHead:]
+	dst = c.appendCounters(dst, flags, c.measureLeft, c.plansBuilt)
 	dst = binary.AppendUvarint(dst, uint64(len(queued)))
 	for _, i := range queued {
 		dst = binary.AppendUvarint(dst, uint64(i))
@@ -93,4 +104,15 @@ func (c *Capuchin) AppendStateDigest(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// appendCounters appends the digest's head: flags, the pending measured
+// iterations and plan builds given, then the invalidation and cache-hit
+// counts and the shape signature.
+func (c *Capuchin) appendCounters(dst []byte, flags byte, measureLeft, plansBuilt int) []byte {
+	dst = append(dst, flags)
+	for _, v := range [...]int{measureLeft, plansBuilt, c.invalidations, c.cacheHits, len(c.sig)} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	return append(dst, c.sig...)
 }

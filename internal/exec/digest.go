@@ -23,11 +23,17 @@ type StateDigester interface {
 	// AppendStateDigest appends to dst an encoding of every piece of the
 	// policy's mutable state that its next BeginIteration, OnAccess, OnOOM
 	// and EndIteration calls read, and returns the extended slice. Equal
-	// encodings at two boundaries promise the same decisions in the
-	// iterations that follow them. State that BeginIteration resets need
-	// not be encoded. Anything read from the iteration number, or from a
-	// parameter's AccessCount or LastAccess (which run on across
-	// iterations), must be.
+	// encodings at two consecutive boundaries promise that every later
+	// iteration repeats the one between them up to its EndIteration:
+	// the same accesses, actions and records, and EndIteration calls
+	// that record nothing and leave the encoding as it is. So the
+	// iteration between them may differ in its own EndIteration alone,
+	// as Capuchin's measured iteration does when it builds an empty plan
+	// (that plan encodes as the state the measured iteration started
+	// from). State that BeginIteration resets need not be encoded.
+	// Anything read from the iteration number, or from a parameter's
+	// AccessCount or LastAccess (which run on across iterations), must
+	// be.
 	AppendStateDigest(dst []byte) []byte
 }
 

@@ -53,6 +53,9 @@ func (s *Session) RunIteration() (IterStats, error) {
 	if err := s.endIteration(env); err != nil && runErr == nil {
 		runErr = err
 	}
+	if rep, ok := s.tr.(obs.Repeater); ok {
+		s.iterEnd = rep.Mark()
+	}
 	s.policy.EndIteration(s.iter, env)
 
 	st := s.stats
@@ -69,8 +72,11 @@ func (s *Session) RunIteration() (IterStats, error) {
 // nothing but a Repeater traces it, Run stops simulating at the first
 // iteration boundary whose state equals the previous boundary's: every
 // remaining iteration would repeat the last one, so repeat fills them
-// in, and the tracer repeats the last iteration's records. The stats,
-// the records and the session Run leaves are those of simulating all n.
+// in, and the tracer repeats the last iteration's records up to its
+// policy.EndIteration, whose records (Capuchin's plan, when the
+// measured iteration is the one repeated) the repeats do not make. The
+// stats, the records and the session Run leaves are those of simulating
+// all n.
 func (s *Session) Run(n int) ([]IterStats, error) {
 	stats := make([]IterStats, 0, n)
 	dg, skippable := s.digester()
@@ -86,7 +92,7 @@ func (s *Session) Run(n int) ([]IterStats, error) {
 				m := n - len(stats)
 				stats = s.repeat(stats, n)
 				if rep != nil {
-					rep.Repeat(mark, stats[len(stats)-1].Duration, m)
+					rep.Repeat(mark, s.iterEnd, stats[len(stats)-1].Duration, m)
 				}
 				return stats, nil
 			}

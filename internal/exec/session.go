@@ -237,6 +237,10 @@ type Session struct {
 	// may hold at a boundary.
 	digest, prevDigest []byte
 	paramBytes         int64
+	// iterEnd is where an obs.Repeater tracer stood just before the last
+	// iteration's policy.EndIteration: the end of the records Run
+	// repeats.
+	iterEnd obs.Cursor
 
 	// actionAnchor is the virtual time at which policy-triggered
 	// asynchronous actions start (the current access's effect point).

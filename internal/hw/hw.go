@@ -11,6 +11,7 @@ package hw
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"capuchin/internal/sim"
@@ -90,6 +91,54 @@ func (d DeviceSpec) ComputeTime(flops, maxEff, halfSatFLOPs float64) sim.Time {
 		eff = maxEff * flops / (flops + halfSatFLOPs)
 	}
 	return d.KernelLaunch + sim.FromSeconds(flops/(d.PeakFLOPS*eff))
+}
+
+// DeviceError reports a DeviceSpec field the cost model cannot run on:
+// a rate (FLOP/s or bytes/s) that is not positive and finite, or a
+// negative overhead. A zero rate makes an operation's duration infinite,
+// which converts to a negative time and stops the simulated stream it
+// runs on.
+type DeviceError struct {
+	// Device is the spec's Name, and Field the offending field's path
+	// ("PeakFLOPS", "H2D.BytesPerSec", "KernelLaunch", ...).
+	Device, Field string
+	// Value is the field's value as fmt prints it, and Want what the
+	// field must be.
+	Value, Want string
+}
+
+func (e *DeviceError) Error() string {
+	return fmt.Sprintf("hw: device %q has %s %s; it must be %s", e.Device, e.Field, e.Value, e.Want)
+}
+
+// Validate returns a *DeviceError for the first field of d the cost
+// model cannot use, or nil. Bounding MemoryBytes is the caller's.
+func (d DeviceSpec) Validate() error {
+	rates := [...]struct {
+		field string
+		v     float64
+	}{
+		{"PeakFLOPS", d.PeakFLOPS}, {"MemBandwidth", d.MemBandwidth},
+		{"D2H.BytesPerSec", d.D2H.BytesPerSec}, {"H2D.BytesPerSec", d.H2D.BytesPerSec},
+	}
+	for _, r := range rates {
+		if !(r.v > 0 && r.v <= math.MaxFloat64) {
+			return &DeviceError{Device: d.Name, Field: r.field, Value: fmt.Sprint(r.v), Want: "positive and finite"}
+		}
+	}
+	overheads := [...]struct {
+		field string
+		v     sim.Time
+	}{
+		{"KernelLaunch", d.KernelLaunch}, {"D2H.Latency", d.D2H.Latency}, {"H2D.Latency", d.H2D.Latency},
+		{"EagerDispatch", d.EagerDispatch}, {"TrackAccess", d.TrackAccess},
+	}
+	for _, o := range overheads {
+		if o.v < 0 {
+			return &DeviceError{Device: d.Name, Field: o.field, Value: o.v.String(), Want: "zero or positive"}
+		}
+	}
+	return nil
 }
 
 // MemoryTime reports the duration of a memory-bound kernel that moves the

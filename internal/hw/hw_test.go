@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -101,6 +102,45 @@ func TestDeviceCatalog(t *testing.T) {
 		}
 		if d.EagerDispatch <= 0 || d.TrackAccess <= 0 {
 			t.Errorf("%s: missing overhead parameters", d.Name)
+		}
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: Validate = %v", d.Name, err)
+		}
+	}
+}
+
+// TestDeviceSpecValidate: a rate that is not positive and finite, or a
+// negative overhead, fails Validate with a *DeviceError naming the
+// field; zero overheads pass.
+func TestDeviceSpecValidate(t *testing.T) {
+	for _, tc := range []struct {
+		field string // "" means valid
+		edit  func(*DeviceSpec)
+	}{
+		{"PeakFLOPS", func(d *DeviceSpec) { d.PeakFLOPS = 0 }},
+		{"PeakFLOPS", func(d *DeviceSpec) { d.PeakFLOPS = math.Inf(1) }},
+		{"MemBandwidth", func(d *DeviceSpec) { d.MemBandwidth = math.NaN() }},
+		{"MemBandwidth", func(d *DeviceSpec) { d.MemBandwidth = -1 }},
+		{"D2H.BytesPerSec", func(d *DeviceSpec) { d.D2H = Link{} }},
+		{"H2D.BytesPerSec", func(d *DeviceSpec) { d.H2D.BytesPerSec = -12e9 }},
+		{"KernelLaunch", func(d *DeviceSpec) { d.KernelLaunch = -1 }},
+		{"D2H.Latency", func(d *DeviceSpec) { d.D2H.Latency = -1 }},
+		{"H2D.Latency", func(d *DeviceSpec) { d.H2D.Latency = -sim.Microsecond }},
+		{"EagerDispatch", func(d *DeviceSpec) { d.EagerDispatch = -1 }},
+		{"TrackAccess", func(d *DeviceSpec) { d.TrackAccess = -1 }},
+		{"", func(d *DeviceSpec) {
+			d.KernelLaunch, d.EagerDispatch, d.TrackAccess, d.D2H.Latency, d.H2D.Latency = 0, 0, 0, 0, 0
+		}},
+	} {
+		d := P100()
+		tc.edit(&d)
+		err := d.Validate()
+		var de *DeviceError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("valid spec: Validate = %v", err)
+		case tc.field != "" && (!errors.As(err, &de) || de.Field != tc.field || de.Device != d.Name):
+			t.Errorf("Validate = %v, want a *DeviceError on %s", err, tc.field)
 		}
 	}
 }

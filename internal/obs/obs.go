@@ -160,10 +160,11 @@ type Tracer interface {
 type Repeater interface {
 	// Mark returns the position after the last record.
 	Mark() Cursor
-	// Repeat appends times copies of the records after since. Copy k
-	// (from 1) is the window with every absolute virtual time moved on
-	// by k·period and every iteration number by k.
-	Repeat(since Cursor, period sim.Time, times int)
+	// Repeat appends times copies of the window of records from from up
+	// to to, which may end before the last record: the records after it
+	// are not copied. Copy k (from 1) is the window with every absolute
+	// virtual time moved on by k·period and every iteration number by k.
+	Repeat(from, to Cursor, period sim.Time, times int)
 }
 
 // Collector is the in-memory Tracer: an append-only event log and
@@ -237,14 +238,13 @@ func (c *Collector) Mark() Cursor {
 // copy's decisions keep their places among its events, including those
 // recorded after the window's last event. A zero Queued or CommUntil
 // stays zero.
-func (c *Collector) Repeat(since Cursor, period sim.Time, times int) {
+func (c *Collector) Repeat(from, to Cursor, period sim.Time, times int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	evEnd, decEnd := c.events.n, c.decisions.n
 	for k := 1; k <= times; k++ {
 		shift := sim.Time(k) * period
-		base := c.events.n - since.events
-		for i := since.events; i < evEnd; i++ {
+		base := c.events.n - from.events
+		for i := from.events; i < to.events; i++ {
 			r := c.events.at(i)
 			r.start += shift
 			r.end += shift
@@ -254,7 +254,7 @@ func (c *Collector) Repeat(since Cursor, period sim.Time, times int) {
 			r.iter += k
 			c.events.append(r)
 		}
-		for i := since.decisions; i < decEnd; i++ {
+		for i := from.decisions; i < to.decisions; i++ {
 			d := c.decisions.at(i)
 			d.At += shift
 			if d.CommUntil != 0 {

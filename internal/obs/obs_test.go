@@ -351,17 +351,37 @@ var repeatPrelude = []tapeRecord{
 	{decision: true, d: Decision{Policy: "capuchin", Action: "plan"}},
 }
 
-// repeatedCollectors returns a Collector that recorded repeatPrelude and
-// one window, then repeated the window times, and a Collector that
-// recorded repeatPrelude and all times+1 windows itself.
-func repeatedCollectors(period sim.Time, times int) (repeated, recorded *Collector) {
+// repeatTrailer is recorded after the window's end cursor, as
+// Capuchin's plan decision is after the measured iteration's records,
+// so Repeat must not copy it. It lands among the window's trailing
+// decisions: all three sit after the window's last event.
+var repeatTrailer = []tapeRecord{
+	{decision: true, d: Decision{At: 42, Policy: "capuchin", Action: "plan", Candidates: 3}},
+}
+
+// repeatTrailers are the records after a window's end: none, where the
+// window runs to the last record, and repeatTrailer.
+var repeatTrailers = []struct {
+	name    string
+	records []tapeRecord
+}{{"to-last-record", nil}, {"before-trailing-decision", repeatTrailer}}
+
+// repeatedCollectors returns a Collector that recorded repeatPrelude,
+// one window and trailer, then repeated the window times, and a
+// Collector that recorded repeatPrelude, the window, trailer and the
+// other times windows itself.
+func repeatedCollectors(period sim.Time, times int, trailer []tapeRecord) (repeated, recorded *Collector) {
 	repeated, recorded = NewCollector(), NewCollector()
 	record(repeated, repeatPrelude)
 	record(recorded, repeatPrelude)
 	mark := repeated.Mark()
 	record(repeated, repeatWindow(0, period))
-	repeated.Repeat(mark, period, times)
-	for k := 0; k <= times; k++ {
+	end := repeated.Mark()
+	record(repeated, trailer)
+	repeated.Repeat(mark, end, period, times)
+	record(recorded, repeatWindow(0, period))
+	record(recorded, trailer)
+	for k := 1; k <= times; k++ {
 		record(recorded, repeatWindow(k, period))
 	}
 	return repeated, recorded
@@ -371,55 +391,84 @@ func repeatedCollectors(period sim.Time, times int) (repeated, recorded *Collect
 // back, through Events, Decisions and AppendJSONL, exactly as the same
 // records emitted one by one: times and iterations shifted per copy,
 // decisions in their places among the events (those after the window's
-// last event included), and a zero Queued left zero.
+// last event included, and each decision's count of events before it
+// equal), a zero Queued left zero, and records after the window's end
+// not copied.
 func TestCollectorRepeatMatchesRecording(t *testing.T) {
 	const period, times = 1000, 3
-	got, want := repeatedCollectors(period, times)
-	if !slices.Equal(got.Events(), want.Events()) || !slices.Equal(got.Decisions(), want.Decisions()) {
-		t.Fatalf("repeated log reads back %d events and %d decisions unlike the %d and %d recorded",
-			got.Len(), len(got.Decisions()), want.Len(), len(want.Decisions()))
-	}
-	gotJSONL, _, _ := got.AppendJSONL(nil, Cursor{})
-	wantJSONL, _, _ := want.AppendJSONL(nil, Cursor{})
-	if !bytes.Equal(gotJSONL, wantJSONL) {
-		t.Fatalf("repeated log renders:\n%s\nrecorded log renders:\n%s", gotJSONL, wantJSONL)
-	}
-	var queued int
-	for _, ev := range got.Events() {
-		if ev.Queued != 0 {
-			queued++
-		}
-	}
-	if queued != times+1 {
-		t.Errorf("%d events carry a queue time, want the %d transfers", queued, times+1)
+	for _, tr := range repeatTrailers {
+		t.Run(tr.name, func(t *testing.T) {
+			got, want := repeatedCollectors(period, times, tr.records)
+			if !slices.Equal(got.Events(), want.Events()) || !slices.Equal(got.Decisions(), want.Decisions()) {
+				t.Fatalf("repeated log reads back %d events and %d decisions unlike the %d and %d recorded",
+					got.Len(), len(got.Decisions()), want.Len(), len(want.Decisions()))
+			}
+			if gotAt, wantAt := got.decAt.slice(), want.decAt.slice(); !slices.Equal(gotAt, wantAt) {
+				t.Fatalf("decisions follow %v events, want %v", gotAt, wantAt)
+			}
+			gotJSONL, _, _ := got.AppendJSONL(nil, Cursor{})
+			wantJSONL, _, _ := want.AppendJSONL(nil, Cursor{})
+			if !bytes.Equal(gotJSONL, wantJSONL) {
+				t.Fatalf("repeated log renders:\n%s\nrecorded log renders:\n%s", gotJSONL, wantJSONL)
+			}
+			var queued int
+			for _, ev := range got.Events() {
+				if ev.Queued != 0 {
+					queued++
+				}
+			}
+			if queued != times+1 {
+				t.Errorf("%d events carry a queue time, want the %d transfers", queued, times+1)
+			}
+		})
 	}
 }
 
 // TestAppendJSONLAcrossRepeat: a reader whose cursor stops anywhere in
-// the window, before the mark included, continues after Repeat to the
-// bytes a single read renders, and the channel it waits on closes.
+// the window or its trailer, before the mark included, continues after
+// Repeat to the bytes a single read renders, and the channel it waits
+// on closes.
 func TestAppendJSONLAcrossRepeat(t *testing.T) {
 	const period, times = 1000, 2
-	_, want := repeatedCollectors(period, times)
-	wantJSONL, _, _ := want.AppendJSONL(nil, Cursor{})
-	window := repeatWindow(0, period)
-	for cut := 0; cut <= len(window); cut++ {
-		c := NewCollector()
-		record(c, repeatPrelude)
-		mark := c.Mark()
-		record(c, window[:cut])
-		got, cur, wake := c.AppendJSONL(nil, Cursor{})
-		record(c, window[cut:])
-		c.Repeat(mark, period, times)
-		select {
-		case <-wake:
-		default:
-			t.Fatalf("cut %d: a reader's wake channel stayed open", cut)
-		}
-		got, _, _ = c.AppendJSONL(got, cur)
-		if !bytes.Equal(got, wantJSONL) {
-			t.Fatalf("cut %d: a reader that stopped mid-window rendered %d bytes, a single read %d", cut, len(got), len(wantJSONL))
-		}
+	for _, tr := range repeatTrailers {
+		t.Run(tr.name, func(t *testing.T) {
+			_, want := repeatedCollectors(period, times, tr.records)
+			wantJSONL, _, _ := want.AppendJSONL(nil, Cursor{})
+			window := repeatWindow(0, period)
+			tape := append(window, tr.records...)
+			for cut := 0; cut <= len(tape); cut++ {
+				c := NewCollector()
+				record(c, repeatPrelude)
+				mark := c.Mark()
+				var (
+					end  Cursor
+					got  []byte
+					cur  Cursor
+					wake <-chan struct{}
+				)
+				for i := 0; i <= len(tape); i++ {
+					if i == len(window) {
+						end = c.Mark()
+					}
+					if i == cut {
+						got, cur, wake = c.AppendJSONL(nil, Cursor{})
+					}
+					if i < len(tape) {
+						record(c, tape[i:i+1])
+					}
+				}
+				c.Repeat(mark, end, period, times)
+				select {
+				case <-wake:
+				default:
+					t.Fatalf("cut %d: a reader's wake channel stayed open", cut)
+				}
+				got, _, _ = c.AppendJSONL(got, cur)
+				if !bytes.Equal(got, wantJSONL) {
+					t.Fatalf("cut %d: a reader that stopped mid-window rendered %d bytes, a single read %d", cut, len(got), len(wantJSONL))
+				}
+			}
+		})
 	}
 }
 
@@ -433,7 +482,7 @@ func TestCollectorRepeatAddsNoStrings(t *testing.T) {
 	arenaLen, arenaBytes, before := c.strs.n, c.strs.bytes(), c.Bytes()
 	records := func() int64 { return c.events.bytes() + c.decisions.bytes() + c.decAt.bytes() }
 	recordsBefore := records()
-	c.Repeat(mark, 1000, 2*eventChunk)
+	c.Repeat(mark, c.Mark(), 1000, 2*eventChunk)
 	if c.Len() != 3*(2*eventChunk+1) {
 		t.Fatalf("Len() = %d after repeating 3 events %d times", c.Len(), 2*eventChunk)
 	}
